@@ -30,7 +30,7 @@ def main() -> int:
     psi = PolyFunction(Fraction(1), 1)
     prof = ConstantsProfile.desk()
     t0 = time.monotonic()
-    q, audit, trace = homogeneous_decomposition(h, None, eta, psi, prof, t=args.t)
+    q, audit, trace = homogeneous_decomposition(h, eta, psi, prof, t=args.t)
     dt = time.monotonic() - t0
 
     print(f"decomposed 27-vertex cone in {dt:.1f}s, {q.part_count} parts")

@@ -212,13 +212,20 @@ def _cert_dict(cert) -> dict:
     }
 
 
-def _emit(args, rep: DecompositionReport) -> None:
-    text = save_report(rep)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
+def _write_out(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to standard output when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _ArgError(f"cannot write {path}: {exc}")
+
+
+def _emit(args, rep: DecompositionReport) -> None:
+    _write_out(getattr(args, "output", None), save_report(rep))
 
 
 def _read(path: str) -> str:
@@ -319,7 +326,7 @@ def _cmd_decompose(args) -> int:
         psi = parse_psi(args.psi)
         h = load_three_graph(text)
         q, audit, trace = homogeneous_decomposition(
-            h, args.d_hint, eta, psi, profile, t=args.t, seed=args.seed
+            h, eta, psi, profile, t=args.t, seed=args.seed
         )
         audit_d = _audit_dict_hyper(audit)
         audit_d["eta"] = fraction_str(eta)
@@ -414,12 +421,7 @@ def _cmd_vc2(args) -> int:
             "sets": [list(s) for s in witness.sets],
             "realizers": {str(k): v for k, v in sorted(witness.realizers.items())},
         }
-    line = json.dumps(out, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(line)
-    else:
-        sys.stdout.write(line)
+    _write_out(args.output, json.dumps(out, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -473,11 +475,7 @@ def _cmd_generate(args) -> int:
         out = save_chain(random_chain(sizes, p or Fraction(1, 2), q, seed))
     else:
         raise _ArgError(f"unknown kind {kind!r}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out(args.out, out)
     return EXIT_OK
 
 
@@ -620,7 +618,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--psi", help='rate function "c,k", e.g. "1/16,3"')
     p.add_argument("--eps", help="graph pipeline threshold")
     p.add_argument("--t", type=int)
-    p.add_argument("--d-hint", dest="d_hint", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.add_argument("--threads", type=int)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -321,6 +323,37 @@ class ThreeGraph:
         return _canon_triple(u, v, w) in self.triples
 
 
+_NO_ZMASKS: Mapping[tuple[int, int], int] = MappingProxyType({})
+
+
+class HyperedgeIndex:
+    """The hyperedges of a partite 3-graph bucketed by part triple.
+
+    Built in one pass over the triples.  ``zmasks[(i, j, k)]`` (i < j < k)
+    maps a local pair (x, y) of parts i and j to the bitmask over local z in
+    part k of the hyperedges (x, y, z).  ``cell_chains`` is the store of the
+    cell-chain evaluator (:func:`regulab.partitions.cell_chain_stats`); it
+    holds numbers only, so it lives and dies with the hypergraph.
+    """
+
+    __slots__ = ("zmasks", "cell_chains")
+
+    def __init__(self, h: "PartiteThreeGraph"):
+        vs = h.vertex_set
+        off = vs.offsets
+        owner = [i for i, s in enumerate(vs.sizes) for _ in range(s)]
+        zmasks: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
+        for (u, v, w) in h.triples:
+            i, j, k = owner[u], owner[v], owner[w]
+            bucket = zmasks.get((i, j, k))
+            if bucket is None:
+                bucket = zmasks[(i, j, k)] = {}
+            key = (u - off[i], v - off[j])
+            bucket[key] = bucket.get(key, 0) | 1 << (w - off[k])
+        self.zmasks = zmasks
+        self.cell_chains: dict[tuple, tuple[int, int, Fraction]] = {}
+
+
 @dataclass(frozen=True)
 class PartiteThreeGraph:
     """3-graph whose triples each cross three distinct parts."""
@@ -347,6 +380,17 @@ class PartiteThreeGraph:
     def edge_count(self) -> int:
         return len(self.triples)
 
+    @cached_property
+    def index(self) -> HyperedgeIndex:
+        """The hyperedge index, built on first use; not a field, so equality,
+        hashing and repr ignore it."""
+        return HyperedgeIndex(self)
+
+    def zmasks(self, i: int, j: int, k: int) -> Mapping[tuple[int, int], int]:
+        """{(x, y): z-mask} of the hyperedges across parts i < j < k, in local
+        ids.  Shared with the index: read it, never modify it."""
+        return self.index.zmasks.get((i, j, k), _NO_ZMASKS)
+
     def has_triple(self, u: int, v: int, w: int) -> bool:
         if len({u, v, w}) != 3:
             return False
@@ -357,11 +401,11 @@ class PartiteThreeGraph:
 
     def triples_of_parts(self, i: int, j: int, k: int) -> Iterator[tuple[int, int, int]]:
         """Triples whose parts are exactly {i, j, k} (global ids, sorted)."""
-        vs = self.vertex_set
-        want = {i, j, k}
-        for t in self.triples:
-            if {vs.part_of(t[0]), vs.part_of(t[1]), vs.part_of(t[2])} == want:
-                yield t
+        a, b, c = sorted((i, j, k))
+        off = self.vertex_set.offsets
+        for (x, y), zmask in self.zmasks(a, b, c).items():
+            for z in bits(zmask):
+                yield off[a] + x, off[b] + y, off[c] + z
 
 
 def triangles_local(g: MultipartiteGraph, i: int = 0, j: int = 1, k: int = 2) -> Iterator[tuple[int, int, int]]:
@@ -762,6 +806,7 @@ def load_chain(text: str) -> Chain:
         vs,
         {k: BipartiteGraph(sizes[k[0]], sizes[k[1]], tuple(r)) for k, r in rows.items()},
     )
+    off = vs.offsets
     out = set()
     for lineno, ids in triples:
         _check_range(lineno, ids, vs.total)
@@ -769,16 +814,16 @@ def load_chain(text: str) -> Chain:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
         if len({vs.part_of(v) for v in ids}) != 3:
             raise ParseError(lineno, f"triple {ids} does not cross three parts")
-        out.add(_canon_triple(*ids))
-    hyper = PartiteThreeGraph(vs, frozenset(out))
-    for u, v, w in hyper.triples:
-        (_, a), (_, b), (_, cc) = vs.to_local(u), vs.to_local(v), vs.to_local(w)
+        u, v, w = _canon_triple(*ids)
+        a, b, cc = u - off[0], v - off[1], w - off[2]
         if not (
             g.pair(0, 1).has_edge(a, b)
             and g.pair(0, 2).has_edge(a, cc)
             and g.pair(1, 2).has_edge(b, cc)
         ):
-            raise ParseError(1, f"triple ({u},{v},{w}) is not on a triangle")
+            raise ParseError(lineno, f"triple ({u},{v},{w}) is not on a triangle")
+        out.add((u, v, w))
+    hyper = PartiteThreeGraph(vs, frozenset(out))
     return Chain(g, hyper)
 
 

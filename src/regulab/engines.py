@@ -40,7 +40,6 @@ from .core import (
     product_density,
     ratio,
     relative_density,
-    triangle_count,
 )
 from .generators import SplitMix64
 from .partitions import (
@@ -51,6 +50,7 @@ from .partitions import (
     PairPartition,
     VertexCylinder,
     VertexCylinderPartition,
+    cell_chain_stats,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     homogeneity_audit,
@@ -635,16 +635,16 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
     target = d * d + profile.refine_gain(eta)
     num, den = d.numerator, d.denominator
     g01, g02, g12 = c.graph.pair(0, 1), c.graph.pair(0, 2), c.graph.pair(1, 2)
-    off = vs.offsets
 
-    zm01: dict[tuple[int, int], int] = {}
-    zm02: dict[tuple[int, int], int] = {}
-    zm12: dict[tuple[int, int], int] = {}
-    for (u, v, w) in c.hyper.triples:
-        x, y, z = u - off[0], v - off[1], w - off[2]
-        zm01[(x, y)] = zm01.get((x, y), 0) | (1 << z)
-        zm02[(x, z)] = zm02.get((x, z), 0) | (1 << y)
-        zm12[(y, z)] = zm12.get((y, z), 0) | (1 << x)
+    # Hyperedges through each edge: (x, y) from the index, (x, z) and (y, z)
+    # tallied from it.
+    zm01 = c.hyper.zmasks(0, 1, 2)
+    hyp02: dict[tuple[int, int], int] = {}
+    hyp12: dict[tuple[int, int], int] = {}
+    for (x, y), zmask in zm01.items():
+        for z in bits(zmask):
+            hyp02[(x, z)] = hyp02.get((x, z), 0) + 1
+            hyp12[(y, z)] = hyp12.get((y, z), 0) + 1
 
     cols01, cols02, cols12 = g01.columns(), g02.columns(), g12.columns()
     devs: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
@@ -658,13 +658,13 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
     for x in range(vs.sizes[0]):
         for z in bits(g02.rows[x]):
             tri = (g01.rows[x] & cols12[z]).bit_count()
-            tbl[(x, z)] = den * zm02.get((x, z), 0).bit_count() - num * tri
+            tbl[(x, z)] = den * hyp02.get((x, z), 0) - num * tri
     devs[(0, 2)] = tbl
     tbl = {}
     for y in range(vs.sizes[1]):
         for z in bits(g12.rows[y]):
             tri = (cols01[y] & cols02[z]).bit_count()
-            tbl[(y, z)] = den * zm12.get((y, z), 0).bit_count() - num * tri
+            tbl[(y, z)] = den * hyp12.get((y, z), 0) - num * tri
     devs[(1, 2)] = tbl
 
     pair_keys = ((0, 1), (0, 2), (1, 2))
@@ -765,7 +765,11 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
             if qv > best_q:
                 best_q, best_ep = qv, ep
 
-    if best_ep is None or best_q < target:
+    if best_ep is None:
+        raise RefinementFailure(
+            "no candidate edge split exists: within each pair every edge has the same deviation"
+        )
+    if best_q < target:
         raise RefinementFailure(
             f"no edge partition reached d^2 + gain = {target} (best q {best_q})"
         )
@@ -809,26 +813,22 @@ def _useful_chains(
             continue
         for (i, j, k) in _triple_list(vs.t):
             pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
-            size_prod = (
-                cyl.masks[i].bit_count()
-                * cyl.masks[j].bit_count()
-                * cyl.masks[k].bit_count()
-            )
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            size_prod = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
             for combo in product(*(range(pp.cell_count) for pp in pps)):
                 cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
-                chain = extract_cell_chain(
-                    h, (cyl.masks[i], cyl.masks[j], cyl.masks[k]), (i, j, k), cells
+                tri, _, cert = cell_chain_stats(h, masks, (i, j, k), cells)
+                if tri == 0 or cert <= eta:
+                    continue
+                delta = (
+                    pps[0].cell_density(combo[0])
+                    * pps[1].cell_density(combo[1])
+                    * pps[2].cell_density(combo[2])
                 )
-                tri = triangle_count(chain.graph)
-                if tri == 0:
-                    continue
-                cert = chain_quasirandomness(chain, mode="fast").value
-                if cert <= eta:
-                    continue
-                if product_density(chain.graph) < delta_floor:
+                if delta < delta_floor:
                     continue
                 weight = w * Fraction(tri, size_prod)
-                useful.append((ci, (i, j, k), combo, chain, cert, weight))
+                useful.append((ci, (i, j, k), combo, cells, cert, weight))
                 mass += weight
     return useful, mass
 
@@ -861,9 +861,11 @@ def _apply_chain_refinements(
 ) -> CylinderChainPartition:
     vs = h.vertex_set
     splits: dict[tuple[int, tuple[int, int], int], list] = {}
-    for (ci, (i, j, k), combo, chain, _cert, _w) in useful:
-        pe_small = one_cylinder_refine(chain, eta, profile)
+    for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
         cyl = p.vertex.cylinders[ci]
+        masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+        chain = extract_cell_chain(h, masks, (i, j, k), cells)
+        pe_small = one_cylinder_refine(chain, eta, profile)
         keeps = {
             i: sorted(bits(cyl.masks[i])),
             j: sorted(bits(cyl.masks[j])),
@@ -1259,7 +1261,6 @@ def _remap_chain_partition(
 
 def homogeneous_decomposition(
     h: ThreeGraph,
-    d_hint: int | None,
     eta: Fraction,
     psi: PolyFunction,
     profile: ConstantsProfile,
@@ -1273,11 +1274,8 @@ def homogeneous_decomposition(
     profile's internal threshold (eta^4/16 by default), Venn conversion to
     a genuine chain partition, then pairwise regularity.  The returned
     audit is recomputed from scratch on the original hypergraph and also
-    carries the ordered pair-mass of sparse cells.  ``d_hint`` is an
-    advisory link-complexity bound recorded by callers in reports; it does
-    not alter the desk pipeline.
+    carries the ordered pair-mass of sparse cells.
     """
-    del d_hint
     n = h.n
     if n < 3:
         raise InvalidStructure("need at least three vertices")
@@ -1582,15 +1580,13 @@ def quasirandom_subset(
     for (i, j, k) in _triple_list(t):
         tri = hyp = 0
         rij, rik, rjk = cell_rows[(i, j)], cell_rows[(i, k)], cell_rows[(j, k)]
+        zm = hp.zmasks(i, j, k)
         for x in range(m):
             for y in bits(rij[x]):
                 zmask = rik[x] & rjk[y]
                 tri += zmask.bit_count()
-                for z in bits(zmask):
-                    if h.has_triple(
-                        orig_id(i, keeps[i][x]), orig_id(j, keeps[j][y]), orig_id(k, keeps[k][z])
-                    ):
-                        hyp += 1
+                hmask = zm.get((keeps[i][x], keeps[j][y]), 0)
+                hyp += sum(hmask >> keeps[k][z] & 1 for z in bits(zmask))
         d = ratio(hyp, tri)
         buckets[(i, j, k)] = int(d / width) if width > 0 else 0
 

@@ -11,6 +11,12 @@ q is the triangle-mass-weighted sum of squared relative densities of the
 cells.  The ``fast`` mode enumerates the host's triangles once and tallies
 cells by label; the ``naive`` mode re-enumerates each cell by triple loops.
 Both are exact and must agree.
+
+Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
+(see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
+evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
+certificate) and keeps them on that index.  The tuple audit and the
+engine's search for non-quasirandom chains both read it.
 """
 
 from __future__ import annotations
@@ -417,30 +423,13 @@ def _q_triple_naive(
     return out
 
 
-def _hyper_zmask_for_parts(
-    h: PartiteThreeGraph, i: int, j: int, k: int
-) -> dict[tuple[int, int], int]:
-    """(x, y) -> bitmask over z of hyperedges across parts (i, j, k), local."""
-    vs = h.vertex_set
-    off = vs.offsets
-    out: dict[tuple[int, int], int] = {}
-    for (u, v, w) in h.triples:
-        pu, pv, pw = vs.part_of(u), vs.part_of(v), vs.part_of(w)
-        if {pu, pv, pw} != {i, j, k}:
-            continue
-        by_part = dict(((pu, u), (pv, v), (pw, w)))
-        x, y, z = by_part[i] - off[i], by_part[j] - off[j], by_part[k] - off[k]
-        out[(x, y)] = out.get((x, y), 0) | (1 << z)
-    return out
-
-
 def q_edge_partition(c: Chain, pe: EdgePartition, mode: str = "fast") -> Fraction:
     """q of an edge partition of the chain graph; trivial partition gives d^2."""
     vs = c.vertex_set
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         if pe.pair(i, j).host_rows != c.graph.pair(i, j).rows:
             raise InvalidStructure(f"edge partition host disagrees with chain at {(i, j)}")
-    zmask = _hyper_zmask_for_parts(c.hyper, 0, 1, 2)
+    zmask = c.hyper.zmasks(0, 1, 2)
     lookup = lambda x, y: zmask.get((x, y), 0)
     args = (
         c.graph.pair(0, 1).rows,
@@ -476,7 +465,7 @@ def q_cylinder(
                 rows_bc = tuple(
                     cyl.masks[k] if cyl.masks[j] >> y & 1 else 0 for y in range(vs.sizes[j])
                 )
-                zm = _hyper_zmask_for_parts(h, i, j, k)
+                zm = h.zmasks(i, j, k)
                 mask_i, mask_j, mask_k = cyl.masks[i], cyl.masks[j], cyl.masks[k]
                 lookup = lambda x, y, zm=zm, mi=mask_i, mj=mask_j, mk=mask_k: (
                     (zm.get((x, y), 0) & mk) if (mi >> x & 1 and mj >> y & 1) else 0
@@ -870,92 +859,45 @@ class CylinderAudit:
     samples: int | None = None
 
 
-class _CylinderContext:
-    """Shared caches for tuple audits of a cylinder chain partition."""
+def cell_chain_stats(
+    h: PartiteThreeGraph,
+    masks: tuple[int, int, int],
+    parts: tuple[int, int, int],
+    cells: tuple[Sequence[int], Sequence[int], Sequence[int]],
+) -> tuple[int, int, Fraction]:
+    """(triangles, hyperedges, chain certificate) of one cell chain.
 
-    def __init__(self, h: PartiteThreeGraph, p: CylinderChainPartition):
-        if h.vertex_set != p.vertex.vertex_set:
-            raise InvalidStructure("partition and hypergraph disagree on parts")
-        self.h = h
-        self.p = p
-        self.vs = h.vertex_set
-        t = self.vs.t
-        self.labels = {}
-        for c, ep in enumerate(p.edges):
-            for i in range(t):
-                for j in range(i + 1, t):
-                    self.labels[(c, i, j)] = ep.pair(i, j).labels()
-        self.zmasks = {}
-        for i in range(t):
-            for j in range(i + 1, t):
-                for k in range(j + 1, t):
-                    self.zmasks[(i, j, k)] = _hyper_zmask_for_parts(h, i, j, k)
-        self._dens: dict[tuple, Fraction] = {}
-        self._cert: dict[tuple, Fraction] = {}
-        self._chain: dict[tuple, tuple[int, int, Fraction | None]] = {}
-
-    def cell_density(self, c: int, i: int, j: int, idx: int) -> Fraction:
-        key = (c, i, j, idx)
-        if key not in self._dens:
-            self._dens[key] = self.p.edges[c].pair(i, j).cell_density(idx)
-        return self._dens[key]
-
-    def cell_cert(self, c: int, i: int, j: int, idx: int) -> Fraction:
-        key = (c, i, j, idx)
-        if key not in self._cert:
-            self._cert[key] = _cell_cert(self.p.edges[c].pair(i, j), idx).value
-        return self._cert[key]
-
-    def chain_stats(
-        self, c: int, triple: tuple[int, int, int], combo: tuple[int, int, int], want_cert: bool
-    ) -> tuple[int, int, Fraction | None]:
-        """(triangles, hyperedges, chain certificate) of one cell chain."""
-        key = (c, triple, combo)
-        have = self._chain.get(key)
-        if have is not None and (have[2] is not None or not want_cert):
-            return have
-        i, j, k = triple
-        cyl = self.p.vertex.cylinders[c]
-        ep = self.p.edges[c]
-        cell_ab = ep.pair(i, j).cells[combo[0]]
-        cell_ac = ep.pair(i, k).cells[combo[1]]
-        cell_bc = ep.pair(j, k).cells[combo[2]]
-        zm = self.zmasks[(i, j, k)]
-        tri = hyp = 0
-        for x in bits(cyl.masks[i]):
-            row_ac = cell_ac[x]
-            if not row_ac:
-                continue
-            for y in bits(cell_ab[x]):
-                inter = row_ac & cell_bc[y]
-                if inter:
-                    tri += inter.bit_count()
-                    hm = zm.get((x, y), 0)
-                    if hm:
-                        hyp += (inter & hm).bit_count()
-        cert = None
-        if want_cert:
-            cert = self._cell_chain_cert(c, triple, combo, tri, hyp)
-        self._chain[key] = (tri, hyp, cert)
-        return self._chain[key]
-
-    def _cell_chain_cert(self, c, triple, combo, tri, hyp) -> Fraction:
-        if tri == 0:
-            return Fraction(0)
-        i, j, k = triple
-        cyl = self.p.vertex.cylinders[c]
-        ep = self.p.edges[c]
-        chain = extract_cell_chain(
-            self.h,
-            (cyl.masks[i], cyl.masks[j], cyl.masks[k]),
-            (i, j, k),
-            (
-                ep.pair(i, j).cells[combo[0]],
-                ep.pair(i, k).cells[combo[1]],
-                ep.pair(j, k).cells[combo[2]],
-            ),
-        )
-        return chain_quasirandomness(chain).value
+    The cell-chain evaluator.  ``masks`` are the cylinder's vertex masks on
+    ``parts`` = (i, j, k) and ``cells`` the row tuples of its (i, j),
+    (i, k) and (j, k) cells.  Results are kept on ``h``'s hyperedge index,
+    keyed by this cell content, so a chain is extracted and certified at
+    most once per hypergraph, however many audits, searches or engine steps
+    read it.  A chain without triangles has certificate 0 and is never
+    extracted.
+    """
+    store = h.index.cell_chains
+    key = (masks, parts, cells)
+    got = store.get(key)
+    if got is not None:
+        return got
+    mask_y, mask_z = masks[1], masks[2]
+    cell_ab, cell_ac, cell_bc = cells
+    zm = h.zmasks(*parts)
+    tri = hyp = 0
+    for x in bits(masks[0]):
+        row_ac = cell_ac[x] & mask_z
+        if not row_ac:
+            continue
+        for y in bits(cell_ab[x] & mask_y):
+            inter = row_ac & cell_bc[y]
+            if inter:
+                tri += inter.bit_count()
+                hyp += (inter & zm.get((x, y), 0)).bit_count()
+    cert = Fraction(0)
+    if tri:
+        cert = chain_quasirandomness(extract_cell_chain(h, masks, parts, cells)).value
+    store[key] = (tri, hyp, cert)
+    return tri, hyp, cert
 
 
 def extract_cell_chain(
@@ -991,7 +933,7 @@ def extract_cell_chain(
         },
     )
     off = sub_vs.offsets
-    zm = _hyper_zmask_for_parts(h, i, j, k)
+    zm = h.zmasks(i, j, k)
     triples = set()
     for (x, y), m in zm.items():
         if not (masks[0] >> x & 1 and masks[1] >> y & 1):
@@ -1022,49 +964,73 @@ def cylinder_quasirandomness_audit(
     quasirandom, delta being the product of the three cell densities.
     Exhaustive below ``cap`` tuples, seeded Monte Carlo above.
     """
-    ctx = _CylinderContext(h, p)
-    vs = ctx.vs
+    vs = h.vertex_set
+    if vs != p.vertex.vertex_set:
+        raise InvalidStructure("partition and hypergraph disagree on parts")
     t = vs.t
     triples = [(i, j, k) for i in range(t) for j in range(i + 1, t) for k in range(j + 1, t)]
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    labels = {
+        (c, i, j): ep.pair(i, j).labels() for c, ep in enumerate(p.edges) for (i, j) in pairs
+    }
+    densities: dict[tuple, Fraction] = {}
+    certs: dict[tuple, Fraction] = {}
     verdict_cache: dict[tuple, tuple[bool, bool]] = {}
+
+    def density(c: int, i: int, j: int, idx: int) -> Fraction:
+        key = (c, i, j, idx)
+        if key not in densities:
+            densities[key] = p.edges[c].pair(i, j).cell_density(idx)
+        return densities[key]
+
+    def cert(c: int, i: int, j: int, idx: int) -> Fraction:
+        key = (c, i, j, idx)
+        if key not in certs:
+            certs[key] = _cell_cert(p.edges[c].pair(i, j), idx).value
+        return certs[key]
 
     def judge(c: int, cells: dict[tuple[int, int], int]) -> tuple[bool, bool]:
         key = (c, tuple(cells[pq] for pq in pairs))
         got = verdict_cache.get(key)
         if got is not None:
             return got
+        masks = p.vertex.cylinders[c].masks
+        ep = p.edges[c]
         degenerate = False
         good = True
         for (i, j, k) in triples:
             combo = (cells[(i, j)], cells[(i, k)], cells[(j, k)])
-            delta = (
-                ctx.cell_density(c, i, j, combo[0])
-                * ctx.cell_density(c, i, k, combo[1])
-                * ctx.cell_density(c, j, k, combo[2])
+            thresh = psi(
+                density(c, i, j, combo[0]) * density(c, i, k, combo[1]) * density(c, j, k, combo[2])
             )
-            thresh = psi(delta)
             if (
-                ctx.cell_cert(c, i, j, combo[0]) > thresh
-                or ctx.cell_cert(c, i, k, combo[1]) > thresh
-                or ctx.cell_cert(c, j, k, combo[2]) > thresh
+                cert(c, i, j, combo[0]) > thresh
+                or cert(c, i, k, combo[1]) > thresh
+                or cert(c, j, k, combo[2]) > thresh
             ):
                 good = False
                 break
-            tri, hyp, cert = ctx.chain_stats(c, (i, j, k), combo, True)
+            tri, _, chain_cert = cell_chain_stats(
+                h,
+                (masks[i], masks[j], masks[k]),
+                (i, j, k),
+                (
+                    ep.pair(i, j).cells[combo[0]],
+                    ep.pair(i, k).cells[combo[1]],
+                    ep.pair(j, k).cells[combo[2]],
+                ),
+            )
             if tri == 0:
                 degenerate = True
-            if cert > eta:
+            if chain_cert > eta:
                 good = False
                 break
         verdict_cache[key] = (good, degenerate)
         return good, degenerate
 
     def tuple_verdict(locals_) -> tuple[bool, bool]:
-        c = ctx.p.vertex.lookup(locals_)
-        cells = {
-            (i, j): ctx.labels[(c, i, j)][locals_[i]][locals_[j]] for (i, j) in pairs
-        }
+        c = p.vertex.lookup(locals_)
+        cells = {(i, j): labels[(c, i, j)][locals_[i]][locals_[j]] for (i, j) in pairs}
         return judge(c, cells)
 
     space = 1
@@ -1089,118 +1055,6 @@ def cylinder_quasirandomness_audit(
         good += g
         degen += d
     return CylinderAudit(Fraction(good, samples), Fraction(degen, samples), "sampled", samples)
-
-
-def cylinder_homogeneity_audit(
-    h: PartiteThreeGraph,
-    p: CylinderChainPartition,
-    gamma: Fraction,
-    psi: PolyFunction | None = None,
-    cap: int = 10**6,
-    samples: int = 10**4,
-    seed: int = 0,
-) -> HomogeneityAudit:
-    """Tuple-mass of gamma-homogeneous visible chains of a cylinder partition.
-
-    Degenerate cell chains (no triangles) count as homogeneous.  The
-    quasirandom mass applies psi(delta) thresholds per part triple, with
-    delta the product of that triple's cell densities, when psi is given.
-    These masses live on the tuple space X_1 x ... x X_t, so the crossing
-    and non-crossing fields coincide.
-    """
-    ctx = _CylinderContext(h, p)
-    vs = ctx.vs
-    t = vs.t
-    triples = [(i, j, k) for i in range(t) for j in range(i + 1, t) for k in range(j + 1, t)]
-    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    cache: dict[tuple, tuple[bool, bool, bool]] = {}
-
-    def judge(c: int, cells: dict[tuple[int, int], int]) -> tuple[bool, bool, bool]:
-        key = (c, tuple(cells[pq] for pq in pairs))
-        got = cache.get(key)
-        if got is not None:
-            return got
-        hom = True
-        degen = False
-        for (i, j, k) in triples:
-            tri, hyp, _ = ctx.chain_stats(
-                c, (i, j, k), (cells[(i, j)], cells[(i, k)], cells[(j, k)]), False
-            )
-            if tri == 0:
-                degen = True
-                continue
-            d = Fraction(hyp, tri)
-            if not (d <= gamma or d >= 1 - gamma):
-                hom = False
-                break
-        qr = True
-        if psi is not None:
-            for (i, j, k) in triples:
-                combo = (cells[(i, j)], cells[(i, k)], cells[(j, k)])
-                delta = (
-                    ctx.cell_density(c, i, j, combo[0])
-                    * ctx.cell_density(c, i, k, combo[1])
-                    * ctx.cell_density(c, j, k, combo[2])
-                )
-                thresh = psi(delta)
-                if (
-                    ctx.cell_cert(c, i, j, combo[0]) > thresh
-                    or ctx.cell_cert(c, i, k, combo[1]) > thresh
-                    or ctx.cell_cert(c, j, k, combo[2]) > thresh
-                ):
-                    qr = False
-                    break
-        cache[key] = (hom, degen, qr)
-        return hom, degen, qr
-
-    def tuple_verdict(locals_):
-        c = ctx.p.vertex.lookup(locals_)
-        cells = {
-            (i, j): ctx.labels[(c, i, j)][locals_[i]][locals_[j]] for (i, j) in pairs
-        }
-        return judge(c, cells)
-
-    space = 1
-    for s in vs.sizes:
-        space *= s
-    if space == 0:
-        one = Fraction(1)
-        return HomogeneityAudit(gamma, one, one, one, Fraction(0), Fraction(0))
-    if space <= cap:
-        hom = degen = qr = 0
-        for locals_ in itertools.product(*(range(s) for s in vs.sizes)):
-            a, b, c_ = tuple_verdict(locals_)
-            hom += a
-            degen += b
-            qr += c_
-        return HomogeneityAudit(
-            gamma,
-            Fraction(hom, space),
-            Fraction(hom, space),
-            Fraction(qr, space) if psi is not None else Fraction(0),
-            Fraction(degen, space),
-            Fraction(0),
-        )
-    from .generators import SplitMix64
-
-    rng = SplitMix64(seed)
-    hom = degen = qr = 0
-    for _ in range(samples):
-        locals_ = tuple(rng.below(s) for s in vs.sizes)
-        a, b, c_ = tuple_verdict(locals_)
-        hom += a
-        degen += b
-        qr += c_
-    return HomogeneityAudit(
-        gamma,
-        Fraction(hom, samples),
-        Fraction(hom, samples),
-        Fraction(qr, samples) if psi is not None else Fraction(0),
-        Fraction(degen, samples),
-        Fraction(0),
-        "sampled",
-        samples,
-    )
 
 
 @dataclass(frozen=True)
@@ -1269,7 +1123,7 @@ def markov_split_check(
                     lab[x][y] = 0
         elabel[(i, j)] = lab
 
-    zm = _hyper_zmask_for_parts(c.hyper, 0, 1, 2)
+    zm = c.hyper.zmasks(0, 1, 2)
     tri: dict[tuple, int] = {}
     hyp: dict[tuple, int] = {}
     total = 0

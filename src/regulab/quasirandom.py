@@ -360,46 +360,45 @@ def _chain_oct_raw_scaled(c: Chain) -> tuple[int, int]:
 
     The deviation takes only three values: u = q - p on hyperedges,
     v = -p on triangles that are not hyperedges, 0 off triangles, where
-    d(H|G) = p/q with q the triangle count.  For each pair (z, z') the
-    product g = f(.,.,z) f(.,.,z') then takes values in {u^2, uv, v^2, 0},
-    and the inner sums collapse to nine popcounts per row pair.
+    d(H|G) = p/q with q the triangle count.  The sum is symmetric in the
+    three parts, so it pairs over y: for each pair (y, y') the product
+    g = f(., y, .) f(., y', .) takes values in {u^2, uv, v^2, 0}, and the
+    inner sums collapse to nine popcounts per row pair of z-masks.
     """
     vs = c.vertex_set
     n0, n1, n2 = vs.sizes
-    off = vs.offsets
     q = triangle_count(c.graph)
     p = c.hyper.edge_count
     if q == 0:
         return 0, 1
     u, v = q - p, -p
     ab, ac, bc = c.graph.pair(0, 1), c.graph.pair(0, 2), c.graph.pair(1, 2)
-    cols_bc = bc.columns()  # per z: mask over y
+    zm = c.hyper.zmasks(0, 1, 2)
 
-    # Per (x, z): mask over y of triangles / hyperedges through (x, ., z).
-    T = [[0] * n2 for _ in range(n0)]
-    U = [[0] * n2 for _ in range(n0)]
+    # Per (x, y): mask over z of triangles / hyperedges through (x, y, .).
+    T = [[0] * n1 for _ in range(n0)]
+    U = [[0] * n1 for _ in range(n0)]
     for x in range(n0):
-        row_ab, row_ac = ab.rows[x], ac.rows[x]
-        if not (row_ab and row_ac):
+        row_ac = ac.rows[x]
+        if not row_ac:
             continue
-        t_x = T[x]
-        for z in bits(row_ac):
-            t_x[z] = row_ab & cols_bc[z]
-    for (gu, gv, gw) in c.hyper.triples:
-        U[gu - off[0]][gw - off[2]] |= 1 << (gv - off[1])
+        t_x, u_x = T[x], U[x]
+        for y in bits(ab.rows[x]):
+            t_x[y] = row_ac & bc.rows[y]
+            u_x[y] = zm.get((x, y), 0)
 
     uu, uv_, vv = u * u, u * v, v * v
     w4, w31, w22, w13, w04 = uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv
     w22b = uu * vv  # |A op C| cross terms share u^2 v^2 with |B op B|
     total = 0
-    for z in range(n2):
-        for z2 in range(z, n2):
-            A, B, C, active = [], [], [], []
+    for y in range(n1):
+        for y2 in range(y, n1):
+            A, B, C = [], [], []
             for x in range(n0):
-                t1, t2 = T[x][z], T[x][z2]
+                t1, t2 = T[x][y], T[x][y2]
                 if not (t1 and t2):
                     continue
-                u1, u2 = U[x][z], U[x][z2]
+                u1, u2 = U[x][y], U[x][y2]
                 v1, v2 = t1 & ~u1, t2 & ~u2
                 a = u1 & u2
                 b = (u1 & v2) | (v1 & u2)
@@ -408,9 +407,8 @@ def _chain_oct_raw_scaled(c: Chain) -> tuple[int, int]:
                     A.append(a)
                     B.append(b)
                     C.append(cmask)
-                    active.append(x)
             inner = 0
-            m = len(active)
+            m = len(A)
             for i in range(m):
                 ai, bi, ci = A[i], B[i], C[i]
                 for j in range(i, m):
@@ -424,7 +422,7 @@ def _chain_oct_raw_scaled(c: Chain) -> tuple[int, int]:
                         + w04 * (ci & cj).bit_count()
                     )
                     inner += s * s if i == j else 2 * s * s
-            total += inner if z == z2 else 2 * inner
+            total += inner if y == y2 else 2 * inner
     return total, q
 
 
@@ -465,12 +463,11 @@ def part_triple_chain(g: MultipartiteGraph, h: PartiteThreeGraph, i: int, j: int
     sub_graph = MultipartiteGraph(
         sub_vs, {(0, 1): g.pair(i, j), (0, 2): g.pair(i, k), (1, 2): g.pair(j, k)}
     )
-    off, sub_off = vs.offsets, sub_vs.offsets
+    sub_off = sub_vs.offsets
     triples = set()
-    for (u, v, w) in h.triples_of_parts(i, j, k):
-        locs = sorted((vs.part_of(x), x) for x in (u, v, w))
-        a, b, cc = locs[0][1] - off[i], locs[1][1] - off[j], locs[2][1] - off[k]
-        triples.add((sub_off[0] + a, sub_off[1] + b, sub_off[2] + cc))
+    for (x, y), zmask in h.zmasks(i, j, k).items():
+        for z in bits(zmask):
+            triples.add((sub_off[0] + x, sub_off[1] + y, sub_off[2] + z))
     return Chain(sub_graph, PartiteThreeGraph(sub_vs, frozenset(triples)))
 
 

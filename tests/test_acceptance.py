@@ -277,7 +277,7 @@ def test_criterion_07_step_count_bound():
     eta = Fraction(1, 4)
     runs = []
     h = build_misaligned_cone()
-    q, audit, trace = homogeneous_decomposition(h, None, eta, PSI_ID, DESK, t=9)
+    q, audit, trace = homogeneous_decomposition(h, eta, PSI_ID, DESK, t=9)
     eta_c = eta**4 / 16
     runs.append((trace, "hyper", comb(9, 3), DESK.hyper_gain(eta_c, 9)))
     rng = SplitMix64(707)
@@ -330,7 +330,7 @@ def test_criterion_09_homogeneous_pipeline():
     eta = Fraction(1, 4)
     for build in (build_misaligned_cone, build_clique_union):
         h = build()
-        _, audit, _ = homogeneous_decomposition(h, None, eta, PSI_ID, DESK, t=9)
+        _, audit, _ = homogeneous_decomposition(h, eta, PSI_ID, DESK, t=9)
         assert audit.homogeneous_mass >= 1 - 2 * eta
     eps = Fraction(1, 5)
     g = build_two_clique_noise()

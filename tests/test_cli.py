@@ -137,6 +137,32 @@ def test_cylinder_subcommand(cone_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cylinder_reports_are_stable(cone_file, tmp_path, capsys):
+    args = ["cylinder", "--input", str(cone_file), "--eta", "1/4", "--psi", "1,1"]
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(args + ["--output", str(p1)]) == 0
+    assert run(args + ["--output", str(p2)]) == 0
+    scrub = lambda p: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', p.read_text())
+    assert scrub(p1) == scrub(p2)
+    capsys.readouterr()
+
+
+def test_unwritable_output_exits_one(cone_file, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    commands = [
+        ["cylinder", "--input", str(cone_file), "--eta", "1/4", "--psi", "1,1",
+         "--output", str(missing)],
+        ["vc2", "--input", str(cone_file), "--output", str(missing)],
+        ["generate", "--kind", "graph", "--n", "4", "--out", str(missing)],
+    ]
+    for argv in commands:
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
 def test_vc2_subcommand(cone_file, tmp_path, capsys):
     out = tmp_path / "vc2.json"
     rc = run(["vc2", "--input", str(cone_file), "--output", str(out)])

@@ -35,7 +35,12 @@ from regulab.core import (
     triangle_count,
     triangles_local,
 )
-from regulab.generators import SplitMix64, random_chain, random_multipartite
+from regulab.generators import (
+    SplitMix64,
+    random_chain,
+    random_multipartite,
+    random_partite_3graph,
+)
 
 
 def test_ratio_zero_over_zero():
@@ -275,3 +280,49 @@ def test_chain_loader_checks_triangle_support():
     text = "part A 1\npart B 1\npart C 1\nt 0 1 2\n"
     with pytest.raises(ParseError):
         load_chain(text)
+
+
+def test_chain_loader_reports_the_triple_line():
+    # Triangle only on (0, 2, 4); the triple on line 9 misses edge (1, 3).
+    text = (
+        "part A 2\npart B 2\npart C 2\n"
+        "e 0 2\ne 0 4\ne 2 4\ne 1 5\n"
+        "t 0 2 4\n"
+        "t 1 3 5\n"
+    )
+    with pytest.raises(ParseError) as info:
+        load_chain(text)
+    assert info.value.line == 9
+    assert str(info.value).startswith("line 9: triple (1,3,5)")
+
+
+@pytest.mark.parametrize(
+    "sizes,seed",
+    [((3, 4, 5), 1), ((4, 4, 4), 2), ((3, 2, 4, 3), 3), ((2, 0, 3, 2), 4), ((1, 3, 2, 2, 2), 5)],
+)
+def test_hyperedge_index_matches_has_triple(sizes, seed):
+    # The index is the oracle of every hyperedge reader (fast and naive q
+    # share it), so it is checked against the naive membership test.
+    h = random_partite_3graph(sizes, Fraction(1, 2), seed)
+    vs = h.vertex_set
+    off = vs.offsets
+    seen = 0
+    for i in range(vs.t):
+        for j in range(i + 1, vs.t):
+            for k in range(j + 1, vs.t):
+                zm = h.zmasks(i, j, k)
+                for x in range(sizes[i]):
+                    for y in range(sizes[j]):
+                        want = 0
+                        for z in range(sizes[k]):
+                            if h.has_triple(off[i] + x, off[j] + y, off[k] + z):
+                                want |= 1 << z
+                        assert zm.get((x, y), 0) == want
+                        seen += want.bit_count()
+                assert sorted(h.triples_of_parts(k, i, j)) == sorted(
+                    t for t in h.triples if {vs.part_of(v) for v in t} == {i, j, k}
+                )
+    assert seen == h.edge_count
+    # The index is not a field: equal hypergraphs stay equal and hash alike.
+    fresh = PartiteThreeGraph(vs, h.triples)
+    assert fresh == h and hash(fresh) == hash(h) and repr(fresh) == repr(h)

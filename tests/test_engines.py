@@ -185,6 +185,26 @@ def test_one_cylinder_refine_parity_is_resistant():
         one_cylinder_refine(c, Fraction(1, 1000), DESK)
 
 
+def test_one_cylinder_refine_reports_missing_split():
+    """2x2x2 parity chain: every edge deviation is 0, so no candidate split
+    exists; the failure says so instead of quoting a best q."""
+    from regulab.engines import RefinementFailure
+
+    vs = PartiteVertexSet.of_sizes(2, 2, 2)
+    trips = [
+        (x, 2 + y, 4 + z)
+        for x in range(2)
+        for y in range(2)
+        for z in range(2)
+        if (x + y + z) % 2 == 0
+    ]
+    c = Chain(MultipartiteGraph.complete(vs), PartiteThreeGraph.from_triples(vs, trips))
+    assert chain_quasirandomness(c).value == Fraction(1, 256)
+    with pytest.raises(RefinementFailure, match="no candidate edge split exists") as info:
+        one_cylinder_refine(c, Fraction(1, 512), DESK)
+    assert "best q" not in str(info.value)
+
+
 def test_szemeredi_splits_planted_cells():
     from conftest import build_planted_chain_partition
 
@@ -238,7 +258,7 @@ def test_hyper_accepts_misaligned_cone():
 def test_homogeneous_decomposition_cone():
     h = build_misaligned_cone()
     eta = Fraction(1, 4)
-    q, audit, trace = homogeneous_decomposition(h, None, eta, PSI_ID, DESK, t=9)
+    q, audit, trace = homogeneous_decomposition(h, eta, PSI_ID, DESK, t=9)
     assert audit.homogeneous_mass == Fraction(56, 81)
     assert audit.homogeneous_crossing_mass == 1
     assert audit.homogeneous_mass >= 1 - 2 * eta
@@ -247,7 +267,7 @@ def test_homogeneous_decomposition_cone():
 def test_homogeneous_decomposition_clique_union():
     h = build_clique_union()
     eta = Fraction(1, 4)
-    q, audit, trace = homogeneous_decomposition(h, None, eta, PSI_ID, DESK, t=9)
+    q, audit, trace = homogeneous_decomposition(h, eta, PSI_ID, DESK, t=9)
     assert audit.homogeneous_mass == Fraction(56, 81)
     assert audit.homogeneous_mass >= 1 - 2 * eta
 
@@ -342,7 +362,7 @@ def test_step_counts_respect_energy_budget():
 
     h = build_misaligned_cone()
     eta = Fraction(1, 4)
-    q, audit, trace = homogeneous_decomposition(h, None, eta, PSI_ID, DESK, t=9)
+    q, audit, trace = homogeneous_decomposition(h, eta, PSI_ID, DESK, t=9)
     hyper_rows = [r for r in trace.rows if r.stage == "hyper"]
     steps = sum(1 for r in hyper_rows if r.action.startswith(("refine", "split")))
     eta_c = eta**4 / 16

@@ -287,3 +287,41 @@ def test_cylinder_audit_modes():
     assert 0 <= audit.good_mass <= 1
     sampled = cylinder_quasirandomness_audit(h, p, Fraction(1, 4), psi, cap=1, samples=50)
     assert sampled.mode == "sampled" and sampled.samples == 50
+
+
+def test_cell_chain_evaluator_warm_equals_cold():
+    """Audits and the useful-chain search read the same numbers from a
+    hypergraph whose evaluator already holds earlier partitions' chains as
+    from a fresh, equal hypergraph, and every stored entry equals a direct
+    extraction and certification."""
+    from regulab.engines import _useful_chains
+    from regulab.quasirandom import PolyFunction, chain_quasirandomness
+
+    psi = PolyFunction(Fraction(1), 1)
+    eta = Fraction(1, 4)
+    warm = random_partite_3graph((4, 5, 4, 3), Fraction(1, 2), seed=23)
+    vs = warm.vertex_set
+    parts = [random_cylinder_chain_partition(vs, 3, 2, seed=s) for s in (5, 6, 7)]
+    for p in parts:
+        cylinder_quasirandomness_audit(warm, p, eta, psi)
+        _useful_chains(warm, p, eta, Fraction(0))
+    stored = dict(warm.index.cell_chains)
+    assert stored
+    for p in parts:
+        cold = PartiteThreeGraph(vs, warm.triples)
+        assert cylinder_quasirandomness_audit(warm, p, eta, psi) == (
+            cylinder_quasirandomness_audit(cold, p, eta, psi)
+        )
+        assert _useful_chains(warm, p, eta, Fraction(0)) == _useful_chains(
+            cold, p, eta, Fraction(0)
+        )
+    # Re-reading added nothing: every chain was evaluated once.
+    assert warm.index.cell_chains == stored
+    extracted = 0
+    for (masks, parts_ijk, cells), (tri, hyp, cert) in stored.items():
+        chain = extract_cell_chain(warm, masks, parts_ijk, cells)
+        assert tri == triangle_count(chain.graph)
+        assert hyp == chain.hyper.edge_count
+        assert cert == (chain_quasirandomness(chain).value if tri else 0)
+        extracted += tri > 0
+    assert extracted
