@@ -21,14 +21,14 @@ from fractions import Fraction
 
 from . import __version__
 from .core import (
+    BipartiteGraph,
     CapacityError,
-    Chain,
     ContainmentError,
     DensityUndefined,
-    Graph,
     InvalidStructure,
     MultipartiteGraph,
     ParseError,
+    PartiteVertexSet,
     load_chain,
     load_graph,
     load_multipartite,
@@ -43,7 +43,6 @@ from .core import (
 )
 from .engines import (
     ConstantsProfile,
-    EngineError,
     NonterminationError,
     RefinementFailure,
     ScheduleSaturation,
@@ -53,7 +52,6 @@ from .engines import (
     hyper_cylinder_regularity,
     quasirandom_subset,
     rodl_sparse_dense,
-    IterationTrace,
 )
 from .generators import (
     SplitMix64,
@@ -72,14 +70,19 @@ from .generators import (
 from .partitions import cylinder_quasirandomness_audit, q_edge_partition, EdgePartition
 from .quasirandom import (
     PolyFunction,
-    c4_sum,
     chain_quasirandomness,
     multipartite_graph_quasirandomness,
-    oct_sum,
     pair_quasirandomness,
     graph_quasirandomness,
 )
-from .report import DecompositionReport, fraction_str, input_hash, save_report
+from .report import (
+    DecompositionReport,
+    fraction_str,
+    input_hash,
+    profile_dict,
+    save_report,
+    trace_list,
+)
 from .vcdim import vc2_dimension
 
 EXIT_OK = 0
@@ -267,8 +270,6 @@ def _cmd_analyze(args) -> int:
     elif kind == "graph":
         g = load_graph(text)
         part_counts = [g.n]
-        from .core import BipartiteGraph
-
         bg = BipartiteGraph(g.n, g.n, g.rows)
         for mode in modes:
             audit[mode] = _cert_dict(pair_quasirandomness(bg, mode=mode))
@@ -351,9 +352,6 @@ def _cmd_decompose(args) -> int:
         part_counts = list(audit.part_sizes)
     else:
         raise _ArgError("decompose expects a 3-graph or a single-part graph file")
-    from .report import trace_list
-    from .report import profile_dict
-
     rep = DecompositionReport(
         command="decompose",
         input_hash=input_hash(text),
@@ -383,8 +381,6 @@ def _cmd_cylinder(args) -> int:
         h, p, eta, psi, cap=profile.audit_tuple_cap, samples=profile.audit_samples,
         seed=args.seed,
     )
-    from .report import profile_dict, trace_list
-
     audit_d = {
         "eta": fraction_str(eta),
         "good_mass": fraction_str(audit.good_mass),
@@ -425,18 +421,22 @@ def _cmd_vc2(args) -> int:
     return EXIT_OK
 
 
+def _save_two_part(g: BipartiteGraph) -> str:
+    """A bipartite graph in the multipartite format, parts A and B."""
+    vs = PartiteVertexSet(("A", "B"), (g.left_size, g.right_size))
+    return save_multipartite(MultipartiteGraph(vs, {(0, 1): g}))
+
+
 def _cmd_generate(args) -> int:
     kind = args.kind
     seed = args.seed
+    if args.n < 0:
+        raise _ArgError(f"--n must be non-negative, got {args.n}")
     p = parse_rational(args.p) if args.p is not None else None
     if kind == "vd":
         out = save_partite_3graph(make_vd(args.d))
     elif kind == "fd":
-        g = make_fd(args.d)
-        from .core import PartiteVertexSet
-
-        vs = PartiteVertexSet(("A", "B"), (g.left_size, g.right_size))
-        out = save_multipartite(MultipartiteGraph(vs, {(0, 1): g}))
+        out = _save_two_part(make_fd(args.d))
     elif kind == "cone":
         gtext = _read(args.base)
         mg = load_multipartite(gtext)
@@ -453,19 +453,11 @@ def _cmd_generate(args) -> int:
         out = save_partite_3graph(random_partite_3graph(sizes, p or Fraction(1, 2), seed))
     elif kind == "bipartite":
         na, nb = _parse_sizes(args.parts or "8,8")[:2]
-        g = random_bipartite(na, nb, p or Fraction(1, 2), seed)
-        from .core import PartiteVertexSet
-
-        vs = PartiteVertexSet(("A", "B"), (g.left_size, g.right_size))
-        out = save_multipartite(MultipartiteGraph(vs, {(0, 1): g}))
+        out = _save_two_part(random_bipartite(na, nb, p or Fraction(1, 2), seed))
     elif kind == "graph":
         out = save_graph(random_graph(args.n, p or Fraction(1, 2), seed))
     elif kind == "half":
-        g = half_graph(args.n)
-        from .core import PartiteVertexSet
-
-        vs = PartiteVertexSet(("A", "B"), (g.left_size, g.right_size))
-        out = save_multipartite(MultipartiteGraph(vs, {(0, 1): g}))
+        out = _save_two_part(half_graph(args.n))
     elif kind == "multipartite":
         sizes = _parse_sizes(args.parts or "4,4,4")
         out = save_multipartite(random_multipartite(sizes, p or Fraction(1, 2), seed))
@@ -486,8 +478,6 @@ def _cmd_subset(args) -> int:
     h = load_three_graph(text)
     profile = build_profile(args)
     t0 = time.monotonic()
-    from .report import profile_dict, trace_list
-
     if args.pattern is not None:
         if args.eps is None:
             raise _ArgError("rodl mode needs --eps")
@@ -550,12 +540,10 @@ def _cmd_oracle_check(args) -> int:
     rng = SplitMix64(args.seed)
     t0 = time.monotonic()
     pair_cases = chain_cases = mismatches = 0
-    from .generators import random_bipartite as rb, random_chain as rc
-
     for case in range(args.cases):
         na = lo + rng.below(hi - lo + 1)
         nb = lo + rng.below(hi - lo + 1)
-        g = rb(na, nb, Fraction(1, 2), seed=rng.next_u64())
+        g = random_bipartite(na, nb, Fraction(1, 2), seed=rng.next_u64())
         fast = pair_quasirandomness(g, mode="fast")
         naive = pair_quasirandomness(g, mode="naive")
         pair_cases += 1
@@ -563,7 +551,7 @@ def _cmd_oracle_check(args) -> int:
             mismatches += 1
         if case % 5 == 0:
             sizes = tuple(lo + rng.below(min(hi, 6) - lo + 1) if min(hi, 6) >= lo else lo for _ in range(3))
-            c = rc(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
+            c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
             cf = chain_quasirandomness(c, mode="fast")
             cn = chain_quasirandomness(c, mode="naive")
             chain_cases += 1

@@ -12,7 +12,7 @@ Python ints.  The 0/0 = 0 convention for relative densities lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -91,7 +91,7 @@ class PartiteVertexSet:
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out, acc = [], 0
         for s in self.sizes:
@@ -99,18 +99,16 @@ class PartiteVertexSet:
             acc += s
         return tuple(out)
 
+    @cached_property
+    def owner(self) -> tuple[int, ...]:
+        """The part of each global vertex id: the one vertex-to-part table."""
+        return tuple(i for i, s in enumerate(self.sizes) for _ in range(s))
+
     def part_of(self, g: int) -> int:
-        if not 0 <= g < self.total:
+        owner = self.owner
+        if not 0 <= g < len(owner):
             raise InvalidStructure(f"vertex {g} out of range")
-        off = self.offsets
-        lo, hi = 0, self.t - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if off[mid] <= g:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return owner[g]
 
     def to_local(self, g: int) -> tuple[int, int]:
         i = self.part_of(g)
@@ -340,8 +338,7 @@ class HyperedgeIndex:
 
     def __init__(self, h: "PartiteThreeGraph"):
         vs = h.vertex_set
-        off = vs.offsets
-        owner = [i for i, s in enumerate(vs.sizes) for _ in range(s)]
+        off, owner = vs.offsets, vs.owner
         zmasks: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
         for (u, v, w) in h.triples:
             i, j, k = owner[u], owner[v], owner[w]
@@ -499,7 +496,8 @@ def restrict_chain(
     ``edge_subsets`` maps a part pair to replacement rows in the *original*
     local coordinates; rows must be contained in the original pair graph.
     The result is re-indexed to compact parts so densities use the restricted
-    sizes, and hyperedges off the surviving triangles are dropped.
+    sizes, and hyperedges off the surviving triangles are dropped; the
+    cutting is :func:`regulab.partitions.extract_cell_chain`'s.
     """
     vs = c.vertex_set
     if vertex_subsets is None:
@@ -509,9 +507,10 @@ def restrict_chain(
             raise ContainmentError("need one vertex subset per part")
         masks = [_mask_of(sub, vs.sizes[i]) for i, sub in enumerate(vertex_subsets)]
 
-    new_rows: dict[tuple[int, int], tuple[int, ...]] = {}
+    cells = []
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         host = c.graph.pair(i, j)
+        rows = host.rows
         if edge_subsets is not None and (i, j) in edge_subsets:
             rows = tuple(edge_subsets[(i, j)])
             if len(rows) != host.left_size:
@@ -519,47 +518,10 @@ def restrict_chain(
             for x, r in enumerate(rows):
                 if r & ~host.rows[x]:
                     raise ContainmentError(f"edge subset for {(i, j)} not contained in host")
-        else:
-            rows = host.rows
-        new_rows[(i, j)] = tuple(
-            (rows[x] & masks[j]) if masks[i] >> x & 1 else 0 for x in range(host.left_size)
-        )
+        cells.append(rows)
+    from .partitions import extract_cell_chain
 
-    keep = [sorted(bits(m)) for m in masks]
-    remap = [{old: new for new, old in enumerate(k)} for k in keep]
-    sizes = tuple(len(k) for k in keep)
-    sub_vs = PartiteVertexSet(vs.names, sizes)
-
-    def compact(rows, i, j):
-        out = []
-        for old_x in keep[i]:
-            r, row = 0, rows[old_x]
-            for old_y in bits(row):
-                r |= 1 << remap[j][old_y]
-            out.append(r)
-        return tuple(out)
-
-    pair_graphs = {
-        (i, j): BipartiteGraph(sizes[i], sizes[j], compact(new_rows[(i, j)], i, j))
-        for (i, j) in ((0, 1), (0, 2), (1, 2))
-    }
-    sub_graph = MultipartiteGraph(sub_vs, pair_graphs)
-
-    off_old, off_new = vs.offsets, sub_vs.offsets
-    surviving = []
-    for (u, v, w) in c.hyper.triples:
-        x, y, z = u - off_old[0], v - off_old[1], w - off_old[2]
-        if not (masks[0] >> x & 1 and masks[1] >> y & 1 and masks[2] >> z & 1):
-            continue
-        nx, ny, nz = remap[0][x], remap[1][y], remap[2][z]
-        if (
-            pair_graphs[(0, 1)].has_edge(nx, ny)
-            and pair_graphs[(0, 2)].has_edge(nx, nz)
-            and pair_graphs[(1, 2)].has_edge(ny, nz)
-        ):
-            surviving.append((off_new[0] + nx, off_new[1] + ny, off_new[2] + nz))
-    sub_hyper = PartiteThreeGraph(sub_vs, frozenset(surviving))
-    return Chain(sub_graph, sub_hyper)
+    return extract_cell_chain(c.hyper, tuple(masks), (0, 1, 2), tuple(cells))
 
 
 def equitable_partition(n: int, t: int, seed: int | None = None) -> tuple[tuple[int, ...], ...]:

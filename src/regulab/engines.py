@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .core import (
@@ -37,7 +37,6 @@ from .core import (
     bits,
     equitable_partition,
     partite_from_three_graph,
-    product_density,
     ratio,
     relative_density,
 )
@@ -51,6 +50,7 @@ from .partitions import (
     VertexCylinder,
     VertexCylinderPartition,
     cell_chain_stats,
+    cells_by_label,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     homogeneity_audit,
@@ -602,20 +602,6 @@ def dlr_cylinder_regularity(
 # ---------------------------------------------------------------------------
 
 
-def _cells_from_groups(
-    left_size: int, host: Sequence[int], group_of: Callable[[int, int], int]
-) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for x in range(left_size):
-        for y in bits(host[x]):
-            rows = groups.get(group_of(x, y))
-            if rows is None:
-                rows = [0] * left_size
-                groups[group_of(x, y)] = rows
-            rows[x] |= 1 << y
-    return tuple(tuple(rows) for _, rows in sorted(groups.items()))
-
-
 def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> EdgePartition:
     """Edge partition of a non-quasirandom chain with q >= d^2 + gain.
 
@@ -691,7 +677,7 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
             continue
         positive = {edge for edge, val in tbl.items() if val > 0}
         if positive and len(positive) < len(tbl):
-            sign_cells[pk] = _cells_from_groups(
+            sign_cells[pk] = cells_by_label(
                 hosts[pk].left_size,
                 hosts[pk].rows,
                 lambda x, y, pos=positive: 1 if (x, y) in pos else 0,
@@ -718,7 +704,7 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
         if len(set(groups.values())) >= 2:
             candidates.append(
                 {
-                    pk: _cells_from_groups(
+                    pk: cells_by_label(
                         hosts[pk].left_size, hosts[pk].rows, lambda x, y, g=groups: g[(x, y)]
                     )
                 }
@@ -748,7 +734,7 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
                 groups = {edge: (0 if val <= cut else 1) for edge, val in tbl.items()}
                 if len(set(groups.values())) < 2:
                     continue
-                cells = _cells_from_groups(
+                cells = cells_by_label(
                     hosts[pk].left_size, hosts[pk].rows, lambda x, y, g=groups: g[(x, y)]
                 )
                 ep = make_ep({pk: cells})
@@ -898,23 +884,12 @@ def _apply_chain_refinements(
             if not variants:
                 new_cells.append(cell)
                 continue
-            labeled: dict[tuple, list[int]] = {}
-            for x in range(pp.left_size):
-                for y in bits(cell[x]):
-                    lab = []
-                    for variant in variants:
-                        for si, sub in enumerate(variant):
-                            if sub[x] >> y & 1:
-                                lab.append(si)
-                                break
-                        else:
-                            lab.append(-1)
-                    rows = labeled.get(tuple(lab))
-                    if rows is None:
-                        rows = [0] * pp.left_size
-                        labeled[tuple(lab)] = rows
-                    rows[x] |= 1 << y
-            new_cells.extend(tuple(rows) for _, rows in sorted(labeled.items()))
+            # Label each edge by the sub-cell holding it in each variant (-1: none).
+            label = lambda x, y, variants=variants: tuple(
+                next((si for si, sub in enumerate(variant) if sub[x] >> y & 1), -1)
+                for variant in variants
+            )
+            new_cells.extend(cells_by_label(pp.left_size, cell, label))
         if len(new_cells) > profile.edge_part_cap:
             raise RefinementFailure(
                 f"pair ({i},{j}) would need {len(new_cells)} cells, over the cap",
@@ -1516,25 +1491,20 @@ def quasirandom_subset(
             pp = ep.pair(i, j)
             best = max(range(pp.cell_count), key=lambda idx: (pp.cell_density(idx), -idx))
             pick[(i, j)] = best
+        # The tuple audit's test on each part triple's densest cell chain:
+        # chain certificate <= eta_c and each cell psi(delta)-quasirandom.
         good = True
         for (i, j, k) in _triple_list(t):
-            cells = (
-                ep.pair(i, j).cells[pick[(i, j)]],
-                ep.pair(i, k).cells[pick[(i, k)]],
-                ep.pair(j, k).cells[pick[(j, k)]],
-            )
-            chain = extract_cell_chain(
-                hp, (cyl.masks[i], cyl.masks[j], cyl.masks[k]), (i, j, k), cells
-            )
-            if chain_quasirandomness(chain, mode="fast").value > eta_c:
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+            combo = (pick[(i, j)], pick[(i, k)], pick[(j, k)])
+            cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            if cell_chain_stats(hp, masks, (i, j, k), cells)[2] > eta_c:
                 good = False
                 break
-            thresh = psi(product_density(chain.graph))
-            for (x, y) in ((0, 1), (0, 2), (1, 2)):
-                if pair_quasirandomness(chain.graph.pair(x, y), mode="fast").value > thresh:
-                    good = False
-                    break
-            if not good:
+            thresh = psi(prod(pp.cell_density(idx) for pp, idx in zip(pps, combo)))
+            if any(pp.cell_certificate(idx).value > thresh for pp, idx in zip(pps, combo)):
+                good = False
                 break
         if good:
             chosen = (ci, pick)

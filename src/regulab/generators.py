@@ -331,14 +331,9 @@ def random_pair_partition_cells(
     rng: SplitMix64, host_rows: Sequence[int], left_size: int, k: int
 ) -> tuple[tuple[int, ...], ...]:
     """Random assignment of host edges to at most k cells (empty dropped)."""
-    cells = [[0] * left_size for _ in range(k)]
-    for x in range(left_size):
-        for y in bits(host_rows[x]):
-            cells[rng.below(k)][x] |= 1 << y
-    out = tuple(tuple(c) for c in cells if any(c))
-    if not out:
-        out = (tuple(0 for _ in range(left_size)),)
-    return out
+    from .partitions import cells_by_label
+
+    return cells_by_label(left_size, host_rows, lambda x, y: rng.below(k))
 
 
 def random_cylinder_chain_partition(vs: PartiteVertexSet, m: int, k: int, seed: int):
@@ -352,9 +347,7 @@ def random_cylinder_chain_partition(vs: PartiteVertexSet, m: int, k: int, seed: 
         pairs = {}
         for i in range(vs.t):
             for j in range(i + 1, vs.t):
-                host = tuple(
-                    cyl.masks[j] if cyl.masks[i] >> x & 1 else 0 for x in range(vs.sizes[i])
-                )
+                host = cyl.host_rows(vs, i, j)
                 cells = random_pair_partition_cells(rng, host, vs.sizes[i], k)
                 pairs[(i, j)] = PairPartition(
                     vs.sizes[i], vs.sizes[j], cyl.masks[i], cyl.masks[j], host, cells

@@ -12,11 +12,18 @@ cells.  The ``fast`` mode enumerates the host's triangles once and tallies
 cells by label; the ``naive`` mode re-enumerates each cell by triple loops.
 Both are exact and must agree.
 
+Each partition-building decision has one home.  :func:`cells_by_label`
+is the one cell builder: it groups a host's edges by a per-edge label and
+orders the cells by label.  ``VertexCylinder.host_rows`` is the one
+complete bipartite host of a cylinder.  :func:`extract_cell_chain` is the
+one sub-chain cutter; ``core.restrict_chain`` checks its arguments and
+calls it.
+
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
 evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
-certificate) and keeps them on that index.  The tuple audit and the
-engine's search for non-quasirandom chains both read it.
+certificate) and keeps them on that index.  The tuple audit, the engine's
+search for non-quasirandom chains and the subset gate all read it.
 """
 
 from __future__ import annotations
@@ -25,11 +32,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .core import (
     BipartiteGraph,
-    CapacityError,
     Chain,
     InvalidStructure,
     MultipartiteGraph,
@@ -79,6 +85,12 @@ class VertexCylinder:
 
     def is_empty(self) -> bool:
         return any(m == 0 for m in self.masks)
+
+    def host_rows(self, vs: PartiteVertexSet, i: int, j: int) -> tuple[int, ...]:
+        """Rows of the cylinder's complete bipartite host between parts i
+        and j: each vertex of ``masks[i]`` joined to all of ``masks[j]``."""
+        mask_i, mask_j = self.masks[i], self.masks[j]
+        return tuple(mask_j if mask_i >> x & 1 else 0 for x in range(vs.sizes[i]))
 
 
 @dataclass(frozen=True)
@@ -188,6 +200,11 @@ class PairPartition:
         l, r = self.sides()
         return ratio(sum(row.bit_count() for row in self.cells[idx]), l * r)
 
+    def cell_certificate(self, idx: int) -> QuasirandomnessCertificate:
+        """Pair certificate of cell ``idx`` on the masked sides."""
+        left = [x for x in range(self.left_size) if self.left_mask >> x & 1]
+        return masked_pair_quasirandomness(self.cells[idx], left, self.right_mask)
+
     def labels(self) -> list[list[int]]:
         """label[x][y] = cell index, -1 off the host."""
         lab = [[-1] * self.right_size for _ in range(self.left_size)]
@@ -211,6 +228,28 @@ class PairPartition:
         if not cells:
             cells = [tuple(0 for _ in range(self.left_size))]
         return PairPartition(self.left_size, self.right_size, lm, rm, host, tuple(cells))
+
+
+def cells_by_label(
+    left_size: int, host_rows: Sequence[int], label: Callable[[int, int], Hashable]
+) -> tuple[tuple[int, ...], ...]:
+    """The host's edges grouped into cells by ``label(x, y)``, in label order.
+
+    The one cell builder: every partition that splits a host by a per-edge
+    key (refinements, Venn pairs, restrictions, engine splits) goes through
+    it.  A host without edges gives the single empty cell.
+    """
+    groups: dict[Hashable, list[int]] = {}
+    for x in range(left_size):
+        for y in bits(host_rows[x]):
+            key = label(x, y)
+            rows = groups.get(key)
+            if rows is None:
+                rows = groups[key] = [0] * left_size
+            rows[x] |= 1 << y
+    if not groups:
+        return ((0,) * left_size,)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -244,11 +283,8 @@ class EdgePartition:
         out = {}
         for i in range(vs.t):
             for j in range(i + 1, vs.t):
-                rows = tuple(
-                    cyl.masks[j] if cyl.masks[i] >> x & 1 else 0 for x in range(vs.sizes[i])
-                )
                 out[(i, j)] = PairPartition.trivial(
-                    vs.sizes[i], vs.sizes[j], cyl.masks[i], cyl.masks[j], rows
+                    vs.sizes[i], vs.sizes[j], cyl.masks[i], cyl.masks[j], cyl.host_rows(vs, i, j)
                 )
         return cls(out)
 
@@ -268,10 +304,7 @@ class CylinderChainPartition:
                     pp = ep.pair(i, j)
                     if pp.left_mask != cyl.masks[i] or pp.right_mask != cyl.masks[j]:
                         raise InvalidStructure("edge partition masks disagree with cylinder")
-                    want = tuple(
-                        cyl.masks[j] if cyl.masks[i] >> x & 1 else 0 for x in range(vs.sizes[i])
-                    )
-                    if pp.host_rows != want:
+                    if pp.host_rows != cyl.host_rows(vs, i, j):
                         raise InvalidStructure("cylinder edge host must be complete bipartite")
 
     @classmethod
@@ -456,15 +489,9 @@ def q_cylinder(
     for i in range(vs.t):
         for j in range(i + 1, vs.t):
             for k in range(j + 1, vs.t):
-                rows_ab = tuple(
-                    cyl.masks[j] if cyl.masks[i] >> x & 1 else 0 for x in range(vs.sizes[i])
-                )
-                rows_ac = tuple(
-                    cyl.masks[k] if cyl.masks[i] >> x & 1 else 0 for x in range(vs.sizes[i])
-                )
-                rows_bc = tuple(
-                    cyl.masks[k] if cyl.masks[j] >> y & 1 else 0 for y in range(vs.sizes[j])
-                )
+                rows_ab = cyl.host_rows(vs, i, j)
+                rows_ac = cyl.host_rows(vs, i, k)
+                rows_bc = cyl.host_rows(vs, j, k)
                 zm = h.zmasks(i, j, k)
                 mask_i, mask_j, mask_k = cyl.masks[i], cyl.masks[j], cyl.masks[k]
                 lookup = lambda x, y, zm=zm, mi=mask_i, mj=mask_j, mk=mask_k: (
@@ -578,18 +605,9 @@ def common_refinement(pps: Sequence[PairPartition]) -> PairPartition:
     if len(pps) == 1:
         return first
     labels = [pp.labels() for pp in pps]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for x in range(first.left_size):
-        for y in bits(first.host_rows[x]):
-            key = tuple(lab[x][y] for lab in labels)
-            rows = groups.get(key)
-            if rows is None:
-                rows = [0] * first.left_size
-                groups[key] = rows
-            rows[x] |= 1 << y
-    cells = tuple(tuple(rows) for _, rows in sorted(groups.items()))
-    if not cells:
-        cells = ((0,) * first.left_size,)
+    cells = cells_by_label(
+        first.left_size, first.host_rows, lambda x, y: tuple(lab[x][y] for lab in labels)
+    )
     return PairPartition(
         first.left_size,
         first.right_size,
@@ -649,21 +667,11 @@ def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
             lo, hi = (i, j) if i < j else (j, i)
             containing = sorted(set(prof_a) & set(prof_b))
             lab_per_cyl = [p.edges[c].pair(lo, hi).labels() for c in containing]
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for pa, a in enumerate(locs_a):
-                for pb, b in enumerate(locs_b):
-                    if i < j:
-                        key = tuple(lab[a][b] for lab in lab_per_cyl)
-                    else:
-                        key = tuple(lab[b][a] for lab in lab_per_cyl)
-                    rows = groups.get(key)
-                    if rows is None:
-                        rows = [0] * la
-                        groups[key] = rows
-                    rows[pa] |= 1 << pb
-            cells = tuple(tuple(rows) for _, rows in sorted(groups.items()))
-            if not cells:
-                cells = ((0,) * la,)
+            if i < j:
+                label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
+            else:
+                label = lambda pa, pb: tuple(lab[locs_b[pb]][locs_a[pa]] for lab in lab_per_cyl)
+            cells = cells_by_label(la, host, label)
             pairs[(a_idx, b_idx)] = PairPartition(la, lb, full_l, full_r, host, cells)
 
     return ChainPartition(vs.total, parts, pairs)
@@ -698,21 +706,13 @@ def restrict_chain_partition(
             lo_o, hi_o = (oa, ob) if oa < ob else (ob, oa)
             base = q.pairs[(lo_o, hi_o)]
             lab = base.labels()
-            cells_rows: dict[int, list[int]] = {}
-            for pa, u in enumerate(pt[a]):
-                for pb, v in enumerate(pt[b]):
-                    if oa < ob:
-                        idx = lab[pos_in_origin[oa][u]][pos_in_origin[ob][v]]
-                    else:
-                        idx = lab[pos_in_origin[ob][v]][pos_in_origin[oa][u]]
-                    rows = cells_rows.get(idx)
-                    if rows is None:
-                        rows = [0] * la
-                        cells_rows[idx] = rows
-                    rows[pa] |= 1 << pb
-            cells = tuple(tuple(rows) for _, rows in sorted(cells_rows.items()))
-            if not cells:
-                cells = ((0,) * la,)
+            pos_a = [pos_in_origin[oa][u] for u in pt[a]]
+            pos_b = [pos_in_origin[ob][v] for v in pt[b]]
+            if oa < ob:
+                label = lambda pa, pb: lab[pos_a[pa]][pos_b[pb]]
+            else:
+                label = lambda pa, pb: lab[pos_b[pb]][pos_a[pa]]
+            cells = cells_by_label(la, host, label)
             pairs[(a, b)] = PairPartition(la, lb, full_l, full_r, host, cells)
     return ChainPartition(q.n, pt, pairs)
 
@@ -745,11 +745,6 @@ class HomogeneityAudit:
     # Filled by decomposition pipelines: ordered pair-mass of part pairs
     # whose bipartite density falls at or below the sparseness threshold.
     sparse_pair_mass: Fraction | None = None
-
-
-def _cell_cert(pp: PairPartition, idx: int) -> QuasirandomnessCertificate:
-    left = [x for x in range(pp.left_size) if pp.left_mask >> x & 1]
-    return masked_pair_quasirandomness(pp.cells[idx], left, pp.right_mask)
 
 
 def homogeneity_audit(
@@ -785,7 +780,7 @@ def homogeneity_audit(
         if key not in dens_cache:
             pp = q.pairs[(a, b)]
             dens_cache[key] = pp.cell_density(idx)
-            cert_cache[key] = _cell_cert(pp, idx).value
+            cert_cache[key] = pp.cell_certificate(idx).value
         return dens_cache[key], cert_cache[key]
 
     hyp: dict[tuple, int] = {}
@@ -906,7 +901,12 @@ def extract_cell_chain(
     parts: tuple[int, int, int],
     cells: tuple[Sequence[int], Sequence[int], Sequence[int]],
 ) -> Chain:
-    """Standalone tripartite chain for one cell combination (compact ids)."""
+    """Standalone tripartite chain for one cell combination (compact ids).
+
+    The one sub-chain cutter: vertices outside ``masks`` are dropped, the
+    rest renumbered in order, cell edges kept between surviving vertices,
+    and hyperedges kept on the surviving triangles.
+    """
     vs = h.vertex_set
     i, j, k = parts
     keep = [sorted(bits(m)) for m in masks]
@@ -986,7 +986,7 @@ def cylinder_quasirandomness_audit(
     def cert(c: int, i: int, j: int, idx: int) -> Fraction:
         key = (c, i, j, idx)
         if key not in certs:
-            certs[key] = _cell_cert(p.edges[c].pair(i, j), idx).value
+            certs[key] = p.edges[c].pair(i, j).cell_certificate(idx).value
         return certs[key]
 
     def judge(c: int, cells: dict[tuple[int, int], int]) -> tuple[bool, bool]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     BipartiteGraph,
@@ -29,7 +29,6 @@ from .core import (
     ThreeGraph,
     bits,
     product_density,
-    ratio,
     relative_density,
     triangle_count,
 )

@@ -4,16 +4,16 @@ Everything here is exact and exponential, guarded by hard caps.  The
 intended regime is tiny instances where an exhaustive answer serves as
 ground truth for the structural machinery elsewhere in the package:
 VC dimension of a set system, VC2 dimension of a 3-graph (shattered
-complete bipartite link patterns), and three flavors of induced-pattern
-embedding.  Every witness returned by a public function is re-verified
-against its definition before it leaves, so a bug in a search heuristic
-can only cause a miss, never a false positive.
+complete bipartite link patterns), and induced sub-3-graph search.  Every
+witness returned by a public function is re-verified against its
+definition before it leaves, so a bug in a search heuristic can only cause
+a miss, never a false positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .core import (
     BipartiteGraph,
@@ -22,13 +22,10 @@ from .core import (
     InvalidStructure,
     PartiteThreeGraph,
     ThreeGraph,
-    bits,
 )
 
 VC_UNIVERSE_CAP = 24
 VC2_VERTEX_CAP = 20
-BIPARTITE_PATTERN_CAP = 10
-TRIPARTITE_PATTERN_CAP = 9
 INDUCED_PATTERN_CAP = 8
 
 
@@ -243,155 +240,6 @@ class EmbeddingWitness:
 def _verify_disjoint_injective(w: EmbeddingWitness) -> None:
     flat = w.all_vertices()
     _check(len(set(flat)) == len(flat), "images collide")
-
-
-def bipartitely_induced(
-    f: BipartiteGraph, g: Graph, cap: int = BIPARTITE_PATTERN_CAP
-) -> EmbeddingWitness | None:
-    """Search for a bipartitely induced copy of ``f`` inside ``g``.
-
-    Wanted: disjoint images A', B' of f's sides with g-adjacency across
-    the sides matching f exactly.  Adjacency inside A' or inside B' is
-    unconstrained.  Exhaustive over ordered left images; right images
-    are filled greedily from per-vertex candidate bitmasks, which is
-    exact because right candidates with different required neighborhoods
-    never compete.  First witness in enumeration order wins.
-    """
-    if f.left_size + f.right_size > cap:
-        raise CapacityError(f"pattern has {f.left_size + f.right_size} > {cap} vertices")
-    n = g.n
-    if f.left_size + f.right_size > n:
-        return None
-    full = (1 << n) - 1
-    # Group right pattern vertices by their required left-trace.
-    col_groups: dict[int, list[int]] = {}
-    for y in range(f.right_size):
-        col = 0
-        for x in range(f.left_size):
-            if f.has_edge(x, y):
-                col |= 1 << x
-        col_groups.setdefault(col, []).append(y)
-    for left_img in permutations(range(n), f.left_size):
-        used = 0
-        for v in left_img:
-            used |= 1 << v
-        # Candidates per trace: vertices adjacent to exactly the traced lefts.
-        right_img: list[int] = [-1] * f.right_size
-        taken = used
-        ok = True
-        for col, ys in sorted(col_groups.items()):
-            cand = full & ~used
-            for x in range(f.left_size):
-                row = g.rows[left_img[x]]
-                cand &= row if (col >> x) & 1 else ~row
-            cand &= full & ~taken
-            picks = []
-            for v in bits(cand):
-                picks.append(v)
-                if len(picks) == len(ys):
-                    break
-            if len(picks) < len(ys):
-                ok = False
-                break
-            for y, v in zip(ys, picks):
-                right_img[y] = v
-                taken |= 1 << v
-        if not ok:
-            continue
-        w = EmbeddingWitness((tuple(left_img), tuple(right_img)))
-        _verify_disjoint_injective(w)
-        for x in range(f.left_size):
-            for y in range(f.right_size):
-                _check(
-                    g.has_edge(left_img[x], right_img[y]) == f.has_edge(x, y),
-                    "cross edge mismatch",
-                )
-        return w
-    return None
-
-
-def tripartitely_induced(
-    v: PartiteThreeGraph,
-    h: ThreeGraph | PartiteThreeGraph,
-    cap: int = TRIPARTITE_PATTERN_CAP,
-) -> EmbeddingWitness | None:
-    """Search for a tripartitely induced copy of ``v`` inside ``h``.
-
-    Only crossing triples are constrained: a triple of image vertices,
-    one per part, must be an edge of h exactly when the pattern triple
-    is an edge of v.  Triples of h meeting an image part twice are free.
-    Exhaustive over ordered images of the first two parts; third-part
-    vertices are matched by their required link pattern, exactly as in
-    the bipartite search.  The default cap suits patterns on at most 9
-    vertices; callers may raise it explicitly for bigger patterns.
-    """
-    vs = v.vertex_set
-    if vs.t != 3:
-        raise InvalidStructure("pattern must be tripartite")
-    if vs.total > cap:
-        raise CapacityError(f"pattern has {vs.total} > {cap} vertices")
-    h3 = _as_three_graph(h)
-    n = h3.n
-    if vs.total > n:
-        return None
-    s0, s1, s2 = vs.sizes
-    links = _pair_links(h3)
-    # Required link pattern of each third-part vertex, bit a*s1+b.
-    req: list[int] = []
-    for c in range(s2):
-        pat = 0
-        for a in range(s0):
-            for b in range(s1):
-                if v.has_triple(vs.to_global(0, a), vs.to_global(1, b), vs.to_global(2, c)):
-                    pat |= 1 << (a * s1 + b)
-        req.append(pat)
-    req_groups: dict[int, list[int]] = {}
-    for c, pat in enumerate(req):
-        req_groups.setdefault(pat, []).append(c)
-    for img0 in permutations(range(n), s0):
-        used0 = 0
-        for x in img0:
-            used0 |= 1 << x
-        for img1 in permutations((x for x in range(n) if not (used0 >> x) & 1), s1):
-            used = used0
-            for x in img1:
-                used |= 1 << x
-            rows = []
-            for a in range(s0):
-                for b in range(s1):
-                    x, y = img0[a], img1[b]
-                    key = (x, y) if x < y else (y, x)
-                    rows.append(links.get(key, 0))
-            # Bucket available h-vertices by their link pattern on the images.
-            buckets: dict[int, list[int]] = {}
-            for x in range(n):
-                if (used >> x) & 1:
-                    continue
-                pat = 0
-                for t, row in enumerate(rows):
-                    pat |= ((row >> x) & 1) << t
-                if pat in req_groups:
-                    buckets.setdefault(pat, []).append(x)
-            if any(len(buckets.get(pat, ())) < len(cs) for pat, cs in req_groups.items()):
-                continue
-            img2 = [-1] * s2
-            for pat, cs in req_groups.items():
-                for c, x in zip(cs, buckets[pat]):
-                    img2[c] = x
-            w = EmbeddingWitness((img0, img1, tuple(img2)))
-            _verify_disjoint_injective(w)
-            for a in range(s0):
-                for b in range(s1):
-                    for c in range(s2):
-                        _check(
-                            h3.has_triple(img0[a], img1[b], img2[c])
-                            == v.has_triple(
-                                vs.to_global(0, a), vs.to_global(1, b), vs.to_global(2, c)
-                            ),
-                            "crossing triple mismatch",
-                        )
-            return w
-    return None
 
 
 def induced_copy_search(

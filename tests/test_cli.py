@@ -247,3 +247,12 @@ def test_generate_kinds_load_back(tmp_path, capsys):
         assert run(["generate"] + flags + ["--out", str(path)]) == 0
         loader(path.read_text())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["half", "graph", "tournament"])
+def test_generate_rejects_negative_n(kind, tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert run(["generate", "--kind", kind, "--n", "-3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--n" in err and not out.exists()

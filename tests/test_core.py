@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from regulab.core import (
     BipartiteGraph,
     Chain,
+    ContainmentError,
     Graph,
     InvalidStructure,
     MultipartiteGraph,
@@ -326,3 +327,93 @@ def test_hyperedge_index_matches_has_triple(sizes, seed):
     # The index is not a field: equal hypergraphs stay equal and hash alike.
     fresh = PartiteThreeGraph(vs, h.triples)
     assert fresh == h and hash(fresh) == hash(h) and repr(fresh) == repr(h)
+
+
+@pytest.mark.parametrize("sizes", [(3, 0, 2), (0, 4), (1, 0, 0, 1), (2, 3, 4)])
+def test_part_of_matches_a_scan(sizes):
+    vs = PartiteVertexSet.of_sizes(*sizes)
+    for g in range(vs.total):
+        start = 0
+        for i, s in enumerate(sizes):
+            if start <= g < start + s:
+                break
+            start += s
+        assert vs.part_of(g) == i
+        assert vs.to_local(g) == (i, g - start)
+        assert vs.to_global(i, g - start) == g
+    for g in (-1, vs.total, vs.total + 5):
+        with pytest.raises(InvalidStructure):
+            vs.part_of(g)
+        with pytest.raises(InvalidStructure):
+            vs.to_local(g)
+
+
+def _restrict_by_scan(c, subsets, edge_subsets):
+    """restrict_chain rebuilt from has_edge/has_triple: compact edges per pair
+    and compact triples."""
+    off = c.vertex_set.offsets
+    pos = [{v: n for n, v in enumerate(sorted(sub))} for sub in subsets]
+
+    def kept(i, j, x, y):
+        if (i, j) in edge_subsets:
+            return edge_subsets[(i, j)][x] >> y & 1
+        return c.graph.pair(i, j).has_edge(x, y)
+
+    edges = {
+        (i, j): {(pos[i][x], pos[j][y]) for x in pos[i] for y in pos[j] if kept(i, j, x, y)}
+        for (i, j) in ((0, 1), (0, 2), (1, 2))
+    }
+    triples = {
+        (pos[0][x], pos[1][y], pos[2][z])
+        for x in pos[0]
+        for y in pos[1]
+        for z in pos[2]
+        if kept(0, 1, x, y) and kept(0, 2, x, z) and kept(1, 2, y, z)
+        and c.hyper.has_triple(off[0] + x, off[1] + y, off[2] + z)
+    }
+    return edges, triples
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_restrict_chain_matches_a_rebuild(seed):
+    rng = SplitMix64(seed)
+    sizes = tuple(1 + rng.below(5) for _ in range(3))
+    c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
+    # Random subsets (seed 0 empties part 2), then random sub-rows of some hosts.
+    subsets = [[x for x in range(s) if rng.below(3)] for s in sizes]
+    if seed == 0:
+        subsets[2] = []
+    edge_subsets = {}
+    for (i, j) in ((0, 1), (0, 2), (1, 2)):
+        if rng.below(2):
+            keep = rng.next_u64()
+            edge_subsets[(i, j)] = [r & keep for r in c.graph.pair(i, j).rows]
+    for edges_arg in (None, edge_subsets):
+        r = restrict_chain(c, subsets, edges_arg)
+        edges, triples = _restrict_by_scan(c, subsets, edges_arg or {})
+        assert r.vertex_set.sizes == tuple(len(sub) for sub in subsets)
+        assert r.vertex_set.names == c.vertex_set.names
+        for pair, want in edges.items():
+            assert set(r.graph.pair(*pair).edges()) == want
+        off = r.vertex_set.offsets
+        got = {(u - off[0], v - off[1], w - off[2]) for (u, v, w) in r.hyper.triples}
+        assert got == triples
+    assert restrict_chain(c) == c
+
+
+def test_restrict_chain_containment_errors():
+    c = random_chain((3, 3, 3), Fraction(2, 3), Fraction(1, 2), seed=4)
+    with pytest.raises(ContainmentError):
+        restrict_chain(c, [(0,), (1,)])
+    with pytest.raises(ContainmentError):
+        restrict_chain(c, [(0, 3), (1,), (2,)])
+    with pytest.raises(ContainmentError):
+        restrict_chain(c, [(0,), (-1,), (2,)])
+    rows = c.graph.pair(0, 1).rows
+    with pytest.raises(ContainmentError):
+        restrict_chain(c, None, {(0, 1): rows[:2]})
+    outside = [x for x in range(3) if rows[x] != 0b111]
+    bad = list(rows)
+    bad[outside[0]] = 0b111
+    with pytest.raises(ContainmentError):
+        restrict_chain(c, None, {(0, 1): bad})

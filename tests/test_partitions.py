@@ -31,6 +31,7 @@ from regulab.partitions import (
     CylinderChainPartition,
     EdgePartition,
     PairPartition,
+    cells_by_label,
     common_refinement,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
@@ -325,3 +326,34 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert cert == (chain_quasirandomness(chain).value if tri else 0)
         extracted += tri > 0
     assert extracted
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cells_by_label_partitions_the_host_in_label_order(seed):
+    rng = SplitMix64(seed)
+    left, right = 1 + rng.below(6), 1 + rng.below(6)
+    host = [rng.below(1 << right) for _ in range(left)]
+    table = {(x, y): (rng.below(3), rng.below(2)) for x in range(left) for y in range(right)}
+    label = lambda x, y: table[(x, y)]
+    cells = cells_by_label(left, host, label)
+    for x in range(left):
+        union = 0
+        for cell in cells:
+            assert not cell[x] & union
+            union |= cell[x]
+        assert union == host[x]
+    if any(host):
+        keys = []
+        for cell in cells:
+            labels = {label(x, y) for x in range(left) for y in range(right) if cell[x] >> y & 1}
+            assert len(labels) == 1
+            keys.append(labels.pop())
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    else:
+        assert cells == ((0,) * left,)
+    PairPartition(left, right, (1 << left) - 1, (1 << right) - 1, tuple(host), cells)
+
+
+def test_cells_by_label_empty_host_gives_one_empty_cell():
+    assert cells_by_label(3, (0, 0, 0), lambda x, y: 1 / 0) == ((0, 0, 0),)
+    assert cells_by_label(2, (0b11, 0b01), lambda x, y: 0) == ((0b11, 0b01),)
