@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -171,16 +170,11 @@ def _add_profile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--audit-samples", dest="audit_samples", type=int)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("REGULAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _ArgError(f"REGULAB_THREADS must be an integer, got {env!r}")
-    return 1
+def _at_least(args, flag: str, low: int) -> None:
+    """Reject an integer flag below ``low``; an unset flag passes."""
+    val = getattr(args, flag)
+    if val is not None and val < low:
+        raise _ArgError(f"--{flag.replace('_', '-')} must be at least {low}, got {val}")
 
 
 def _sniff(text: str) -> str:
@@ -291,7 +285,6 @@ def _cmd_analyze(args) -> int:
         audit=audit,
         part_counts=part_counts,
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        threads=_threads(args),
     )
     _emit(args, rep)
     return EXIT_OK if beta_ok else EXIT_AUDIT
@@ -308,14 +301,13 @@ def _audit_dict_hyper(audit) -> dict:
         "mode": audit.mode,
         "convention": "ordered-triples",
     }
-    if audit.samples is not None:
-        d["samples"] = audit.samples
     if audit.sparse_pair_mass is not None:
         d["sparse_pair_mass"] = fraction_str(audit.sparse_pair_mass)
     return d
 
 
 def _cmd_decompose(args) -> int:
+    _at_least(args, "t", 1)
     text = _read(args.input)
     kind = _sniff(text)
     profile = build_profile(args)
@@ -361,7 +353,6 @@ def _cmd_decompose(args) -> int:
         audit=audit_d,
         part_counts=part_counts,
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        threads=_threads(args),
     )
     _emit(args, rep)
     return EXIT_OK if ok else EXIT_AUDIT
@@ -399,13 +390,14 @@ def _cmd_cylinder(args) -> int:
         audit=audit_d,
         part_counts=[p.vertex_count, p.edge_count],
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        threads=_threads(args),
     )
     _emit(args, rep)
     return EXIT_OK if audit_d["passes"] else EXIT_AUDIT
 
 
 def _cmd_vc2(args) -> int:
+    _at_least(args, "cap_d", 0)
+    _at_least(args, "cap_n", 0)
     text = _read(args.input)
     if _sniff(text) != "three":
         raise _ArgError("vc2 expects a 3-graph file")
@@ -430,8 +422,7 @@ def _save_two_part(g: BipartiteGraph) -> str:
 def _cmd_generate(args) -> int:
     kind = args.kind
     seed = args.seed
-    if args.n < 0:
-        raise _ArgError(f"--n must be non-negative, got {args.n}")
+    _at_least(args, "n", 0)
     p = parse_rational(args.p) if args.p is not None else None
     if kind == "vd":
         out = save_partite_3graph(make_vd(args.d))
@@ -472,6 +463,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_subset(args) -> int:
+    _at_least(args, "t", 1)
     text = _read(args.input)
     if _sniff(text) != "three":
         raise _ArgError("subset expects a 3-graph file")
@@ -523,7 +515,6 @@ def _cmd_subset(args) -> int:
         audit=audit,
         part_counts=[len(extra["vertices"])],
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        threads=_threads(args),
         extra=extra,
     )
     _emit(args, rep)
@@ -537,6 +528,7 @@ def _cmd_oracle_check(args) -> int:
     lo, hi = int(m.group(1)), int(m.group(2))
     if not 1 <= lo <= hi:
         raise _ArgError("size range must be non-empty and positive")
+    _at_least(args, "cases", 0)
     rng = SplitMix64(args.seed)
     t0 = time.monotonic()
     pair_cases = chain_cases = mismatches = 0
@@ -576,7 +568,6 @@ def _cmd_oracle_check(args) -> int:
         audit=audit,
         part_counts=[],
         runtime_ms=int((time.monotonic() - t0) * 1000),
-        threads=_threads(args),
     )
     _emit(args, rep)
     return EXIT_OK if mismatches == 0 else EXIT_AUDIT
@@ -597,7 +588,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("fast", "naive", "both"), default="fast")
     p.add_argument("--beta", help="threshold; exit 2 when the certificate exceeds it")
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("decompose", help="homogeneous decomposition of a 3-graph or graph")
@@ -608,7 +598,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_decompose)
 
@@ -618,7 +607,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--psi", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_cylinder)
 
@@ -627,7 +615,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap-d", dest="cap_d", type=int, default=2)
     p.add_argument("--cap-n", dest="cap_n", type=int, default=20)
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_vc2)
 
     p = sub.add_parser("generate", help="write instances in the text formats")
@@ -656,7 +643,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_subset)
 
@@ -665,7 +651,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_oracle_check)
 
     return top

@@ -60,10 +60,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class PartiteVertexSet:
     """Named parts with contiguous global numbering."""
@@ -276,11 +272,6 @@ class MultipartiteGraph:
 
     def pair_density(self, i: int, j: int) -> Fraction:
         return self.pair(i, j).density()
-
-    def with_pairs(self, updates: Mapping[tuple[int, int], BipartiteGraph]) -> "MultipartiteGraph":
-        d = dict(self.pair_graphs)
-        d.update(updates)
-        return MultipartiteGraph(self.vertex_set, d)
 
 
 def _canon_triple(u: int, v: int, w: int) -> tuple[int, int, int]:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
-from typing import Callable, Sequence
+from math import comb
+from typing import Sequence
 
 from .core import (
     BipartiteGraph,
@@ -51,6 +51,7 @@ from .partitions import (
     VertexCylinderPartition,
     cell_chain_stats,
     cells_by_label,
+    cells_quasirandom,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     homogeneity_audit,
@@ -64,7 +65,6 @@ from .quasirandom import (
     chain_quasirandomness,
     eta_psi_check,
     masked_pair_quasirandomness,
-    pair_quasirandomness,
 )
 
 DEFAULT_CAP = 1 << 64
@@ -275,8 +275,6 @@ class ConstantsProfile:
     has at most ``witness_cap`` vertices, greedy thresholds by degree, and
     auto switches on size.  Audits enumerate tuples exhaustively up to
     ``audit_tuple_cap`` and fall back to ``audit_samples`` seeded samples.
-    The optional schedule fields override the built-in desk constants; the
-    paper profile ignores them and evaluates the literal formulas.
     """
 
     name: str
@@ -287,18 +285,19 @@ class ConstantsProfile:
     witness_cap: int = 16
     audit_tuple_cap: int = 10**6
     audit_samples: int = 10**4
-    delta_floor: Fraction = Fraction(0)
     cylinder_eta: Fraction | None = None
     szemeredi_alpha: Fraction | None = None
     sparse_density: Fraction | None = None
-    delta_schedule: Callable[[int, Fraction, int], Fraction] | None = None
-    alpha_schedule: Callable[[int, Fraction, int], Fraction] | None = None
 
     def __post_init__(self):
         if self.q_gain <= 0:
             raise InvalidStructure("q_gain must be positive")
-        if self.max_steps < 1:
-            raise InvalidStructure("max_steps must be at least 1")
+        for name, low in (
+            ("max_steps", 1), ("edge_part_cap", 1), ("witness_cap", 0),
+            ("audit_tuple_cap", 0), ("audit_samples", 1),
+        ):
+            if getattr(self, name) < low:
+                raise InvalidStructure(f"{name} must be at least {low}")
         if self.witness_search not in ("auto", "exhaustive", "greedy"):
             raise InvalidStructure(f"unknown witness search {self.witness_search!r}")
 
@@ -340,16 +339,6 @@ class ConstantsProfile:
             return Fraction(1, 1024) * eta**3 / t**3
         return self.q_gain
 
-    def delta_value(self, tau: int, eta: Fraction, t: int) -> Fraction:
-        if self.delta_schedule is not None:
-            return self.delta_schedule(tau, eta, t)
-        return eta / (t * t)
-
-    def alpha_value(self, tau: int, eta: Fraction, t: int, psi: PolyFunction) -> Fraction:
-        if self.alpha_schedule is not None:
-            return self.alpha_schedule(tau, eta, t)
-        return psi(self.delta_value(tau, eta, t))
-
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -378,10 +367,6 @@ class IterationTrace:
     @property
     def step_count(self) -> int:
         return len(self.rows)
-
-    @property
-    def refinement_steps(self) -> int:
-        return sum(1 for r in self.rows if r.action.startswith(("refine", "split")))
 
     def extend(self, other: "IterationTrace") -> "IterationTrace":
         return IterationTrace(self.rows + other.rows)
@@ -787,7 +772,6 @@ def _useful_chains(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
     eta: Fraction,
-    delta_floor: Fraction,
 ):
     """Cell chains with certificate above eta, weighted by triangle mass."""
     vs = h.vertex_set
@@ -805,13 +789,6 @@ def _useful_chains(
                 cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
                 tri, _, cert = cell_chain_stats(h, masks, (i, j, k), cells)
                 if tri == 0 or cert <= eta:
-                    continue
-                delta = (
-                    pps[0].cell_density(combo[0])
-                    * pps[1].cell_density(combo[1])
-                    * pps[2].cell_density(combo[2])
-                )
-                if delta < delta_floor:
                     continue
                 weight = w * Fraction(tri, size_prod)
                 useful.append((ci, (i, j, k), combo, cells, cert, weight))
@@ -909,16 +886,14 @@ def _reregularize_cylinders(
     eta: Fraction,
     psi: PolyFunction,
     profile: ConstantsProfile,
-    tau: int,
     trace_rows,
 ) -> CylinderChainPartition:
     """Split cylinders until every current cell is quasirandom inside them.
 
     Each cell of each pair of each cylinder is viewed as a t-partite graph
     (all other pairs empty) and the whole family is regularized at
-    alpha = psi(delta) for the profile's delta schedule, starting from the
-    current cylinder partition.  Old cells are then restricted onto the
-    refined cylinders.
+    alpha = psi(eta / t^2), starting from the current cylinder partition.
+    Old cells are then restricted onto the refined cylinders.
     """
     vs = h.vertex_set
     cell_graphs: list[MultipartiteGraph] = []
@@ -940,7 +915,7 @@ def _reregularize_cylinders(
             "audit failing but no nonempty cells to re-regularize",
             IterationTrace(tuple(trace_rows)),
         )
-    alpha = profile.alpha_value(tau, eta, vs.t, psi)
+    alpha = psi(eta / (vs.t * vs.t))
     if alpha <= 0:
         raise RefinementFailure(
             "cylinder re-regularization threshold collapsed to zero",
@@ -1011,7 +986,7 @@ def hyper_cylinder_regularity(
             samples=profile.audit_samples,
             seed=seed,
         )
-        useful, useful_mass = _useful_chains(h, p, eta, profile.delta_floor)
+        useful, useful_mass = _useful_chains(h, p, eta)
         ok = audit.good_mass >= 1 - eta
         action = "accept" if ok else ("refine-edges" if useful else "split-cylinders")
         rows.append(
@@ -1034,7 +1009,7 @@ def hyper_cylinder_regularity(
                     IterationTrace(tuple(rows)),
                 )
         else:
-            p = _reregularize_cylinders(h, p, eta, psi, profile, step, rows)
+            p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
             q_new = q_partition(h, p, mode="fast")
             if q_new < q_prev:
                 raise RuntimeError("q decreased across a cylinder split")
@@ -1071,11 +1046,8 @@ def szemeredi_multi(
     def index_value(q: ChainPartition) -> Fraction:
         total = Fraction(0)
         for (a, b), pp in q.pairs.items():
-            la, lb = len(q.parts[a]), len(q.parts[b])
-            for idx in range(pp.cell_count):
-                cnt = sum(row.bit_count() for row in pp.cells[idx])
-                d = ratio(cnt, la * lb)
-                total += Fraction(2 * cnt, n * n) * d * d
+            pair_mass = Fraction(2 * len(q.parts[a]) * len(q.parts[b]), n * n)
+            total += sum(pair_mass * d * d * d for d in pp.densities)
         return total
 
     rows: list[TraceRow] = []
@@ -1123,14 +1095,10 @@ def szemeredi_multi(
         bad_cells = []
         bad_mass = same_mass
         for (a, b), pp in sorted(qp.pairs.items()):
-            la, lb = len(qp.parts[a]), len(qp.parts[b])
-            for idx in range(pp.cell_count):
-                cert = pair_quasirandomness(
-                    BipartiteGraph(la, lb, pp.cells[idx]), mode="fast"
-                ).value
+            pair_mass = Fraction(2 * len(qp.parts[a]) * len(qp.parts[b]), n * n)
+            for idx, cert in enumerate(pp.certificates):
                 if cert > alpha:
-                    cnt = sum(row.bit_count() for row in pp.cells[idx])
-                    bad_mass += Fraction(2 * cnt, n * n)
+                    bad_mass += pair_mass * pp.densities[idx]
                     bad_cells.append((a, b, idx))
         ok = bad_mass <= alpha
         rows.append(
@@ -1269,11 +1237,8 @@ def homogeneous_decomposition(
     zeta = profile.sparse_density if profile.sparse_density is not None else eta * eta / 16
     sparse = Fraction(0)
     for (a, b), pp in qfin.pairs.items():
-        la, lb = len(qfin.parts[a]), len(qfin.parts[b])
-        for idx in range(pp.cell_count):
-            cnt = sum(row.bit_count() for row in pp.cells[idx])
-            if cnt and ratio(cnt, la * lb) <= zeta:
-                sparse += Fraction(2 * cnt, n * n)
+        pair_mass = Fraction(2 * len(qfin.parts[a]) * len(qfin.parts[b]), n * n)
+        sparse += sum(pair_mass * d for d in pp.densities if 0 < d <= zeta)
     audit = replace(audit, sparse_pair_mass=sparse)
     return qfin, audit, tr_hyper.extend(tr_pairs)
 
@@ -1489,7 +1454,7 @@ def quasirandom_subset(
         pick: dict[tuple[int, int], int] = {}
         for (i, j) in _pair_list(t):
             pp = ep.pair(i, j)
-            best = max(range(pp.cell_count), key=lambda idx: (pp.cell_density(idx), -idx))
+            best = max(range(pp.cell_count), key=lambda idx: (pp.densities[idx], -idx))
             pick[(i, j)] = best
         # The tuple audit's test on each part triple's densest cell chain:
         # chain certificate <= eta_c and each cell psi(delta)-quasirandom.
@@ -1499,11 +1464,10 @@ def quasirandom_subset(
             combo = (pick[(i, j)], pick[(i, k)], pick[(j, k)])
             cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
             masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            if cell_chain_stats(hp, masks, (i, j, k), cells)[2] > eta_c:
-                good = False
-                break
-            thresh = psi(prod(pp.cell_density(idx) for pp, idx in zip(pps, combo)))
-            if any(pp.cell_certificate(idx).value > thresh for pp, idx in zip(pps, combo)):
+            if (
+                cell_chain_stats(hp, masks, (i, j, k), cells)[2] > eta_c
+                or not cells_quasirandom(pps, combo, psi)
+            ):
                 good = False
                 break
         if good:

@@ -24,6 +24,11 @@ Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
 certificate) and keeps them on that index.  The tuple audit, the engine's
 search for non-quasirandom chains and the subset gate all read it.
+
+Per-cell facts live on their :class:`PairPartition`: the cached ``labels``
+table, ``densities`` and ``certificates``, computed once per partition
+however many audits, gates or ``q`` evaluations read them.  The cell half
+of the (eta, psi) test has one home, :func:`cells_quasirandom`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .core import (
@@ -48,7 +54,6 @@ from .core import (
 )
 from .quasirandom import (
     PolyFunction,
-    QuasirandomnessCertificate,
     chain_quasirandomness,
     masked_pair_quasirandomness,
 )
@@ -193,26 +198,29 @@ class PairPartition:
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def sides(self) -> tuple[int, int]:
-        return self.left_mask.bit_count(), self.right_mask.bit_count()
-
-    def cell_density(self, idx: int) -> Fraction:
-        l, r = self.sides()
-        return ratio(sum(row.bit_count() for row in self.cells[idx]), l * r)
-
-    def cell_certificate(self, idx: int) -> QuasirandomnessCertificate:
-        """Pair certificate of cell ``idx`` on the masked sides."""
-        left = [x for x in range(self.left_size) if self.left_mask >> x & 1]
-        return masked_pair_quasirandomness(self.cells[idx], left, self.right_mask)
-
-    def labels(self) -> list[list[int]]:
-        """label[x][y] = cell index, -1 off the host."""
+    @cached_property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        """labels[x][y] = index of the cell holding edge (x, y), -1 off the host."""
         lab = [[-1] * self.right_size for _ in range(self.left_size)]
         for idx, cell in enumerate(self.cells):
             for x in range(self.left_size):
                 for y in bits(cell[x]):
                     lab[x][y] = idx
-        return lab
+        return tuple(map(tuple, lab))
+
+    @cached_property
+    def densities(self) -> tuple[Fraction, ...]:
+        """Density of each cell on the masked sides."""
+        area = self.left_mask.bit_count() * self.right_mask.bit_count()
+        return tuple(ratio(sum(row.bit_count() for row in cell), area) for cell in self.cells)
+
+    @cached_property
+    def certificates(self) -> tuple[Fraction, ...]:
+        """Pair certificate value of each cell on the masked sides."""
+        left = [x for x in range(self.left_size) if self.left_mask >> x & 1]
+        return tuple(
+            masked_pair_quasirandomness(cell, left, self.right_mask).value for cell in self.cells
+        )
 
     def restrict(self, left_mask: int, right_mask: int) -> "PairPartition":
         """Restriction to sub-masks; empty cells dropped."""
@@ -394,7 +402,7 @@ def _q_triple_fast(
 
     ``hyper_zmask(x, y)`` is the bitmask over z of hyperedges through (x, y).
     """
-    lab_ab, lab_ac, lab_bc = pp_ab.labels(), pp_ac.labels(), pp_bc.labels()
+    lab_ab, lab_ac, lab_bc = pp_ab.labels, pp_ac.labels, pp_bc.labels
     tri: dict[tuple[int, int, int], int] = {}
     hyp: dict[tuple[int, int, int], int] = {}
     total = 0
@@ -604,7 +612,7 @@ def common_refinement(pps: Sequence[PairPartition]) -> PairPartition:
             raise InvalidStructure("common refinement requires identical hosts")
     if len(pps) == 1:
         return first
-    labels = [pp.labels() for pp in pps]
+    labels = [pp.labels for pp in pps]
     cells = cells_by_label(
         first.left_size, first.host_rows, lambda x, y: tuple(lab[x][y] for lab in labels)
     )
@@ -666,7 +674,7 @@ def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
                 continue
             lo, hi = (i, j) if i < j else (j, i)
             containing = sorted(set(prof_a) & set(prof_b))
-            lab_per_cyl = [p.edges[c].pair(lo, hi).labels() for c in containing]
+            lab_per_cyl = [p.edges[c].pair(lo, hi).labels for c in containing]
             if i < j:
                 label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
             else:
@@ -705,7 +713,7 @@ def restrict_chain_partition(
                 continue
             lo_o, hi_o = (oa, ob) if oa < ob else (ob, oa)
             base = q.pairs[(lo_o, hi_o)]
-            lab = base.labels()
+            lab = base.labels
             pos_a = [pos_in_origin[oa][u] for u in pt[a]]
             pos_b = [pos_in_origin[ob][v] for v in pt[b]]
             if oa < ob:
@@ -720,6 +728,19 @@ def restrict_chain_partition(
 # ---------------------------------------------------------------------------
 # Audits.
 # ---------------------------------------------------------------------------
+
+
+def cells_quasirandom(
+    pps: Sequence[PairPartition], combo: Sequence[int], psi: PolyFunction
+) -> bool:
+    """The cell half of the (eta, psi) test, and its one home.
+
+    Cell ``combo[n]`` of ``pps[n]`` must be psi(delta)-quasirandom for
+    every n, delta being the product of the cells' densities.  The chain
+    half, certificate <= eta, is read from :func:`cell_chain_stats`.
+    """
+    thresh = psi(prod(pp.densities[idx] for pp, idx in zip(pps, combo)))
+    return all(pp.certificates[idx] <= thresh for pp, idx in zip(pps, combo))
 
 
 @dataclass(frozen=True)
@@ -741,7 +762,6 @@ class HomogeneityAudit:
     degenerate_mass: Fraction
     noncrossing_mass: Fraction
     mode: str = "exhaustive"
-    samples: int | None = None
     # Filled by decomposition pipelines: ordered pair-mass of part pairs
     # whose bipartite density falls at or below the sparseness threshold.
     sparse_pair_mass: Fraction | None = None
@@ -771,17 +791,7 @@ def homogeneity_audit(
 
     part_of = q.part_of()
     pos = [{v: i for i, v in enumerate(p)} for p in q.parts]
-    labels = {key: pp.labels() for key, pp in q.pairs.items()}
-    cert_cache: dict[tuple[int, int, int], Fraction] = {}
-    dens_cache: dict[tuple[int, int, int], Fraction] = {}
-
-    def cell_stats(a: int, b: int, idx: int) -> tuple[Fraction, Fraction]:
-        key = (a, b, idx)
-        if key not in dens_cache:
-            pp = q.pairs[(a, b)]
-            dens_cache[key] = pp.cell_density(idx)
-            cert_cache[key] = pp.cell_certificate(idx).value
-        return dens_cache[key], cert_cache[key]
+    labels = {key: pp.labels for key, pp in q.pairs.items()}
 
     hyp: dict[tuple, int] = {}
     for (u, v, w) in h.triples:
@@ -808,9 +818,8 @@ def homogeneity_audit(
                 if 0 in sizes:
                     continue
                 crossing += 6 * sizes[0] * sizes[1] * sizes[2]
-                lab_ab = labels[(pa, pb)]
-                lab_ac = labels[(pa, pc)]
-                lab_bc = labels[(pb, pc)]
+                pps = (q.pairs[(pa, pb)], q.pairs[(pa, pc)], q.pairs[(pb, pc)])
+                lab_ab, lab_ac, lab_bc = (pp.labels for pp in pps)
                 tri: dict[tuple[int, int, int], int] = {}
                 for ia in range(sizes[0]):
                     row_ab, row_ac = lab_ab[ia], lab_ac[ia]
@@ -825,13 +834,8 @@ def homogeneity_audit(
                     d = ratio(e_cnt, t_cnt)
                     if d <= gamma or d >= 1 - gamma:
                         hom_num += 6 * t_cnt
-                    if psi is not None:
-                        d_ab, c_ab = cell_stats(pa, pb, cab)
-                        d_ac, c_ac = cell_stats(pa, pc, cac)
-                        d_bc, c_bc = cell_stats(pb, pc, cbc)
-                        thresh = psi(d_ab * d_ac * d_bc)
-                        if max(c_ab, c_ac, c_bc) <= thresh:
-                            qr_num += 6 * t_cnt
+                    if psi is not None and cells_quasirandom(pps, (cab, cac, cbc), psi):
+                        qr_num += 6 * t_cnt
 
     total = n**3
     return HomogeneityAudit(
@@ -971,23 +975,9 @@ def cylinder_quasirandomness_audit(
     triples = [(i, j, k) for i in range(t) for j in range(i + 1, t) for k in range(j + 1, t)]
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     labels = {
-        (c, i, j): ep.pair(i, j).labels() for c, ep in enumerate(p.edges) for (i, j) in pairs
+        (c, i, j): ep.pair(i, j).labels for c, ep in enumerate(p.edges) for (i, j) in pairs
     }
-    densities: dict[tuple, Fraction] = {}
-    certs: dict[tuple, Fraction] = {}
     verdict_cache: dict[tuple, tuple[bool, bool]] = {}
-
-    def density(c: int, i: int, j: int, idx: int) -> Fraction:
-        key = (c, i, j, idx)
-        if key not in densities:
-            densities[key] = p.edges[c].pair(i, j).cell_density(idx)
-        return densities[key]
-
-    def cert(c: int, i: int, j: int, idx: int) -> Fraction:
-        key = (c, i, j, idx)
-        if key not in certs:
-            certs[key] = p.edges[c].pair(i, j).cell_certificate(idx).value
-        return certs[key]
 
     def judge(c: int, cells: dict[tuple[int, int], int]) -> tuple[bool, bool]:
         key = (c, tuple(cells[pq] for pq in pairs))
@@ -999,26 +989,16 @@ def cylinder_quasirandomness_audit(
         degenerate = False
         good = True
         for (i, j, k) in triples:
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
             combo = (cells[(i, j)], cells[(i, k)], cells[(j, k)])
-            thresh = psi(
-                density(c, i, j, combo[0]) * density(c, i, k, combo[1]) * density(c, j, k, combo[2])
-            )
-            if (
-                cert(c, i, j, combo[0]) > thresh
-                or cert(c, i, k, combo[1]) > thresh
-                or cert(c, j, k, combo[2]) > thresh
-            ):
+            if not cells_quasirandom(pps, combo, psi):
                 good = False
                 break
             tri, _, chain_cert = cell_chain_stats(
                 h,
                 (masks[i], masks[j], masks[k]),
                 (i, j, k),
-                (
-                    ep.pair(i, j).cells[combo[0]],
-                    ep.pair(i, k).cells[combo[1]],
-                    ep.pair(j, k).cells[combo[2]],
-                ),
+                tuple(pp.cells[idx] for pp, idx in zip(pps, combo)),
             )
             if tri == 0:
                 degenerate = True

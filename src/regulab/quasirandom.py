@@ -55,9 +55,6 @@ class PolyFunction:
         x = Fraction(x)
         return min(self.c * x**self.k, x)
 
-    def squared(self) -> "PolyFunction":
-        return PolyFunction(self.c * self.c, 2 * self.k)
-
     @classmethod
     def parse(cls, text: str) -> "PolyFunction":
         """Parse "c,k" with c a rational like 1/16 or 2**-100."""

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 from .core import InvalidStructure
 from .engines import ConstantsProfile, IterationTrace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -47,13 +47,7 @@ def _jsonable(v: Any) -> Any:
 
 
 def profile_dict(p: ConstantsProfile) -> dict:
-    out = {}
-    for name, value in asdict(p).items():
-        if callable(value):
-            out[name] = "custom"
-        else:
-            out[name] = _jsonable(value)
-    return out
+    return _jsonable(asdict(p))
 
 
 def trace_list(trace: IterationTrace) -> list[dict]:
@@ -85,7 +79,6 @@ class DecompositionReport:
     audit: dict
     part_counts: list
     runtime_ms: int
-    threads: int = 1
     extra: dict = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
@@ -100,7 +93,6 @@ class DecompositionReport:
             "audit": _jsonable(self.audit),
             "part_counts": _jsonable(self.part_counts),
             "runtime_ms": self.runtime_ms,
-            "threads": self.threads,
         }
         if self.extra:
             d["extra"] = _jsonable(self.extra)
@@ -120,7 +112,6 @@ _REQUIRED = {
     "audit": dict,
     "part_counts": list,
     "runtime_ms": int,
-    "threads": int,
 }
 
 

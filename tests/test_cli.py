@@ -210,17 +210,6 @@ def test_oracle_check_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    rc = run(["generate", "--kind", "graph", "--n", "8", "--seed", "1",
-              "--out", str(tmp_path / "g.g")])
-    assert rc == 0
-    monkeypatch.setenv("REGULAB_THREADS", "4")
-    out = tmp_path / "r.json"
-    assert run(["analyze", "--input", str(tmp_path / "g.g"), "--output", str(out)]) == 0
-    assert load_report(out.read_text())["threads"] == 4
-    capsys.readouterr()
-
-
 def test_generate_kinds_load_back(tmp_path, capsys):
     from regulab.core import (
         load_chain,
@@ -256,3 +245,31 @@ def test_generate_rejects_negative_n(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--n" in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle-check", "--cases", "-5"], "--cases"),
+        (["vc2", "--input", "{cone}", "--cap-d", "-1"], "--cap-d"),
+        (["vc2", "--input", "{cone}", "--cap-n", "-1"], "--cap-n"),
+        (["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "-2"], "--t"),
+        (["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "0"], "--t"),
+        (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "-3"], "--t"),
+        (["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+          "--audit-tuple-cap", "-1"], "audit_tuple_cap"),
+        (["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+          "--audit-tuple-cap", "1", "--audit-samples", "0"], "audit_samples"),
+        (["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+          "--edge-part-cap", "0"], "edge_part_cap"),
+        (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+          "--witness-cap", "-1"], "witness_cap"),
+    ],
+)
+def test_meaningless_values_exit_one(argv, flag, cone_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = [a.format(cone=cone_file) for a in argv] + ["--output", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err and not out.exists()

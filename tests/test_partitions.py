@@ -305,7 +305,7 @@ def test_cell_chain_evaluator_warm_equals_cold():
     parts = [random_cylinder_chain_partition(vs, 3, 2, seed=s) for s in (5, 6, 7)]
     for p in parts:
         cylinder_quasirandomness_audit(warm, p, eta, psi)
-        _useful_chains(warm, p, eta, Fraction(0))
+        _useful_chains(warm, p, eta)
     stored = dict(warm.index.cell_chains)
     assert stored
     for p in parts:
@@ -313,9 +313,7 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert cylinder_quasirandomness_audit(warm, p, eta, psi) == (
             cylinder_quasirandomness_audit(cold, p, eta, psi)
         )
-        assert _useful_chains(warm, p, eta, Fraction(0)) == _useful_chains(
-            cold, p, eta, Fraction(0)
-        )
+        assert _useful_chains(warm, p, eta) == _useful_chains(cold, p, eta)
     # Re-reading added nothing: every chain was evaluated once.
     assert warm.index.cell_chains == stored
     extracted = 0
@@ -357,3 +355,87 @@ def test_cells_by_label_partitions_the_host_in_label_order(seed):
 def test_cells_by_label_empty_host_gives_one_empty_cell():
     assert cells_by_label(3, (0, 0, 0), lambda x, y: 1 / 0) == ((0, 0, 0),)
     assert cells_by_label(2, (0b11, 0b01), lambda x, y: 0) == ((0b11, 0b01),)
+
+
+def _compacted_cell(cell, left_mask: int, right_mask: int) -> BipartiteGraph:
+    """A cell as a standalone bipartite graph on its masked sides."""
+    from regulab.core import bits
+
+    ys = list(bits(right_mask))
+    rows = tuple(
+        sum(1 << pos for pos, y in enumerate(ys) if cell[x] >> y & 1) for x in bits(left_mask)
+    )
+    return BipartiteGraph(left_mask.bit_count(), len(ys), rows)
+
+
+@pytest.mark.parametrize("sizes", [(4, 5, 4), (3, 4, 3, 4)], ids=["t3", "t4"])
+def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
+    """The tuple audit's per-chain verdict, cells_quasirandom plus the
+    evaluator's chain certificate <= eta, equals eta_psi_check on the
+    extracted chain with the naive kernels; each pair partition's cached
+    labels, densities and certificates equal a scan of its cells and the
+    naive certificate of each compacted cell."""
+    from itertools import combinations, product
+
+    from regulab.core import bits
+    from regulab.partitions import cell_chain_stats, cells_quasirandom
+    from regulab.quasirandom import PolyFunction, eta_psi_check, pair_quasirandomness
+
+    thresholds = [
+        (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
+        (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
+    ]
+    verdicts = []
+    for seed in range(3):
+        h = random_partite_3graph(sizes, Fraction(1, 2), seed=40 + seed)
+        vs = h.vertex_set
+        p = random_cylinder_chain_partition(vs, 3, 3, seed=50 + seed)
+        for cyl, ep in zip(p.vertex.cylinders, p.edges):
+            for pp in ep.pairs.values():
+                for x in range(pp.left_size):
+                    want = [-1] * pp.right_size
+                    for idx, cell in enumerate(pp.cells):
+                        for y in bits(cell[x]):
+                            want[y] = idx
+                    assert pp.labels[x] == tuple(want)
+                for idx, cell in enumerate(pp.cells):
+                    g = _compacted_cell(cell, pp.left_mask, pp.right_mask)
+                    assert pp.densities[idx] == g.density()
+                    assert pp.certificates[idx] == pair_quasirandomness(g, mode="naive").value
+            for (i, j, k) in combinations(range(vs.t), 3):
+                pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+                masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+                for combo in product(*(range(pp.cell_count) for pp in pps)):
+                    cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
+                    chain = extract_cell_chain(h, masks, (i, j, k), cells)
+                    chain_cert = cell_chain_stats(h, masks, (i, j, k), cells)[2]
+                    for eta, psi in thresholds:
+                        verdict = cells_quasirandom(pps, combo, psi) and chain_cert <= eta
+                        assert verdict == eta_psi_check(chain, eta, psi, mode="naive")
+                        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_audits_read_warm_cell_facts_as_fresh_ones():
+    """Audits on partitions whose cell facts are already cached equal audits
+    on equal, freshly built partitions."""
+    from regulab.quasirandom import PolyFunction
+
+    psi = PolyFunction(Fraction(1, 2), 1)
+    eta = Fraction(1, 4)
+    for seed in range(3):
+        h = random_partite_3graph((3, 4, 3, 2), Fraction(1, 2), seed=60 + seed)
+        vs = h.vertex_set
+        warm = random_cylinder_chain_partition(vs, 3, 3, seed=70 + seed)
+        first = cylinder_quasirandomness_audit(h, warm, eta, psi)
+        warm_chain = venn_diagram(warm)
+        first_hom = homogeneity_audit(h, warm_chain, eta, psi)
+        pp = warm.edges[0].pair(0, 1)
+        assert {"labels", "densities", "certificates"} <= set(vars(pp))
+        cold = random_cylinder_chain_partition(vs, 3, 3, seed=70 + seed)
+        assert cold == warm and "certificates" not in vars(cold.edges[0].pair(0, 1))
+        cold_h = PartiteThreeGraph(vs, h.triples)
+        assert cylinder_quasirandomness_audit(h, warm, eta, psi) == first
+        assert cylinder_quasirandomness_audit(cold_h, cold, eta, psi) == first
+        assert homogeneity_audit(h, warm_chain, eta, psi) == first_hom
+        assert homogeneity_audit(cold_h, venn_diagram(cold), eta, psi) == first_hom

@@ -52,7 +52,7 @@ def test_report_json_round_trip():
     text = save_report(rep)
     data = load_report(text)
     validate_report(data)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["seed"] == 3
     assert data["trace"][0]["q"] == "1/4"
 
@@ -76,7 +76,7 @@ def test_validate_rejects_missing_keys():
 
 def test_validate_rejects_bad_schema():
     data = load_report(save_report(_report()))
-    data["schema"] = 2
+    data["schema"] = 1
     with pytest.raises(InvalidStructure):
         validate_report(data)
 
