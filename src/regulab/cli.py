@@ -66,7 +66,7 @@ from .generators import (
     random_partite_3graph,
     random_tournament_3graph,
 )
-from .partitions import cylinder_quasirandomness_audit, q_edge_partition, EdgePartition
+from .partitions import q_edge_partition, EdgePartition
 from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
@@ -367,11 +367,7 @@ def _cmd_cylinder(args) -> int:
     psi = parse_psi(args.psi)
     profile = build_profile(args)
     t0 = time.monotonic()
-    p, trace = hyper_cylinder_regularity(h, eta, psi, profile, seed=args.seed)
-    audit = cylinder_quasirandomness_audit(
-        h, p, eta, psi, cap=profile.audit_tuple_cap, samples=profile.audit_samples,
-        seed=args.seed,
-    )
+    p, audit, trace = hyper_cylinder_regularity(h, eta, psi, profile, seed=args.seed)
     audit_d = {
         "eta": fraction_str(eta),
         "good_mass": fraction_str(audit.good_mass),

@@ -160,9 +160,7 @@ class BipartiteGraph:
         return bool(self.rows[x] >> y & 1)
 
     def density(self) -> Fraction:
-        if self.left_size == 0 or self.right_size == 0:
-            raise DensityUndefined("density of a bipartite graph with an empty side")
-        return Fraction(self.edge_count, self.left_size * self.right_size)
+        return ratio(self.edge_count, self.left_size * self.right_size)
 
     def columns(self) -> tuple[int, ...]:
         cols = [0] * self.right_size

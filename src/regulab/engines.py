@@ -43,15 +43,16 @@ from .core import (
 from .generators import SplitMix64
 from .partitions import (
     ChainPartition,
+    CylinderAudit,
     CylinderChainPartition,
     EdgePartition,
     HomogeneityAudit,
     PairPartition,
     VertexCylinder,
     VertexCylinderPartition,
+    cell_chain_passes,
     cell_chain_stats,
     cells_by_label,
-    cells_quasirandom,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     homogeneity_audit,
@@ -954,11 +955,12 @@ def hyper_cylinder_regularity(
     psi: PolyFunction,
     profile: ConstantsProfile,
     seed: int = 0,
-) -> tuple[CylinderChainPartition, IterationTrace]:
+) -> tuple[CylinderChainPartition, CylinderAudit, IterationTrace]:
     """Cylinder chain partition passing the (eta, psi) tuple audit.
 
     Loop: audit; if enough tuple mass sees quasirandom located chains,
-    accept.  Otherwise refine every useful cell chain (certificate above
+    accept, returning the partition, the audit it was accepted on and the
+    trace.  Otherwise refine every useful cell chain (certificate above
     eta) through one_cylinder_refine and demand the profile's q gain; when
     no chain is useful the failure is on the graph side, so cylinders are
     re-regularized instead (monotone in q but with no gain floor).  Under
@@ -993,7 +995,7 @@ def hyper_cylinder_regularity(
             TraceRow(step, q_prev, p.vertex_count, p.edge_count, useful_mass, action, "hyper")
         )
         if ok:
-            return p, IterationTrace(tuple(rows))
+            return p, audit, IterationTrace(tuple(rows))
         if step == profile.max_steps:
             raise NonterminationError(
                 "tuple audit still failing at the step cap", IterationTrace(tuple(rows))
@@ -1224,11 +1226,12 @@ def homogeneous_decomposition(
         raise InvalidStructure("need at least three vertices")
     if t is None:
         t = min(n, 3 * _ceil_inverse(eta))
-    t = max(3, min(t, n))
+    elif not 3 <= t <= n:
+        raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
     parts = equitable_partition(n, t)
     hp, part_ids = partite_from_three_graph(h, parts)
     eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
-    p, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
+    p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
     qv = venn_diagram(p)
     alpha_s = profile.szemeredi_alpha if profile.szemeredi_alpha is not None else Fraction(1, 4)
     qs, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
@@ -1279,8 +1282,9 @@ def graph_homogeneous_decomposition(
     if n < 2:
         raise InvalidStructure("need at least two vertices")
     if t is None:
-        t = _ceil_inverse(eps)
-    t = max(2, min(t, n))
+        t = min(n, _ceil_inverse(eps))
+    elif not 2 <= t <= n:
+        raise InvalidStructure(f"t must lie in [2, {n}], got {t}")
     parts = equitable_partition(n, t)
     vs = PartiteVertexSet(tuple(f"X{i}" for i in range(t)), tuple(len(p) for p in parts))
     pair_graphs = {}
@@ -1431,15 +1435,16 @@ def quasirandom_subset(
         raise InvalidStructure("need at least three parts in the subset")
     n = h.n
     if t is None:
-        t = max(3, s)
-    t = max(3, min(t, n))
+        t = max(3, min(s, n))
+    elif not 3 <= t <= n:
+        raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
     if s > t:
         raise InvalidStructure("subset size exceeds part count")
     parts = equitable_partition(n, t)
     hp, part_ids = partite_from_three_graph(h, parts)
     vs = hp.vertex_set
     eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
-    p, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
+    p, _, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
 
     order = sorted(
         range(len(p.vertex.cylinders)),
@@ -1456,21 +1461,13 @@ def quasirandom_subset(
             pp = ep.pair(i, j)
             best = max(range(pp.cell_count), key=lambda idx: (pp.densities[idx], -idx))
             pick[(i, j)] = best
-        # The tuple audit's test on each part triple's densest cell chain:
-        # chain certificate <= eta_c and each cell psi(delta)-quasirandom.
-        good = True
-        for (i, j, k) in _triple_list(t):
-            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
-            combo = (pick[(i, j)], pick[(i, k)], pick[(j, k)])
-            cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
-            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            if (
-                cell_chain_stats(hp, masks, (i, j, k), cells)[2] > eta_c
-                or not cells_quasirandom(pps, combo, psi)
-            ):
-                good = False
-                break
-        if good:
+        # The tuple audit's verdict on each part triple's densest cell chain.
+        if all(
+            cell_chain_passes(
+                hp, cyl, ep, (i, j, k), (pick[(i, j)], pick[(i, k)], pick[(j, k)]), eta_c, psi
+            )
+            for (i, j, k) in _triple_list(t)
+        ):
             chosen = (ci, pick)
             break
     if chosen is None:

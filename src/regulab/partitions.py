@@ -28,7 +28,8 @@ search for non-quasirandom chains and the subset gate all read it.
 Per-cell facts live on their :class:`PairPartition`: the cached ``labels``
 table, ``densities`` and ``certificates``, computed once per partition
 however many audits, gates or ``q`` evaluations read them.  The cell half
-of the (eta, psi) test has one home, :func:`cells_quasirandom`.
+of the (eta, psi) test has one home, :func:`cells_quasirandom`, and the
+verdict on a located cell chain one more, :func:`cell_chain_passes`.
 """
 
 from __future__ import annotations
@@ -952,6 +953,30 @@ def extract_cell_chain(
     return Chain(g, PartiteThreeGraph(sub_vs, frozenset(triples)))
 
 
+def cell_chain_passes(
+    h: PartiteThreeGraph,
+    cyl: VertexCylinder,
+    ep: EdgePartition,
+    parts: tuple[int, int, int],
+    combo: Sequence[int],
+    eta: Fraction,
+    psi: PolyFunction,
+) -> bool:
+    """The (eta, psi) verdict on one located cell chain.
+
+    ``combo`` indexes cells of ``ep``'s (i, j), (i, k) and (j, k) pairs,
+    ``parts`` = (i, j, k).  The cells must pass :func:`cells_quasirandom`;
+    only then is the chain certificate read and compared with eta.
+    """
+    i, j, k = parts
+    pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+    if not cells_quasirandom(pps, combo, psi):
+        return False
+    masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+    cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
+    return cell_chain_stats(h, masks, parts, cells)[2] <= eta
+
+
 def cylinder_quasirandomness_audit(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
@@ -963,78 +988,55 @@ def cylinder_quasirandomness_audit(
 ) -> CylinderAudit:
     """Mass of tuples whose visible chains are all (eta, psi)-quasirandom.
 
-    A tuple is good when, for every part triple (i, j, k), its cell chain
-    has chain certificate <= eta and the three cells are psi(delta)-
-    quasirandom, delta being the product of the three cell densities.
-    Exhaustive below ``cap`` tuples, seeded Monte Carlo above.
+    A tuple is good when, for every part triple, the cell chain holding its
+    projection passes :func:`cell_chain_passes`.  Exhaustive below ``cap``
+    tuples, each cylinder walking the product of its own masks (the
+    cylinders partition X_1 x ... x X_t); seeded Monte Carlo above.  One
+    verdict is kept per (cylinder, cell label vector).  A projection is a
+    triangle of its own cells, so ``degenerate_mass`` is always 0.
     """
     vs = h.vertex_set
     if vs != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
-    t = vs.t
-    triples = [(i, j, k) for i in range(t) for j in range(i + 1, t) for k in range(j + 1, t)]
-    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    labels = {
-        (c, i, j): ep.pair(i, j).labels for c, ep in enumerate(p.edges) for (i, j) in pairs
-    }
-    verdict_cache: dict[tuple, tuple[bool, bool]] = {}
+    pairs = list(itertools.combinations(range(vs.t), 2))
+    slot = {pq: n for n, pq in enumerate(pairs)}
+    # Each part triple with the positions of its three pairs in a label vector.
+    triples = [
+        ((i, j, k), (slot[i, j], slot[i, k], slot[j, k]))
+        for i, j, k in itertools.combinations(range(vs.t), 3)
+    ]
+    tables = [[(i, j, ep.pair(i, j).labels) for (i, j) in pairs] for ep in p.edges]
+    verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
 
-    def judge(c: int, cells: dict[tuple[int, int], int]) -> tuple[bool, bool]:
-        key = (c, tuple(cells[pq] for pq in pairs))
-        got = verdict_cache.get(key)
-        if got is not None:
-            return got
-        masks = p.vertex.cylinders[c].masks
-        ep = p.edges[c]
-        degenerate = False
-        good = True
-        for (i, j, k) in triples:
-            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
-            combo = (cells[(i, j)], cells[(i, k)], cells[(j, k)])
-            if not cells_quasirandom(pps, combo, psi):
-                good = False
-                break
-            tri, _, chain_cert = cell_chain_stats(
-                h,
-                (masks[i], masks[j], masks[k]),
-                (i, j, k),
-                tuple(pp.cells[idx] for pp, idx in zip(pps, combo)),
+    def passes(c: int, locals_: Sequence[int]) -> bool:
+        labs = tuple([lab[locals_[i]][locals_[j]] for i, j, lab in tables[c]])
+        got = verdicts.get((c, labs))
+        if got is None:
+            cyl, ep = p.vertex.cylinders[c], p.edges[c]
+            got = verdicts[(c, labs)] = all(
+                cell_chain_passes(h, cyl, ep, parts, tuple(labs[n] for n in at), eta, psi)
+                for parts, at in triples
             )
-            if tri == 0:
-                degenerate = True
-            if chain_cert > eta:
-                good = False
-                break
-        verdict_cache[key] = (good, degenerate)
-        return good, degenerate
+        return got
 
-    def tuple_verdict(locals_) -> tuple[bool, bool]:
-        c = p.vertex.lookup(locals_)
-        cells = {(i, j): labels[(c, i, j)][locals_[i]][locals_[j]] for (i, j) in pairs}
-        return judge(c, cells)
-
-    space = 1
-    for s in vs.sizes:
-        space *= s
+    space = prod(vs.sizes)
     if space == 0:
         return CylinderAudit(Fraction(1), Fraction(0), "exhaustive")
     if space <= cap:
-        good = degen = 0
-        for locals_ in itertools.product(*(range(s) for s in vs.sizes)):
-            g, d = tuple_verdict(locals_)
-            good += g
-            degen += d
-        return CylinderAudit(Fraction(good, space), Fraction(degen, space), "exhaustive")
+        good = sum(
+            passes(c, locals_)
+            for c, cyl in enumerate(p.vertex.cylinders)
+            for locals_ in itertools.product(*(tuple(bits(m)) for m in cyl.masks))
+        )
+        return CylinderAudit(Fraction(good, space), Fraction(0), "exhaustive")
     from .generators import SplitMix64
 
     rng = SplitMix64(seed)
-    good = degen = 0
+    good = 0
     for _ in range(samples):
         locals_ = tuple(rng.below(s) for s in vs.sizes)
-        g, d = tuple_verdict(locals_)
-        good += g
-        degen += d
-    return CylinderAudit(Fraction(good, samples), Fraction(degen, samples), "sampled", samples)
+        good += passes(p.vertex.lookup(locals_), locals_)
+    return CylinderAudit(Fraction(good, samples), Fraction(0), "sampled", samples)
 
 
 @dataclass(frozen=True)

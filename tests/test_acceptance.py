@@ -238,15 +238,19 @@ def test_criterion_06_engine_soundness():
     rng = SplitMix64(606)
     for _ in range(20):
         h = random_partite_3graph((30, 30, 30), Fraction(1, 2), seed=rng.next_u64())
-        p, trace = hyper_cylinder_regularity(h, eta, PSI_ID, DESK)
+        p, accepted, trace = hyper_cylinder_regularity(h, eta, PSI_ID, DESK)
         assert trace.step_count <= DESK.max_steps
         hyper_rows = [r for r in trace.rows if r.stage == "hyper"]
         for prev, nxt in zip(hyper_rows, hyper_rows[1:]):
             assert nxt.q >= prev.q
             if nxt.action == "refine-edges":
                 assert nxt.q - prev.q >= DESK.hyper_gain(eta, 3)
-        audit = cylinder_quasirandomness_audit(h, p, eta, PSI_ID)
+        # The external audit runs on a cold, equal hypergraph: no cell chain
+        # the engine evaluated is read back.
+        cold = PartiteThreeGraph(h.vertex_set, h.triples)
+        audit = cylinder_quasirandomness_audit(cold, p, eta, PSI_ID)
         assert audit.good_mass >= 1 - eta
+        assert accepted == audit
     # planted-block cylinder separation
     rows = tuple(0b00001111 if x < 4 else 0b11110000 for x in range(8))
     vs = PartiteVertexSet(("A", "B"), (8, 8))
@@ -282,7 +286,7 @@ def test_criterion_07_step_count_bound():
     runs.append((trace, "hyper", comb(9, 3), DESK.hyper_gain(eta_c, 9)))
     rng = SplitMix64(707)
     hp = random_partite_3graph((12, 12, 12), Fraction(1, 2), seed=rng.next_u64())
-    _, tr2 = hyper_cylinder_regularity(hp, eta, PSI_ID, DESK)
+    _, _, tr2 = hyper_cylinder_regularity(hp, eta, PSI_ID, DESK)
     runs.append((tr2, "hyper", comb(3, 3), DESK.hyper_gain(eta, 3)))
     qf, tr3 = szemeredi_multi(build_planted_chain_partition(), Fraction(1, 20), DESK)
     runs.append((tr3, "pairs", 1, DESK.q_gain))

@@ -264,11 +264,32 @@ def test_generate_rejects_negative_n(kind, tmp_path, capsys):
           "--edge-part-cap", "0"], "edge_part_cap"),
         (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
           "--witness-cap", "-1"], "witness_cap"),
+        pytest.param(
+            ["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1", "--t", "2"],
+            "t must lie in [3, 10], got 2", id="decompose-t-2",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1", "--t", "99"],
+            "t must lie in [3, 10], got 99", id="decompose-t-99",
+        ),
+        pytest.param(
+            ["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "2"],
+            "t must lie in [3, 18], got 2", id="subset-t-2",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{graph}", "--eps", "1/4", "--t", "11"],
+            "t must lie in [2, 10], got 11", id="graph-t-11",
+        ),
     ],
 )
 def test_meaningless_values_exit_one(argv, flag, cone_file, tmp_path, capsys):
+    files = {"cone": cone_file}
+    for kind in ("tournament", "graph"):
+        files[kind] = tmp_path / f"{kind}.txt"
+        assert run(["generate", "--kind", kind, "--n", "10", "--seed", "1",
+                    "--out", str(files[kind])]) == 0
     out = tmp_path / "r.json"
-    argv = [a.format(cone=cone_file) for a in argv] + ["--output", str(out)]
+    argv = [a.format(**files) for a in argv] + ["--output", str(out)]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -249,10 +249,14 @@ def test_hyper_accepts_misaligned_cone():
     parts = equitable_partition(27, 9)
     hp, _ = partite_from_three_graph(h, parts)
     eta_c = Fraction(1, 4) ** 4 / 16
-    p, trace = hyper_cylinder_regularity(hp, eta_c, PSI_ID, DESK)
-    assert trace.rows[-1].action == "accept"
-    audit = cylinder_quasirandomness_audit(hp, p, eta_c, PSI_ID)
+    p, accepted, trace = hyper_cylinder_regularity(hp, eta_c, PSI_ID, DESK)
+    assert [r.action for r in trace.rows] == ["refine-edges", "accept"]
+    # The audit the engine accepted on equals a fresh one on a cold, equal
+    # hypergraph, after a refinement step.
+    cold = PartiteThreeGraph(hp.vertex_set, hp.triples)
+    audit = cylinder_quasirandomness_audit(cold, p, eta_c, PSI_ID)
     assert audit.good_mass >= 1 - eta_c
+    assert accepted == audit
 
 
 def test_homogeneous_decomposition_cone():

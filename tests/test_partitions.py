@@ -1,7 +1,8 @@
 """Partition algebra: q identities, refinement, Venn diagrams, audits."""
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,9 @@ from regulab.partitions import (
     CylinderChainPartition,
     EdgePartition,
     PairPartition,
+    VertexCylinder,
+    VertexCylinderPartition,
+    cell_chain_passes,
     cells_by_label,
     common_refinement,
     cylinder_quasirandomness_audit,
@@ -47,7 +51,14 @@ from regulab.partitions import (
     restrict_chain_partition,
     venn_diagram,
 )
+from regulab.quasirandom import PolyFunction, eta_psi_check
 from conftest import random_small_chain
+
+# The two (eta, psi) pairs of scripts/oracle_sweep.py.
+THRESHOLDS = (
+    (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
+    (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
+)
 
 
 def test_rational_sqrt():
@@ -370,21 +381,14 @@ def _compacted_cell(cell, left_mask: int, right_mask: int) -> BipartiteGraph:
 
 @pytest.mark.parametrize("sizes", [(4, 5, 4), (3, 4, 3, 4)], ids=["t3", "t4"])
 def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
-    """The tuple audit's per-chain verdict, cells_quasirandom plus the
-    evaluator's chain certificate <= eta, equals eta_psi_check on the
-    extracted chain with the naive kernels; each pair partition's cached
+    """The tuple audit's per-chain verdict, cell_chain_passes (cells_quasirandom
+    plus the evaluator's chain certificate <= eta), equals eta_psi_check on
+    the extracted chain with the naive kernels; each pair partition's cached
     labels, densities and certificates equal a scan of its cells and the
     naive certificate of each compacted cell."""
-    from itertools import combinations, product
-
     from regulab.core import bits
-    from regulab.partitions import cell_chain_stats, cells_quasirandom
-    from regulab.quasirandom import PolyFunction, eta_psi_check, pair_quasirandomness
+    from regulab.quasirandom import pair_quasirandomness
 
-    thresholds = [
-        (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
-        (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
-    ]
     verdicts = []
     for seed in range(3):
         h = random_partite_3graph(sizes, Fraction(1, 2), seed=40 + seed)
@@ -408,9 +412,8 @@ def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
                 for combo in product(*(range(pp.cell_count) for pp in pps)):
                     cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
                     chain = extract_cell_chain(h, masks, (i, j, k), cells)
-                    chain_cert = cell_chain_stats(h, masks, (i, j, k), cells)[2]
-                    for eta, psi in thresholds:
-                        verdict = cells_quasirandom(pps, combo, psi) and chain_cert <= eta
+                    for eta, psi in THRESHOLDS:
+                        verdict = cell_chain_passes(h, cyl, ep, (i, j, k), combo, eta, psi)
                         assert verdict == eta_psi_check(chain, eta, psi, mode="naive")
                         verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
@@ -439,3 +442,87 @@ def test_audits_read_warm_cell_facts_as_fresh_ones():
         assert cylinder_quasirandomness_audit(cold_h, cold, eta, psi) == first
         assert homogeneity_audit(h, warm_chain, eta, psi) == first_hom
         assert homogeneity_audit(cold_h, venn_diagram(cold), eta, psi) == first_hom
+
+
+def _literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
+    """The tuple audit written out: every tuple of X_1 x ... x X_t (above
+    ``cap``, the audit's seeded draws), its cylinder found by ``lookup``,
+    and for each part triple the cells holding its three edges, cut out by
+    extract_cell_chain and judged by eta_psi_check with the naive kernels."""
+    vs = h.vertex_set
+    if prod(vs.sizes) <= cap:
+        tuples = list(product(*(range(s) for s in vs.sizes)))
+    else:
+        rng = SplitMix64(seed)
+        tuples = [tuple(rng.below(s) for s in vs.sizes) for _ in range(samples)]
+    good = 0
+    for locals_ in tuples:
+        c = p.vertex.lookup(locals_)
+        cyl, ep = p.vertex.cylinders[c], p.edges[c]
+        ok = True
+        for i, j, k in combinations(range(vs.t), 3):
+            cells = tuple(
+                next(cell for cell in ep.pair(a, b).cells if cell[locals_[a]] >> locals_[b] & 1)
+                for a, b in ((i, j), (i, k), (j, k))
+            )
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            chain = extract_cell_chain(h, masks, (i, j, k), cells)
+            if not eta_psi_check(chain, eta, psi, mode="naive"):
+                ok = False
+                break
+        good += ok
+    return Fraction(good, len(tuples))
+
+
+def _with_empty_cylinder(p: CylinderChainPartition) -> CylinderChainPartition:
+    """``p`` with a cylinder whose first mask is empty put in front."""
+    vs = p.vertex.vertex_set
+    empty = VertexCylinder((0,) + tuple(vs.full_mask(i) for i in range(1, vs.t)))
+    return CylinderChainPartition(
+        VertexCylinderPartition(vs, (empty,) + p.vertex.cylinders),
+        (EdgePartition.trivial_for_cylinder(vs, empty),) + p.edges,
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes", [(4, 5, 4), (3, 4, 3, 4), (2, 3, 2, 3, 2)], ids=["t3", "t4", "t5"]
+)
+def test_tuple_audit_matches_a_literal_walk(sizes):
+    """Exhaustive and sampled audits equal the literal walk, on random
+    cylinder chain partitions with an empty cylinder, for both (eta, psi)
+    pairs; no tuple is degenerate."""
+    masses = set()
+    samples = 40
+    for seed in range(2):
+        h = random_partite_3graph(sizes, Fraction(1, 2), seed=80 + seed)
+        p = random_cylinder_chain_partition(h.vertex_set, 3, 3, seed=90 + seed)
+        p = _with_empty_cylinder(p)
+        for eta, psi in THRESHOLDS:
+            for mode, cap in (("exhaustive", prod(sizes)), ("sampled", prod(sizes) - 1)):
+                audit = cylinder_quasirandomness_audit(h, p, eta, psi, cap, samples, seed)
+                assert audit.mode == mode
+                assert audit.good_mass == _literal_audit(h, p, eta, psi, cap, samples, seed)
+                assert audit.degenerate_mass == 0
+                masses.add(audit.good_mass)
+    assert len(masses) > 2 and any(0 < m < 1 for m in masses)
+
+
+def test_an_empty_part_passes_both_verdicts():
+    """Density over an empty side is 0/0 = 0, so eta_psi_check passes a chain
+    with an empty part in both modes, as cell_chain_passes passes the cell
+    chain of a cylinder with an empty mask."""
+    assert BipartiteGraph(2, 0, (0, 0)).density() == 0
+    h = random_partite_3graph((2, 3, 2), Fraction(1, 2), seed=5)
+    p = _with_empty_cylinder(random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6))
+    cyl, ep = p.vertex.cylinders[0], p.edges[0]
+    cells = tuple(ep.pair(a, b).cells[0] for a, b in ((0, 1), (0, 2), (1, 2)))
+    chains = [
+        extract_cell_chain(h, cyl.masks, (0, 1, 2), cells),
+        random_chain((2, 0, 2), Fraction(1), Fraction(1, 2), seed=1),
+    ]
+    assert [c.vertex_set.sizes for c in chains] == [(0, 3, 2), (2, 0, 2)]
+    for eta, psi in THRESHOLDS:
+        assert cell_chain_passes(h, cyl, ep, (0, 1, 2), (0, 0, 0), eta, psi)
+        for chain in chains:
+            assert eta_psi_check(chain, eta, psi, mode="fast")
+            assert eta_psi_check(chain, eta, psi, mode="naive")
