@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep the fast kernels against the naive oracles over a size grid, the
+"""Sweep the fast kernels against the naive oracles over a size grid (the
+masked c4 kernel against ``c4_sum(..., "naive")`` on row subsets and column
+masks among them), the upper-half symmetry check ``rows_symmetric`` against
+the bit-by-bit walk, the
 hyperedge index against the naive membership test ``has_triple``, the
 tuple audit's per-chain verdict (``cell_chain_passes``) against
 ``eta_psi_check`` with the naive kernels, and the tuple audit itself,
@@ -15,11 +18,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
+from regulab.core import bits, rows_symmetric
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
     random_chain,
     random_cylinder_chain_partition,
+    random_graph,
     random_partite_3graph,
 )
 from regulab.partitions import (
@@ -29,8 +34,10 @@ from regulab.partitions import (
 )
 from regulab.quasirandom import (
     PolyFunction,
+    c4_sum,
     chain_quasirandomness,
     eta_psi_check,
+    masked_pair_quasirandomness,
     pair_quasirandomness,
 )
 
@@ -39,6 +46,46 @@ THRESHOLDS = (
     (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
 )
 AUDIT_SAMPLES = 30
+
+
+def masked_pair_matches(g, rng) -> bool:
+    """The masked c4 kernel on a random row subset and column mask of ``g``
+    equals the naive four-fold sum of the deviation table it stands for."""
+    xs = [x for x in range(g.left_size) if rng.below(3)]
+    mask = rng.next_u64() & ((1 << g.right_size) - 1)
+    cert = masked_pair_quasirandomness(g.rows, xs, mask)
+    ys = list(bits(mask))
+    area = len(xs) * len(ys)
+    if area == 0:
+        return cert.raw_sum == 0 and cert.degenerate
+    e = sum((g.rows[x] & mask).bit_count() for x in xs)
+    table = [[Fraction(area * (g.rows[x] >> y & 1) - e, area) for y in ys] for x in xs]
+    return cert.raw_sum == c4_sum(table, "naive")
+
+
+def symmetry_matches(n, rng) -> bool:
+    """``rows_symmetric`` agrees with the bit-by-bit walk on a random graph
+    and on copies with one upper, one lower and a few arbitrary bits flipped."""
+    rows = random_graph(n, Fraction(1 + rng.below(7), 8), rng.next_u64()).rows
+    trials = [rows]
+    for _ in range(3 if n >= 2 else 0):
+        bad = list(rows)
+        x, y = rng.sample(n, 2)
+        bad[x] ^= 1 << y  # an upper bit
+        trials.append(tuple(bad))
+        bad = list(rows)
+        bad[y] ^= 1 << x  # a lower bit
+        trials.append(tuple(bad))
+        bad = list(rows)
+        for _ in range(1 + rng.below(3)):
+            x, y = rng.sample(n, 2)
+            bad[x] ^= 1 << y
+        trials.append(tuple(bad))
+    for r in trials:
+        walk = all(r[y] >> x & 1 for x in range(n) for y in bits(r[x]))
+        if rows_symmetric(r) != walk:
+            return False
+    return True
 
 
 def index_matches(h) -> bool:
@@ -130,6 +177,8 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = SplitMix64(args.seed)
+    # A stream of its own, so the other cases stay those of earlier sweeps.
+    side = SplitMix64(args.seed + 1)
     t0 = time.monotonic()
     mismatches = 0
     for case in range(args.cases):
@@ -141,6 +190,13 @@ def main() -> int:
         if (fast.raw_sum, fast.value) != (naive.raw_sum, naive.value):
             mismatches += 1
             print(f"pair mismatch at case {case}: {na}x{nb}")
+        if not masked_pair_matches(g, side):
+            mismatches += 1
+            print(f"masked pair mismatch at case {case}: {na}x{nb}")
+        n = side.below(8 * args.max_size + 2)  # past word boundaries
+        if not symmetry_matches(n, side):
+            mismatches += 1
+            print(f"symmetry check mismatch at case {case}: n={n}")
         if case % 4 == 0:
             sizes = tuple(1 + rng.below(min(args.max_size, 6)) for _ in range(3))
             c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
@@ -168,7 +224,7 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair cases + {chains} chain cases"
+        f"{args.cases} pair, masked pair and symmetry cases + {chains} chain cases"
         f" + {indexes} index, verdict and audit cases"
         f" in {dt:.1f}s"
     )
@@ -176,8 +232,8 @@ def main() -> int:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the hyperedge index, the cell-chain verdicts and the tuple audit"
-        " match their oracles"
+        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
+        " and the tuple audit match their oracles"
     )
     return 0
 

@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     PartiteThreeGraph,
     PartiteVertexSet,
+    Scan,
     ThreeGraph,
     load_chain,
     load_graph,
@@ -40,6 +41,7 @@ from .core import (
     save_multipartite,
     save_partite_3graph,
     save_three_graph,
+    scan,
     triangle_count,
 )
 from .quasirandom import (

@@ -28,6 +28,7 @@ from .core import (
     MultipartiteGraph,
     ParseError,
     PartiteVertexSet,
+    Scan,
     load_chain,
     load_graph,
     load_multipartite,
@@ -39,6 +40,7 @@ from .core import (
     save_multipartite,
     save_partite_3graph,
     save_three_graph,
+    scan,
 )
 from .engines import (
     ConstantsProfile,
@@ -177,29 +179,6 @@ def _at_least(args, flag: str, low: int) -> None:
         raise _ArgError(f"--{flag.replace('_', '-')} must be at least {low}, got {val}")
 
 
-def _sniff(text: str) -> str:
-    """Classify a core text file: chain, three, graph, or multipartite."""
-    n_parts = has_e = has_t = 0
-    for line in text.splitlines():
-        s = line.split("#", 1)[0].strip()
-        if not s:
-            continue
-        kind = s.split()[0]
-        if kind == "part":
-            n_parts += 1
-        elif kind == "e":
-            has_e = 1
-        elif kind == "t":
-            has_t = 1
-    if has_e and has_t:
-        return "chain"
-    if has_t:
-        return "three"
-    if n_parts >= 2:
-        return "multipartite"
-    return "graph"
-
-
 def _cert_dict(cert) -> dict:
     return {
         "raw_sum": fraction_str(cert.raw_sum),
@@ -233,26 +212,37 @@ def _read(path: str) -> str:
         raise _ArgError(f"cannot read {path}: {exc}")
 
 
+def _scan_input(path: str) -> tuple[Scan, str]:
+    """The one scan of an input file, which also gives its kind, and the
+    hash its report carries.  A command drops the scan once it has loaded,
+    so the records do not outlive the load; a malformed file raises its
+    ParseError in the loader, after the command's own argument checks."""
+    text = _read(path)
+    return scan(text), input_hash(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_analyze(args) -> int:
-    text = _read(args.input)
-    kind = _sniff(text)
+    sc, digest = _scan_input(args.input)
+    kind = sc.kind
     modes = ("fast", "naive") if args.mode == "both" else (args.mode,)
     audit: dict = {"kind": kind}
     t0 = time.monotonic()
     if kind == "chain":
-        c = load_chain(text)
+        c = load_chain(sc)
+        del sc
         part_counts = list(c.vertex_set.sizes)
         for mode in modes:
             audit[mode] = _cert_dict(chain_quasirandomness(c, mode=mode))
         value = Fraction(audit[modes[0]]["value"])
         audit["relative_density"] = fraction_str(relative_density(c))
     elif kind == "multipartite":
-        g = load_multipartite(text)
+        g = load_multipartite(sc)
+        del sc
         part_counts = list(g.vertex_set.sizes)
         for mode in modes:
             certs = graph_quasirandomness(g, mode=mode)
@@ -262,7 +252,8 @@ def _cmd_analyze(args) -> int:
         value = multipartite_graph_quasirandomness(g, mode=modes[0])
         audit["max_pair_value"] = fraction_str(value)
     elif kind == "graph":
-        g = load_graph(text)
+        g = load_graph(sc)
+        del sc
         part_counts = [g.n]
         bg = BipartiteGraph(g.n, g.n, g.rows)
         for mode in modes:
@@ -278,7 +269,7 @@ def _cmd_analyze(args) -> int:
         audit["is_quasirandom"] = beta_ok
     rep = DecompositionReport(
         command="analyze",
-        input_hash=input_hash(text),
+        input_hash=digest,
         profile={},
         seed=0,
         trace=[],
@@ -308,8 +299,8 @@ def _audit_dict_hyper(audit) -> dict:
 
 def _cmd_decompose(args) -> int:
     _at_least(args, "t", 1)
-    text = _read(args.input)
-    kind = _sniff(text)
+    sc, digest = _scan_input(args.input)
+    kind = sc.kind
     profile = build_profile(args)
     t0 = time.monotonic()
     if kind == "three":
@@ -317,7 +308,8 @@ def _cmd_decompose(args) -> int:
             raise _ArgError("decompose on a 3-graph needs --eta and --psi")
         eta = parse_rational(args.eta)
         psi = parse_psi(args.psi)
-        h = load_three_graph(text)
+        h = load_three_graph(sc)
+        del sc
         q, audit, trace = homogeneous_decomposition(
             h, eta, psi, profile, t=args.t, seed=args.seed
         )
@@ -330,7 +322,8 @@ def _cmd_decompose(args) -> int:
         if args.eps is None:
             raise _ArgError("decompose on a graph needs --eps")
         eps = parse_rational(args.eps)
-        g = load_graph(text)
+        g = load_graph(sc)
+        del sc
         parts, audit, trace = graph_homogeneous_decomposition(g, eps, profile, t=args.t)
         ok = audit.homogeneous_mass >= 1 - 2 * eps
         audit_d = {
@@ -346,7 +339,7 @@ def _cmd_decompose(args) -> int:
         raise _ArgError("decompose expects a 3-graph or a single-part graph file")
     rep = DecompositionReport(
         command="decompose",
-        input_hash=input_hash(text),
+        input_hash=digest,
         profile=profile_dict(profile),
         seed=args.seed,
         trace=trace_list(trace),
@@ -359,10 +352,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cylinder(args) -> int:
-    text = _read(args.input)
-    if _sniff(text) != "three":
+    sc, digest = _scan_input(args.input)
+    if sc.kind != "three":
         raise _ArgError("cylinder expects a partite 3-graph file")
-    h = load_partite_3graph(text)
+    h = load_partite_3graph(sc)
+    del sc
     eta = parse_rational(args.eta)
     psi = parse_psi(args.psi)
     profile = build_profile(args)
@@ -379,7 +373,7 @@ def _cmd_cylinder(args) -> int:
         audit_d["samples"] = audit.samples
     rep = DecompositionReport(
         command="cylinder",
-        input_hash=input_hash(text),
+        input_hash=digest,
         profile=profile_dict(profile),
         seed=args.seed,
         trace=trace_list(trace),
@@ -394,10 +388,11 @@ def _cmd_cylinder(args) -> int:
 def _cmd_vc2(args) -> int:
     _at_least(args, "cap_d", 0)
     _at_least(args, "cap_n", 0)
-    text = _read(args.input)
-    if _sniff(text) != "three":
+    sc = scan(_read(args.input))
+    if sc.kind != "three":
         raise _ArgError("vc2 expects a 3-graph file")
-    h = load_three_graph(text)
+    h = load_three_graph(sc)
+    del sc
     d, witness = vc2_dimension(h, cap_d=args.cap_d, cap_n=args.cap_n)
     out = {"vc2": d, "witness": None}
     if witness is not None:
@@ -460,10 +455,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_subset(args) -> int:
     _at_least(args, "t", 1)
-    text = _read(args.input)
-    if _sniff(text) != "three":
+    sc, digest = _scan_input(args.input)
+    if sc.kind != "three":
         raise _ArgError("subset expects a 3-graph file")
-    h = load_three_graph(text)
+    h = load_three_graph(sc)
+    del sc
     profile = build_profile(args)
     t0 = time.monotonic()
     if args.pattern is not None:
@@ -504,7 +500,7 @@ def _cmd_subset(args) -> int:
         extra = {"vertices": list(sub.vertices), "parts_chosen": list(sub.parts_chosen)}
     rep = DecompositionReport(
         command="subset",
-        input_hash=input_hash(text),
+        input_hash=digest,
         profile=profile_dict(profile),
         seed=args.seed,
         trace=trace_list(trace),

@@ -12,9 +12,13 @@ Python ints.  The 0/0 = 0 convention for relative densities lives in
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -58,6 +62,32 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def rows_symmetric(rows: Sequence[int]) -> bool:
+    """Whether bit y of rows[x] equals bit x of rows[y] for all x, y; the
+    rows must be non-negative, loop-free and below bit len(rows).
+
+    Only the upper half is walked: each bit y > x of rows[x] is looked up in
+    rows[y], which maps the upper bits one-to-one onto lower ones, so the
+    rows are symmetric exactly when the lower bits are no more numerous.
+    The positions of a row's bits come from its binary string, so the walk
+    runs in C; ``Graph`` falls back to the bit-by-bit walk to name an
+    offender.
+    """
+    upper = 0
+    for x, r in enumerate(rows):
+        up = r >> (x + 1)
+        if up:
+            upper += up.bit_count()
+            flags = bin(up)[:1:-1].encode().translate(_BIT_FLAGS)  # bit k at index k
+            bit = 1 << x
+            if not all(map(bit.__and__, map(rows.__getitem__, compress(count(x + 1), flags)))):
+                return False
+    return sum(r.bit_count() for r in rows) == 2 * upper
 
 
 @dataclass(frozen=True)
@@ -130,9 +160,8 @@ class BipartiteGraph:
     def __post_init__(self):
         if len(self.rows) != self.left_size:
             raise InvalidStructure("rows must have one entry per left vertex")
-        full = (1 << self.right_size) - 1
         for x, r in enumerate(self.rows):
-            if r < 0 or r & ~full:
+            if r < 0 or r.bit_length() > self.right_size:
                 raise InvalidStructure(f"row {x} has bits outside the right part")
 
     @classmethod
@@ -194,13 +223,14 @@ class Graph:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise InvalidStructure("rows must have one entry per vertex")
-        full = (1 << self.n) - 1
         for x, r in enumerate(self.rows):
-            if r < 0 or r & ~full:
+            if r < 0 or r.bit_length() > self.n:
                 raise InvalidStructure(f"row {x} out of range")
             if r >> x & 1:
                 raise InvalidStructure(f"loop at vertex {x}")
-        for x in range(self.n):
+        if rows_symmetric(self.rows):
+            return
+        for x in range(self.n):  # the naive walk names the first offender
             for y in bits(self.rows[x]):
                 if not self.rows[y] >> x & 1:
                     raise InvalidStructure(f"adjacency not symmetric at ({x},{y})")
@@ -535,6 +565,24 @@ def equitable_partition(n: int, t: int, seed: int | None = None) -> tuple[tuple[
     return tuple(parts)
 
 
+def partite_from_graph(g: Graph, sizes: Sequence[int]) -> MultipartiteGraph:
+    """The t-partite graph of ``g`` cut along consecutive vertex ranges of
+    the given sizes; each pair row is a shifted, masked slice of a row."""
+    vs = PartiteVertexSet.of_sizes(*sizes)
+    if vs.total != g.n:
+        raise InvalidStructure("part sizes must sum to the vertex count")
+    off = vs.offsets
+    pair_graphs = {}
+    for i in range(vs.t):
+        left = g.rows[off[i] : off[i] + vs.sizes[i]]
+        for j in range(i + 1, vs.t):
+            lo, mask = off[j], vs.full_mask(j)
+            pair_graphs[(i, j)] = BipartiteGraph(
+                vs.sizes[i], vs.sizes[j], tuple(r >> lo & mask for r in left)
+            )
+    return MultipartiteGraph(vs, pair_graphs)
+
+
 def partite_from_three_graph(
     h: ThreeGraph, parts: Sequence[Sequence[int]], names: Sequence[str] | None = None
 ) -> tuple[PartiteThreeGraph, tuple[tuple[int, ...], ...]]:
@@ -572,47 +620,121 @@ def partite_from_three_graph(
 # ---------------------------------------------------------------------------
 
 
-def _scan(text: str):
+@dataclass(frozen=True)
+class Scan:
+    """A text file tokenized once.
+
+    ``edges`` holds the e-lines flat, ``lineno, u, v`` each, and ``triples``
+    the t-lines as ``lineno, u, v, w``, in file order up to the first
+    malformed line.  ``kind`` classifies the whole file by the first token
+    of each line, the lines from a malformed one on included: ``chain``
+    (e- and t-lines), ``three`` (t-lines only), ``multipartite`` (two or
+    more part lines) or ``graph``.  ``error`` is the file's first
+    ``ParseError``; a loader raises it when it consumes the scan.
+    """
+
+    parts: tuple[tuple[str, int], ...]
+    edges: Sequence[int]
+    triples: Sequence[int]
+    kind: str
+    error: ParseError | None
+
+    @property
+    def vertex_set(self) -> PartiteVertexSet:
+        return PartiteVertexSet(tuple(n for n, _ in self.parts), tuple(s for _, s in self.parts))
+
+
+def scan(text: str) -> Scan:
+    """Tokenize a text file in one pass; see :class:`Scan`."""
+    lines = text.splitlines()
     parts: list[tuple[str, int]] = []
-    edges: list[tuple[int, tuple[int, ...]]] = []
-    triples: list[tuple[int, tuple[int, ...]]] = []
-    seen_names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    try:
+        edges, triples = array("q"), array("q")
+        error = _tokenize(lines, parts, edges, triples)
+    except OverflowError:  # an id beyond 64 bits: hold the ids as Python ints
+        parts, edges, triples = [], [], []
+        error = _tokenize(lines, parts, edges, triples)
+    heads: Counter = Counter()
+    if error is not None:  # the lines from the malformed one on still count
+        heads.update(_head(raw) for raw in lines[error.line - 1 :])
+    has_e = bool(edges) or "e" in heads
+    has_t = bool(triples) or "t" in heads
+    if has_e and has_t:
+        kind = "chain"
+    elif has_t:
+        kind = "three"
+    elif len(parts) + heads["part"] >= 2:
+        kind = "multipartite"
+    else:
+        kind = "graph"
+    if error is None and not parts:
+        error = ParseError(1, "no part declarations")
+    return Scan(tuple(parts), edges, triples, kind, error)
+
+
+def _head(raw: str) -> str | None:
+    tokens = raw.split("#", 1)[0].split()
+    return tokens[0] if tokens else None
+
+
+def _tokenize(lines: Sequence[str], parts: list, edges, triples) -> ParseError | None:
+    """Append the records of ``lines`` to the stores up to the first
+    malformed line and return its error, or None when every line parses."""
+    names = set()
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "part":
-            if len(args) != 2:
-                raise ParseError(lineno, "expected: part <name> <size>")
-            name, size_s = args
+        head = tokens[0]
+        if head == "e":
+            if len(tokens) != 3:
+                return ParseError(lineno, "expected 2 vertex ids after 'e'")
+            try:
+                edges.extend((lineno, int(tokens[1]), int(tokens[2])))
+            except ValueError:
+                return ParseError(lineno, "vertex ids must be integers")
+        elif head == "t":
+            if len(tokens) != 4:
+                return ParseError(lineno, "expected 3 vertex ids after 't'")
+            try:
+                triples.extend((lineno, int(tokens[1]), int(tokens[2]), int(tokens[3])))
+            except ValueError:
+                return ParseError(lineno, "vertex ids must be integers")
+        elif head == "part":
+            if len(tokens) != 3:
+                return ParseError(lineno, "expected: part <name> <size>")
+            name, size_s = tokens[1], tokens[2]
             try:
                 size = int(size_s)
             except ValueError:
-                raise ParseError(lineno, f"part size {size_s!r} is not an integer")
+                return ParseError(lineno, f"part size {size_s!r} is not an integer")
             if size < 0:
-                raise ParseError(lineno, "part size must be non-negative")
-            if name in seen_names:
-                raise ParseError(lineno, f"duplicate part name {name!r}")
+                return ParseError(lineno, "part size must be non-negative")
+            if name in names:
+                return ParseError(lineno, f"duplicate part name {name!r}")
             if edges or triples:
-                raise ParseError(lineno, "part declared after edges")
-            seen_names.add(name)
+                return ParseError(lineno, "part declared after edges")
+            names.add(name)
             parts.append((name, size))
-        elif kind in ("e", "t"):
-            want = 2 if kind == "e" else 3
-            if len(args) != want:
-                raise ParseError(lineno, f"expected {want} vertex ids after {kind!r}")
-            try:
-                ids = tuple(int(a) for a in args)
-            except ValueError:
-                raise ParseError(lineno, "vertex ids must be integers")
-            (edges if kind == "e" else triples).append((lineno, ids))
         else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
-    if not parts:
-        raise ParseError(1, "no part declarations")
-    return parts, edges, triples
+            return ParseError(lineno, f"unknown directive {head!r}")
+    return None
+
+
+def _scanned(src: str | Scan) -> Scan:
+    """The scan of ``src``, a text or a scan; raises its first parse error."""
+    sc = src if isinstance(src, Scan) else scan(src)
+    if sc.error is not None:
+        raise sc.error
+    return sc
+
+
+def _records(flat: Sequence[int], width: int) -> Iterator[tuple[int, ...]]:
+    """A scan's flat records as tuples ``(lineno, id, ...)`` of ``width``."""
+    it = iter(flat)
+    return zip(*[it] * width)
 
 
 def _check_range(lineno: int, ids: tuple[int, ...], total: int):
@@ -621,15 +743,15 @@ def _check_range(lineno: int, ids: tuple[int, ...], total: int):
             raise ParseError(lineno, f"vertex id {v} out of range (total {total})")
 
 
-def load_multipartite(text: str) -> MultipartiteGraph:
-    parts, edges, triples = _scan(text)
-    if triples:
-        raise ParseError(triples[0][0], "graph file may not contain triples")
-    vs = PartiteVertexSet(tuple(n for n, _ in parts), tuple(s for _, s in parts))
+def load_multipartite(src: str | Scan) -> MultipartiteGraph:
+    sc = _scanned(src)
+    if sc.triples:
+        raise ParseError(sc.triples[0], "graph file may not contain triples")
+    vs = sc.vertex_set
     rows = {
         (i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)
     }
-    for lineno, (u, v) in edges:
+    for lineno, u, v in _records(sc.edges, 3):
         _check_range(lineno, (u, v), vs.total)
         (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
         if i == j:
@@ -659,13 +781,14 @@ def save_multipartite(g: MultipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_partite_3graph(text: str) -> PartiteThreeGraph:
-    parts, edges, triples = _scan(text)
-    if edges:
-        raise ParseError(edges[0][0], "3-graph file may not contain pair edges")
-    vs = PartiteVertexSet(tuple(n for n, _ in parts), tuple(s for _, s in parts))
+def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
+    sc = _scanned(src)
+    if sc.edges:
+        raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
+    vs = sc.vertex_set
     out = set()
-    for lineno, ids in triples:
+    for rec in _records(sc.triples, 4):
+        lineno, ids = rec[0], rec[1:]
         _check_range(lineno, ids, vs.total)
         if len(set(ids)) != 3:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
@@ -682,14 +805,15 @@ def save_partite_3graph(h: PartiteThreeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_three_graph(text: str) -> ThreeGraph:
+def load_three_graph(src: str | Scan) -> ThreeGraph:
     """Any 3-graph file, part structure ignored (triples as plain 3-subsets)."""
-    parts, edges, triples = _scan(text)
-    if edges:
-        raise ParseError(edges[0][0], "3-graph file may not contain pair edges")
-    total = sum(s for _, s in parts)
+    sc = _scanned(src)
+    if sc.edges:
+        raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
+    total = sum(s for _, s in sc.parts)
     out = set()
-    for lineno, ids in triples:
+    for rec in _records(sc.triples, 4):
+        lineno, ids = rec[0], rec[1:]
         _check_range(lineno, ids, total)
         if len(set(ids)) != 3:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
@@ -703,19 +827,21 @@ def save_three_graph(h: ThreeGraph, name: str = "V") -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(text: str) -> Graph:
+def load_graph(src: str | Scan) -> Graph:
     """Any graph file as a plain simple graph (part structure ignored)."""
-    parts, edges, triples = _scan(text)
-    if triples:
-        raise ParseError(triples[0][0], "graph file may not contain triples")
-    total = sum(s for _, s in parts)
-    out = []
-    for lineno, (u, v) in edges:
-        _check_range(lineno, (u, v), total)
-        if u == v:
-            raise ParseError(lineno, f"loop at vertex {u}")
-        out.append((u, v))
-    return Graph.from_edges(total, out)
+    sc = _scanned(src)
+    if sc.triples:
+        raise ParseError(sc.triples[0], "graph file may not contain triples")
+    total = sum(s for _, s in sc.parts)
+    us, vs = sc.edges[1::3], sc.edges[2::3]
+    if us and (
+        min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= total or any(map(eq, us, vs))
+    ):  # some line is bad: find the first
+        for lineno, u, v in _records(sc.edges, 3):
+            _check_range(lineno, (u, v), total)
+            if u == v:
+                raise ParseError(lineno, f"loop at vertex {u}")
+    return Graph.from_edges(total, zip(us, vs))
 
 
 def save_graph(g: Graph, name: str = "V") -> str:
@@ -735,17 +861,16 @@ def relative_complement(c: Chain) -> Chain:
     return Chain(c.graph, PartiteThreeGraph(vs, frozenset(missing)))
 
 
-def load_chain(text: str) -> Chain:
+def load_chain(src: str | Scan) -> Chain:
     """Chain file: part lines, then the graph's e-lines and the 3-graph's
     t-lines; every triple must sit on a triangle of the graph."""
-    parts, edges, triples = _scan(text)
-    names = tuple(n for n, _ in parts)
-    sizes = tuple(s for _, s in parts)
-    if len(parts) != 3:
+    sc = _scanned(src)
+    if len(sc.parts) != 3:
         raise ParseError(1, "chain file needs exactly three parts")
-    vs = PartiteVertexSet(names, sizes)
+    vs = sc.vertex_set
+    names, sizes = vs.names, vs.sizes
     rows = {(i, j): [0] * sizes[i] for i in range(3) for j in range(i + 1, 3)}
-    for lineno, (u, v) in edges:
+    for lineno, u, v in _records(sc.edges, 3):
         _check_range(lineno, (u, v), vs.total)
         (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
         if i == j:
@@ -759,7 +884,8 @@ def load_chain(text: str) -> Chain:
     )
     off = vs.offsets
     out = set()
-    for lineno, ids in triples:
+    for rec in _records(sc.triples, 4):
+        lineno, ids = rec[0], rec[1:]
         _check_range(lineno, ids, vs.total)
         if len(set(ids)) != 3:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")

@@ -36,6 +36,7 @@ from .core import (
     ThreeGraph,
     bits,
     equitable_partition,
+    partite_from_graph,
     partite_from_three_graph,
     ratio,
     relative_density,
@@ -1285,20 +1286,8 @@ def graph_homogeneous_decomposition(
         t = min(n, _ceil_inverse(eps))
     elif not 2 <= t <= n:
         raise InvalidStructure(f"t must lie in [2, {n}], got {t}")
-    parts = equitable_partition(n, t)
-    vs = PartiteVertexSet(tuple(f"X{i}" for i in range(t)), tuple(len(p) for p in parts))
-    pair_graphs = {}
-    for i in range(t):
-        for j in range(i + 1, t):
-            rows = []
-            for u in parts[i]:
-                m = 0
-                for pos, v in enumerate(parts[j]):
-                    if g.has_edge(u, v):
-                        m |= 1 << pos
-                rows.append(m)
-            pair_graphs[(i, j)] = BipartiteGraph(len(parts[i]), len(parts[j]), tuple(rows))
-    mg = MultipartiteGraph(vs, pair_graphs)
+    parts = equitable_partition(n, t)  # unseeded: consecutive ranges
+    mg = partite_from_graph(g, [len(p) for p in parts])
     pv, trace = dlr_cylinder_regularity([mg], eps * eps, profile)
     out_parts: list[tuple[int, ...]] = []
     for i, part in enumerate(parts):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -268,22 +269,41 @@ def oct_sum(f, mode: str = "fast") -> Fraction:
 
 
 def _pair_raw_scaled(rows: Sequence[int], xs: Sequence[int], right_mask: int, e: int, area: int) -> int:
-    """c4 raw sum of (1_E - e/area) scaled by area, over rows[xs] & right_mask."""
-    a = area - e  # scaled value on edges
-    b = -e  # scaled value on non-edges
-    ny = right_mask.bit_count()
-    degs = [(rows[x] & right_mask).bit_count() for x in xs]
-    total = 0
-    n = len(xs)
-    for i in range(n):
-        ri = rows[xs[i]] & right_mask
-        di = degs[i]
-        for j in range(i, n):
-            cod = (ri & rows[xs[j]]).bit_count()
-            dj = degs[j]
-            s = a * a * cod + a * b * (di + dj - 2 * cod) + b * b * (ny - di - dj + cod)
-            total += s * s if i == j else 2 * s * s
-    return total
+    """c4 raw sum of (1_E - e/area) scaled by area, over rows[xs] & right_mask.
+
+    With b = -e the scaled value is area + b on edges and b off them, so
+    rows i, j with degrees d_i, d_j and codegree c_ij give the inner sum
+    s_ij = area^2 c_ij + l_i + l_j + k, where l_i = area b d_i and
+    k = b^2 ny.  Summed over ordered pairs, s_ij^2 needs from the pair loop
+    only sum c_ij^2, sum c_ij and sum d_i c_ij; the rest comes from the
+    degrees.  The result is the exact integer of the literal sum.  An empty
+    or complete pair has the zero deviation, so its sum is 0.
+    """
+    if e == 0 or e == area:
+        return 0
+    rs = [rows[x] & right_mask for x in xs]
+    degs = [r.bit_count() for r in rs]
+    n = len(rs)
+    d_sum, d_sq = sum(degs), sum(map(mul, degs, degs))
+    c_sq, c_sum, c_deg = d_sq, d_sum, d_sq  # the diagonal: c_ii = d_i
+    for i, ri in enumerate(rs):
+        cs = [(ri & rj).bit_count() for rj in rs[i + 1 :]]  # c_ij for j > i
+        c_sq += 2 * sum(map(mul, cs, cs))
+        row = sum(cs)
+        c_sum += 2 * row
+        c_deg += degs[i] * row + sum(map(mul, cs, degs[i + 1 :]))
+    a2 = area * area
+    lin = area * -e  # l_i = lin * d_i
+    k = e * e * right_mask.bit_count()
+    l_sum, l_sq = lin * d_sum, lin * lin * d_sq
+    return (
+        a2 * a2 * c_sq
+        + 2 * a2 * (2 * lin * c_deg + k * c_sum)
+        + 2 * n * l_sq
+        + 2 * l_sum * l_sum
+        + 4 * n * k * l_sum
+        + n * n * k * k
+    )
 
 
 def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> QuasirandomnessCertificate:

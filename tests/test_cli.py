@@ -294,3 +294,76 @@ def test_meaningless_values_exit_one(argv, flag, cone_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err and not out.exists()
+
+
+# Exit code and stderr line on malformed files, as recorded before the
+# file's kind came from the loader's own scan.  The two-part file's kind
+# error wins over its bad line, and in ``kind_after_bad`` the t-line after
+# the bad line still makes the file a 3-graph.
+MALFORMED = {
+    "one_part": "part V 5\ne 0 1\ne 1 2\nbogus 3\ne 2 3\n",
+    "two_parts": "part A 3\npart B 3\ne 0 3\nzzz\ne 1 4\n",
+    "three_parts": "part A 2\npart B 2\npart C 2\nt 0 2 4\nt 1 3\n",
+    "chain": "part A 2\npart B 2\npart C 2\ne 0 2\ne 0 4\ne 2 4\nt 0 2 4\nt 1 3 x\n",
+    "kind_after_bad": "part V 3\nbogus\nt 0 1 2\n",
+    "range": "part V 4\ne 0 1\ne 0 9\ne 2 2\n",
+    "loop": "part V 4\ne 0 1\ne 2 2\ne 0 9\n",
+    "huge": "part V 3\ne 0 99999999999999999999999\n",
+    "no_parts": "# nothing\n\n",
+    "late_part": "part V 4\ne 0 1\npart W 2\n",
+    "duplicate": "part A 2\npart A 3\nt 0 1 2\n",
+}
+DECOMPOSE_GRAPH = ("decompose", "--eps", "1/4")
+DECOMPOSE_3 = ("decompose", "--eta", "1/4", "--psi", "1,1")
+CYLINDER = ("cylinder", "--eta", "1/4", "--psi", "1,1")
+ANALYZE = ("analyze", "--mode", "both")
+KIND_ERROR = "error: decompose expects a 3-graph or a single-part graph file"
+NOT_PARTITE = "error: cylinder expects a partite 3-graph file"
+
+
+@pytest.mark.parametrize(
+    "name,argv,line",
+    [
+        ("one_part", DECOMPOSE_GRAPH, "error: line 4: unknown directive 'bogus'"),
+        ("one_part", ("decompose",), "error: decompose on a graph needs --eps"),
+        ("one_part", CYLINDER, NOT_PARTITE),
+        ("one_part", ANALYZE, "error: line 4: unknown directive 'bogus'"),
+        ("two_parts", DECOMPOSE_GRAPH, KIND_ERROR),
+        ("two_parts", CYLINDER, NOT_PARTITE),
+        ("two_parts", ANALYZE, "error: line 4: unknown directive 'zzz'"),
+        ("three_parts", DECOMPOSE_3, "error: line 5: expected 3 vertex ids after 't'"),
+        ("three_parts", DECOMPOSE_3[:3], "error: decompose on a 3-graph needs --eta and --psi"),
+        ("three_parts", CYLINDER, "error: line 5: expected 3 vertex ids after 't'"),
+        ("three_parts", ANALYZE,
+         "error: analyze expects a chain or graph file, got a bare 3-graph"),
+        ("chain", DECOMPOSE_GRAPH, KIND_ERROR),
+        ("chain", CYLINDER, NOT_PARTITE),
+        ("chain", ANALYZE, "error: line 8: vertex ids must be integers"),
+        ("kind_after_bad", DECOMPOSE_3, "error: line 2: unknown directive 'bogus'"),
+        ("kind_after_bad", DECOMPOSE_GRAPH, "error: decompose on a 3-graph needs --eta and --psi"),
+        ("kind_after_bad", CYLINDER, "error: line 2: unknown directive 'bogus'"),
+        ("kind_after_bad", ANALYZE,
+         "error: analyze expects a chain or graph file, got a bare 3-graph"),
+        ("range", DECOMPOSE_GRAPH, "error: line 3: vertex id 9 out of range (total 4)"),
+        ("range", ANALYZE, "error: line 3: vertex id 9 out of range (total 4)"),
+        ("loop", DECOMPOSE_GRAPH, "error: line 3: loop at vertex 2"),
+        ("loop", ANALYZE, "error: line 3: loop at vertex 2"),
+        ("huge", DECOMPOSE_GRAPH,
+         "error: line 2: vertex id 99999999999999999999999 out of range (total 3)"),
+        ("no_parts", DECOMPOSE_GRAPH, "error: line 1: no part declarations"),
+        ("no_parts", CYLINDER, NOT_PARTITE),
+        ("no_parts", ANALYZE, "error: line 1: no part declarations"),
+        ("late_part", DECOMPOSE_GRAPH, KIND_ERROR),
+        ("late_part", ANALYZE, "error: line 3: part declared after edges"),
+        ("duplicate", CYLINDER, "error: line 2: duplicate part name 'A'"),
+        ("duplicate", DECOMPOSE_3, "error: line 2: duplicate part name 'A'"),
+    ],
+)
+def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(MALFORMED[name])
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()

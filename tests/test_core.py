@@ -1,5 +1,6 @@
 """Structures, exact densities, and the text formats."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,31 +17,37 @@ from regulab.core import (
     PartiteThreeGraph,
     PartiteVertexSet,
     ThreeGraph,
+    bits,
     equitable_partition,
     load_chain,
     load_graph,
     load_multipartite,
     load_partite_3graph,
     load_three_graph,
+    partite_from_graph,
     partite_from_three_graph,
     product_density,
     ratio,
     relative_complement,
     relative_density,
     restrict_chain,
+    rows_symmetric,
     save_chain,
     save_graph,
     save_multipartite,
     save_partite_3graph,
     save_three_graph,
+    scan,
     triangle_count,
     triangles_local,
 )
 from regulab.generators import (
     SplitMix64,
     random_chain,
+    random_graph,
     random_multipartite,
     random_partite_3graph,
+    random_tournament_3graph,
 )
 
 
@@ -417,3 +424,298 @@ def test_restrict_chain_containment_errors():
     bad[outside[0]] = 0b111
     with pytest.raises(ContainmentError):
         restrict_chain(c, None, {(0, 1): bad})
+
+
+# ---------------------------------------------------------------------------
+# The one-pass scan against the tokenizer and the file classifier it
+# replaced, kept here literally as its oracles.
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(text: str):
+    parts: list[tuple[str, int]] = []
+    edges: list[tuple[int, tuple[int, ...]]] = []
+    triples: list[tuple[int, tuple[int, ...]]] = []
+    seen_names = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind, args = tokens[0], tokens[1:]
+        if kind == "part":
+            if len(args) != 2:
+                raise ParseError(lineno, "expected: part <name> <size>")
+            name, size_s = args
+            try:
+                size = int(size_s)
+            except ValueError:
+                raise ParseError(lineno, f"part size {size_s!r} is not an integer")
+            if size < 0:
+                raise ParseError(lineno, "part size must be non-negative")
+            if name in seen_names:
+                raise ParseError(lineno, f"duplicate part name {name!r}")
+            if edges or triples:
+                raise ParseError(lineno, "part declared after edges")
+            seen_names.add(name)
+            parts.append((name, size))
+        elif kind in ("e", "t"):
+            want = 2 if kind == "e" else 3
+            if len(args) != want:
+                raise ParseError(lineno, f"expected {want} vertex ids after {kind!r}")
+            try:
+                ids = tuple(int(a) for a in args)
+            except ValueError:
+                raise ParseError(lineno, "vertex ids must be integers")
+            (edges if kind == "e" else triples).append((lineno, ids))
+        else:
+            raise ParseError(lineno, f"unknown directive {kind!r}")
+    if not parts:
+        raise ParseError(1, "no part declarations")
+    return parts, edges, triples
+
+
+def _reference_kind(text: str) -> str:
+    n_parts = has_e = has_t = 0
+    for line in text.splitlines():
+        s = line.split("#", 1)[0].strip()
+        if not s:
+            continue
+        kind = s.split()[0]
+        if kind == "part":
+            n_parts += 1
+        elif kind == "e":
+            has_e = 1
+        elif kind == "t":
+            has_t = 1
+    if has_e and has_t:
+        return "chain"
+    if has_t:
+        return "three"
+    if n_parts >= 2:
+        return "multipartite"
+    return "graph"
+
+
+def _reference_check_range(lineno: int, ids: tuple[int, ...], total: int):
+    for v in ids:
+        if not 0 <= v < total:
+            raise ParseError(lineno, f"vertex id {v} out of range (total {total})")
+
+
+def _reference_load_graph(text: str) -> Graph:
+    parts, edges, triples = _reference_scan(text)
+    if triples:
+        raise ParseError(triples[0][0], "graph file may not contain triples")
+    total = sum(s for _, s in parts)
+    out = []
+    for lineno, (u, v) in edges:
+        _reference_check_range(lineno, (u, v), total)
+        if u == v:
+            raise ParseError(lineno, f"loop at vertex {u}")
+        out.append((u, v))
+    return Graph.from_edges(total, out)
+
+
+GARBLED = ("x", "1.5", "-1", "99999999999999999999999", "0", "3", "e", "t", "part", "#", "1_0")
+EXTRA_LINES = ("", "   ", "# note", "  # part Z 3", "edge 0 1", "bogus", "E 0 1", "e", "t 0 1")
+
+
+def _mutate(text: str, rng: SplitMix64) -> str:
+    """Drop, duplicate or garble tokens, add comments, blank lines and unknown
+    directives, or move a part line after the edges."""
+    lines = text.splitlines()
+    for _ in range(1 + rng.below(3)):
+        k = rng.below(len(lines))
+        tokens = lines[k].split()
+        op = rng.below(7)
+        if op == 0 and tokens:
+            del tokens[rng.below(len(tokens))]
+            lines[k] = " ".join(tokens)
+        elif op == 1 and tokens:
+            tokens.insert(rng.below(len(tokens) + 1), tokens[rng.below(len(tokens))])
+            lines[k] = " ".join(tokens)
+        elif op == 2 and tokens:
+            tokens[rng.below(len(tokens))] = GARBLED[rng.below(len(GARBLED))]
+            lines[k] = " ".join(tokens)
+        elif op == 3:
+            lines[k] += "  # e 0 1 t " * (1 + rng.below(2))
+        elif op == 4:
+            parts = [i for i, line in enumerate(lines) if line.startswith("part")]
+            if parts:
+                lines.append(lines.pop(parts[rng.below(len(parts))]))
+        else:
+            lines.insert(k, EXTRA_LINES[rng.below(len(EXTRA_LINES))])
+    return "\n".join(lines) + "\n"
+
+
+def _base_texts(seed: int) -> list[str]:
+    rng = SplitMix64(seed)
+    return [
+        save_graph(random_graph(2 + rng.below(8), Fraction(1, 2), rng.next_u64())),
+        save_multipartite(random_multipartite((2, 3, 2), Fraction(1, 2), rng.next_u64())),
+        save_three_graph(random_tournament_3graph(5 + rng.below(3), rng.next_u64())),
+        save_partite_3graph(random_partite_3graph((2, 2, 3), Fraction(1, 2), rng.next_u64())),
+        save_chain(random_chain((2, 2, 2), Fraction(2, 3), Fraction(1, 2), rng.next_u64())),
+    ]
+
+
+def _outcome(load, text):
+    try:
+        return load(text).rows
+    except (ParseError, InvalidStructure) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_matches_the_reference_tokenizer(seed):
+    rng = SplitMix64(seed)
+    for base in _base_texts(seed):
+        for text in [base] + [_mutate(base, rng) for _ in range(40)]:
+            sc = scan(text)
+            assert sc.kind == _reference_kind(text), text
+            try:
+                parts, edges, triples = _reference_scan(text)
+            except ParseError as exc:
+                assert sc.error is not None, text
+                assert (sc.error.line, str(sc.error)) == (exc.line, str(exc)), text
+                continue
+            assert sc.error is None, text
+            assert list(sc.parts) == parts
+            assert list(sc.edges) == [x for lineno, ids in edges for x in (lineno, *ids)]
+            assert list(sc.triples) == [x for lineno, ids in triples for x in (lineno, *ids)]
+            if sc.kind == "graph":
+                assert _outcome(load_graph, text) == _outcome(_reference_load_graph, text), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "part V 4\ne 0 1\ne 2 9\ne 3 3\n",
+        "part V 4\ne 0 1\ne 3 3\ne 2 9\n",
+        "part V 4\ne 0 1\ne -1 2\n",
+        "part V 4\ne 0 1\ne 4 0\n",
+        "part V 3\ne 0 99999999999999999999999\ne 0 1\n",
+        "part V 3\ne 1 2\ne -99999999999999999999999 1\nbogus\n",
+        "part V 100000000000000000000000\nt 0 1 99999999999999999999999\n",
+        "part V 3\nbogus\nt 0 1 2\n",
+        "part V 3\ne 0 1\npart W 1\ne 0 x\nt 0 1 2\n",
+    ],
+)
+def test_scan_and_graph_loader_on_bad_and_huge_ids(text):
+    # Ids beyond 64 bits and bad lines after the first one: the records,
+    # kind, first error and the loader's first complaint stay the reference's.
+    sc = scan(text)
+    assert sc.kind == _reference_kind(text)
+    try:
+        parts, edges, triples = _reference_scan(text)
+    except ParseError as exc:
+        assert (sc.error.line, str(sc.error)) == (exc.line, str(exc))
+    else:
+        assert sc.error is None
+        assert list(sc.edges) == [x for lineno, ids in edges for x in (lineno, *ids)]
+        assert list(sc.triples) == [x for lineno, ids in triples for x in (lineno, *ids)]
+    assert _outcome(load_graph, text) == _outcome(_reference_load_graph, text)
+    assert _outcome(load_graph, sc) == _outcome(load_graph, text)
+
+
+def test_loaders_take_a_scan_or_its_text():
+    text = save_chain(random_chain((2, 3, 2), Fraction(2, 3), Fraction(1, 2), seed=5))
+    assert load_chain(scan(text)) == load_chain(text)
+    text = save_partite_3graph(random_partite_3graph((2, 2, 3), Fraction(1, 2), 6))
+    assert load_partite_3graph(scan(text)) == load_partite_3graph(text)
+    assert load_three_graph(scan(text)) == load_three_graph(text)
+    text = save_multipartite(random_multipartite((2, 3, 2), Fraction(1, 2), seed=7))
+    assert load_multipartite(scan(text)) == load_multipartite(text)
+
+
+def test_a_sparse_graph_on_many_vertices_loads_in_little_memory():
+    # Rows are checked by bit length, and no structure grows with n squared.
+    text = "part V 200000\ne 0 1\ne 5 199999\ne 7 8\n"
+    tracemalloc.start()
+    try:
+        g = load_graph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 200000 and g.edge_count == 3 and g.has_edge(199999, 5)
+    assert peak < 64 << 20
+
+
+def _walk_error(rows) -> str | None:
+    """The bit-by-bit symmetry walk Graph ran before the upper-half check."""
+    for x in range(len(rows)):
+        for y in bits(rows[x]):
+            if not rows[y] >> x & 1:
+                return f"adjacency not symmetric at ({x},{y})"
+    return None
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 100])
+def test_symmetry_check_matches_the_walk(n):
+    rng = SplitMix64(n)
+    for trial in range(8):
+        rows = list(random_graph(n, Fraction(1 + rng.below(7), 8), rng.next_u64()).rows)
+        assert rows_symmetric(rows) and _walk_error(rows) is None
+        if n < 2:
+            continue
+        # One upper bit, one lower bit, then one to three arbitrary flips.
+        x, y = sorted(rng.sample(n, 2))
+        for flips in ([(x, y)], [(y, x)], [(rng.below(n), rng.below(n)) for _ in range(1 + trial % 3)]):
+            bad = list(rows)
+            for a, b in flips:
+                if a != b:
+                    bad[a] ^= 1 << b
+            want = _walk_error(bad)
+            assert rows_symmetric(bad) == (want is None)
+            if want is None:
+                assert Graph(n, tuple(bad)).rows == tuple(bad)
+            else:
+                with pytest.raises(InvalidStructure) as info:
+                    Graph(n, tuple(bad))
+                assert str(info.value) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_edges_matches_a_bit_by_bit_build(seed):
+    rng = SplitMix64(seed)
+    n = 2 + rng.below(90)
+    edges = []
+    for _ in range(rng.below(4 * n)):
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            edges += [(u, v)] * (1 + rng.below(2))  # duplicates and both orientations
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert Graph.from_edges(n, edges).rows == tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "n,t", [(2, 2), (5, 2), (7, 3), (9, 3), (10, 4), (11, 5), (12, 12), (13, 6), (40, 7), (70, 8)]
+)
+def test_pair_graphs_cut_from_rows_match_has_edge(n, t):
+    g = random_graph(n, Fraction(1, 2), seed=n * t)
+    parts = equitable_partition(n, t)
+    mg = partite_from_graph(g, [len(p) for p in parts])
+    assert mg.vertex_set.names == tuple(f"X{i}" for i in range(t))
+    for i in range(t):
+        for j in range(i + 1, t):
+            rows = []
+            for u in parts[i]:
+                m = 0
+                for pos, v in enumerate(parts[j]):
+                    if g.has_edge(u, v):
+                        m |= 1 << pos
+                rows.append(m)
+            assert mg.pair(i, j).rows == tuple(rows)
+    with pytest.raises(InvalidStructure):
+        partite_from_graph(g, [n - 1])
+
+
+def test_graph_rejects_bits_past_n():
+    for rows in ((0b100, 0b000), (0b10, 0b01 | 1 << 70), (-1, 0)):
+        with pytest.raises(InvalidStructure) as info:
+            Graph(2, rows)
+        assert "out of range" in str(info.value)

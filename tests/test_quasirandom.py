@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from regulab.core import (
     BipartiteGraph,
+    bits,
     Chain,
     InvalidStructure,
     MultipartiteGraph,
@@ -18,6 +19,7 @@ from regulab.quasirandom import (
     DeviationFunction2,
     DeviationFunction3,
     PolyFunction,
+    _pair_raw_scaled,
     c4_sum,
     chain_quasirandomness,
     eta_psi_check,
@@ -220,3 +222,50 @@ def test_poly_function_parse_and_eval():
         PolyFunction.parse("nope")
     with pytest.raises(InvalidStructure):
         PolyFunction.parse("1/2")
+
+
+def _pair_raw_scaled_by_pairs(rows, xs, right_mask, e, area):
+    """The c4 kernel's pair loop before its reduction, kept as an oracle."""
+    a = area - e  # scaled value on edges
+    b = -e  # scaled value on non-edges
+    ny = right_mask.bit_count()
+    degs = [(rows[x] & right_mask).bit_count() for x in xs]
+    total = 0
+    n = len(xs)
+    for i in range(n):
+        ri = rows[xs[i]] & right_mask
+        di = degs[i]
+        for j in range(i, n):
+            cod = (ri & rows[xs[j]]).bit_count()
+            dj = degs[j]
+            s = a * a * cod + a * b * (di + dj - 2 * cod) + b * b * (ny - di - dj + cod)
+            total += s * s if i == j else 2 * s * s
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_c4_kernel_matches_the_pair_loop_and_the_naive_sum(seed):
+    rng = SplitMix64(seed)
+    for case in range(40):
+        width = 1 + rng.below(11)
+        rows = [rng.next_u64() & ((1 << width) - 1) for _ in range(1 + rng.below(9))]
+        xs = [x for x in range(len(rows)) if rng.below(3)] or [0]
+        mask = rng.next_u64() & ((1 << width) - 1)
+        if case % 4 == 0:
+            xs = xs[:1]  # a single row
+        elif case % 4 == 1:
+            mask = 0 if case % 8 == 1 else (1 << width) - 1  # empty, then full mask
+        elif case % 8 == 2:
+            rows = [0] * len(rows) if case % 16 == 2 else [mask] * len(rows)  # no or all edges
+        e = sum((rows[x] & mask).bit_count() for x in xs)
+        area = len(xs) * mask.bit_count()
+        got = _pair_raw_scaled(rows, xs, mask, e, area)
+        assert got == _pair_raw_scaled_by_pairs(rows, xs, mask, e, area)
+        if area:
+            table = [
+                [Fraction(area - e if rows[x] >> y & 1 else -e, area) for y in bits(mask)]
+                for x in xs
+            ]
+            assert Fraction(got, area**4) == c4_sum(table, "naive")
+        else:
+            assert got == 0
