@@ -463,29 +463,38 @@ def _pair_list(t: int) -> list[tuple[int, int]]:
 
 
 def dlr_cylinder_regularity(
-    graphs: Sequence[MultipartiteGraph],
+    vs: PartiteVertexSet,
+    graphs: Sequence[tuple[int, int, Sequence[int]]],
     alpha: Fraction,
     profile: ConstantsProfile,
     initial: VertexCylinderPartition | None = None,
 ) -> tuple[VertexCylinderPartition, IterationTrace]:
-    """Cylinder partition making every input graph alpha-quasirandom inside.
+    """Cylinder partition making every input pair graph alpha-quasirandom inside.
 
-    The audit demands that at least 1 - alpha/2 of the cylinder weight lies
-    in cylinders where every induced pair of every input graph has
-    certificate at most alpha.  While it fails, each bad cylinder is split
-    along a deviation witness of its worst pair, and the combined edge
-    index of the inputs must rise by at least profile.q_gain per step.
+    Each input ``(i, j, rows)`` is a bipartite graph between parts i < j of
+    ``vs``: bit y of ``rows[x]`` is the edge from vertex x of part i to
+    vertex y of part j.  The audit demands that at least 1 - alpha/2 of the
+    cylinder weight lies in cylinders where every input, induced on its own
+    two parts, has certificate at most alpha.  While it fails, each bad
+    cylinder is split along a deviation witness of its worst input (the
+    first, in input order, of the largest certificates), and the combined
+    edge index of the inputs must rise by at least profile.q_gain per step.
     """
     if not graphs:
-        raise InvalidStructure("need at least one graph")
-    vs = graphs[0].vertex_set
-    for g in graphs:
-        if g.vertex_set != vs:
-            raise InvalidStructure("graphs must share one vertex set")
+        raise InvalidStructure("need at least one pair graph")
+    for m, (i, j, rows) in enumerate(graphs):
+        if not 0 <= i < j < vs.t:
+            raise InvalidStructure(f"pair graph {m}: parts ({i}, {j}) need 0 <= i < j < {vs.t}")
+        if len(rows) != vs.sizes[i]:
+            raise InvalidStructure(
+                f"pair graph {m}: {len(rows)} rows, but part {i} has {vs.sizes[i]} vertices"
+            )
+        for x, r in enumerate(rows):
+            if r < 0 or r.bit_length() > vs.sizes[j]:
+                raise InvalidStructure(f"pair graph {m}: row {x} has bits outside part {j}")
     if not 0 < alpha <= 1:
         raise InvalidStructure("alpha must lie in (0, 1]")
     pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
-    pairs = _pair_list(vs.t)
 
     def index_value(part: VertexCylinderPartition) -> Fraction:
         total = Fraction(0)
@@ -493,34 +502,32 @@ def dlr_cylinder_regularity(
             w = cyl.weight(vs)
             if w == 0:
                 continue
-            for g in graphs:
-                for (i, j) in pairs:
-                    li, rj = cyl.masks[i], cyl.masks[j]
-                    e = sum((g.pair(i, j).rows[x] & rj).bit_count() for x in bits(li))
-                    d = ratio(e, li.bit_count() * rj.bit_count())
-                    total += w * d * d
+            for i, j, rows in graphs:
+                li, rj = cyl.masks[i], cyl.masks[j]
+                e = sum((rows[x] & rj).bit_count() for x in bits(li))
+                d = ratio(e, li.bit_count() * rj.bit_count())
+                total += w * d * d
         return total
 
     rows_trace: list[TraceRow] = []
     idx = index_value(pv)
     for step in range(profile.max_steps + 1):
-        bad: list[tuple[int, Fraction, int, int, int]] = []
+        worst_at: dict[int, int] = {}  # bad cylinder -> its worst input
         bad_mass = Fraction(0)
         for ci, cyl in enumerate(pv.cylinders):
             w = cyl.weight(vs)
             if w == 0:
                 continue
-            worst: tuple[Fraction, int, int, int] | None = None
-            for m, g in enumerate(graphs):
-                for (i, j) in pairs:
-                    cert = masked_pair_quasirandomness(
-                        g.pair(i, j).rows, list(bits(cyl.masks[i])), cyl.masks[j]
-                    ).value
-                    if cert > alpha and (worst is None or cert > worst[0]):
-                        worst = (cert, m, i, j)
-            if worst is not None:
+            worst_cert = alpha
+            for m, (i, j, rows) in enumerate(graphs):
+                cert = masked_pair_quasirandomness(
+                    rows, list(bits(cyl.masks[i])), cyl.masks[j]
+                ).value
+                if cert > worst_cert:
+                    worst_cert = cert
+                    worst_at[ci] = m
+            if ci in worst_at:
                 bad_mass += w
-                bad.append((ci, *worst[0:1], *worst[1:]))
         ok = bad_mass <= alpha / 2
         rows_trace.append(
             TraceRow(
@@ -540,16 +547,15 @@ def dlr_cylinder_regularity(
                 "cylinder audit still failing at the step cap",
                 IterationTrace(tuple(rows_trace)),
             )
-        bad_at = {ci: (m, i, j) for (ci, _cert, m, i, j) in bad}
         new_masks: list[tuple[int, ...]] = []
         split_any = False
         for ci, cyl in enumerate(pv.cylinders):
-            if ci not in bad_at:
+            if ci not in worst_at:
                 new_masks.append(cyl.masks)
                 continue
-            m, i, j = bad_at[ci]
+            i, j, rows = graphs[worst_at[ci]]
             ws = _witness_split(
-                graphs[m].pair(i, j).rows,
+                rows,
                 list(bits(cyl.masks[i])),
                 cyl.masks[j],
                 profile.witness_search,
@@ -892,27 +898,22 @@ def _reregularize_cylinders(
 ) -> CylinderChainPartition:
     """Split cylinders until every current cell is quasirandom inside them.
 
-    Each cell of each pair of each cylinder is viewed as a t-partite graph
-    (all other pairs empty) and the whole family is regularized at
-    alpha = psi(eta / t^2), starting from the current cylinder partition.
-    Old cells are then restricted onto the refined cylinders.
+    Every nonempty cell of every pair (i, j) of every cylinder of positive
+    weight is one pair graph between parts i and j; the family is
+    regularized at alpha = psi(eta / t^2), starting from the current
+    cylinder partition.  Old cells are then restricted onto the refined
+    cylinders.
     """
     vs = h.vertex_set
-    cell_graphs: list[MultipartiteGraph] = []
-    empty_pairs = {
-        (i, j): BipartiteGraph.empty(vs.sizes[i], vs.sizes[j]) for (i, j) in _pair_list(vs.t)
-    }
-    for cyl, ep in zip(p.vertex.cylinders, p.edges):
-        if cyl.weight(vs) == 0:
-            continue
-        for (i, j) in _pair_list(vs.t):
-            pp = ep.pair(i, j)
-            for cell in pp.cells:
-                if any(cell):
-                    pairs = dict(empty_pairs)
-                    pairs[(i, j)] = BipartiteGraph(vs.sizes[i], vs.sizes[j], cell)
-                    cell_graphs.append(MultipartiteGraph(vs, pairs))
-    if not cell_graphs:
+    cells = [
+        (i, j, cell)
+        for cyl, ep in zip(p.vertex.cylinders, p.edges)
+        if cyl.weight(vs)
+        for (i, j) in _pair_list(vs.t)
+        for cell in ep.pair(i, j).cells
+        if any(cell)
+    ]
+    if not cells:
         raise RefinementFailure(
             "audit failing but no nonempty cells to re-regularize",
             IterationTrace(tuple(trace_rows)),
@@ -923,7 +924,7 @@ def _reregularize_cylinders(
             "cylinder re-regularization threshold collapsed to zero",
             IterationTrace(tuple(trace_rows)),
         )
-    pv_new, _ = dlr_cylinder_regularity(cell_graphs, alpha, profile, initial=p.vertex)
+    pv_new, _ = dlr_cylinder_regularity(vs, cells, alpha, profile, initial=p.vertex)
     if pv_new.cylinders == p.vertex.cylinders:
         raise RefinementFailure(
             "cylinder re-regularization made no progress",
@@ -1288,7 +1289,8 @@ def graph_homogeneous_decomposition(
         raise InvalidStructure(f"t must lie in [2, {n}], got {t}")
     parts = equitable_partition(n, t)  # unseeded: consecutive ranges
     mg = partite_from_graph(g, [len(p) for p in parts])
-    pv, trace = dlr_cylinder_regularity([mg], eps * eps, profile)
+    pair_graphs = [(i, j, mg.pair(i, j).rows) for (i, j) in _pair_list(t)]
+    pv, trace = dlr_cylinder_regularity(mg.vertex_set, pair_graphs, eps * eps, profile)
     out_parts: list[tuple[int, ...]] = []
     for i, part in enumerate(parts):
         groups: dict[tuple, list[int]] = {}

@@ -20,14 +20,9 @@ from typing import Sequence
 
 from .core import (
     BipartiteGraph,
-    CapacityError,
     Chain,
-    Graph,
     InvalidStructure,
     MultipartiteGraph,
-    PartiteThreeGraph,
-    PartiteVertexSet,
-    ThreeGraph,
     bits,
     product_density,
     relative_density,
@@ -337,25 +332,6 @@ def masked_pair_quasirandomness(
     return QuasirandomnessCertificate(raw, norm, raw / norm, False)
 
 
-def graph_pair_quasirandomness(
-    g: Graph, xs: Sequence[int], ys: Sequence[int], mode: str = "fast"
-) -> QuasirandomnessCertificate:
-    """Pair certificate between two disjoint vertex subsets of a graph."""
-    if set(xs) & set(ys):
-        raise InvalidStructure("pair sides must be disjoint")
-    ymask = 0
-    for y in ys:
-        ymask |= 1 << y
-    positions = {y: i for i, y in enumerate(ys)}
-    rows = []
-    for x in xs:
-        m = 0
-        for y in bits(g.rows[x] & ymask):
-            m |= 1 << positions[y]
-        rows.append(m)
-    return pair_quasirandomness(BipartiteGraph(len(xs), len(ys), tuple(rows)), mode=mode)
-
-
 def graph_quasirandomness(
     g: MultipartiteGraph, mode: str = "fast"
 ) -> dict[tuple[int, int], QuasirandomnessCertificate]:
@@ -468,42 +444,6 @@ def chain_quasirandomness(c: Chain, mode: str = "fast") -> QuasirandomnessCertif
     return QuasirandomnessCertificate(raw, norm, raw / norm, False)
 
 
-def part_triple_chain(g: MultipartiteGraph, h: PartiteThreeGraph, i: int, j: int, k: int) -> Chain:
-    """The tripartite chain induced on parts (i, j, k) of a t-partite pair (g, h)."""
-    if not i < j < k:
-        raise InvalidStructure("parts must be given in increasing order")
-    vs = g.vertex_set
-    sub_vs = PartiteVertexSet(
-        (vs.names[i], vs.names[j], vs.names[k]), (vs.sizes[i], vs.sizes[j], vs.sizes[k])
-    )
-    sub_graph = MultipartiteGraph(
-        sub_vs, {(0, 1): g.pair(i, j), (0, 2): g.pair(i, k), (1, 2): g.pair(j, k)}
-    )
-    sub_off = sub_vs.offsets
-    triples = set()
-    for (x, y), zmask in h.zmasks(i, j, k).items():
-        for z in bits(zmask):
-            triples.add((sub_off[0] + x, sub_off[1] + y, sub_off[2] + z))
-    return Chain(sub_graph, PartiteThreeGraph(sub_vs, frozenset(triples)))
-
-
-def tpartite_chain_quasirandomness(
-    g: MultipartiteGraph, h: PartiteThreeGraph, eta: Fraction, mode: str = "fast"
-) -> tuple[bool, dict[tuple[int, int, int], QuasirandomnessCertificate]]:
-    """Check every tripartite subchain of a t-partite chain against eta."""
-    if g.vertex_set != h.vertex_set:
-        raise InvalidStructure("graph and hypergraph must share parts")
-    certs = {}
-    for i in range(g.t):
-        for j in range(i + 1, g.t):
-            for k in range(j + 1, g.t):
-                certs[(i, j, k)] = chain_quasirandomness(
-                    part_triple_chain(g, h, i, j, k), mode=mode
-                )
-    ok = all(cert.value <= eta for cert in certs.values())
-    return ok, certs
-
-
 def eta_psi_check(c: Chain, eta: Fraction, psi: PolyFunction, mode: str = "fast") -> bool:
     """Chain eta-quasirandom and its graph psi(delta(G))-quasirandom."""
     if chain_quasirandomness(c, mode=mode).value > eta:
@@ -511,91 +451,6 @@ def eta_psi_check(c: Chain, eta: Fraction, psi: PolyFunction, mode: str = "fast"
     threshold = psi(product_density(c.graph))
     return is_graph_quasirandom(c.graph, threshold, mode=mode)
 
-
-@dataclass(frozen=True)
-class WeakWitness:
-    """Subsets violating the weak density condition, with the exact deviation."""
-
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    s3: tuple[int, ...]
-    deviation: Fraction
-    bound: Fraction
-
-
-def weak_quasirandom_check(
-    h: ThreeGraph | PartiteThreeGraph,
-    x1: Sequence[int],
-    x2: Sequence[int],
-    x3: Sequence[int],
-    eta: Fraction,
-    cap: int = 1 << 24,
-) -> tuple[bool, WeakWitness | None]:
-    """Exhaustive weak quasirandomness over three disjoint vertex sets.
-
-    Checks |e(S1,S2,S3) - d |S1||S2||S3|| <= eta |X1||X2||X3| for all subsets
-    S_i of X_i, where d is the density over X1 x X2 x X3.  Subsets of X2 and
-    X3 are enumerated (X2 in Gray-code order with incremental counts); the
-    extremal S1 for fixed (S2, S3) is found by thresholding, which is exact.
-    """
-    n1, n2, n3 = len(x1), len(x2), len(x3)
-    sets = [set(x1), set(x2), set(x3)]
-    if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-        raise InvalidStructure("the three sets must be disjoint")
-    if n1 and n2 and n3 and (1 << (n1 + n2 + n3)) > cap:
-        raise CapacityError(f"2^{n1 + n2 + n3} subset combinations exceed cap {cap}")
-    N = n1 * n2 * n3
-    if N == 0:
-        return True, None
-
-    link = [[0] * n2 for _ in range(n1)]
-    e_total = 0
-    for a, u in enumerate(x1):
-        for b, v in enumerate(x2):
-            m = 0
-            for cpos, w in enumerate(x3):
-                if h.has_triple(u, v, w):
-                    m |= 1 << cpos
-            link[a][b] = m
-            e_total += m.bit_count()
-    # d = e_total / N; all comparisons scaled by N and eta's denominator.
-    ea, eb = eta.numerator, eta.denominator
-    bound = eta * N
-
-    for s3_mask in range(1 << n3):
-        k3 = s3_mask.bit_count()
-        M = [[(link[a][b] & s3_mask).bit_count() for b in range(n2)] for a in range(n1)]
-        counts = [0] * n1
-        prev_gray = 0
-        for g_idx in range(1 << n2):
-            gray = g_idx ^ (g_idx >> 1)
-            flip = gray ^ prev_gray
-            if flip:
-                b = flip.bit_length() - 1
-                sign = 1 if gray & flip else -1
-                for a in range(n1):
-                    counts[a] += sign * M[a][b]
-            prev_gray = gray
-            k2 = gray.bit_count()
-            k23 = k2 * k3
-            if k23 == 0:
-                continue
-            # w_a = N * counts[a] - e_total * k23, the scaled per-vertex deviation.
-            pos = neg = 0
-            for a in range(n1):
-                w = N * counts[a] - e_total * k23
-                if w > 0:
-                    pos += w
-                elif w < 0:
-                    neg += w
-            # deviation * N = max(pos, -neg); violation iff > eta * N * N.
-            worst = pos if pos >= -neg else neg
-            if eb * abs(worst) > ea * N * N:
-                s1 = tuple(x1[a] for a in range(n1) if (N * counts[a] - e_total * k23 > 0) == (worst > 0) and N * counts[a] - e_total * k23 != 0)
-                s2 = tuple(x2[b] for b in bits(gray))
-                s3 = tuple(x3[cpos] for cpos in bits(s3_mask))
-                return False, WeakWitness(s1, s2, s3, Fraction(abs(worst), N), bound)
-    return True, None
 
 def multipartite_graph_quasirandomness(g: MultipartiteGraph, mode: str = "fast") -> Fraction:
     """Largest pair certificate over all part pairs; the least alpha for

@@ -254,8 +254,7 @@ def test_criterion_06_engine_soundness():
     # planted-block cylinder separation
     rows = tuple(0b00001111 if x < 4 else 0b11110000 for x in range(8))
     vs = PartiteVertexSet(("A", "B"), (8, 8))
-    g = MultipartiteGraph(vs, {(0, 1): BipartiteGraph(8, 8, rows)})
-    pv, _ = dlr_cylinder_regularity([g], Fraction(1, 20), DESK)
+    pv, _ = dlr_cylinder_regularity(vs, [(0, 1, rows)], Fraction(1, 20), DESK)
     from regulab.quasirandom import masked_pair_quasirandomness
 
     for cyl in pv.cylinders:
@@ -292,8 +291,7 @@ def test_criterion_07_step_count_bound():
     runs.append((tr3, "pairs", 1, DESK.q_gain))
     rows = tuple(0b00001111 if x < 4 else 0b11110000 for x in range(8))
     vs = PartiteVertexSet(("A", "B"), (8, 8))
-    g = MultipartiteGraph(vs, {(0, 1): BipartiteGraph(8, 8, rows)})
-    _, tr4 = dlr_cylinder_regularity([g], Fraction(1, 20), DESK)
+    _, tr4 = dlr_cylinder_regularity(vs, [(0, 1, rows)], Fraction(1, 20), DESK)
     runs.append((tr4, "cylinder", 1, DESK.q_gain))
     for trace, stage, budget, gain in runs:
         steps = sum(

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, reports, determinism."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -367,3 +368,24 @@ def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_p
     assert run([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 1
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
+
+
+def test_decompose_reregularizes_the_cylinders_of_a_tournament(tmp_path):
+    # At n = 15, seed 1, the hyper stage splits cylinders once through
+    # _reregularize_cylinders.  The digest, over the fields the benchmark
+    # pins, was recorded while each edge cell reached dlr padded to a whole
+    # t-partite graph.
+    h = tmp_path / "t15.h3"
+    assert run(["generate", "--kind", "tournament", "--n", "15", "--seed", "1",
+                "--out", str(h)]) == 0
+    out = tmp_path / "r.json"
+    assert run(["decompose", "--input", str(h), "--eta", "1/4", "--psi", "1,1",
+                "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert any(row["stage"] == "hyper" and row["action"] == "split-cylinders"
+               for row in report["trace"])
+    body = json.dumps({k: report[k] for k in ("audit", "trace", "part_counts")},
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "0767ddc41826ce953f8ba79679bfd09b81a17a8dbcad59e8dfc994cb8684b462"
+    )

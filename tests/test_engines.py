@@ -41,6 +41,7 @@ from regulab.generators import (
     SplitMix64,
     half_graph,
     random_bipartite,
+    random_cylinder_chain_partition,
     random_tournament_3graph,
 )
 from regulab.partitions import (
@@ -115,8 +116,7 @@ def test_trace_rejects_decreasing_q():
 def test_dlr_separates_planted_blocks():
     rows = tuple(0b00001111 if x < 4 else 0b11110000 for x in range(8))
     vs = PartiteVertexSet(("A", "B"), (8, 8))
-    g = MultipartiteGraph(vs, {(0, 1): BipartiteGraph(8, 8, rows)})
-    pv, trace = dlr_cylinder_regularity([g], Fraction(1, 20), DESK)
+    pv, trace = dlr_cylinder_regularity(vs, [(0, 1, rows)], Fraction(1, 20), DESK)
     assert len(pv.cylinders) >= 2
     from regulab.quasirandom import masked_pair_quasirandomness
 
@@ -127,6 +127,83 @@ def test_dlr_separates_planted_blocks():
         cert = masked_pair_quasirandomness(rows, left, cyl.masks[1])
         assert cert.value <= Fraction(1, 20)
     assert trace.rows[-1].q >= trace.rows[0].q
+
+
+def test_dlr_splits_along_the_first_of_equally_bad_inputs():
+    # Two inputs on one pair with equal certificates (1/16) but different
+    # witnesses: the first in input order takes the first split, which is
+    # the one-step result of that input alone.
+    vs = PartiteVertexSet(("A", "B"), (8, 8))
+    by_half = tuple(0x0F if x < 4 else 0xF0 for x in range(8))
+    by_parity = tuple(0x0F if x % 2 == 0 else 0xF0 for x in range(8))
+    alpha = Fraction(1, 20)
+    results = []
+    for first, second in ((by_half, by_parity), (by_parity, by_half)):
+        graphs = [(0, 1, first), (0, 1, second)]
+        after_first, _ = dlr_cylinder_regularity(vs, graphs[:1], alpha, DESK)
+        pv, _ = dlr_cylinder_regularity(vs, graphs, alpha, DESK)
+        resumed, _ = dlr_cylinder_regularity(vs, graphs, alpha, DESK, initial=after_first)
+        assert pv.cylinders == resumed.cylinders
+        results.append(pv.cylinders)
+    assert results[0] != results[1]
+
+
+@pytest.mark.parametrize("t, size, alpha", [(3, 6, Fraction(1, 30)), (4, 5, Fraction(1, 20))])
+def test_dlr_ignores_empty_padding(t, size, alpha):
+    # The cell family that cylinder re-regularization builds, run as it is
+    # and in the layout of one t-partite graph per cell: the cell at its
+    # (i, j) slot among all pairs, every other slot empty.
+    vs = PartiteVertexSet.of_sizes(*([size] * t))
+    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    rng = SplitMix64(t)
+    splits = 0
+    for _ in range(8):
+        p = random_cylinder_chain_partition(vs, 2, 3, seed=rng.next_u64())
+        cells = [
+            (i, j, cell)
+            for cyl, ep in zip(p.vertex.cylinders, p.edges)
+            if cyl.weight(vs)
+            for (i, j) in pairs
+            for cell in ep.pair(i, j).cells
+            if any(cell)
+        ]
+        padded = [
+            (a, b, cell if (a, b) == (i, j) else (0,) * size)
+            for (i, j, cell) in cells
+            for (a, b) in pairs
+        ]
+        pv, trace = dlr_cylinder_regularity(vs, cells, alpha, DESK, initial=p.vertex)
+        pv_padded, trace_padded = dlr_cylinder_regularity(
+            vs, padded, alpha, DESK, initial=p.vertex
+        )
+        assert pv.cylinders == pv_padded.cylinders
+        assert trace.rows == trace_padded.rows
+        splits += len(trace.rows) > 1
+    assert splits >= 4  # at least half the runs split cylinders, not only accept
+
+
+@pytest.mark.parametrize(
+    "graphs, message",
+    [
+        ([], "need at least one pair graph"),
+        ([(0, 1, (1, 2, 3, 4))], "pair graph 0: 4 rows, but part 0 has 3 vertices"),
+        (
+            [(0, 1, (1, 2, 3)), (1, 1, (1, 2, 3, 4))],
+            "pair graph 1: parts (1, 1) need 0 <= i < j < 3",
+        ),
+        ([(2, 1, (1, 2, 3, 4))], "pair graph 0: parts (2, 1) need 0 <= i < j < 3"),
+        ([(1, 3, (1, 2, 3, 4))], "pair graph 0: parts (1, 3) need 0 <= i < j < 3"),
+        ([(-1, 1, (1, 2, 3))], "pair graph 0: parts (-1, 1) need 0 <= i < j < 3"),
+        ([(0, 2, (1, -2, 3))], "pair graph 0: row 1 has bits outside part 2"),
+        ([(0, 2, (1, 2, 1 << 5))], "pair graph 0: row 2 has bits outside part 2"),
+        ([(1, 2, (0, 0, 0, 0b111111))], "pair graph 0: row 3 has bits outside part 2"),
+    ],
+)
+def test_dlr_rejects_malformed_pair_graphs(graphs, message):
+    vs = PartiteVertexSet.of_sizes(3, 4, 5)
+    with pytest.raises(InvalidStructure) as info:
+        dlr_cylinder_regularity(vs, graphs, Fraction(1, 20), DESK)
+    assert str(info.value) == message
 
 
 def test_one_cylinder_refine_gains_on_box():

@@ -23,15 +23,11 @@ from regulab.quasirandom import (
     c4_sum,
     chain_quasirandomness,
     eta_psi_check,
-    graph_pair_quasirandomness,
     graph_quasirandomness,
     is_graph_quasirandom,
     multipartite_graph_quasirandomness,
     oct_sum,
     pair_quasirandomness,
-    part_triple_chain,
-    tpartite_chain_quasirandomness,
-    weak_quasirandom_check,
 )
 from conftest import build_box_chain, build_pair_only_chain
 
@@ -88,20 +84,6 @@ def test_pair_fast_equals_naive(seed):
     a = pair_quasirandomness(g, mode="fast")
     b = pair_quasirandomness(g, mode="naive")
     assert a.raw_sum == b.raw_sum and a.value == b.value
-
-
-def test_graph_pair_matches_restriction():
-    rng = SplitMix64(21)
-    from regulab.generators import random_graph
-
-    g = random_graph(8, Fraction(1, 2), seed=6)
-    xs, ys = (0, 2, 5), (1, 3, 4, 7)
-    cert = graph_pair_quasirandomness(g, xs, ys)
-    rows = tuple(
-        sum(1 << j for j, y in enumerate(ys) if g.has_edge(x, y)) for x in xs
-    )
-    direct = pair_quasirandomness(BipartiteGraph(len(xs), len(ys), rows))
-    assert cert.value == direct.value
 
 
 def test_chain_certificate_complete():
@@ -174,43 +156,6 @@ def test_eta_psi_check_modes_agree():
         a = eta_psi_check(c, Fraction(1, 4), psi, mode="fast")
         b = eta_psi_check(c, Fraction(1, 4), psi, mode="naive")
         assert a == b
-
-
-def test_tpartite_matches_per_triple():
-    g = random_multipartite((2, 3, 2, 2), Fraction(2, 3), seed=5)
-    vs = g.vertex_set
-    rng = SplitMix64(9)
-    trips = []
-    from regulab.core import triangle_count
-
-    for (i, j, k) in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        from itertools import product
-
-        ab, ac, bc = g.pair(i, j), g.pair(i, k), g.pair(j, k)
-        for x in range(vs.sizes[i]):
-            for y in range(vs.sizes[j]):
-                if not ab.has_edge(x, y):
-                    continue
-                for z in range(vs.sizes[k]):
-                    if ac.has_edge(x, z) and bc.has_edge(y, z) and rng.bernoulli(Fraction(1, 2)):
-                        trips.append((vs.to_global(i, x), vs.to_global(j, y), vs.to_global(k, z)))
-    h = PartiteThreeGraph.from_triples(vs, trips)
-    ok, certs = tpartite_chain_quasirandomness(g, h, Fraction(1, 4))
-    for (i, j, k), cert in certs.items():
-        single = chain_quasirandomness(part_triple_chain(g, h, i, j, k))
-        assert cert.value == single.value
-    assert ok == all(c.value <= Fraction(1, 4) for c in certs.values())
-
-
-def test_weak_check_flags_star_links():
-    vs = PartiteVertexSet.of_sizes(4, 4, 4)
-    h = PartiteThreeGraph.from_triples(
-        vs, [(0, 4 + y, 8 + z) for y in range(4) for z in range(4)]
-    )
-    ok, wit = weak_quasirandom_check(
-        h, list(range(4)), list(range(4, 8)), list(range(8, 12)), Fraction(1, 100)
-    )
-    assert not ok and wit is not None
 
 
 def test_poly_function_parse_and_eval():
