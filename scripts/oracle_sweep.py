@@ -5,8 +5,10 @@ masks among them), the upper-half symmetry check ``rows_symmetric`` against
 the bit-by-bit walk, the
 hyperedge index against the naive membership test ``has_triple``, the
 tuple audit's per-chain verdict (``cell_chain_passes``) against
-``eta_psi_check`` with the naive kernels, and the tuple audit itself,
-exhaustive and sampled, against a literal walk over the tuples.
+``eta_psi_check`` with the naive kernels, the tuple audit itself,
+exhaustive and sampled, against a literal walk over the tuples, and
+``q_cell_chain`` fast against naive on every part triple of a cylinder
+and on every located cell chain taken as one cell (where q is d^2).
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from regulab.core import bits, rows_symmetric
+from regulab.core import bits, ratio, rows_symmetric
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
@@ -28,9 +30,12 @@ from regulab.generators import (
     random_partite_3graph,
 )
 from regulab.partitions import (
+    PairPartition,
     cell_chain_passes,
+    cell_chain_stats,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
+    q_cell_chain,
 )
 from regulab.quasirandom import (
     PolyFunction,
@@ -120,6 +125,35 @@ def verdicts_match(h, p) -> int:
                 for eta, psi in THRESHOLDS:
                     verdict = cell_chain_passes(h, cyl, ep, (i, j, k), combo, eta, psi)
                     bad += verdict != eta_psi_check(chain, eta, psi, mode="naive")
+    return bad
+
+
+def q_matches(h, p) -> int:
+    """Part triples of ``p``'s cylinders, and located cell chains of them
+    taken as one cell each, whose q differs between the fast and naive
+    modes; a one-cell chain must also have q = d^2 by the evaluator."""
+    vs = h.vertex_set
+    bad = 0
+    for cyl, ep in zip(p.vertex.cylinders, p.edges):
+        for i, j, k in combinations(range(vs.t), 3):
+            parts = (i, j, k)
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+            rows = tuple(pp.host_rows for pp in pps)
+            fast = q_cell_chain(h, parts, rows, pps, "fast")
+            bad += fast != q_cell_chain(h, parts, rows, pps, "naive")
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            for combo in product(*(range(pp.cell_count) for pp in pps)):
+                cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
+                whole = tuple(
+                    PairPartition.trivial(
+                        pp.left_size, pp.right_size, pp.left_mask, pp.right_mask, cell
+                    )
+                    for pp, cell in zip(pps, cells)
+                )
+                fast = q_cell_chain(h, parts, cells, whole, "fast")
+                tri, hyp, _ = cell_chain_stats(h, masks, parts, cells)
+                bad += fast != q_cell_chain(h, parts, cells, whole, "naive")
+                bad += fast != ratio(hyp, tri) ** 2
     return bad
 
 
@@ -220,20 +254,24 @@ def main() -> int:
             if bad:
                 mismatches += 1
                 print(f"{bad} tuple-audit mismatches at case {case}: {sizes}")
+            bad = q_matches(h, p)
+            if bad:
+                mismatches += 1
+                print(f"{bad} q mismatches at case {case}: {sizes}")
     dt = time.monotonic() - t0
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
         f"{args.cases} pair, masked pair and symmetry cases + {chains} chain cases"
-        f" + {indexes} index, verdict and audit cases"
+        f" + {indexes} index, verdict, audit and q cases"
         f" in {dt:.1f}s"
     )
     if mismatches:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
-        " and the tuple audit match their oracles"
+        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts,"
+        " the tuple audit and q match their oracles"
     )
     return 0
 

@@ -743,16 +743,15 @@ def _check_range(lineno: int, ids: tuple[int, ...], total: int):
             raise ParseError(lineno, f"vertex id {v} out of range (total {total})")
 
 
-def load_multipartite(src: str | Scan) -> MultipartiteGraph:
-    sc = _scanned(src)
-    if sc.triples:
-        raise ParseError(sc.triples[0], "graph file may not contain triples")
-    vs = sc.vertex_set
+def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
+    """The partite graph of a scan's e-lines, checked line by line in file
+    order: ids in range, ends in two different parts."""
+    total = vs.total
     rows = {
         (i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)
     }
     for lineno, u, v in _records(sc.edges, 3):
-        _check_range(lineno, (u, v), vs.total)
+        _check_range(lineno, (u, v), total)
         (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
         if i == j:
             raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
@@ -768,16 +767,43 @@ def load_multipartite(src: str | Scan) -> MultipartiteGraph:
     )
 
 
-def save_multipartite(g: MultipartiteGraph) -> str:
+def _scanned_triples(sc: Scan, vs: PartiteVertexSet) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """``(lineno, sorted triple)`` of each t-line of a scan in file order,
+    once its ids are checked: in range, distinct, in three parts."""
+    total, owner = vs.total, vs.owner
+    for rec in _records(sc.triples, 4):
+        lineno, ids = rec[0], rec[1:]
+        _check_range(lineno, ids, total)
+        if len(set(ids)) != 3:
+            raise ParseError(lineno, f"triple {ids} repeats a vertex")
+        if len({owner[v] for v in ids}) != 3:
+            raise ParseError(lineno, f"triple {ids} does not cross three parts")
+        yield lineno, _canon_triple(*ids)
+
+
+def _edge_lines(g: MultipartiteGraph) -> list[str]:
+    """The e-lines of a partite graph in global ids, sorted."""
     vs = g.vertex_set
-    lines = [f"part {n} {s}" for n, s in zip(vs.names, vs.sizes)]
     all_edges = []
     for i in range(vs.t):
         for j in range(i + 1, vs.t):
             off_i, off_j = vs.offsets[i], vs.offsets[j]
             for x, y in g.pair(i, j).edges():
                 all_edges.append((off_i + x, off_j + y))
-    lines += [f"e {u} {v}" for u, v in sorted(all_edges)]
+    return [f"e {u} {v}" for u, v in sorted(all_edges)]
+
+
+def load_multipartite(src: str | Scan) -> MultipartiteGraph:
+    sc = _scanned(src)
+    if sc.triples:
+        raise ParseError(sc.triples[0], "graph file may not contain triples")
+    return _scanned_graph(sc, sc.vertex_set)
+
+
+def save_multipartite(g: MultipartiteGraph) -> str:
+    vs = g.vertex_set
+    lines = [f"part {n} {s}" for n, s in zip(vs.names, vs.sizes)]
+    lines += _edge_lines(g)
     return "\n".join(lines) + "\n"
 
 
@@ -786,16 +812,7 @@ def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
     if sc.edges:
         raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
     vs = sc.vertex_set
-    out = set()
-    for rec in _records(sc.triples, 4):
-        lineno, ids = rec[0], rec[1:]
-        _check_range(lineno, ids, vs.total)
-        if len(set(ids)) != 3:
-            raise ParseError(lineno, f"triple {ids} repeats a vertex")
-        if len({vs.part_of(v) for v in ids}) != 3:
-            raise ParseError(lineno, f"triple {ids} does not cross three parts")
-        out.add(_canon_triple(*ids))
-    return PartiteThreeGraph(vs, frozenset(out))
+    return PartiteThreeGraph(vs, frozenset(t for _, t in _scanned_triples(sc, vs)))
 
 
 def save_partite_3graph(h: PartiteThreeGraph) -> str:
@@ -849,17 +866,6 @@ def save_graph(g: Graph, name: str = "V") -> str:
     lines += [f"e {u} {v}" for u, v in sorted(g.edges())]
     return "\n".join(lines) + "\n"
 
-def relative_complement(c: Chain) -> Chain:
-    """Chain carrying the triangles of the graph that are not hyperedges."""
-    vs = c.vertex_set
-    off = vs.offsets
-    missing = set()
-    for x, y, z in triangles_local(c.graph):
-        u, v, w = off[0] + x, off[1] + y, off[2] + z
-        if not c.hyper.has_triple(u, v, w):
-            missing.add((u, v, w))
-    return Chain(c.graph, PartiteThreeGraph(vs, frozenset(missing)))
-
 
 def load_chain(src: str | Scan) -> Chain:
     """Chain file: part lines, then the graph's e-lines and the 3-graph's
@@ -868,30 +874,10 @@ def load_chain(src: str | Scan) -> Chain:
     if len(sc.parts) != 3:
         raise ParseError(1, "chain file needs exactly three parts")
     vs = sc.vertex_set
-    names, sizes = vs.names, vs.sizes
-    rows = {(i, j): [0] * sizes[i] for i in range(3) for j in range(i + 1, 3)}
-    for lineno, u, v in _records(sc.edges, 3):
-        _check_range(lineno, (u, v), vs.total)
-        (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
-        if i == j:
-            raise ParseError(lineno, f"edge ({u},{v}) lies within part {names[i]}")
-        if i > j:
-            i, j, a, b = j, i, b, a
-        rows[(i, j)][a] |= 1 << b
-    g = MultipartiteGraph(
-        vs,
-        {k: BipartiteGraph(sizes[k[0]], sizes[k[1]], tuple(r)) for k, r in rows.items()},
-    )
+    g = _scanned_graph(sc, vs)
     off = vs.offsets
     out = set()
-    for rec in _records(sc.triples, 4):
-        lineno, ids = rec[0], rec[1:]
-        _check_range(lineno, ids, vs.total)
-        if len(set(ids)) != 3:
-            raise ParseError(lineno, f"triple {ids} repeats a vertex")
-        if len({vs.part_of(v) for v in ids}) != 3:
-            raise ParseError(lineno, f"triple {ids} does not cross three parts")
-        u, v, w = _canon_triple(*ids)
+    for lineno, (u, v, w) in _scanned_triples(sc, vs):
         a, b, cc = u - off[0], v - off[1], w - off[2]
         if not (
             g.pair(0, 1).has_edge(a, b)
@@ -907,12 +893,6 @@ def load_chain(src: str | Scan) -> Chain:
 def save_chain(c: Chain) -> str:
     vs = c.vertex_set
     lines = [f"part {n} {s}" for n, s in zip(vs.names, vs.sizes)]
-    all_edges = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            off_i, off_j = vs.offsets[i], vs.offsets[j]
-            for x, y in c.graph.pair(i, j).edges():
-                all_edges.append((off_i + x, off_j + y))
-    lines += [f"e {u} {v}" for u, v in sorted(all_edges)]
+    lines += _edge_lines(c.graph)
     lines += [f"t {u} {v} {w}" for u, v, w in sorted(c.hyper.triples)]
     return "\n".join(lines) + "\n"

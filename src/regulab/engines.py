@@ -54,10 +54,10 @@ from .partitions import (
     cell_chain_passes,
     cell_chain_stats,
     cells_by_label,
+    common_refinement,
     cylinder_quasirandomness_audit,
-    extract_cell_chain,
     homogeneity_audit,
-    q_edge_partition,
+    q_cell_chain,
     q_partition,
     venn_diagram,
     restrict_chain_partition,
@@ -273,9 +273,10 @@ class ConstantsProfile:
     ``q_gain`` is the minimum exact energy increase demanded of every
     edge-refinement step (vertex re-regularization steps only need
     monotonicity).  ``witness_search`` picks the non-quasirandom witness
-    strategy: exhaustive enumerates all subsets of the smaller side when it
-    has at most ``witness_cap`` vertices, greedy thresholds by degree, and
-    auto switches on size.  Audits enumerate tuples exhaustively up to
+    strategy: exhaustive enumerates all subsets of the left side and refuses
+    (CapacityError) when it has more than ``witness_cap`` vertices, greedy
+    thresholds by degree, and auto enumerates up to the cap and thresholds
+    above it.  Audits enumerate tuples exhaustively up to
     ``audit_tuple_cap`` and fall back to ``audit_samples`` seeded samples.
     """
 
@@ -330,7 +331,7 @@ class ConstantsProfile:
         return self.name == "paper"
 
     def refine_gain(self, eta: Fraction) -> Fraction:
-        """Required q gain of one_cylinder_refine over d squared."""
+        """Required q gain of refine_cell_chain over d squared."""
         if self.is_paper:
             return Fraction(1, 1024) * eta * eta
         return self.q_gain
@@ -391,7 +392,8 @@ def _witness_split(
     Returns bitmasks in the ambient index spaces, or None when the induced
     graph is constant (no split carries any deviation).  Exhaustive mode
     enumerates all subsets of the left side, pairing each with its exact
-    optimal right side (positive and negative deviations separately);
+    optimal right side (positive and negative deviations separately), and
+    raises CapacityError when the left side has more than ``cap`` vertices;
     greedy mode thresholds left vertices by degree.
     """
     n_left = len(left_ids)
@@ -401,6 +403,10 @@ def _witness_split(
     e = sum((rows[x] & right_mask).bit_count() for x in left_ids)
     if e == 0 or e == n_left * n_right:
         return None
+    if search == "exhaustive" and n_left > cap:
+        raise CapacityError(
+            f"exhaustive witness search over {n_left} left vertices exceeds the witness cap {cap}"
+        )
     num, den = e, n_left * n_right
     ys = list(bits(right_mask))
     colbits = []
@@ -433,8 +439,7 @@ def _witness_split(
         if neg_dev > best_score:
             best_score, best_am, best_bm = neg_dev, am, bneg
 
-    exhaustive = search == "exhaustive" or (search == "auto" and n_left <= cap)
-    if exhaustive:
+    if search != "greedy" and n_left <= cap:
         for am in range(1, 1 << n_left):
             consider(am)
     else:
@@ -595,73 +600,96 @@ def dlr_cylinder_regularity(
 # ---------------------------------------------------------------------------
 
 
-def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> EdgePartition:
-    """Edge partition of a non-quasirandom chain with q >= d^2 + gain.
+def refine_cell_chain(
+    h: PartiteThreeGraph,
+    masks: tuple[int, int, int],
+    parts: tuple[int, int, int],
+    cells: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    eta: Fraction,
+    profile: ConstantsProfile,
+) -> EdgePartition:
+    """Edge partition of a non-quasirandom cell chain with q >= d^2 + gain.
 
-    The search splits each pair graph by the sign of the conditional
-    deviation (hyperedge count minus density times triangle count through
-    each edge), tries quantile variants, escalates to a threshold sweep,
-    and re-verifies the winning candidate's q with the naive oracle before
-    returning.  Raises InvalidStructure when the chain is already
+    The chain is given where it lies, as :func:`cell_chain_stats` takes it:
+    ``cells`` are the row tuples of its (i, j), (i, k) and (j, k) cells on
+    the cylinder ``masks`` of ``parts`` = (i, j, k), in ``h``'s local ids.
+    Its certificate and d = hyperedges / triangles are that evaluator's, so
+    the chain is never cut out or certified again.  The search splits each
+    pair graph by the sign of the conditional deviation (hyperedge count
+    minus d times triangle count through each edge), tries quantile
+    variants, escalates to a threshold sweep, and re-verifies the winning
+    candidate's q with the naive oracle before returning.  The result holds
+    one PairPartition per pair, keyed (i, j), (i, k) and (j, k), on the
+    cylinder masks.  Raises InvalidStructure when the chain is already
     eta-quasirandom and RefinementFailure when no candidate reaches the
     gain target.
     """
-    cert = chain_quasirandomness(c, mode="fast")
-    if cert.value <= eta:
+    tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
+    if cert <= eta:
         raise InvalidStructure("chain is already quasirandom at this eta")
-    vs = c.vertex_set
-    d = relative_density(c)
+    i, j, k = parts
+    sizes = h.vertex_set.sizes
+    d = ratio(hyp, tri)
     target = d * d + profile.refine_gain(eta)
     num, den = d.numerator, d.denominator
-    g01, g02, g12 = c.graph.pair(0, 1), c.graph.pair(0, 2), c.graph.pair(1, 2)
+    pair_keys = ((i, j), (i, k), (j, k))
+    side_masks = {(i, j): masks[:2], (i, k): masks[::2], (j, k): masks[1:]}
+    # The chain's pair graphs: each cell on the cylinder masks.
+    host_of = {}
+    for pk, cell in zip(pair_keys, cells):
+        mask_a, mask_b = side_masks[pk]
+        rows = tuple(row & mask_b if mask_a >> x & 1 else 0 for x, row in enumerate(cell))
+        host_of[pk] = BipartiteGraph(sizes[pk[0]], sizes[pk[1]], rows)
+    g01, g02, g12 = host_of.values()
 
-    # Hyperedges through each edge: (x, y) from the index, (x, z) and (y, z)
-    # tallied from it.
-    zm01 = c.hyper.zmasks(0, 1, 2)
+    # Deviation through each edge.  Hyperedges on the chain's triangles:
+    # through (x, y) from the index, through (x, z) and (y, z) tallied
+    # from it.
+    zm = h.zmasks(i, j, k)
     hyp02: dict[tuple[int, int], int] = {}
     hyp12: dict[tuple[int, int], int] = {}
-    for (x, y), zmask in zm01.items():
-        for z in bits(zmask):
-            hyp02[(x, z)] = hyp02.get((x, z), 0) + 1
-            hyp12[(y, z)] = hyp12.get((y, z), 0) + 1
-
-    cols01, cols02, cols12 = g01.columns(), g02.columns(), g12.columns()
-    devs: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     tbl = {}
-    for x in range(vs.sizes[0]):
+    for x in bits(masks[0]):
         for y in bits(g01.rows[x]):
-            tri = (g02.rows[x] & g12.rows[y]).bit_count()
-            tbl[(x, y)] = den * zm01.get((x, y), 0).bit_count() - num * tri
-    devs[(0, 1)] = tbl
+            tri_z = g02.rows[x] & g12.rows[y]
+            zmask = zm.get((x, y), 0) & tri_z
+            tbl[(x, y)] = den * zmask.bit_count() - num * tri_z.bit_count()
+            for z in bits(zmask):
+                hyp02[(x, z)] = hyp02.get((x, z), 0) + 1
+                hyp12[(y, z)] = hyp12.get((y, z), 0) + 1
+    devs: dict[tuple[int, int], dict[tuple[int, int], int]] = {(i, j): tbl}
+    cols01, cols02, cols12 = g01.columns(), g02.columns(), g12.columns()
     tbl = {}
-    for x in range(vs.sizes[0]):
+    for x in bits(masks[0]):
         for z in bits(g02.rows[x]):
             tri = (g01.rows[x] & cols12[z]).bit_count()
             tbl[(x, z)] = den * hyp02.get((x, z), 0) - num * tri
-    devs[(0, 2)] = tbl
+    devs[(i, k)] = tbl
     tbl = {}
-    for y in range(vs.sizes[1]):
+    for y in bits(masks[1]):
         for z in bits(g12.rows[y]):
             tri = (cols01[y] & cols02[z]).bit_count()
             tbl[(y, z)] = den * hyp12.get((y, z), 0) - num * tri
-    devs[(1, 2)] = tbl
+    devs[(j, k)] = tbl
 
-    pair_keys = ((0, 1), (0, 2), (1, 2))
-    hosts = {(0, 1): g01, (0, 2): g02, (1, 2): g12}
-
-    def make_ep(cell_map: dict[tuple[int, int], tuple[tuple[int, ...], ...]]) -> EdgePartition:
-        out = {}
-        for (i, j) in pair_keys:
-            host = hosts[(i, j)]
-            full_l = (1 << host.left_size) - 1
-            full_r = (1 << host.right_size) - 1
-            cells = cell_map.get((i, j))
-            if cells is None:
-                cells = (host.rows,)
-            out[(i, j)] = PairPartition(
-                host.left_size, host.right_size, full_l, full_r, host.rows, cells
+    def make_pps(cell_map: dict) -> tuple[PairPartition, ...]:
+        return tuple(
+            PairPartition(
+                host_of[pk].left_size,
+                host_of[pk].right_size,
+                *side_masks[pk],
+                host_of[pk].rows,
+                cell_map.get(pk, (host_of[pk].rows,)),
             )
-        return EdgePartition(out)
+            for pk in pair_keys
+        )
+
+    def q_of(pps: tuple[PairPartition, ...], mode: str = "fast") -> Fraction:
+        return q_cell_chain(h, parts, (g01.rows, g02.rows, g12.rows), pps, mode)
+
+    def split(pk: tuple[int, int], groups: dict) -> tuple[tuple[int, ...], ...]:
+        host = host_of[pk]
+        return cells_by_label(host.left_size, host.rows, lambda x, y: groups[(x, y)])
 
     sign_cells = {}
     for pk in pair_keys:
@@ -670,11 +698,7 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
             continue
         positive = {edge for edge, val in tbl.items() if val > 0}
         if positive and len(positive) < len(tbl):
-            sign_cells[pk] = cells_by_label(
-                hosts[pk].left_size,
-                hosts[pk].rows,
-                lambda x, y, pos=positive: 1 if (x, y) in pos else 0,
-            )
+            sign_cells[pk] = split(pk, {edge: edge in positive for edge in tbl})
 
     candidates: list[dict] = []
     keys_avail = [pk for pk in pair_keys if pk in sign_cells]
@@ -695,21 +719,15 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
             edge: (0 if val < -thr else (2 if val > thr else 1)) for edge, val in tbl.items()
         }
         if len(set(groups.values())) >= 2:
-            candidates.append(
-                {
-                    pk: cells_by_label(
-                        hosts[pk].left_size, hosts[pk].rows, lambda x, y, g=groups: g[(x, y)]
-                    )
-                }
-            )
+            candidates.append({pk: split(pk, groups)})
 
     best_q = Fraction(-1)
-    best_ep: EdgePartition | None = None
+    best_pps: tuple[PairPartition, ...] | None = None
     for cell_map in candidates:
-        ep = make_ep(cell_map)
-        qv = q_edge_partition(c, ep, mode="fast")
+        pps = make_pps(cell_map)
+        qv = q_of(pps)
         if qv > best_q:
-            best_q, best_ep = qv, ep
+            best_q, best_pps = qv, pps
 
     if best_q < target:
         # Threshold sweep escalation: two-way cuts at spread-out deviation
@@ -720,31 +738,29 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
             vals = sorted(set(tbl.values()))
             if len(vals) < 2:
                 continue
-            cuts = {vals[(len(vals) - 1) * k // 14] for k in range(14)}
+            cuts = {vals[(len(vals) - 1) * m // 14] for m in range(14)}
             best_pair_q = Fraction(-1)
             best_pair_cells = None
             for cut in sorted(cuts):
                 groups = {edge: (0 if val <= cut else 1) for edge, val in tbl.items()}
                 if len(set(groups.values())) < 2:
                     continue
-                cells = cells_by_label(
-                    hosts[pk].left_size, hosts[pk].rows, lambda x, y, g=groups: g[(x, y)]
-                )
-                ep = make_ep({pk: cells})
-                qv = q_edge_partition(c, ep, mode="fast")
+                pair_cells = split(pk, groups)
+                pps = make_pps({pk: pair_cells})
+                qv = q_of(pps)
                 if qv > best_q:
-                    best_q, best_ep = qv, ep
+                    best_q, best_pps = qv, pps
                 if qv > best_pair_q:
-                    best_pair_q, best_pair_cells = qv, cells
+                    best_pair_q, best_pair_cells = qv, pair_cells
             if best_pair_cells is not None:
                 combo[pk] = best_pair_cells
         if combo:
-            ep = make_ep(combo)
-            qv = q_edge_partition(c, ep, mode="fast")
+            pps = make_pps(combo)
+            qv = q_of(pps)
             if qv > best_q:
-                best_q, best_ep = qv, ep
+                best_q, best_pps = qv, pps
 
-    if best_ep is None:
+    if best_pps is None:
         raise RefinementFailure(
             "no candidate edge split exists: within each pair every edge has the same deviation"
         )
@@ -752,14 +768,28 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
         raise RefinementFailure(
             f"no edge partition reached d^2 + gain = {target} (best q {best_q})"
         )
-    check = q_edge_partition(c, best_ep, mode="naive")
-    if check != best_q:
+    if q_of(best_pps, mode="naive") != best_q:
         raise RuntimeError("fast and naive q disagree on the chosen partition")
+    best_ep = EdgePartition(dict(zip(pair_keys, best_pps)))
     if best_ep.cell_count > profile.edge_part_cap:
         raise RefinementFailure(
             f"winning partition has {best_ep.cell_count} cells, over the cap"
         )
     return best_ep
+
+
+def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> EdgePartition:
+    """:func:`refine_cell_chain` on a whole chain: full masks, parts
+    (0, 1, 2) and the chain's pair graphs as the cells."""
+    g = c.graph
+    return refine_cell_chain(
+        c.hyper,
+        tuple(c.vertex_set.full_mask(a) for a in range(3)),
+        (0, 1, 2),
+        (g.pair(0, 1).rows, g.pair(0, 2).rows, g.pair(1, 2).rows),
+        eta,
+        profile,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -804,24 +834,6 @@ def _useful_chains(
     return useful, mass
 
 
-def _unmap_cells(
-    cells: Sequence[Sequence[int]],
-    keep_left: Sequence[int],
-    keep_right: Sequence[int],
-    left_size: int,
-) -> list[tuple[int, ...]]:
-    out = []
-    for cell in cells:
-        rows = [0] * left_size
-        for cx, rowm in enumerate(cell):
-            acc = 0
-            for cy in bits(rowm):
-                acc |= 1 << keep_right[cy]
-            rows[keep_left[cx]] = acc
-        out.append(tuple(rows))
-    return out
-
-
 def _apply_chain_refinements(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
@@ -830,25 +842,20 @@ def _apply_chain_refinements(
     profile: ConstantsProfile,
     trace_rows,
 ) -> CylinderChainPartition:
-    vs = h.vertex_set
-    splits: dict[tuple[int, tuple[int, int], int], list] = {}
+    """Refine every useful cell chain where it lies and merge the splits.
+
+    Each chain's refinement proposes a variant of each of its three cells;
+    a cell's new cells are the common refinement of its variants.
+    """
+    splits: dict[tuple[int, tuple[int, int], int], list[PairPartition]] = {}
     for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
         cyl = p.vertex.cylinders[ci]
         masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-        chain = extract_cell_chain(h, masks, (i, j, k), cells)
-        pe_small = one_cylinder_refine(chain, eta, profile)
-        keeps = {
-            i: sorted(bits(cyl.masks[i])),
-            j: sorted(bits(cyl.masks[j])),
-            k: sorted(bits(cyl.masks[k])),
-        }
-        placements = (((0, 1), (i, j), combo[0]), ((0, 2), (i, k), combo[1]), ((1, 2), (j, k), combo[2]))
-        for small_pair, (pi, pj), cell_idx in placements:
-            pp_small = pe_small.pair(*small_pair)
-            if pp_small.cell_count <= 1:
-                continue
-            orig = _unmap_cells(pp_small.cells, keeps[pi], keeps[pj], vs.sizes[pi])
-            splits.setdefault((ci, (pi, pj), cell_idx), []).append(orig)
+        pe = refine_cell_chain(h, masks, (i, j, k), cells, eta, profile)
+        for pair, cell_idx in zip(((i, j), (i, k), (j, k)), combo):
+            variant = pe.pair(*pair)
+            if variant.cell_count > 1:
+                splits.setdefault((ci, pair, cell_idx), []).append(variant)
 
     if not splits:
         raise RefinementFailure(
@@ -856,8 +863,8 @@ def _apply_chain_refinements(
         )
 
     by_pair: dict[tuple[int, tuple[int, int]], dict[int, list]] = {}
-    for (ci, pair, cell_idx), subparts in splits.items():
-        by_pair.setdefault((ci, pair), {})[cell_idx] = subparts
+    for (ci, pair, cell_idx), variants in splits.items():
+        by_pair.setdefault((ci, pair), {})[cell_idx] = variants
 
     new_edges = list(p.edges)
     for (ci, (i, j)), cell_splits in sorted(by_pair.items()):
@@ -866,15 +873,7 @@ def _apply_chain_refinements(
         new_cells: list[tuple[int, ...]] = []
         for idx, cell in enumerate(pp.cells):
             variants = cell_splits.get(idx)
-            if not variants:
-                new_cells.append(cell)
-                continue
-            # Label each edge by the sub-cell holding it in each variant (-1: none).
-            label = lambda x, y, variants=variants: tuple(
-                next((si for si, sub in enumerate(variant) if sub[x] >> y & 1), -1)
-                for variant in variants
-            )
-            new_cells.extend(cells_by_label(pp.left_size, cell, label))
+            new_cells.extend(common_refinement(variants).cells if variants else (cell,))
         if len(new_cells) > profile.edge_part_cap:
             raise RefinementFailure(
                 f"pair ({i},{j}) would need {len(new_cells)} cells, over the cap",
@@ -963,7 +962,7 @@ def hyper_cylinder_regularity(
     Loop: audit; if enough tuple mass sees quasirandom located chains,
     accept, returning the partition, the audit it was accepted on and the
     trace.  Otherwise refine every useful cell chain (certificate above
-    eta) through one_cylinder_refine and demand the profile's q gain; when
+    eta) through refine_cell_chain and demand the profile's q gain; when
     no chain is useful the failure is on the graph side, so cylinders are
     re-regularized instead (monotone in q but with no gain floor).  Under
     the paper profile the literal schedules are evaluated first and the

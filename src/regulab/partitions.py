@@ -10,7 +10,9 @@ between them).
 q is the triangle-mass-weighted sum of squared relative densities of the
 cells.  The ``fast`` mode enumerates the host's triangles once and tallies
 cells by label; the ``naive`` mode re-enumerates each cell by triple loops.
-Both are exact and must agree.
+Both are exact and must agree.  :func:`q_cell_chain` is the one place that
+picks between them: q of a chain's edge partition, of a cylinder and of
+the engine's refinement candidates all go through it.
 
 Each partition-building decision has one home.  :func:`cells_by_label`
 is the one cell builder: it groups a host's edges by a per-edge label and
@@ -397,11 +399,11 @@ def _q_triple_fast(
     pp_ab: PairPartition,
     pp_ac: PairPartition,
     pp_bc: PairPartition,
-    hyper_zmask,
+    zm: Mapping[tuple[int, int], int],
 ) -> Fraction:
     """q over one part triple: single triangle sweep with cell labels.
 
-    ``hyper_zmask(x, y)`` is the bitmask over z of hyperedges through (x, y).
+    ``zm[(x, y)]`` is the bitmask over z of hyperedges through (x, y).
     """
     lab_ab, lab_ac, lab_bc = pp_ab.labels, pp_ac.labels, pp_bc.labels
     tri: dict[tuple[int, int, int], int] = {}
@@ -417,7 +419,7 @@ def _q_triple_fast(
             if not zmask:
                 continue
             a = lab_ab[x][y]
-            hmask = hyper_zmask(x, y)
+            hmask = zm.get((x, y), 0)
             ly_bc = lab_bc[y]
             for z in bits(zmask):
                 key = (a, lx_ac[z], ly_bc[z])
@@ -433,9 +435,7 @@ def _q_triple_fast(
     return out
 
 
-def _q_triple_naive(
-    rows_ab, rows_ac, rows_bc, pp_ab, pp_ac, pp_bc, hyper_zmask, sizes
-) -> Fraction:
+def _q_triple_naive(rows_ab, rows_ac, rows_bc, pp_ab, pp_ac, pp_bc, zm, sizes) -> Fraction:
     """Literal re-enumeration of every cell combination."""
     n0, n1, n2 = sizes
     total = 0
@@ -458,35 +458,44 @@ def _q_triple_naive(
                         for z in range(n2):
                             if cell_ac[x] >> z & 1 and cell_bc[y] >> z & 1:
                                 t_cnt += 1
-                                if hyper_zmask(x, y) >> z & 1:
+                                if zm.get((x, y), 0) >> z & 1:
                                     h_cnt += 1
                 d = ratio(h_cnt, t_cnt)
                 out += ratio(t_cnt, total) * d * d
     return out
 
 
+def q_cell_chain(
+    h: PartiteThreeGraph,
+    parts: tuple[int, int, int],
+    rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    pps: tuple[PairPartition, PairPartition, PairPartition],
+    mode: str = "fast",
+) -> Fraction:
+    """q over one part triple of ``h``: the host ``rows`` of its (i, j),
+    (i, k) and (j, k) pairs, cut into cells by ``pps``, in local ids.
+
+    The one fast/naive dispatch of q.  Hyperedges are read from ``h``'s
+    index on the hosts' triangles only, so hosts inside a cylinder need no
+    mask.
+    """
+    zm = h.zmasks(*parts)
+    if mode == "fast":
+        return _q_triple_fast(*rows, *pps, zm)
+    if mode == "naive":
+        sizes = tuple(h.vertex_set.sizes[a] for a in parts)
+        return _q_triple_naive(*rows, *pps, zm, sizes)
+    raise InvalidStructure(f"unknown mode {mode!r}")
+
+
 def q_edge_partition(c: Chain, pe: EdgePartition, mode: str = "fast") -> Fraction:
     """q of an edge partition of the chain graph; trivial partition gives d^2."""
-    vs = c.vertex_set
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        if pe.pair(i, j).host_rows != c.graph.pair(i, j).rows:
+    keys = ((0, 1), (0, 2), (1, 2))
+    rows = tuple(c.graph.pair(i, j).rows for i, j in keys)
+    for (i, j), host in zip(keys, rows):
+        if pe.pair(i, j).host_rows != host:
             raise InvalidStructure(f"edge partition host disagrees with chain at {(i, j)}")
-    zmask = c.hyper.zmasks(0, 1, 2)
-    lookup = lambda x, y: zmask.get((x, y), 0)
-    args = (
-        c.graph.pair(0, 1).rows,
-        c.graph.pair(0, 2).rows,
-        c.graph.pair(1, 2).rows,
-        pe.pair(0, 1),
-        pe.pair(0, 2),
-        pe.pair(1, 2),
-        lookup,
-    )
-    if mode == "fast":
-        return _q_triple_fast(*args)
-    if mode == "naive":
-        return _q_triple_naive(*args, vs.sizes)
-    raise InvalidStructure(f"unknown mode {mode!r}")
+    return q_cell_chain(c.hyper, (0, 1, 2), rows, tuple(pe.pair(i, j) for i, j in keys), mode)
 
 
 def q_cylinder(
@@ -494,25 +503,11 @@ def q_cylinder(
 ) -> Fraction:
     """Sum of per-triple q over all part triples of one cylinder."""
     vs = h.vertex_set
+    hosts = {(i, j): cyl.host_rows(vs, i, j) for i, j in itertools.combinations(range(vs.t), 2)}
     out = Fraction(0)
-    for i in range(vs.t):
-        for j in range(i + 1, vs.t):
-            for k in range(j + 1, vs.t):
-                rows_ab = cyl.host_rows(vs, i, j)
-                rows_ac = cyl.host_rows(vs, i, k)
-                rows_bc = cyl.host_rows(vs, j, k)
-                zm = h.zmasks(i, j, k)
-                mask_i, mask_j, mask_k = cyl.masks[i], cyl.masks[j], cyl.masks[k]
-                lookup = lambda x, y, zm=zm, mi=mask_i, mj=mask_j, mk=mask_k: (
-                    (zm.get((x, y), 0) & mk) if (mi >> x & 1 and mj >> y & 1) else 0
-                )
-                args = (rows_ab, rows_ac, rows_bc, pe.pair(i, j), pe.pair(i, k), pe.pair(j, k), lookup)
-                if mode == "fast":
-                    out += _q_triple_fast(*args)
-                elif mode == "naive":
-                    out += _q_triple_naive(*args, (vs.sizes[i], vs.sizes[j], vs.sizes[k]))
-                else:
-                    raise InvalidStructure(f"unknown mode {mode!r}")
+    for i, j, k in itertools.combinations(range(vs.t), 3):
+        rows = (hosts[i, j], hosts[i, k], hosts[j, k])
+        out += q_cell_chain(h, (i, j, k), rows, (pe.pair(i, j), pe.pair(i, k), pe.pair(j, k)), mode)
     return out
 
 

@@ -28,7 +28,6 @@ from regulab.core import (
     partite_from_three_graph,
     product_density,
     ratio,
-    relative_complement,
     relative_density,
     restrict_chain,
     rows_symmetric,
@@ -150,18 +149,6 @@ def test_relative_density_exact():
     g = MultipartiteGraph.complete(vs)
     h = PartiteThreeGraph.from_triples(vs, [(0, 2, 4), (1, 3, 5)])
     assert relative_density(Chain(g, h)) == Fraction(2, 8)
-
-
-def test_relative_complement_identity():
-    rng = SplitMix64(3)
-    for _ in range(10):
-        sizes = tuple(1 + rng.below(4) for _ in range(3))
-        c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
-        cc = relative_complement(c)
-        assert relative_density(c) + relative_density(cc) in (0, 1) or (
-            relative_density(c) + relative_density(cc) == 1
-        )
-        assert relative_complement(cc).hyper.edge_count == c.hyper.edge_count
 
 
 def test_restrict_chain_reindexes():

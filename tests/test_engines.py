@@ -7,21 +7,27 @@ import pytest
 
 from regulab.core import (
     BipartiteGraph,
+    CapacityError,
     Chain,
     InvalidStructure,
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
     ThreeGraph,
+    bits,
     relative_density,
 )
 from regulab.engines import (
     ConstantsProfile,
     IterationTrace,
+    RefinementFailure,
     SATURATED,
     ScheduleSaturation,
     SearchFailure,
     TraceRow,
+    _apply_chain_refinements,
+    _useful_chains,
+    _witness_split,
     check_paper_schedule,
     dlr_cylinder_regularity,
     first_saturation,
@@ -42,12 +48,17 @@ from regulab.generators import (
     half_graph,
     random_bipartite,
     random_cylinder_chain_partition,
+    random_partite_3graph,
     random_tournament_3graph,
 )
 from regulab.partitions import (
     ChainPartition,
+    CylinderChainPartition,
+    EdgePartition,
     PairPartition,
+    cells_by_label,
     cylinder_quasirandomness_audit,
+    extract_cell_chain,
     q_edge_partition,
 )
 from regulab.quasirandom import PolyFunction, chain_quasirandomness, pair_quasirandomness
@@ -280,6 +291,176 @@ def test_one_cylinder_refine_reports_missing_split():
     with pytest.raises(RefinementFailure, match="no candidate edge split exists") as info:
         one_cylinder_refine(c, Fraction(1, 512), DESK)
     assert "best q" not in str(info.value)
+
+
+def _unmap_cells(cells, keep_left, keep_right, left_size):
+    out = []
+    for cell in cells:
+        rows = [0] * left_size
+        for cx, rowm in enumerate(cell):
+            acc = 0
+            for cy in bits(rowm):
+                acc |= 1 << keep_right[cy]
+            rows[keep_left[cx]] = acc
+        out.append(tuple(rows))
+    return out
+
+
+def _extract_and_unmap_refinements(h, p, useful, eta, profile):
+    """The chain refinement step as it stood before it refined chains where
+    they lie: cut each useful chain out in compact ids, refine the copy,
+    map its cells back and merge the variants of a cell by a label lambda."""
+    vs = h.vertex_set
+    splits = {}
+    for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
+        cyl = p.vertex.cylinders[ci]
+        masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+        chain = extract_cell_chain(h, masks, (i, j, k), cells)
+        pe_small = one_cylinder_refine(chain, eta, profile)
+        keeps = {
+            i: sorted(bits(cyl.masks[i])),
+            j: sorted(bits(cyl.masks[j])),
+            k: sorted(bits(cyl.masks[k])),
+        }
+        placements = (((0, 1), (i, j), combo[0]), ((0, 2), (i, k), combo[1]), ((1, 2), (j, k), combo[2]))
+        for small_pair, (pi, pj), cell_idx in placements:
+            pp_small = pe_small.pair(*small_pair)
+            if pp_small.cell_count <= 1:
+                continue
+            orig = _unmap_cells(pp_small.cells, keeps[pi], keeps[pj], vs.sizes[pi])
+            splits.setdefault((ci, (pi, pj), cell_idx), []).append(orig)
+
+    if not splits:
+        raise RefinementFailure("useful chains produced no cell splits")
+
+    by_pair = {}
+    for (ci, pair, cell_idx), subparts in splits.items():
+        by_pair.setdefault((ci, pair), {})[cell_idx] = subparts
+
+    new_edges = list(p.edges)
+    for (ci, (i, j)), cell_splits in sorted(by_pair.items()):
+        ep = new_edges[ci]
+        pp = ep.pair(i, j)
+        new_cells = []
+        for idx, cell in enumerate(pp.cells):
+            variants = cell_splits.get(idx)
+            if not variants:
+                new_cells.append(cell)
+                continue
+            label = lambda x, y, variants=variants: tuple(
+                next((si for si, sub in enumerate(variant) if sub[x] >> y & 1), -1)
+                for variant in variants
+            )
+            new_cells.extend(cells_by_label(pp.left_size, cell, label))
+        if len(new_cells) > profile.edge_part_cap:
+            raise RefinementFailure(f"pair ({i},{j}) would need {len(new_cells)} cells, over the cap")
+        pairs = dict(ep.pairs)
+        pairs[(i, j)] = PairPartition(
+            pp.left_size, pp.right_size, pp.left_mask, pp.right_mask, pp.host_rows, tuple(new_cells)
+        )
+        new_edges[ci] = EdgePartition(pairs)
+    return CylinderChainPartition(p.vertex, tuple(new_edges))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RefinementFailure as exc:
+        return type(exc), str(exc)
+
+
+def test_chain_refinements_match_the_extract_and_unmap_route():
+    """Refining each useful chain where it lies and merging by common
+    refinement gives the partition, or the failure and its message, of
+    the old route through a compact copy of the chain.  The profiles cover
+    a plain refinement, the cell caps and a gain no candidate reaches."""
+    profiles = (
+        DESK,
+        ConstantsProfile.desk(edge_part_cap=2),
+        ConstantsProfile.desk(q_gain=Fraction(1, 8)),
+    )
+    rng = SplitMix64(11)
+    with_useful = 0
+    kinds = set()
+    for case in range(300):
+        t = 3 + case % 3
+        sizes = tuple(1 + rng.below(4) for _ in range(t))
+        h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
+        p = random_cylinder_chain_partition(
+            h.vertex_set, 1 + rng.below(3), 1 + rng.below(3), seed=rng.next_u64()
+        )
+        eta = (Fraction(1, 4), Fraction(1, 16))[case % 2]
+        profile = profiles[case % 3]
+        useful, _ = _useful_chains(h, p, eta)
+        if not useful:
+            continue
+        with_useful += 1
+        got = _outcome(_apply_chain_refinements, h, p, useful, eta, profile, [])
+        want = _outcome(_extract_and_unmap_refinements, h, p, useful, eta, profile)
+        assert got == want, f"case {case}"
+        kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "refined")
+    assert with_useful >= 100, with_useful
+    assert {"refined", "pair", "no"} <= kinds
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every regulab module that holds it."""
+    import sys
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("regulab"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
+    """One refine step (the useful-chain search, then the refinements)
+    cuts out and certifies each distinct located chain with triangles once:
+    the refinement reads the evaluator's numbers instead."""
+    extracted = _count_calls(monkeypatch, extract_cell_chain)
+    certified = _count_calls(monkeypatch, chain_quasirandomness)
+    eta = Fraction(1, 16)
+    h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=5)
+    p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6)
+    useful, _ = _useful_chains(h, p, eta)
+    refined = _apply_chain_refinements(h, p, useful, eta, DESK, [])
+    assert len(useful) >= 5 and refined != p
+    chains = sum(1 for tri, _, _ in h.index.cell_chains.values() if tri)
+    assert len(extracted) == len(certified) == chains
+
+
+HALF_2X48 = "part V 96\n" + "".join(f"e {i} {48 + j}\n" for i in range(48) for j in range(i, 48))
+
+
+def test_exhaustive_witness_search_refuses_past_the_cap(tmp_path, capsys):
+    """``--witness-search exhaustive`` enumerates the left side's subsets
+    only up to ``--witness-cap``; past it the run exits 3 with one line
+    instead of walking 2^12 subsets per witness on the half graph."""
+    from regulab.cli import run
+
+    path = tmp_path / "half.g"
+    path.write_text(HALF_2X48)
+    argv = ["decompose", "--input", str(path), "--eps", "1/8", "--witness-search", "exhaustive"]
+    assert run(argv + ["--witness-cap", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err == "capacity: exhaustive witness search over 12 left vertices exceeds the witness cap 4\n"
+
+
+def test_witness_split_refuses_a_left_side_past_the_cap():
+    rows = tuple(((1 << 30) - 1) >> x for x in range(30))
+    with pytest.raises(CapacityError, match="over 30 left vertices exceeds the witness cap 16"):
+        _witness_split(rows, list(range(30)), (1 << 30) - 1, "exhaustive", 16)
+    # auto and greedy threshold by degree instead
+    for search in ("auto", "greedy"):
+        assert _witness_split(rows, list(range(30)), (1 << 30) - 1, search, 16) is not None
 
 
 def test_szemeredi_splits_planted_cells():
