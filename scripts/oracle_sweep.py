@@ -8,7 +8,9 @@ tuple audit's per-chain verdict (``cell_chain_passes``) against
 ``eta_psi_check`` with the naive kernels, the tuple audit itself,
 exhaustive and sampled, against a literal walk over the tuples, and
 ``q_cell_chain`` fast against naive on every part triple of a cylinder
-and on every located cell chain taken as one cell (where q is d^2).
+and on every located cell chain taken as one cell (where q is d^2), and the
+linear cylinder overlap check against the pairwise one, first offending
+pair included, on random cylinder families that overlap about half the time.
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from regulab.core import bits, ratio, rows_symmetric
+from regulab.core import PartiteVertexSet, bits, ratio, rows_symmetric
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
@@ -28,13 +30,16 @@ from regulab.generators import (
     random_cylinder_chain_partition,
     random_graph,
     random_partite_3graph,
+    random_vertex_cylinder_partition,
 )
 from regulab.partitions import (
     PairPartition,
+    VertexCylinder,
     cell_chain_passes,
     cell_chain_stats,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
+    first_overlap,
     q_cell_chain,
 )
 from regulab.quasirandom import (
@@ -203,6 +208,35 @@ def audits_match(h, p, seed) -> int:
     return bad
 
 
+def overlap_matches(max_size, rng) -> tuple[bool, bool]:
+    """(fast equals naive, the family overlaps) for ``first_overlap`` on a
+    random cylinder partition with up to two edits: a widened mask, or an
+    inserted copy, empty cylinder or random cylinder."""
+    t = 1 + rng.below(5)
+    vs = PartiteVertexSet.of_sizes(*(1 + rng.below(max_size) for _ in range(t)))
+    pv = random_vertex_cylinder_partition(vs, 1 + rng.below(12), rng.next_u64())
+    masks = [cyl.masks for cyl in pv.cylinders]
+    for _ in range(rng.below(3)):
+        kind = rng.below(4)
+        if kind == 0:
+            c, i = rng.below(len(masks)), rng.below(t)
+            row = list(masks[c])
+            row[i] |= rng.next_u64() & vs.full_mask(i)
+            masks[c] = tuple(row)
+            continue
+        if kind == 1:
+            new = masks[rng.below(len(masks))]
+        else:
+            row = [rng.next_u64() & vs.full_mask(i) for i in range(t)]
+            if kind == 2:
+                row[rng.below(t)] = 0
+            new = tuple(row)
+        masks.insert(rng.below(len(masks) + 1), new)
+    cyls = [VertexCylinder(m) for m in masks]
+    naive = first_overlap(vs, cyls, "naive")
+    return first_overlap(vs, cyls) == naive, naive is not None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=int, default=10)
@@ -213,8 +247,10 @@ def main() -> int:
     rng = SplitMix64(args.seed)
     # A stream of its own, so the other cases stay those of earlier sweeps.
     side = SplitMix64(args.seed + 1)
+    cylinders = SplitMix64(args.seed + 2)
     t0 = time.monotonic()
     mismatches = 0
+    overlapping = 0
     for case in range(args.cases):
         na = 1 + rng.below(args.max_size)
         nb = 1 + rng.below(args.max_size)
@@ -231,6 +267,11 @@ def main() -> int:
         if not symmetry_matches(n, side):
             mismatches += 1
             print(f"symmetry check mismatch at case {case}: n={n}")
+        same, overlaps = overlap_matches(args.max_size, cylinders)
+        overlapping += overlaps
+        if not same:
+            mismatches += 1
+            print(f"cylinder overlap mismatch at case {case}")
         if case % 4 == 0:
             sizes = tuple(1 + rng.below(min(args.max_size, 6)) for _ in range(3))
             c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
@@ -262,7 +303,8 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair and symmetry cases + {chains} chain cases"
+        f"{args.cases} pair, masked pair, symmetry and cylinder overlap cases"
+        f" ({overlapping} overlapping) + {chains} chain cases"
         f" + {indexes} index, verdict, audit and q cases"
         f" in {dt:.1f}s"
     )
@@ -271,7 +313,7 @@ def main() -> int:
         return 1
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts,"
-        " the tuple audit and q match their oracles"
+        " the tuple audit, q and the cylinder overlap check match their oracles"
     )
     return 0
 

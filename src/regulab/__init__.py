@@ -23,6 +23,7 @@ from .core import (
     DensityUndefined,
     Graph,
     InvalidStructure,
+    InvariantViolation,
     MultipartiteGraph,
     ParseError,
     PartiteThreeGraph,

@@ -6,7 +6,7 @@ oracle-check.  Thresholds are parsed as exact rationals ("1/4", "0.25",
 across reruns with the same config and seed, except for runtime_ms.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 audit failure,
-3 capacity or nontermination.
+3 capacity, nontermination or a failed engine invariant.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     ContainmentError,
     DensityUndefined,
     InvalidStructure,
+    InvariantViolation,
     MultipartiteGraph,
     ParseError,
     PartiteVertexSet,
@@ -664,6 +665,9 @@ def run(argv) -> int:
         return EXIT_CAPACITY
     except (CapacityError, NonterminationError, RefinementFailure, SearchFailure) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 
 

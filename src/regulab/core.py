@@ -47,6 +47,10 @@ class CapacityError(RuntimeError):
     """Instance exceeds a documented exhaustive-search cap."""
 
 
+class InvariantViolation(RuntimeError):
+    """An engine's own re-verification failed: a bug, not a bad input."""
+
+
 def ratio(num: int, den: int) -> Fraction:
     """num/den as an exact fraction, with the 0/0 -> 0 convention."""
     if den == 0:

@@ -30,6 +30,7 @@ from .core import (
     Chain,
     Graph,
     InvalidStructure,
+    InvariantViolation,
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
@@ -484,6 +485,11 @@ def dlr_cylinder_regularity(
     cylinder is split along a deviation witness of its worst input (the
     first, in input order, of the largest certificates), and the combined
     edge index of the inputs must rise by at least profile.q_gain per step.
+
+    A pair density, certificate or deviation witness depends on one input
+    and its two masks only, and a split on pair (i, j) copies every other
+    pair's masks into its children, so each is computed once per
+    (input, mask_i, mask_j) in a run and read back where it recurs.
     """
     if not graphs:
         raise InvalidStructure("need at least one pair graph")
@@ -501,17 +507,25 @@ def dlr_cylinder_regularity(
         raise InvalidStructure("alpha must lie in (0, 1]")
     pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
 
+    squares: dict[tuple[int, int, int], Fraction] = {}
+    certs: dict[tuple[int, int, int], Fraction] = {}
+    witnesses: dict[tuple[int, int, int], tuple[int, int] | None] = {}
+
     def index_value(part: VertexCylinderPartition) -> Fraction:
         total = Fraction(0)
         for cyl in part.cylinders:
             w = cyl.weight(vs)
             if w == 0:
                 continue
-            for i, j, rows in graphs:
+            for m, (i, j, rows) in enumerate(graphs):
                 li, rj = cyl.masks[i], cyl.masks[j]
-                e = sum((rows[x] & rj).bit_count() for x in bits(li))
-                d = ratio(e, li.bit_count() * rj.bit_count())
-                total += w * d * d
+                key = (m, li, rj)
+                dd = squares.get(key)
+                if dd is None:
+                    e = sum((rows[x] & rj).bit_count() for x in bits(li))
+                    d = ratio(e, li.bit_count() * rj.bit_count())
+                    dd = squares[key] = d * d
+                total += w * dd
         return total
 
     rows_trace: list[TraceRow] = []
@@ -525,9 +539,11 @@ def dlr_cylinder_regularity(
                 continue
             worst_cert = alpha
             for m, (i, j, rows) in enumerate(graphs):
-                cert = masked_pair_quasirandomness(
-                    rows, list(bits(cyl.masks[i])), cyl.masks[j]
-                ).value
+                li, rj = cyl.masks[i], cyl.masks[j]
+                key = (m, li, rj)
+                cert = certs.get(key)
+                if cert is None:
+                    cert = certs[key] = masked_pair_quasirandomness(rows, list(bits(li)), rj).value
                 if cert > worst_cert:
                     worst_cert = cert
                     worst_at[ci] = m
@@ -558,14 +574,19 @@ def dlr_cylinder_regularity(
             if ci not in worst_at:
                 new_masks.append(cyl.masks)
                 continue
-            i, j, rows = graphs[worst_at[ci]]
-            ws = _witness_split(
-                rows,
-                list(bits(cyl.masks[i])),
-                cyl.masks[j],
-                profile.witness_search,
-                profile.witness_cap,
-            )
+            m = worst_at[ci]
+            i, j, rows = graphs[m]
+            key = (m, cyl.masks[i], cyl.masks[j])
+            if key in witnesses:
+                ws = witnesses[key]
+            else:
+                ws = witnesses[key] = _witness_split(
+                    rows,
+                    list(bits(cyl.masks[i])),
+                    cyl.masks[j],
+                    profile.witness_search,
+                    profile.witness_cap,
+                )
             if ws is None:
                 new_masks.append(cyl.masks)
                 continue
@@ -585,7 +606,7 @@ def dlr_cylinder_regularity(
         pv = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
         idx_new = index_value(pv)
         if idx_new < idx:
-            raise RuntimeError("edge index decreased across a vertex split")
+            raise InvariantViolation("edge index decreased across a vertex split")
         if idx_new - idx < profile.q_gain:
             raise RefinementFailure(
                 f"index gain {idx_new - idx} fell below the profile floor",
@@ -769,7 +790,7 @@ def refine_cell_chain(
             f"no edge partition reached d^2 + gain = {target} (best q {best_q})"
         )
     if q_of(best_pps, mode="naive") != best_q:
-        raise RuntimeError("fast and naive q disagree on the chosen partition")
+        raise InvariantViolation("fast and naive q disagree on the chosen partition")
     best_ep = EdgePartition(dict(zip(pair_keys, best_pps)))
     if best_ep.cell_count > profile.edge_part_cap:
         raise RefinementFailure(
@@ -937,7 +958,7 @@ def _reregularize_cylinders(
                 parent = ci
                 break
         if parent is None:
-            raise RuntimeError("refined cylinder has no parent")
+            raise InvariantViolation("refined cylinder has no parent")
         parents.append(parent)
     new_edges = []
     for ncyl, parent in zip(pv_new.cylinders, parents):
@@ -1005,7 +1026,7 @@ def hyper_cylinder_regularity(
             p = _apply_chain_refinements(h, p, useful, eta, profile, rows)
             q_new = q_partition(h, p, mode="fast")
             if q_new < q_prev:
-                raise RuntimeError("q decreased across an edge refinement")
+                raise InvariantViolation("q decreased across an edge refinement")
             if q_new - q_prev < gain:
                 raise RefinementFailure(
                     f"edge refinement gained {q_new - q_prev}, below the floor {gain}",
@@ -1015,7 +1036,7 @@ def hyper_cylinder_regularity(
             p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
             q_new = q_partition(h, p, mode="fast")
             if q_new < q_prev:
-                raise RuntimeError("q decreased across a cylinder split")
+                raise InvariantViolation("q decreased across a cylinder split")
         q_prev = q_new
     raise AssertionError("unreachable")
 
@@ -1092,7 +1113,7 @@ def szemeredi_multi(
             qp = restrict_chain_partition(qp, new_parts, origins)
             idx_new = index_value(qp)
             if idx_new < idx_prev:
-                raise RuntimeError("index decreased across a size split")
+                raise InvariantViolation("index decreased across a size split")
             idx_prev = idx_new
             continue
         bad_cells = []
@@ -1161,10 +1182,10 @@ def szemeredi_multi(
                 origins.append(a)
         qp = restrict_chain_partition(qp, new_parts, origins)
         if qp.edge_cell_count > l_bound:
-            raise RuntimeError("restriction increased a pair's cell count")
+            raise InvariantViolation("restriction increased a pair's cell count")
         idx_new = index_value(qp)
         if idx_new < idx_prev:
-            raise RuntimeError("index decreased across a witness split")
+            raise InvariantViolation("index decreased across a witness split")
         if idx_new - idx_prev < profile.q_gain:
             raise RefinementFailure(
                 f"index gain {idx_new - idx_prev} fell below the profile floor",
@@ -1358,7 +1379,7 @@ def fps_packing_partition(
             for u, v in combinations(group, 2):
                 diff = (neighborhoods[u] ^ neighborhoods[v]).bit_count()
                 if not diff * eps.denominator < 2 * eps.numerator * n_ref:
-                    raise RuntimeError("packing guarantee failed re-verification")
+                    raise InvariantViolation("packing guarantee failed re-verification")
         return tuple(tuple(group) for group in members)
 
     a_parts = pack(g.rows, g.right_size)

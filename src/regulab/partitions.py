@@ -101,6 +101,47 @@ class VertexCylinder:
         return tuple(mask_j if mask_i >> x & 1 else 0 for x in range(vs.sizes[i]))
 
 
+def first_overlap(
+    vs: PartiteVertexSet, cylinders: Sequence[VertexCylinder], mode: str = "fast"
+) -> tuple[int, int] | None:
+    """The first pair a < b, in lexicographic order, of cylinders that share
+    a tuple (every part's masks intersect), or None.  Masks must be in range.
+
+    ``naive`` tests every pair.  ``fast`` transposes: per part and vertex, a
+    bitset of the cylinders holding that vertex; cylinder a meets the AND
+    over parts of the OR of those bitsets over its mask, and the lowest bit
+    above a is its first partner.  An empty cylinder is in no AND.
+    """
+    if mode == "naive":
+        for a, ca in enumerate(cylinders):
+            if ca.is_empty():
+                continue
+            for b in range(a + 1, len(cylinders)):
+                cb = cylinders[b]
+                if not cb.is_empty() and all(ma & mb for ma, mb in zip(ca.masks, cb.masks)):
+                    return a, b
+        return None
+    if mode != "fast":
+        raise InvalidStructure(f"unknown mode {mode!r}")
+    holders = [[0] * s for s in vs.sizes]
+    for c, cyl in enumerate(cylinders):
+        for part, m in zip(holders, cyl.masks):
+            for x in bits(m):
+                part[x] |= 1 << c
+    for a, cyl in enumerate(cylinders):
+        hit = -1 << (a + 1)  # every bit above a
+        for part, m in zip(holders, cyl.masks):
+            u = 0
+            for x in bits(m):
+                u |= part[x]
+            hit &= u
+            if not hit:
+                break
+        if hit:
+            return a, (hit & -hit).bit_length() - 1
+    return None
+
+
 @dataclass(frozen=True)
 class VertexCylinderPartition:
     vertex_set: PartiteVertexSet
@@ -115,7 +156,10 @@ class VertexCylinderPartition:
 
     def validate(self) -> None:
         """Exact partition check: masks in range, pairwise product-disjoint,
-        and cell weights summing to the full product.  No enumeration."""
+        and cell weights summing to the full product.  No enumeration; the
+        disjointness test is :func:`first_overlap`, linear in the cylinder
+        count.  Errors win in that order: arity or range, then the first
+        overlapping pair, then the coverage count."""
         vs = self.vertex_set
         total = 1
         for s in vs.sizes:
@@ -130,16 +174,10 @@ class VertexCylinderPartition:
                     raise InvalidStructure("cylinder mask out of part range")
                 prod *= m.bit_count()
             acc += prod
-        for a in range(len(self.cylinders)):
-            ca = self.cylinders[a]
-            if ca.is_empty():
-                continue
-            for b in range(a + 1, len(self.cylinders)):
-                cb = self.cylinders[b]
-                if cb.is_empty():
-                    continue
-                if all(ma & mb for ma, mb in zip(ca.masks, cb.masks)):
-                    raise InvalidStructure(f"cylinders {a} and {b} overlap")
+        overlap = first_overlap(vs, self.cylinders)
+        if overlap is not None:
+            a, b = overlap
+            raise InvalidStructure(f"cylinders {a} and {b} overlap")
         if acc != total:
             raise InvalidStructure(f"cylinders cover {acc} of {total} tuples")
 

@@ -20,6 +20,7 @@ from .core import (
     CapacityError,
     Graph,
     InvalidStructure,
+    InvariantViolation,
     PartiteThreeGraph,
     ThreeGraph,
 )
@@ -31,7 +32,7 @@ INDUCED_PATTERN_CAP = 8
 
 def _check(cond: bool, msg: str) -> None:
     if not cond:
-        raise RuntimeError(f"witness failed re-verification: {msg}")
+        raise InvariantViolation(f"witness failed re-verification: {msg}")
 
 
 @dataclass(frozen=True)

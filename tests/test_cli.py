@@ -389,3 +389,16 @@ def test_decompose_reregularizes_the_cylinders_of_a_tournament(tmp_path):
     assert hashlib.sha256(body.encode()).hexdigest() == (
         "0767ddc41826ce953f8ba79679bfd09b81a17a8dbcad59e8dfc994cb8684b462"
     )
+
+
+def test_a_failed_engine_invariant_exits_three_with_one_line(cone_file, monkeypatch, capsys):
+    # q is re-measured after every refinement and must not fall; a q that
+    # does is the engine's own fault, reported like a capacity stop.
+    from regulab import engines
+
+    falling = iter(Fraction(1, k) for k in range(1, 100))
+    monkeypatch.setattr(engines, "q_partition", lambda *args, **kwargs: next(falling))
+    assert run(["decompose", "--input", str(cone_file), "--eta", "1/4", "--psi", "1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violated: q decreased across an edge refinement\n"
+    assert captured.out == ""

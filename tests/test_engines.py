@@ -9,17 +9,24 @@ from regulab.core import (
     BipartiteGraph,
     CapacityError,
     Chain,
+    Graph,
     InvalidStructure,
+    InvariantViolation,
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
     ThreeGraph,
     bits,
+    equitable_partition,
+    partite_from_graph,
+    ratio,
     relative_density,
 )
 from regulab.engines import (
     ConstantsProfile,
+    EngineError,
     IterationTrace,
+    NonterminationError,
     RefinementFailure,
     SATURATED,
     ScheduleSaturation,
@@ -48,6 +55,7 @@ from regulab.generators import (
     half_graph,
     random_bipartite,
     random_cylinder_chain_partition,
+    random_graph,
     random_partite_3graph,
     random_tournament_3graph,
 )
@@ -56,12 +64,19 @@ from regulab.partitions import (
     CylinderChainPartition,
     EdgePartition,
     PairPartition,
+    VertexCylinder,
+    VertexCylinderPartition,
     cells_by_label,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     q_edge_partition,
 )
-from regulab.quasirandom import PolyFunction, chain_quasirandomness, pair_quasirandomness
+from regulab.quasirandom import (
+    PolyFunction,
+    chain_quasirandomness,
+    masked_pair_quasirandomness,
+    pair_quasirandomness,
+)
 from conftest import (
     build_box_chain,
     build_clique_union,
@@ -215,6 +230,240 @@ def test_dlr_rejects_malformed_pair_graphs(graphs, message):
     with pytest.raises(InvalidStructure) as info:
         dlr_cylinder_regularity(vs, graphs, Fraction(1, 20), DESK)
     assert str(info.value) == message
+
+
+def _uncached_dlr(vs, graphs, alpha, profile, initial=None):
+    """``dlr_cylinder_regularity`` as it stood before it kept its terms:
+    every density, certificate and witness split recomputed where read."""
+    if not graphs:
+        raise InvalidStructure("need at least one pair graph")
+    for m, (i, j, rows) in enumerate(graphs):
+        if not 0 <= i < j < vs.t:
+            raise InvalidStructure(f"pair graph {m}: parts ({i}, {j}) need 0 <= i < j < {vs.t}")
+        if len(rows) != vs.sizes[i]:
+            raise InvalidStructure(
+                f"pair graph {m}: {len(rows)} rows, but part {i} has {vs.sizes[i]} vertices"
+            )
+        for x, r in enumerate(rows):
+            if r < 0 or r.bit_length() > vs.sizes[j]:
+                raise InvalidStructure(f"pair graph {m}: row {x} has bits outside part {j}")
+    if not 0 < alpha <= 1:
+        raise InvalidStructure("alpha must lie in (0, 1]")
+    pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
+
+    def index_value(part):
+        total = Fraction(0)
+        for cyl in part.cylinders:
+            w = cyl.weight(vs)
+            if w == 0:
+                continue
+            for i, j, rows in graphs:
+                li, rj = cyl.masks[i], cyl.masks[j]
+                e = sum((rows[x] & rj).bit_count() for x in bits(li))
+                d = ratio(e, li.bit_count() * rj.bit_count())
+                total += w * d * d
+        return total
+
+    rows_trace = []
+    idx = index_value(pv)
+    for step in range(profile.max_steps + 1):
+        worst_at = {}
+        bad_mass = Fraction(0)
+        for ci, cyl in enumerate(pv.cylinders):
+            w = cyl.weight(vs)
+            if w == 0:
+                continue
+            worst_cert = alpha
+            for m, (i, j, rows) in enumerate(graphs):
+                cert = masked_pair_quasirandomness(
+                    rows, list(bits(cyl.masks[i])), cyl.masks[j]
+                ).value
+                if cert > worst_cert:
+                    worst_cert = cert
+                    worst_at[ci] = m
+            if ci in worst_at:
+                bad_mass += w
+        ok = bad_mass <= alpha / 2
+        rows_trace.append(
+            TraceRow(
+                step,
+                idx,
+                len(pv.cylinders),
+                1,
+                bad_mass,
+                "accept" if ok else "split-cylinders",
+                stage="cylinder",
+            )
+        )
+        if ok:
+            return pv, IterationTrace(tuple(rows_trace))
+        if step == profile.max_steps:
+            raise NonterminationError(
+                "cylinder audit still failing at the step cap",
+                IterationTrace(tuple(rows_trace)),
+            )
+        new_masks = []
+        split_any = False
+        for ci, cyl in enumerate(pv.cylinders):
+            if ci not in worst_at:
+                new_masks.append(cyl.masks)
+                continue
+            i, j, rows = graphs[worst_at[ci]]
+            ws = _witness_split(
+                rows,
+                list(bits(cyl.masks[i])),
+                cyl.masks[j],
+                profile.witness_search,
+                profile.witness_cap,
+            )
+            if ws is None:
+                new_masks.append(cyl.masks)
+                continue
+            split_any = True
+            am, bm = ws
+            for mi in (am, cyl.masks[i] & ~am):
+                for mj in (bm, cyl.masks[j] & ~bm):
+                    child = list(cyl.masks)
+                    child[i], child[j] = mi, mj
+                    if all(child_mask for child_mask in child):
+                        new_masks.append(tuple(child))
+        if not split_any:
+            raise RefinementFailure(
+                "no deviation witness splits the failing cylinders",
+                IterationTrace(tuple(rows_trace)),
+            )
+        pv = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
+        idx_new = index_value(pv)
+        if idx_new < idx:
+            raise InvariantViolation("edge index decreased across a vertex split")
+        if idx_new - idx < profile.q_gain:
+            raise RefinementFailure(
+                f"index gain {idx_new - idx} fell below the profile floor",
+                IterationTrace(tuple(rows_trace)),
+            )
+        idx = idx_new
+    raise AssertionError("unreachable")
+
+
+def _dlr_outcome(fn, *args, **kwargs):
+    """(cylinders, trace rows), or the exception's class, message and the
+    trace rows it carries."""
+    try:
+        pv, trace = fn(*args, **kwargs)
+        return pv.cylinders, trace.rows
+    except (EngineError, CapacityError, InvariantViolation) as exc:
+        trace = getattr(exc, "trace", None)
+        return type(exc), str(exc), trace.rows if trace else None
+
+
+DLR_PROFILES = (
+    DESK,
+    ConstantsProfile.desk(witness_search="exhaustive"),
+    ConstantsProfile.desk(witness_search="exhaustive", witness_cap=3),
+    ConstantsProfile.desk(witness_search="greedy"),
+    ConstantsProfile.desk(max_steps=1),
+)
+
+
+def _assert_dlr_matches_uncached(vs, graphs, alpha, profile, initial=None):
+    got = _dlr_outcome(dlr_cylinder_regularity, vs, graphs, alpha, profile, initial=initial)
+    want = _dlr_outcome(_uncached_dlr, vs, graphs, alpha, profile, initial=initial)
+    assert got == want
+    return got
+
+
+def _outcome_kind(outcome) -> str:
+    if isinstance(outcome[0], tuple):
+        return "accept" if len(outcome[1]) == 1 else "split"
+    return outcome[0].__name__
+
+
+def test_dlr_terms_kept_per_mask_pair_match_the_uncached_run_on_graph_pairs():
+    """The graph pipeline's family: every pair graph of a random graph cut
+    into t = 2..5 equitable parts, over the witness modes and a step cap."""
+    rng = SplitMix64(21)
+    kinds = set()
+    for case in range(40):
+        t = 2 + case % 4
+        n = t * (2 + rng.below(3)) + rng.below(t)
+        g = random_graph(n, Fraction(1 + rng.below(3), 4), rng.next_u64())
+        parts = equitable_partition(n, t)
+        mg = partite_from_graph(g, [len(part) for part in parts])
+        graphs = [(i, j, mg.pair(i, j).rows) for i in range(t) for j in range(i + 1, t)]
+        alpha = (Fraction(1, 16), Fraction(1, 64))[case % 2]
+        profile = DLR_PROFILES[case % len(DLR_PROFILES)]
+        kinds.add(_outcome_kind(_assert_dlr_matches_uncached(mg.vertex_set, graphs, alpha, profile)))
+    assert {"split", "NonterminationError", "CapacityError"} <= kinds, kinds
+
+
+def test_dlr_terms_kept_per_mask_pair_match_the_uncached_run_on_cells():
+    """Cylinder re-regularization's family: the nonempty cells of a random
+    cylinder chain partition, t = 3..5, from its cylinders and from scratch."""
+    rng = SplitMix64(22)
+    kinds = set()
+    for case in range(24):
+        t = 3 + case % 3
+        vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(t)))
+        p = random_cylinder_chain_partition(vs, 1 + rng.below(3), 3, seed=rng.next_u64())
+        cells = [
+            (i, j, cell)
+            for cyl, ep in zip(p.vertex.cylinders, p.edges)
+            if cyl.weight(vs)
+            for i in range(t)
+            for j in range(i + 1, t)
+            for cell in ep.pair(i, j).cells
+            if any(cell)
+        ]
+        if not cells:
+            continue
+        alpha = (Fraction(1, 30), Fraction(1, 100))[case % 2]
+        profile = DLR_PROFILES[case % len(DLR_PROFILES)]
+        for initial in (p.vertex, None):
+            outcome = _assert_dlr_matches_uncached(vs, cells, alpha, profile, initial)
+            kinds.add(_outcome_kind(outcome))
+    assert {"split", "NonterminationError"} <= kinds, kinds
+
+
+def _half_graph_pairs():
+    """The pair graphs ``decompose --eps 1/8`` cuts from the 2x48 half graph."""
+    g = Graph.from_edges(96, [(i, 48 + j) for i in range(48) for j in range(i, 48)])
+    mg = partite_from_graph(g, [12] * 8)
+    return mg.vertex_set, [(i, j, mg.pair(i, j).rows) for i in range(8) for j in range(i + 1, 8)]
+
+
+def test_dlr_terms_kept_per_mask_pair_match_the_uncached_run_on_the_half_graph():
+    vs, graphs = _half_graph_pairs()
+    outcome = _assert_dlr_matches_uncached(vs, graphs, Fraction(1, 64), DESK)
+    assert _outcome_kind(outcome) == "split"
+
+
+def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
+    """On the half graph at eps 1/8 the four diagonal pair graphs are equal
+    triangles and splits copy the other pairs' masks, so the uncached run
+    makes 85 witness splits and 9,548 certificates of which 4 and 188 are
+    distinct; the run computes each distinct one once."""
+    import sys
+
+    from regulab import engines
+
+    vs, graphs = _half_graph_pairs()
+    splits = _count_calls(monkeypatch, _witness_split)
+    certs = _count_calls(monkeypatch, masked_pair_quasirandomness)
+    # The uncached copy here reads this module's names: count those too.
+    here = sys.modules[__name__]
+    monkeypatch.setattr(here, "_witness_split", engines._witness_split)
+    monkeypatch.setattr(here, "masked_pair_quasirandomness", engines.masked_pair_quasirandomness)
+
+    def distinct(calls):
+        return len({(id(rows), tuple(left), right) for rows, left, right, *_ in calls})
+
+    counts = []
+    for run in (_uncached_dlr, dlr_cylinder_regularity):
+        splits.clear()
+        certs.clear()
+        run(vs, graphs, Fraction(1, 64), DESK)
+        counts.append((len(splits), distinct(splits), len(certs), distinct(certs)))
+    assert counts == [(85, 4, 9548, 188), (4, 4, 188, 188)]
 
 
 def test_one_cylinder_refine_gains_on_box():

@@ -39,6 +39,7 @@ from regulab.partitions import (
     common_refinement,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
+    first_overlap,
     homogeneity_audit,
     markov_split_check,
     q_cylinder,
@@ -526,3 +527,74 @@ def test_an_empty_part_passes_both_verdicts():
         for chain in chains:
             assert eta_psi_check(chain, eta, psi, mode="fast")
             assert eta_psi_check(chain, eta, psi, mode="naive")
+
+
+def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet) -> list[VertexCylinder]:
+    """A random cylinder partition's cylinders with up to two edits, each
+    widening a mask or inserting a copy, an empty cylinder or random masks,
+    so that about half of the families overlap."""
+    pv = random_vertex_cylinder_partition(vs, 1 + rng.below(10), rng.next_u64())
+    masks = [cyl.masks for cyl in pv.cylinders]
+    for _ in range(rng.below(3)):
+        kind = rng.below(4)
+        if kind == 0:
+            c, i = rng.below(len(masks)), rng.below(vs.t)
+            row = list(masks[c])
+            row[i] |= rng.next_u64() & vs.full_mask(i)
+            masks[c] = tuple(row)
+            continue
+        if kind == 1:
+            new = masks[rng.below(len(masks))]
+        else:
+            row = [rng.next_u64() & vs.full_mask(i) for i in range(vs.t)]
+            if kind == 2:
+                row[rng.below(vs.t)] = 0
+            new = tuple(row)
+        masks.insert(rng.below(len(masks) + 1), new)
+    return [VertexCylinder(m) for m in masks]
+
+
+def test_linear_overlap_check_names_the_pairwise_checks_first_pair():
+    rng = SplitMix64(31)
+    found = set()
+    overlapping = 0
+    for _ in range(600):
+        vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(1 + rng.below(4))))
+        cyls = _random_cylinder_family(rng, vs)
+        pair = first_overlap(vs, cyls, "naive")
+        assert first_overlap(vs, cyls) == pair
+        if pair is None:
+            continue
+        overlapping += 1
+        found.add(pair)
+        with pytest.raises(InvalidStructure, match=f"^cylinders {pair[0]} and {pair[1]} overlap$"):
+            VertexCylinderPartition(vs, tuple(cyls))
+    assert 200 <= overlapping <= 400, overlapping
+    assert len(found) > 20
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        (((0b11,), (0b11, 0b11), (0b11, 0b11)), "cylinder arity does not match parts"),
+        (((0b11, 0b11), (0b11, 0b111)), "cylinder mask out of part range"),
+        (((0b11, 0b11), (0b01, 0b01)), "cylinders 0 and 1 overlap"),
+        (((0b01, 0b11),), "cylinders cover 2 of 4 tuples"),
+    ],
+)
+def test_validate_reports_arity_and_range_then_overlap_then_coverage(masks, message):
+    vs = PartiteVertexSet.of_sizes(2, 2)
+    with pytest.raises(InvalidStructure) as info:
+        VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in masks))
+    assert str(info.value) == message
+
+
+def test_validate_takes_4096_one_tuple_cylinders():
+    """Twelve parts of two shattered into single tuples: the pairwise check
+    tests 8.4 million pairs, the linear one reads each mask once."""
+    vs = PartiteVertexSet.of_sizes(*([2] * 12))
+    tuples = list(product((1, 2), repeat=12))
+    cyls = tuple(VertexCylinder(m) for m in tuples)
+    assert len(VertexCylinderPartition(vs, cyls).cylinders) == 4096
+    with pytest.raises(InvalidStructure, match="^cylinders 7 and 4096 overlap$"):
+        VertexCylinderPartition(vs, cyls + (cyls[7],))
