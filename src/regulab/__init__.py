@@ -52,7 +52,6 @@ from .quasirandom import (
     eta_psi_check,
     graph_quasirandomness,
     is_graph_quasirandom,
-    multipartite_graph_quasirandomness,
     pair_quasirandomness,
 )
 from .partitions import (

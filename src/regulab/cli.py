@@ -73,7 +73,6 @@ from .partitions import q_edge_partition, EdgePartition
 from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
-    multipartite_graph_quasirandomness,
     pair_quasirandomness,
     graph_quasirandomness,
 )
@@ -245,12 +244,12 @@ def _cmd_analyze(args) -> int:
         g = load_multipartite(sc)
         del sc
         part_counts = list(g.vertex_set.sizes)
+        certs = {mode: graph_quasirandomness(g, mode=mode) for mode in modes}
         for mode in modes:
-            certs = graph_quasirandomness(g, mode=mode)
             audit[mode] = {
-                f"{i},{j}": _cert_dict(cert) for (i, j), cert in sorted(certs.items())
+                f"{i},{j}": _cert_dict(cert) for (i, j), cert in sorted(certs[mode].items())
             }
-        value = multipartite_graph_quasirandomness(g, mode=modes[0])
+        value = max(cert.value for cert in certs[modes[0]].values())
         audit["max_pair_value"] = fraction_str(value)
     elif kind == "graph":
         g = load_graph(sc)

@@ -382,12 +382,13 @@ class PartiteThreeGraph:
     triples: frozenset[tuple[int, int, int]]
 
     def __post_init__(self):
-        vs = self.vertex_set
+        owner = self.vertex_set.owner
+        total = len(owner)
         for t in self.triples:
             u, v, w = t
-            if not (0 <= u < v < w < vs.total):
+            if not (0 <= u < v < w < total):
                 raise InvalidStructure(f"triple {t} not sorted-distinct in range")
-            if len({vs.part_of(u), vs.part_of(v), vs.part_of(w)}) != 3:
+            if len({owner[u], owner[v], owner[w]}) != 3:
                 raise InvalidStructure(f"triple {t} does not cross three parts")
 
     @classmethod
@@ -547,24 +548,17 @@ def restrict_chain(
     return extract_cell_chain(c.hyper, tuple(masks), (0, 1, 2), tuple(cells))
 
 
-def equitable_partition(n: int, t: int, seed: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Split [n] into t parts of size floor/ceil(n/t); remainder on the first parts.
-
-    With a seed, vertices are shuffled (splitmix64 Fisher-Yates) before
-    slicing; part contents are returned sorted either way.
-    """
+def equitable_partition(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Split [n] into t consecutive ranges of size floor/ceil(n/t), the
+    remainder on the first parts.  Partite ids of these parts are the
+    input's own ids."""
     if t < 1 or n < 0:
         raise InvalidStructure("need t >= 1 and n >= 0")
-    order = list(range(n))
-    if seed is not None:
-        from .generators import SplitMix64
-
-        SplitMix64(seed).shuffle(order)
     base, extra = divmod(n, t)
     parts, pos = [], 0
     for i in range(t):
         size = base + (1 if i < extra else 0)
-        parts.append(tuple(sorted(order[pos : pos + size])))
+        parts.append(tuple(range(pos, pos + size)))
         pos += size
     return tuple(parts)
 
@@ -587,19 +581,16 @@ def partite_from_graph(g: Graph, sizes: Sequence[int]) -> MultipartiteGraph:
     return MultipartiteGraph(vs, pair_graphs)
 
 
-def partite_from_three_graph(
-    h: ThreeGraph, parts: Sequence[Sequence[int]], names: Sequence[str] | None = None
-) -> tuple[PartiteThreeGraph, tuple[tuple[int, ...], ...]]:
+def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> PartiteThreeGraph:
     """Crossing triples of ``h`` w.r.t. a vertex partition, re-indexed to parts.
 
-    Returns the partite 3-graph plus, per part, the original vertex ids in
-    their new local order (for translating results back).
+    Vertex ``parts[i][local]`` becomes local id ``local`` of part i, so on
+    consecutive ranges the partite ids are ``h``'s own ids.
     """
     seen = [v for p in parts for v in p]
     if sorted(seen) != list(range(h.n)):
         raise InvalidStructure("parts must partition the vertex set")
-    names = tuple(names) if names is not None else tuple(f"X{i}" for i in range(len(parts)))
-    vs = PartiteVertexSet(names, tuple(len(p) for p in parts))
+    vs = PartiteVertexSet.of_sizes(*(len(p) for p in parts))
     where = {}
     for i, p in enumerate(parts):
         for local, v in enumerate(p):
@@ -609,7 +600,7 @@ def partite_from_three_graph(
     for (u, v, w) in h.triples:
         if len({part_idx[u], part_idx[v], part_idx[w]}) == 3:
             crossing.append(_canon_triple(where[u], where[v], where[w]))
-    return PartiteThreeGraph(vs, frozenset(crossing)), tuple(tuple(p) for p in parts)
+    return PartiteThreeGraph(vs, frozenset(crossing))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,11 @@ class RefinementFailure(EngineError):
         self.trace = trace
 
 
+class NoCandidateSplit(RefinementFailure):
+    """A non-quasirandom cell chain has no candidate edge split: within each
+    pair every edge has the same deviation."""
+
+
 class ScheduleSaturation(EngineError):
     """A literal schedule constant exceeded the tower cap."""
 
@@ -317,15 +322,8 @@ class ConstantsProfile:
         return cls(**base)
 
     @classmethod
-    def paper(cls, **overrides) -> "ConstantsProfile":
-        base = dict(
-            name="paper",
-            q_gain=Fraction(1, 1 << 20),
-            edge_part_cap=64,
-            max_steps=64,
-        )
-        base.update(overrides)
-        return cls(**base)
+    def paper(cls) -> "ConstantsProfile":
+        return cls(name="paper", q_gain=Fraction(1, 1 << 20), edge_part_cap=64, max_steps=64)
 
     @property
     def is_paper(self) -> bool:
@@ -642,8 +640,8 @@ def refine_cell_chain(
     candidate's q with the naive oracle before returning.  The result holds
     one PairPartition per pair, keyed (i, j), (i, k) and (j, k), on the
     cylinder masks.  Raises InvalidStructure when the chain is already
-    eta-quasirandom and RefinementFailure when no candidate reaches the
-    gain target.
+    eta-quasirandom, NoCandidateSplit when there is no candidate at all and
+    RefinementFailure when no candidate reaches the gain target.
     """
     tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
     if cert <= eta:
@@ -782,7 +780,7 @@ def refine_cell_chain(
                 best_q, best_pps = qv, pps
 
     if best_pps is None:
-        raise RefinementFailure(
+        raise NoCandidateSplit(
             "no candidate edge split exists: within each pair every edge has the same deviation"
         )
     if best_q < target:
@@ -862,26 +860,29 @@ def _apply_chain_refinements(
     eta: Fraction,
     profile: ConstantsProfile,
     trace_rows,
-) -> CylinderChainPartition:
-    """Refine every useful cell chain where it lies and merge the splits.
+) -> CylinderChainPartition | None:
+    """Refine every useful cell chain where it lies and merge the splits,
+    or None when no useful chain has a candidate split.
 
     Each chain's refinement proposes a variant of each of its three cells;
-    a cell's new cells are the common refinement of its variants.
+    a cell's new cells are the common refinement of its variants.  A chain
+    without candidates (:class:`NoCandidateSplit`) is skipped.
     """
     splits: dict[tuple[int, tuple[int, int], int], list[PairPartition]] = {}
     for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
         cyl = p.vertex.cylinders[ci]
         masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-        pe = refine_cell_chain(h, masks, (i, j, k), cells, eta, profile)
+        try:
+            pe = refine_cell_chain(h, masks, (i, j, k), cells, eta, profile)
+        except NoCandidateSplit:
+            continue
         for pair, cell_idx in zip(((i, j), (i, k), (j, k)), combo):
             variant = pe.pair(*pair)
             if variant.cell_count > 1:
                 splits.setdefault((ci, pair, cell_idx), []).append(variant)
 
     if not splits:
-        raise RefinementFailure(
-            "useful chains produced no cell splits", IterationTrace(tuple(trace_rows))
-        )
+        return None
 
     by_pair: dict[tuple[int, tuple[int, int]], dict[int, list]] = {}
     for (ci, pair, cell_idx), variants in splits.items():
@@ -984,8 +985,9 @@ def hyper_cylinder_regularity(
     accept, returning the partition, the audit it was accepted on and the
     trace.  Otherwise refine every useful cell chain (certificate above
     eta) through refine_cell_chain and demand the profile's q gain; when
-    no chain is useful the failure is on the graph side, so cylinders are
-    re-regularized instead (monotone in q but with no gain floor).  Under
+    no chain is useful, or no useful chain has a candidate edge split, the
+    cylinders are re-regularized instead (monotone in q but with no gain
+    floor) and the step's trace row reads ``split-cylinders``.  Under
     the paper profile the literal schedules are evaluated first and the
     run refuses on saturation.
     """
@@ -1022,8 +1024,9 @@ def hyper_cylinder_regularity(
             raise NonterminationError(
                 "tuple audit still failing at the step cap", IterationTrace(tuple(rows))
             )
-        if useful:
-            p = _apply_chain_refinements(h, p, useful, eta, profile, rows)
+        refined = _apply_chain_refinements(h, p, useful, eta, profile, rows) if useful else None
+        if refined is not None:
+            p = refined
             q_new = q_partition(h, p, mode="fast")
             if q_new < q_prev:
                 raise InvariantViolation("q decreased across an edge refinement")
@@ -1033,6 +1036,8 @@ def hyper_cylinder_regularity(
                     IterationTrace(tuple(rows)),
                 )
         else:
+            # Also when no useful chain had a candidate edge split.
+            rows[-1] = replace(rows[-1], action="split-cylinders")
             p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
             q_new = q_partition(h, p, mode="fast")
             if q_new < q_prev:
@@ -1205,27 +1210,6 @@ def _ceil_inverse(x: Fraction) -> int:
     return -((-inv.numerator) // inv.denominator)
 
 
-def _remap_chain_partition(
-    q: ChainPartition, part_ids: Sequence[Sequence[int]], n: int
-) -> ChainPartition:
-    """Translate a partition of re-indexed partite ids back to originals."""
-    vs_sizes = [len(p) for p in part_ids]
-    offsets = [0]
-    for s in vs_sizes:
-        offsets.append(offsets[-1] + s)
-    table: dict[int, int] = {}
-    for pi, ids in enumerate(part_ids):
-        for local, orig in enumerate(ids):
-            table[offsets[pi] + local] = orig
-    new_parts = []
-    for part in q.parts:
-        mapped = tuple(table[g] for g in part)
-        if list(mapped) != sorted(mapped):
-            raise InvalidStructure("part image is not order preserving")
-        new_parts.append(mapped)
-    return ChainPartition(n, tuple(new_parts), dict(q.pairs))
-
-
 def homogeneous_decomposition(
     h: ThreeGraph,
     eta: Fraction,
@@ -1239,9 +1223,11 @@ def homogeneous_decomposition(
 
     Pipeline: equitable t-partition, cylinder chain regularity at the
     profile's internal threshold (eta^4/16 by default), Venn conversion to
-    a genuine chain partition, then pairwise regularity.  The returned
-    audit is recomputed from scratch on the original hypergraph and also
-    carries the ordered pair-mass of sparse cells.
+    a genuine chain partition, then pairwise regularity.  The equitable
+    parts are consecutive ranges, so partite ids are the input's own ids
+    and the result needs no translating back.  The returned audit is
+    recomputed from scratch on the original hypergraph and also carries
+    the ordered pair-mass of sparse cells.
     """
     n = h.n
     if n < 3:
@@ -1250,14 +1236,12 @@ def homogeneous_decomposition(
         t = min(n, 3 * _ceil_inverse(eta))
     elif not 3 <= t <= n:
         raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
-    parts = equitable_partition(n, t)
-    hp, part_ids = partite_from_three_graph(h, parts)
+    hp = partite_from_three_graph(h, equitable_partition(n, t))
     eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
     p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
     qv = venn_diagram(p)
     alpha_s = profile.szemeredi_alpha if profile.szemeredi_alpha is not None else Fraction(1, 4)
-    qs, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
-    qfin = _remap_chain_partition(qs, part_ids, n)
+    qfin, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
     audit = homogeneity_audit(h, qfin, eta, psi)
     zeta = profile.sparse_density if profile.sparse_density is not None else eta * eta / 16
     sparse = Fraction(0)
@@ -1307,7 +1291,7 @@ def graph_homogeneous_decomposition(
         t = min(n, _ceil_inverse(eps))
     elif not 2 <= t <= n:
         raise InvalidStructure(f"t must lie in [2, {n}], got {t}")
-    parts = equitable_partition(n, t)  # unseeded: consecutive ranges
+    parts = equitable_partition(n, t)  # consecutive ranges
     mg = partite_from_graph(g, [len(p) for p in parts])
     pair_graphs = [(i, j, mg.pair(i, j).rows) for (i, j) in _pair_list(t)]
     pv, trace = dlr_cylinder_regularity(mg.vertex_set, pair_graphs, eps * eps, profile)
@@ -1451,8 +1435,7 @@ def quasirandom_subset(
         raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
     if s > t:
         raise InvalidStructure("subset size exceeds part count")
-    parts = equitable_partition(n, t)
-    hp, part_ids = partite_from_three_graph(h, parts)
+    hp = partite_from_three_graph(h, equitable_partition(n, t))
     vs = hp.vertex_set
     eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
     p, _, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
@@ -1514,9 +1497,6 @@ def quasirandom_subset(
             cell_rows[(i, j)][x] &= ~(1 << y)
     delta = ratio(e_min, m * m)
 
-    def orig_id(part: int, local: int) -> int:
-        return part_ids[part][local]
-
     buckets: dict[tuple[int, int, int], int] = {}
     width = eta * eta
     for (i, j, k) in _triple_list(t):
@@ -1547,7 +1527,7 @@ def quasirandom_subset(
 
     u = s * m
     vertices = tuple(
-        orig_id(part, keeps[part][x]) for part in mono for x in range(m)
+        vs.to_global(part, keeps[part][x]) for part in mono for x in range(m)
     )
     adj = [0] * u
     for a_pos in range(s):

@@ -373,11 +373,9 @@ def random_chain_partition(n: int, part_count: int, k: int, seed: int):
         parts.append(tuple(sorted(ids[prev:b])))
         prev = b
     parts.sort()
-    pairs = {}
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            la, lb = len(parts[a]), len(parts[b])
-            host = ((1 << lb) - 1,) * la
-            cells = random_pair_partition_cells(rng, host, la, k)
-            pairs[(a, b)] = PairPartition(la, lb, (1 << la) - 1, (1 << lb) - 1, host, cells)
+    pairs = {
+        (a, b): PairPartition.complete(len(parts[a]), len(parts[b]), lambda x, y: rng.below(k))
+        for a in range(len(parts))
+        for b in range(a + 1, len(parts))
+    }
     return ChainPartition(n, tuple(parts), pairs)

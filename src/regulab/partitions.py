@@ -14,12 +14,18 @@ Both are exact and must agree.  :func:`q_cell_chain` is the one place that
 picks between them: q of a chain's edge partition, of a cylinder and of
 the engine's refinement candidates all go through it.
 
+:func:`triangle_tallies` is the one label-keyed triangle sweep: it counts
+the triangles and hyperedges of three hosts per label triple of a
+triangle's edges.  q's fast mode, :func:`homogeneity_audit` and
+:func:`markov_split_check` all count through it.
+
 Each partition-building decision has one home.  :func:`cells_by_label`
 is the one cell builder: it groups a host's edges by a per-edge label and
-orders the cells by label.  ``VertexCylinder.host_rows`` is the one
-complete bipartite host of a cylinder.  :func:`extract_cell_chain` is the
-one sub-chain cutter; ``core.restrict_chain`` checks its arguments and
-calls it.
+orders the cells by label.  ``PairPartition.complete`` is the one builder
+of a pair on a complete host with full masks, as chain partitions hold
+them.  ``VertexCylinder.host_rows`` is the one complete bipartite host of
+a cylinder.  :func:`extract_cell_chain` is the one sub-chain cutter;
+``core.restrict_chain`` checks its arguments and calls it.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
@@ -52,6 +58,7 @@ from .core import (
     PartiteVertexSet,
     ThreeGraph,
     bits,
+    partite_from_three_graph,
     ratio,
     relative_density,
 )
@@ -235,6 +242,21 @@ class PairPartition:
     ) -> "PairPartition":
         return cls(left_size, right_size, left_mask, right_mask, tuple(host_rows), (tuple(host_rows),))
 
+    @classmethod
+    def complete(
+        cls,
+        left_size: int,
+        right_size: int,
+        label: Callable[[int, int], Hashable] = lambda x, y: 0,
+    ) -> "PairPartition":
+        """A pair on the complete host with full masks, its edges grouped
+        into cells by ``label(x, y)`` through :func:`cells_by_label`.  The
+        default constant label gives the trivial partition."""
+        full_r = (1 << right_size) - 1
+        host = (full_r,) * left_size
+        cells = cells_by_label(left_size, host, label)
+        return cls(left_size, right_size, (1 << left_size) - 1, full_r, host, cells)
+
     @property
     def cell_count(self) -> int:
         return len(self.cells)
@@ -404,13 +426,11 @@ class ChainPartition:
     @classmethod
     def trivial(cls, n: int, parts: Sequence[Sequence[int]]) -> "ChainPartition":
         pt = tuple(tuple(sorted(p)) for p in parts)
-        pairs = {}
-        for a in range(len(pt)):
-            for b in range(a + 1, len(pt)):
-                la, lb = len(pt[a]), len(pt[b])
-                pairs[(a, b)] = PairPartition.trivial(
-                    la, lb, (1 << la) - 1, (1 << lb) - 1, ((1 << lb) - 1,) * la
-                )
+        pairs = {
+            (a, b): PairPartition.complete(len(pt[a]), len(pt[b]))
+            for a in range(len(pt))
+            for b in range(a + 1, len(pt))
+        }
         return cls(max((v for p in pt for v in p), default=-1) + 1 if pt else 0, pt, pairs)
 
     @property
@@ -421,42 +441,42 @@ class ChainPartition:
     def edge_cell_count(self) -> int:
         return max(pp.cell_count for pp in self.pairs.values()) if self.pairs else 1
 
-    def part_of(self) -> dict[int, int]:
-        return {v: a for a, p in enumerate(self.parts) for v in p}
-
 
 # ---------------------------------------------------------------------------
 # Mean-squared density q.
 # ---------------------------------------------------------------------------
 
 
-def _q_triple_fast(
-    rows_ab: Sequence[int],
-    rows_ac: Sequence[int],
-    rows_bc: Sequence[int],
-    pp_ab: PairPartition,
-    pp_ac: PairPartition,
-    pp_bc: PairPartition,
+def triangle_tallies(
+    rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    labels: tuple[Sequence[Sequence[Hashable]], ...],
     zm: Mapping[tuple[int, int], int],
-) -> Fraction:
-    """q over one part triple: single triangle sweep with cell labels.
+) -> tuple[dict[tuple, int], dict[tuple, int], int]:
+    """(tri, hyp, total): one sweep over the triangles of three hosts.
 
-    ``zm[(x, y)]`` is the bitmask over z of hyperedges through (x, y).
+    ``rows`` are the hosts of the (i, j), (i, k) and (j, k) pairs and
+    ``labels`` per-edge label tables of the same shape.  A triangle
+    (x, y, z) is keyed by the labels of its three edges; ``tri`` counts the
+    triangles of each key, ``hyp`` those that are hyperedges (bit z of
+    ``zm[(x, y)]``) and ``total`` all triangles.  The one label-keyed
+    triangle tally: q, the homogeneity audit and the Markov check count
+    through it.
     """
-    lab_ab, lab_ac, lab_bc = pp_ab.labels, pp_ac.labels, pp_bc.labels
-    tri: dict[tuple[int, int, int], int] = {}
-    hyp: dict[tuple[int, int, int], int] = {}
+    rows_ab, rows_ac, rows_bc = rows
+    lab_ab, lab_ac, lab_bc = labels
+    tri: dict[tuple, int] = {}
+    hyp: dict[tuple, int] = {}
     total = 0
     for x in range(len(rows_ab)):
         row_ac = rows_ac[x]
         if not row_ac:
             continue
-        lx_ac = lab_ac[x]
+        lx_ab, lx_ac = lab_ab[x], lab_ac[x]
         for y in bits(rows_ab[x]):
             zmask = row_ac & rows_bc[y]
             if not zmask:
                 continue
-            a = lab_ab[x][y]
+            a = lx_ab[y]
             hmask = zm.get((x, y), 0)
             ly_bc = lab_bc[y]
             for z in bits(zmask):
@@ -465,12 +485,7 @@ def _q_triple_fast(
                 if hmask >> z & 1:
                     hyp[key] = hyp.get(key, 0) + 1
                 total += 1
-    if total == 0:
-        return Fraction(0)
-    out = Fraction(0)
-    for key, e in hyp.items():
-        out += Fraction(e * e, tri[key] * total)
-    return out
+    return tri, hyp, total
 
 
 def _q_triple_naive(rows_ab, rows_ac, rows_bc, pp_ab, pp_ac, pp_bc, zm, sizes) -> Fraction:
@@ -519,7 +534,8 @@ def q_cell_chain(
     """
     zm = h.zmasks(*parts)
     if mode == "fast":
-        return _q_triple_fast(*rows, *pps, zm)
+        tri, hyp, total = triangle_tallies(rows, tuple(pp.labels for pp in pps), zm)
+        return sum((Fraction(e * e, tri[key] * total) for key, e in hyp.items()), Fraction(0))
     if mode == "naive":
         sizes = tuple(h.vertex_set.sizes[a] for a in parts)
         return _q_triple_naive(*rows, *pps, zm, sizes)
@@ -700,21 +716,17 @@ def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
         i, locs_a, prof_a = part_cells[a_idx]
         for b_idx in range(a_idx + 1, len(part_cells)):
             j, locs_b, prof_b = part_cells[b_idx]
-            la, lb = len(locs_a), len(locs_b)
-            full_l, full_r = (1 << la) - 1, (1 << lb) - 1
-            host = (full_r,) * la
             if i == j:
-                pairs[(a_idx, b_idx)] = PairPartition.trivial(la, lb, full_l, full_r, host)
-                continue
-            lo, hi = (i, j) if i < j else (j, i)
-            containing = sorted(set(prof_a) & set(prof_b))
-            lab_per_cyl = [p.edges[c].pair(lo, hi).labels for c in containing]
-            if i < j:
-                label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
+                label = lambda pa, pb: 0
             else:
-                label = lambda pa, pb: tuple(lab[locs_b[pb]][locs_a[pa]] for lab in lab_per_cyl)
-            cells = cells_by_label(la, host, label)
-            pairs[(a_idx, b_idx)] = PairPartition(la, lb, full_l, full_r, host, cells)
+                lo, hi = (i, j) if i < j else (j, i)
+                containing = sorted(set(prof_a) & set(prof_b))
+                lab_per_cyl = [p.edges[c].pair(lo, hi).labels for c in containing]
+                if i < j:
+                    label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
+                else:
+                    label = lambda pa, pb: tuple(lab[locs_b[pb]][locs_a[pa]] for lab in lab_per_cyl)
+            pairs[(a_idx, b_idx)] = PairPartition.complete(len(locs_a), len(locs_b), label)
 
     return ChainPartition(vs.total, parts, pairs)
 
@@ -738,24 +750,18 @@ def restrict_chain_partition(
     pairs = {}
     for a in range(len(pt)):
         for b in range(a + 1, len(pt)):
-            la, lb = len(pt[a]), len(pt[b])
-            full_l, full_r = (1 << la) - 1, (1 << lb) - 1
-            host = (full_r,) * la
             oa, ob = origin[a], origin[b]
             if oa == ob:
-                pairs[(a, b)] = PairPartition.trivial(la, lb, full_l, full_r, host)
-                continue
-            lo_o, hi_o = (oa, ob) if oa < ob else (ob, oa)
-            base = q.pairs[(lo_o, hi_o)]
-            lab = base.labels
-            pos_a = [pos_in_origin[oa][u] for u in pt[a]]
-            pos_b = [pos_in_origin[ob][v] for v in pt[b]]
-            if oa < ob:
-                label = lambda pa, pb: lab[pos_a[pa]][pos_b[pb]]
+                label = lambda pa, pb: 0
             else:
-                label = lambda pa, pb: lab[pos_b[pb]][pos_a[pa]]
-            cells = cells_by_label(la, host, label)
-            pairs[(a, b)] = PairPartition(la, lb, full_l, full_r, host, cells)
+                lab = q.pairs[min(oa, ob), max(oa, ob)].labels
+                pos_a = [pos_in_origin[oa][u] for u in pt[a]]
+                pos_b = [pos_in_origin[ob][v] for v in pt[b]]
+                if oa < ob:
+                    label = lambda pa, pb: lab[pos_a[pa]][pos_b[pb]]
+                else:
+                    label = lambda pa, pb: lab[pos_b[pb]][pos_a[pa]]
+            pairs[(a, b)] = PairPartition.complete(len(pt[a]), len(pt[b]), label)
     return ChainPartition(q.n, pt, pairs)
 
 
@@ -823,53 +829,22 @@ def homogeneity_audit(
         one = Fraction(1)
         return HomogeneityAudit(gamma, one, one, one, Fraction(0), Fraction(0))
 
-    part_of = q.part_of()
-    pos = [{v: i for i, v in enumerate(p)} for p in q.parts]
-    labels = {key: pp.labels for key, pp in q.pairs.items()}
-
-    hyp: dict[tuple, int] = {}
-    for (u, v, w) in h.triples:
-        pa, pb, pc = part_of[u], part_of[v], part_of[w]
-        if len({pa, pb, pc}) != 3:
-            continue
-        (pa, u2), (pb, v2), (pc, w2) = sorted(((pa, u), (pb, v), (pc, w)))
-        key = (
-            pa,
-            pb,
-            pc,
-            labels[(pa, pb)][pos[pa][u2]][pos[pb][v2]],
-            labels[(pa, pc)][pos[pa][u2]][pos[pc][w2]],
-            labels[(pb, pc)][pos[pb][v2]][pos[pc][w2]],
-        )
-        hyp[key] = hyp.get(key, 0) + 1
-
+    hp = partite_from_three_graph(h, q.parts)
     hom_num = qr_num = crossing = 0
-    m = len(q.parts)
-    for pa in range(m):
-        for pb in range(pa + 1, m):
-            for pc in range(pb + 1, m):
-                sizes = (len(q.parts[pa]), len(q.parts[pb]), len(q.parts[pc]))
-                if 0 in sizes:
-                    continue
-                crossing += 6 * sizes[0] * sizes[1] * sizes[2]
-                pps = (q.pairs[(pa, pb)], q.pairs[(pa, pc)], q.pairs[(pb, pc)])
-                lab_ab, lab_ac, lab_bc = (pp.labels for pp in pps)
-                tri: dict[tuple[int, int, int], int] = {}
-                for ia in range(sizes[0]):
-                    row_ab, row_ac = lab_ab[ia], lab_ac[ia]
-                    for ib in range(sizes[1]):
-                        cab = row_ab[ib]
-                        lab_b = lab_bc[ib]
-                        for ic in range(sizes[2]):
-                            key = (cab, row_ac[ic], lab_b[ic])
-                            tri[key] = tri.get(key, 0) + 1
-                for (cab, cac, cbc), t_cnt in tri.items():
-                    e_cnt = hyp.get((pa, pb, pc, cab, cac, cbc), 0)
-                    d = ratio(e_cnt, t_cnt)
-                    if d <= gamma or d >= 1 - gamma:
-                        hom_num += 6 * t_cnt
-                    if psi is not None and cells_quasirandom(pps, (cab, cac, cbc), psi):
-                        qr_num += 6 * t_cnt
+    for pa, pb, pc in itertools.combinations(range(len(q.parts)), 3):
+        crossing += 6 * len(q.parts[pa]) * len(q.parts[pb]) * len(q.parts[pc])
+        pps = (q.pairs[(pa, pb)], q.pairs[(pa, pc)], q.pairs[(pb, pc)])
+        tri, hyp, _ = triangle_tallies(
+            tuple(pp.host_rows for pp in pps),
+            tuple(pp.labels for pp in pps),
+            hp.zmasks(pa, pb, pc),
+        )
+        for combo, t_cnt in tri.items():
+            d = ratio(hyp.get(combo, 0), t_cnt)
+            if d <= gamma or d >= 1 - gamma:
+                hom_num += 6 * t_cnt
+            if psi is not None and cells_quasirandom(pps, combo, psi):
+                qr_num += 6 * t_cnt
 
     total = n**3
     return HomogeneityAudit(
@@ -1115,10 +1090,13 @@ def markov_split_check(
             raise InvalidStructure(f"vertex split of part {i} incomplete")
         vlabel.append(lab)
 
-    elabel = {}
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
+    # An edge's label is (vertex block, vertex block, edge block), so a
+    # triangle's three labels name its six blocks one to one.
+    keys = ((0, 1), (0, 2), (1, 2))
+    labels = []
+    for (i, j) in keys:
         host = c.graph.pair(i, j)
-        lab = [[-1] * host.right_size for _ in range(host.left_size)]
+        lab = [[0] * host.right_size for _ in range(host.left_size)]
         if edge_splits is not None and (i, j) in edge_splits:
             blocks = edge_splits[(i, j)]
             seen = [0] * host.left_size
@@ -1132,33 +1110,15 @@ def markov_split_check(
                         lab[x][y] = idx
             if any(seen[x] != host.rows[x] for x in range(host.left_size)):
                 raise InvalidStructure(f"edge split of pair {(i, j)} incomplete")
-        else:
-            for x in range(host.left_size):
-                for y in bits(host.rows[x]):
-                    lab[x][y] = 0
-        elabel[(i, j)] = lab
-
-    zm = c.hyper.zmasks(0, 1, 2)
-    tri: dict[tuple, int] = {}
-    hyp: dict[tuple, int] = {}
-    total = 0
-    ab, ac, bc = c.graph.pair(0, 1), c.graph.pair(0, 2), c.graph.pair(1, 2)
-    for x in range(vs.sizes[0]):
-        row_ac = ac.rows[x]
-        if not row_ac:
-            continue
-        for y in bits(ab.rows[x]):
-            zmask = row_ac & bc.rows[y]
-            if not zmask:
-                continue
-            hm = zm.get((x, y), 0)
-            base = (vlabel[0][x], vlabel[1][y], elabel[(0, 1)][x][y])
-            for z in bits(zmask):
-                key = base + (vlabel[2][z], elabel[(0, 2)][x][z], elabel[(1, 2)][y][z])
-                tri[key] = tri.get(key, 0) + 1
-                if hm >> z & 1:
-                    hyp[key] = hyp.get(key, 0) + 1
-                total += 1
+        labels.append(
+            [
+                [(vlabel[i][x], vlabel[j][y], lab[x][y]) for y in range(host.right_size)]
+                for x in range(host.left_size)
+            ]
+        )
+    tri, hyp, total = triangle_tallies(
+        tuple(c.graph.pair(i, j).rows for i, j in keys), tuple(labels), c.hyper.zmasks(0, 1, 2)
+    )
 
     bad = 0
     for key, t_cnt in tri.items():

@@ -143,13 +143,6 @@ class DeviationFunction3:
                         raise InvalidStructure(f"nonzero entry off support at {(x, y, z)}")
 
     @classmethod
-    def from_rows(cls, rows, support=None) -> "DeviationFunction3":
-        return cls(
-            tuple(tuple(tuple(Fraction(v) for v in col) for col in plane) for plane in rows),
-            frozenset(support) if support is not None else None,
-        )
-
-    @classmethod
     def from_chain(cls, c: Chain) -> "DeviationFunction3":
         vs = c.vertex_set
         n0, n1, n2 = vs.sizes
@@ -450,9 +443,3 @@ def eta_psi_check(c: Chain, eta: Fraction, psi: PolyFunction, mode: str = "fast"
         return False
     threshold = psi(product_density(c.graph))
     return is_graph_quasirandom(c.graph, threshold, mode=mode)
-
-
-def multipartite_graph_quasirandomness(g: MultipartiteGraph, mode: str = "fast") -> Fraction:
-    """Largest pair certificate over all part pairs; the least alpha for
-    which every pair of g is alpha-quasirandom."""
-    return max(cert.value for cert in graph_quasirandomness(g, mode=mode).values())

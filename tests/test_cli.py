@@ -391,6 +391,41 @@ def test_decompose_reregularizes_the_cylinders_of_a_tournament(tmp_path):
     )
 
 
+def test_decompose_splits_cylinders_when_no_useful_chain_has_a_candidate(tmp_path, capsys):
+    # At n = 15, seed 29, the second hyper step finds useful chains whose
+    # edge deviations are constant within each pair, so no edge split
+    # exists; the step re-regularizes the cylinders instead of exiting 3.
+    h = tmp_path / "t15.h3"
+    assert run(["generate", "--kind", "tournament", "--n", "15", "--seed", "29",
+                "--out", str(h)]) == 0
+    out = tmp_path / "r.json"
+    assert run(["decompose", "--input", str(h), "--eta", "1/4", "--psi", "1,1",
+                "--output", str(out)]) == 0
+    report = load_report(out.read_text())
+    assert report["audit"]["passes"] is True
+    assert [(row["stage"], row["action"]) for row in report["trace"]] == [
+        ("hyper", "refine-edges"), ("hyper", "split-cylinders"), ("hyper", "accept"),
+        ("pairs", "accept"),
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_multipartite_reports_the_largest_pair_value(tmp_path, capsys):
+    g = tmp_path / "g.mg"
+    assert run(["generate", "--kind", "multipartite", "--parts", "3,4,3", "--p", "1/2",
+                "--seed", "5", "--out", str(g)]) == 0
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--input", str(g), "--mode", "both", "--output", str(out)]) == 0
+    audit = load_report(out.read_text())["audit"]
+    assert audit["kind"] == "multipartite"
+    assert set(audit["fast"]) == set(audit["naive"]) == {"0,1", "0,2", "1,2"}
+    values = [Fraction(cert["value"]) for cert in audit["fast"].values()]
+    assert [Fraction(cert["value"]) for cert in audit["naive"].values()] == values
+    assert len(set(values)) > 1
+    assert Fraction(audit["max_pair_value"]) == max(values)
+    capsys.readouterr()
+
+
 def test_a_failed_engine_invariant_exits_three_with_one_line(cone_file, monkeypatch, capsys):
     # q is re-measured after every refinement and must not fall; a q that
     # does is the engine's own fault, reported like a capacity stop.

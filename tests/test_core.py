@@ -196,18 +196,18 @@ def test_equitable_partition_sizes():
     sizes = sorted(len(p) for p in parts)
     assert sizes == [3, 4, 4]
     assert sorted(v for p in parts for v in p) == list(range(11))
-    assert equitable_partition(11, 3, seed=8) == equitable_partition(11, 3, seed=8)
 
 
 def test_partite_from_three_graph_preserves_triples():
     h = ThreeGraph.from_triples(6, [(0, 2, 4), (1, 3, 5), (0, 3, 5)])
-    hp, ids = partite_from_three_graph(h, [(0, 1), (2, 3), (4, 5)])
+    parts = [(0, 1), (2, 3), (4, 5)]
+    hp = partite_from_three_graph(h, parts)
     assert hp.vertex_set.sizes == (2, 2, 2)
     assert hp.edge_count == 3
     # crossing triples survive under the id map
     off = hp.vertex_set.offsets
     for (gx, gy, gz) in hp.triples_of_parts(0, 1, 2):
-        assert h.has_triple(ids[0][gx - off[0]], ids[1][gy - off[1]], ids[2][gz - off[2]])
+        assert h.has_triple(parts[0][gx - off[0]], parts[1][gy - off[1]], parts[2][gz - off[2]])
 
 
 @settings(max_examples=40, deadline=None)

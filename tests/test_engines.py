@@ -754,7 +754,7 @@ def test_hyper_accepts_misaligned_cone():
     from regulab.core import equitable_partition, partite_from_three_graph
 
     parts = equitable_partition(27, 9)
-    hp, _ = partite_from_three_graph(h, parts)
+    hp = partite_from_three_graph(h, parts)
     eta_c = Fraction(1, 4) ** 4 / 16
     p, accepted, trace = hyper_cylinder_regularity(hp, eta_c, PSI_ID, DESK)
     assert [r.action for r in trace.rows] == ["refine-edges", "accept"]

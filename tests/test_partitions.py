@@ -14,6 +14,7 @@ from regulab.core import (
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
+    ThreeGraph,
     relative_density,
     restrict_chain,
     triangle_count,
@@ -31,6 +32,8 @@ from regulab.partitions import (
     ChainPartition,
     CylinderChainPartition,
     EdgePartition,
+    HomogeneityAudit,
+    MarkovCheck,
     PairPartition,
     VertexCylinder,
     VertexCylinderPartition,
@@ -52,7 +55,7 @@ from regulab.partitions import (
     restrict_chain_partition,
     venn_diagram,
 )
-from regulab.quasirandom import PolyFunction, eta_psi_check
+from regulab.quasirandom import PolyFunction, eta_psi_check, pair_quasirandomness
 from conftest import random_small_chain
 
 # The two (eta, psi) pairs of scripts/oracle_sweep.py.
@@ -262,6 +265,152 @@ def test_homogeneity_audit_masses_account_for_everything():
     assert 0 <= audit.homogeneous_mass <= crossing_share <= 1
     assert 0 <= audit.degenerate_mass <= 1
     assert audit.quasirandom_mass == 0  # no psi handed in
+
+
+def _literal_homogeneity_audit(h, q, gamma, psi) -> HomogeneityAudit:
+    """The homogeneity audit written out: every vertex triple of every part
+    triple, its three cells read from the cell rows, its hyperedge from
+    ``has_triple``, and each cell judged by the naive pair kernel."""
+    n = q.n
+    tri: dict[tuple, int] = {}
+    hyp: dict[tuple, int] = {}
+    crossing = 0
+    for pa, pb, pc in combinations(range(len(q.parts)), 3):
+        A, B, C = q.parts[pa], q.parts[pb], q.parts[pc]
+        crossing += 6 * len(A) * len(B) * len(C)
+        pps = (q.pairs[pa, pb], q.pairs[pa, pc], q.pairs[pb, pc])
+        for (x, u), (y, v), (z, w) in product(enumerate(A), enumerate(B), enumerate(C)):
+            combo = tuple(
+                next(idx for idx, cell in enumerate(pp.cells) if cell[s] >> r & 1)
+                for pp, (s, r) in zip(pps, ((x, y), (x, z), (y, z)))
+            )
+            key = (pa, pb, pc, combo)
+            tri[key] = tri.get(key, 0) + 1
+            hyp[key] = hyp.get(key, 0) + h.has_triple(u, v, w)
+    hom = qr = 0
+    for (pa, pb, pc, combo), t_cnt in tri.items():
+        d = Fraction(hyp[pa, pb, pc, combo], t_cnt)
+        if d <= gamma or d >= 1 - gamma:
+            hom += 6 * t_cnt
+        if psi is None:
+            continue
+        pps = (q.pairs[pa, pb], q.pairs[pa, pc], q.pairs[pb, pc])
+        cells = [pp.cells[idx] for pp, idx in zip(pps, combo)]
+        dens = [
+            Fraction(sum(r.bit_count() for r in cell), pp.left_size * pp.right_size)
+            for pp, cell in zip(pps, cells)
+        ]
+        thresh = psi(prod(dens))
+        if all(
+            pair_quasirandomness(
+                BipartiteGraph(pp.left_size, pp.right_size, cell), mode="naive"
+            ).value
+            <= thresh
+            for pp, cell in zip(pps, cells)
+        ):
+            qr += 6 * t_cnt
+    total = n**3
+    return HomogeneityAudit(
+        gamma=gamma,
+        homogeneous_mass=Fraction(hom, total),
+        homogeneous_crossing_mass=Fraction(hom, crossing) if crossing else Fraction(0),
+        quasirandom_mass=Fraction(qr, total),
+        degenerate_mass=Fraction(0),
+        noncrossing_mass=Fraction(total - crossing, total),
+    )
+
+
+def test_homogeneity_audit_matches_a_literal_walk():
+    """With and without psi, on random chain partitions of random 3-graphs
+    and on Venn diagrams of random cylinder chain partitions."""
+    rng = SplitMix64(17)
+    cases = []
+    for seed in range(3):
+        n = 8 + seed
+        q = random_chain_partition(n, 3 + seed, 3, seed=40 + seed)
+        p_triple = Fraction(1 + seed, 4)
+        trips = [t for t in combinations(range(n), 3) if rng.bernoulli(p_triple)]
+        cases.append((ThreeGraph(n, frozenset(trips)), q))
+    for seed in range(2):
+        h = random_partite_3graph((3, 4, 3, 2), Fraction(1, 2), seed=50 + seed)
+        p = random_cylinder_chain_partition(h.vertex_set, 3, 3, seed=60 + seed)
+        cases.append((h, venn_diagram(p)))
+    masses = set()
+    for h, q in cases:
+        for gamma, psi in THRESHOLDS:
+            for with_psi in (None, psi):
+                audit = homogeneity_audit(h, q, gamma, with_psi)
+                assert audit == _literal_homogeneity_audit(h, q, gamma, with_psi)
+                masses.add((audit.homogeneous_mass, audit.quasirandom_mass))
+    assert any(0 < hom < 1 and 0 < qr for hom, qr in masses)
+
+
+def _literal_markov_check(c, vertex_splits, edge_splits, gamma) -> MarkovCheck:
+    """The Markov check written out: every triangle of the chain keyed by its
+    three vertex blocks and three edge blocks (block 0 where a pair has no
+    split), its hyperedge from ``has_triple``."""
+    vs = c.vertex_set
+    off = vs.offsets
+
+    def block(blocks, test):
+        return next(idx for idx, b in enumerate(blocks) if test(b))
+
+    tri: dict[tuple, int] = {}
+    hyp: dict[tuple, int] = {}
+    for x, y, z in product(*(range(s) for s in vs.sizes)):
+        edges = {(0, 1): (x, y), (0, 2): (x, z), (1, 2): (y, z)}
+        if not all(c.graph.pair(i, j).has_edge(*e) for (i, j), e in edges.items()):
+            continue
+        key = tuple(block(vertex_splits[i], lambda b: a in b) for i, a in enumerate((x, y, z)))
+        for pk, (a, b) in edges.items():
+            blocks = (edge_splits or {}).get(pk)
+            key += (block(blocks, lambda rows: rows[a] >> b & 1) if blocks else 0,)
+        tri[key] = tri.get(key, 0) + 1
+        hyp[key] = hyp.get(key, 0) + c.hyper.has_triple(off[0] + x, off[1] + y, off[2] + z)
+    d = relative_density(c)
+    direction = "sparse" if d < gamma else "dense"
+    bad = 0
+    for key, t_cnt in tri.items():
+        dens = Fraction(hyp[key], t_cnt)
+        escape = dens if direction == "sparse" else 1 - dens
+        if escape * escape >= gamma:
+            bad += t_cnt
+    mass_bad = Fraction(bad, sum(tri.values()))
+    return MarkovCheck(mass_bad, gamma, rational_sqrt(gamma), direction, mass_bad**2 < gamma)
+
+
+def test_markov_split_check_matches_a_literal_walk():
+    """Both windows, with edge splits on every pair, on some pairs and on
+    none."""
+    rng = SplitMix64(23)
+    gamma = Fraction(1, 9)
+    seen = set()
+    for p_triple in (Fraction(1, 30), Fraction(29, 30)):
+        checked = 0
+        while checked < 4:
+            c = random_chain((4, 5, 4), Fraction(3, 4), p_triple, seed=rng.next_u64())
+            d = relative_density(c)
+            if not (0 < d < gamma or 1 - gamma < d < 1):
+                continue
+            vs = c.vertex_set
+            vertex_splits = []
+            for size in vs.sizes:
+                pivot = 1 + rng.below(size - 1)
+                vertex_splits.append([list(range(pivot)), list(range(pivot, size))])
+            all_splits = {
+                (i, j): random_pair_partition_cells(
+                    rng, c.graph.pair(i, j).rows, vs.sizes[i], 2 + rng.below(2)
+                )
+                for i, j in ((0, 1), (0, 2), (1, 2))
+            }
+            some_splits = {pk: all_splits[pk] for pk in ((0, 1), (1, 2))}
+            for edge_splits in (all_splits, some_splits, None):
+                check = markov_split_check(c, vertex_splits, edge_splits, gamma)
+                assert check == _literal_markov_check(c, vertex_splits, edge_splits, gamma)
+                seen.add((check.direction, check.mass_bad > 0))
+            checked += 1
+    assert {"sparse", "dense"} == {direction for direction, _ in seen}
+    assert any(bad for _, bad in seen)
 
 
 def test_markov_split_sparse_window():

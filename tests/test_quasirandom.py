@@ -25,7 +25,6 @@ from regulab.quasirandom import (
     eta_psi_check,
     graph_quasirandomness,
     is_graph_quasirandom,
-    multipartite_graph_quasirandomness,
     oct_sum,
     pair_quasirandomness,
 )
@@ -137,7 +136,6 @@ def test_graph_quasirandomness_collects_all_pairs():
     g = random_multipartite((3, 3, 3), Fraction(1, 2), seed=2)
     certs = graph_quasirandomness(g)
     assert set(certs) == {(0, 1), (0, 2), (1, 2)}
-    assert multipartite_graph_quasirandomness(g) == max(c.value for c in certs.values())
 
 
 def test_is_graph_quasirandom_threshold():
