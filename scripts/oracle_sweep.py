@@ -8,7 +8,9 @@ tuple audit's per-chain verdict (``cell_chain_passes``) against
 ``eta_psi_check`` with the naive kernels, the tuple audit itself,
 exhaustive and sampled, against a literal walk over the tuples, and
 ``q_cell_chain`` fast against naive on every part triple of a cylinder
-and on every located cell chain taken as one cell (where q is d^2), and the
+and on every located cell chain taken as one cell (where q is d^2), the
+certificate ``cell_chain_stats`` computes where each such chain lies
+against the naive octahedral sum on its extracted copy, and the
 linear cylinder overlap check against the pairwise one, first offending
 pair included, on random cylinder families that overlap about half the time.
 
@@ -136,7 +138,9 @@ def verdicts_match(h, p) -> int:
 def q_matches(h, p) -> int:
     """Part triples of ``p``'s cylinders, and located cell chains of them
     taken as one cell each, whose q differs between the fast and naive
-    modes; a one-cell chain must also have q = d^2 by the evaluator."""
+    modes; a one-cell chain must also have q = d^2 by the evaluator, and
+    the evaluator's certificate must equal the naive kernel's on the
+    extracted chain."""
     vs = h.vertex_set
     bad = 0
     for cyl, ep in zip(p.vertex.cylinders, p.edges):
@@ -156,9 +160,11 @@ def q_matches(h, p) -> int:
                     for pp, cell in zip(pps, cells)
                 )
                 fast = q_cell_chain(h, parts, cells, whole, "fast")
-                tri, hyp, _ = cell_chain_stats(h, masks, parts, cells)
+                tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
                 bad += fast != q_cell_chain(h, parts, cells, whole, "naive")
                 bad += fast != ratio(hyp, tri) ** 2
+                chain = extract_cell_chain(h, masks, parts, cells)
+                bad += cert != chain_quasirandomness(chain, mode="naive").value
     return bad
 
 
@@ -298,22 +304,23 @@ def main() -> int:
             bad = q_matches(h, p)
             if bad:
                 mismatches += 1
-                print(f"{bad} q mismatches at case {case}: {sizes}")
+                print(f"{bad} q or certificate mismatches at case {case}: {sizes}")
     dt = time.monotonic() - t0
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
         f"{args.cases} pair, masked pair, symmetry and cylinder overlap cases"
         f" ({overlapping} overlapping) + {chains} chain cases"
-        f" + {indexes} index, verdict, audit and q cases"
+        f" + {indexes} index, verdict, audit, q and certificate cases"
         f" in {dt:.1f}s"
     )
     if mismatches:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts,"
-        " the tuple audit, q and the cylinder overlap check match their oracles"
+        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
+        " and certificates, the tuple audit, q and the cylinder overlap check match"
+        " their oracles"
     )
     return 0
 

@@ -228,6 +228,7 @@ def _scan_input(path: str) -> tuple[Scan, str]:
 
 def _cmd_analyze(args) -> int:
     sc, digest = _scan_input(args.input)
+    beta = parse_rational(args.beta) if args.beta is not None else None
     kind = sc.kind
     modes = ("fast", "naive") if args.mode == "both" else (args.mode,)
     audit: dict = {"kind": kind}
@@ -262,8 +263,7 @@ def _cmd_analyze(args) -> int:
     else:
         raise _ArgError("analyze expects a chain or graph file, got a bare 3-graph")
     beta_ok = True
-    if args.beta is not None:
-        beta = parse_rational(args.beta)
+    if beta is not None:
         beta_ok = value <= beta
         audit["beta"] = fraction_str(beta)
         audit["is_quasirandom"] = beta_ok
@@ -353,13 +353,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_cylinder(args) -> int:
     sc, digest = _scan_input(args.input)
+    eta = parse_rational(args.eta)
+    psi = parse_psi(args.psi)
+    profile = build_profile(args)
     if sc.kind != "three":
         raise _ArgError("cylinder expects a partite 3-graph file")
     h = load_partite_3graph(sc)
     del sc
-    eta = parse_rational(args.eta)
-    psi = parse_psi(args.psi)
-    profile = build_profile(args)
     t0 = time.monotonic()
     p, audit, trace = hyper_cylinder_regularity(h, eta, psi, profile, seed=args.seed)
     audit_d = {
@@ -456,17 +456,22 @@ def _cmd_generate(args) -> int:
 def _cmd_subset(args) -> int:
     _at_least(args, "t", 1)
     sc, digest = _scan_input(args.input)
+    if args.pattern is not None:
+        if args.eps is None:
+            raise _ArgError("rodl mode needs --eps")
+        eps = parse_rational(args.eps)
+    elif args.eta is None or args.psi is None:
+        raise _ArgError("subset needs --eta and --psi")
+    else:
+        eta, psi = parse_rational(args.eta), parse_psi(args.psi)
+    profile = build_profile(args)
     if sc.kind != "three":
         raise _ArgError("subset expects a 3-graph file")
     h = load_three_graph(sc)
     del sc
-    profile = build_profile(args)
     t0 = time.monotonic()
     if args.pattern is not None:
-        if args.eps is None:
-            raise _ArgError("rodl mode needs --eps")
         f = load_three_graph(_read(args.pattern))
-        eps = parse_rational(args.eps)
         res = rodl_sparse_dense(h, f, eps, profile, seed=args.seed, t=args.t)
         sub = res.subset
         audit = {
@@ -481,10 +486,6 @@ def _cmd_subset(args) -> int:
         trace = sub.trace
         extra = {"vertices": list(sub.vertices), "parts_chosen": list(sub.parts_chosen)}
     else:
-        if args.eta is None or args.psi is None:
-            raise _ArgError("subset needs --eta and --psi")
-        eta = parse_rational(args.eta)
-        psi = parse_psi(args.psi)
         sub = quasirandom_subset(
             h, eta, psi, profile, seed=args.seed, s=args.s, t=args.t
         )

@@ -462,10 +462,6 @@ def _witness_split(
 # ---------------------------------------------------------------------------
 
 
-def _pair_list(t: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(t) for j in range(i + 1, t)]
-
-
 def dlr_cylinder_regularity(
     vs: PartiteVertexSet,
     graphs: Sequence[tuple[int, int, Sequence[int]]],
@@ -816,15 +812,6 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
 # ---------------------------------------------------------------------------
 
 
-def _triple_list(t: int) -> list[tuple[int, int, int]]:
-    return [
-        (i, j, k)
-        for i in range(t)
-        for j in range(i + 1, t)
-        for k in range(j + 1, t)
-    ]
-
-
 def _useful_chains(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
@@ -838,7 +825,7 @@ def _useful_chains(
         w = cyl.weight(vs)
         if w == 0:
             continue
-        for (i, j, k) in _triple_list(vs.t):
+        for (i, j, k) in combinations(range(vs.t), 3):
             pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
             masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
             size_prod = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
@@ -930,7 +917,7 @@ def _reregularize_cylinders(
         (i, j, cell)
         for cyl, ep in zip(p.vertex.cylinders, p.edges)
         if cyl.weight(vs)
-        for (i, j) in _pair_list(vs.t)
+        for (i, j) in combinations(range(vs.t), 2)
         for cell in ep.pair(i, j).cells
         if any(cell)
     ]
@@ -966,7 +953,7 @@ def _reregularize_cylinders(
         ep = p.edges[parent]
         pairs = {
             (i, j): ep.pair(i, j).restrict(ncyl.masks[i], ncyl.masks[j])
-            for (i, j) in _pair_list(vs.t)
+            for (i, j) in combinations(range(vs.t), 2)
         }
         new_edges.append(EdgePartition(pairs))
     return CylinderChainPartition(pv_new, tuple(new_edges))
@@ -1293,7 +1280,7 @@ def graph_homogeneous_decomposition(
         raise InvalidStructure(f"t must lie in [2, {n}], got {t}")
     parts = equitable_partition(n, t)  # consecutive ranges
     mg = partite_from_graph(g, [len(p) for p in parts])
-    pair_graphs = [(i, j, mg.pair(i, j).rows) for (i, j) in _pair_list(t)]
+    pair_graphs = [(i, j, mg.pair(i, j).rows) for (i, j) in combinations(range(t), 2)]
     pv, trace = dlr_cylinder_regularity(mg.vertex_set, pair_graphs, eps * eps, profile)
     out_parts: list[tuple[int, ...]] = []
     for i, part in enumerate(parts):
@@ -1451,7 +1438,7 @@ def quasirandom_subset(
             continue
         ep = p.edges[ci]
         pick: dict[tuple[int, int], int] = {}
-        for (i, j) in _pair_list(t):
+        for (i, j) in combinations(range(t), 2):
             pp = ep.pair(i, j)
             best = max(range(pp.cell_count), key=lambda idx: (pp.densities[idx], -idx))
             pick[(i, j)] = best
@@ -1460,7 +1447,7 @@ def quasirandom_subset(
             cell_chain_passes(
                 hp, cyl, ep, (i, j, k), (pick[(i, j)], pick[(i, k)], pick[(j, k)]), eta_c, psi
             )
-            for (i, j, k) in _triple_list(t)
+            for (i, j, k) in combinations(range(t), 3)
         ):
             chosen = (ci, pick)
             break
@@ -1475,7 +1462,7 @@ def quasirandom_subset(
     rng = _subset_rng_stream(seed)
     cell_rows: dict[tuple[int, int], list[int]] = {}
     counts: dict[tuple[int, int], int] = {}
-    for (i, j) in _pair_list(t):
+    for (i, j) in combinations(range(t), 2):
         cell = ep.pair(i, j).cells[pick[(i, j)]]
         rows = []
         for x in keeps[i]:
@@ -1487,7 +1474,7 @@ def quasirandom_subset(
         cell_rows[(i, j)] = rows
         counts[(i, j)] = sum(r.bit_count() for r in rows)
     e_min = min(counts.values())
-    for (i, j) in _pair_list(t):
+    for (i, j) in combinations(range(t), 2):
         excess = counts[(i, j)] - e_min
         if excess == 0:
             continue
@@ -1499,7 +1486,7 @@ def quasirandom_subset(
 
     buckets: dict[tuple[int, int, int], int] = {}
     width = eta * eta
-    for (i, j, k) in _triple_list(t):
+    for (i, j, k) in combinations(range(t), 3):
         tri = hyp = 0
         rij, rik, rjk = cell_rows[(i, j)], cell_rows[(i, k)], cell_rows[(j, k)]
         zm = hp.zmasks(i, j, k)

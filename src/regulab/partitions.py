@@ -25,13 +25,17 @@ orders the cells by label.  ``PairPartition.complete`` is the one builder
 of a pair on a complete host with full masks, as chain partitions hold
 them.  ``VertexCylinder.host_rows`` is the one complete bipartite host of
 a cylinder.  :func:`extract_cell_chain` is the one sub-chain cutter;
-``core.restrict_chain`` checks its arguments and calls it.
+``core.restrict_chain`` checks its arguments and calls it, and tests use
+its copies as inputs to the naive oracles.  No engine path copies a chain.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
 evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
-certificate) and keeps them on that index.  The tuple audit, the engine's
-search for non-quasirandom chains and the subset gate all read it.
+certificate) and keeps them on that index.  It certifies a chain where it
+lies, with the one fast octahedral kernel
+(:func:`regulab.quasirandom.masked_chain_quasirandomness`).  The tuple
+audit, the engine's search for non-quasirandom chains and the subset gate
+all read it.
 
 Per-cell facts live on their :class:`PairPartition`: the cached ``labels``
 table, ``densities`` and ``certificates``, computed once per partition
@@ -64,7 +68,7 @@ from .core import (
 )
 from .quasirandom import (
     PolyFunction,
-    chain_quasirandomness,
+    masked_chain_quasirandomness,
     masked_pair_quasirandomness,
 )
 
@@ -877,35 +881,20 @@ def cell_chain_stats(
 
     The cell-chain evaluator.  ``masks`` are the cylinder's vertex masks on
     ``parts`` = (i, j, k) and ``cells`` the row tuples of its (i, j),
-    (i, k) and (j, k) cells.  Results are kept on ``h``'s hyperedge index,
-    keyed by this cell content, so a chain is extracted and certified at
-    most once per hypergraph, however many audits, searches or engine steps
-    read it.  A chain without triangles has certificate 0 and is never
-    extracted.
+    (i, k) and (j, k) cells.  The chain is certified where it lies, by one
+    call of :func:`regulab.quasirandom.masked_chain_quasirandomness`, and
+    never copied out.  Results are kept on ``h``'s hyperedge index, keyed
+    by this cell content, so a chain is certified at most once per
+    hypergraph, however many audits, searches or engine steps read it.  A
+    chain without triangles has certificate 0.
     """
     store = h.index.cell_chains
     key = (masks, parts, cells)
     got = store.get(key)
-    if got is not None:
-        return got
-    mask_y, mask_z = masks[1], masks[2]
-    cell_ab, cell_ac, cell_bc = cells
-    zm = h.zmasks(*parts)
-    tri = hyp = 0
-    for x in bits(masks[0]):
-        row_ac = cell_ac[x] & mask_z
-        if not row_ac:
-            continue
-        for y in bits(cell_ab[x] & mask_y):
-            inter = row_ac & cell_bc[y]
-            if inter:
-                tri += inter.bit_count()
-                hyp += (inter & zm.get((x, y), 0)).bit_count()
-    cert = Fraction(0)
-    if tri:
-        cert = chain_quasirandomness(extract_cell_chain(h, masks, parts, cells)).value
-    store[key] = (tri, hyp, cert)
-    return tri, hyp, cert
+    if got is None:
+        tri, hyp, cert = masked_chain_quasirandomness(cells, masks, h.zmasks(*parts))
+        got = store[key] = (tri, hyp, cert.value)
+    return got
 
 
 def extract_cell_chain(
@@ -920,44 +909,32 @@ def extract_cell_chain(
     rest renumbered in order, cell edges kept between surviving vertices,
     and hyperedges kept on the surviving triangles.
     """
-    vs = h.vertex_set
-    i, j, k = parts
-    keep = [sorted(bits(m)) for m in masks]
+    names = h.vertex_set.names
+    keep = [list(bits(m)) for m in masks]
     remap = [{old: new for new, old in enumerate(kp)} for kp in keep]
     sizes = tuple(len(kp) for kp in keep)
-    sub_vs = PartiteVertexSet((vs.names[i], vs.names[j], vs.names[k]), sizes)
+    sub_vs = PartiteVertexSet(tuple(names[a] for a in parts), sizes)
 
     def compact(rows, src, dst):
-        out = []
-        for old_x in keep[src]:
-            r = 0
-            for old_y in bits(rows[old_x] & masks_by_pos[dst]):
-                r |= 1 << remap[dst][old_y]
-            out.append(r)
-        return tuple(out)
+        return tuple(
+            sum(1 << remap[dst][y] for y in bits(rows[x] & masks[dst])) for x in keep[src]
+        )
 
-    masks_by_pos = {0: masks[0], 1: masks[1], 2: masks[2]}
+    pairs = ((0, 1), (0, 2), (1, 2))
     g = MultipartiteGraph(
         sub_vs,
         {
-            (0, 1): BipartiteGraph(sizes[0], sizes[1], compact(cells[0], 0, 1)),
-            (0, 2): BipartiteGraph(sizes[0], sizes[2], compact(cells[1], 0, 2)),
-            (1, 2): BipartiteGraph(sizes[1], sizes[2], compact(cells[2], 1, 2)),
+            (a, b): BipartiteGraph(sizes[a], sizes[b], compact(cell, a, b))
+            for (a, b), cell in zip(pairs, cells)
         },
     )
     off = sub_vs.offsets
-    zm = h.zmasks(i, j, k)
+    cell_ab, cell_ac, cell_bc = cells
     triples = set()
-    for (x, y), m in zm.items():
-        if not (masks[0] >> x & 1 and masks[1] >> y & 1):
-            continue
-        nx, ny = remap[0][x], remap[1][y]
-        if not g.pair(0, 1).has_edge(nx, ny):
-            continue
-        for z in bits(m & masks[2]):
-            nz = remap[2][z]
-            if g.pair(0, 2).has_edge(nx, nz) and g.pair(1, 2).has_edge(ny, nz):
-                triples.add((off[0] + nx, off[1] + ny, off[2] + nz))
+    for (x, y), m in h.zmasks(*parts).items():
+        if masks[0] >> x & 1 and masks[1] >> y & 1 and cell_ab[x] >> y & 1:
+            for z in bits(m & masks[2] & cell_ac[x] & cell_bc[y]):
+                triples.add((off[0] + remap[0][x], off[1] + remap[1][y], off[2] + remap[2][z]))
     return Chain(g, PartiteThreeGraph(sub_vs, frozenset(triples)))
 
 

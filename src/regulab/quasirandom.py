@@ -8,15 +8,21 @@ deviation f(x,y,z) = (1_E(H) - d(H|G)) restricted to triangles of G.
 Every functional has a ``fast`` mode (codegree / popcount kernels, exact
 integer arithmetic) and a ``naive`` mode (literal nested sums over a scaled
 integer table).  The two must agree exactly; tests enforce this.
+
+:func:`masked_chain_quasirandomness` is the one fast octahedral kernel.
+It takes a chain where it lies, as three pair rows, three vertex masks and
+the part triple's hyperedge z-masks, so a cell chain of a larger
+hypergraph is certified without being copied out;
+:func:`chain_quasirandomness` calls it on a standalone chain's full masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -25,8 +31,8 @@ from .core import (
     MultipartiteGraph,
     bits,
     product_density,
+    ratio,
     relative_density,
-    triangle_count,
 )
 
 
@@ -72,18 +78,14 @@ class QuasirandomnessCertificate:
     """Raw functional value, its normalizer, and their exact quotient.
 
     ``value`` is the least alpha (resp. eta) for which the object is
-    alpha-quasirandom; ``is_quasirandom(beta)`` is beta >= value.  A zero
-    normalizer (empty part or empty triangle set) is flagged degenerate and
-    reports value 0.
+    alpha-quasirandom.  A zero normalizer (empty part or empty triangle
+    set) is flagged degenerate and reports value 0.
     """
 
     raw_sum: Fraction
     normalizer: Fraction
     value: Fraction
     degenerate: bool = False
-
-    def is_quasirandom(self, beta: Fraction) -> bool:
-        return self.value <= beta
 
 
 def _as_table2(f) -> list[list[Fraction]]:
@@ -340,50 +342,74 @@ def is_graph_quasirandom(g: MultipartiteGraph, alpha: Fraction, mode: str = "fas
     return all(cert.value <= alpha for cert in graph_quasirandomness(g, mode).values())
 
 
-def _chain_oct_raw_scaled(c: Chain) -> tuple[int, int]:
-    """(scaled octahedral sum, scale) for a chain, by popcount kernels.
+def _chain_certificate(raw: Fraction, dprod: Fraction, volume: int) -> QuasirandomnessCertificate:
+    """Certificate with normalizer dprod^4 volume^2; degenerate when that is 0."""
+    norm = dprod**4 * Fraction(volume * volume)
+    if norm == 0:
+        return QuasirandomnessCertificate(raw, norm, Fraction(0), True)
+    return QuasirandomnessCertificate(raw, norm, raw / norm, False)
+
+
+def masked_chain_quasirandomness(
+    rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    masks: tuple[int, int, int],
+    zm: Mapping[tuple[int, int], int],
+) -> tuple[int, int, QuasirandomnessCertificate]:
+    """(triangles, hyperedges, certificate) of a chain where it lies.
+
+    The one fast octahedral kernel.  ``rows`` are the (0, 1), (0, 2) and
+    (1, 2) pair rows in the parts' own ids, ``masks`` the chain's vertices
+    in each part and ``zm`` the part triple's hyperedge z-masks.  The chain
+    is what a copy would keep: the edges inside the masks and the
+    hyperedges on their triangles, so its certificate is the copy's.
 
     The deviation takes only three values: u = q - p on hyperedges,
     v = -p on triangles that are not hyperedges, 0 off triangles, where
     d(H|G) = p/q with q the triangle count.  The sum is symmetric in the
     three parts, so it pairs over y: for each pair (y, y') the product
     g = f(., y, .) f(., y', .) takes values in {u^2, uv, v^2, 0}, and the
-    inner sums collapse to nine popcounts per row pair of z-masks.
+    inner sums collapse to nine popcounts per row pair of z-masks.  The
+    normalizer is the chain's, from the pair densities on the masks.
     """
-    vs = c.vertex_set
-    n0, n1, n2 = vs.sizes
-    q = triangle_count(c.graph)
-    p = c.hyper.edge_count
-    if q == 0:
-        return 0, 1
-    u, v = q - p, -p
-    ab, ac, bc = c.graph.pair(0, 1), c.graph.pair(0, 2), c.graph.pair(1, 2)
-    zm = c.hyper.zmasks(0, 1, 2)
-
-    # Per (x, y): mask over z of triangles / hyperedges through (x, y, .).
-    T = [[0] * n1 for _ in range(n0)]
-    U = [[0] * n1 for _ in range(n0)]
-    for x in range(n0):
-        row_ac = ac.rows[x]
-        if not row_ac:
+    rows_ab, rows_ac, rows_bc = rows
+    mask_x, mask_y, mask_z = masks
+    n0, n1, n2 = (m.bit_count() for m in masks)
+    # Per x with a triangle: masks over z of the triangles and hyperedges
+    # through (x, y, .), indexed by y.
+    TU = []
+    q = p = e_ab = e_ac = 0
+    for x in bits(mask_x):
+        row_ab, row_ac = rows_ab[x] & mask_y, rows_ac[x] & mask_z
+        e_ab += row_ab.bit_count()
+        e_ac += row_ac.bit_count()
+        if not (row_ab and row_ac):
             continue
-        t_x, u_x = T[x], U[x]
-        for y in bits(ab.rows[x]):
-            t_x[y] = row_ac & bc.rows[y]
-            u_x[y] = zm.get((x, y), 0)
+        t_x, u_x = {}, {}
+        for y in bits(row_ab):
+            t = row_ac & rows_bc[y]
+            if t:
+                u = t & zm.get((x, y), 0)
+                t_x[y], u_x[y] = t, u
+                q += t.bit_count()
+                p += u.bit_count()
+        if t_x:
+            TU.append((t_x, u_x))
+    e_bc = sum((rows_bc[y] & mask_z).bit_count() for y in bits(mask_y))
 
+    u, v = q - p, -p
     uu, uv_, vv = u * u, u * v, v * v
     w4, w31, w22, w13, w04 = uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv
     w22b = uu * vv  # |A op C| cross terms share u^2 v^2 with |B op B|
+    ys = sorted({y for t_x, _ in TU for y in t_x})
     total = 0
-    for y in range(n1):
-        for y2 in range(y, n1):
+    for n, y in enumerate(ys):
+        for y2 in ys[n:]:
             A, B, C = [], [], []
-            for x in range(n0):
-                t1, t2 = T[x][y], T[x][y2]
+            for t_x, u_x in TU:
+                t1, t2 = t_x.get(y), t_x.get(y2)
                 if not (t1 and t2):
                     continue
-                u1, u2 = U[x][y], U[x][y2]
+                u1, u2 = u_x[y], u_x[y2]
                 v1, v2 = t1 & ~u1, t2 & ~u2
                 a = u1 & u2
                 b = (u1 & v2) | (v1 & u2)
@@ -408,33 +434,29 @@ def _chain_oct_raw_scaled(c: Chain) -> tuple[int, int]:
                     )
                     inner += s * s if i == j else 2 * s * s
             total += inner if y == y2 else 2 * inner
-    return total, q
+    raw = Fraction(total, q**8) if q else Fraction(0)
+    dprod = ratio(e_ab, n0 * n1) * ratio(e_ac, n0 * n2) * ratio(e_bc, n1 * n2)
+    return q, p, _chain_certificate(raw, dprod, n0 * n1 * n2)
 
 
 def chain_quasirandomness(c: Chain, mode: str = "fast") -> QuasirandomnessCertificate:
     """Least eta for which the chain's deviation is eta-quasirandom.
 
     The normalizer is [d(X,Y) d(X,Z) d(Y,Z)]^4 |X|^2 |Y|^2 |Z|^2 over the
-    chain graph's pair densities.
+    chain graph's pair densities.  Fast mode is
+    :func:`masked_chain_quasirandomness` on full masks; naive mode the
+    literal :func:`oct_sum` of :class:`DeviationFunction3`.
     """
-    vs = c.vertex_set
-    n0, n1, n2 = vs.sizes
-    if n0 == 0 or n1 == 0 or n2 == 0:
-        return QuasirandomnessCertificate(Fraction(0), Fraction(0), Fraction(0), True)
-    if mode == "naive":
-        raw = oct_sum(DeviationFunction3.from_chain(c), mode="naive")
-    elif mode == "fast":
-        scaled, scale = _chain_oct_raw_scaled(c)
-        raw = Fraction(scaled, scale**8)
-    else:
+    g = c.graph
+    if mode == "fast":
+        rows = (g.pair(0, 1).rows, g.pair(0, 2).rows, g.pair(1, 2).rows)
+        full = tuple((1 << n) - 1 for n in c.vertex_set.sizes)
+        return masked_chain_quasirandomness(rows, full, c.hyper.zmasks(0, 1, 2))[2]
+    if mode != "naive":
         raise InvalidStructure(f"unknown mode {mode!r}")
-    dprod = (
-        c.graph.pair_density(0, 1) * c.graph.pair_density(0, 2) * c.graph.pair_density(1, 2)
-    )
-    norm = dprod**4 * Fraction((n0 * n1 * n2) ** 2)
-    if norm == 0:
-        return QuasirandomnessCertificate(raw, norm, Fraction(0), True)
-    return QuasirandomnessCertificate(raw, norm, raw / norm, False)
+    raw = oct_sum(DeviationFunction3.from_chain(c), mode="naive")
+    dprod = g.pair_density(0, 1) * g.pair_density(0, 2) * g.pair_density(1, 2)
+    return _chain_certificate(raw, dprod, prod(c.vertex_set.sizes))
 
 
 def eta_psi_check(c: Chain, eta: Fraction, psi: PolyFunction, mode: str = "fast") -> bool:

@@ -358,6 +358,22 @@ NOT_PARTITE = "error: cylinder expects a partite 3-graph file"
         ("late_part", ANALYZE, "error: line 3: part declared after edges"),
         ("duplicate", CYLINDER, "error: line 2: duplicate part name 'A'"),
         ("duplicate", DECOMPOSE_3, "error: line 2: duplicate part name 'A'"),
+        # Argument errors win over a bad line in every subcommand.
+        ("three_parts", ("cylinder", "--eta", "foo", "--psi", "1,1"),
+         "error: cannot parse rational 'foo'"),
+        ("three_parts", ("cylinder", "--eta", "1/4", "--psi", "1,0"),
+         "error: cannot parse rate function '1,0': exponent must be a positive integer"),
+        ("three_parts", (*CYLINDER, "--profile", "paper", "--max-steps", "3"),
+         "error: profile overrides are only valid under the desk profile"),
+        ("kind_after_bad", ("subset", "--eta", "foo", "--psi", "1,1"),
+         "error: cannot parse rational 'foo'"),
+        ("kind_after_bad", ("subset", "--eta", "1/4"), "error: subset needs --eta and --psi"),
+        ("kind_after_bad", ("subset", "--pattern", "missing.h3"), "error: rodl mode needs --eps"),
+        ("kind_after_bad", ("subset", "--pattern", "missing.h3", "--eps", "1/0"),
+         "error: cannot parse rational '1/0'"),
+        ("kind_after_bad", ("subset", "--eta", "1/4", "--psi", "1,1", "--profile", "nope"),
+         "error: unknown profile 'nope'"),
+        ("one_part", (*ANALYZE, "--beta", "foo"), "error: cannot parse rational 'foo'"),
     ],
 )
 def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_path, capsys):

@@ -74,6 +74,7 @@ from regulab.partitions import (
 from regulab.quasirandom import (
     PolyFunction,
     chain_quasirandomness,
+    masked_chain_quasirandomness,
     masked_pair_quasirandomness,
     pair_quasirandomness,
 )
@@ -672,18 +673,22 @@ def _count_calls(monkeypatch, fn) -> list:
 
 def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
     """One refine step (the useful-chain search, then the refinements)
-    cuts out and certifies each distinct located chain with triangles once:
-    the refinement reads the evaluator's numbers instead."""
+    certifies each distinct located chain once, where it lies, and cuts
+    none out: the located kernel also counts the triangles, so it runs once
+    on each chain, with triangles or without, and the refinement reads the
+    evaluator's numbers."""
     extracted = _count_calls(monkeypatch, extract_cell_chain)
-    certified = _count_calls(monkeypatch, chain_quasirandomness)
+    certified = _count_calls(monkeypatch, masked_chain_quasirandomness)
     eta = Fraction(1, 16)
     h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=5)
     p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6)
     useful, _ = _useful_chains(h, p, eta)
     refined = _apply_chain_refinements(h, p, useful, eta, DESK, [])
     assert len(useful) >= 5 and refined != p
-    chains = sum(1 for tri, _, _ in h.index.cell_chains.values() if tri)
-    assert len(extracted) == len(certified) == chains
+    stored = h.index.cell_chains.values()
+    assert any(tri for tri, _, _ in stored)
+    assert len(certified) == len(stored)
+    assert extracted == []
 
 
 HALF_2X48 = "part V 96\n" + "".join(f"e {i} {48 + j}\n" for i in range(48) for j in range(i, 48))

@@ -98,26 +98,31 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _references(tree: ast.AST) -> Counter:
-    """Names read, attributes accessed, and strings equal to an identifier
-    (``getattr`` names, the benchmark's traced-function table)."""
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """Names read, attributes accessed, and, with ``strings``, strings equal
+    to an identifier."""
     refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 refs[node.value] += 1
     return refs
 
 
 def _tree_references(*tops: str) -> Counter:
+    """References from every module under ``tops``.  Strings count only in
+    bench/ (the traced-function table) and in ``__init__.py`` (``__all__``):
+    elsewhere a report key or message spelled like a definition is no use
+    of it."""
     refs = Counter()
     for top in tops:
         for path in (REPO / top).rglob("*.py"):
-            refs += _references(ast.parse(path.read_text()))
+            strings = top == "bench" or path.name == "__init__.py"
+            refs += _references(ast.parse(path.read_text()), strings)
     return refs
 
 
