@@ -2,17 +2,19 @@
 """Sweep the fast kernels against the naive oracles over a size grid (the
 masked c4 kernel against ``c4_sum(..., "naive")`` on row subsets and column
 masks among them), the upper-half symmetry check ``rows_symmetric`` against
-the bit-by-bit walk, the
-hyperedge index against the naive membership test ``has_triple``, the
-tuple audit's per-chain verdict (``cell_chain_passes``) against
-``eta_psi_check`` with the naive kernels, the tuple audit itself,
+the bit-by-bit walk, the hyperedge index against the naive membership test
+``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
+against ``eta_psi_check`` with the naive kernels, the tuple audit itself,
 exhaustive and sampled, against a literal walk over the tuples, and
-``q_cell_chain`` fast against naive on every part triple of a cylinder
-and on every located cell chain taken as one cell (where q is d^2), the
-certificate ``cell_chain_stats`` computes where each such chain lies
-against the naive octahedral sum on its extracted copy, and the
-linear cylinder overlap check against the pairwise one, first offending
-pair included, on random cylinder families that overlap about half the time.
+``q_partition`` and ``q_cell_chain`` fast against naive, the latter on every
+part triple of a cylinder and on every located cell chain taken as one cell
+(where q is d^2).  The counts and certificate ``cell_chain_stats`` computes
+where a chain lies are checked against the naive octahedral sum on its
+extracted copy, for the chain's cells and for copies that reach outside the
+cylinder masks.  ``lookup`` and ``container`` are checked against a scan over
+the masks, and the linear cylinder overlap check against the pairwise one,
+first offending pair included, on random cylinder families that overlap
+about half the time.
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from regulab.core import PartiteVertexSet, bits, ratio, rows_symmetric
+from regulab.core import PartiteVertexSet, bits, ratio, rows_symmetric, triangle_count
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
@@ -43,6 +45,7 @@ from regulab.partitions import (
     extract_cell_chain,
     first_overlap,
     q_cell_chain,
+    q_partition,
 )
 from regulab.quasirandom import (
     PolyFunction,
@@ -135,14 +138,15 @@ def verdicts_match(h, p) -> int:
     return bad
 
 
-def q_matches(h, p) -> int:
-    """Part triples of ``p``'s cylinders, and located cell chains of them
-    taken as one cell each, whose q differs between the fast and naive
-    modes; a one-cell chain must also have q = d^2 by the evaluator, and
-    the evaluator's certificate must equal the naive kernel's on the
-    extracted chain."""
+def q_matches(h, p, rng) -> int:
+    """``p`` itself, part triples of its cylinders, and located cell chains
+    of them taken as one cell each, whose q differs between the fast and
+    naive modes; a one-cell chain must also have q = d^2 by the evaluator,
+    and the evaluator's counts and certificate must equal the extracted
+    chain's, certified by the naive kernel, on the chain's cells and on
+    copies widened by random bits that reach outside the masks."""
     vs = h.vertex_set
-    bad = 0
+    bad = q_partition(h, p, "fast") != q_partition(h, p, "naive")
     for cyl, ep in zip(p.vertex.cylinders, p.edges):
         for i, j, k in combinations(range(vs.t), 3):
             parts = (i, j, k)
@@ -160,19 +164,74 @@ def q_matches(h, p) -> int:
                     for pp, cell in zip(pps, cells)
                 )
                 fast = q_cell_chain(h, parts, cells, whole, "fast")
-                tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
+                tri, hyp, _ = cell_chain_stats(h, masks, parts, cells)
                 bad += fast != q_cell_chain(h, parts, cells, whole, "naive")
                 bad += fast != ratio(hyp, tri) ** 2
-                chain = extract_cell_chain(h, masks, parts, cells)
-                bad += cert != chain_quasirandomness(chain, mode="naive").value
+                wide = tuple(
+                    tuple(row | rng.next_u64() & vs.full_mask(b) for row in cell)
+                    for (_, b), cell in zip(combinations(parts, 2), cells)
+                )
+                for cs in (cells, wide):
+                    tri, hyp, cert = cell_chain_stats(h, masks, parts, cs)
+                    chain = extract_cell_chain(h, masks, parts, cs)
+                    bad += tri != triangle_count(chain.graph)
+                    bad += hyp != chain.hyper.edge_count
+                    bad += cert != chain_quasirandomness(chain, mode="naive").value
+    return bad
+
+
+def scan_lookup(pv, locals_):
+    """The first cylinder whose masks hold the tuple, by a scan."""
+    return next(
+        (c for c, cyl in enumerate(pv.cylinders)
+         if all(m >> a & 1 for m, a in zip(cyl.masks, locals_))),
+        None,
+    )
+
+
+def scan_container(pv, cyl):
+    """The first cylinder whose masks hold every mask of ``cyl``, by a scan;
+    None for an empty ``cyl``, which has no tuple to hold."""
+    if cyl.is_empty():
+        return None
+    return next(
+        (c for c, big in enumerate(pv.cylinders)
+         if all(m & ~b == 0 for m, b in zip(cyl.masks, big.masks))),
+        None,
+    )
+
+
+def containment_matches(pv, rng) -> int:
+    """Tuples whose ``lookup``, and cylinders (of a random partition, of its
+    meet with ``pv`` and random ones) whose ``container``, differ from a
+    scan over the masks."""
+    vs = pv.vertex_set
+    bad = sum(
+        pv.lookup(locals_) != scan_lookup(pv, locals_)
+        for locals_ in product(*(range(s) for s in vs.sizes))
+    )
+    other = random_vertex_cylinder_partition(vs, 1 + rng.below(8), rng.next_u64())
+    meet = [
+        VertexCylinder(tuple(x & y for x, y in zip(a.masks, b.masks)))
+        for a in pv.cylinders
+        for b in other.cylinders
+    ]
+    loose = [
+        VertexCylinder(tuple(rng.next_u64() & vs.full_mask(i) for i in range(vs.t)))
+        for _ in range(4)
+    ]
+    bad += sum(
+        pv.container(cyl) != scan_container(pv, cyl)
+        for cyl in list(other.cylinders) + meet + loose
+    )
     return bad
 
 
 def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
     """Good tuple mass by the definition: every tuple (above ``cap``, the
-    audit's seeded draws), its cylinder by ``lookup``, and eta_psi_check
-    (naive) on the cell chain of each part triple that holds its edges.  An
-    empty product has mass 1, as in the audit."""
+    audit's seeded draws), its cylinder by a scan over the masks, and
+    eta_psi_check (naive) on the cell chain of each part triple that holds
+    its edges.  An empty product has mass 1, as in the audit."""
     vs = h.vertex_set
     space = prod(vs.sizes)
     if space == 0:
@@ -184,7 +243,7 @@ def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
         tuples = [tuple(rng.below(s) for s in vs.sizes) for _ in range(samples)]
     good = 0
     for locals_ in tuples:
-        c = p.vertex.lookup(locals_)
+        c = scan_lookup(p.vertex, locals_)
         cyl, ep = p.vertex.cylinders[c], p.edges[c]
         ok = True
         for i, j, k in combinations(range(vs.t), 3):
@@ -254,6 +313,7 @@ def main() -> int:
     # A stream of its own, so the other cases stay those of earlier sweeps.
     side = SplitMix64(args.seed + 1)
     cylinders = SplitMix64(args.seed + 2)
+    extra = SplitMix64(args.seed + 3)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -301,17 +361,21 @@ def main() -> int:
             if bad:
                 mismatches += 1
                 print(f"{bad} tuple-audit mismatches at case {case}: {sizes}")
-            bad = q_matches(h, p)
+            bad = q_matches(h, p, extra)
             if bad:
                 mismatches += 1
                 print(f"{bad} q or certificate mismatches at case {case}: {sizes}")
+            bad = containment_matches(p.vertex, extra)
+            if bad:
+                mismatches += 1
+                print(f"{bad} lookup or container mismatches at case {case}: {sizes}")
     dt = time.monotonic() - t0
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
         f"{args.cases} pair, masked pair, symmetry and cylinder overlap cases"
         f" ({overlapping} overlapping) + {chains} chain cases"
-        f" + {indexes} index, verdict, audit, q and certificate cases"
+        f" + {indexes} index, verdict, audit, q, certificate and containment cases"
         f" in {dt:.1f}s"
     )
     if mismatches:
@@ -319,8 +383,8 @@ def main() -> int:
         return 1
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
-        " and certificates, the tuple audit, q and the cylinder overlap check match"
-        " their oracles"
+        " and certificates, the tuple audit, q, lookup, container and the cylinder"
+        " overlap check match their oracles"
     )
     return 0
 

@@ -119,13 +119,16 @@ def parse_psi(text: str) -> PolyFunction:
         raise _ArgError(str(exc))
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _parse_sizes(text: str, count: int | None = None) -> tuple[int, ...]:
+    """Part sizes from "4,4,4"; exactly ``count`` of them when given."""
     try:
         sizes = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise _ArgError(f"cannot parse part sizes {text!r}")
     if not sizes or any(s < 1 for s in sizes):
         raise _ArgError("part sizes must be positive integers")
+    if count is not None and len(sizes) != count:
+        raise _ArgError(f"--parts needs {count} sizes for this kind, got {len(sizes)}")
     return sizes
 
 
@@ -426,7 +429,7 @@ def _cmd_generate(args) -> int:
             raise _ArgError("cone base must be a two-part graph file")
         out = save_partite_3graph(cone_hypergraph(mg.pair(0, 1), args.apex))
     elif kind == "link":
-        na, nb, nc = _parse_sizes(args.parts or "6,6,6")
+        na, nb, nc = _parse_sizes(args.parts or "6,6,6", 3)
         out = save_partite_3graph(random_link_hypergraph(na, nb, nc, seed))
     elif kind == "tournament":
         out = save_three_graph(random_tournament_3graph(args.n, seed))
@@ -434,7 +437,7 @@ def _cmd_generate(args) -> int:
         sizes = _parse_sizes(args.parts or "4,4,4")
         out = save_partite_3graph(random_partite_3graph(sizes, p or Fraction(1, 2), seed))
     elif kind == "bipartite":
-        na, nb = _parse_sizes(args.parts or "8,8")[:2]
+        na, nb = _parse_sizes(args.parts or "8,8", 2)
         out = _save_two_part(random_bipartite(na, nb, p or Fraction(1, 2), seed))
     elif kind == "graph":
         out = save_graph(random_graph(args.n, p or Fraction(1, 2), seed))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -39,6 +39,7 @@ from .core import (
     equitable_partition,
     partite_from_graph,
     partite_from_three_graph,
+    product_density,
     ratio,
     relative_density,
 )
@@ -58,6 +59,7 @@ from .partitions import (
     common_refinement,
     cylinder_quasirandomness_audit,
     homogeneity_audit,
+    located_cell_chains,
     q_cell_chain,
     q_partition,
     venn_diagram,
@@ -66,7 +68,7 @@ from .partitions import (
 from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
-    eta_psi_check,
+    is_graph_quasirandom,
     masked_pair_quasirandomness,
 )
 
@@ -818,25 +820,14 @@ def _useful_chains(
     eta: Fraction,
 ):
     """Cell chains with certificate above eta, weighted by triangle mass."""
-    vs = h.vertex_set
     useful = []
     mass = Fraction(0)
-    for ci, (cyl, ep) in enumerate(zip(p.vertex.cylinders, p.edges)):
-        w = cyl.weight(vs)
-        if w == 0:
+    for ci, w, size, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, p):
+        if tri == 0 or cert <= eta:
             continue
-        for (i, j, k) in combinations(range(vs.t), 3):
-            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
-            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            size_prod = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
-            for combo in product(*(range(pp.cell_count) for pp in pps)):
-                cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
-                tri, _, cert = cell_chain_stats(h, masks, (i, j, k), cells)
-                if tri == 0 or cert <= eta:
-                    continue
-                weight = w * Fraction(tri, size_prod)
-                useful.append((ci, (i, j, k), combo, cells, cert, weight))
-                mass += weight
+        weight = w * Fraction(tri, size)
+        useful.append((ci, parts, combo, cells, cert, weight))
+        mass += weight
     return useful, mass
 
 
@@ -938,16 +929,9 @@ def _reregularize_cylinders(
             "cylinder re-regularization made no progress",
             IterationTrace(tuple(trace_rows)),
         )
-    parents = []
-    for ncyl in pv_new.cylinders:
-        parent = None
-        for ci, ocyl in enumerate(p.vertex.cylinders):
-            if all(nm & ~om == 0 for nm, om in zip(ncyl.masks, ocyl.masks)):
-                parent = ci
-                break
-        if parent is None:
-            raise InvariantViolation("refined cylinder has no parent")
-        parents.append(parent)
+    parents = [p.vertex.container(ncyl) for ncyl in pv_new.cylinders]
+    if None in parents:
+        raise InvariantViolation("refined cylinder has no parent")
     new_edges = []
     for ncyl, parent in zip(pv_new.cylinders, parents):
         ep = p.edges[parent]
@@ -1286,18 +1270,10 @@ def graph_homogeneous_decomposition(
     for i, part in enumerate(parts):
         groups: dict[tuple, list[int]] = {}
         for local, v in enumerate(part):
-            prof = tuple(
-                ci for ci, cyl in enumerate(pv.cylinders) if cyl.masks[i] >> local & 1
-            )
-            groups.setdefault(prof, []).append(v)
+            groups.setdefault(tuple(bits(pv.holders[i][local])), []).append(v)
         for key in sorted(groups):
             out_parts.append(tuple(groups[key]))
-    masks = []
-    for part in out_parts:
-        m = 0
-        for v in part:
-            m |= 1 << v
-        masks.append(m)
+    masks = [sum(1 << v for v in part) for part in out_parts]
     same_mass = sum((Fraction(len(part), n)) ** 2 for part in out_parts)
     hom_mass = Fraction(0)
     for a in range(len(out_parts)):
@@ -1564,7 +1540,9 @@ def quasirandom_subset(
         chain=cover,
         certificate_value=cert.value,
         eta_ok=cert.value <= eta,
-        psi_ok=eta_psi_check(cover, eta, psi, mode="fast"),
+        # eta_psi_check without certifying the cover a second time.
+        psi_ok=cert.value <= eta
+        and is_graph_quasirandom(cover.graph, psi(product_density(cover.graph))),
         induced=induced,
         parts_chosen=mono,
         bucket=bucket,

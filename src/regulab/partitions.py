@@ -8,16 +8,16 @@ partition (vertex parts plus partitions of each complete bipartite graph
 between them).
 
 q is the triangle-mass-weighted sum of squared relative densities of the
-cells.  The ``fast`` mode enumerates the host's triangles once and tallies
-cells by label; the ``naive`` mode re-enumerates each cell by triple loops.
-Both are exact and must agree.  :func:`q_cell_chain` is the one place that
-picks between them: q of a chain's edge partition, of a cylinder and of
-the engine's refinement candidates all go through it.
+cells.  :func:`q_partition` folds over :func:`located_cell_chains`, whose
+counts the evaluator has already made; :func:`q_cell_chain` is the one
+fast/naive dispatch of q over a part triple's hosts (a chain's edge
+partition, refinement candidates, ``q_partition``'s naive mode).  Both
+modes are exact and must agree.
 
 :func:`triangle_tallies` is the one label-keyed triangle sweep: it counts
 the triangles and hyperedges of three hosts per label triple of a
-triangle's edges.  q's fast mode, :func:`homogeneity_audit` and
-:func:`markov_split_check` all count through it.
+triangle's edges.  ``q_cell_chain``'s fast mode, :func:`homogeneity_audit`
+and :func:`markov_split_check` all count through it.
 
 Each partition-building decision has one home.  :func:`cells_by_label`
 is the one cell builder: it groups a host's edges by a per-edge label and
@@ -27,6 +27,8 @@ them.  ``VertexCylinder.host_rows`` is the one complete bipartite host of
 a cylinder.  :func:`extract_cell_chain` is the one sub-chain cutter;
 ``core.restrict_chain`` checks its arguments and calls it, and tests use
 its copies as inputs to the naive oracles.  No engine path copies a chain.
+Every question of which cylinder holds a vertex, tuple or cylinder reads
+one table, ``VertexCylinderPartition.holders``, built once per partition.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
@@ -93,14 +95,7 @@ class VertexCylinder:
         return tuple(m.bit_count() for m in self.masks)
 
     def weight(self, vs: PartiteVertexSet) -> Fraction:
-        num = den = 1
-        for m, s in zip(self.masks, vs.sizes):
-            num *= m.bit_count()
-            den *= s
-        return ratio(num, den)
-
-    def contains(self, locals_: Sequence[int]) -> bool:
-        return all(m >> a & 1 for m, a in zip(self.masks, locals_))
+        return ratio(prod(self.sizes()), prod(vs.sizes))
 
     def is_empty(self) -> bool:
         return any(m == 0 for m in self.masks)
@@ -112,33 +107,19 @@ class VertexCylinder:
         return tuple(mask_j if mask_i >> x & 1 else 0 for x in range(vs.sizes[i]))
 
 
-def first_overlap(
-    vs: PartiteVertexSet, cylinders: Sequence[VertexCylinder], mode: str = "fast"
-) -> tuple[int, int] | None:
-    """The first pair a < b, in lexicographic order, of cylinders that share
-    a tuple (every part's masks intersect), or None.  Masks must be in range.
-
-    ``naive`` tests every pair.  ``fast`` transposes: per part and vertex, a
-    bitset of the cylinders holding that vertex; cylinder a meets the AND
-    over parts of the OR of those bitsets over its mask, and the lowest bit
-    above a is its first partner.  An empty cylinder is in no AND.
-    """
-    if mode == "naive":
-        for a, ca in enumerate(cylinders):
-            if ca.is_empty():
-                continue
-            for b in range(a + 1, len(cylinders)):
-                cb = cylinders[b]
-                if not cb.is_empty() and all(ma & mb for ma, mb in zip(ca.masks, cb.masks)):
-                    return a, b
-        return None
-    if mode != "fast":
-        raise InvalidStructure(f"unknown mode {mode!r}")
+def cylinder_holders(
+    vs: PartiteVertexSet, cylinders: Sequence[VertexCylinder]
+) -> tuple[tuple[int, ...], ...]:
+    """``holders[i][x]``: bitset of the cylinders whose part-i mask holds x."""
     holders = [[0] * s for s in vs.sizes]
     for c, cyl in enumerate(cylinders):
         for part, m in zip(holders, cyl.masks):
             for x in bits(m):
                 part[x] |= 1 << c
+    return tuple(map(tuple, holders))
+
+
+def _first_overlap(holders, cylinders) -> tuple[int, int] | None:
     for a, cyl in enumerate(cylinders):
         hit = -1 << (a + 1)  # every bit above a
         for part, m in zip(holders, cyl.masks):
@@ -153,8 +134,35 @@ def first_overlap(
     return None
 
 
+def first_overlap(
+    vs: PartiteVertexSet, cylinders: Sequence[VertexCylinder], mode: str = "fast"
+) -> tuple[int, int] | None:
+    """The first pair a < b, in lexicographic order, of cylinders that share
+    a tuple (every part's masks intersect), or None.  Masks must be in range.
+
+    ``naive`` tests every pair.  ``fast`` reads :func:`cylinder_holders`:
+    cylinder a meets the AND over parts of the OR of the holders over its
+    mask, whose lowest bit above a is its first partner.
+    """
+    if mode == "naive":
+        for a, ca in enumerate(cylinders):
+            if ca.is_empty():
+                continue
+            for b in range(a + 1, len(cylinders)):
+                cb = cylinders[b]
+                if not cb.is_empty() and all(ma & mb for ma, mb in zip(ca.masks, cb.masks)):
+                    return a, b
+        return None
+    if mode != "fast":
+        raise InvalidStructure(f"unknown mode {mode!r}")
+    return _first_overlap(cylinder_holders(vs, cylinders), cylinders)
+
+
 @dataclass(frozen=True)
 class VertexCylinderPartition:
+    """Cylinders partitioning X_1 x ... x X_t; ``validate`` builds the
+    :func:`cylinder_holders` table that every containment question reads."""
+
     vertex_set: PartiteVertexSet
     cylinders: tuple[VertexCylinder, ...]
 
@@ -165,27 +173,27 @@ class VertexCylinderPartition:
     def trivial(cls, vs: PartiteVertexSet) -> "VertexCylinderPartition":
         return cls(vs, (VertexCylinder(tuple(vs.full_mask(i) for i in range(vs.t))),))
 
+    @cached_property
+    def holders(self) -> tuple[tuple[int, ...], ...]:
+        return cylinder_holders(self.vertex_set, self.cylinders)
+
     def validate(self) -> None:
         """Exact partition check: masks in range, pairwise product-disjoint,
         and cell weights summing to the full product.  No enumeration; the
-        disjointness test is :func:`first_overlap`, linear in the cylinder
-        count.  Errors win in that order: arity or range, then the first
-        overlapping pair, then the coverage count."""
+        disjointness test reads ``holders``, as :func:`first_overlap` does,
+        linear in the cylinder count.  Errors win in that order: arity or
+        range, then the first overlapping pair, then the coverage count."""
         vs = self.vertex_set
-        total = 1
-        for s in vs.sizes:
-            total *= s
+        total = prod(vs.sizes)
         acc = 0
         for cyl in self.cylinders:
             if len(cyl.masks) != vs.t:
                 raise InvalidStructure("cylinder arity does not match parts")
-            prod = 1
             for i, m in enumerate(cyl.masks):
                 if m < 0 or m & ~vs.full_mask(i):
                     raise InvalidStructure("cylinder mask out of part range")
-                prod *= m.bit_count()
-            acc += prod
-        overlap = first_overlap(vs, self.cylinders)
+            acc += prod(cyl.sizes())
+        overlap = _first_overlap(self.holders, self.cylinders)
         if overlap is not None:
             a, b = overlap
             raise InvalidStructure(f"cylinders {a} and {b} overlap")
@@ -193,10 +201,23 @@ class VertexCylinderPartition:
             raise InvalidStructure(f"cylinders cover {acc} of {total} tuples")
 
     def lookup(self, locals_: Sequence[int]) -> int:
-        for idx, cyl in enumerate(self.cylinders):
-            if cyl.contains(locals_):
-                return idx
-        raise InvalidStructure(f"tuple {tuple(locals_)} not covered")
+        """The lowest cylinder in the AND over parts of the holders of the
+        tuple's vertices."""
+        hit = -1
+        for part, a in zip(self.holders, locals_):
+            hit &= part[a] if 0 <= a < len(part) else 0
+        if not hit:
+            raise InvalidStructure(f"tuple {tuple(locals_)} not covered")
+        return (hit & -hit).bit_length() - 1
+
+    def container(self, cyl: VertexCylinder) -> int | None:
+        """The cylinder holding all of ``cyl``, or None (also for an empty
+        ``cyl``): only the one holding its lowest tuple can."""
+        if cyl.is_empty():
+            return None
+        c = self.lookup([(m & -m).bit_length() - 1 for m in cyl.masks])
+        inside = all(m & ~big == 0 for m, big in zip(cyl.masks, self.cylinders[c].masks))
+        return c if inside else None
 
 
 @dataclass(frozen=True)
@@ -427,16 +448,6 @@ class ChainPartition:
             if pp.host_rows != ((1 << lb) - 1,) * la:
                 raise InvalidStructure("chain partition hosts must be complete")
 
-    @classmethod
-    def trivial(cls, n: int, parts: Sequence[Sequence[int]]) -> "ChainPartition":
-        pt = tuple(tuple(sorted(p)) for p in parts)
-        pairs = {
-            (a, b): PairPartition.complete(len(pt[a]), len(pt[b]))
-            for a in range(len(pt))
-            for b in range(a + 1, len(pt))
-        }
-        return cls(max((v for p in pt for v in p), default=-1) + 1 if pt else 0, pt, pairs)
-
     @property
     def part_count(self) -> int:
         return len(self.parts)
@@ -532,9 +543,11 @@ def q_cell_chain(
     """q over one part triple of ``h``: the host ``rows`` of its (i, j),
     (i, k) and (j, k) pairs, cut into cells by ``pps``, in local ids.
 
-    The one fast/naive dispatch of q.  Hyperedges are read from ``h``'s
-    index on the hosts' triangles only, so hosts inside a cylinder need no
-    mask.
+    The one fast/naive dispatch of q over hosts: edge partitions of a
+    chain, refinement candidates and the naive mode of
+    :func:`q_partition`, whose fast mode reads the cell-chain evaluator
+    instead.  Hyperedges are read from ``h``'s index on the hosts'
+    triangles only, so hosts inside a cylinder need no mask.
     """
     zm = h.zmasks(*parts)
     if mode == "fast":
@@ -556,29 +569,28 @@ def q_edge_partition(c: Chain, pe: EdgePartition, mode: str = "fast") -> Fractio
     return q_cell_chain(c.hyper, (0, 1, 2), rows, tuple(pe.pair(i, j) for i, j in keys), mode)
 
 
-def q_cylinder(
-    h: PartiteThreeGraph, cyl: VertexCylinder, pe: EdgePartition, mode: str = "fast"
-) -> Fraction:
-    """Sum of per-triple q over all part triples of one cylinder."""
-    vs = h.vertex_set
-    hosts = {(i, j): cyl.host_rows(vs, i, j) for i, j in itertools.combinations(range(vs.t), 2)}
-    out = Fraction(0)
-    for i, j, k in itertools.combinations(range(vs.t), 3):
-        rows = (hosts[i, j], hosts[i, k], hosts[j, k])
-        out += q_cell_chain(h, (i, j, k), rows, (pe.pair(i, j), pe.pair(i, k), pe.pair(j, k)), mode)
-    return out
-
-
 def q_partition(h: PartiteThreeGraph, p: CylinderChainPartition, mode: str = "fast") -> Fraction:
-    """Weight-averaged q over all cylinders; bounded by C(t, 3)."""
+    """Weight-averaged q over all cylinders; bounded by C(t, 3).  ``fast``
+    sums w * tri / size, a located chain's triangle mass, times d^2 =
+    (hyp / tri)^2; ``naive`` runs :func:`q_cell_chain` on each cylinder."""
     vs = h.vertex_set
     if p.vertex.vertex_set != vs:
         raise InvalidStructure("partition and hypergraph disagree on parts")
     out = Fraction(0)
+    if mode == "fast":
+        for _, w, size, *_, (tri, hyp, _) in located_cell_chains(h, p):
+            if hyp:
+                out += w * Fraction(hyp * hyp, tri * size)
+        return out
+    if mode != "naive":
+        raise InvalidStructure(f"unknown mode {mode!r}")
     for cyl, ep in zip(p.vertex.cylinders, p.edges):
         w = cyl.weight(vs)
-        if w:
-            out += w * q_cylinder(h, cyl, ep, mode=mode)
+        if w == 0:
+            continue
+        for i, j, k in itertools.combinations(range(vs.t), 3):
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+            out += w * q_cell_chain(h, (i, j, k), tuple(pp.host_rows for pp in pps), pps, "naive")
     return out
 
 
@@ -591,14 +603,7 @@ def refines_vertex(fine: VertexCylinderPartition, coarse: VertexCylinderPartitio
     """Every non-empty cylinder of ``fine`` sits inside one of ``coarse``."""
     if fine.vertex_set != coarse.vertex_set:
         return False
-    for f in fine.cylinders:
-        if f.is_empty():
-            continue
-        if not any(
-            all(mf & ~mc == 0 for mf, mc in zip(f.masks, c.masks)) for c in coarse.cylinders
-        ):
-            return False
-    return True
+    return all(f.is_empty() or coarse.container(f) is not None for f in fine.cylinders)
 
 
 def refines_pair(fine: PairPartition, coarse: PairPartition) -> bool:
@@ -634,22 +639,12 @@ def refines_edge(fine: EdgePartition, coarse: EdgePartition) -> bool:
 
 def refines_cylinder_chain(fine: CylinderChainPartition, coarse: CylinderChainPartition) -> bool:
     """Vertex refinement plus per-cylinder edge refinement after restriction."""
-    if not refines_vertex(fine.vertex, coarse.vertex):
-        return False
-    for f_idx, fcyl in enumerate(fine.vertex.cylinders):
-        if fcyl.is_empty():
-            continue
-        container = None
-        for c_idx, ccyl in enumerate(coarse.vertex.cylinders):
-            if all(mf & ~mc == 0 for mf, mc in zip(fcyl.masks, ccyl.masks)):
-                container = c_idx
-                break
-        if container is None:
-            return False
-        for key, fine_pp in fine.edges[f_idx].pairs.items():
-            if not refines_pair(fine_pp, coarse.edges[container].pairs[key]):
-                return False
-    return True
+    return refines_vertex(fine.vertex, coarse.vertex) and all(
+        refines_pair(fine_pp, coarse.edges[coarse.vertex.container(fcyl)].pairs[key])
+        for fcyl, ep in zip(fine.vertex.cylinders, fine.edges)
+        if not fcyl.is_empty()
+        for key, fine_pp in ep.pairs.items()
+    )
 
 
 def common_refinement(pps: Sequence[PairPartition]) -> PairPartition:
@@ -688,27 +683,28 @@ def common_refinement(pps: Sequence[PairPartition]) -> PairPartition:
 def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
     """Flatten a cylinder chain partition into a chain partition.
 
-    Vertices are grouped by which cylinders they can participate in (a
-    cylinder counts only if its other coordinates are non-empty); edges
+    Vertices are grouped by which cylinders they can participate in, read
+    from the partition's ``holders`` table (a cylinder counts only if its
+    other coordinates are non-empty); edges
     between two such groups are grouped by their cell membership across all
     cylinders containing both groups.
     """
     vs = p.vertex.vertex_set
     cylinders = p.vertex.cylinders
 
-    relevant: dict[int, list[int]] = {i: [] for i in range(vs.t)}
+    # Bitset of the cylinders relevant to each part.
+    relevant = [0] * vs.t
     for idx, cyl in enumerate(cylinders):
         for i in range(vs.t):
             if all(cyl.masks[j] for j in range(vs.t) if j != i):
-                relevant[i].append(idx)
+                relevant[i] |= 1 << idx
 
     # (part index, local ids, profile of relevant containing cylinders)
     part_cells: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    for i in range(vs.t):
+    for i, part in enumerate(p.vertex.holders):
         profiles: dict[tuple[int, ...], list[int]] = {}
-        for a in range(vs.sizes[i]):
-            prof = tuple(idx for idx in relevant[i] if cylinders[idx].masks[i] >> a & 1)
-            profiles.setdefault(prof, []).append(a)
+        for a, held in enumerate(part):
+            profiles.setdefault(tuple(bits(held & relevant[i])), []).append(a)
         for prof in sorted(profiles):
             part_cells.append((i, tuple(profiles[prof]), prof))
 
@@ -895,6 +891,26 @@ def cell_chain_stats(
         tri, hyp, cert = masked_chain_quasirandomness(cells, masks, h.zmasks(*parts))
         got = store[key] = (tri, hyp, cert.value)
     return got
+
+
+def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
+    """(ci, w, size, parts, combo, cells, stats) of every located cell chain
+    of ``p``'s positive-weight cylinders: cylinders, then part triples, then
+    cell combinations.  ``w`` is the cylinder's weight, ``size`` =
+    |m_i| |m_j| |m_k| and ``stats`` the :func:`cell_chain_stats` triple."""
+    vs = h.vertex_set
+    for ci, (cyl, ep) in enumerate(zip(p.vertex.cylinders, p.edges)):
+        w = cyl.weight(vs)
+        if w == 0:
+            continue
+        for parts in itertools.combinations(range(vs.t), 3):
+            i, j, k = parts
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            size = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
+            combos = itertools.product(*(range(pp.cell_count) for pp in pps))
+            for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
+                yield ci, w, size, parts, combo, cells, cell_chain_stats(h, masks, parts, cells)
 
 
 def extract_cell_chain(

@@ -249,6 +249,22 @@ def test_generate_rejects_negative_n(kind, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, parts, line",
+    [
+        ("link", "2,2", "error: --parts needs 3 sizes for this kind, got 2"),
+        ("link", "2,2,2,2", "error: --parts needs 3 sizes for this kind, got 4"),
+        ("bipartite", "3", "error: --parts needs 2 sizes for this kind, got 1"),
+        ("bipartite", "3,3,3", "error: --parts needs 2 sizes for this kind, got 3"),
+    ],
+)
+def test_generate_rejects_a_wrong_count_of_sizes(kind, parts, line, tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert run(["generate", "--kind", kind, "--parts", parts, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["oracle-check", "--cases", "-5"], "--cases"),

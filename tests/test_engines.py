@@ -74,6 +74,7 @@ from regulab.partitions import (
 from regulab.quasirandom import (
     PolyFunction,
     chain_quasirandomness,
+    eta_psi_check,
     masked_chain_quasirandomness,
     masked_pair_quasirandomness,
     pair_quasirandomness,
@@ -841,6 +842,21 @@ def test_quasirandom_subset_cone():
     assert res.density == Fraction(1, 2)
     assert res.certificate_value == 0
     assert res.eta_ok
+
+
+@pytest.mark.parametrize("n, seed", [(10, 2), (12, 4)])
+def test_quasirandom_subset_certifies_its_cover_once(n, seed, monkeypatch):
+    """The cover chain goes through the octahedral kernel once: psi_ok reads
+    the certificate already in hand, and equals eta_psi_check's verdict."""
+    certified = _count_calls(monkeypatch, masked_chain_quasirandomness)
+    h = random_tournament_3graph(n, seed=n - 5)
+    prof = ConstantsProfile.desk(cylinder_eta=Fraction(1, 100))
+    eta = Fraction(1, 4)
+    res = quasirandom_subset(h, eta, PSI_ID, prof, seed=seed)
+    g = res.chain.graph
+    rows = (g.pair(0, 1).rows, g.pair(0, 2).rows, g.pair(1, 2).rows)
+    assert [args[0] for args in certified].count(rows) == 1
+    assert res.psi_ok == eta_psi_check(res.chain, eta, PSI_ID)
 
 
 def test_rodl_sparse_and_dense():

@@ -30,6 +30,7 @@ ENTRY_POINTS = {
     "load_report": "public export of regulab.report: the reader of saved reports",
     "parse_fraction": "public export of regulab.report: the inverse of fraction_str",
     "BipartiteGraph.empty": "test fixture: empty pair graphs",
+    "BipartiteGraph.from_edges": "test fixture: pair graphs from edge lists",
     "MultipartiteGraph.complete": "test fixture: complete t-partite hosts",
     "ThreeGraph.from_triples": "test fixture: 3-graphs from unsorted triples",
     "PartiteThreeGraph.from_triples": "test fixture: partite 3-graphs from unsorted triples",
@@ -98,18 +99,36 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _references(tree: ast.AST, strings: bool = False) -> Counter:
-    """Names read, attributes accessed, and, with ``strings``, strings equal
-    to an identifier."""
+def _class_level(node: ast.AST) -> bool:
+    """A classmethod or staticmethod."""
+    return any(
+        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _references(tree: ast.AST, strings: bool = False, owner: str | None = None) -> Counter:
+    """Names read, attributes accessed, ``Class.attr`` reads under that
+    qualified key (``cls.attr`` inside class ``Class`` counting as
+    ``Class.attr``), and, with ``strings``, strings equal to an identifier.
+    ``owner`` is the class enclosing ``tree``, if any."""
     refs = Counter()
-    for node in ast.walk(tree):
+    stack = [(tree, owner)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
+            if isinstance(node.value, ast.Name):
+                base = owner if node.value.id == "cls" and owner else node.value.id
+                refs[f"{base}.{node.attr}"] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 refs[node.value] += 1
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
     return refs
 
 
@@ -134,10 +153,13 @@ def test_every_definition_is_referenced():
     for path in sorted(SRC.glob("*.py")):
         for qualname, name, node in _definitions(ast.parse(path.read_text())):
             defined.add(qualname)
+            # A classmethod or staticmethod is referenced only through its
+            # own class, so a same-named definition elsewhere hides nothing.
+            key, owner = (qualname, qualname.split(".")[0]) if _class_level(node) else (name, None)
             # References inside the definition itself (recursion) do not count.
-            count = refs[name] - _references(node)[name]
+            count = refs[key] - _references(node, owner=owner)[key]
             if qualname in ENTRY_POINTS:
-                count += test_refs[name]
+                count += test_refs[key]
             if count <= 0 and qualname not in EXTERNAL_HOOKS:
                 unreferenced.append(f"{path.name}: {qualname}")
     assert not unreferenced, f"definitions nothing references: {', '.join(unreferenced)}"

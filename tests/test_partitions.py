@@ -45,13 +45,13 @@ from regulab.partitions import (
     first_overlap,
     homogeneity_audit,
     markov_split_check,
-    q_cylinder,
     q_edge_partition,
     q_partition,
     rational_sqrt,
     refines_cylinder_chain,
     refines_edge,
     refines_pair,
+    refines_vertex,
     restrict_chain_partition,
     venn_diagram,
 )
@@ -150,12 +150,17 @@ def test_q_partition_bounded_by_triple_count():
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32))
-def test_q_cylinder_fast_equals_naive(seed):
+def test_q_partition_fast_equals_naive(seed):
     rng = SplitMix64(seed)
     h = random_partite_3graph((3, 3, 3), Fraction(1, 2), seed=rng.next_u64())
     p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=rng.next_u64())
-    for cyl, pe in zip(p.vertex.cylinders, p.edges):
-        assert q_cylinder(h, cyl, pe, mode="fast") == q_cylinder(h, cyl, pe, mode="naive")
+    assert q_partition(h, p, mode="fast") == q_partition(h, p, mode="naive")
+
+
+def test_q_partition_rejects_an_unknown_mode():
+    h = random_partite_3graph((2, 2, 2), Fraction(1, 2), seed=1)
+    with pytest.raises(InvalidStructure, match="unknown mode 'slow'"):
+        q_partition(h, CylinderChainPartition.trivial(h.vertex_set), mode="slow")
 
 
 def test_q_monotone_under_cylinder_refinement():
@@ -481,10 +486,10 @@ def test_cylinder_audit_modes():
 
 
 def test_cell_chain_evaluator_warm_equals_cold():
-    """Audits and the useful-chain search read the same numbers from a
+    """Audits, the useful-chain search and q read the same numbers from a
     hypergraph whose evaluator already holds earlier partitions' chains as
-    from a fresh, equal hypergraph, and every stored entry equals a direct
-    extraction certified by the naive kernel."""
+    from a fresh, equal hypergraph, q also in naive mode, and every stored
+    entry equals a direct extraction certified by the naive kernel."""
     from regulab.engines import _useful_chains
     from regulab.quasirandom import PolyFunction, chain_quasirandomness
 
@@ -496,6 +501,7 @@ def test_cell_chain_evaluator_warm_equals_cold():
     for p in parts:
         cylinder_quasirandomness_audit(warm, p, eta, psi)
         _useful_chains(warm, p, eta)
+        q_partition(warm, p)
     stored = dict(warm.index.cell_chains)
     assert stored
     for p in parts:
@@ -504,6 +510,7 @@ def test_cell_chain_evaluator_warm_equals_cold():
             cylinder_quasirandomness_audit(cold, p, eta, psi)
         )
         assert _useful_chains(warm, p, eta) == _useful_chains(cold, p, eta)
+        assert q_partition(warm, p) == q_partition(cold, p) == q_partition(warm, p, "naive")
     # Re-reading added nothing: every chain was evaluated once.
     assert warm.index.cell_chains == stored
     extracted = 0
@@ -623,11 +630,28 @@ def test_audits_read_warm_cell_facts_as_fresh_ones():
         assert homogeneity_audit(cold_h, venn_diagram(cold), eta, psi) == first_hom
 
 
+def _scan_lookup(pv: VertexCylinderPartition, locals_) -> int | None:
+    """The first cylinder whose masks hold the tuple, by a scan."""
+    for c, cyl in enumerate(pv.cylinders):
+        if all(m >> a & 1 for m, a in zip(cyl.masks, locals_)):
+            return c
+    return None
+
+
+def _scan_container(pv: VertexCylinderPartition, cyl: VertexCylinder) -> int | None:
+    """The first cylinder whose masks hold every mask of ``cyl``, by a scan."""
+    for c, big in enumerate(pv.cylinders):
+        if all(m & ~b == 0 for m, b in zip(cyl.masks, big.masks)):
+            return c
+    return None
+
+
 def _literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
     """The tuple audit written out: every tuple of X_1 x ... x X_t (above
-    ``cap``, the audit's seeded draws), its cylinder found by ``lookup``,
-    and for each part triple the cells holding its three edges, cut out by
-    extract_cell_chain and judged by eta_psi_check with the naive kernels."""
+    ``cap``, the audit's seeded draws), its cylinder found by scanning the
+    masks, and for each part triple the cells holding its three edges, cut
+    out by extract_cell_chain and judged by eta_psi_check with the naive
+    kernels."""
     vs = h.vertex_set
     if prod(vs.sizes) <= cap:
         tuples = list(product(*(range(s) for s in vs.sizes)))
@@ -636,7 +660,7 @@ def _literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
         tuples = [tuple(rng.below(s) for s in vs.sizes) for _ in range(samples)]
     good = 0
     for locals_ in tuples:
-        c = p.vertex.lookup(locals_)
+        c = _scan_lookup(p.vertex, locals_)
         cyl, ep = p.vertex.cylinders[c], p.edges[c]
         ok = True
         for i, j, k in combinations(range(vs.t), 3):
@@ -776,3 +800,38 @@ def test_validate_takes_4096_one_tuple_cylinders():
     assert len(VertexCylinderPartition(vs, cyls).cylinders) == 4096
     with pytest.raises(InvalidStructure, match="^cylinders 7 and 4096 overlap$"):
         VertexCylinderPartition(vs, cyls + (cyls[7],))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lookup_container_and_refines_vertex_equal_a_mask_scan(seed):
+    """On random cylinder partitions, ``lookup`` of every tuple, and
+    ``container`` and ``refines_vertex`` of meets (refinements), of other
+    random partitions (mostly not) and of random cylinders, equal a literal
+    scan over the masks."""
+    rng = SplitMix64(100 + seed)
+    vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(2 + rng.below(3))))
+    coarse = random_cylinder_chain_partition(vs, 1 + rng.below(6), 2, rng.next_u64()).vertex
+    for locals_ in product(*(range(s) for s in vs.sizes)):
+        assert coarse.lookup(locals_) == _scan_lookup(coarse, locals_)
+    with pytest.raises(InvalidStructure, match="not covered"):
+        coarse.lookup(vs.sizes)
+    verdicts = set()
+    for _ in range(6):
+        other = random_vertex_cylinder_partition(vs, 1 + rng.below(8), rng.next_u64())
+        meet = VertexCylinderPartition(vs, tuple(
+            VertexCylinder(masks)
+            for a in coarse.cylinders
+            for b in other.cylinders
+            if all(masks := tuple(x & y for x, y in zip(a.masks, b.masks)))
+        ))
+        loose = tuple(
+            VertexCylinder(tuple(1 + rng.below(vs.full_mask(i)) for i in range(vs.t)))
+            for _ in range(4)
+        )
+        for fine in (meet, other):
+            want = all(_scan_container(coarse, cyl) is not None for cyl in fine.cylinders)
+            assert refines_vertex(fine, coarse) == want
+            verdicts.add(want)
+        for cyl in meet.cylinders + other.cylinders + loose:
+            assert coarse.container(cyl) == _scan_container(coarse, cyl)
+    assert verdicts == {True, False}
