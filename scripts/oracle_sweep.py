@@ -5,7 +5,8 @@ masks among them), the upper-half symmetry check ``rows_symmetric`` against
 the bit-by-bit walk, the hyperedge index against the naive membership test
 ``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
 against ``eta_psi_check`` with the naive kernels, the tuple audit itself,
-exhaustive and sampled, against a literal walk over the tuples, and
+exhaustive and sampled, against a literal walk over the tuples (3 to 6
+parts; also with complete cells under eta = 1, where every chain passes), and
 ``q_partition`` and ``q_cell_chain`` fast against naive, the latter on every
 part triple of a cylinder and on every located cell chain taken as one cell
 (where q is d^2).  The counts and certificate ``cell_chain_stats`` computes
@@ -37,6 +38,8 @@ from regulab.generators import (
     random_vertex_cylinder_partition,
 )
 from regulab.partitions import (
+    CylinderChainPartition,
+    EdgePartition,
     PairPartition,
     VertexCylinder,
     cell_chain_passes,
@@ -60,6 +63,9 @@ THRESHOLDS = (
     (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
     (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
 )
+# Under eta = 1 every located chain of a partition with complete cells
+# passes: a complete cell's certificate is 0.
+ALL_PASS = (Fraction(1), PolyFunction(Fraction(1), 1))
 AUDIT_SAMPLES = 30
 
 
@@ -262,14 +268,20 @@ def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
 
 def audits_match(h, p, seed) -> int:
     """Exhaustive and sampled tuple audits of ``p`` that differ from the
-    literal walk, over both (eta, psi) pairs."""
-    space = prod(h.vertex_set.sizes)
+    literal walk, over both (eta, psi) pairs, and under ALL_PASS on ``p``'s
+    cylinders with complete cells, where the mass must be 1."""
+    vs = h.vertex_set
+    space = prod(vs.sizes)
+    complete = CylinderChainPartition(
+        p.vertex, tuple(EdgePartition.trivial_for_cylinder(vs, cyl) for cyl in p.vertex.cylinders)
+    )
     bad = 0
-    for eta, psi in THRESHOLDS:
+    for q, (eta, psi) in [(p, th) for th in THRESHOLDS] + [(complete, ALL_PASS)]:
         for cap in (space, space - 1):
-            audit = cylinder_quasirandomness_audit(h, p, eta, psi, cap, AUDIT_SAMPLES, seed)
+            audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
             bad += audit.degenerate_mass != 0
-            bad += audit.good_mass != literal_audit(h, p, eta, psi, cap, AUDIT_SAMPLES, seed)
+            bad += audit.good_mass != literal_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
+            bad += q is complete and audit.good_mass != 1
     return bad
 
 
@@ -347,7 +359,9 @@ def main() -> int:
                 mismatches += 1
                 print(f"chain mismatch at case {case}: {sizes}")
         if case % 4 == 2:
-            sizes = tuple(rng.below(min(args.max_size, 5) + 1) for _ in range(3 + rng.below(3)))
+            t = 3 + rng.below(4)
+            # Parts of at most 3 at t = 6 keep the literal audit walk short.
+            sizes = tuple(rng.below(min(args.max_size, 5 if t < 6 else 3) + 1) for _ in range(t))
             h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
             if not index_matches(h):
                 mismatches += 1

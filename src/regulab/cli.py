@@ -417,7 +417,7 @@ def _cmd_generate(args) -> int:
     kind = args.kind
     seed = args.seed
     _at_least(args, "n", 0)
-    p = parse_rational(args.p) if args.p is not None else None
+    p = parse_rational(args.p) if args.p is not None else Fraction(1, 2)
     if kind == "vd":
         out = save_partite_3graph(make_vd(args.d))
     elif kind == "fd":
@@ -435,21 +435,21 @@ def _cmd_generate(args) -> int:
         out = save_three_graph(random_tournament_3graph(args.n, seed))
     elif kind == "partite3":
         sizes = _parse_sizes(args.parts or "4,4,4")
-        out = save_partite_3graph(random_partite_3graph(sizes, p or Fraction(1, 2), seed))
+        out = save_partite_3graph(random_partite_3graph(sizes, p, seed))
     elif kind == "bipartite":
         na, nb = _parse_sizes(args.parts or "8,8", 2)
-        out = _save_two_part(random_bipartite(na, nb, p or Fraction(1, 2), seed))
+        out = _save_two_part(random_bipartite(na, nb, p, seed))
     elif kind == "graph":
-        out = save_graph(random_graph(args.n, p or Fraction(1, 2), seed))
+        out = save_graph(random_graph(args.n, p, seed))
     elif kind == "half":
         out = _save_two_part(half_graph(args.n))
     elif kind == "multipartite":
         sizes = _parse_sizes(args.parts or "4,4,4")
-        out = save_multipartite(random_multipartite(sizes, p or Fraction(1, 2), seed))
+        out = save_multipartite(random_multipartite(sizes, p, seed))
     elif kind == "chain":
         sizes = _parse_sizes(args.parts or "4,4,4")
         q = parse_rational(args.q) if args.q is not None else Fraction(1, 2)
-        out = save_chain(random_chain(sizes, p or Fraction(1, 2), q, seed))
+        out = save_chain(random_chain(sizes, p, q, seed))
     else:
         raise _ArgError(f"unknown kind {kind!r}")
     _write_out(args.out, out)

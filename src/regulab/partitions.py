@@ -44,6 +44,8 @@ table, ``densities`` and ``certificates``, computed once per partition
 however many audits, gates or ``q`` evaluations read them.  The cell half
 of the (eta, psi) test has one home, :func:`cells_quasirandom`, and the
 verdict on a located cell chain one more, :func:`cell_chain_passes`.
+The tuple audit reads that verdict once per located chain and counts the
+good tuples of a cylinder from its failing chains, never tuple by tuple.
 """
 
 from __future__ import annotations
@@ -978,6 +980,86 @@ def cell_chain_passes(
     return cell_chain_stats(h, masks, parts, cells)[2] <= eta
 
 
+def _failing_chains(
+    h: PartiteThreeGraph, p: CylinderChainPartition, eta: Fraction, psi: PolyFunction
+) -> list[list[tuple[tuple[int, int, int], list]]]:
+    """Per cylinder, its part triples (i, j, k) with a located chain that
+    fails :func:`cell_chain_passes`, each with the failing chains' (i, j),
+    (i, k) and (j, k) cell rows.  A verdict is read once per (masks, parts,
+    cells), the key of :func:`cell_chain_stats`, so cylinders that share a
+    projection share it.  A cylinder with an empty mask holds no tuple and
+    gets no triple."""
+    t = h.vertex_set.t
+    verdicts: dict[tuple, bool] = {}
+    out = []
+    for cyl, ep in zip(p.vertex.cylinders, p.edges):
+        fails = []
+        out.append(fails)
+        if cyl.is_empty():
+            continue
+        for parts in itertools.combinations(range(t), 3):
+            i, j, k = parts
+            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
+            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
+            combos = itertools.product(*(range(pp.cell_count) for pp in pps))
+            bad = []
+            for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
+                key = (masks, parts, cells)
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = cell_chain_passes(h, cyl, ep, parts, combo, eta, psi)
+                if not ok:
+                    bad.append(cells)
+            if bad:
+                fails.append((parts, bad))
+    return out
+
+
+def _good_tuples(vs: PartiteVertexSet, cyl: VertexCylinder, fails) -> int:
+    """The tuples of ``cyl`` whose projections avoid every failing chain.
+
+    Per failing triple (i, j, k), ``zs[x][y]`` is the mask of the z that
+    close (x, y) into a failing chain (cell rows ANDed).  The parts these
+    triples touch are walked in order, each part's choices cut by the
+    masks of the triples it closes; the last part is counted by popcount
+    and the untouched parts multiply the count.
+    """
+    cuts = []
+    for (i, j, k), chains in fails:
+        zs = [[0] * vs.sizes[j] for _ in range(vs.sizes[i])]
+        hit = 0
+        for ab, ac, bc in chains:
+            for x in bits(cyl.masks[i]):
+                row, zx = zs[x], ac[x]
+                for y in bits(ab[x]):
+                    row[y] |= zx & bc[y]
+                    hit |= row[y]
+        if hit:
+            cuts.append((i, j, k, zs))
+    if not cuts:
+        return prod(cyl.sizes())
+    touched = sorted({a for cut in cuts for a in cut[:3]})
+    levels = [(a, [(i, j, zs) for i, j, k, zs in cuts if k == a]) for a in touched]
+    free = prod(m.bit_count() for a, m in enumerate(cyl.masks) if a not in touched)
+    return free * _avoiding(cyl.masks, levels, [0] * vs.t, 0)
+
+
+def _avoiding(masks, levels, choice, d) -> int:
+    """Completions of ``choice`` on ``levels[d:]`` that no closing mask cuts."""
+    a, cuts = levels[d]
+    hit = 0
+    for i, j, zs in cuts:
+        hit |= zs[choice[i]][choice[j]]
+    left = masks[a] & ~hit
+    if d == len(levels) - 1:
+        return left.bit_count()
+    n = 0
+    for x in bits(left):
+        choice[a] = x
+        n += _avoiding(masks, levels, choice, d + 1)
+    return n
+
+
 def cylinder_quasirandomness_audit(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
@@ -990,53 +1072,40 @@ def cylinder_quasirandomness_audit(
     """Mass of tuples whose visible chains are all (eta, psi)-quasirandom.
 
     A tuple is good when, for every part triple, the cell chain holding its
-    projection passes :func:`cell_chain_passes`.  Exhaustive below ``cap``
-    tuples, each cylinder walking the product of its own masks (the
-    cylinders partition X_1 x ... x X_t); seeded Monte Carlo above.  One
-    verdict is kept per (cylinder, cell label vector).  A projection is a
-    triangle of its own cells, so ``degenerate_mass`` is always 0.
+    projection passes :func:`cell_chain_passes`.  The audit works per
+    cylinder and part triple, not per tuple: each located chain's verdict
+    is read once (:func:`_failing_chains`).  Exhaustive below ``cap``
+    tuples: a cylinder without a failing chain counts its size, any other
+    walks only the parts its failing triples touch (:func:`_good_tuples`);
+    the cylinders partition X_1 x ... x X_t.  Above ``cap``, seeded Monte
+    Carlo: each draw is tested against its cylinder's failing chains only,
+    and with none in any cylinder the mass is ``samples/samples`` without a
+    draw.  A projection is a triangle of its own cells, so
+    ``degenerate_mass`` is always 0.
     """
     vs = h.vertex_set
     if vs != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
-    pairs = list(itertools.combinations(range(vs.t), 2))
-    slot = {pq: n for n, pq in enumerate(pairs)}
-    # Each part triple with the positions of its three pairs in a label vector.
-    triples = [
-        ((i, j, k), (slot[i, j], slot[i, k], slot[j, k]))
-        for i, j, k in itertools.combinations(range(vs.t), 3)
-    ]
-    tables = [[(i, j, ep.pair(i, j).labels) for (i, j) in pairs] for ep in p.edges]
-    verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def passes(c: int, locals_: Sequence[int]) -> bool:
-        labs = tuple([lab[locals_[i]][locals_[j]] for i, j, lab in tables[c]])
-        got = verdicts.get((c, labs))
-        if got is None:
-            cyl, ep = p.vertex.cylinders[c], p.edges[c]
-            got = verdicts[(c, labs)] = all(
-                cell_chain_passes(h, cyl, ep, parts, tuple(labs[n] for n in at), eta, psi)
-                for parts, at in triples
-            )
-        return got
-
     space = prod(vs.sizes)
     if space == 0:
         return CylinderAudit(Fraction(1), Fraction(0), "exhaustive")
+    failing = _failing_chains(h, p, eta, psi)
     if space <= cap:
-        good = sum(
-            passes(c, locals_)
-            for c, cyl in enumerate(p.vertex.cylinders)
-            for locals_ in itertools.product(*(tuple(bits(m)) for m in cyl.masks))
-        )
+        good = sum(_good_tuples(vs, cyl, fails) for cyl, fails in zip(p.vertex.cylinders, failing))
         return CylinderAudit(Fraction(good, space), Fraction(0), "exhaustive")
+    if not any(failing):
+        return CylinderAudit(Fraction(samples, samples), Fraction(0), "sampled", samples)
     from .generators import SplitMix64
 
     rng = SplitMix64(seed)
     good = 0
     for _ in range(samples):
-        locals_ = tuple(rng.below(s) for s in vs.sizes)
-        good += passes(p.vertex.lookup(locals_), locals_)
+        x = tuple(rng.below(s) for s in vs.sizes)
+        good += not any(
+            (ab[x[i]] >> x[j]) & (ac[x[i]] >> x[k]) & (bc[x[j]] >> x[k]) & 1
+            for (i, j, k), chains in failing[p.vertex.lookup(x)]
+            for ab, ac, bc in chains
+        )
     return CylinderAudit(Fraction(good, samples), Fraction(0), "sampled", samples)
 
 

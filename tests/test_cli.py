@@ -248,6 +248,16 @@ def test_generate_rejects_negative_n(kind, tmp_path, capsys):
     assert "--n" in err and not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["partite3", "bipartite", "graph", "multipartite", "chain"])
+def test_generate_takes_p_zero_as_given(kind, tmp_path, capsys):
+    """--p 0 draws no edge and no hyperedge; only an absent --p means 1/2."""
+    out = tmp_path / "g.txt"
+    assert run(["generate", "--kind", kind, "--n", "4", "--p", "0", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines and not [line for line in lines if line.split()[0] in ("e", "t")]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "kind, parts, line",
     [

@@ -69,6 +69,9 @@ THRESHOLDS = (
     (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
     (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
 )
+# Under eta = 1 every located chain of a partition with complete cells
+# passes: a complete cell's certificate is 0.
+ALL_PASS = (Fraction(1), PolyFunction(Fraction(1), 1))
 
 
 def test_rational_sqrt():
@@ -605,6 +608,36 @@ def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
     assert any(verdicts) and not all(verdicts)
 
 
+def test_tuple_audit_reads_each_located_chain_once(monkeypatch):
+    """After q_partition the audit adds nothing to the evaluator's store, so
+    it makes no kernel call, and within one audit it asks cell_chain_passes
+    at most once per (masks, parts, cells), however many cylinders share
+    that projection."""
+    import regulab.partitions as partitions
+
+    keys = []
+    passes = partitions.cell_chain_passes
+
+    def counted(h, cyl, ep, parts, combo, eta, psi):
+        pps = [ep.pair(a, b) for a, b in combinations(parts, 2)]
+        cells = tuple(pp.cells[n] for pp, n in zip(pps, combo))
+        keys.append((tuple(cyl.masks[a] for a in parts), parts, cells))
+        return passes(h, cyl, ep, parts, combo, eta, psi)
+
+    monkeypatch.setattr(partitions, "cell_chain_passes", counted)
+    for seed in range(3):
+        h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=40 + seed)
+        p = random_cylinder_chain_partition(h.vertex_set, 6, 3, seed=50 + seed)
+        q_partition(h, p)
+        stored = dict(h.index.cell_chains)
+        for eta, psi in THRESHOLDS:
+            for cap in (10**6, 1):
+                keys.clear()
+                cylinder_quasirandomness_audit(h, p, eta, psi, cap, 20, seed)
+                assert keys and len(keys) == len(set(keys))
+        assert h.index.cell_chains == stored
+
+
 def test_audits_read_warm_cell_facts_as_fresh_ones():
     """Audits on partitions whose cell facts are already cached equal audits
     on equal, freshly built partitions."""
@@ -687,25 +720,70 @@ def _with_empty_cylinder(p: CylinderChainPartition) -> CylinderChainPartition:
     )
 
 
+def _with_complete_cells(p: CylinderChainPartition) -> CylinderChainPartition:
+    """``p``'s cylinders, each pair one complete cell."""
+    vs = p.vertex.vertex_set
+    return CylinderChainPartition(
+        p.vertex, tuple(EdgePartition.trivial_for_cylinder(vs, cyl) for cyl in p.vertex.cylinders)
+    )
+
+
+def _with_parity_cells(p: CylinderChainPartition, carriers) -> CylinderChainPartition:
+    """``p``'s cylinders, each pair inside a ``carriers`` triple cut into two
+    cells by the parity of x + y and every other pair one complete cell."""
+    vs = p.vertex.vertex_set
+    inside = {pair for triple in carriers for pair in combinations(triple, 2)}
+    edges = []
+    for cyl in p.vertex.cylinders:
+        pairs = {}
+        for i, j in combinations(range(vs.t), 2):
+            host = cyl.host_rows(vs, i, j)
+            cut = (i, j) in inside
+            cells = cells_by_label(vs.sizes[i], host, lambda x, y: (x + y) % 2 if cut else 0)
+            pairs[i, j] = PairPartition(vs.sizes[i], vs.sizes[j], cyl.masks[i], cyl.masks[j], host, cells)
+        edges.append(EdgePartition(pairs))
+    return CylinderChainPartition(p.vertex, tuple(edges))
+
+
 @pytest.mark.parametrize(
-    "sizes", [(4, 5, 4), (3, 4, 3, 4), (2, 3, 2, 3, 2)], ids=["t3", "t4", "t5"]
+    "sizes, carriers",
+    [
+        ((4, 5, 4), None),
+        ((3, 4, 3, 4), None),
+        ((2, 3, 2, 3, 2), None),
+        ((2, 2, 2, 2, 2, 2), ((0, 1, 3), (1, 3, 5))),
+    ],
+    ids=["t3", "t4", "t5", "t6"],
 )
-def test_tuple_audit_matches_a_literal_walk(sizes):
+def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
     """Exhaustive and sampled audits equal the literal walk, on random
     cylinder chain partitions with an empty cylinder, for both (eta, psi)
-    pairs; no tuple is degenerate."""
+    pairs and for ALL_PASS on the same cylinders with complete cells, where
+    the mass is 1; no tuple is degenerate.  In t6 only the ``carriers``
+    part triples hold hyperedges and only their pairs have two cells, so
+    the failing chains touch parts 0, 1, 3 and 5, and parts 2 and 4 are
+    free."""
     masses = set()
     samples = 40
     for seed in range(2):
         h = random_partite_3graph(sizes, Fraction(1, 2), seed=80 + seed)
-        p = random_cylinder_chain_partition(h.vertex_set, 3, 3, seed=90 + seed)
+        vs = h.vertex_set
+        p = random_cylinder_chain_partition(vs, 3, 3, seed=90 + seed)
+        if carriers is not None:
+            on = [tr for tr in h.triples if tuple(map(vs.part_of, tr)) in carriers]
+            h = PartiteThreeGraph(vs, frozenset(on))
+            p = _with_parity_cells(p, carriers)
         p = _with_empty_cylinder(p)
-        for eta, psi in THRESHOLDS:
+        runs = [(p, eta, psi) for eta, psi in THRESHOLDS]
+        runs.append((_with_complete_cells(p), *ALL_PASS))
+        for q, eta, psi in runs:
             for mode, cap in (("exhaustive", prod(sizes)), ("sampled", prod(sizes) - 1)):
-                audit = cylinder_quasirandomness_audit(h, p, eta, psi, cap, samples, seed)
+                audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap, samples, seed)
                 assert audit.mode == mode
-                assert audit.good_mass == _literal_audit(h, p, eta, psi, cap, samples, seed)
+                assert audit.good_mass == _literal_audit(h, q, eta, psi, cap, samples, seed)
                 assert audit.degenerate_mass == 0
+                if (eta, psi) == ALL_PASS:
+                    assert audit.good_mass == 1
                 masses.add(audit.good_mass)
     assert len(masses) > 2 and any(0 < m < 1 for m in masses)
 
