@@ -6,7 +6,9 @@ the bit-by-bit walk, the hyperedge index against the naive membership test
 ``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
 against ``eta_psi_check`` with the naive kernels, the tuple audit itself,
 exhaustive and sampled, against a literal walk over the tuples (3 to 6
-parts; also with complete cells under eta = 1, where every chain passes), and
+parts; also with complete cells under eta = 1, where every chain passes),
+the partition survey against that audit, ``q_partition`` naive and the
+useful chains filtered from ``located_cell_chains``, and
 ``q_partition`` and ``q_cell_chain`` fast against naive, the latter on every
 part triple of a cylinder and on every located cell chain taken as one cell
 (where q is d^2).  The counts and certificate ``cell_chain_stats`` computes
@@ -41,14 +43,17 @@ from regulab.partitions import (
     CylinderChainPartition,
     EdgePartition,
     PairPartition,
+    PartitionSurvey,
     VertexCylinder,
     cell_chain_passes,
     cell_chain_stats,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     first_overlap,
+    located_cell_chains,
     q_cell_chain,
     q_partition,
+    survey_partition,
 )
 from regulab.quasirandom import (
     PolyFunction,
@@ -269,7 +274,9 @@ def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
 def audits_match(h, p, seed) -> int:
     """Exhaustive and sampled tuple audits of ``p`` that differ from the
     literal walk, over both (eta, psi) pairs, and under ALL_PASS on ``p``'s
-    cylinders with complete cells, where the mass must be 1."""
+    cylinders with complete cells, where the mass must be 1.  Each audit's
+    survey must also hold q by ``q_partition``'s naive mode and, in walk
+    order, the located chains with triangles and a certificate above eta."""
     vs = h.vertex_set
     space = prod(vs.sizes)
     complete = CylinderChainPartition(
@@ -277,11 +284,20 @@ def audits_match(h, p, seed) -> int:
     )
     bad = 0
     for q, (eta, psi) in [(p, th) for th in THRESHOLDS] + [(complete, ALL_PASS)]:
+        q_naive = q_partition(h, q, "naive")
+        useful = tuple(
+            (ci, parts, combo, cells, cert, w * Fraction(tri, size))
+            for ci, w, size, _, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, q)
+            if tri > 0 and cert > eta
+        )
+        mass = sum(row[-1] for row in useful)
         for cap in (space, space - 1):
             audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
             bad += audit.degenerate_mass != 0
             bad += audit.good_mass != literal_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
             bad += q is complete and audit.good_mass != 1
+            survey = survey_partition(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
+            bad += survey != PartitionSurvey(q_naive, audit, useful, mass)
     return bad
 
 
@@ -374,7 +390,7 @@ def main() -> int:
             bad = audits_match(h, p, case)
             if bad:
                 mismatches += 1
-                print(f"{bad} tuple-audit mismatches at case {case}: {sizes}")
+                print(f"{bad} tuple-audit or survey mismatches at case {case}: {sizes}")
             bad = q_matches(h, p, extra)
             if bad:
                 mismatches += 1
@@ -397,7 +413,7 @@ def main() -> int:
         return 1
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
-        " and certificates, the tuple audit, q, lookup, container and the cylinder"
+        " and certificates, the tuple audit, the survey, q, lookup, container and the cylinder"
         " overlap check match their oracles"
     )
     return 0

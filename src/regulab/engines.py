@@ -57,11 +57,9 @@ from .partitions import (
     cell_chain_stats,
     cells_by_label,
     common_refinement,
-    cylinder_quasirandomness_audit,
     homogeneity_audit,
-    located_cell_chains,
     q_cell_chain,
-    q_partition,
+    survey_partition,
     venn_diagram,
     restrict_chain_partition,
 )
@@ -309,6 +307,10 @@ class ConstantsProfile:
         ):
             if getattr(self, name) < low:
                 raise InvalidStructure(f"{name} must be at least {low}")
+        for name, zero_ok in (("cylinder_eta", 0), ("szemeredi_alpha", 0), ("sparse_density", 1)):
+            val = getattr(self, name)
+            if val is not None and not (0 <= val <= 1 and (zero_ok or val > 0)):
+                raise InvalidStructure(f"{name} must lie in {'[' if zero_ok else '('}0, 1]")
         if self.witness_search not in ("auto", "exhaustive", "greedy"):
             raise InvalidStructure(f"unknown witness search {self.witness_search!r}")
 
@@ -814,23 +816,6 @@ def one_cylinder_refine(c: Chain, eta: Fraction, profile: ConstantsProfile) -> E
 # ---------------------------------------------------------------------------
 
 
-def _useful_chains(
-    h: PartiteThreeGraph,
-    p: CylinderChainPartition,
-    eta: Fraction,
-):
-    """Cell chains with certificate above eta, weighted by triangle mass."""
-    useful = []
-    mass = Fraction(0)
-    for ci, w, size, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, p):
-        if tri == 0 or cert <= eta:
-            continue
-        weight = w * Fraction(tri, size)
-        useful.append((ci, parts, combo, cells, cert, weight))
-        mass += weight
-    return useful, mass
-
-
 def _apply_chain_refinements(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
@@ -952,10 +937,11 @@ def hyper_cylinder_regularity(
 ) -> tuple[CylinderChainPartition, CylinderAudit, IterationTrace]:
     """Cylinder chain partition passing the (eta, psi) tuple audit.
 
-    Loop: audit; if enough tuple mass sees quasirandom located chains,
-    accept, returning the partition, the audit it was accepted on and the
-    trace.  Otherwise refine every useful cell chain (certificate above
-    eta) through refine_cell_chain and demand the profile's q gain; when
+    Each partition is read once, by :func:`survey_partition`: its q, tuple
+    audit and useful chains (certificate above eta).  If enough tuple mass
+    sees quasirandom located chains, accept, returning the partition, the
+    audit it was accepted on and the trace.  Otherwise refine every useful
+    chain through refine_cell_chain and demand the profile's q gain; when
     no chain is useful, or no useful chain has a candidate edge split, the
     cylinders are re-regularized instead (monotone in q but with no gain
     floor) and the step's trace row reads ``split-cylinders``.  Under
@@ -969,51 +955,44 @@ def hyper_cylinder_regularity(
         raise InvalidStructure("eta must lie in (0, 1]")
     if profile.is_paper:
         check_paper_schedule(eta, vs.t, psi)
+    cap, samples = profile.audit_tuple_cap, profile.audit_samples
     p = CylinderChainPartition.trivial(vs)
     gain = profile.hyper_gain(eta, vs.t)
-    q_prev = q_partition(h, p, mode="fast")
+    now = survey_partition(h, p, eta, psi, cap, samples, seed)
     rows: list[TraceRow] = []
     for step in range(profile.max_steps + 1):
-        audit = cylinder_quasirandomness_audit(
-            h,
-            p,
-            eta,
-            psi,
-            cap=profile.audit_tuple_cap,
-            samples=profile.audit_samples,
-            seed=seed,
-        )
-        useful, useful_mass = _useful_chains(h, p, eta)
-        ok = audit.good_mass >= 1 - eta
-        action = "accept" if ok else ("refine-edges" if useful else "split-cylinders")
+        ok = now.audit.good_mass >= 1 - eta
+        action = "accept" if ok else ("refine-edges" if now.useful else "split-cylinders")
         rows.append(
-            TraceRow(step, q_prev, p.vertex_count, p.edge_count, useful_mass, action, "hyper")
+            TraceRow(step, now.q, p.vertex_count, p.edge_count, now.useful_mass, action, "hyper")
         )
         if ok:
-            return p, audit, IterationTrace(tuple(rows))
+            return p, now.audit, IterationTrace(tuple(rows))
         if step == profile.max_steps:
             raise NonterminationError(
                 "tuple audit still failing at the step cap", IterationTrace(tuple(rows))
             )
-        refined = _apply_chain_refinements(h, p, useful, eta, profile, rows) if useful else None
+        refined = (
+            _apply_chain_refinements(h, p, now.useful, eta, profile, rows) if now.useful else None
+        )
         if refined is not None:
             p = refined
-            q_new = q_partition(h, p, mode="fast")
-            if q_new < q_prev:
+            new = survey_partition(h, p, eta, psi, cap, samples, seed)
+            if new.q < now.q:
                 raise InvariantViolation("q decreased across an edge refinement")
-            if q_new - q_prev < gain:
+            if new.q - now.q < gain:
                 raise RefinementFailure(
-                    f"edge refinement gained {q_new - q_prev}, below the floor {gain}",
+                    f"edge refinement gained {new.q - now.q}, below the floor {gain}",
                     IterationTrace(tuple(rows)),
                 )
         else:
             # Also when no useful chain had a candidate edge split.
             rows[-1] = replace(rows[-1], action="split-cylinders")
             p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
-            q_new = q_partition(h, p, mode="fast")
-            if q_new < q_prev:
+            new = survey_partition(h, p, eta, psi, cap, samples, seed)
+            if new.q < now.q:
                 raise InvariantViolation("q decreased across a cylinder split")
-        q_prev = q_new
+        now = new
     raise AssertionError("unreachable")
 
 

@@ -8,11 +8,11 @@ partition (vertex parts plus partitions of each complete bipartite graph
 between them).
 
 q is the triangle-mass-weighted sum of squared relative densities of the
-cells.  :func:`q_partition` folds over :func:`located_cell_chains`, whose
-counts the evaluator has already made; :func:`q_cell_chain` is the one
-fast/naive dispatch of q over a part triple's hosts (a chain's edge
-partition, refinement candidates, ``q_partition``'s naive mode).  Both
-modes are exact and must agree.
+cells.  :func:`q_partition`'s fast mode folds over
+:func:`located_cell_chains`, whose counts the evaluator has already made;
+:func:`q_cell_chain` is the one fast/naive dispatch of q over a part
+triple's hosts (a chain's edge partition, refinement candidates,
+``q_partition``'s naive mode).  Both modes are exact and must agree.
 
 :func:`triangle_tallies` is the one label-keyed triangle sweep: it counts
 the triangles and hyperedges of three hosts per label triple of a
@@ -35,17 +35,18 @@ Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
 certificate) and keeps them on that index.  It certifies a chain where it
 lies, with the one fast octahedral kernel
-(:func:`regulab.quasirandom.masked_chain_quasirandomness`).  The tuple
-audit, the engine's search for non-quasirandom chains and the subset gate
-all read it.
+(:func:`regulab.quasirandom.masked_chain_quasirandomness`).  The subset
+gate and :func:`survey_partition` read it; the engine reads each cylinder
+chain partition through that one walk over its located cell chains, which
+gives its q, its tuple audit and its useful (non-quasirandom) chains.
 
 Per-cell facts live on their :class:`PairPartition`: the cached ``labels``
 table, ``densities`` and ``certificates``, computed once per partition
 however many audits, gates or ``q`` evaluations read them.  The cell half
 of the (eta, psi) test has one home, :func:`cells_quasirandom`, and the
 verdict on a located cell chain one more, :func:`cell_chain_passes`.
-The tuple audit reads that verdict once per located chain and counts the
-good tuples of a cylinder from its failing chains, never tuple by tuple.
+The survey reads that verdict once per located chain and counts the good
+tuples of a cylinder from its failing chains, never tuple by tuple.
 """
 
 from __future__ import annotations
@@ -896,10 +897,11 @@ def cell_chain_stats(
 
 
 def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
-    """(ci, w, size, parts, combo, cells, stats) of every located cell chain
-    of ``p``'s positive-weight cylinders: cylinders, then part triples, then
-    cell combinations.  ``w`` is the cylinder's weight, ``size`` =
-    |m_i| |m_j| |m_k| and ``stats`` the :func:`cell_chain_stats` triple."""
+    """(ci, w, size, masks, parts, combo, cells, stats) of every located cell
+    chain of ``p``'s positive-weight cylinders: cylinders, then part triples,
+    then cell combinations.  ``w`` is the cylinder's weight, ``masks`` its
+    masks on ``parts``, ``size`` = |m_i| |m_j| |m_k| and ``stats`` the
+    :func:`cell_chain_stats` triple."""
     vs = h.vertex_set
     for ci, (cyl, ep) in enumerate(zip(p.vertex.cylinders, p.edges)):
         w = cyl.weight(vs)
@@ -912,7 +914,8 @@ def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
             size = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
             combos = itertools.product(*(range(pp.cell_count) for pp in pps))
             for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
-                yield ci, w, size, parts, combo, cells, cell_chain_stats(h, masks, parts, cells)
+                stats = cell_chain_stats(h, masks, parts, cells)
+                yield ci, w, size, masks, parts, combo, cells, stats
 
 
 def extract_cell_chain(
@@ -980,41 +983,6 @@ def cell_chain_passes(
     return cell_chain_stats(h, masks, parts, cells)[2] <= eta
 
 
-def _failing_chains(
-    h: PartiteThreeGraph, p: CylinderChainPartition, eta: Fraction, psi: PolyFunction
-) -> list[list[tuple[tuple[int, int, int], list]]]:
-    """Per cylinder, its part triples (i, j, k) with a located chain that
-    fails :func:`cell_chain_passes`, each with the failing chains' (i, j),
-    (i, k) and (j, k) cell rows.  A verdict is read once per (masks, parts,
-    cells), the key of :func:`cell_chain_stats`, so cylinders that share a
-    projection share it.  A cylinder with an empty mask holds no tuple and
-    gets no triple."""
-    t = h.vertex_set.t
-    verdicts: dict[tuple, bool] = {}
-    out = []
-    for cyl, ep in zip(p.vertex.cylinders, p.edges):
-        fails = []
-        out.append(fails)
-        if cyl.is_empty():
-            continue
-        for parts in itertools.combinations(range(t), 3):
-            i, j, k = parts
-            pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
-            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            combos = itertools.product(*(range(pp.cell_count) for pp in pps))
-            bad = []
-            for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
-                key = (masks, parts, cells)
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = cell_chain_passes(h, cyl, ep, parts, combo, eta, psi)
-                if not ok:
-                    bad.append(cells)
-            if bad:
-                fails.append((parts, bad))
-    return out
-
-
 def _good_tuples(vs: PartiteVertexSet, cyl: VertexCylinder, fails) -> int:
     """The tuples of ``cyl`` whose projections avoid every failing chain.
 
@@ -1025,7 +993,7 @@ def _good_tuples(vs: PartiteVertexSet, cyl: VertexCylinder, fails) -> int:
     and the untouched parts multiply the count.
     """
     cuts = []
-    for (i, j, k), chains in fails:
+    for (i, j, k), chains in fails.items():
         zs = [[0] * vs.sizes[j] for _ in range(vs.sizes[i])]
         hit = 0
         for ab, ac, bc in chains:
@@ -1060,7 +1028,18 @@ def _avoiding(masks, levels, choice, d) -> int:
     return n
 
 
-def cylinder_quasirandomness_audit(
+@dataclass(frozen=True)
+class PartitionSurvey:
+    """A partition's q, tuple audit and useful chains, each ``(ci, parts,
+    combo, cells, cert, weight)`` in walk order, with their total weight."""
+
+    q: Fraction
+    audit: CylinderAudit
+    useful: tuple[tuple, ...]
+    useful_mass: Fraction
+
+
+def survey_partition(
     h: PartiteThreeGraph,
     p: CylinderChainPartition,
     eta: Fraction,
@@ -1068,30 +1047,58 @@ def cylinder_quasirandomness_audit(
     cap: int = 10**6,
     samples: int = 10**4,
     seed: int = 0,
-) -> CylinderAudit:
-    """Mass of tuples whose visible chains are all (eta, psi)-quasirandom.
+) -> PartitionSurvey:
+    """q, the tuple audit and the useful chains of ``p`` from one walk over
+    :func:`located_cell_chains`.
 
-    A tuple is good when, for every part triple, the cell chain holding its
-    projection passes :func:`cell_chain_passes`.  The audit works per
-    cylinder and part triple, not per tuple: each located chain's verdict
-    is read once (:func:`_failing_chains`).  Exhaustive below ``cap``
-    tuples: a cylinder without a failing chain counts its size, any other
-    walks only the parts its failing triples touch (:func:`_good_tuples`);
-    the cylinders partition X_1 x ... x X_t.  Above ``cap``, seeded Monte
-    Carlo: each draw is tested against its cylinder's failing chains only,
-    and with none in any cylinder the mass is ``samples/samples`` without a
-    draw.  A projection is a triangle of its own cells, so
-    ``degenerate_mass`` is always 0.
+    q is the sum of :func:`q_partition`'s fast mode.  A useful chain has
+    triangles and a certificate above eta; ``weight`` is its triangle mass.
+    The audit is the mass of tuples whose visible chains all pass
+    :func:`cell_chain_passes`, a verdict read once per (masks, parts,
+    cells), so cylinders that share a projection share it; the good tuples
+    are counted from each cylinder's failing chains (:func:`_tuple_audit`).
     """
-    vs = h.vertex_set
-    if vs != p.vertex.vertex_set:
+    if h.vertex_set != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
+    q = mass = Fraction(0)
+    useful = []
+    verdicts: dict[tuple, bool] = {}
+    failing: list[dict[tuple[int, int, int], list]] = [{} for _ in p.vertex.cylinders]
+    for ci, w, size, masks, parts, combo, cells, (tri, hyp, cert) in located_cell_chains(h, p):
+        if hyp:
+            q += w * Fraction(hyp * hyp, tri * size)
+        if tri and cert > eta:
+            weight = w * Fraction(tri, size)
+            useful.append((ci, parts, combo, cells, cert, weight))
+            mass += weight
+        key = (masks, parts, cells)
+        ok = verdicts.get(key)
+        if ok is None:
+            cyl, ep = p.vertex.cylinders[ci], p.edges[ci]
+            ok = verdicts[key] = cell_chain_passes(h, cyl, ep, parts, combo, eta, psi)
+        if not ok:
+            failing[ci].setdefault(parts, []).append(cells)
+    audit = _tuple_audit(p.vertex, failing, cap, samples, seed)
+    return PartitionSurvey(q, audit, tuple(useful), mass)
+
+
+def _tuple_audit(pv, failing, cap: int, samples: int, seed: int) -> CylinderAudit:
+    """The good tuple mass of ``pv`` given each cylinder's failing chains.
+
+    Exhaustive below ``cap`` tuples: a cylinder without a failing chain
+    counts its size, any other walks only the parts its failing triples
+    touch (:func:`_good_tuples`); the cylinders partition X_1 x ... x X_t.
+    Above ``cap``, seeded Monte Carlo: each draw is tested against its
+    cylinder's failing chains only, and with none in any cylinder the mass
+    is ``samples/samples`` without a draw.  A projection is a triangle of
+    its own cells, so ``degenerate_mass`` is always 0.
+    """
+    vs = pv.vertex_set
     space = prod(vs.sizes)
     if space == 0:
         return CylinderAudit(Fraction(1), Fraction(0), "exhaustive")
-    failing = _failing_chains(h, p, eta, psi)
     if space <= cap:
-        good = sum(_good_tuples(vs, cyl, fails) for cyl, fails in zip(p.vertex.cylinders, failing))
+        good = sum(_good_tuples(vs, cyl, fails) for cyl, fails in zip(pv.cylinders, failing))
         return CylinderAudit(Fraction(good, space), Fraction(0), "exhaustive")
     if not any(failing):
         return CylinderAudit(Fraction(samples, samples), Fraction(0), "sampled", samples)
@@ -1103,10 +1110,24 @@ def cylinder_quasirandomness_audit(
         x = tuple(rng.below(s) for s in vs.sizes)
         good += not any(
             (ab[x[i]] >> x[j]) & (ac[x[i]] >> x[k]) & (bc[x[j]] >> x[k]) & 1
-            for (i, j, k), chains in failing[p.vertex.lookup(x)]
+            for (i, j, k), chains in failing[pv.lookup(x)].items()
             for ab, ac, bc in chains
         )
     return CylinderAudit(Fraction(good, samples), Fraction(0), "sampled", samples)
+
+
+def cylinder_quasirandomness_audit(
+    h: PartiteThreeGraph,
+    p: CylinderChainPartition,
+    eta: Fraction,
+    psi: PolyFunction,
+    cap: int = 10**6,
+    samples: int = 10**4,
+    seed: int = 0,
+) -> CylinderAudit:
+    """Mass of tuples whose visible chains are all (eta, psi)-quasirandom:
+    the audit of :func:`survey_partition`."""
+    return survey_partition(h, p, eta, psi, cap, samples, seed).audit
 
 
 @dataclass(frozen=True)

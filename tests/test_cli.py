@@ -291,6 +291,14 @@ def test_generate_rejects_a_wrong_count_of_sizes(kind, parts, line, tmp_path, ca
           "--edge-part-cap", "0"], "edge_part_cap"),
         (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
           "--witness-cap", "-1"], "witness_cap"),
+        (["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1",
+          "--cylinder-eta", "0"], "cylinder_eta must lie in (0, 1]"),
+        (["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1",
+          "--cylinder-eta", "5"], "cylinder_eta must lie in (0, 1]"),
+        (["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1",
+          "--szemeredi-alpha", "0"], "szemeredi_alpha must lie in (0, 1]"),
+        (["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1",
+          "--sparse-density", "-1"], "sparse_density must lie in [0, 1]"),
         pytest.param(
             ["decompose", "--input", "{tournament}", "--eta", "1/4", "--psi", "1,1", "--t", "2"],
             "t must lie in [3, 10], got 2", id="decompose-t-2",
@@ -471,11 +479,41 @@ def test_analyze_multipartite_reports_the_largest_pair_value(tmp_path, capsys):
 def test_a_failed_engine_invariant_exits_three_with_one_line(cone_file, monkeypatch, capsys):
     # q is re-measured after every refinement and must not fall; a q that
     # does is the engine's own fault, reported like a capacity stop.
+    from dataclasses import replace
+
     from regulab import engines
 
     falling = iter(Fraction(1, k) for k in range(1, 100))
-    monkeypatch.setattr(engines, "q_partition", lambda *args, **kwargs: next(falling))
+    real = engines.survey_partition
+    monkeypatch.setattr(
+        engines, "survey_partition", lambda *args: replace(real(*args), q=next(falling))
+    )
     assert run(["decompose", "--input", str(cone_file), "--eta", "1/4", "--psi", "1,1"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "invariant violated: q decreased across an edge refinement\n"
+    assert captured.out == ""
+
+
+def test_a_q_that_falls_across_a_cylinder_split_exits_three(tmp_path, monkeypatch, capsys):
+    # The n = 15, seed 29 tournament refines edges, then splits cylinders
+    # (test_decompose_splits_cylinders_when_no_useful_chain_has_a_candidate).
+    # Here q reads -1 once there is more than one cylinder, so the edge step
+    # keeps its true gain and only the split lowers q.
+    from dataclasses import replace
+
+    from regulab import engines
+
+    real = engines.survey_partition
+
+    def survey(h, p, *args):
+        got = real(h, p, *args)
+        return got if p.vertex_count == 1 else replace(got, q=Fraction(-1))
+
+    monkeypatch.setattr(engines, "survey_partition", survey)
+    h = tmp_path / "t15.h3"
+    assert run(["generate", "--kind", "tournament", "--n", "15", "--seed", "29",
+                "--out", str(h)]) == 0
+    assert run(["decompose", "--input", str(h), "--eta", "1/4", "--psi", "1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violated: q decreased across a cylinder split\n"
     assert captured.out == ""

@@ -33,7 +33,6 @@ from regulab.engines import (
     SearchFailure,
     TraceRow,
     _apply_chain_refinements,
-    _useful_chains,
     _witness_split,
     check_paper_schedule,
     dlr_cylinder_regularity,
@@ -70,6 +69,7 @@ from regulab.partitions import (
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     q_edge_partition,
+    survey_partition,
 )
 from regulab.quasirandom import (
     PolyFunction,
@@ -642,7 +642,7 @@ def test_chain_refinements_match_the_extract_and_unmap_route():
         )
         eta = (Fraction(1, 4), Fraction(1, 16))[case % 2]
         profile = profiles[case % 3]
-        useful, _ = _useful_chains(h, p, eta)
+        useful = survey_partition(h, p, eta, PSI_ID).useful
         if not useful:
             continue
         with_useful += 1
@@ -673,9 +673,9 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
-    """One refine step (the useful-chain search, then the refinements)
-    certifies each distinct located chain once, where it lies, and cuts
-    none out: the located kernel also counts the triangles, so it runs once
+    """One refine step (the survey, then the refinements) certifies each
+    distinct located chain once, where it lies, and cuts none out: the
+    located kernel also counts the triangles, so it runs once
     on each chain, with triangles or without, and the refinement reads the
     evaluator's numbers."""
     extracted = _count_calls(monkeypatch, extract_cell_chain)
@@ -683,7 +683,7 @@ def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
     eta = Fraction(1, 16)
     h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=5)
     p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6)
-    useful, _ = _useful_chains(h, p, eta)
+    useful = survey_partition(h, p, eta, PSI_ID).useful
     refined = _apply_chain_refinements(h, p, useful, eta, DESK, [])
     assert len(useful) >= 5 and refined != p
     stored = h.index.cell_chains.values()
@@ -770,6 +770,25 @@ def test_hyper_accepts_misaligned_cone():
     audit = cylinder_quasirandomness_audit(cold, p, eta_c, PSI_ID)
     assert audit.good_mass >= 1 - eta_c
     assert accepted == audit
+
+
+@pytest.mark.parametrize("n, seed", [(14, 0), (15, 29)])
+def test_the_hyper_loop_walks_each_partition_once(n, seed, monkeypatch):
+    """Each partition the hyper loop reaches is surveyed once, and that
+    survey is the only walk over its located chains: q, the tuple audit and
+    the useful chains all come from it.  At n = 15, seed 29 a cylinder
+    split follows the edge refinement."""
+    import regulab.partitions as partitions
+
+    walks = _count_calls(monkeypatch, partitions.located_cell_chains)
+    surveys = _count_calls(monkeypatch, survey_partition)
+    _, _, trace = homogeneous_decomposition(
+        random_tournament_3graph(n, seed), Fraction(1, 4), PSI_ID, DESK
+    )
+    rows = [r for r in trace.rows if r.stage == "hyper"]
+    assert len(rows) >= 2 + (n == 15)
+    assert len(walks) == len(surveys) == len(rows)
+    assert [args[1] for args in walks] == [args[1] for args in surveys]
 
 
 def test_homogeneous_decomposition_cone():

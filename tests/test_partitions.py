@@ -44,6 +44,7 @@ from regulab.partitions import (
     extract_cell_chain,
     first_overlap,
     homogeneity_audit,
+    located_cell_chains,
     markov_split_check,
     q_edge_partition,
     q_partition,
@@ -53,6 +54,7 @@ from regulab.partitions import (
     refines_pair,
     refines_vertex,
     restrict_chain_partition,
+    survey_partition,
     venn_diagram,
 )
 from regulab.quasirandom import (
@@ -489,11 +491,11 @@ def test_cylinder_audit_modes():
 
 
 def test_cell_chain_evaluator_warm_equals_cold():
-    """Audits, the useful-chain search and q read the same numbers from a
-    hypergraph whose evaluator already holds earlier partitions' chains as
-    from a fresh, equal hypergraph, q also in naive mode, and every stored
+    """Surveys and q read the same numbers from a hypergraph whose evaluator
+    already holds earlier partitions' chains as from a fresh, equal
+    hypergraph; the survey's q equals q in both modes, its useful chains
+    the filter over the located chains, in walk order, and every stored
     entry equals a direct extraction certified by the naive kernel."""
-    from regulab.engines import _useful_chains
     from regulab.quasirandom import PolyFunction, chain_quasirandomness
 
     psi = PolyFunction(Fraction(1), 1)
@@ -502,18 +504,27 @@ def test_cell_chain_evaluator_warm_equals_cold():
     vs = warm.vertex_set
     parts = [random_cylinder_chain_partition(vs, 3, 2, seed=s) for s in (5, 6, 7)]
     for p in parts:
-        cylinder_quasirandomness_audit(warm, p, eta, psi)
-        _useful_chains(warm, p, eta)
+        survey_partition(warm, p, eta, psi)
         q_partition(warm, p)
     stored = dict(warm.index.cell_chains)
     assert stored
+    useful = 0
     for p in parts:
         cold = PartiteThreeGraph(vs, warm.triples)
-        assert cylinder_quasirandomness_audit(warm, p, eta, psi) == (
-            cylinder_quasirandomness_audit(cold, p, eta, psi)
-        )
-        assert _useful_chains(warm, p, eta) == _useful_chains(cold, p, eta)
-        assert q_partition(warm, p) == q_partition(cold, p) == q_partition(warm, p, "naive")
+        survey = survey_partition(warm, p, eta, psi)
+        assert survey == survey_partition(cold, p, eta, psi)
+        assert survey.audit == cylinder_quasirandomness_audit(cold, p, eta, psi)
+        assert survey.q == q_partition(warm, p) == q_partition(cold, p)
+        assert survey.q == q_partition(warm, p, "naive")
+        want = [
+            (ci, ijk, combo, cells, cert, w * Fraction(tri, size))
+            for ci, w, size, _, ijk, combo, cells, (tri, _, cert) in located_cell_chains(warm, p)
+            if tri > 0 and cert > eta
+        ]
+        assert list(survey.useful) == want
+        assert survey.useful_mass == sum(row[-1] for row in want)
+        useful += len(want)
+    assert useful
     # Re-reading added nothing: every chain was evaluated once.
     assert warm.index.cell_chains == stored
     extracted = 0
