@@ -1,11 +1,13 @@
 """Energy-increment regularity engines and decomposition pipelines.
 
-The engines share one skeleton: audit the current partition with the
-independent oracles, locate the worst offenders, refine along explicit
-witnesses, and re-verify that the relevant energy functional rose.  They
-never self-certify; every acceptance decision re-runs the audit from
-scratch and every refinement step re-checks its claimed gain with exact
-rationals.
+The engines share one skeleton: read the current partition's energy, its
+audit and its worst offenders; refine along explicit witnesses; then read
+the refined partition and re-check, with exact rationals, that the energy
+rose by the claimed gain.  The two cylinder engines read each partition
+they reach in one walk: the 3-graph engine takes each cell chain's facts
+from the hypergraph's own store (``h.index.cell_chains``), and ``dlr``
+takes each pair's from a table kept for the run, so a fact that recurs is
+computed once, by the oracle that defines it.
 
 Two constants regimes are supported.  The "desk" profile replaces the
 theory's schedule formulas with small configurable rationals so the loops
@@ -487,7 +489,8 @@ def dlr_cylinder_regularity(
     A pair density, certificate or deviation witness depends on one input
     and its two masks only, and a split on pair (i, j) copies every other
     pair's masks into its children, so each is computed once per
-    (input, mask_i, mask_j) in a run and read back where it recurs.
+    (input, mask_i, mask_j) in a run and read back where it recurs.  Each
+    partition is read in one walk, for its index, bad mass and worst inputs.
     """
     if not graphs:
         raise InvalidStructure("need at least one pair graph")
@@ -505,60 +508,44 @@ def dlr_cylinder_regularity(
         raise InvalidStructure("alpha must lie in (0, 1]")
     pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
 
-    squares: dict[tuple[int, int, int], Fraction] = {}
-    certs: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}  # (d², certificate)
     witnesses: dict[tuple[int, int, int], tuple[int, int] | None] = {}
 
-    def index_value(part: VertexCylinderPartition) -> Fraction:
-        total = Fraction(0)
-        for cyl in part.cylinders:
+    def walk(part: VertexCylinderPartition) -> tuple[Fraction, Fraction, dict[int, int]]:
+        """The index of ``part``, its bad mass and each bad cylinder's worst input."""
+        idx = bad_mass = Fraction(0)
+        worst_at: dict[int, int] = {}
+        for ci, cyl in enumerate(part.cylinders):
             w = cyl.weight(vs)
             if w == 0:
                 continue
-            for m, (i, j, rows) in enumerate(graphs):
-                li, rj = cyl.masks[i], cyl.masks[j]
-                key = (m, li, rj)
-                dd = squares.get(key)
-                if dd is None:
-                    e = sum((rows[x] & rj).bit_count() for x in bits(li))
-                    d = ratio(e, li.bit_count() * rj.bit_count())
-                    dd = squares[key] = d * d
-                total += w * dd
-        return total
-
-    rows_trace: list[TraceRow] = []
-    idx = index_value(pv)
-    for step in range(profile.max_steps + 1):
-        worst_at: dict[int, int] = {}  # bad cylinder -> its worst input
-        bad_mass = Fraction(0)
-        for ci, cyl in enumerate(pv.cylinders):
-            w = cyl.weight(vs)
-            if w == 0:
-                continue
+            dd_sum = Fraction(0)
             worst_cert = alpha
             for m, (i, j, rows) in enumerate(graphs):
                 li, rj = cyl.masks[i], cyl.masks[j]
                 key = (m, li, rj)
-                cert = certs.get(key)
-                if cert is None:
-                    cert = certs[key] = masked_pair_quasirandomness(rows, list(bits(li)), rj).value
+                term = terms.get(key)
+                if term is None:
+                    e = sum((rows[x] & rj).bit_count() for x in bits(li))
+                    d = ratio(e, li.bit_count() * rj.bit_count())
+                    cert = masked_pair_quasirandomness(rows, list(bits(li)), rj).value
+                    term = terms[key] = (d * d, cert)
+                dd, cert = term
+                dd_sum += dd
                 if cert > worst_cert:
                     worst_cert = cert
                     worst_at[ci] = m
+            idx += w * dd_sum
             if ci in worst_at:
                 bad_mass += w
+        return idx, bad_mass, worst_at
+
+    rows_trace: list[TraceRow] = []
+    idx, bad_mass, worst_at = walk(pv)
+    for step in range(profile.max_steps + 1):
         ok = bad_mass <= alpha / 2
-        rows_trace.append(
-            TraceRow(
-                step,
-                idx,
-                len(pv.cylinders),
-                1,
-                bad_mass,
-                "accept" if ok else "split-cylinders",
-                stage="cylinder",
-            )
-        )
+        action = "accept" if ok else "split-cylinders"
+        rows_trace.append(TraceRow(step, idx, len(pv.cylinders), 1, bad_mass, action, "cylinder"))
         if ok:
             return pv, IterationTrace(tuple(rows_trace))
         if step == profile.max_steps:
@@ -602,7 +589,7 @@ def dlr_cylinder_regularity(
                 IterationTrace(tuple(rows_trace)),
             )
         pv = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
-        idx_new = index_value(pv)
+        idx_new, bad_mass, worst_at = walk(pv)
         if idx_new < idx:
             raise InvariantViolation("edge index decreased across a vertex split")
         if idx_new - idx < profile.q_gain:
@@ -1179,6 +1166,8 @@ def homogeneous_decomposition(
     recomputed from scratch on the original hypergraph and also carries
     the ordered pair-mass of sparse cells.
     """
+    if not 0 < eta <= 1:
+        raise InvalidStructure("eta must lie in (0, 1]")
     n = h.n
     if n < 3:
         raise InvalidStructure("need at least three vertices")
@@ -1368,6 +1357,8 @@ def quasirandom_subset(
     the subset graph with seeded within-part graphs at the common density.
     The returned chain is the tripartite cover used to certify the result.
     """
+    if not 0 < eta <= 1:
+        raise InvalidStructure("eta must lie in (0, 1]")
     if s < 3:
         raise InvalidStructure("need at least three parts in the subset")
     n = h.n
@@ -1562,6 +1553,8 @@ def rodl_sparse_dense(
     """
     from .vcdim import induced_copy_search
 
+    if not 0 < eps < 1:
+        raise InvalidStructure("eps must lie in (0, 1)")
     if f.n > 9:
         raise CapacityError("forbidden pattern exceeds 9 vertices")
     psi = PolyFunction(Fraction(1), 1)

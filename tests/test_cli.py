@@ -315,10 +315,31 @@ def test_generate_rejects_a_wrong_count_of_sizes(kind, parts, line, tmp_path, ca
             ["decompose", "--input", "{graph}", "--eps", "1/4", "--t", "11"],
             "t must lie in [2, 10], got 11", id="graph-t-11",
         ),
+        pytest.param(
+            ["decompose", "--input", "{tournament}", "--eta", "0", "--psi", "1,1"],
+            "eta must lie in (0, 1]", id="decompose-eta-0",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{tournament}", "--eta=-1/2", "--psi", "1,1"],
+            "eta must lie in (0, 1]", id="decompose-eta-negative",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{tournament}", "--eta", "3/2", "--psi", "1,1"],
+            "eta must lie in (0, 1]", id="decompose-eta-above-one",
+        ),
+        pytest.param(
+            ["subset", "--input", "{tournament}", "--eta", "2", "--psi", "1,1"],
+            "eta must lie in (0, 1]", id="subset-eta-2",
+        ),
+        pytest.param(
+            ["subset", "--input", "{tournament}", "--pattern", "{pattern}", "--eps", "1"],
+            "eps must lie in (0, 1)", id="rodl-eps-1",
+        ),
     ],
 )
 def test_meaningless_values_exit_one(argv, flag, cone_file, tmp_path, capsys):
-    files = {"cone": cone_file}
+    files = {"cone": cone_file, "pattern": tmp_path / "pattern.txt"}
+    files["pattern"].write_text("part V 4\nt 0 1 2\n")
     for kind in ("tournament", "graph"):
         files[kind] = tmp_path / f"{kind}.txt"
         assert run(["generate", "--kind", kind, "--n", "10", "--seed", "1",

@@ -468,6 +468,23 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
     assert counts == [(85, 4, 9548, 188), (4, 4, 188, 188)]
 
 
+def test_dlr_walks_each_partition_once(monkeypatch):
+    """One walk per partition reached reads each cylinder's weight once, so
+    the weights read are the trace rows' cylinder counts summed."""
+    vs, graphs = _half_graph_pairs()
+    weights = []
+    weight = VertexCylinder.weight
+
+    def counted(self, *args):
+        weights.append(self)
+        return weight(self, *args)
+
+    monkeypatch.setattr(VertexCylinder, "weight", counted)
+    _, trace = dlr_cylinder_regularity(vs, graphs, Fraction(1, 64), DESK)
+    assert len(trace.rows) > 1
+    assert len(weights) == sum(row.vertex_count for row in trace.rows)
+
+
 def test_one_cylinder_refine_gains_on_box():
     c = build_box_chain()
     # sits above the gate at eta = 1/250
