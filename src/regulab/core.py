@@ -429,9 +429,9 @@ class PartiteThreeGraph:
                 yield off[a] + x, off[b] + y, off[c] + z
 
 
-def triangles_local(g: MultipartiteGraph, i: int = 0, j: int = 1, k: int = 2) -> Iterator[tuple[int, int, int]]:
-    """Local-index triangles (x, y, z) with x in part i, y in j, z in k (i<j<k)."""
-    ab, ac, bc = g.pair(i, j), g.pair(i, k), g.pair(j, k)
+def triangles_local(g: MultipartiteGraph) -> Iterator[tuple[int, int, int]]:
+    """Local-index triangles (x, y, z) with x in part 0, y in 1, z in 2."""
+    ab, ac, bc = g.pair(0, 1), g.pair(0, 2), g.pair(1, 2)
     for x in range(ab.left_size):
         row_ab = ab.rows[x]
         if not row_ab:
@@ -445,9 +445,9 @@ def triangles_local(g: MultipartiteGraph, i: int = 0, j: int = 1, k: int = 2) ->
                 yield x, y, z
 
 
-def triangle_count(g: MultipartiteGraph, i: int = 0, j: int = 1, k: int = 2) -> int:
-    """Number of triangles across parts (i, j, k), by row intersections."""
-    ab, ac, bc = g.pair(i, j), g.pair(i, k), g.pair(j, k)
+def triangle_count(g: MultipartiteGraph) -> int:
+    """Number of triangles across parts (0, 1, 2), by row intersections."""
+    ab, ac, bc = g.pair(0, 1), g.pair(0, 2), g.pair(1, 2)
     total = 0
     for x in range(ab.left_size):
         row_ac = ac.rows[x]
@@ -833,8 +833,8 @@ def load_three_graph(src: str | Scan) -> ThreeGraph:
     return ThreeGraph(total, frozenset(out))
 
 
-def save_three_graph(h: ThreeGraph, name: str = "V") -> str:
-    lines = [f"part {name} {h.n}"]
+def save_three_graph(h: ThreeGraph) -> str:
+    lines = [f"part V {h.n}"]
     lines += [f"t {u} {v} {w}" for u, v, w in sorted(h.triples)]
     return "\n".join(lines) + "\n"
 
@@ -856,8 +856,8 @@ def load_graph(src: str | Scan) -> Graph:
     return Graph.from_edges(total, zip(us, vs))
 
 
-def save_graph(g: Graph, name: str = "V") -> str:
-    lines = [f"part {name} {g.n}"]
+def save_graph(g: Graph) -> str:
+    lines = [f"part V {g.n}"]
     lines += [f"e {u} {v}" for u, v in sorted(g.edges())]
     return "\n".join(lines) + "\n"
 

@@ -3,11 +3,13 @@
 The engines share one skeleton: read the current partition's energy, its
 audit and its worst offenders; refine along explicit witnesses; then read
 the refined partition and re-check, with exact rationals, that the energy
-rose by the claimed gain.  The two cylinder engines read each partition
-they reach in one walk: the 3-graph engine takes each cell chain's facts
-from the hypergraph's own store (``h.index.cell_chains``), and ``dlr``
-takes each pair's from a table kept for the run, so a fact that recurs is
-computed once, by the oracle that defines it.
+rose by the claimed gain.  All three engines read each partition they
+reach in one walk: the 3-graph engine takes each cell chain's facts from
+the hypergraph's own store (``h.index.cell_chains``), ``dlr`` takes each
+pair's from a table kept for the run, and the pair engine
+(:func:`szemeredi_multi`) takes each cell's density and certificate from
+its ``PairPartition``, so a fact that recurs is computed once, by the
+oracle that defines it.
 
 Two constants regimes are supported.  The "desk" profile replaces the
 theory's schedule formulas with small configurable rationals so the loops
@@ -208,18 +210,17 @@ class ScheduleRow:
     edge_cap: object
 
 
-def paper_schedule(
-    eta: Fraction, t: int, psi: PolyFunction, steps: int, cap: int = DEFAULT_CAP
-) -> tuple[ScheduleRow, ...]:
+def paper_schedule(eta: Fraction, t: int, psi: PolyFunction, steps: int) -> tuple[ScheduleRow, ...]:
     """Evaluate the literal iteration constants for steps 0..steps.
 
     B grows as a double exponential of itself, delta is the per-step
     quasirandomness scale (eta/(t^2 B))^C(t,2), alpha = psi(delta), and the
     per-chain edge-partition cap is 3^(delta^-4).  Every quantity saturates
-    (rather than overflowing) once it passes ``cap``.
+    (rather than overflowing) once it passes ``DEFAULT_CAP``.
     """
     if t < 2:
         raise InvalidStructure("need at least two parts")
+    cap = DEFAULT_CAP
     cexp = comb(t, 2)
     rows = []
     b, a = 1, 1
@@ -254,15 +255,13 @@ def first_saturation(rows: Sequence[ScheduleRow]) -> tuple[str, int] | None:
     return None
 
 
-def check_paper_schedule(
-    eta: Fraction, t: int, psi: PolyFunction, steps: int = 2, cap: int = DEFAULT_CAP
-) -> tuple[ScheduleRow, ...]:
+def check_paper_schedule(eta: Fraction, t: int, psi: PolyFunction) -> tuple[ScheduleRow, ...]:
     """Pre-evaluate the literal schedules; raise on any saturation.
 
     Called before a paper-profile engine touches its input, so infeasible
     constants are reported without a single data pass.
     """
-    rows = paper_schedule(eta, t, psi, steps, cap)
+    rows = paper_schedule(eta, t, psi, 2)
     hit = first_saturation(rows)
     if hit is not None:
         raise ScheduleSaturation(hit[0], hit[1], rows)
@@ -996,10 +995,15 @@ def szemeredi_multi(
     The audit charges a pair of vertices as bad when the two lie in one
     part (no bipartite cell is defined there) or when their cell's
     certificate exceeds alpha; it passes when the bad ordered-pair mass is
-    at most alpha.  Oversized parts are halved while same-part mass alone
-    exceeds alpha/2; then failing cells are split along deviation
-    witnesses.  Cells are only ever restricted, so no pair's cell count
-    rises above the input maximum.
+    at most alpha.  Each partition reached is read in one walk, which gives
+    the index (the pair-mass-weighted sum of cubed cell densities), the
+    same-part mass and, once same-part mass is at most alpha/2, the bad
+    mass and the failing cells; a partition that is only size-split is
+    never certified.  While same-part mass exceeds alpha/2 every part of
+    two or more vertices is halved, the first half first; then failing
+    cells are split along deviation witnesses.  Both phases split parts by
+    per-part masks through one tail, so cells are only ever restricted and
+    no pair's cell count rises above the input maximum.
     """
     if not 0 < alpha <= 1:
         raise InvalidStructure("alpha must lie in (0, 1]")
@@ -1007,133 +1011,85 @@ def szemeredi_multi(
     if n == 0:
         return q0, IterationTrace((TraceRow(0, Fraction(0), 0, 0, Fraction(0), "accept", "pairs"),))
     l_bound = q0.edge_cell_count
-    qp = q0
 
-    def index_value(q: ChainPartition) -> Fraction:
-        total = Fraction(0)
-        for (a, b), pp in q.pairs.items():
+    def walk(q: ChainPartition):
+        """(index, same-part mass, bad mass, bad cells in sorted pair order)."""
+        same = sum(Fraction(len(part), n) ** 2 for part in q.parts)
+        audit = same <= alpha / 2
+        index, bad, bad_cells = Fraction(0), same, []
+        for (a, b), pp in sorted(q.pairs.items()):
             pair_mass = Fraction(2 * len(q.parts[a]) * len(q.parts[b]), n * n)
-            total += sum(pair_mass * d * d * d for d in pp.densities)
-        return total
-
-    rows: list[TraceRow] = []
-    idx_prev = index_value(qp)
-    for step in range(profile.max_steps + 1):
-        same_mass = sum((Fraction(len(part), n)) ** 2 for part in qp.parts)
-        if same_mass > alpha / 2:
-            if all(len(part) == 1 for part in qp.parts):
-                raise NonterminationError(
-                    "same-part mass exceeds the budget even at singletons",
-                    IterationTrace(tuple(rows)),
-                )
-            rows.append(
-                TraceRow(
-                    step,
-                    idx_prev,
-                    qp.part_count,
-                    qp.edge_cell_count,
-                    same_mass,
-                    "split-sizes",
-                    "pairs",
-                )
-            )
-            if step == profile.max_steps:
-                raise NonterminationError(
-                    "size splitting did not fit the budget before the step cap",
-                    IterationTrace(tuple(rows)),
-                )
-            new_parts: list[tuple[int, ...]] = []
-            origins: list[int] = []
-            for a, part in enumerate(qp.parts):
-                if len(part) >= 2:
-                    half = (len(part) + 1) // 2
-                    new_parts.extend((part[:half], part[half:]))
-                    origins.extend((a, a))
-                else:
-                    new_parts.append(part)
-                    origins.append(a)
-            qp = restrict_chain_partition(qp, new_parts, origins)
-            idx_new = index_value(qp)
-            if idx_new < idx_prev:
-                raise InvariantViolation("index decreased across a size split")
-            idx_prev = idx_new
-            continue
-        bad_cells = []
-        bad_mass = same_mass
-        for (a, b), pp in sorted(qp.pairs.items()):
-            pair_mass = Fraction(2 * len(qp.parts[a]) * len(qp.parts[b]), n * n)
-            for idx, cert in enumerate(pp.certificates):
-                if cert > alpha:
-                    bad_mass += pair_mass * pp.densities[idx]
+            certs = pp.certificates if audit else ()
+            for idx, d in enumerate(pp.densities):
+                index += pair_mass * d * d * d
+                if audit and certs[idx] > alpha:
+                    bad += pair_mass * d
                     bad_cells.append((a, b, idx))
-        ok = bad_mass <= alpha
-        rows.append(
-            TraceRow(
-                step,
-                idx_prev,
-                qp.part_count,
-                qp.edge_cell_count,
-                bad_mass,
-                "accept" if ok else "refine-pairs",
-                "pairs",
+        return index, same, bad, bad_cells
+
+    qp = q0
+    index, same, bad, bad_cells = walk(qp)
+    rows: list[TraceRow] = []
+    for step in range(profile.max_steps + 1):
+        sizes = same > alpha / 2
+        if sizes and all(len(part) == 1 for part in qp.parts):
+            raise NonterminationError(
+                "same-part mass exceeds the budget even at singletons", IterationTrace(tuple(rows))
             )
-        )
+        ok = not sizes and bad <= alpha
+        action = "split-sizes" if sizes else ("accept" if ok else "refine-pairs")
+        rows.append(TraceRow(step, index, qp.part_count, qp.edge_cell_count, bad, action, "pairs"))
         if ok:
             return qp, IterationTrace(tuple(rows))
         if step == profile.max_steps:
             raise NonterminationError(
-                "pair audit still failing at the step cap", IterationTrace(tuple(rows))
-            )
-        part_splits: dict[int, list[int]] = {}
-        found = False
-        for (a, b, idx) in bad_cells:
-            pp = qp.pairs[(a, b)]
-            la, lb = len(qp.parts[a]), len(qp.parts[b])
-            ws = _witness_split(
-                pp.cells[idx],
-                list(range(la)),
-                (1 << lb) - 1,
-                profile.witness_search,
-                profile.witness_cap,
-            )
-            if ws is None:
-                continue
-            found = True
-            am, bm = ws
-            part_splits.setdefault(a, []).append(am)
-            part_splits.setdefault(b, []).append(bm)
-        if not found:
-            raise RefinementFailure(
-                "no deviation witness splits the failing cells",
+                "size splitting did not fit the budget before the step cap"
+                if sizes
+                else "pair audit still failing at the step cap",
                 IterationTrace(tuple(rows)),
             )
-        new_parts = []
-        origins = []
+        # Per part, masks over its positions; a part is cut by their bits.
+        part_splits: dict[int, list[int]] = {}
+        if sizes:
+            for a, part in enumerate(qp.parts):
+                if len(part) >= 2:  # the second half's bits
+                    part_splits[a] = [(1 << len(part)) - (1 << (len(part) + 1) // 2)]
+        else:
+            for a, b, idx in bad_cells:
+                ws = _witness_split(
+                    qp.pairs[(a, b)].cells[idx],
+                    list(range(len(qp.parts[a]))),
+                    (1 << len(qp.parts[b])) - 1,
+                    profile.witness_search,
+                    profile.witness_cap,
+                )
+                if ws is not None:
+                    part_splits.setdefault(a, []).append(ws[0])
+                    part_splits.setdefault(b, []).append(ws[1])
+            if not part_splits:
+                raise RefinementFailure(
+                    "no deviation witness splits the failing cells", IterationTrace(tuple(rows))
+                )
+        groups = []
         for a, part in enumerate(qp.parts):
-            masks = part_splits.get(a)
-            if not masks:
-                new_parts.append(part)
-                origins.append(a)
-                continue
-            groups: dict[tuple, list[int]] = {}
+            masks = part_splits.get(a, ())
+            by_key: dict[tuple, list[int]] = {}
             for pos, v in enumerate(part):
-                key = tuple((m >> pos) & 1 for m in masks)
-                groups.setdefault(key, []).append(v)
-            for key in sorted(groups):
-                new_parts.append(tuple(groups[key]))
-                origins.append(a)
-        qp = restrict_chain_partition(qp, new_parts, origins)
+                by_key.setdefault(tuple((m >> pos) & 1 for m in masks), []).append(v)
+            groups.append([by_key[key] for key in sorted(by_key)])
+        qp = restrict_chain_partition(qp, groups)
         if qp.edge_cell_count > l_bound:
             raise InvariantViolation("restriction increased a pair's cell count")
-        idx_new = index_value(qp)
-        if idx_new < idx_prev:
-            raise InvariantViolation("index decreased across a witness split")
-        if idx_new - idx_prev < profile.q_gain:
+        prev = index
+        index, same, bad, bad_cells = walk(qp)
+        if index < prev:
+            kind = "size" if sizes else "witness"
+            raise InvariantViolation(f"index decreased across a {kind} split")
+        if not sizes and index - prev < profile.q_gain:
             raise RefinementFailure(
-                f"index gain {idx_new - idx_prev} fell below the profile floor",
+                f"index gain {index - prev} fell below the profile floor",
                 IterationTrace(tuple(rows)),
             )
-        idx_prev = idx_new
     raise AssertionError("unreachable")
 
 
@@ -1250,11 +1206,11 @@ def graph_homogeneous_decomposition(
             d = ratio(e, len(out_parts[a]) * len(out_parts[b]))
             if d <= eps or d >= 1 - eps:
                 hom_mass += Fraction(2 * len(out_parts[a]) * len(out_parts[b]), n * n)
-    crossing = 1 - same_mass
+    # At least t >= 2 nonempty parts, so same-part mass is below 1.
     audit = GraphHomogeneityAudit(
         eps,
         hom_mass,
-        hom_mass / crossing if crossing > 0 else Fraction(1),
+        hom_mass / (1 - same_mass),
         same_mass,
         tuple(len(p) for p in out_parts),
     )
@@ -1443,7 +1399,7 @@ def quasirandom_subset(
                 hmask = zm.get((keeps[i][x], keeps[j][y]), 0)
                 hyp += sum(hmask >> keeps[k][z] & 1 for z in bits(zmask))
         d = ratio(hyp, tri)
-        buckets[(i, j, k)] = int(d / width) if width > 0 else 0
+        buckets[(i, j, k)] = int(d / width)
 
     mono: tuple[int, ...] | None = None
     bucket = 0

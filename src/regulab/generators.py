@@ -194,16 +194,11 @@ def random_tournament_3graph(n: int, seed: int) -> ThreeGraph:
     return ThreeGraph(n, frozenset(triples))
 
 
-def random_partite_3graph(
-    sizes: Sequence[int], p: Fraction, seed: int, names: Sequence[str] | None = None
-) -> PartiteThreeGraph:
+def random_partite_3graph(sizes: Sequence[int], p: Fraction, seed: int) -> PartiteThreeGraph:
     """Crossing triples kept independently with probability p, drawn in
     lexicographic (part triple, locals) order."""
     rng = SplitMix64(seed)
-    vs = PartiteVertexSet(
-        tuple(names) if names is not None else tuple(f"X{i+1}" for i in range(len(sizes))),
-        tuple(sizes),
-    )
+    vs = PartiteVertexSet(tuple(f"X{i+1}" for i in range(len(sizes))), tuple(sizes))
     off = vs.offsets
     triples = set()
     for i in range(vs.t):
@@ -245,14 +240,9 @@ def half_graph(n: int) -> BipartiteGraph:
     return BipartiteGraph(n, n, tuple((full >> i) << i for i in range(n)))
 
 
-def random_multipartite(
-    sizes: Sequence[int], p: Fraction, seed: int, names: Sequence[str] | None = None
-) -> MultipartiteGraph:
+def random_multipartite(sizes: Sequence[int], p: Fraction, seed: int) -> MultipartiteGraph:
     rng = SplitMix64(seed)
-    vs = PartiteVertexSet(
-        tuple(names) if names is not None else tuple(f"X{i+1}" for i in range(len(sizes))),
-        tuple(sizes),
-    )
+    vs = PartiteVertexSet(tuple(f"X{i+1}" for i in range(len(sizes))), tuple(sizes))
     pairs = {}
     for i in range(vs.t):
         for j in range(i + 1, vs.t):

@@ -714,6 +714,7 @@ def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
     off = vs.offsets
     parts = tuple(tuple(off[i] + a for a in locs) for i, locs, _ in part_cells)
 
+    # part_cells runs in part order, so a_idx < b_idx gives i <= j.
     pairs: dict[tuple[int, int], PairPartition] = {}
     for a_idx in range(len(part_cells)):
         i, locs_a, prof_a = part_cells[a_idx]
@@ -722,34 +723,38 @@ def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
             if i == j:
                 label = lambda pa, pb: 0
             else:
-                lo, hi = (i, j) if i < j else (j, i)
                 containing = sorted(set(prof_a) & set(prof_b))
-                lab_per_cyl = [p.edges[c].pair(lo, hi).labels for c in containing]
-                if i < j:
-                    label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
-                else:
-                    label = lambda pa, pb: tuple(lab[locs_b[pb]][locs_a[pa]] for lab in lab_per_cyl)
+                lab_per_cyl = [p.edges[c].pair(i, j).labels for c in containing]
+                label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
             pairs[(a_idx, b_idx)] = PairPartition.complete(len(locs_a), len(locs_b), label)
 
     return ChainPartition(vs.total, parts, pairs)
 
 
 def restrict_chain_partition(
-    q: ChainPartition, new_parts: Sequence[Sequence[int]], origin: Sequence[int]
+    q: ChainPartition, groups: Sequence[Sequence[Sequence[int]]]
 ) -> ChainPartition:
     """Chain partition on refined vertex parts; edge cells restricted.
 
-    ``new_parts[a]`` must be a subset of ``q.parts[origin[a]]``.  Pairs whose
-    parts share an origin get the trivial (complete) partition, matching the
-    convention that same-origin pairs carry no edge structure.
+    ``groups[o]`` lists the new parts cut from ``q.parts[o]``, in order; the
+    new parts are these lists concatenated over o, so new parts a < b come
+    from origins o_a <= o_b and read the origin pair (o_a, o_b) as it is
+    stored.  Pairs of parts cut from one origin get the trivial (complete)
+    partition, matching the convention that same-origin pairs carry no edge
+    structure.
     """
-    pt = tuple(tuple(sorted(p)) for p in new_parts)
-    for p, o in zip(pt, origin):
-        if not set(p) <= set(q.parts[o]):
-            raise InvalidStructure("refined part not inside its origin")
-    pos_in_origin = [
-        {v: i for i, v in enumerate(q.parts[o])} for o in range(len(q.parts))
-    ]
+    if len(groups) != len(q.parts):
+        raise InvalidStructure("need one group list per part")
+    pt, origin, pos = [], [], []
+    for o, cut in enumerate(groups):
+        at = {v: i for i, v in enumerate(q.parts[o])}
+        for part in cut:
+            part = tuple(sorted(part))
+            if not set(part) <= at.keys():
+                raise InvalidStructure("refined part not inside its origin")
+            pt.append(part)
+            origin.append(o)
+            pos.append([at[v] for v in part])
     pairs = {}
     for a in range(len(pt)):
         for b in range(a + 1, len(pt)):
@@ -757,15 +762,10 @@ def restrict_chain_partition(
             if oa == ob:
                 label = lambda pa, pb: 0
             else:
-                lab = q.pairs[min(oa, ob), max(oa, ob)].labels
-                pos_a = [pos_in_origin[oa][u] for u in pt[a]]
-                pos_b = [pos_in_origin[ob][v] for v in pt[b]]
-                if oa < ob:
-                    label = lambda pa, pb: lab[pos_a[pa]][pos_b[pb]]
-                else:
-                    label = lambda pa, pb: lab[pos_b[pb]][pos_a[pa]]
+                lab, pos_a, pos_b = q.pairs[oa, ob].labels, pos[a], pos[b]
+                label = lambda pa, pb: lab[pos_a[pa]][pos_b[pb]]
             pairs[(a, b)] = PairPartition.complete(len(pt[a]), len(pt[b]), label)
-    return ChainPartition(q.n, pt, pairs)
+    return ChainPartition(q.n, tuple(pt), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ choices (diagonal terms included); the chain functional is the analogous
 eight-fold sum over two choices in each of the three parts, applied to the
 deviation f(x,y,z) = (1_E(H) - d(H|G)) restricted to triangles of G.
 
-Every functional has a ``fast`` mode (codegree / popcount kernels, exact
-integer arithmetic) and a ``naive`` mode (literal nested sums over a scaled
-integer table).  The two must agree exactly; tests enforce this.
+Every certificate has a ``fast`` mode (codegree / popcount kernels, exact
+integer arithmetic) and a ``naive`` mode, the literal nested sums
+:func:`c4_sum` and :func:`oct_sum` over a scaled integer table.  The two
+must agree exactly; tests enforce this.
 
 :func:`masked_chain_quasirandomness` is the one fast octahedral kernel.
 It takes a chain where it lies, as three pair rows, three vertex masks and
@@ -182,41 +183,28 @@ def _scale3(table) -> tuple[list[list[list[int]]], int]:
     return [[[int(v * scale) for v in col] for col in plane] for plane in table], scale
 
 
-def c4_sum(f, mode: str = "fast") -> Fraction:
-    """Four-fold pair functional of a rational table; always >= 0."""
+def c4_sum(f) -> Fraction:
+    """Four-fold pair functional of a rational table, as the literal
+    four-index sum; always >= 0.  The naive oracle of the pair kernel."""
     table = _as_table2(f)
     nx = len(table)
     ny = len(table[0]) if nx else 0
     if nx == 0 or ny == 0:
         return Fraction(0)
     F, scale = _scale2(table)
-    if mode == "naive":
-        total = 0
-        for x in range(nx):
-            for x2 in range(nx):
-                for y in range(ny):
-                    for y2 in range(ny):
-                        total += F[x][y] * F[x2][y] * F[x][y2] * F[x2][y2]
-        return Fraction(total, scale**4)
-    if mode != "fast":
-        raise InvalidStructure(f"unknown mode {mode!r}")
     total = 0
     for x in range(nx):
-        row_x = F[x]
-        for x2 in range(x, nx):
-            row_x2 = F[x2]
-            s = sum(a * b for a, b in zip(row_x, row_x2))
-            total += s * s if x == x2 else 2 * s * s
+        for x2 in range(nx):
+            for y in range(ny):
+                for y2 in range(ny):
+                    total += F[x][y] * F[x2][y] * F[x][y2] * F[x2][y2]
     return Fraction(total, scale**4)
 
 
-def oct_sum(f, mode: str = "fast") -> Fraction:
-    """Eight-fold octahedral functional of a rational 3d table; always >= 0.
-
-    Fast mode evaluates sum_{z,z'} c4_sum(g_{z,z'}) with
-    g_{z,z'}(x,y) = f(x,y,z) f(x,y,z'); naive mode is the literal six-index
-    sum.  Both are exact.
-    """
+def oct_sum(f) -> Fraction:
+    """Eight-fold octahedral functional of a rational 3d table, as the
+    literal six-index sum; always >= 0.  The naive oracle of the chain
+    kernel."""
     table = _as_table3(f)
     nx = len(table)
     ny = len(table[0]) if nx else 0
@@ -224,37 +212,23 @@ def oct_sum(f, mode: str = "fast") -> Fraction:
     if nx == 0 or ny == 0 or nz == 0:
         return Fraction(0)
     F, scale = _scale3(table)
-    if mode == "naive":
-        total = 0
-        for x in range(nx):
-            for x2 in range(nx):
-                for y in range(ny):
-                    for y2 in range(ny):
-                        for z in range(nz):
-                            for z2 in range(nz):
-                                total += (
-                                    F[x][y][z]
-                                    * F[x2][y][z]
-                                    * F[x][y2][z]
-                                    * F[x2][y2][z]
-                                    * F[x][y][z2]
-                                    * F[x2][y][z2]
-                                    * F[x][y2][z2]
-                                    * F[x2][y2][z2]
-                                )
-        return Fraction(total, scale**8)
-    if mode != "fast":
-        raise InvalidStructure(f"unknown mode {mode!r}")
     total = 0
-    for z in range(nz):
-        for z2 in range(z, nz):
-            inner = 0
-            G = [[F[x][y][z] * F[x][y][z2] for y in range(ny)] for x in range(nx)]
-            for x in range(nx):
-                for x2 in range(x, nx):
-                    s = sum(a * b for a, b in zip(G[x], G[x2]))
-                    inner += s * s if x == x2 else 2 * s * s
-            total += inner if z == z2 else 2 * inner
+    for x in range(nx):
+        for x2 in range(nx):
+            for y in range(ny):
+                for y2 in range(ny):
+                    for z in range(nz):
+                        for z2 in range(nz):
+                            total += (
+                                F[x][y][z]
+                                * F[x2][y][z]
+                                * F[x][y2][z]
+                                * F[x2][y2][z]
+                                * F[x][y][z2]
+                                * F[x2][y][z2]
+                                * F[x][y2][z2]
+                                * F[x2][y2][z2]
+                            )
     return Fraction(total, scale**8)
 
 
@@ -302,7 +276,7 @@ def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> Quasirandomne
     if l == 0 or r == 0:
         return QuasirandomnessCertificate(Fraction(0), Fraction(0), Fraction(0), True)
     if mode == "naive":
-        raw = c4_sum(DeviationFunction2.from_bipartite(g), mode="naive")
+        raw = c4_sum(DeviationFunction2.from_bipartite(g))
     else:
         area = l * r
         raw = Fraction(
@@ -454,7 +428,7 @@ def chain_quasirandomness(c: Chain, mode: str = "fast") -> QuasirandomnessCertif
         return masked_chain_quasirandomness(rows, full, c.hyper.zmasks(0, 1, 2))[2]
     if mode != "naive":
         raise InvalidStructure(f"unknown mode {mode!r}")
-    raw = oct_sum(DeviationFunction3.from_chain(c), mode="naive")
+    raw = oct_sum(DeviationFunction3.from_chain(c))
     dprod = g.pair_density(0, 1) * g.pair_density(0, 2) * g.pair_density(1, 2)
     return _chain_certificate(raw, dprod, prod(c.vertex_set.sizes))
 

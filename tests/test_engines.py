@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -770,6 +771,136 @@ def test_szemeredi_accepts_quasirandom_input():
     qf, trace = szemeredi_multi(q0, Fraction(1, 2), DESK)
     assert trace.rows[-1].action == "accept"
     assert qf.part_count == 4
+
+
+def _complete_chain_partition(sizes, label=lambda x, y: 0) -> ChainPartition:
+    """Consecutive parts of the given sizes; every pair's complete host is
+    split into cells by ``label``."""
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(tuple(range(start, start + size)))
+        start += size
+    pairs = {
+        (a, b): PairPartition.complete(sizes[a], sizes[b], label)
+        for a, b in combinations(range(len(sizes)), 2)
+    }
+    return ChainPartition(start, tuple(parts), pairs)
+
+
+def _checkerboard_chain_partition() -> ChainPartition:
+    """Twenty parts of four whose pairs hold the two colour classes of a
+    checkerboard: halving the parts leaves 2x2 identity cells of
+    certificate 1/16 on every pair."""
+    return _complete_chain_partition((4,) * 20, lambda x, y: (x ^ y) & 1)
+
+
+HALVES = tuple((2 * a, 2 * a + 1) for a in range(8))
+SINGLETONS = tuple((v,) for v in range(16))
+
+
+@pytest.mark.parametrize(
+    "sizes, alpha, max_steps, parts, actions, masses, error",
+    [
+        ((4,) * 4, Fraction(1, 4), 64, HALVES, ["split-sizes", "accept"], ["1/4", "1/8"], None),
+        (
+            (4,) * 4,
+            Fraction(1, 8),
+            64,
+            SINGLETONS,
+            ["split-sizes", "split-sizes", "accept"],
+            ["1/4", "1/8", "1/16"],
+            None,
+        ),
+        (
+            (4,) * 4,
+            Fraction(1, 40),
+            64,
+            None,
+            ["split-sizes", "split-sizes"],
+            ["1/4", "1/8"],
+            "same-part mass exceeds the budget even at singletons",
+        ),
+        (
+            (4,) * 4,
+            Fraction(1, 40),
+            1,
+            None,
+            ["split-sizes", "split-sizes"],
+            ["1/4", "1/8"],
+            "size splitting did not fit the budget before the step cap",
+        ),
+        (
+            (1,) * 4,
+            Fraction(1, 4),
+            64,
+            None,
+            [],
+            [],
+            "same-part mass exceeds the budget even at singletons",
+        ),
+    ],
+)
+def test_szemeredi_size_phase(sizes, alpha, max_steps, parts, actions, masses, error):
+    """The size phase halves every part of two or more vertices, the first
+    half first, until same-part mass is at most alpha/2; the complete pairs'
+    cells then pass the audit.  Singletons that still exceed the budget and
+    the step cap end it with their own messages and the rows reached."""
+    q0 = _complete_chain_partition(sizes)
+    profile = ConstantsProfile.desk(max_steps=max_steps)
+    if error is None:
+        qf, trace = szemeredi_multi(q0, alpha, profile)
+        assert qf.parts == parts
+        assert qf.edge_cell_count == 1
+    else:
+        with pytest.raises(NonterminationError, match=error) as info:
+            szemeredi_multi(q0, alpha, profile)
+        trace = info.value.trace
+    assert [row.action for row in trace.rows] == actions
+    assert [str(row.useful_mass) for row in trace.rows] == masses
+    assert all(row.stage == "pairs" for row in trace.rows)
+
+
+@pytest.mark.parametrize("max_steps", [64, 1])
+def test_szemeredi_size_then_witness_phase(max_steps):
+    """A size split leaves checkerboard identity cells on every pair; one
+    witness step splits them to singletons.  With one step allowed the pair
+    audit is still failing at the cap."""
+    q0 = _checkerboard_chain_partition()
+    profile = ConstantsProfile.desk(max_steps=max_steps)
+    actions = ["split-sizes", "refine-pairs"]
+    if max_steps == 1:
+        with pytest.raises(NonterminationError, match="pair audit still failing at the step cap") as info:
+            szemeredi_multi(q0, Fraction(1, 20), profile)
+        assert [row.action for row in info.value.trace.rows] == actions
+        return
+    qf, trace = szemeredi_multi(q0, Fraction(1, 20), profile)
+    assert [row.action for row in trace.rows] == actions + ["accept"]
+    assert [row.vertex_count for row in trace.rows] == [20, 40, 80]
+    assert [str(row.useful_mass) for row in trace.rows] == ["1/20", "39/40", "1/80"]
+    # Each witness mask holds the half's first vertex, and the unset key sorts first.
+    assert qf.parts == tuple((v ^ 1,) for v in range(80))
+
+
+def test_szemeredi_walks_each_partition_once(monkeypatch):
+    """Each partition the pair loop reaches is walked once: every pair's
+    densities are read once, and its certificates once if the partition
+    reaches the audit and never if it is only size-split."""
+    reads = {name: {} for name in ("densities", "certificates")}
+    for name, seen in reads.items():
+        cached = PairPartition.__dict__[name]
+
+        def counted(self, seen=seen, cached=cached):
+            seen.setdefault(id(self), [self, 0])[1] += 1
+            return cached.__get__(self, PairPartition)
+
+        monkeypatch.setattr(PairPartition, name, property(counted))
+    _, trace = szemeredi_multi(_checkerboard_chain_partition(), Fraction(1, 20), DESK)
+    assert [row.action for row in trace.rows] == ["split-sizes", "refine-pairs", "accept"]
+    audited = [row for row in trace.rows if row.action != "split-sizes"]
+    assert {count for _, count in reads["densities"].values()} == {1}
+    assert {count for _, count in reads["certificates"].values()} == {1}
+    assert len(reads["densities"]) == sum(comb(row.vertex_count, 2) for row in trace.rows)
+    assert len(reads["certificates"]) == sum(comb(row.vertex_count, 2) for row in audited)
 
 
 def test_hyper_accepts_misaligned_cone():

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every definition in it is referenced by the program, or is a listed
-entry point that the tests reference."""
+every definition in it is referenced by the program, or is a listed
+entry point that the tests reference, and every defaulted parameter is set
+by some caller in the program, or is a listed part of the API."""
 
 import ast
 from collections import Counter
@@ -37,6 +38,17 @@ ENTRY_POINTS = {
     "PartiteThreeGraph.triples_of_parts": "test fixture: global triples of one part triple",
     "DeviationFunction2.from_rows": "test fixture: deviation tables for the c4 kernels",
     "random_chain_partition": "test fixture: random chain partitions for the audit oracles",
+}
+# Defaulted parameters that no caller in src/, scripts/ or bench/ sets, each
+# with its reason.  Any other default that nothing sets is a knob that does
+# nothing: its default belongs in the code.
+API_DEFAULTS = {
+    "restrict_chain.vertex_subsets": "criterion 3: chain restriction keeps every vertex by default",
+    "restrict_chain.edge_subsets": "criterion 3: chain restriction keeps every edge by default",
+    "twr.cap": "public export: the tower's saturation cap, DEFAULT_CAP unless a caller asks",
+    "neighborhood_system.side": "criterion 8: public export, either side of a bipartite graph",
+    "vc_dimension.cap_d": "criterion 8: public export, no dimension cap unless a caller asks",
+    "vc_dimension.cap_n": "criterion 8: public export, the shattering search's universe cap",
 }
 
 
@@ -164,3 +176,74 @@ def test_every_definition_is_referenced():
                 unreferenced.append(f"{path.name}: {qualname}")
     assert not unreferenced, f"definitions nothing references: {', '.join(unreferenced)}"
     assert not set(ENTRY_POINTS) - defined, "entry points that are not defined"
+
+
+def _defaults(tree: ast.Module):
+    """(qualified parameter name, called name, index, name) of each defaulted
+    parameter of a top-level function or of a method that a call names:
+    ``__init__`` is called through its class, and a method's positional
+    index skips its self or cls.  The index is None for keyword-only ones."""
+    funcs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs.append((node.name, node.name, 0, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                called = node.name if item.name == "__init__" else item.name
+                if called.startswith("__"):
+                    continue  # other dunders are called by the language
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                funcs.append((f"{node.name}.{item.name}", called, 0 if static else 1, item))
+    for qualname, called, offset, node in funcs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for i, a in enumerate(positional[len(positional) - len(args.defaults) :]):
+            index = len(positional) - len(args.defaults) + i - offset
+            yield f"{qualname}.{a.arg}", called, index, a.arg
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield f"{qualname}.{a.arg}", called, None, a.arg
+
+
+def _calls(*tops: str) -> dict[str, list[ast.Call]]:
+    """Every call under ``tops``, by the name it calls (a plain name or the
+    attribute called)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for top in tops:
+        for path in (REPO / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at positional ``index``;
+    ``*args`` and ``**kwargs`` count as setting it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_default_is_set_by_a_caller():
+    """A default that no program caller sets is a knob that does nothing,
+    unless it is listed in API_DEFAULTS; a listed one must stay unset."""
+    calls = _calls("src", "scripts", "bench")
+    unset, listed_but_set, defined = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for key, called, index, name in _defaults(ast.parse(path.read_text())):
+            defined.add(key)
+            is_set = any(_sets(call, index, name) for call in calls.get(called, ()))
+            if key in API_DEFAULTS and is_set:
+                listed_but_set.append(key)
+            elif key not in API_DEFAULTS and not is_set:
+                unset.append(f"{path.name}: {key}")
+    assert not unset, f"defaults that no caller sets: {', '.join(unset)}"
+    assert not listed_but_set, f"listed defaults the program sets: {', '.join(listed_but_set)}"
+    assert not set(API_DEFAULTS) - defined, "listed defaults that are not defined"

@@ -222,19 +222,31 @@ def test_venn_diagram_part_count_bound():
 
 def test_restrict_chain_partition_maps_origin():
     q = random_chain_partition(12, 3, 2, seed=6)
-    new_parts = []
+    groups = []
     for part in q.parts:
         mid = max(1, len(part) // 2)
-        new_parts.extend([part[:mid], part[mid:]] if part[mid:] else [part[:mid]])
-    origin = []
-    for np in new_parts:
-        for pi, part in enumerate(q.parts):
-            if set(np) <= set(part):
-                origin.append(pi)
-                break
-    q2 = restrict_chain_partition(q, new_parts, origin)
-    assert q2.part_count == len(new_parts)
-    assert sorted(v for p in q2.parts for v in p) == list(range(12))
+        groups.append([part[:mid], part[mid:]] if part[mid:] else [part[:mid]])
+    q2 = restrict_chain_partition(q, groups)
+    assert q2.parts == tuple(tuple(p) for cut in groups for p in cut)
+    origin = [o for o, cut in enumerate(groups) for _ in cut]
+    part_of = {v: o for o, part in enumerate(q.parts) for v in part}
+    pos = {v: i for part in q.parts for i, v in enumerate(part)}
+    for (a, b), pp in q2.pairs.items():
+        if origin[a] == origin[b]:
+            assert pp.cell_count == 1
+            continue
+        # Two edges share a cell exactly when they shared one in the origin pair.
+        lab = q.pairs[origin[a], origin[b]].labels
+        old = {
+            (x, y): lab[pos[u]][pos[v]]
+            for x, u in enumerate(q2.parts[a])
+            for y, v in enumerate(q2.parts[b])
+        }
+        new = {(x, y): pp.labels[x][y] for (x, y) in old}
+        assert len(set(zip(old.values(), new.values()))) == len(set(old.values())) == len(set(new.values()))
+        assert all(part_of[u] == origin[a] for u in q2.parts[a])
+    with pytest.raises(InvalidStructure, match="not inside its origin"):
+        restrict_chain_partition(q, [groups[1], groups[0], groups[2]])
 
 
 def test_extract_cell_chain_density():

@@ -17,7 +17,6 @@ from regulab.core import (
 from regulab.generators import SplitMix64, random_bipartite, random_chain, random_multipartite
 from regulab.quasirandom import (
     DeviationFunction2,
-    DeviationFunction3,
     PolyFunction,
     _pair_raw_scaled,
     c4_sum,
@@ -25,7 +24,6 @@ from regulab.quasirandom import (
     eta_psi_check,
     graph_quasirandomness,
     is_graph_quasirandom,
-    oct_sum,
     pair_quasirandomness,
 )
 from conftest import build_box_chain, build_pair_only_chain
@@ -33,13 +31,12 @@ from conftest import build_box_chain, build_pair_only_chain
 
 def test_c4_sum_sign_matrix():
     f = DeviationFunction2.from_rows([[1, -1], [-1, 1]])
-    assert c4_sum(f, "fast") == 16
-    assert c4_sum(f, "naive") == 16
+    assert c4_sum(f) == 16
 
 
 def test_c4_sum_all_ones():
     f = DeviationFunction2.from_rows([[1] * 3] * 3)
-    assert c4_sum(f, "fast") == 3**4
+    assert c4_sum(f) == 3**4
 
 
 def test_pair_certificate_single_edge():
@@ -122,16 +119,6 @@ def test_chain_fast_equals_naive(seed):
     assert a.raw_sum == b.raw_sum and a.value == b.value
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32))
-def test_oct_sum_fast_equals_naive(seed):
-    rng = SplitMix64(seed)
-    sizes = tuple(1 + rng.below(3) for _ in range(3))
-    c = random_chain(sizes, Fraction(3, 4), Fraction(1, 2), seed=rng.next_u64())
-    f = DeviationFunction3.from_chain(c)
-    assert oct_sum(f, "fast") == oct_sum(f, "naive")
-
-
 def test_graph_quasirandomness_collects_all_pairs():
     g = random_multipartite((3, 3, 3), Fraction(1, 2), seed=2)
     certs = graph_quasirandomness(g)
@@ -209,6 +196,6 @@ def test_reduced_c4_kernel_matches_the_pair_loop_and_the_naive_sum(seed):
                 [Fraction(area - e if rows[x] >> y & 1 else -e, area) for y in bits(mask)]
                 for x in xs
             ]
-            assert Fraction(got, area**4) == c4_sum(table, "naive")
+            assert Fraction(got, area**4) == c4_sum(table)
         else:
             assert got == 0
