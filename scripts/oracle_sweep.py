@@ -17,7 +17,10 @@ extracted copy, for the chain's cells and for copies that reach outside the
 cylinder masks.  ``lookup`` and ``container`` are checked against a scan over
 the masks, and the linear cylinder overlap check against the pairwise one,
 first offending pair included, on random cylinder families that overlap
-about half the time.
+about half the time.  ``scan``'s bulk path for canonical files is checked
+against its line loop (the bulk path patched out), records, kind and first
+error included, on random generated files and on copies with a token, a
+line or a character changed.
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -29,14 +32,29 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from regulab.core import PartiteVertexSet, bits, ratio, rows_symmetric, triangle_count
+from regulab import core
+from regulab.core import (
+    PartiteVertexSet,
+    bits,
+    ratio,
+    rows_symmetric,
+    save_chain,
+    save_graph,
+    save_multipartite,
+    save_partite_3graph,
+    save_three_graph,
+    scan,
+    triangle_count,
+)
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
     random_chain,
     random_cylinder_chain_partition,
     random_graph,
+    random_multipartite,
     random_partite_3graph,
+    random_tournament_3graph,
     random_vertex_cylinder_partition,
 )
 from regulab.partitions import (
@@ -330,6 +348,71 @@ def overlap_matches(max_size, rng) -> tuple[bool, bool]:
     return first_overlap(vs, cyls) == naive, naive is not None
 
 
+# Tokens and characters a mutated file may gain: signs, leading zeros, long
+# ids, non-ASCII digits, other whitespace and line ends, comments, heads.
+SCAN_TOKENS = ("0", "00", "07", "-1", "+1", "1_0", "\u0661", "1" + "0" * 18, "9" * 23,
+               "x", "e", "t", "part", "#")
+SCAN_NOISE = (" ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#", "0", "e", "t", "-")
+
+
+def random_file(max_size, rng) -> str:
+    """A random generated file of one of the five savable kinds."""
+    size = 1 + rng.below(max_size)
+    sizes = tuple(1 + rng.below(max_size) for _ in range(3))
+    seed = rng.next_u64()
+    kind = rng.below(5)
+    if kind == 0:
+        return save_graph(random_graph(size, Fraction(1, 2), seed))
+    if kind == 1:
+        return save_multipartite(random_multipartite(sizes, Fraction(1, 2), seed))
+    if kind == 2:
+        return save_three_graph(random_tournament_3graph(3 + size, seed))
+    if kind == 3:
+        return save_partite_3graph(random_partite_3graph(sizes, Fraction(1, 2), seed))
+    return save_chain(random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed))
+
+
+def mutate_file(text, rng) -> str:
+    """``text`` with a token replaced, a line moved to the end, or a
+    character inserted or deleted."""
+    op = rng.below(4)
+    if op == 0:
+        tokens = text.split(" ")
+        tokens[rng.below(len(tokens))] = SCAN_TOKENS[rng.below(len(SCAN_TOKENS))]
+        return " ".join(tokens)
+    if op == 1:
+        lines = text.splitlines(keepends=True)
+        lines.append(lines.pop(rng.below(len(lines))))
+        return "".join(lines)
+    k = rng.below(len(text) + 1)
+    if op == 2:
+        return text[:k] + SCAN_NOISE[rng.below(len(SCAN_NOISE))] + text[k:]
+    return text[:k] + text[k + 1 :]
+
+
+def scan_fields(sc):
+    error = None if sc.error is None else (sc.error.line, str(sc.error))
+    return sc.parts, sc.edges, sc.triples, sc.kind, error
+
+
+def scans_match(max_size, rng) -> tuple[int, int]:
+    """``scan`` against its line loop on a random generated file and three
+    mutated copies; returns (mismatches, copies the bulk path took)."""
+    text = random_file(max_size, rng)
+    texts = [text] + [mutate_file(text, rng) for _ in range(3)]
+    bad = bulk = 0
+    for text in texts:
+        fast = scan_fields(scan(text))
+        bulk_scan, core._bulk_scan = core._bulk_scan, lambda text: None
+        try:
+            loop = scan_fields(scan(text))
+        finally:
+            core._bulk_scan = bulk_scan
+        bad += fast != loop
+        bulk += bulk_scan(text) is not None
+    return bad, bulk
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=int, default=10)
@@ -342,9 +425,11 @@ def main() -> int:
     side = SplitMix64(args.seed + 1)
     cylinders = SplitMix64(args.seed + 2)
     extra = SplitMix64(args.seed + 3)
+    files = SplitMix64(args.seed + 4)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
+    canonical = 0
     for case in range(args.cases):
         na = 1 + rng.below(args.max_size)
         nb = 1 + rng.below(args.max_size)
@@ -366,6 +451,11 @@ def main() -> int:
         if not same:
             mismatches += 1
             print(f"cylinder overlap mismatch at case {case}")
+        bad, bulk = scans_match(args.max_size, files)
+        canonical += bulk
+        if bad:
+            mismatches += 1
+            print(f"{bad} scan mismatches at case {case}")
         if case % 4 == 0:
             sizes = tuple(1 + rng.below(min(args.max_size, 6)) for _ in range(3))
             c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
@@ -403,8 +493,9 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair, symmetry and cylinder overlap cases"
-        f" ({overlapping} overlapping) + {chains} chain cases"
+        f"{args.cases} pair, masked pair, symmetry, cylinder overlap and scan cases"
+        f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
+        f" + {chains} chain cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
         f" in {dt:.1f}s"
     )
@@ -413,8 +504,8 @@ def main() -> int:
         return 1
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
-        " and certificates, the tuple audit, the survey, q, lookup, container and the cylinder"
-        " overlap check match their oracles"
+        " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
+        " overlap check and the bulk scan match their oracles"
     )
     return 0
 

@@ -12,13 +12,14 @@ Python ints.  The 0/0 = 0 convention for relative densities lives in
 
 from __future__ import annotations
 
+import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
-from operator import eq
+from operator import eq, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -626,6 +627,9 @@ class Scan:
     (e- and t-lines), ``three`` (t-lines only), ``multipartite`` (two or
     more part lines) or ``graph``.  ``error`` is the file's first
     ``ParseError``; a loader raises it when it consumes the scan.
+
+    A file in the canonical form the ``save_*`` functions write is read in
+    bulk and any other file line by line; both give the same scan.
     """
 
     parts: tuple[tuple[str, int], ...]
@@ -640,18 +644,28 @@ class Scan:
 
 
 def scan(text: str) -> Scan:
-    """Tokenize a text file in one pass; see :class:`Scan`."""
-    lines = text.splitlines()
-    parts: list[tuple[str, int]] = []
-    try:
-        edges, triples = array("q"), array("q")
-        error = _tokenize(lines, parts, edges, triples)
-    except OverflowError:  # an id beyond 64 bits: hold the ids as Python ints
-        parts, edges, triples = [], [], []
-        error = _tokenize(lines, parts, edges, triples)
+    """Tokenize a text file in one pass; see :class:`Scan`.
+
+    A canonical file (:func:`_bulk_scan`) has its record blocks checked and
+    converted in bulk; every other file goes through the line loop
+    :func:`_tokenize`, which is also the bulk path's oracle.
+    """
     heads: Counter = Counter()
-    if error is not None:  # the lines from the malformed one on still count
-        heads.update(_head(raw) for raw in lines[error.line - 1 :])
+    bulk = _bulk_scan(text)
+    if bulk is not None:
+        parts, edges, triples = bulk
+        error = None
+    else:
+        lines = text.splitlines()
+        parts = []
+        try:
+            edges, triples = array("q"), array("q")
+            error = _tokenize(lines, parts, edges, triples)
+        except OverflowError:  # an id beyond 64 bits: hold the ids as Python ints
+            parts, edges, triples = [], [], []
+            error = _tokenize(lines, parts, edges, triples)
+        if error is not None:  # the lines from the malformed one on still count
+            heads.update(_head(raw) for raw in lines[error.line - 1 :])
     has_e = bool(edges) or "e" in heads
     has_t = bool(triples) or "t" in heads
     if has_e and has_t:
@@ -665,6 +679,89 @@ def scan(text: str) -> Scan:
     if error is None and not parts:
         error = ParseError(1, "no part declarations")
     return Scan(tuple(parts), edges, triples, kind, error)
+
+
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_ID_LIMIT = 10**18  # ids of at most 18 digits, which always fit in 64 bits
+_BULK_CHARS = 1 << 16  # characters of a record block converted per call
+
+
+def _bulk_scan(text: str) -> tuple[list, array, array] | None:
+    """The parts and the flat e- and t-records of a file in canonical form,
+    or None when the file is not canonical.
+
+    Canonical is what ``save_*`` writes: a head of part lines that
+    :func:`_tokenize` reads without error or record, then a block of
+    ``e <id> <id>`` lines, then a block of ``t <id> <id> <id>`` lines,
+    either block possibly empty.  Ids are ASCII digits, at most 18 of them,
+    without a leading zero; tokens are separated by one space and every
+    line, the last included, ends in a newline.
+    """
+    if not text.endswith("\n"):
+        return None
+    e0, t0 = _line_start(text, "e "), _line_start(text, "t ")
+    start = min(e0, t0)
+    head = text[:start].splitlines()
+    parts: list[tuple[str, int]] = []
+    rest: list[int] = []
+    if _tokenize(head, parts, rest, rest) is not None or rest:
+        return None
+    e1 = max(e0, t0)  # the e-block ends where the t-block starts
+    edges = _bulk_records(text, e0, e1, "e", 2, len(head) + 1)
+    if edges is None:
+        return None
+    triples = _bulk_records(text, t0, len(text), "t", 3, len(head) + 1 + len(edges) // 3)
+    if triples is None:
+        return None
+    return parts, edges, triples
+
+
+def _line_start(text: str, prefix: str) -> int:
+    """Where the first line that starts with ``prefix`` begins, or the
+    text's length when no line does."""
+    if text.startswith(prefix):
+        return 0
+    at = text.find("\n" + prefix)
+    return len(text) if at < 0 else at + 1
+
+
+def _bulk_records(
+    text: str, start: int, stop: int, head: str, width: int, lineno: int
+) -> array | None:
+    """The flat records ``lineno, id, ...`` of ``text[start:stop]``, a
+    block of canonical ``<head> <id> ... <id>`` lines whose first is line
+    ``lineno``, or None when some line of the block is not canonical."""
+    lead, step = head + " ", width + 1
+    line = lead + " " * (width - 1) + "\n"
+    out = array("q", [0]) * (step * text.count("\n", start, stop))
+    row = 0
+    while start < stop:  # in chunks of whole lines, so no copy grows with the file
+        end = text.find("\n", min(start + _BULK_CHARS, stop - 1), stop) + 1
+        chunk = text[start:end]
+        m = chunk.count("\n")
+        # With its digits deleted each line reads "e  " or "t   ": one head, one
+        # space before each id, nothing else, and every line starts with its
+        # head.  JSON then rejects an empty id and a leading zero.
+        if (
+            not chunk.startswith(lead)
+            or chunk.count("\n" + lead) != m - 1
+            or chunk.translate(_NO_DIGITS) != line * m
+        ):
+            return None
+        try:
+            ids = json.loads("[" + chunk[2:-1].replace("\n" + lead, " ").replace(" ", ",") + "]")
+        except ValueError:
+            return None
+        if max(ids) >= _ID_LIMIT:
+            return None
+        cols = array("q", ids)
+        at, to = row * step, (row + m) * step
+        out[at:to:step] = array("q", range(lineno + row, lineno + row + m))
+        for k in range(width):
+            out[at + k + 1 : to : step] = cols[k::width]
+        row += m
+        start = end
+    return out
 
 
 def _head(raw: str) -> str | None:
@@ -762,18 +859,45 @@ def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
     )
 
 
-def _scanned_triples(sc: Scan, vs: PartiteVertexSet) -> Iterator[tuple[int, tuple[int, int, int]]]:
+def _scanned_triples(
+    sc: Scan, total: int, owner: Sequence[int] | None
+) -> Iterator[tuple[int, tuple[int, int, int]]]:
     """``(lineno, sorted triple)`` of each t-line of a scan in file order,
-    once its ids are checked: in range, distinct, in three parts."""
-    total, owner = vs.total, vs.owner
+    once its ids are checked: in range, distinct and, given the parts'
+    ``owner`` table, in three parts."""
     for rec in _records(sc.triples, 4):
         lineno, ids = rec[0], rec[1:]
         _check_range(lineno, ids, total)
         if len(set(ids)) != 3:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
-        if len({owner[v] for v in ids}) != 3:
+        if owner is not None and len({owner[v] for v in ids}) != 3:
             raise ParseError(lineno, f"triple {ids} does not cross three parts")
         yield lineno, _canon_triple(*ids)
+
+
+def _checked_triples(
+    sc: Scan, total: int, owner: Sequence[int] | None = None
+) -> list[tuple[int, int, int]]:
+    """The sorted triples of :func:`_scanned_triples` in file order, with
+    the id columns checked in bulk; only a file with a bad line is walked
+    line by line, to raise at the first."""
+    cols = us, vs, ws = sc.triples[1::4], sc.triples[2::4], sc.triples[3::4]
+    if us and not (
+        min(map(min, cols)) >= 0
+        and max(map(max, cols)) < total
+        and _distinct(*cols)
+        and (owner is None or _distinct(*(list(map(owner.__getitem__, c)) for c in cols)))
+    ):  # some line is bad: find the first
+        for _ in _scanned_triples(sc, total, owner):
+            pass
+    if all(map(lt, us, vs)) and all(map(lt, vs, ws)):
+        return list(zip(us, vs, ws))
+    return list(map(_canon_triple, us, vs, ws))
+
+
+def _distinct(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
+    """Whether ``a[i]``, ``b[i]`` and ``c[i]`` differ at every ``i``."""
+    return not (any(map(eq, a, b)) or any(map(eq, b, c)) or any(map(eq, a, c)))
 
 
 def _edge_lines(g: MultipartiteGraph) -> list[str]:
@@ -807,7 +931,7 @@ def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
     if sc.edges:
         raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
     vs = sc.vertex_set
-    return PartiteThreeGraph(vs, frozenset(t for _, t in _scanned_triples(sc, vs)))
+    return PartiteThreeGraph(vs, frozenset(_checked_triples(sc, vs.total, vs.owner)))
 
 
 def save_partite_3graph(h: PartiteThreeGraph) -> str:
@@ -823,14 +947,7 @@ def load_three_graph(src: str | Scan) -> ThreeGraph:
     if sc.edges:
         raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
     total = sum(s for _, s in sc.parts)
-    out = set()
-    for rec in _records(sc.triples, 4):
-        lineno, ids = rec[0], rec[1:]
-        _check_range(lineno, ids, total)
-        if len(set(ids)) != 3:
-            raise ParseError(lineno, f"triple {ids} repeats a vertex")
-        out.add(_canon_triple(*ids))
-    return ThreeGraph(total, frozenset(out))
+    return ThreeGraph(total, frozenset(_checked_triples(sc, total)))
 
 
 def save_three_graph(h: ThreeGraph) -> str:
@@ -872,7 +989,7 @@ def load_chain(src: str | Scan) -> Chain:
     g = _scanned_graph(sc, vs)
     off = vs.offsets
     out = set()
-    for lineno, (u, v, w) in _scanned_triples(sc, vs):
+    for lineno, (u, v, w) in _scanned_triples(sc, vs.total, vs.owner):
         a, b, cc = u - off[0], v - off[1], w - off[2]
         if not (
             g.pair(0, 1).has_edge(a, b)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regulab import core
+from regulab.cli import run
 from regulab.core import (
     BipartiteGraph,
     Chain,
@@ -627,6 +629,190 @@ def test_a_sparse_graph_on_many_vertices_loads_in_little_memory():
         tracemalloc.stop()
     assert g.n == 200000 and g.edge_count == 3 and g.has_edge(199999, 5)
     assert peak < 64 << 20
+
+
+# ---------------------------------------------------------------------------
+# The bulk path of scan against the line loop it falls back to, and the
+# bulk checks of the 3-graph loaders against the line-by-line loaders.
+# ---------------------------------------------------------------------------
+
+
+def _scan_fields(sc):
+    error = None if sc.error is None else (sc.error.line, str(sc.error))
+    return sc.parts, sc.edges, sc.triples, sc.kind, error
+
+
+def _loop_scan(text: str):
+    """``scan`` with its bulk entry point patched out: the line loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_bulk_scan", lambda text: None)
+        return scan(text)
+
+
+def _generated_texts(tmp_path) -> dict[str, str]:
+    """The output of every ``generate`` kind."""
+    flags = {
+        "vd": ["--d", "2"],
+        "fd": ["--d", "2"],
+        "link": ["--parts", "4,4,4", "--seed", "1"],
+        "tournament": ["--n", "8", "--seed", "1"],
+        "partite3": ["--parts", "3,3,3", "--seed", "1"],
+        "bipartite": ["--parts", "4,5", "--seed", "1"],
+        "graph": ["--n", "12", "--seed", "1"],
+        "half": ["--n", "6"],
+        "multipartite": ["--parts", "3,3,3", "--seed", "1"],
+        "chain": ["--parts", "3,3,3", "--seed", "1"],
+        "cone": ["--base", str(tmp_path / "bipartite.txt"), "--apex", "3"],
+    }
+    texts = {}
+    for kind, extra in flags.items():  # the cone's base is the bipartite output
+        path = tmp_path / f"{kind}.txt"
+        assert run(["generate", "--kind", kind, *extra, "--out", str(path)]) == 0
+        texts[kind] = path.read_text()
+    return texts
+
+
+def _first_line(text: str, head: str) -> str:
+    return next(line for line in text.splitlines() if line.startswith(head + " "))
+
+
+def _swap_first(text: str, head: str, new: str) -> str:
+    return text.replace(_first_line(text, head), new, 1)
+
+
+# Near-canonical files, each of which the bulk path must hand to the loop.
+NEAR_CANONICAL = {
+    "leading zero": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", " 0", 1)),
+    "plus sign": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", " +", 1)),
+    "minus sign": lambda s: _swap_first(s, "t", _first_line(s, "t").replace(" ", " -", 1)),
+    "19-digit id": lambda s: _swap_first(s, "e", "e 1000000000000000000 1"),
+    "underscore": lambda s: _swap_first(s, "e", "e 1_0 1"),
+    "Arabic-Indic digit": lambda s: _swap_first(s, "t", "t \u0661 2 3"),
+    "tab": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", "\t", 1)),
+    "double space": lambda s: _swap_first(s, "t", _first_line(s, "t").replace(" ", "  ", 1)),
+    "trailing space": lambda s: _swap_first(s, "e", _first_line(s, "e") + " "),
+    "CRLF": lambda s: s.replace("\n", "\r\n"),
+    "no final newline": lambda s: s[:-1],
+    "blank line mid-block": lambda s: _swap_first(s, "e", _first_line(s, "e") + "\n"),
+    "e after t": lambda s: s + "e 0 3\n",
+    "part after records": lambda s: s + "part Z 1\n",
+    "e-line of 2 tokens": lambda s: _swap_first(s, "e", _first_line(s, "e").rsplit(" ", 1)[0]),
+    "e-line of 4 tokens": lambda s: _swap_first(s, "e", _first_line(s, "e") + " 4"),
+    "t-line of 3 tokens": lambda s: _swap_first(s, "t", "t 0 3"),
+    "t-line of 5 tokens": lambda s: _swap_first(s, "t", _first_line(s, "t") + " 8"),
+}
+
+
+def test_scan_bulk_path_matches_the_line_loop(tmp_path):
+    texts = _generated_texts(tmp_path)
+    for kind, text in texts.items():
+        assert core._bulk_scan(text) is not None, kind
+        assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text)), kind
+    chain = texts["chain"]
+    for name, mutate in NEAR_CANONICAL.items():
+        text = mutate(chain)
+        assert text != chain, name
+        assert core._bulk_scan(text) is None, name
+        assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text)), name
+
+
+ID_TOKENS = ("0", "7", "00", "07", "-1", "+1", "1_0", "\u0661", "9" * 18, "1" + "0" * 18,
+             "9" * 23, "x", "e", "t", "part", "#")
+NOISE = (" ", "  ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#", "0", "9", "e", "t", "-")
+
+
+@st.composite
+def _canonical_files(draw):
+    names = draw(st.lists(st.sampled_from("ABCDV"), min_size=1, max_size=3, unique=True))
+    ids = st.integers(0, 9) | st.integers(0, 10**18 - 1)
+    lines = [f"part {name} {draw(st.integers(0, 12))}" for name in names]
+    lines += [f"e {u} {v}" for u, v in draw(st.lists(st.tuples(ids, ids), max_size=12))]
+    lines += [f"t {u} {v} {w}" for u, v, w in draw(st.lists(st.tuples(ids, ids, ids), max_size=12))]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_files(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6),
+                                              st.integers(0, 10**6)), max_size=3))
+def test_scan_bulk_and_loop_agree_on_mutated_canonical_files(text, mutations):
+    assert core._bulk_scan(text) is not None
+    for op, at, pick in mutations:
+        if op == 0:  # a token replaced
+            tokens = text.split(" ")
+            tokens[at % len(tokens)] = ID_TOKENS[pick % len(ID_TOKENS)]
+            text = " ".join(tokens)
+        elif op == 1 and text:  # a line moved to the end
+            lines = text.splitlines(keepends=True)
+            lines.append(lines.pop(at % len(lines)))
+            text = "".join(lines)
+        elif op == 2:  # a character inserted
+            k = at % (len(text) + 1)
+            text = text[:k] + NOISE[pick % len(NOISE)] + text[k:]
+        elif text:  # a character deleted
+            k = at % len(text)
+            text = text[:k] + text[k + 1 :]
+    assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text))
+
+
+def test_bulk_scan_memory_stays_a_small_multiple_of_the_text():
+    # A whole-block check or conversion would hold several copies of the
+    # block at once; the bulk path holds the result and one chunk.
+    rng = SplitMix64(3)
+    n = 200_000
+    text = f"part V {n}\n" + "".join(f"e {rng.below(n)} {rng.below(n)}\n" for _ in range(n))
+    tracemalloc.start()
+    try:
+        sc = scan(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core._bulk_scan(text) is not None and len(sc.edges) == 3 * n
+    assert peak < 3 * len(text)
+
+
+def _reference_load_triples(text: str, partite: bool):
+    """The 3-graph loaders as they checked each t-line in turn."""
+    parts, edges, triples = _reference_scan(text)
+    if edges:
+        raise ParseError(edges[0][0], "3-graph file may not contain pair edges")
+    vs = PartiteVertexSet(tuple(n for n, _ in parts), tuple(s for _, s in parts))
+    out = set()
+    for lineno, ids in triples:
+        _reference_check_range(lineno, ids, vs.total)
+        if len(set(ids)) != 3:
+            raise ParseError(lineno, f"triple {ids} repeats a vertex")
+        if partite and len({vs.part_of(v) for v in ids}) != 3:
+            raise ParseError(lineno, f"triple {ids} does not cross three parts")
+        out.add(tuple(sorted(ids)))
+    if partite:
+        return PartiteThreeGraph(vs, frozenset(out))
+    return ThreeGraph(vs.total, frozenset(out))
+
+
+def _loaded(load, text):
+    try:
+        return load(text)
+    except (ParseError, InvalidStructure) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_3graph_loaders_match_the_line_by_line_checks(seed):
+    rng = SplitMix64(100 + seed)
+    bases = [
+        save_partite_3graph(random_partite_3graph((2, 3, 2, 2), Fraction(1, 2), rng.next_u64())),
+        save_three_graph(random_tournament_3graph(6 + rng.below(3), rng.next_u64())),
+    ]
+    for base in bases:
+        for text in [base] + [_mutate(base, rng) for _ in range(40)]:
+            lines = text.splitlines()
+            for k in range(len(lines)):  # some triples listed out of order
+                if lines[k].startswith("t ") and rng.below(3) == 0:
+                    lines[k] = " ".join(["t"] + lines[k].split()[:0:-1])
+            text = "\n".join(lines) + "\n"
+            for partite, load in ((True, load_partite_3graph), (False, load_three_graph)):
+                want = _loaded(lambda s: _reference_load_triples(s, partite), text)
+                assert _loaded(load, text) == want, text
 
 
 def _walk_error(rows) -> str | None:
