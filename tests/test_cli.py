@@ -538,3 +538,138 @@ def test_a_q_that_falls_across_a_cylinder_split_exits_three(tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.err == "invariant violated: q decreased across a cylinder split\n"
     assert captured.out == ""
+
+
+# Inputs of the pinned invocations below, each made by ``generate`` at a
+# fixed seed; the cone's base is the two-part file "base".
+PINNED_INPUTS = {
+    "chain": ("--kind", "chain", "--parts", "4,4,4", "--seed", "9"),
+    "multipartite": ("--kind", "multipartite", "--parts", "3,4,3", "--p", "1/2", "--seed", "5"),
+    "graph12": ("--kind", "graph", "--n", "12", "--seed", "3"),
+    "graph30": ("--kind", "graph", "--n", "30", "--seed", "2"),
+    "t10": ("--kind", "tournament", "--n", "10", "--seed", "5"),
+    "t14": ("--kind", "tournament", "--n", "14", "--seed", "1"),
+    "t16": ("--kind", "tournament", "--n", "16", "--seed", "0"),
+    "base": ("--kind", "bipartite", "--parts", "6,6", "--p", "1/2", "--seed", "3"),
+    "cone": ("--kind", "cone", "--base", "{base}", "--apex", "6"),
+    "partite3": ("--kind", "partite3", "--parts", "8,8,8"),
+    "link": ("--kind", "link", "--parts", "6,6,6"),
+    "pattern": ("--kind", "tournament", "--n", "4", "--seed", "0"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    files = {}
+    for name, flags in PINNED_INPUTS.items():
+        files[name] = str(root / name)
+        flags = [f.format(**files) for f in flags]
+        assert run(["generate", *flags, "--out", files[name]]) == 0
+    return files
+
+
+# The SHA-256 of each report's text with its runtime_ms set to 0, with the
+# exit code and stderr of the run; None where no report is written.  A
+# change that alters a report on purpose re-pins it: run the case, take the
+# digest of the scrubbed text the way the test does, replace the pin here
+# and say in CHANGES.md why that report changed.
+@pytest.mark.parametrize(
+    "argv, code, err, digest",
+    [
+        pytest.param(
+            ["analyze", "--input", "{chain}", "--mode", "both"], 0, "",
+            "817176ddd798294317ea69f3ddccf9468b2dd4d80166360cd893cc60fde9ffa7",
+            id="analyze-chain",
+        ),
+        pytest.param(
+            ["analyze", "--input", "{multipartite}", "--mode", "both", "--beta", "1"], 0, "",
+            "9404579264d67d551435d8e360d79fc4698c64ceb8c0fab2706de5059df94b90",
+            id="analyze-multipartite",
+        ),
+        pytest.param(
+            ["analyze", "--input", "{graph12}", "--mode", "both"], 0, "",
+            "5aa1e17ce788da8872ae87ec6804ff5ac0e7804e52d3f5e216d4e2d1dbb0d84a",
+            id="analyze-single-part-graph",
+        ),
+        pytest.param(
+            ["analyze", "--input", "{chain}", "--beta", "1/1000"], 2, "",
+            "f04710c9123df2ab0d9c37819fcb4429b62b23a29b6e8936d8d6e7080ca9524f",
+            id="analyze-beta-fails",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{t14}", "--eta", "1/4", "--psi", "1,1"], 0, "",
+            "cf660c3406f724311eb7f87cb09d5579e0989cc0ed31427ea1ef0aaf06f18113",
+            id="decompose-t14",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{t16}", "--eta", "1/4", "--psi", "1,1"], 0, "",
+            "9090bde45ed33149dc0c584ef93cf377d95a5f908df997d0c56e481464fae665",
+            id="decompose-t16",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "3",
+             "--audit-tuple-cap", "10"], 0, "",
+            "3669fee4af4c40bd2a8c3f998ead86c065ead17af0c6fdb36a6bc26867deeb0f",
+            id="decompose-cone",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{graph30}", "--eps", "1/5"], 2, "",
+            "de133b9e0031d0b812cc3b4064d34be438ec51efc883f0b87efc505ab4e26f1d",
+            id="decompose-graph-fails",
+        ),
+        pytest.param(
+            ["cylinder", "--input", "{partite3}", "--eta", "1/4", "--psi", "1,1"], 0, "",
+            "0968bf44780ff47a9434ffd5262b1fc0c768a53a689d21087d2a46100e25923f",
+            id="cylinder-partite3",
+        ),
+        pytest.param(
+            ["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+             "--audit-tuple-cap", "10"], 0, "",
+            "99b9d6235d101d16c5da07dcce2ed4d1e61eecebd40112c7fdf23623ef721ce2",
+            id="cylinder-sampled",
+        ),
+        pytest.param(
+            ["cylinder", "--input", "{link}", "--eta", "1/100", "--psi", "1,1"], 0, "",
+            "0c8e3a7d04c99c115e41fa8f83b74edcc1e6d93aacfbb481854f65c4222db93f",
+            id="cylinder-link",
+        ),
+        pytest.param(
+            ["subset", "--input", "{t10}", "--eta", "1/4", "--psi", "1,1", "--seed", "2"], 0, "",
+            "d591aa08990fdb5476fc47f610f98cf683eb466fc3e3dad97f5dfd69e3cb8c75",
+            id="subset",
+        ),
+        pytest.param(
+            ["subset", "--input", "{t10}", "--pattern", "{pattern}", "--eps", "1/8"], 0, "",
+            "e63ab36c1c9b5dfeaede40b4dd401ea5d0f3fbd2c4b3b4342df51cb1530389f1",
+            id="subset-pattern",
+        ),
+        pytest.param(
+            ["oracle-check", "--sizes", "3..5", "--cases", "12", "--seed", "7"], 0, "",
+            "a60fc23e4d9694617c1a363d8783cf84aa6daf9a5315607cb2fdc085f37c7119",
+            id="oracle-check",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "2**-100,28",
+             "--profile", "paper"], 3,
+            "refused: schedule constant edge_cap saturates at step 0; refusing to run\n", None,
+            id="paper-profile-refusal",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{t16}", "--eta", "1/4", "--psi", "1,1",
+             "--max-steps", "1"], 3,
+            "capacity: tuple audit still failing at the step cap\n", None,
+            id="decompose-step-cap",
+        ),
+    ],
+)
+def test_reports_match_their_pins(argv, code, err, digest, pinned_inputs, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run([a.format(**pinned_inputs) for a in argv] + ["--output", str(out)]) == code
+    assert capsys.readouterr().err == err
+    if digest is None:
+        assert not out.exists()
+        return
+    scrubbed = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.read_text())
+    assert hashlib.sha256(scrubbed.encode()).hexdigest() == digest
