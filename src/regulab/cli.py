@@ -3,7 +3,10 @@
 Subcommands: analyze, decompose, cylinder, vc2, generate, subset, and
 oracle-check.  Thresholds are parsed as exact rationals ("1/4", "0.25",
 "2**-20"); engine runs emit a versioned JSON report that is byte-identical
-across reruns with the same config and seed, except for runtime_ms.
+across reruns with the same config and seed, except for runtime_ms.  Each
+engine subcommand ends in one call of ``_report``, the one writer of
+reports; audits enter it as the engines return them, and the report layer
+writes every rational as a "num/den" string.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 audit failure,
 3 capacity, nontermination or a failed engine invariant.
@@ -16,6 +19,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -76,14 +80,7 @@ from .quasirandom import (
     pair_quasirandomness,
     graph_quasirandomness,
 )
-from .report import (
-    DecompositionReport,
-    fraction_str,
-    input_hash,
-    profile_dict,
-    save_report,
-    trace_list,
-)
+from .report import DecompositionReport, input_hash, save_report, trace_list
 from .vcdim import vc2_dimension
 
 EXIT_OK = 0
@@ -182,15 +179,6 @@ def _at_least(args, flag: str, low: int) -> None:
         raise _ArgError(f"--{flag.replace('_', '-')} must be at least {low}, got {val}")
 
 
-def _cert_dict(cert) -> dict:
-    return {
-        "raw_sum": fraction_str(cert.raw_sum),
-        "normalizer": fraction_str(cert.normalizer),
-        "value": fraction_str(cert.value),
-        "degenerate": cert.degenerate,
-    }
-
-
 def _write_out(path: str | None, text: str) -> None:
     """Write ``text`` to ``path``, or to standard output when no path is given."""
     if not path:
@@ -203,8 +191,35 @@ def _write_out(path: str | None, text: str) -> None:
         raise _ArgError(f"cannot write {path}: {exc}")
 
 
-def _emit(args, rep: DecompositionReport) -> None:
-    _write_out(getattr(args, "output", None), save_report(rep))
+def _fields(record, **keys) -> dict:
+    """An engine's audit record as report keys, plus the command's own
+    ``keys``: every field but the part sizes (the report's part counts
+    carry them) and the optional fields the engine left unset."""
+    d = {k: v for k, v in asdict(record).items() if k != "part_sizes" and v is not None}
+    return d | keys
+
+
+def _report(
+    args, digest, t0, audit, part_counts, ok, *, profile=None, trace=None, extra=None
+) -> int:
+    """Write the one report of an engine run and give its exit code.
+
+    Every report goes through here: ``runtime_ms`` counts from the
+    command's ``t0``, and the report layer writes each rational in
+    ``audit``, ``trace`` and ``extra`` as a "num/den" string."""
+    rep = DecompositionReport(
+        command=args.command,
+        input_hash=digest,
+        profile=asdict(profile) if profile is not None else {},
+        seed=getattr(args, "seed", 0),
+        trace=trace_list(trace) if trace is not None else [],
+        audit=audit,
+        part_counts=part_counts,
+        runtime_ms=int((time.monotonic() - t0) * 1000),
+        extra=extra or {},
+    )
+    _write_out(args.output, save_report(rep))
+    return EXIT_OK if ok else EXIT_AUDIT
 
 
 def _read(path: str) -> str:
@@ -241,63 +256,33 @@ def _cmd_analyze(args) -> int:
         del sc
         part_counts = list(c.vertex_set.sizes)
         for mode in modes:
-            audit[mode] = _cert_dict(chain_quasirandomness(c, mode=mode))
-        value = Fraction(audit[modes[0]]["value"])
-        audit["relative_density"] = fraction_str(relative_density(c))
+            audit[mode] = asdict(chain_quasirandomness(c, mode=mode))
+        value = audit[modes[0]]["value"]
+        audit["relative_density"] = relative_density(c)
     elif kind == "multipartite":
         g = load_multipartite(sc)
         del sc
         part_counts = list(g.vertex_set.sizes)
-        certs = {mode: graph_quasirandomness(g, mode=mode) for mode in modes}
         for mode in modes:
-            audit[mode] = {
-                f"{i},{j}": _cert_dict(cert) for (i, j), cert in sorted(certs[mode].items())
-            }
-        value = max(cert.value for cert in certs[modes[0]].values())
-        audit["max_pair_value"] = fraction_str(value)
+            certs = sorted(graph_quasirandomness(g, mode=mode).items())
+            audit[mode] = {f"{i},{j}": asdict(cert) for (i, j), cert in certs}
+        value = audit["max_pair_value"] = max(cert["value"] for cert in audit[modes[0]].values())
     elif kind == "graph":
         g = load_graph(sc)
         del sc
         part_counts = [g.n]
         bg = BipartiteGraph(g.n, g.n, g.rows)
         for mode in modes:
-            audit[mode] = _cert_dict(pair_quasirandomness(bg, mode=mode))
-        value = Fraction(audit[modes[0]]["value"])
+            audit[mode] = asdict(pair_quasirandomness(bg, mode=mode))
+        value = audit[modes[0]]["value"]
     else:
         raise _ArgError("analyze expects a chain or graph file, got a bare 3-graph")
     beta_ok = True
     if beta is not None:
         beta_ok = value <= beta
-        audit["beta"] = fraction_str(beta)
+        audit["beta"] = beta
         audit["is_quasirandom"] = beta_ok
-    rep = DecompositionReport(
-        command="analyze",
-        input_hash=digest,
-        profile={},
-        seed=0,
-        trace=[],
-        audit=audit,
-        part_counts=part_counts,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-    )
-    _emit(args, rep)
-    return EXIT_OK if beta_ok else EXIT_AUDIT
-
-
-def _audit_dict_hyper(audit) -> dict:
-    d = {
-        "gamma": fraction_str(audit.gamma),
-        "homogeneous_mass": fraction_str(audit.homogeneous_mass),
-        "homogeneous_crossing_mass": fraction_str(audit.homogeneous_crossing_mass),
-        "quasirandom_mass": fraction_str(audit.quasirandom_mass),
-        "degenerate_mass": fraction_str(audit.degenerate_mass),
-        "noncrossing_mass": fraction_str(audit.noncrossing_mass),
-        "mode": audit.mode,
-        "convention": "ordered-triples",
-    }
-    if audit.sparse_pair_mass is not None:
-        d["sparse_pair_mass"] = fraction_str(audit.sparse_pair_mass)
-    return d
+    return _report(args, digest, t0, audit, part_counts, beta_ok)
 
 
 def _cmd_decompose(args) -> int:
@@ -316,10 +301,8 @@ def _cmd_decompose(args) -> int:
         q, audit, trace = homogeneous_decomposition(
             h, eta, psi, profile, t=args.t, seed=args.seed
         )
-        audit_d = _audit_dict_hyper(audit)
-        audit_d["eta"] = fraction_str(eta)
         ok = audit.homogeneous_mass >= 1 - 2 * eta
-        audit_d["passes"] = ok
+        audit_d = _fields(audit, convention="ordered-triples", eta=eta, passes=ok)
         part_counts = [len(p) for p in q.parts]
     elif kind == "graph":
         if args.eps is None:
@@ -329,29 +312,11 @@ def _cmd_decompose(args) -> int:
         del sc
         parts, audit, trace = graph_homogeneous_decomposition(g, eps, profile, t=args.t)
         ok = audit.homogeneous_mass >= 1 - 2 * eps
-        audit_d = {
-            "eps": fraction_str(audit.eps),
-            "homogeneous_mass": fraction_str(audit.homogeneous_mass),
-            "homogeneous_crossing_mass": fraction_str(audit.homogeneous_crossing_mass),
-            "same_part_mass": fraction_str(audit.same_part_mass),
-            "convention": "ordered-pairs",
-            "passes": ok,
-        }
+        audit_d = _fields(audit, convention="ordered-pairs", passes=ok)
         part_counts = list(audit.part_sizes)
     else:
         raise _ArgError("decompose expects a 3-graph or a single-part graph file")
-    rep = DecompositionReport(
-        command="decompose",
-        input_hash=digest,
-        profile=profile_dict(profile),
-        seed=args.seed,
-        trace=trace_list(trace),
-        audit=audit_d,
-        part_counts=part_counts,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-    )
-    _emit(args, rep)
-    return EXIT_OK if ok else EXIT_AUDIT
+    return _report(args, digest, t0, audit_d, part_counts, ok, profile=profile, trace=trace)
 
 
 def _cmd_cylinder(args) -> int:
@@ -365,27 +330,11 @@ def _cmd_cylinder(args) -> int:
     del sc
     t0 = time.monotonic()
     p, audit, trace = hyper_cylinder_regularity(h, eta, psi, profile, seed=args.seed)
-    audit_d = {
-        "eta": fraction_str(eta),
-        "good_mass": fraction_str(audit.good_mass),
-        "degenerate_mass": fraction_str(audit.degenerate_mass),
-        "mode": audit.mode,
-        "passes": audit.good_mass >= 1 - eta,
-    }
-    if audit.samples is not None:
-        audit_d["samples"] = audit.samples
-    rep = DecompositionReport(
-        command="cylinder",
-        input_hash=digest,
-        profile=profile_dict(profile),
-        seed=args.seed,
-        trace=trace_list(trace),
-        audit=audit_d,
-        part_counts=[p.vertex_count, p.edge_count],
-        runtime_ms=int((time.monotonic() - t0) * 1000),
+    ok = audit.good_mass >= 1 - eta
+    return _report(
+        args, digest, t0, _fields(audit, eta=eta, passes=ok), [p.vertex_count, p.edge_count], ok,
+        profile=profile, trace=trace,
     )
-    _emit(args, rep)
-    return EXIT_OK if audit_d["passes"] else EXIT_AUDIT
 
 
 def _cmd_vc2(args) -> int:
@@ -413,18 +362,27 @@ def _save_two_part(g: BipartiteGraph) -> str:
     return save_multipartite(MultipartiteGraph(vs, {(0, 1): g}))
 
 
+def _probability(text: str | None) -> Fraction:
+    """A density flag of generate; an absent one means 1/2."""
+    p = parse_rational(text) if text is not None else Fraction(1, 2)
+    if not 0 <= p <= 1:
+        raise _ArgError("probability out of [0, 1]")
+    return p
+
+
 def _cmd_generate(args) -> int:
     kind = args.kind
     seed = args.seed
     _at_least(args, "n", 0)
-    p = parse_rational(args.p) if args.p is not None else Fraction(1, 2)
+    p = _probability(args.p)
     if kind == "vd":
         out = save_partite_3graph(make_vd(args.d))
     elif kind == "fd":
         out = _save_two_part(make_fd(args.d))
     elif kind == "cone":
-        gtext = _read(args.base)
-        mg = load_multipartite(gtext)
+        if args.base is None:
+            raise _ArgError("generate --kind cone needs --base")
+        mg = load_multipartite(_read(args.base))
         if mg.vertex_set.t != 2:
             raise _ArgError("cone base must be a two-part graph file")
         out = save_partite_3graph(cone_hypergraph(mg.pair(0, 1), args.apex))
@@ -448,8 +406,7 @@ def _cmd_generate(args) -> int:
         out = save_multipartite(random_multipartite(sizes, p, seed))
     elif kind == "chain":
         sizes = _parse_sizes(args.parts or "4,4,4")
-        q = parse_rational(args.q) if args.q is not None else Fraction(1, 2)
-        out = save_chain(random_chain(sizes, p, q, seed))
+        out = save_chain(random_chain(sizes, p, _probability(args.q), seed))
     else:
         raise _ArgError(f"unknown kind {kind!r}")
     _write_out(args.out, out)
@@ -477,44 +434,18 @@ def _cmd_subset(args) -> int:
         f = load_three_graph(_read(args.pattern))
         res = rodl_sparse_dense(h, f, eps, profile, seed=args.seed, t=args.t)
         sub = res.subset
-        audit = {
-            "kind": res.kind,
-            "density": fraction_str(res.density),
-            "eps": fraction_str(eps),
-            "certificate": fraction_str(sub.certificate_value),
-            "witness": None
-            if res.witness is None
-            else [list(im) for im in res.witness.images],
-        }
-        trace = sub.trace
-        extra = {"vertices": list(sub.vertices), "parts_chosen": list(sub.parts_chosen)}
+        witness = None if res.witness is None else res.witness.images
+        audit = {"kind": res.kind, "density": res.density, "eps": eps, "witness": witness}
     else:
-        sub = quasirandom_subset(
-            h, eta, psi, profile, seed=args.seed, s=args.s, t=args.t
-        )
-        audit = {
-            "density": fraction_str(sub.density),
-            "certificate": fraction_str(sub.certificate_value),
-            "eta": fraction_str(eta),
-            "eta_ok": sub.eta_ok,
-            "psi_ok": sub.psi_ok,
-            "bucket": sub.bucket,
-        }
-        trace = sub.trace
-        extra = {"vertices": list(sub.vertices), "parts_chosen": list(sub.parts_chosen)}
-    rep = DecompositionReport(
-        command="subset",
-        input_hash=digest,
-        profile=profile_dict(profile),
-        seed=args.seed,
-        trace=trace_list(trace),
-        audit=audit,
-        part_counts=[len(extra["vertices"])],
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-        extra=extra,
+        sub = quasirandom_subset(h, eta, psi, profile, seed=args.seed, s=args.s, t=args.t)
+        audit = {"density": sub.density, "eta": eta, "eta_ok": sub.eta_ok, "psi_ok": sub.psi_ok,
+                 "bucket": sub.bucket}
+    audit["certificate"] = sub.certificate_value
+    extra = {"vertices": sub.vertices, "parts_chosen": sub.parts_chosen}
+    return _report(
+        args, digest, t0, audit, [len(sub.vertices)], True,
+        profile=profile, trace=sub.trace, extra=extra,
     )
-    _emit(args, rep)
-    return EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
@@ -555,18 +486,8 @@ def _cmd_oracle_check(args) -> int:
         "mismatches": mismatches,
         "all_equal": mismatches == 0,
     }
-    rep = DecompositionReport(
-        command="oracle-check",
-        input_hash=input_hash(f"sizes={lo}..{hi} cases={args.cases} seed={args.seed}"),
-        profile={},
-        seed=args.seed,
-        trace=[],
-        audit=audit,
-        part_counts=[],
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-    )
-    _emit(args, rep)
-    return EXIT_OK if mismatches == 0 else EXIT_AUDIT
+    digest = input_hash(f"sizes={lo}..{hi} cases={args.cases} seed={args.seed}")
+    return _report(args, digest, t0, audit, [], mismatches == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +578,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _ArgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, InvalidStructure, DensityUndefined, ContainmentError) as exc:
+    except (_ArgError, ParseError, InvalidStructure, DensityUndefined, ContainmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ScheduleSaturation as exc:

@@ -346,6 +346,11 @@ class ConstantsProfile:
             return Fraction(1, 1024) * eta**3 / t**3
         return self.q_gain
 
+    def cylinder_threshold(self, eta: Fraction) -> Fraction:
+        """Cylinder regularity threshold of a pipeline at ``eta``: the
+        ``cylinder_eta`` override, else eta^4 / 16."""
+        return self.cylinder_eta if self.cylinder_eta is not None else eta**4 / 16
+
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -1132,7 +1137,7 @@ def homogeneous_decomposition(
     elif not 3 <= t <= n:
         raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
     hp = partite_from_three_graph(h, equitable_partition(n, t))
-    eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
+    eta_c = profile.cylinder_threshold(eta)
     p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
     qv = venn_diagram(p)
     alpha_s = profile.szemeredi_alpha if profile.szemeredi_alpha is not None else Fraction(1, 4)
@@ -1326,7 +1331,7 @@ def quasirandom_subset(
         raise InvalidStructure("subset size exceeds part count")
     hp = partite_from_three_graph(h, equitable_partition(n, t))
     vs = hp.vertex_set
-    eta_c = profile.cylinder_eta if profile.cylinder_eta is not None else eta**4 / 16
+    eta_c = profile.cylinder_threshold(eta)
     p, _, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
 
     order = sorted(

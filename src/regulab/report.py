@@ -1,7 +1,8 @@
 """Run reports: a small versioned JSON schema with exact rationals.
 
 Every CLI run that produces a partition or a certificate emits one report.
-Rationals are serialized as "num/den" strings so nothing is rounded;
+Callers hand in rationals as Fractions, and this module alone serializes
+them, as "num/den" strings so nothing is rounded;
 reports with the same config and seed are byte-identical except for
 ``runtime_ms``.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .core import InvalidStructure
-from .engines import ConstantsProfile, IterationTrace
+from .engines import IterationTrace
 
 SCHEMA_VERSION = 2
 
@@ -46,23 +47,8 @@ def _jsonable(v: Any) -> Any:
     raise InvalidStructure(f"value not serializable in a report: {v!r}")
 
 
-def profile_dict(p: ConstantsProfile) -> dict:
-    return _jsonable(asdict(p))
-
-
 def trace_list(trace: IterationTrace) -> list[dict]:
-    return [
-        {
-            "step": r.step,
-            "stage": r.stage,
-            "q": fraction_str(r.q),
-            "vertex_count": r.vertex_count,
-            "edge_cells": r.edge_cells,
-            "useful_mass": fraction_str(r.useful_mass),
-            "action": r.action,
-        }
-        for r in trace.rows
-    ]
+    return [asdict(r) for r in trace.rows]
 
 
 def input_hash(text: str) -> str:
@@ -83,19 +69,9 @@ class DecompositionReport:
     schema: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        d = {
-            "schema": self.schema,
-            "command": self.command,
-            "input_hash": self.input_hash,
-            "profile": _jsonable(self.profile),
-            "seed": self.seed,
-            "trace": _jsonable(self.trace),
-            "audit": _jsonable(self.audit),
-            "part_counts": _jsonable(self.part_counts),
-            "runtime_ms": self.runtime_ms,
-        }
-        if self.extra:
-            d["extra"] = _jsonable(self.extra)
+        d = _jsonable(asdict(self))
+        if not self.extra:
+            del d["extra"]
         return d
 
     def to_json(self) -> str:

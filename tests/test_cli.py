@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regulab.cli import parse_rational, run
 from regulab.report import load_report, validate_report
@@ -49,6 +50,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["analyze", "--input", str(bad)]) == 1
     assert run(["decompose", "--input", str(bad), "--eta", "x"]) == 1
     capsys.readouterr()
+    # generate checks its own flags, whether or not a draw would read them.
+    out = tmp_path / "g.txt"
+    for argv, line in [
+        (["--kind", "cone"], "error: generate --kind cone needs --base"),
+        (["--kind", "graph", "--n", "1", "--p", "2"], "error: probability out of [0, 1]"),
+        (["--kind", "graph", "--n", "0", "--p=-1/2"], "error: probability out of [0, 1]"),
+        (["--kind", "tournament", "--p", "3/2"], "error: probability out of [0, 1]"),
+        (["--kind", "chain", "--parts", "1,1,1", "--p", "0", "--q", "7"],
+         "error: probability out of [0, 1]"),
+    ]:
+        assert run(["generate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
 
 def test_analyze_chain_report(tmp_path, capsys):
@@ -368,6 +382,8 @@ MALFORMED = {
     "no_parts": "# nothing\n\n",
     "late_part": "part V 4\ne 0 1\npart W 2\n",
     "duplicate": "part A 2\npart A 3\nt 0 1 2\n",
+    "two_part_chain": "part A 2\npart B 2\ne 0 2\nt 0 1 2\n",
+    "within_part": "part A 2\npart B 2\ne 0 2\ne 0 1\n",
 }
 DECOMPOSE_GRAPH = ("decompose", "--eps", "1/4")
 DECOMPOSE_3 = ("decompose", "--eta", "1/4", "--psi", "1,1")
@@ -429,6 +445,8 @@ NOT_PARTITE = "error: cylinder expects a partite 3-graph file"
         ("kind_after_bad", ("subset", "--eta", "1/4", "--psi", "1,1", "--profile", "nope"),
          "error: unknown profile 'nope'"),
         ("one_part", (*ANALYZE, "--beta", "foo"), "error: cannot parse rational 'foo'"),
+        ("two_part_chain", ANALYZE, "error: line 1: chain file needs exactly three parts"),
+        ("within_part", ANALYZE, "error: line 4: edge (0,1) lies within part A"),
     ],
 )
 def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_path, capsys):
@@ -673,3 +691,102 @@ def test_reports_match_their_pins(argv, code, err, digest, pinned_inputs, tmp_pa
         return
     scrubbed = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.read_text())
     assert hashlib.sha256(scrubbed.encode()).hexdigest() == digest
+
+
+def test_a_pattern_with_pair_edges_exits_one(tmp_path, capsys):
+    h, pattern = tmp_path / "t.h3", tmp_path / "f.h3"
+    assert run(["generate", "--kind", "tournament", "--n", "10", "--seed", "5",
+                "--out", str(h)]) == 0
+    pattern.write_text("part V 4\nt 0 1 2\ne 0 1\n")
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["subset", "--input", str(h), "--pattern", str(pattern), "--eps", "1/8",
+                "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 3: 3-graph file may not contain pair edges\n"
+    assert not out.exists()
+
+
+# Value pools of the argv smoke test: valid values, edge values and junk.
+# "{name}" is one of the test's own tiny input files, "{out}" a writable
+# report path and "{nowhere}" an unwritable one.
+_RATIONALS = ("1/4", "1/2", "1", "2**-6", "0", "3/2", "x")
+_INTS = ("3", "1", "0", "-1")
+_SEEDS = ("0", "1", "7", "-1")
+_TS = ("3", "4", "2", "0")
+_OUTS = ("{out}", "{out}", "{nowhere}")
+_PSIS = ("1,1", "1/2,2", "2**-100,28", "1,0")
+_PROFILE_FLAGS = {
+    "--profile": ("desk", "paper", "nope"),
+    "--q-gain": _RATIONALS,
+    "--edge-part-cap": _INTS,
+    "--max-steps": _INTS,
+    "--witness-cap": _INTS,
+    "--witness-search": ("auto", "exhaustive", "greedy"),
+    "--cylinder-eta": _RATIONALS,
+    "--szemeredi-alpha": _RATIONALS,
+    "--sparse-density": _RATIONALS,
+    "--audit-tuple-cap": _INTS,
+    "--audit-samples": _INTS,
+}
+_THREE = ("{tournament}", "{partite3}", "{tournament}", "{graph}", "{malformed}", "{missing}")
+SMOKE_FLAGS = {
+    "analyze": {"--input": ("{chain}", "{graph}", "{multipartite}", "{bipartite}", "{tournament}",
+                            "{malformed}"),
+                "--mode": ("fast", "naive", "both"), "--beta": _RATIONALS, "--output": _OUTS},
+    "decompose": {"--input": _THREE, "--eta": _RATIONALS, "--psi": _PSIS, "--eps": _RATIONALS,
+                  "--t": _TS, "--seed": _SEEDS, "--output": _OUTS},
+    "cylinder": {"--input": ("{partite3}", "{tournament}", "{chain}", "{malformed}"),
+                 "--eta": _RATIONALS, "--psi": _PSIS, "--seed": _SEEDS, "--output": _OUTS},
+    "vc2": {"--input": _THREE, "--cap-d": _INTS, "--cap-n": ("6", *_INTS), "--output": _OUTS},
+    "generate": {"--kind": ("vd", "fd", "cone", "link", "tournament", "partite3", "bipartite",
+                            "graph", "half", "multipartite", "chain"),
+                 "--d": _INTS, "--n": _INTS, "--apex": _INTS, "--parts": ("2,2,2", "2,3", "0,1", "x"),
+                 "--p": _RATIONALS, "--q": _RATIONALS, "--seed": _SEEDS, "--out": _OUTS,
+                 "--base": ("{bipartite}", "{multipartite}", "{tournament}", "{missing}")},
+    "subset": {"--input": _THREE, "--eta": _RATIONALS, "--psi": _PSIS, "--s": ("3", "2", "1", "0"),
+               "--t": _TS, "--pattern": _THREE, "--eps": _RATIONALS, "--seed": _SEEDS,
+               "--output": _OUTS},
+    "oracle-check": {"--sizes": ("1..3", "2..4", "3..2", "0..2", "x"), "--cases": _INTS,
+                     "--seed": _SEEDS, "--output": _OUTS},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with each of its flags present at odds 3:1 (7:1 for the
+    flags an engine run needs) and, for an engine subcommand, up to two
+    profile flags besides."""
+    command = draw(st.sampled_from(sorted(SMOKE_FLAGS)))
+    pools = dict(SMOKE_FLAGS[command])
+    needed = ("--input", "--kind", "--eta", "--psi")
+    odds = {flag: (True,) * (7 if flag in needed else 3) + (False,) for flag in pools}
+    flags = [flag for flag in sorted(pools) if draw(st.sampled_from(odds[flag]))]
+    if command in ("decompose", "cylinder", "subset"):
+        pools |= _PROFILE_FLAGS
+        flags += draw(st.lists(st.sampled_from(sorted(_PROFILE_FLAGS)), unique=True, max_size=2))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(pools[flag]))]
+    return argv
+
+
+def test_any_argv_ends_in_an_exit_code_and_at_most_one_line(tmp_path, capsys):
+    """Derandomized, so every run draws the same 300 argvs: each must end
+    in exit 0-3 with at most one line on stderr, never an exception."""
+    files = {"out": str(tmp_path / "out.txt"), "nowhere": str(tmp_path / "no" / "out.txt"),
+             "missing": str(tmp_path / "missing.txt"), "malformed": str(tmp_path / "bad.txt")}
+    (tmp_path / "bad.txt").write_text("part V 3\nbogus\nt 0 1 2\n")
+    for kind, flags in {"tournament": ("--n", "6"), "partite3": ("--parts", "2,2,2"),
+                        "chain": ("--parts", "2,2,2"), "graph": ("--n", "6"),
+                        "bipartite": ("--parts", "3,3"), "multipartite": ("--parts", "2,2,2")}.items():
+        files[kind] = str(tmp_path / kind)
+        assert run(["generate", "--kind", kind, *flags, "--out", files[kind]]) == 0
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        capsys.readouterr()
+        assert run([a.format(**files) for a in argv]) in (0, 1, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
+
+    check()

@@ -237,6 +237,13 @@ def test_multipartite_format_round_trip():
         assert g2.pair(*p).rows == g.pair(*p).rows
 
 
+def test_a_cross_edge_loads_the_same_from_either_end():
+    head = "part A 3\npart B 3\n"
+    g = load_multipartite(head + "e 3 0\ne 4 2\n")
+    assert g == load_multipartite(head + "e 0 3\ne 2 4\n")
+    assert g.pair(0, 1).rows == (0b001, 0, 0b010)
+
+
 def test_partite_3graph_format_round_trip():
     vs = PartiteVertexSet.of_sizes(2, 2, 2)
     hp = PartiteThreeGraph.from_triples(vs, [(0, 2, 4), (1, 3, 5)])

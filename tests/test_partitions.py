@@ -936,3 +936,67 @@ def test_lookup_container_and_refines_vertex_equal_a_mask_scan(seed):
         for cyl in meet.cylinders + other.cylinders + loose:
             assert coarse.container(cyl) == _scan_container(coarse, cyl)
     assert verdicts == {True, False}
+
+
+_VS3 = PartiteVertexSet(("A", "B", "C"), (2, 2, 2))
+_HALVES = (VertexCylinder((1, 3, 3)), VertexCylinder((2, 3, 3)))
+
+
+def _incomplete_cylinder_host():
+    whole = VertexCylinderPartition.trivial(_VS3)
+    pairs = dict(EdgePartition.trivial_for_cylinder(_VS3, whole.cylinders[0]).pairs)
+    pairs[(0, 1)] = PairPartition.trivial(2, 2, 3, 3, (3, 1))
+    return CylinderChainPartition(whole, (EdgePartition(pairs),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: PairPartition(2, 2, 3, 3, (3,), ((3,),)),
+                     "host rows length mismatch", id="pair-host-length"),
+        pytest.param(lambda: PairPartition(1, 2, 1, 7, (3,), ((3,),)),
+                     "masks out of range", id="pair-mask-range"),
+        pytest.param(lambda: PairPartition(2, 2, 1, 3, (3, 3), ((3, 3),)),
+                     "host row 1 outside masks", id="pair-host-outside-masks"),
+        pytest.param(lambda: PairPartition(2, 2, 3, 3, (3, 3), ((3,),)),
+                     "cell rows length mismatch", id="pair-cell-length"),
+        pytest.param(lambda: PairPartition(1, 2, 1, 3, (1,), ((3,),)),
+                     "cell exceeds host at row 0", id="pair-cell-past-host"),
+        pytest.param(lambda: PairPartition(1, 2, 1, 3, (3,), ((3,), (1,))),
+                     "cells do not partition host at row 0", id="pair-cells-overlap"),
+        pytest.param(lambda: PairPartition(1, 2, 1, 3, (3,), ((1,),)),
+                     "cells do not partition host at row 0", id="pair-cells-short"),
+        pytest.param(lambda: CylinderChainPartition(VertexCylinderPartition.trivial(_VS3), ()),
+                     "need one edge partition per cylinder", id="cylinder-edge-count"),
+        pytest.param(
+            lambda: CylinderChainPartition(
+                VertexCylinderPartition(_VS3, _HALVES),
+                tuple(EdgePartition.trivial_for_cylinder(_VS3, c) for c in reversed(_HALVES)),
+            ),
+            "edge partition masks disagree with cylinder", id="cylinder-masks",
+        ),
+        pytest.param(_incomplete_cylinder_host,
+                     "cylinder edge host must be complete bipartite", id="cylinder-host"),
+        pytest.param(lambda: ChainPartition(3, ((0, 1),), {}),
+                     "parts must partition the universe", id="chain-cover"),
+        pytest.param(lambda: ChainPartition(2, ((1, 0),), {}),
+                     "part tuples must be sorted", id="chain-unsorted"),
+        pytest.param(lambda: ChainPartition(2, ((0,), (1,)), {}),
+                     "pair partitions must cover exactly all part pairs", id="chain-pairs"),
+        pytest.param(
+            lambda: ChainPartition(3, ((0,), (1, 2)), {(0, 1): PairPartition.trivial(1, 1, 1, 1, (1,))}),
+            r"pair \(0,1\) has wrong sizes", id="chain-pair-sizes",
+        ),
+        pytest.param(
+            lambda: ChainPartition(2, ((0,), (1,)), {(0, 1): PairPartition.trivial(1, 1, 0, 1, (0,))}),
+            "chain partition pairs must use full masks", id="chain-pair-masks",
+        ),
+        pytest.param(
+            lambda: ChainPartition(2, ((0,), (1,)), {(0, 1): PairPartition.trivial(1, 1, 1, 1, (0,))}),
+            "chain partition hosts must be complete", id="chain-pair-host",
+        ),
+    ],
+)
+def test_partitions_refuse_malformed_structure(build, message):
+    with pytest.raises(InvalidStructure, match=f"^{message}$"):
+        build()
