@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
-from operator import eq, lt
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -204,13 +204,6 @@ class BipartiteGraph:
                 cols[low.bit_length() - 1] |= 1 << x
                 r ^= low
         return tuple(cols)
-
-    def restrict(self, left_mask: int, right_mask: int) -> "BipartiteGraph":
-        """Same index space, edges outside left_mask x right_mask dropped."""
-        rows = tuple(
-            (r & right_mask) if left_mask >> x & 1 else 0 for x, r in enumerate(self.rows)
-        )
-        return BipartiteGraph(self.left_size, self.right_size, rows)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for x, r in enumerate(self.rows):
@@ -459,6 +452,14 @@ def triangle_count(g: MultipartiteGraph) -> int:
     return total
 
 
+def _on_triangle(g: MultipartiteGraph, u: int, v: int, w: int) -> bool:
+    """Whether global ids u < v < w, one in each part, span a triangle of g."""
+    off = g.vertex_set.offsets
+    x, y, z = u - off[0], v - off[1], w - off[2]
+    ab, ac, bc = g.pair(0, 1), g.pair(0, 2), g.pair(1, 2)
+    return ab.has_edge(x, y) and ac.has_edge(x, z) and bc.has_edge(y, z)
+
+
 @dataclass(frozen=True)
 class Chain:
     """A tripartite graph together with a 3-graph supported on its triangles."""
@@ -471,16 +472,9 @@ class Chain:
             raise InvalidStructure("chain graph must be tripartite")
         if self.hyper.vertex_set != self.graph.vertex_set:
             raise InvalidStructure("chain graph and hypergraph disagree on parts")
-        vs = self.graph.vertex_set
-        off = vs.offsets
-        for (u, v, w) in self.hyper.triples:
-            x, y, z = u - off[0], v - off[1], w - off[2]
-            if not (
-                self.graph.pair(0, 1).has_edge(x, y)
-                and self.graph.pair(0, 2).has_edge(x, z)
-                and self.graph.pair(1, 2).has_edge(y, z)
-            ):
-                raise InvalidStructure(f"hyperedge {(u, v, w)} not on a triangle")
+        for t in self.hyper.triples:
+            if not _on_triangle(self.graph, *t):
+                raise InvalidStructure(f"hyperedge {t} not on a triangle")
 
     @property
     def vertex_set(self) -> PartiteVertexSet:
@@ -613,7 +607,14 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
 #   t <u> <v> <w>
 # '#' starts a comment; blank lines are ignored.  Canonical form declares
 # parts in order, then edges/triples sorted lexicographically.
+#
+# A loader builds its container from the scan's id columns, and the container
+# checks the records; only when it refuses them are the lines walked, to name
+# the first bad one.  A partite graph's e-lines are placed, so checked, by line.
 # ---------------------------------------------------------------------------
+
+
+MAX_VERTICES = 1 << 22  # a loader builds tables with one entry per declared vertex
 
 
 @dataclass(frozen=True)
@@ -640,7 +641,13 @@ class Scan:
 
     @property
     def vertex_set(self) -> PartiteVertexSet:
-        return PartiteVertexSet(tuple(n for n, _ in self.parts), tuple(s for _, s in self.parts))
+        """The declared parts; CapacityError above :data:`MAX_VERTICES` vertices."""
+        vs = PartiteVertexSet(tuple(n for n, _ in self.parts), tuple(s for _, s in self.parts))
+        if vs.total > MAX_VERTICES:
+            raise CapacityError(
+                f"the parts declare {vs.total} vertices; a file may declare at most {MAX_VERTICES}"
+            )
+        return vs
 
 
 def scan(text: str) -> Scan:
@@ -860,11 +867,12 @@ def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
 
 
 def _scanned_triples(
-    sc: Scan, total: int, owner: Sequence[int] | None
-) -> Iterator[tuple[int, tuple[int, int, int]]]:
-    """``(lineno, sorted triple)`` of each t-line of a scan in file order,
-    once its ids are checked: in range, distinct and, given the parts'
-    ``owner`` table, in three parts."""
+    sc: Scan, total: int, owner: Sequence[int] | None, g: MultipartiteGraph | None = None
+) -> None:
+    """Raise the ParseError of a scan's first bad t-line, in file order:
+    an id out of range, a repeated vertex, and, given the parts' ``owner``
+    table, a triple off three parts or, given a chain's graph ``g``, off
+    its triangles.  Returns when every line is good."""
     for rec in _records(sc.triples, 4):
         lineno, ids = rec[0], rec[1:]
         _check_range(lineno, ids, total)
@@ -872,32 +880,16 @@ def _scanned_triples(
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
         if owner is not None and len({owner[v] for v in ids}) != 3:
             raise ParseError(lineno, f"triple {ids} does not cross three parts")
-        yield lineno, _canon_triple(*ids)
+        if g is not None and not _on_triangle(g, *sorted(ids)):
+            raise ParseError(lineno, "triple ({},{},{}) is not on a triangle".format(*sorted(ids)))
 
 
-def _checked_triples(
-    sc: Scan, total: int, owner: Sequence[int] | None = None
-) -> list[tuple[int, int, int]]:
-    """The sorted triples of :func:`_scanned_triples` in file order, with
-    the id columns checked in bulk; only a file with a bad line is walked
-    line by line, to raise at the first."""
-    cols = us, vs, ws = sc.triples[1::4], sc.triples[2::4], sc.triples[3::4]
-    if us and not (
-        min(map(min, cols)) >= 0
-        and max(map(max, cols)) < total
-        and _distinct(*cols)
-        and (owner is None or _distinct(*(list(map(owner.__getitem__, c)) for c in cols)))
-    ):  # some line is bad: find the first
-        for _ in _scanned_triples(sc, total, owner):
-            pass
+def _triples(sc: Scan) -> Iterable[tuple[int, int, int]]:
+    """The t-lines of a scan as sorted triples, in file order."""
+    us, vs, ws = sc.triples[1::4], sc.triples[2::4], sc.triples[3::4]
     if all(map(lt, us, vs)) and all(map(lt, vs, ws)):
-        return list(zip(us, vs, ws))
-    return list(map(_canon_triple, us, vs, ws))
-
-
-def _distinct(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
-    """Whether ``a[i]``, ``b[i]`` and ``c[i]`` differ at every ``i``."""
-    return not (any(map(eq, a, b)) or any(map(eq, b, c)) or any(map(eq, a, c)))
+        return zip(us, vs, ws)
+    return map(_canon_triple, us, vs, ws)
 
 
 def _edge_lines(g: MultipartiteGraph) -> list[str]:
@@ -931,7 +923,11 @@ def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
     if sc.edges:
         raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
     vs = sc.vertex_set
-    return PartiteThreeGraph(vs, frozenset(_checked_triples(sc, vs.total, vs.owner)))
+    try:
+        return PartiteThreeGraph(vs, frozenset(_triples(sc)))
+    except InvalidStructure:
+        _scanned_triples(sc, vs.total, vs.owner)
+        raise
 
 
 def save_partite_3graph(h: PartiteThreeGraph) -> str:
@@ -946,8 +942,12 @@ def load_three_graph(src: str | Scan) -> ThreeGraph:
     sc = _scanned(src)
     if sc.edges:
         raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
-    total = sum(s for _, s in sc.parts)
-    return ThreeGraph(total, frozenset(_checked_triples(sc, total)))
+    total = sc.vertex_set.total
+    try:
+        return ThreeGraph(total, frozenset(_triples(sc)))
+    except InvalidStructure:
+        _scanned_triples(sc, total, None)
+        raise
 
 
 def save_three_graph(h: ThreeGraph) -> str:
@@ -961,16 +961,15 @@ def load_graph(src: str | Scan) -> Graph:
     sc = _scanned(src)
     if sc.triples:
         raise ParseError(sc.triples[0], "graph file may not contain triples")
-    total = sum(s for _, s in sc.parts)
-    us, vs = sc.edges[1::3], sc.edges[2::3]
-    if us and (
-        min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= total or any(map(eq, us, vs))
-    ):  # some line is bad: find the first
+    total = sc.vertex_set.total
+    try:
+        return Graph.from_edges(total, zip(sc.edges[1::3], sc.edges[2::3]))
+    except InvalidStructure:
         for lineno, u, v in _records(sc.edges, 3):
             _check_range(lineno, (u, v), total)
             if u == v:
                 raise ParseError(lineno, f"loop at vertex {u}")
-    return Graph.from_edges(total, zip(us, vs))
+        raise
 
 
 def save_graph(g: Graph) -> str:
@@ -987,19 +986,11 @@ def load_chain(src: str | Scan) -> Chain:
         raise ParseError(1, "chain file needs exactly three parts")
     vs = sc.vertex_set
     g = _scanned_graph(sc, vs)
-    off = vs.offsets
-    out = set()
-    for lineno, (u, v, w) in _scanned_triples(sc, vs.total, vs.owner):
-        a, b, cc = u - off[0], v - off[1], w - off[2]
-        if not (
-            g.pair(0, 1).has_edge(a, b)
-            and g.pair(0, 2).has_edge(a, cc)
-            and g.pair(1, 2).has_edge(b, cc)
-        ):
-            raise ParseError(lineno, f"triple ({u},{v},{w}) is not on a triangle")
-        out.add((u, v, w))
-    hyper = PartiteThreeGraph(vs, frozenset(out))
-    return Chain(g, hyper)
+    try:
+        return Chain(g, PartiteThreeGraph(vs, frozenset(_triples(sc))))
+    except InvalidStructure:
+        _scanned_triples(sc, vs.total, vs.owner, g)
+        raise
 
 
 def save_chain(c: Chain) -> str:

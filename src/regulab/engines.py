@@ -1181,7 +1181,12 @@ def graph_homogeneous_decomposition(
     the induced multipartite graph at alpha = eps^2, then vertex grouping
     by cylinder membership profile.  The audit reports the ordered
     pair-mass whose between-part density lies in [0, eps] or [1-eps, 1].
+    The pipeline evaluates no schedule, so it refuses the paper profile.
     """
+    if profile.is_paper:
+        raise InvalidStructure(
+            "the paper profile's literal schedules exist only for the 3-graph engines"
+        )
     if not 0 < eps < 1:
         raise InvalidStructure("eps must lie in (0, 1)")
     n = g.n

@@ -384,6 +384,10 @@ MALFORMED = {
     "duplicate": "part A 2\npart A 3\nt 0 1 2\n",
     "two_part_chain": "part A 2\npart B 2\ne 0 2\nt 0 1 2\n",
     "within_part": "part A 2\npart B 2\ne 0 2\ne 0 1\n",
+    "off_triangle": "part A 2\npart B 2\npart C 2\ne 0 2\ne 0 4\ne 2 4\nt 0 2 4\nt 1 3 5\n",
+    "chain_range": "part A 2\npart B 2\npart C 2\ne 0 2\ne 0 4\ne 2 4\nt 0 2 4\nt 1 3 9\n",
+    "not_crossing": "part A 2\npart B 2\npart C 2\nt 0 2 4\nt 0 1 4\n",
+    "repeat": "part V 5\nt 0 1 2\nt 3 3 4\n",
 }
 DECOMPOSE_GRAPH = ("decompose", "--eps", "1/4")
 DECOMPOSE_3 = ("decompose", "--eta", "1/4", "--psi", "1,1")
@@ -447,6 +451,10 @@ NOT_PARTITE = "error: cylinder expects a partite 3-graph file"
         ("one_part", (*ANALYZE, "--beta", "foo"), "error: cannot parse rational 'foo'"),
         ("two_part_chain", ANALYZE, "error: line 1: chain file needs exactly three parts"),
         ("within_part", ANALYZE, "error: line 4: edge (0,1) lies within part A"),
+        ("off_triangle", ANALYZE, "error: line 8: triple (1,3,5) is not on a triangle"),
+        ("chain_range", ANALYZE, "error: line 8: vertex id 9 out of range (total 6)"),
+        ("not_crossing", CYLINDER, "error: line 5: triple (0, 1, 4) does not cross three parts"),
+        ("repeat", DECOMPOSE_3, "error: line 3: triple (3, 3, 4) repeats a vertex"),
     ],
 )
 def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_path, capsys):
@@ -456,6 +464,43 @@ def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_p
     capsys.readouterr()
     assert run([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 1
     assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,argv,total",
+    [
+        ("part V 1000000000000000\ne 0 1\n", DECOMPOSE_GRAPH, 10**15),
+        ("part V 1000000000000000\nt 0 1 2\n", DECOMPOSE_3, 10**15),
+        ("part A 1\npart B 1\npart C 1000000000000000\nt 0 1 2\n", CYLINDER, 10**15 + 2),
+    ],
+)
+def test_a_file_that_declares_too_many_vertices_exits_three(text, argv, total, tmp_path, capsys):
+    # Loaders build tables with one entry per declared vertex, so the
+    # declared total is capped before any of them is built.
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"capacity: the parts declare {total} vertices; a file may declare at most 4194304\n"
+    )
+    assert not out.exists()
+
+
+def test_decompose_refuses_the_paper_profile_on_a_graph(tmp_path, capsys):
+    # The graph pipeline evaluates no schedule, so a paper run would use the
+    # desk constants under the paper's name.
+    g = tmp_path / "g.txt"
+    assert run(["generate", "--kind", "graph", "--n", "12", "--seed", "3", "--out", str(g)]) == 0
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["decompose", "--input", str(g), "--eps", "1/8", "--profile", "paper",
+                "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the paper profile's literal schedules exist only for the 3-graph engines\n"
+    )
     assert not out.exists()
 
 
@@ -787,6 +832,68 @@ def test_any_argv_ends_in_an_exit_code_and_at_most_one_line(tmp_path, capsys):
     def check(argv):
         capsys.readouterr()
         assert run([a.format(**files) for a in argv]) in (0, 1, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
+
+    check()
+
+
+# Replacement tokens of the input-file fuzz test: ids in and out of range,
+# junk, a 23-digit id and the directives themselves.
+FUZZ_TOKENS = ("0", "1", "2", "5", "9", "-1", "x", "1.5", "9" * 23, "e", "t", "part", "#")
+FUZZ_CHARS = ("0", "7", " ", "\t", "\n", "#", "-", "x")
+# Each command that reads an input file, with the generated kinds it reads.
+FUZZ_ARGVS = {
+    ("analyze", "--mode", "both"): ("chain", "graph", "bipartite", "multipartite"),
+    ("decompose", "--eps", "1/4", "--eta", "1/4", "--psi", "1,1"): ("tournament", "graph"),
+    ("cylinder", "--eta", "1/4", "--psi", "1,1"): ("partite3",),
+    ("vc2",): ("tournament", "partite3"),
+    ("subset", "--eta", "1/4", "--psi", "1,1"): ("tournament", "partite3"),
+}
+
+
+@st.composite
+def _fuzz_cases(draw, bases):
+    """A command and one of the files it reads, with up to three mutations:
+    a token replaced, a line dropped or a character changed."""
+    argv = draw(st.sampled_from(sorted(FUZZ_ARGVS)))
+    text = bases[draw(st.sampled_from(FUZZ_ARGVS[argv]))]
+    for _ in range(draw(st.integers(0, 3))):
+        op, at = draw(st.integers(0, 2)), draw(st.integers(0, 10**6))
+        if op == 0:
+            tokens = text.split(" ")
+            tokens[at % len(tokens)] = draw(st.sampled_from(FUZZ_TOKENS))
+            text = " ".join(tokens)
+        elif op == 1:
+            lines = text.splitlines(keepends=True)
+            del lines[at % len(lines)]
+            text = "".join(lines) or "\n"
+        else:
+            k = at % len(text)
+            text = text[:k] + draw(st.sampled_from(FUZZ_CHARS)) + text[k + 1 :]
+    return argv, text
+
+
+def test_any_input_file_ends_in_an_exit_code_and_at_most_one_line(tmp_path, capsys):
+    """Derandomized, so every run draws the same 300 cases: small generated
+    files, and mutated copies, through each command that reads one.  Each
+    must end in exit 0-3 with at most one line on stderr, never an
+    exception."""
+    bases = {}
+    for kind, flags in {"tournament": ("--n", "6"), "partite3": ("--parts", "2,2,2"),
+                        "chain": ("--parts", "2,2,2"), "graph": ("--n", "6"),
+                        "bipartite": ("--parts", "3,3"), "multipartite": ("--parts", "2,2,2")}.items():
+        path = tmp_path / kind
+        assert run(["generate", "--kind", kind, *flags, "--seed", "1", "--out", str(path)]) == 0
+        bases[kind] = path.read_text()
+    path, out = tmp_path / "input.txt", str(tmp_path / "out.json")
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_fuzz_cases(bases))
+    def check(case):
+        argv, text = case
+        path.write_text(text)
+        capsys.readouterr()
+        assert run([argv[0], "--input", str(path), *argv[1:], "--output", out]) in (0, 1, 2, 3)
         assert capsys.readouterr().err.count("\n") <= 1
 
     check()
