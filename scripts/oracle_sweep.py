@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the fast kernels against the naive oracles over a size grid (the
 masked c4 kernel against the literal ``c4_sum`` on row subsets and column
-masks among them), the upper-half symmetry check ``rows_symmetric`` against
+masks among them; the octahedral kernel also on thin chains whose z part may
+pass 64 vertices), the upper-half symmetry check ``rows_symmetric`` against
 the bit-by-bit walk, the hyperedge index against the naive membership test
 ``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
 against ``eta_psi_check`` with the naive kernels, the tuple audit itself,
@@ -426,6 +427,7 @@ def main() -> int:
     cylinders = SplitMix64(args.seed + 2)
     extra = SplitMix64(args.seed + 3)
     files = SplitMix64(args.seed + 4)
+    thin = SplitMix64(args.seed + 5)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -464,6 +466,15 @@ def main() -> int:
             if (cf.raw_sum, cf.value) != (cn.raw_sum, cn.value):
                 mismatches += 1
                 print(f"chain mismatch at case {case}: {sizes}")
+            # A thin chain whose z part may pass 64 vertices, so the
+            # kernel's packed z planes cross machine-word boundaries.
+            sizes = (1 + thin.below(3), 1 + thin.below(3), 1 + thin.below(70))
+            c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=thin.next_u64())
+            cf = chain_quasirandomness(c, mode="fast")
+            cn = chain_quasirandomness(c, mode="naive")
+            if (cf.raw_sum, cf.value) != (cn.raw_sum, cn.value):
+                mismatches += 1
+                print(f"thin chain mismatch at case {case}: {sizes}")
         if case % 4 == 2:
             t = 3 + rng.below(4)
             # Parts of at most 3 at t = 6 keep the literal audit walk short.
@@ -495,7 +506,7 @@ def main() -> int:
     print(
         f"{args.cases} pair, masked pair, symmetry, cylinder overlap and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
-        f" + {chains} chain cases"
+        f" + {chains} chain and {chains} thin chain cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
         f" in {dt:.1f}s"
     )

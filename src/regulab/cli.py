@@ -30,6 +30,7 @@ from .core import (
     DensityUndefined,
     InvalidStructure,
     InvariantViolation,
+    MAX_VERTICES,
     MultipartiteGraph,
     ParseError,
     PartiteVertexSet,
@@ -370,42 +371,59 @@ def _probability(text: str | None) -> Fraction:
     return p
 
 
+# Part-size defaults and counts of the generate kinds drawn from --parts.
+_PARTS_KINDS = {
+    "link": ("6,6,6", 3),
+    "partite3": ("4,4,4", None),
+    "bipartite": ("8,8", 2),
+    "multipartite": ("4,4,4", None),
+    "chain": ("4,4,4", None),
+}
+
+
 def _cmd_generate(args) -> int:
     kind = args.kind
     seed = args.seed
     _at_least(args, "n", 0)
     p = _probability(args.p)
-    if kind == "vd":
-        out = save_partite_3graph(make_vd(args.d))
-    elif kind == "fd":
-        out = _save_two_part(make_fd(args.d))
+    if kind in _PARTS_KINDS:
+        default, count = _PARTS_KINDS[kind]
+        sizes = _parse_sizes(args.parts or default, count)
+        total = sum(sizes)
     elif kind == "cone":
         if args.base is None:
             raise _ArgError("generate --kind cone needs --base")
         mg = load_multipartite(_read(args.base))
         if mg.vertex_set.t != 2:
             raise _ArgError("cone base must be a two-part graph file")
+        total = mg.vertex_set.total + args.apex
+    else:
+        total = {"tournament": args.n, "graph": args.n, "half": 2 * args.n}.get(kind, 0)
+    if total > MAX_VERTICES:  # no loader would read the file back
+        raise CapacityError(
+            f"--kind {kind} would write {total} vertices; a file may declare at most {MAX_VERTICES}"
+        )
+    if kind == "vd":
+        out = save_partite_3graph(make_vd(args.d))
+    elif kind == "fd":
+        out = _save_two_part(make_fd(args.d))
+    elif kind == "cone":
         out = save_partite_3graph(cone_hypergraph(mg.pair(0, 1), args.apex))
     elif kind == "link":
-        na, nb, nc = _parse_sizes(args.parts or "6,6,6", 3)
-        out = save_partite_3graph(random_link_hypergraph(na, nb, nc, seed))
+        out = save_partite_3graph(random_link_hypergraph(*sizes, seed))
     elif kind == "tournament":
         out = save_three_graph(random_tournament_3graph(args.n, seed))
     elif kind == "partite3":
-        sizes = _parse_sizes(args.parts or "4,4,4")
         out = save_partite_3graph(random_partite_3graph(sizes, p, seed))
     elif kind == "bipartite":
-        na, nb = _parse_sizes(args.parts or "8,8", 2)
-        out = _save_two_part(random_bipartite(na, nb, p, seed))
+        out = _save_two_part(random_bipartite(*sizes, p, seed))
     elif kind == "graph":
         out = save_graph(random_graph(args.n, p, seed))
     elif kind == "half":
         out = _save_two_part(half_graph(args.n))
     elif kind == "multipartite":
-        sizes = _parse_sizes(args.parts or "4,4,4")
         out = save_multipartite(random_multipartite(sizes, p, seed))
     elif kind == "chain":
-        sizes = _parse_sizes(args.parts or "4,4,4")
         out = save_chain(random_chain(sizes, p, _probability(args.q), seed))
     else:
         raise _ArgError(f"unknown kind {kind!r}")

@@ -235,13 +235,19 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on [n] with these edges.  Each edge is checked here and
+        sets both of its bits, so the rows are in range, loop-free and
+        symmetric by construction and skip the checks of ``Graph(n, rows)``."""
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise InvalidStructure(f"bad edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
 
     @property
     def edge_count(self) -> int:

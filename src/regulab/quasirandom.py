@@ -15,6 +15,10 @@ It takes a chain where it lies, as three pair rows, three vertex masks and
 the part triple's hyperedge z-masks, so a cell chain of a larger
 hypergraph is certified without being copied out;
 :func:`chain_quasirandomness` calls it on a standalone chain's full masks.
+Per pair of x rows it makes one AND and one popcount for each of the five
+weight classes u^k v^(4-k) of the deviation product, over z-masks packed
+side by side at a shift of at least the z mask's bit length, and it tallies
+the class counts so that each distinct count vector is weighed once.
 """
 
 from __future__ import annotations
@@ -341,9 +345,17 @@ def masked_chain_quasirandomness(
     v = -p on triangles that are not hyperedges, 0 off triangles, where
     d(H|G) = p/q with q the triangle count.  The sum is symmetric in the
     three parts, so it pairs over y: for each pair (y, y') the product
-    g = f(., y, .) f(., y', .) takes values in {u^2, uv, v^2, 0}, and the
-    inner sums collapse to nine popcounts per row pair of z-masks.  The
-    normalizer is the chain's, from the pair densities on the masks.
+    g = f(., y, .) f(., y', .) takes values in {u^2, uv, v^2, 0}, held per x
+    as three disjoint z-masks a, b, c.  The product of two rows' g at one z
+    is u^k v^(4-k), and each weight class k is one AND and one popcount per
+    row pair: the row packs (a, b, c) at shifts (0, W, 2W), and the other
+    row packs the planes that pair with them into class k, so the AND keeps
+    exactly the class-k z's.  The shift W must be at least the bit length of
+    every plane, so W = mask_z.bit_length().  The diagonal row pair needs
+    only the three plane popcounts.  A pair's term is the square of
+    sum_k n_k u^k v^(4-k) over its class counts n_k; the count vectors are
+    tallied and each distinct one weighed once.  The normalizer is the
+    chain's, from the pair densities on the masks.
     """
     rows_ab, rows_ac, rows_bc = rows
     mask_x, mask_y, mask_z = masks
@@ -372,13 +384,19 @@ def masked_chain_quasirandomness(
 
     u, v = q - p, -p
     uu, uv_, vv = u * u, u * v, v * v
-    w4, w31, w22, w13, w04 = uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv
-    w22b = uu * vv  # |A op C| cross terms share u^2 v^2 with |B op B|
+    w4, w3, w2, w1, w0 = uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv
+    W = mask_z.bit_length()  # every plane lies below bit W
+    W2 = 2 * W
     ys = sorted({y for t_x, _ in TU for y in t_x})
-    total = 0
+    # Tallies of the class counts (n4, ..., n0) of the row pairs, by how
+    # many ordered (x, x', y, y') each pair stands for: 1 on both diagonals,
+    # 2 on one, 4 off both.  The counts repeat, so each distinct one is
+    # weighed once, after the walk.
+    once, twice, four = {}, {}, {}
     for n, y in enumerate(ys):
         for y2 in ys[n:]:
-            A, B, C = [], [], []
+            diag, off = (once, twice) if y == y2 else (twice, four)
+            packed, classes = [], []
             for t_x, u_x in TU:
                 t1, t2 = t_x.get(y), t_x.get(y2)
                 if not (t1 and t2):
@@ -387,27 +405,32 @@ def masked_chain_quasirandomness(
                 v1, v2 = t1 & ~u1, t2 & ~u2
                 a = u1 & u2
                 b = (u1 & v2) | (v1 & u2)
-                cmask = v1 & v2
-                if a | b | cmask:
-                    A.append(a)
-                    B.append(b)
-                    C.append(cmask)
-            inner = 0
-            m = len(A)
-            for i in range(m):
-                ai, bi, ci = A[i], B[i], C[i]
-                for j in range(i, m):
-                    aj, bj, cj = A[j], B[j], C[j]
-                    s = (
-                        w4 * (ai & aj).bit_count()
-                        + w31 * ((ai & bj).bit_count() + (bi & aj).bit_count())
-                        + w22b * ((ai & cj).bit_count() + (ci & aj).bit_count())
-                        + w22 * (bi & bj).bit_count()
-                        + w13 * ((bi & cj).bit_count() + (ci & bj).bit_count())
-                        + w04 * (ci & cj).bit_count()
+                c = v1 & v2
+                if a | b | c:
+                    key = (a.bit_count(), 0, b.bit_count(), 0, c.bit_count())
+                    diag[key] = diag.get(key, 0) + 1
+                    packed.append(a | b << W | c << W2)
+                    # Against the packed row, class k = 4..0 keeps a.a',
+                    # a.b' + b.a', a.c' + b.b' + c.a', b.c' + c.b', c.c'.
+                    classes.append(
+                        (a, b | a << W, c | b << W | a << W2, (c | b << W) << W, c << W2)
                     )
-                    inner += s * s if i == j else 2 * s * s
-            total += inner if y == y2 else 2 * inner
+            get = off.get
+            for i, row in enumerate(packed):
+                for c4, c3, c2, c1, c0 in classes[i + 1 :]:
+                    key = (
+                        (row & c4).bit_count(),
+                        (row & c3).bit_count(),
+                        (row & c2).bit_count(),
+                        (row & c1).bit_count(),
+                        (row & c0).bit_count(),
+                    )
+                    off[key] = get(key, 0) + 1
+    total = 0
+    for times, tally in ((1, once), (2, twice), (4, four)):
+        for (k4, k3, k2, k1, k0), pairs in tally.items():
+            s = w4 * k4 + w3 * k3 + w2 * k2 + w1 * k1 + w0 * k0
+            total += times * pairs * s * s
     raw = Fraction(total, q**8) if q else Fraction(0)
     dprod = ratio(e_ab, n0 * n1) * ratio(e_ac, n0 * n2) * ratio(e_bc, n1 * n2)
     return q, p, _chain_certificate(raw, dprod, n0 * n1 * n2)

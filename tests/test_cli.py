@@ -273,6 +273,33 @@ def test_generate_takes_p_zero_as_given(kind, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, flags, total",
+    [
+        ("tournament", ["--n", "4194305"], 4194305),
+        ("graph", ["--n", "4194305"], 4194305),
+        ("half", ["--n", "2097153"], 4194306),
+        ("link", ["--parts", "4194303,1,1"], 4194305),
+        ("partite3", ["--parts", "4194303,1,1"], 4194305),
+        ("bipartite", ["--parts", "4194304,1"], 4194305),
+        ("multipartite", ["--parts", "4194303,1,1"], 4194305),
+        ("chain", ["--parts", "4194303,1,1"], 4194305),
+        ("cone", ["--base", "{base}", "--apex", "4194289"], 4194305),
+    ],
+)
+def test_generate_refuses_more_vertices_than_a_loader_reads(kind, flags, total, tmp_path, capsys):
+    # The cap is checked before anything is drawn, so the refusal is quick.
+    base = tmp_path / "base.mg"  # 16 vertices
+    assert run(["generate", "--kind", "bipartite", "--parts", "8,8", "--out", str(base)]) == 0
+    out = tmp_path / "g.txt"
+    flags = [f.format(base=base) for f in flags]
+    assert run(["generate", "--kind", kind, *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"capacity: --kind {kind} would write {total} vertices; a file may declare at most 4194304\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "kind, parts, line",
     [
         ("link", "2,2", "error: --parts needs 3 sizes for this kind, got 2"),
@@ -785,7 +812,8 @@ SMOKE_FLAGS = {
     "vc2": {"--input": _THREE, "--cap-d": _INTS, "--cap-n": ("6", *_INTS), "--output": _OUTS},
     "generate": {"--kind": ("vd", "fd", "cone", "link", "tournament", "partite3", "bipartite",
                             "graph", "half", "multipartite", "chain"),
-                 "--d": _INTS, "--n": _INTS, "--apex": _INTS, "--parts": ("2,2,2", "2,3", "0,1", "x"),
+                 "--d": _INTS, "--n": (*_INTS, "4194305"), "--apex": (*_INTS, "4194305"),
+                 "--parts": ("2,2,2", "2,3", "0,1", "x", "4194304,1"),
                  "--p": _RATIONALS, "--q": _RATIONALS, "--seed": _SEEDS, "--out": _OUTS,
                  "--base": ("{bipartite}", "{multipartite}", "{tournament}", "{missing}")},
     "subset": {"--input": _THREE, "--eta": _RATIONALS, "--psi": _PSIS, "--s": ("3", "2", "1", "0"),

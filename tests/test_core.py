@@ -1,5 +1,6 @@
 """Structures, exact densities, and the text formats."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from regulab.core import (
     ContainmentError,
     Graph,
     InvalidStructure,
+    MAX_VERTICES,
     MultipartiteGraph,
     ParseError,
     PartiteThreeGraph,
@@ -659,6 +661,24 @@ def test_a_sparse_graph_on_many_vertices_loads_in_little_memory():
     assert peak < 64 << 20
 
 
+def test_edges_to_the_last_vertex_allowed_load_quickly():
+    # from_edges builds symmetric rows, so no symmetry walk runs over the
+    # 40 rows whose one bit lies 4M positions up.  The peak is the row
+    # list, its tuple and those 40 rows of n/8 bytes each.
+    last = MAX_VERTICES - 1
+    text = f"part V {MAX_VERTICES}\n" + "".join(f"e {i} {last}\n" for i in range(40))
+    t0 = time.monotonic()
+    tracemalloc.start()
+    try:
+        g = load_graph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - t0 < 10
+    assert g.n == MAX_VERTICES and g.edge_count == 40 and g.rows[last] == (1 << 40) - 1
+    assert peak < 96 << 20
+
+
 # ---------------------------------------------------------------------------
 # The bulk path of scan against the line loop it falls back to, and the
 # bulk checks of the 3-graph loaders against the line-by-line loaders.
@@ -890,7 +910,9 @@ def test_from_edges_matches_a_bit_by_bit_build(seed):
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    assert Graph.from_edges(n, edges).rows == tuple(rows)
+    built = Graph.from_edges(n, edges).rows
+    assert built == tuple(rows) == Graph(n, tuple(rows)).rows
+    assert rows_symmetric(built)
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,16 @@ from regulab.core import (
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
+    triangle_count,
 )
-from regulab.generators import SplitMix64, random_bipartite, random_chain, random_multipartite
+from regulab.generators import (
+    SplitMix64,
+    random_bipartite,
+    random_chain,
+    random_multipartite,
+    random_partite_3graph,
+)
+from regulab.partitions import extract_cell_chain
 from regulab.quasirandom import (
     DeviationFunction2,
     PolyFunction,
@@ -24,6 +32,7 @@ from regulab.quasirandom import (
     eta_psi_check,
     graph_quasirandomness,
     is_graph_quasirandom,
+    masked_chain_quasirandomness,
     pair_quasirandomness,
 )
 from conftest import build_box_chain, build_pair_only_chain
@@ -117,6 +126,53 @@ def test_chain_fast_equals_naive(seed):
     a = chain_quasirandomness(c, mode="fast")
     b = chain_quasirandomness(c, mode="naive")
     assert a.raw_sum == b.raw_sum and a.value == b.value
+
+
+def test_octahedral_kernel_keeps_its_value_on_a_30_cube():
+    # The exact triple of the kernel before it packed its planes into
+    # weight classes; a rewrite of the inner sums must keep it.
+    h = random_partite_3graph((30, 30, 30), Fraction(1, 2), seed=1)
+    full = (1 << 30) - 1
+    rows = ((full,) * 30,) * 3
+    tri, hyp, cert = masked_chain_quasirandomness(rows, (full,) * 3, h.zmasks(0, 1, 2))
+    assert (tri, hyp) == (27000, 13695)
+    assert cert.raw_sum == Fraction(208262858383694311548329, 755827200000000000)
+    assert cert.normalizer == 729000000
+    assert cert.value == Fraction(208262858383694311548329, 550998028800000000000000000)
+    assert not cert.degenerate
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 70), (3, 2, 65), (2, 2, 64), (1, 3, 129)])
+def test_chain_fast_equals_naive_past_a_machine_word(sizes):
+    # The kernel packs three z planes side by side, so the class masks
+    # span several 64-bit words.
+    for seed in range(2):
+        c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=seed)
+        a = chain_quasirandomness(c, mode="fast")
+        b = chain_quasirandomness(c, mode="naive")
+        assert a.raw_sum == b.raw_sum and a.value == b.value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_with_a_z_mask_narrower_than_its_part(seed):
+    # With the top z vertices outside the mask the planes are packed at a
+    # shift below the part size, while the pair rows still reach past it.
+    rng = SplitMix64(seed)
+    sizes = (3, 3, 70)
+    h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
+
+    def draw(size):
+        return (rng.next_u64() | rng.next_u64() << 64) & ((1 << size) - 1)
+
+    for top in (69, 64, 40):
+        masks = (7, 7, draw(top) | 1 << (top - 1))
+        cells = tuple(
+            tuple(draw(sizes[b]) for _ in range(sizes[a])) for a, b in ((0, 1), (0, 2), (1, 2))
+        )
+        tri, hyp, cert = masked_chain_quasirandomness(cells, masks, h.zmasks(0, 1, 2))
+        chain = extract_cell_chain(h, masks, (0, 1, 2), cells)
+        assert tri == triangle_count(chain.graph) and hyp == chain.hyper.edge_count
+        assert cert == chain_quasirandomness(chain, mode="naive")
 
 
 def test_graph_quasirandomness_collects_all_pairs():
