@@ -21,7 +21,12 @@ first offending pair included, on random cylinder families that overlap
 about half the time.  ``scan``'s bulk path for canonical files is checked
 against its line loop (the bulk path patched out), records, kind and first
 error included, on random generated files and on copies with a token, a
-line or a character changed.
+line or a character changed.  The bulk draws are checked against the
+per-draw methods they stand for, the words left behind included:
+``SplitMix64.accepted`` against ``bernoulli`` on a grid of run lengths
+(0, 1, 63, 64, 65, 300) and densities (0, 1, denominators that are and are
+not powers of two, up to 2^70), and ``below_each`` against ``below`` on
+bounds that include 1, 2^64 and the rejection-heavy 2^63 + 1.
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -414,6 +419,35 @@ def scans_match(max_size, rng) -> tuple[int, int]:
     return bad, bulk
 
 
+RUN_LENGTHS = (0, 1, 63, 64, 65, 300)
+DENSITIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+             Fraction((1 << 64) - 1, 1 << 64), Fraction(1, 1 << 70), Fraction(5, 3**41))
+BOUND_SETS = ((1,), ((1 << 63) + 1,), (3, (1 << 63) + 1, 1, 1 << 64), (7, 5, 2))
+
+
+def draws_match(rng) -> int:
+    """Bulk draws that differ from the per-draw methods, in values or in
+    the state they leave, for one seed taken from ``rng``: ``accepted`` on
+    every run length and density of the grid, plus one random density, and
+    ``below_each`` on each bound set, plus one random set."""
+    seed = rng.next_u64()
+    den = 1 + (rng.next_u64() << 6 | rng.below(64))  # up to 2^70
+    densities = DENSITIES + (Fraction((rng.next_u64() << 6 | rng.below(64)) % (den + 1), den),)
+    bad = 0
+    for n in RUN_LENGTHS:
+        for p in densities:
+            bulk, twin = SplitMix64(seed), SplitMix64(seed)
+            got = bulk.accepted(n, p)
+            bad += (got, bulk.state) != ([i for i in range(n) if twin.bernoulli(p)], twin.state)
+    random_bounds = tuple(1 + rng.below(1 << 64) for _ in range(1 + rng.below(4)))
+    for bounds in BOUND_SETS + (random_bounds,):
+        bulk, twin = SplitMix64(seed), SplitMix64(seed)
+        got = list(bulk.below_each(bounds, 20))
+        want = [tuple(twin.below(b) for b in bounds) for _ in range(20)]
+        bad += (got, bulk.state) != (want, twin.state)
+    return bad
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=int, default=10)
@@ -428,6 +462,7 @@ def main() -> int:
     extra = SplitMix64(args.seed + 3)
     files = SplitMix64(args.seed + 4)
     thin = SplitMix64(args.seed + 5)
+    draws = SplitMix64(args.seed + 6)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -453,6 +488,10 @@ def main() -> int:
         if not same:
             mismatches += 1
             print(f"cylinder overlap mismatch at case {case}")
+        bad = draws_match(draws)
+        if bad:
+            mismatches += 1
+            print(f"{bad} bulk draw mismatches at case {case}")
         bad, bulk = scans_match(args.max_size, files)
         canonical += bulk
         if bad:
@@ -504,7 +543,7 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair, symmetry, cylinder overlap and scan cases"
+        f"{args.cases} pair, masked pair, symmetry, cylinder overlap, bulk draw and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
         f" + {chains} chain and {chains} thin chain cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
@@ -516,7 +555,7 @@ def main() -> int:
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
-        " overlap check and the bulk scan match their oracles"
+        " overlap check, the bulk draws and the bulk scan match their oracles"
     )
     return 0
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 parse or validation failure, 2 audit failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -513,6 +514,7 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _build_parser() -> _Parser:
     top = _Parser(prog="regulab", description=__doc__)
     top.add_argument("--version", action="version", version=f"regulab {__version__}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
-from operator import lt
+from operator import eq, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -849,20 +849,30 @@ def _check_range(lineno: int, ids: tuple[int, ...], total: int):
 
 
 def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
-    """The partite graph of a scan's e-lines, checked line by line in file
-    order: ids in range, ends in two different parts."""
-    total = vs.total
+    """The partite graph of a scan's e-lines.  The id columns are checked in
+    bulk (ids in range, ends in two different parts) and placed through
+    ``vs.owner`` and ``vs.offsets``; only when the check fails are the
+    lines walked, in file order, to name the first bad one."""
+    us, ws = sc.edges[1::3], sc.edges[2::3]
+    total, owner, off = vs.total, vs.owner, vs.offsets
+    if us and (
+        min(min(us), min(ws)) < 0
+        or max(max(us), max(ws)) >= total
+        or any(map(eq, map(owner.__getitem__, us), map(owner.__getitem__, ws)))
+    ):
+        for lineno, u, v in _records(sc.edges, 3):
+            _check_range(lineno, (u, v), total)
+            (i, _), (j, _) = vs.to_local(u), vs.to_local(v)
+            if i == j:
+                raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
     rows = {
         (i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)
     }
-    for lineno, u, v in _records(sc.edges, 3):
-        _check_range(lineno, (u, v), total)
-        (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
-        if i == j:
-            raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
+    for u, v in zip(us, ws):
+        i, j = owner[u], owner[v]
         if i > j:
-            i, j, a, b = j, i, b, a
-        rows[(i, j)][a] |= 1 << b
+            i, j, u, v = j, i, v, u
+        rows[(i, j)][u - off[i]] |= 1 << (v - off[j])
     return MultipartiteGraph(
         vs,
         {

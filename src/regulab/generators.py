@@ -12,15 +12,25 @@ algorithm.  The generator is the standard splitmix64 sequence:
 
 ``below(n)`` draws 64-bit words and rejects those >= n * floor(2^64 / n),
 then reduces modulo n, so it is exactly uniform.  ``bernoulli(p)`` accepts
-a draw u when u * p.denominator < p.numerator * 2^64; the bias is below
-2^-64.  Both consume one draw per attempt, so derived instances are stable
-as long as the call sequence is stable.
+a draw u when u * p.denominator < p.numerator * 2^64, which for an integer
+u is the integer threshold u < ceil(p.numerator * 2^64 / p.denominator);
+the bias is below 2^-64.  Both consume one draw per attempt, so derived
+instances are stable as long as the call sequence is stable.
+
+The bulk draws read the same words in the same order and leave the same
+state: ``accepted(n, p)`` is the indices of the next n ``bernoulli(p)``
+draws that accept, and ``below_each(bounds, count)`` is ``count`` tuples of
+``below(b)`` for b in ``bounds``.  Each runs one local loop against bounds
+computed once, so the generators draw in runs; ``next_u64``, ``below`` and
+``bernoulli`` stay for single and interleaved draws and are the bulk
+draws' oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -68,6 +78,46 @@ class SplitMix64:
         if not 0 <= p <= 1:
             raise InvalidStructure("probability out of [0, 1]")
         return self.next_u64() * p.denominator < p.numerator << 64
+
+    def accepted(self, n: int, p: Fraction) -> list[int]:
+        """Ascending indices i < n of the next n ``bernoulli(p)`` draws that
+        accept: word u accepts when u < ceil(p.numerator * 2^64 /
+        p.denominator), so p = 0 accepts none and p = 1 all."""
+        if not 0 <= p <= 1:
+            raise InvalidStructure("probability out of [0, 1]")
+        bound = -((-p.numerator << 64) // p.denominator)
+        s = self.state
+        out = []
+        for i in range(n):
+            s = (s + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            if z ^ (z >> 31) < bound:
+                out.append(i)
+        self.state = s
+        return out
+
+    def below_each(self, bounds: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
+        """``count`` tuples whose coordinate j is ``below(bounds[j])``, by its
+        rejection of words at or above 2^64 - 2^64 mod b; lazily, and after
+        each tuple the state is the per-draw state."""
+        if not all(b > 0 for b in bounds):
+            raise InvalidStructure("below() needs a positive bound")
+        limits = [((1 << 64) - (1 << 64) % b, b) for b in bounds]
+        s = self.state
+        for _ in range(count):
+            x = []
+            for limit, b in limits:
+                while True:
+                    s = (s + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                    u = z ^ (z >> 31)
+                    if u < limit:
+                        break
+                x.append(u % b)
+            self.state = s
+            yield tuple(x)
 
     def mask(self, n: int) -> int:
         """Uniform n-bit mask."""
@@ -177,11 +227,12 @@ def random_tournament_3graph(n: int, seed: int) -> ThreeGraph:
     rng = SplitMix64(seed)
     beats = [0] * n
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.bernoulli(Fraction(1, 2)):
-                beats[i] |= 1 << j
-            else:
-                beats[j] |= 1 << i
+        won = 0
+        for d in rng.accepted(n - i - 1, Fraction(1, 2)):
+            won |= 1 << d
+        beats[i] |= won << (i + 1)
+        for d in bits(((1 << (n - i - 1)) - 1) & ~won):
+            beats[i + 1 + d] |= 1 << i
     triples = set()
     for i in range(n):
         for j in range(i + 1, n):
@@ -200,37 +251,33 @@ def random_partite_3graph(sizes: Sequence[int], p: Fraction, seed: int) -> Parti
     rng = SplitMix64(seed)
     vs = PartiteVertexSet(tuple(f"X{i+1}" for i in range(len(sizes))), tuple(sizes))
     off = vs.offsets
-    triples = set()
-    for i in range(vs.t):
-        for j in range(i + 1, vs.t):
-            for k in range(j + 1, vs.t):
-                for x in range(sizes[i]):
-                    for y in range(sizes[j]):
-                        for z in range(sizes[k]):
-                            if rng.bernoulli(p):
-                                triples.add((off[i] + x, off[j] + y, off[k] + z))
-    return PartiteThreeGraph(vs, frozenset(triples))
+    triples = frozenset(
+        (off[i] + x, off[j] + y, off[k] + z)
+        for i, j, k in combinations(range(vs.t), 3)
+        for x in range(sizes[i])
+        for y, z in (divmod(yz, sizes[k]) for yz in rng.accepted(sizes[j] * sizes[k], p))
+    )
+    return PartiteThreeGraph(vs, triples)
+
+
+def _row(rng: SplitMix64, n: int, p: Fraction) -> int:
+    """An n-bit row whose bit b is the b-th of the next n bernoulli(p) draws."""
+    row = 0
+    for b in rng.accepted(n, p):
+        row |= 1 << b
+    return row
 
 
 def random_bipartite(na: int, nb: int, p: Fraction, seed: int) -> BipartiteGraph:
     rng = SplitMix64(seed)
-    rows = []
-    for _ in range(na):
-        row = 0
-        for b in range(nb):
-            if rng.bernoulli(p):
-                row |= 1 << b
-        rows.append(row)
-    return BipartiteGraph(na, nb, tuple(rows))
+    return BipartiteGraph(na, nb, tuple(_row(rng, nb, p) for _ in range(na)))
 
 
 def random_graph(n: int, p: Fraction, seed: int) -> Graph:
     rng = SplitMix64(seed)
     edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.bernoulli(p):
-                edges.append((i, j))
+        edges += [(i, i + 1 + d) for d in rng.accepted(n - i - 1, p)]
     return Graph.from_edges(n, edges)
 
 
@@ -246,14 +293,8 @@ def random_multipartite(sizes: Sequence[int], p: Fraction, seed: int) -> Multipa
     pairs = {}
     for i in range(vs.t):
         for j in range(i + 1, vs.t):
-            rows = []
-            for _ in range(sizes[i]):
-                row = 0
-                for b in range(sizes[j]):
-                    if rng.bernoulli(p):
-                        row |= 1 << b
-                rows.append(row)
-            pairs[(i, j)] = BipartiteGraph(sizes[i], sizes[j], tuple(rows))
+            rows = tuple(_row(rng, sizes[j], p) for _ in range(sizes[i]))
+            pairs[(i, j)] = BipartiteGraph(sizes[i], sizes[j], rows)
     return MultipartiteGraph(vs, pairs)
 
 
@@ -270,11 +311,12 @@ def random_chain(
     g = random_multipartite(sizes, p_edge, seed)
     rng = SplitMix64(seed ^ 0xD1B54A32D192ED03)
     off = g.vertex_set.offsets
-    triples = set()
-    for x, y, z in triangles_local(g):
-        if rng.bernoulli(p_triple):
-            triples.add((off[0] + x, off[1] + y, off[2] + z))
-    return Chain(g, PartiteThreeGraph(g.vertex_set, frozenset(triples)))
+    tris = list(triangles_local(g))
+    triples = frozenset(
+        (off[0] + x, off[1] + y, off[2] + z)
+        for x, y, z in map(tris.__getitem__, rng.accepted(len(tris), p_triple))
+    )
+    return Chain(g, PartiteThreeGraph(g.vertex_set, triples))
 
 
 # ---------------------------------------------------------------------------

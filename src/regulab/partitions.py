@@ -1104,10 +1104,8 @@ def _tuple_audit(pv, failing, cap: int, samples: int, seed: int) -> CylinderAudi
         return CylinderAudit(Fraction(samples, samples), Fraction(0), "sampled", samples)
     from .generators import SplitMix64
 
-    rng = SplitMix64(seed)
     good = 0
-    for _ in range(samples):
-        x = tuple(rng.below(s) for s in vs.sizes)
+    for x in SplitMix64(seed).below_each(vs.sizes, samples):
         good += not any(
             (ab[x[i]] >> x[j]) & (ac[x[i]] >> x[k]) & (bc[x[j]] >> x[k]) & 1
             for (i, j, k), chains in failing[pv.lookup(x)].items()

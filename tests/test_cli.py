@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab.cli import parse_rational, run
+from regulab.cli import _build_parser, parse_rational, run
 from regulab.report import load_report, validate_report
 
 
@@ -251,6 +251,71 @@ def test_generate_kinds_load_back(tmp_path, capsys):
         assert run(["generate"] + flags + ["--out", str(path)]) == 0
         loader(path.read_text())
     capsys.readouterr()
+
+
+# The SHA-256 of generate's output for each seeded kind at seed 11, recorded
+# before the generators drew in runs: the bulk draws must write the same
+# files.  Densities 1/3, 5/7, 2/3 and 3/5 have denominators that are not
+# powers of two; 0 and 1 are the ends of the threshold.
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        pytest.param(
+            ["--kind", "partite3", "--parts", "3,4,5", "--p", "1/3"],
+            "e267286392939c4617d992bae16084c35801f935b426d9953d90ae2b4e991d93",
+            id="partite3-3,4,5-1/3",
+        ),
+        pytest.param(
+            ["--kind", "bipartite", "--parts", "7,9", "--p", "5/7"],
+            "876f5e21950c9f956bbc31c71babafd554c7c65501bd1e568f580a4d2e902cea",
+            id="bipartite-7,9-5/7",
+        ),
+        pytest.param(
+            ["--kind", "graph", "--n", "12", "--p", "1/2"],
+            "9d0e12ebe1c57f77b854782216947954398e648d7b181f0d8ebc856e6d86e24f",
+            id="graph-12-1/2",
+        ),
+        pytest.param(
+            ["--kind", "multipartite", "--parts", "3,4,2,5", "--p", "2/3"],
+            "d7bca53d33bd3936b801288c26783cf48e96b0fcd17c7eae9170408cca2aa98a",
+            id="multipartite-3,4,2,5-2/3",
+        ),
+        pytest.param(
+            ["--kind", "chain", "--parts", "5,4,6", "--p", "3/5", "--q", "1/3"],
+            "f8f0c3c37038bc8ddfb6c5d2b004102a131af5fb66ae0c3c987c9e5e68704584",
+            id="chain-5,4,6-3/5-1/3",
+        ),
+        pytest.param(
+            ["--kind", "tournament", "--n", "9"],
+            "c330fbb6465aa2a83e02d8f55d597ae012ec686ccc626395ea45c3ab6db28e97",
+            id="tournament-9",
+        ),
+        pytest.param(
+            ["--kind", "link", "--parts", "4,5,3"],
+            "e9a8c23570ab602dc07d7f14cb8b9a380129084691dbc6cbb0630a3d9f3773e8",
+            id="link-4,5,3",
+        ),
+        pytest.param(
+            ["--kind", "graph", "--n", "7", "--p", "0"],
+            "3e036e401ef02ef2a0043530f6ae25bb4aa84b2182184a5c9ba870387b241418",
+            id="graph-7-0",
+        ),
+        pytest.param(
+            ["--kind", "partite3", "--parts", "2,3,2", "--p", "1"],
+            "e6c298b43362d29ff20244620e2e16257ecc1b88622325d13287715bf17ebf70",
+            id="partite3-2,3,2-1",
+        ),
+        pytest.param(
+            ["--kind", "chain", "--parts", "3,3,3", "--p", "1", "--q", "1"],
+            "18271f9d4f0e086e978946c565db78a67944e3c3840d9685614632d8822da80c",
+            id="chain-3,3,3-1-1",
+        ),
+    ],
+)
+def test_generate_output_matches_its_pin(flags, digest, tmp_path):
+    out = tmp_path / "g.txt"
+    assert run(["generate", *flags, "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", ["half", "graph", "tournament"])
@@ -763,6 +828,36 @@ def test_reports_match_their_pins(argv, code, err, digest, pinned_inputs, tmp_pa
         return
     scrubbed = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.read_text())
     assert hashlib.sha256(scrubbed.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_run_of_a_process(pinned_inputs, tmp_path, capsys):
+    """``run`` builds its parser once per process: a usage error and then the
+    same good argv twice give the exit codes, stderr lines and report bytes
+    of runs on fresh parsers, and the good runs match the pin of
+    ``cylinder-sampled`` above."""
+    good = ["cylinder", "--input", pinned_inputs["cone"], "--eta", "1/4", "--psi", "1,1",
+            "--audit-tuple-cap", "10"]
+    bad = good + ["--bogus"]
+    out = tmp_path / "r.json"
+
+    def once(argv, fresh):
+        if fresh:
+            _build_parser.cache_clear()
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = run(argv + ["--output", str(out)])
+        err = capsys.readouterr().err
+        if not out.exists():
+            return code, err, None
+        scrubbed = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.read_text())
+        return code, err, hashlib.sha256(scrubbed.encode()).hexdigest()
+
+    fresh = [once(bad, True), once(good, True)]
+    cached = [once(bad, False), once(good, False), once(good, False)]
+    assert cached == fresh + fresh[1:]
+    assert fresh[0] == (1, "error: unrecognized arguments: --bogus\n", None)
+    assert fresh[1] == (0, "", "99b9d6235d101d16c5da07dcce2ed4d1e61eecebd40112c7fdf23623ef721ce2")
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_a_pattern_with_pair_edges_exits_one(tmp_path, capsys):

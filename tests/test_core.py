@@ -11,6 +11,7 @@ from regulab import core
 from regulab.cli import run
 from regulab.core import (
     BipartiteGraph,
+    CapacityError,
     Chain,
     ContainmentError,
     Graph,
@@ -646,6 +647,10 @@ def test_valid_files_load_without_the_line_walk(monkeypatch):
     monkeypatch.setattr(core, "_records", walked)
     text = save_graph(random_graph(9, Fraction(1, 2), 5))
     assert load_graph(text) == load_graph(text.replace("\n", " # comment\n"))
+    for load, text in texts.items():
+        assert load(text) == load(text.replace("\n", " # comment\n")), load
+    text = save_multipartite(random_multipartite((3, 2, 4), Fraction(1, 2), 6))
+    assert load_multipartite(text) == load_multipartite(text.replace("\n", " # comment\n"))
 
 
 def test_a_sparse_graph_on_many_vertices_loads_in_little_memory():
@@ -861,6 +866,94 @@ def test_3graph_loaders_match_the_line_by_line_checks(seed):
             for partite, load in ((True, load_partite_3graph), (False, load_three_graph)):
                 want = _loaded(lambda s: _reference_load_triples(s, partite), text)
                 assert _loaded(load, text) == want, text
+
+
+def _reference_load_multipartite(text: str) -> MultipartiteGraph:
+    """load_multipartite as it checked and placed each e-line in turn."""
+    parts, edges, triples = _reference_scan(text)
+    if triples:
+        raise ParseError(triples[0][0], "graph file may not contain triples")
+    vs = PartiteVertexSet(tuple(n for n, _ in parts), tuple(s for _, s in parts))
+    if vs.total > MAX_VERTICES:
+        raise CapacityError("too many vertices")
+    rows = {(i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)}
+    for lineno, (u, v) in edges:
+        _reference_check_range(lineno, (u, v), vs.total)
+        (i, a), (j, b) = vs.to_local(u), vs.to_local(v)
+        if i == j:
+            raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
+        if i > j:
+            i, j, a, b = j, i, b, a
+        rows[(i, j)][a] |= 1 << b
+    return MultipartiteGraph(
+        vs, {(i, j): BipartiteGraph(vs.sizes[i], vs.sizes[j], tuple(r)) for (i, j), r in rows.items()}
+    )
+
+
+def _multipartite_outcome(load, text):
+    try:
+        return load(text)
+    except CapacityError:
+        return CapacityError
+    except (ParseError, InvalidStructure) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_multipartite_loader_matches_the_line_by_line_checks(seed):
+    """The bulk e-line check names the same first bad line as the walk, on
+    files with some edges written from their far end and a few ids replaced
+    by values from -2 to total + 1, so that edges leave the range or fall
+    within one part, one or several per file."""
+    rng = SplitMix64(200 + seed)
+    sizes = (2, 3, 0, 2)
+    base = save_multipartite(random_multipartite(sizes, Fraction(1, 2), rng.next_u64()))
+    lines = base.splitlines()
+    edge_lines = [k for k, line in enumerate(lines) if line.startswith("e ")]
+    outcomes = set()
+    for _ in range(60):
+        out = list(lines)
+        for k in edge_lines:
+            if rng.below(4) == 0:
+                _, u, v = out[k].split()
+                out[k] = f"e {v} {u}"
+        for _ in range(rng.below(4)):
+            k = edge_lines[rng.below(len(edge_lines))]
+            ids = out[k].split()[1:]
+            ids[rng.below(2)] = str(rng.below(sum(sizes) + 4) - 2)
+            out[k] = "e " + " ".join(ids)
+        text = "\n".join(out) + "\n"
+        want = _multipartite_outcome(_reference_load_multipartite, text)
+        assert _multipartite_outcome(load_multipartite, text) == want, text
+        if not isinstance(want, tuple):
+            outcomes.add("loaded")
+        else:
+            outcomes.add("range" if "out of range" in want[1] else "within")
+    assert outcomes == {"loaded", "range", "within"}
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("part A 2\npart B 2\ne 0 2\ne 1 4\n", "line 4: vertex id 4 out of range (total 4)"),
+        ("part A 2\npart B 2\ne 0 3\ne -1 2\n", "line 4: vertex id -1 out of range (total 4)"),
+        ("part A 2\npart B 2\ne 0 2\ne 1 0\ne 3 2\n", "line 4: edge (1,0) lies within part A"),
+        ("part A 2\npart B 2\ne 0 2\ne 2 3\ne 0 9\n", "line 4: edge (2,3) lies within part B"),
+        ("part A 2\npart B 2\ne 0 9\ne 2 3\n", "line 3: vertex id 9 out of range (total 4)"),
+        ("part A 0\npart B 2\ne 0 1\n", "line 3: edge (0,1) lies within part B"),
+        ("part A 1\npart B 1\npart C 1\ne 0 1\ne 1 1\nt 0 1 2\n",
+         "line 5: edge (1,1) lies within part B"),
+        ("part A 1\npart B 1\npart C 1\ne 2 0\ne 0 5\nt 0 1 2\n",
+         "line 5: vertex id 5 out of range (total 3)"),
+    ],
+)
+def test_partite_graph_loaders_name_the_first_bad_e_line(text, line):
+    """Out-of-range ids, within-part edges and both in one file give the
+    line and message of the line-by-line check."""
+    load = load_chain if "\nt " in text else load_multipartite
+    with pytest.raises(ParseError) as exc:
+        load(text)
+    assert str(exc.value) == line
 
 
 def _walk_error(rows) -> str | None:

@@ -53,6 +53,104 @@ def test_splitmix64_bernoulli_exact_rate():
     assert 800 < hits < 1200
 
 
+_SEEDS = st.integers(0, (1 << 64) - 1)
+# p = a/b with b up to 2^70, plus both ends of [0, 1].
+_PROBABILITIES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 1 << 70).flatmap(lambda b: st.builds(Fraction, st.integers(0, b), st.just(b))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.integers(0, 300), _PROBABILITIES)
+def test_accepted_matches_per_draw_bernoulli(seed, n, p):
+    """accepted(n, p) is the indices where n bernoulli(p) draws accept, and
+    it leaves the same state."""
+    rng, twin = SplitMix64(seed), SplitMix64(seed)
+    assert rng.accepted(n, p) == [i for i in range(n) if twin.bernoulli(p)]
+    assert rng.state == twin.state
+
+
+def test_accepted_at_the_threshold_word():
+    """A word u accepts exactly when u * den < num * 2^64: u rejects at the
+    bound ceil(num * 2^64 / den) = u and accepts at any bound above it."""
+    u = SplitMix64(5).next_u64()
+    for p in (Fraction(u, 1 << 64), Fraction(u + 1, 1 << 64), Fraction(3 * u + 1, 3 << 64)):
+        assert SplitMix64(5).accepted(1, p) == [0] * SplitMix64(5).bernoulli(p)
+    assert SplitMix64(5).accepted(1, Fraction(u, 1 << 64)) == []
+    assert SplitMix64(5).accepted(1, Fraction(u + 1, 1 << 64)) == [0]
+
+
+class _CountingStream(SplitMix64):
+    """A per-draw stream that counts its words."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.words = 0
+
+    def next_u64(self) -> int:
+        self.words += 1
+        return super().next_u64()
+
+
+_BOUNDS = st.lists(
+    st.one_of(st.sampled_from([1, 2, 3, (1 << 63) + 1, 1 << 64]), st.integers(1, 1 << 64)),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, _BOUNDS, st.integers(0, 50))
+def test_below_each_matches_per_draw_below(seed, bounds, count):
+    """Coordinate j of each tuple is below(bounds[j]), the state after each
+    tuple is the per-draw state, and a bound of 2^63 + 1 rejects about half
+    of all words, so the rejection branch runs."""
+    rng, twin = SplitMix64(seed), SplitMix64(seed)
+    for x in rng.below_each(bounds, count):
+        assert x == tuple(twin.below(b) for b in bounds)
+        assert rng.state == twin.state
+    assert rng.state == twin.state
+
+
+def _seed_whose_first_word_is(u: int) -> int:
+    """Invert the splitmix64 output mix: each of its steps is a bijection
+    of 64-bit words."""
+    mask = (1 << 64) - 1
+
+    def unshift(y: int, k: int) -> int:  # the inverse of x ^ (x >> k)
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(u, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize("bound", [3, (1 << 63) + 1])
+def test_below_each_rejects_the_word_at_its_limit(bound):
+    """The first word equals the limit 2^64 - 2^64 mod b, the smallest word
+    that below(b) rejects, and the last word below it is accepted."""
+    limit = (1 << 64) - (1 << 64) % bound
+    for u, rejected in ((limit, True), (limit - 1, False)):
+        seed = _seed_whose_first_word_is(u)
+        assert SplitMix64(seed).next_u64() == u
+        rng, twin = SplitMix64(seed), _CountingStream(seed)
+        assert list(rng.below_each((bound,), 1)) == [(twin.below(bound),)]
+        assert rng.state == twin.state and (twin.words > 1) == rejected
+
+
+def test_bulk_draws_check_their_arguments():
+    rng = SplitMix64(1)
+    for p in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(InvalidStructure):
+            rng.accepted(3, p)
+    with pytest.raises(InvalidStructure):
+        list(rng.below_each((2, 0), 1))
+    assert rng.state == 1
+
+
 def test_half_graph_edge_count():
     g = half_graph(4)
     assert g.edge_count == 10
