@@ -62,6 +62,7 @@ from .partitions import (
     cells_by_label,
     common_refinement,
     homogeneity_audit,
+    labelled_q,
     q_cell_chain,
     survey_partition,
     venn_diagram,
@@ -624,15 +625,17 @@ def refine_cell_chain(
     ``cells`` are the row tuples of its (i, j), (i, k) and (j, k) cells on
     the cylinder ``masks`` of ``parts`` = (i, j, k), in ``h``'s local ids.
     Its certificate and d = hyperedges / triangles are that evaluator's, so
-    the chain is never cut out or certified again.  The search splits each
-    pair graph by the sign of the conditional deviation (hyperedge count
-    minus d times triangle count through each edge), tries quantile
-    variants, escalates to a threshold sweep, and re-verifies the winning
-    candidate's q with the naive oracle before returning.  The result holds
-    one PairPartition per pair, keyed (i, j), (i, k) and (j, k), on the
-    cylinder masks.  Raises InvalidStructure when the chain is already
-    eta-quasirandom, NoCandidateSplit when there is no candidate at all and
-    RefinementFailure when no candidate reaches the gain target.
+    the chain is never cut out or certified again.  Each candidate cuts
+    some pair graphs by the conditional deviation through each edge
+    (hyperedge count minus d times triangle count): by sign, at a
+    quantile, and, when those fall short, at the levels of a threshold
+    sweep.  A cut labels its pair's edges, and one label tally
+    (:func:`labelled_q`) scores a candidate.  Only the winner becomes
+    partitions, one PairPartition per pair, keyed (i, j), (i, k) and
+    (j, k), on the cylinder masks; its q is re-verified with the naive
+    oracle before returning.  Raises InvalidStructure when the chain is
+    already eta-quasirandom, NoCandidateSplit when there is no candidate
+    at all and RefinementFailure when no candidate reaches the gain target.
     """
     tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
     if cert <= eta:
@@ -651,126 +654,91 @@ def refine_cell_chain(
         rows = tuple(row & mask_b if mask_a >> x & 1 else 0 for x, row in enumerate(cell))
         host_of[pk] = BipartiteGraph(sizes[pk[0]], sizes[pk[1]], rows)
     g01, g02, g12 = host_of.values()
+    hosts = (g01.rows, g02.rows, g12.rows)
 
-    # Deviation through each edge.  Hyperedges on the chain's triangles:
-    # through (x, y) from the index, through (x, z) and (y, z) tallied
-    # from it.
+    # Deviation through each edge, devs[pk][x][y].  Hyperedges on the
+    # chain's triangles: through (x, y) from the index, through (x, z) and
+    # (y, z) tallied from it.
     zm = h.zmasks(i, j, k)
+    devs = {pk: [{} for _ in range(sizes[pk[0]])] for pk in pair_keys}
     hyp02: dict[tuple[int, int], int] = {}
     hyp12: dict[tuple[int, int], int] = {}
-    tbl = {}
     for x in bits(masks[0]):
         for y in bits(g01.rows[x]):
             tri_z = g02.rows[x] & g12.rows[y]
             zmask = zm.get((x, y), 0) & tri_z
-            tbl[(x, y)] = den * zmask.bit_count() - num * tri_z.bit_count()
+            devs[(i, j)][x][y] = den * zmask.bit_count() - num * tri_z.bit_count()
             for z in bits(zmask):
                 hyp02[(x, z)] = hyp02.get((x, z), 0) + 1
                 hyp12[(y, z)] = hyp12.get((y, z), 0) + 1
-    devs: dict[tuple[int, int], dict[tuple[int, int], int]] = {(i, j): tbl}
     cols01, cols02, cols12 = g01.columns(), g02.columns(), g12.columns()
-    tbl = {}
     for x in bits(masks[0]):
         for z in bits(g02.rows[x]):
             tri = (g01.rows[x] & cols12[z]).bit_count()
-            tbl[(x, z)] = den * hyp02.get((x, z), 0) - num * tri
-    devs[(i, k)] = tbl
-    tbl = {}
+            devs[(i, k)][x][z] = den * hyp02.get((x, z), 0) - num * tri
     for y in bits(masks[1]):
         for z in bits(g12.rows[y]):
             tri = (cols01[y] & cols02[z]).bit_count()
-            tbl[(y, z)] = den * hyp12.get((y, z), 0) - num * tri
-    devs[(j, k)] = tbl
+            devs[(j, k)][y][z] = den * hyp12.get((y, z), 0) - num * tri
 
-    def make_pps(cell_map: dict) -> tuple[PairPartition, ...]:
-        return tuple(
-            PairPartition(
-                host_of[pk].left_size,
-                host_of[pk].right_size,
-                *side_masks[pk],
-                host_of[pk].rows,
-                cell_map.get(pk, (host_of[pk].rows,)),
-            )
-            for pk in pair_keys
-        )
+    def cut(pk: tuple[int, int], label) -> list[dict] | None:
+        """Pair pk's label table under ``label(deviation)``, or None when
+        it gives every edge one label."""
+        table = [{y: label(v) for y, v in row.items()} for row in devs[pk]]
+        return table if len({c for row in table for c in row.values()}) > 1 else None
 
-    def q_of(pps: tuple[PairPartition, ...], mode: str = "fast") -> Fraction:
-        return q_cell_chain(h, parts, (g01.rows, g02.rows, g12.rows), pps, mode)
+    # A candidate maps some pairs to their cut; the others read all zeros.
+    side = max(sizes[a] for a in parts)
+    zeros = ((0,) * side,) * side
 
-    def split(pk: tuple[int, int], groups: dict) -> tuple[tuple[int, ...], ...]:
-        host = host_of[pk]
-        return cells_by_label(host.left_size, host.rows, lambda x, y: groups[(x, y)])
+    def score(cand: dict) -> Fraction:
+        return labelled_q(hosts, tuple(cand.get(pk, zeros) for pk in pair_keys), zm)
 
-    sign_cells = {}
+    signs = {pk: tbl for pk in pair_keys if (tbl := cut(pk, lambda v: v > 0)) is not None}
+    candidates = [
+        {pk: tbl for bit, (pk, tbl) in enumerate(signs.items()) if picks >> bit & 1}
+        for picks in range(1, 1 << len(signs))
+    ]
     for pk in pair_keys:
-        tbl = devs[pk]
-        if not tbl:
-            continue
-        positive = {edge for edge, val in tbl.items() if val > 0}
-        if positive and len(positive) < len(tbl):
-            sign_cells[pk] = split(pk, {edge: edge in positive for edge in tbl})
-
-    candidates: list[dict] = []
-    keys_avail = [pk for pk in pair_keys if pk in sign_cells]
-    for picks in range(1, 1 << len(keys_avail)):
-        cell_map = {
-            pk: sign_cells[pk]
-            for bit, pk in enumerate(keys_avail)
-            if picks >> bit & 1
-        }
-        candidates.append(cell_map)
-    for pk in pair_keys:
-        tbl = devs[pk]
-        vals = sorted({abs(v) for v in tbl.values() if v != 0})
+        vals = sorted({abs(v) for row in devs[pk] for v in row.values() if v != 0})
         if not vals:
             continue
         thr = vals[len(vals) // 2]
-        groups = {
-            edge: (0 if val < -thr else (2 if val > thr else 1)) for edge, val in tbl.items()
-        }
-        if len(set(groups.values())) >= 2:
-            candidates.append({pk: split(pk, groups)})
+        tbl = cut(pk, lambda v: 0 if v < -thr else (2 if v > thr else 1))
+        if tbl is not None:
+            candidates.append({pk: tbl})
 
     best_q = Fraction(-1)
-    best_pps: tuple[PairPartition, ...] | None = None
-    for cell_map in candidates:
-        pps = make_pps(cell_map)
-        qv = q_of(pps)
+    best: dict | None = None
+    for cand in candidates:
+        qv = score(cand)
         if qv > best_q:
-            best_q, best_pps = qv, pps
+            best_q, best = qv, cand
 
     if best_q < target:
         # Threshold sweep escalation: two-way cuts at spread-out deviation
         # levels, per pair and combined across pairs.
         combo: dict = {}
         for pk in pair_keys:
-            tbl = devs[pk]
-            vals = sorted(set(tbl.values()))
+            vals = sorted({v for row in devs[pk] for v in row.values()})
             if len(vals) < 2:
                 continue
-            cuts = {vals[(len(vals) - 1) * m // 14] for m in range(14)}
             best_pair_q = Fraction(-1)
-            best_pair_cells = None
-            for cut in sorted(cuts):
-                groups = {edge: (0 if val <= cut else 1) for edge, val in tbl.items()}
-                if len(set(groups.values())) < 2:
+            for level in sorted({vals[(len(vals) - 1) * m // 14] for m in range(14)}):
+                tbl = cut(pk, lambda v: v > level)
+                if tbl is None:
                     continue
-                pair_cells = split(pk, groups)
-                pps = make_pps({pk: pair_cells})
-                qv = q_of(pps)
+                qv = score({pk: tbl})
                 if qv > best_q:
-                    best_q, best_pps = qv, pps
+                    best_q, best = qv, {pk: tbl}
                 if qv > best_pair_q:
-                    best_pair_q, best_pair_cells = qv, pair_cells
-            if best_pair_cells is not None:
-                combo[pk] = best_pair_cells
+                    best_pair_q, combo[pk] = qv, tbl
         if combo:
-            pps = make_pps(combo)
-            qv = q_of(pps)
+            qv = score(combo)
             if qv > best_q:
-                best_q, best_pps = qv, pps
+                best_q, best = qv, combo
 
-    if best_pps is None:
+    if best is None:
         raise NoCandidateSplit(
             "no candidate edge split exists: within each pair every edge has the same deviation"
         )
@@ -778,9 +746,16 @@ def refine_cell_chain(
         raise RefinementFailure(
             f"no edge partition reached d^2 + gain = {target} (best q {best_q})"
         )
-    if q_of(best_pps, mode="naive") != best_q:
+    pps = {}
+    for pk in pair_keys:
+        host, lab = host_of[pk], best.get(pk, zeros)
+        pair_cells = cells_by_label(host.left_size, host.rows, lambda x, y: lab[x][y])
+        pps[pk] = PairPartition(
+            host.left_size, host.right_size, *side_masks[pk], host.rows, pair_cells
+        )
+    if q_cell_chain(h, parts, hosts, tuple(pps.values()), "naive") != best_q:
         raise InvariantViolation("fast and naive q disagree on the chosen partition")
-    best_ep = EdgePartition(dict(zip(pair_keys, best_pps)))
+    best_ep = EdgePartition(pps)
     if best_ep.cell_count > profile.edge_part_cap:
         raise RefinementFailure(
             f"winning partition has {best_ep.cell_count} cells, over the cap"
@@ -822,7 +797,7 @@ def _apply_chain_refinements(
     a cell's new cells are the common refinement of its variants.  A chain
     without candidates (:class:`NoCandidateSplit`) is skipped.
     """
-    splits: dict[tuple[int, tuple[int, int], int], list[PairPartition]] = {}
+    splits: dict[tuple[int, tuple[int, int]], dict[int, list[PairPartition]]] = {}
     for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
         cyl = p.vertex.cylinders[ci]
         masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
@@ -833,17 +808,13 @@ def _apply_chain_refinements(
         for pair, cell_idx in zip(((i, j), (i, k), (j, k)), combo):
             variant = pe.pair(*pair)
             if variant.cell_count > 1:
-                splits.setdefault((ci, pair, cell_idx), []).append(variant)
+                splits.setdefault((ci, pair), {}).setdefault(cell_idx, []).append(variant)
 
     if not splits:
         return None
 
-    by_pair: dict[tuple[int, tuple[int, int]], dict[int, list]] = {}
-    for (ci, pair, cell_idx), variants in splits.items():
-        by_pair.setdefault((ci, pair), {})[cell_idx] = variants
-
     new_edges = list(p.edges)
-    for (ci, (i, j)), cell_splits in sorted(by_pair.items()):
+    for (ci, (i, j)), cell_splits in sorted(splits.items()):
         ep = new_edges[ci]
         pp = ep.pair(i, j)
         new_cells: list[tuple[int, ...]] = []
@@ -1136,11 +1107,17 @@ def homogeneous_decomposition(
         t = min(n, 3 * _ceil_inverse(eta))
     elif not 3 <= t <= n:
         raise InvalidStructure(f"t must lie in [3, {n}], got {t}")
+    alpha_s = profile.szemeredi_alpha if profile.szemeredi_alpha is not None else Fraction(1, 4)
+    if alpha_s * n < 2:
+        # Same-part mass is at least 1/n, reached only at singletons, so
+        # the pair stage could only end here after the hyper stage.
+        raise NonterminationError(
+            "same-part mass exceeds the budget even at singletons", IterationTrace(())
+        )
     hp = partite_from_three_graph(h, equitable_partition(n, t))
     eta_c = profile.cylinder_threshold(eta)
     p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
     qv = venn_diagram(p)
-    alpha_s = profile.szemeredi_alpha if profile.szemeredi_alpha is not None else Fraction(1, 4)
     qfin, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
     audit = homogeneity_audit(h, qfin, eta, psi)
     zeta = profile.sparse_density if profile.sparse_density is not None else eta * eta / 16
@@ -1439,11 +1416,10 @@ def quasirandom_subset(
                     adj[gv] |= 1 << gu
     for a_pos in range(s):
         for x in range(m):
-            for y in range(x + 1, m):
-                if rng.bernoulli(delta):
-                    gu, gv = a_pos * m + x, a_pos * m + y
-                    adj[gu] |= 1 << gv
-                    adj[gv] |= 1 << gu
+            for d in rng.accepted(m - x - 1, delta):
+                gu, gv = a_pos * m + x, a_pos * m + x + 1 + d
+                adj[gu] |= 1 << gv
+                adj[gv] |= 1 << gu
     g_u = Graph(u, tuple(adj))
 
     back = {v: idx for idx, v in enumerate(vertices)}

@@ -10,12 +10,13 @@ algorithm.  The generator is the standard splitmix64 sequence:
     z      <- (z XOR z >> 27) * 0x94D049BB133111EB  mod 2^64
     output <- z XOR z >> 31
 
-``below(n)`` draws 64-bit words and rejects those >= n * floor(2^64 / n),
-then reduces modulo n, so it is exactly uniform.  ``bernoulli(p)`` accepts
-a draw u when u * p.denominator < p.numerator * 2^64, which for an integer
-u is the integer threshold u < ceil(p.numerator * 2^64 / p.denominator);
-the bias is below 2^-64.  Both consume one draw per attempt, so derived
-instances are stable as long as the call sequence is stable.
+``below(n)``, for 0 < n <= 2^64, draws 64-bit words and rejects those
+>= n * floor(2^64 / n), then reduces modulo n, so it is exactly uniform.
+``bernoulli(p)`` accepts a draw u when u * p.denominator < p.numerator *
+2^64, which for an integer u is the integer threshold u <
+ceil(p.numerator * 2^64 / p.denominator); the bias is below 2^-64.  Both
+consume one draw per attempt, so derived instances are stable as long as
+the call sequence is stable.
 
 The bulk draws read the same words in the same order and leave the same
 state: ``accepted(n, p)`` is the indices of the next n ``bernoulli(p)``
@@ -49,6 +50,16 @@ from .core import (
 _MASK64 = (1 << 64) - 1
 
 
+def _rejection_limit(n: int) -> int:
+    """The words ``below(n)`` accepts are those under this limit, 2^64 -
+    2^64 mod n; a bound above 2^64 would reject every word."""
+    if n <= 0:
+        raise InvalidStructure("below() needs a positive bound")
+    if n > 1 << 64:
+        raise InvalidStructure("below() needs a bound of at most 2^64")
+    return (1 << 64) - (1 << 64) % n
+
+
 class SplitMix64:
     """Deterministic 64-bit PRNG (splitmix64), documented above."""
 
@@ -66,9 +77,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection."""
-        if n <= 0:
-            raise InvalidStructure("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _rejection_limit(n)
         while True:
             u = self.next_u64()
             if u < limit:
@@ -101,9 +110,7 @@ class SplitMix64:
         """``count`` tuples whose coordinate j is ``below(bounds[j])``, by its
         rejection of words at or above 2^64 - 2^64 mod b; lazily, and after
         each tuple the state is the per-draw state."""
-        if not all(b > 0 for b in bounds):
-            raise InvalidStructure("below() needs a positive bound")
-        limits = [((1 << 64) - (1 << 64) % b, b) for b in bounds]
+        limits = [(_rejection_limit(b), b) for b in bounds]
         s = self.state
         for _ in range(count):
             x = []

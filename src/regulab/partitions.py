@@ -11,13 +11,15 @@ q is the triangle-mass-weighted sum of squared relative densities of the
 cells.  :func:`q_partition`'s fast mode folds over
 :func:`located_cell_chains`, whose counts the evaluator has already made;
 :func:`q_cell_chain` is the one fast/naive dispatch of q over a part
-triple's hosts (a chain's edge partition, refinement candidates,
-``q_partition``'s naive mode).  Both modes are exact and must agree.
+triple's hosts (a chain's edge partition, the winning refinement's
+naive check, ``q_partition``'s naive mode).  Both modes are exact and
+must agree.  Its fast mode and the refinement candidates, which are
+per-edge label tables, score through :func:`labelled_q`.
 
 :func:`triangle_tallies` is the one label-keyed triangle sweep: it counts
 the triangles and hyperedges of three hosts per label triple of a
-triangle's edges.  ``q_cell_chain``'s fast mode, :func:`homogeneity_audit`
-and :func:`markov_split_check` all count through it.
+triangle's edges.  :func:`labelled_q`, :func:`homogeneity_audit` and
+:func:`markov_split_check` all count through it.
 
 Each partition-building decision has one home.  :func:`cells_by_label`
 is the one cell builder: it groups a host's edges by a per-edge label and
@@ -506,6 +508,19 @@ def triangle_tallies(
     return tri, hyp, total
 
 
+def labelled_q(
+    rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    labels: tuple[Sequence[Sequence[Hashable]], ...],
+    zm: Mapping[tuple[int, int], int],
+) -> Fraction:
+    """q of three hosts whose edges are grouped into cells by per-edge
+    ``labels``: the sum over label triples of tri / total * (hyp / tri)^2,
+    from one :func:`triangle_tallies` sweep.  The one fast q formula over
+    hosts; ``q_cell_chain`` and the refinement candidates score through it."""
+    tri, hyp, total = triangle_tallies(rows, labels, zm)
+    return sum((Fraction(e * e, tri[key] * total) for key, e in hyp.items()), Fraction(0))
+
+
 def _q_triple_naive(rows_ab, rows_ac, rows_bc, pp_ab, pp_ac, pp_bc, zm, sizes) -> Fraction:
     """Literal re-enumeration of every cell combination."""
     n0, n1, n2 = sizes
@@ -547,15 +562,14 @@ def q_cell_chain(
     (i, k) and (j, k) pairs, cut into cells by ``pps``, in local ids.
 
     The one fast/naive dispatch of q over hosts: edge partitions of a
-    chain, refinement candidates and the naive mode of
+    chain, the winning refinement's naive check and the naive mode of
     :func:`q_partition`, whose fast mode reads the cell-chain evaluator
     instead.  Hyperedges are read from ``h``'s index on the hosts'
     triangles only, so hosts inside a cylinder need no mask.
     """
     zm = h.zmasks(*parts)
     if mode == "fast":
-        tri, hyp, total = triangle_tallies(rows, tuple(pp.labels for pp in pps), zm)
-        return sum((Fraction(e * e, tri[key] * total) for key, e in hyp.items()), Fraction(0))
+        return labelled_q(rows, tuple(pp.labels for pp in pps), zm)
     if mode == "naive":
         sizes = tuple(h.vertex_set.sizes[a] for a in parts)
         return _q_triple_naive(*rows, *pps, zm, sizes)

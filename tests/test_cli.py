@@ -636,6 +636,43 @@ def test_decompose_splits_cylinders_when_no_useful_chain_has_a_candidate(tmp_pat
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "n, alpha, extra, code, err",
+    [
+        (20, "1/40", [], 3, "capacity: same-part mass exceeds the budget even at singletons\n"),
+        (20, "1/40", ["--max-steps", "2"], 3,
+         "capacity: same-part mass exceeds the budget even at singletons\n"),
+        (16, "1/8", [], 0, ""),
+    ],
+)
+def test_decompose_refuses_an_alpha_that_singletons_cannot_meet_before_the_hyper_stage(
+    n, alpha, extra, code, err, tmp_path, monkeypatch, capsys
+):
+    # Same-part mass is at least 1/n, with equality only at singletons, so
+    # with alpha/2 < 1/n the pair stage can only end in the singleton line:
+    # it is given before the hyper stage runs.  At alpha/2 = 1/n
+    # singletons meet the budget and the pipeline runs.
+    from regulab import engines
+
+    calls = []
+    hyper = engines.hyper_cylinder_regularity
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyper(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "hyper_cylinder_regularity", counted)
+    h = tmp_path / "t.h3"
+    assert run(["generate", "--kind", "tournament", "--n", str(n), "--seed", "1",
+                "--out", str(h)]) == 0
+    out = tmp_path / "r.json"
+    assert run(["decompose", "--input", str(h), "--eta", "1/4", "--psi", "1,1",
+                "--szemeredi-alpha", alpha, "--output", str(out)] + extra) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+    assert len(calls) == (code == 0)
+
+
 def test_analyze_multipartite_reports_the_largest_pair_value(tmp_path, capsys):
     g = tmp_path / "g.mg"
     assert run(["generate", "--kind", "multipartite", "--parts", "3,4,3", "--p", "1/2",

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 import pytest
 
@@ -27,6 +28,7 @@ from regulab.engines import (
     ConstantsProfile,
     EngineError,
     IterationTrace,
+    NoCandidateSplit,
     NonterminationError,
     RefinementFailure,
     SATURATED,
@@ -46,6 +48,7 @@ from regulab.engines import (
     one_cylinder_refine,
     paper_schedule,
     quasirandom_subset,
+    refine_cell_chain,
     rodl_sparse_dense,
     szemeredi_multi,
     twr,
@@ -66,9 +69,11 @@ from regulab.partitions import (
     PairPartition,
     VertexCylinder,
     VertexCylinderPartition,
+    cell_chain_stats,
     cells_by_label,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
+    q_cell_chain,
     q_edge_partition,
     survey_partition,
 )
@@ -670,6 +675,225 @@ def test_chain_refinements_match_the_extract_and_unmap_route():
         kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "refined")
     assert with_useful >= 100, with_useful
     assert {"refined", "pair", "no"} <= kinds
+
+
+def _refine_by_pair_partitions(
+    h: PartiteThreeGraph,
+    masks: tuple[int, int, int],
+    parts: tuple[int, int, int],
+    cells: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    eta: Fraction,
+    profile: ConstantsProfile,
+) -> EdgePartition:
+    """The single-chain edge refinement as it stood before candidates were
+    scored as deviation cuts: every candidate is three validated
+    PairPartitions, scored by ``q_cell_chain`` and dropped unless it wins."""
+    tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
+    if cert <= eta:
+        raise InvalidStructure("chain is already quasirandom at this eta")
+    i, j, k = parts
+    sizes = h.vertex_set.sizes
+    d = ratio(hyp, tri)
+    target = d * d + profile.refine_gain(eta)
+    num, den = d.numerator, d.denominator
+    pair_keys = ((i, j), (i, k), (j, k))
+    side_masks = {(i, j): masks[:2], (i, k): masks[::2], (j, k): masks[1:]}
+    # The chain's pair graphs: each cell on the cylinder masks.
+    host_of = {}
+    for pk, cell in zip(pair_keys, cells):
+        mask_a, mask_b = side_masks[pk]
+        rows = tuple(row & mask_b if mask_a >> x & 1 else 0 for x, row in enumerate(cell))
+        host_of[pk] = BipartiteGraph(sizes[pk[0]], sizes[pk[1]], rows)
+    g01, g02, g12 = host_of.values()
+
+    # Deviation through each edge.  Hyperedges on the chain's triangles:
+    # through (x, y) from the index, through (x, z) and (y, z) tallied
+    # from it.
+    zm = h.zmasks(i, j, k)
+    hyp02: dict[tuple[int, int], int] = {}
+    hyp12: dict[tuple[int, int], int] = {}
+    tbl = {}
+    for x in bits(masks[0]):
+        for y in bits(g01.rows[x]):
+            tri_z = g02.rows[x] & g12.rows[y]
+            zmask = zm.get((x, y), 0) & tri_z
+            tbl[(x, y)] = den * zmask.bit_count() - num * tri_z.bit_count()
+            for z in bits(zmask):
+                hyp02[(x, z)] = hyp02.get((x, z), 0) + 1
+                hyp12[(y, z)] = hyp12.get((y, z), 0) + 1
+    devs: dict[tuple[int, int], dict[tuple[int, int], int]] = {(i, j): tbl}
+    cols01, cols02, cols12 = g01.columns(), g02.columns(), g12.columns()
+    tbl = {}
+    for x in bits(masks[0]):
+        for z in bits(g02.rows[x]):
+            tri = (g01.rows[x] & cols12[z]).bit_count()
+            tbl[(x, z)] = den * hyp02.get((x, z), 0) - num * tri
+    devs[(i, k)] = tbl
+    tbl = {}
+    for y in bits(masks[1]):
+        for z in bits(g12.rows[y]):
+            tri = (cols01[y] & cols02[z]).bit_count()
+            tbl[(y, z)] = den * hyp12.get((y, z), 0) - num * tri
+    devs[(j, k)] = tbl
+
+    def make_pps(cell_map: dict) -> tuple[PairPartition, ...]:
+        return tuple(
+            PairPartition(
+                host_of[pk].left_size,
+                host_of[pk].right_size,
+                *side_masks[pk],
+                host_of[pk].rows,
+                cell_map.get(pk, (host_of[pk].rows,)),
+            )
+            for pk in pair_keys
+        )
+
+    def q_of(pps: tuple[PairPartition, ...], mode: str = "fast") -> Fraction:
+        return q_cell_chain(h, parts, (g01.rows, g02.rows, g12.rows), pps, mode)
+
+    def split(pk: tuple[int, int], groups: dict) -> tuple[tuple[int, ...], ...]:
+        host = host_of[pk]
+        return cells_by_label(host.left_size, host.rows, lambda x, y: groups[(x, y)])
+
+    sign_cells = {}
+    for pk in pair_keys:
+        tbl = devs[pk]
+        if not tbl:
+            continue
+        positive = {edge for edge, val in tbl.items() if val > 0}
+        if positive and len(positive) < len(tbl):
+            sign_cells[pk] = split(pk, {edge: edge in positive for edge in tbl})
+
+    candidates: list[dict] = []
+    keys_avail = [pk for pk in pair_keys if pk in sign_cells]
+    for picks in range(1, 1 << len(keys_avail)):
+        cell_map = {
+            pk: sign_cells[pk]
+            for bit, pk in enumerate(keys_avail)
+            if picks >> bit & 1
+        }
+        candidates.append(cell_map)
+    for pk in pair_keys:
+        tbl = devs[pk]
+        vals = sorted({abs(v) for v in tbl.values() if v != 0})
+        if not vals:
+            continue
+        thr = vals[len(vals) // 2]
+        groups = {
+            edge: (0 if val < -thr else (2 if val > thr else 1)) for edge, val in tbl.items()
+        }
+        if len(set(groups.values())) >= 2:
+            candidates.append({pk: split(pk, groups)})
+
+    best_q = Fraction(-1)
+    best_pps: tuple[PairPartition, ...] | None = None
+    for cell_map in candidates:
+        pps = make_pps(cell_map)
+        qv = q_of(pps)
+        if qv > best_q:
+            best_q, best_pps = qv, pps
+
+    if best_q < target:
+        # Threshold sweep escalation: two-way cuts at spread-out deviation
+        # levels, per pair and combined across pairs.
+        combo: dict = {}
+        for pk in pair_keys:
+            tbl = devs[pk]
+            vals = sorted(set(tbl.values()))
+            if len(vals) < 2:
+                continue
+            cuts = {vals[(len(vals) - 1) * m // 14] for m in range(14)}
+            best_pair_q = Fraction(-1)
+            best_pair_cells = None
+            for cut in sorted(cuts):
+                groups = {edge: (0 if val <= cut else 1) for edge, val in tbl.items()}
+                if len(set(groups.values())) < 2:
+                    continue
+                pair_cells = split(pk, groups)
+                pps = make_pps({pk: pair_cells})
+                qv = q_of(pps)
+                if qv > best_q:
+                    best_q, best_pps = qv, pps
+                if qv > best_pair_q:
+                    best_pair_q, best_pair_cells = qv, pair_cells
+            if best_pair_cells is not None:
+                combo[pk] = best_pair_cells
+        if combo:
+            pps = make_pps(combo)
+            qv = q_of(pps)
+            if qv > best_q:
+                best_q, best_pps = qv, pps
+
+    if best_pps is None:
+        raise NoCandidateSplit(
+            "no candidate edge split exists: within each pair every edge has the same deviation"
+        )
+    if best_q < target:
+        raise RefinementFailure(
+            f"no edge partition reached d^2 + gain = {target} (best q {best_q})"
+        )
+    if q_of(best_pps, mode="naive") != best_q:
+        raise InvariantViolation("fast and naive q disagree on the chosen partition")
+    best_ep = EdgePartition(dict(zip(pair_keys, best_pps)))
+    if best_ep.cell_count > profile.edge_part_cap:
+        raise RefinementFailure(
+            f"winning partition has {best_ep.cell_count} cells, over the cap"
+        )
+    return best_ep
+
+
+def test_refine_cell_chain_matches_the_pair_partition_search():
+    """Scoring each candidate as a deviation cut in one label tally gives
+    the refinement, or the failure and its message, of the search that
+    built every candidate as pair partitions, on the located chains of
+    random cylinder chain partitions under the three profiles above, plus
+    a gain that sends half the chains to the threshold sweep and a cap
+    that every split exceeds."""
+    profiles = (
+        DESK,
+        ConstantsProfile.desk(edge_part_cap=2),
+        ConstantsProfile.desk(q_gain=Fraction(1, 8)),
+        ConstantsProfile.desk(q_gain=Fraction(1, 4)),
+        ConstantsProfile.desk(edge_part_cap=1),
+    )
+    rng = SplitMix64(23)
+    chains = 0
+    kinds = set()
+    for case in range(80):
+        t = 3 + case % 3
+        sizes = tuple(1 + rng.below(4) for _ in range(t))
+        h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
+        p = random_cylinder_chain_partition(
+            h.vertex_set, 1 + rng.below(3), 1 + rng.below(3), seed=rng.next_u64()
+        )
+        eta = (Fraction(1, 4), Fraction(1, 16))[case % 2]
+        for (ci, (i, j, k), _combo, cells, _cert, _w) in survey_partition(h, p, eta, PSI_ID).useful:
+            cyl = p.vertex.cylinders[ci]
+            args = (h, (cyl.masks[i], cyl.masks[j], cyl.masks[k]), (i, j, k), cells, eta)
+            chains += 1
+            for profile in profiles:
+                got = _outcome(refine_cell_chain, *args, profile)
+                want = _outcome(_refine_by_pair_partitions, *args, profile)
+                assert got == want, f"case {case}"
+                kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "refined")
+    assert chains >= 300, chains
+    assert {"refined", "no", "winning"} <= kinds
+
+
+def test_a_refinement_builds_pair_partitions_for_the_winner_only(monkeypatch):
+    """Candidates are label tables, not partitions: a successful refinement
+    constructs the three PairPartitions of its winner and no others."""
+    built = []
+    post_init = PairPartition.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PairPartition, "__post_init__", counted)
+    pe = one_cylinder_refine(build_box_chain(), Fraction(1, 250), DESK)
+    assert len(built) == 3
+    assert tuple(pe.pairs.values()) == tuple(built)
 
 
 def _count_calls(monkeypatch, fn) -> list:

@@ -151,6 +151,20 @@ def test_bulk_draws_check_their_arguments():
     assert rng.state == 1
 
 
+def test_below_refuses_a_bound_above_2_to_the_64():
+    """Past 2^64 the rejection limit 2^64 - 2^64 mod n is 0, so no word
+    would be accepted; the bound 2^64 itself accepts every word."""
+    with pytest.raises(InvalidStructure, match="at most 2\\^64"):
+        SplitMix64(0).below((1 << 64) + 1)
+    with pytest.raises(InvalidStructure, match="at most 2\\^64"):
+        next(SplitMix64(0).below_each([3, (1 << 64) + 1], 1))
+    with pytest.raises(InvalidStructure, match="positive bound"):
+        SplitMix64(0).below(0)
+    rng, twin = SplitMix64(0), SplitMix64(0)
+    assert rng.below(1 << 64) == twin.next_u64()
+    assert rng.state == twin.state
+
+
 def test_half_graph_edge_count():
     g = half_graph(4)
     assert g.edge_count == 10
