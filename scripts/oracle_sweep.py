@@ -5,11 +5,12 @@ masks among them; the octahedral kernel also on thin chains whose z part may
 pass 64 vertices), the upper-half symmetry check ``rows_symmetric`` against
 the bit-by-bit walk, the hyperedge index against the naive membership test
 ``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
-against ``eta_psi_check`` with the naive kernels, the tuple audit itself,
-exhaustive and sampled, against a literal walk over the tuples (3 to 6
-parts; also with complete cells under eta = 1, where every chain passes),
-the partition survey against that audit, ``q_partition`` naive and the
-useful chains filtered from ``located_cell_chains``, and
+against ``eta_psi_check`` with the naive kernels, the tuple audit itself
+against a literal walk over the tuples (3 to 6 parts; also with complete
+cells under eta = 1, where every chain passes), exact as the walk's good
+mass and bounded as one minus the walk's failing part triples per tuple,
+at most that mass, the partition survey against that audit, ``q_partition``
+naive and the useful chains filtered from ``located_cell_chains``, and
 ``q_partition`` and ``q_cell_chain`` fast against naive, the latter on every
 part triple of a cylinder and on every located cell chain taken as one cell
 (where q is d^2).  The counts and certificate ``cell_chain_stats`` computes
@@ -21,12 +22,11 @@ first offending pair included, on random cylinder families that overlap
 about half the time.  ``scan``'s bulk path for canonical files is checked
 against its line loop (the bulk path patched out), records, kind and first
 error included, on random generated files and on copies with a token, a
-line or a character changed.  The bulk draws are checked against the
-per-draw methods they stand for, the words left behind included:
-``SplitMix64.accepted`` against ``bernoulli`` on a grid of run lengths
-(0, 1, 63, 64, 65, 300) and densities (0, 1, denominators that are and are
-not powers of two, up to 2^70), and ``below_each`` against ``below`` on
-bounds that include 1, 2^64 and the rejection-heavy 2^63 + 1.
+line or a character changed.  The bulk draw ``SplitMix64.accepted`` is
+checked against the per-draw ``bernoulli`` it stands for, the words left
+behind included, on a grid of run lengths (0, 1, 63, 64, 65, 300) and
+densities (0, 1, denominators that are and are not powers of two, up to
+2^70).
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -95,7 +95,6 @@ THRESHOLDS = (
 # Under eta = 1 every located chain of a partition with complete cells
 # passes: a complete cell's certificate is 0.
 ALL_PASS = (Fraction(1), PolyFunction(Fraction(1), 1))
-AUDIT_SAMPLES = 30
 
 
 def masked_pair_matches(g, rng) -> bool:
@@ -262,25 +261,21 @@ def containment_matches(pv, rng) -> int:
     return bad
 
 
-def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
-    """Good tuple mass by the definition: every tuple (above ``cap``, the
-    audit's seeded draws), its cylinder by a scan over the masks, and
-    eta_psi_check (naive) on the cell chain of each part triple that holds
-    its edges.  An empty product has mass 1, as in the audit."""
+def literal_audit(h, p, eta, psi) -> tuple[Fraction, Fraction]:
+    """(good tuple mass, union bound) by the definition: every tuple, its
+    cylinder by a scan over the masks, and eta_psi_check (naive) on the
+    cell chain of each part triple that holds its edges.  The bound is one
+    minus the tuples' failing part triples over the space, at least 0.  An
+    empty product has mass 1, as in the audit."""
     vs = h.vertex_set
     space = prod(vs.sizes)
     if space == 0:
-        return Fraction(1)
-    if space <= cap:
-        tuples = list(product(*(range(s) for s in vs.sizes)))
-    else:
-        rng = SplitMix64(seed)
-        tuples = [tuple(rng.below(s) for s in vs.sizes) for _ in range(samples)]
-    good = 0
-    for locals_ in tuples:
+        return Fraction(1), Fraction(1)
+    good = spoiled = 0
+    for locals_ in product(*(range(s) for s in vs.sizes)):
         c = scan_lookup(p.vertex, locals_)
         cyl, ep = p.vertex.cylinders[c], p.edges[c]
-        ok = True
+        fails = 0
         for i, j, k in combinations(range(vs.t), 3):
             cells = tuple(
                 next(cell for cell in ep.pair(a, b).cells if cell[locals_[a]] >> locals_[b] & 1)
@@ -288,19 +283,20 @@ def literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
             )
             masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
             chain = extract_cell_chain(h, masks, (i, j, k), cells)
-            if not eta_psi_check(chain, eta, psi, mode="naive"):
-                ok = False
-                break
-        good += ok
-    return Fraction(good, len(tuples))
+            fails += not eta_psi_check(chain, eta, psi, mode="naive")
+        good += fails == 0
+        spoiled += fails
+    return Fraction(good, space), max(Fraction(0), 1 - Fraction(spoiled, space))
 
 
-def audits_match(h, p, seed) -> int:
-    """Exhaustive and sampled tuple audits of ``p`` that differ from the
-    literal walk, over both (eta, psi) pairs, and under ALL_PASS on ``p``'s
-    cylinders with complete cells, where the mass must be 1.  Each audit's
-    survey must also hold q by ``q_partition``'s naive mode and, in walk
-    order, the located chains with triangles and a certificate above eta."""
+def audits_match(h, p) -> int:
+    """Tuple audits of ``p`` that differ from the literal walk, exact at
+    the cap ``space`` and bounded at ``space - 1``, over both (eta, psi)
+    pairs, and under ALL_PASS on ``p``'s cylinders with complete cells,
+    where the mass must be 1; a bound above the exact mass counts too.
+    Each audit's survey must also hold q by ``q_partition``'s naive mode
+    and, in walk order, the located chains with triangles and a
+    certificate above eta."""
     vs = h.vertex_set
     space = prod(vs.sizes)
     complete = CylinderChainPartition(
@@ -315,12 +311,14 @@ def audits_match(h, p, seed) -> int:
             if tri > 0 and cert > eta
         )
         mass = sum(row[-1] for row in useful)
-        for cap in (space, space - 1):
-            audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
+        exact, bound = literal_audit(h, q, eta, psi)
+        bad += bound > exact
+        for cap, want in ((space, exact), (space - 1, bound)):
+            audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap)
             bad += audit.degenerate_mass != 0
-            bad += audit.good_mass != literal_audit(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
+            bad += audit.good_mass != want
             bad += q is complete and audit.good_mass != 1
-            survey = survey_partition(h, q, eta, psi, cap, AUDIT_SAMPLES, seed)
+            survey = survey_partition(h, q, eta, psi, cap)
             bad += survey != PartitionSurvey(q_naive, audit, useful, mass)
     return bad
 
@@ -422,14 +420,12 @@ def scans_match(max_size, rng) -> tuple[int, int]:
 RUN_LENGTHS = (0, 1, 63, 64, 65, 300)
 DENSITIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
              Fraction((1 << 64) - 1, 1 << 64), Fraction(1, 1 << 70), Fraction(5, 3**41))
-BOUND_SETS = ((1,), ((1 << 63) + 1,), (3, (1 << 63) + 1, 1, 1 << 64), (7, 5, 2))
 
 
 def draws_match(rng) -> int:
-    """Bulk draws that differ from the per-draw methods, in values or in
-    the state they leave, for one seed taken from ``rng``: ``accepted`` on
-    every run length and density of the grid, plus one random density, and
-    ``below_each`` on each bound set, plus one random set."""
+    """Bulk draws that differ from the per-draw ``bernoulli``, in values or
+    in the state they leave, for one seed taken from ``rng``: ``accepted``
+    on every run length and density of the grid, plus one random density."""
     seed = rng.next_u64()
     den = 1 + (rng.next_u64() << 6 | rng.below(64))  # up to 2^70
     densities = DENSITIES + (Fraction((rng.next_u64() << 6 | rng.below(64)) % (den + 1), den),)
@@ -439,12 +435,6 @@ def draws_match(rng) -> int:
             bulk, twin = SplitMix64(seed), SplitMix64(seed)
             got = bulk.accepted(n, p)
             bad += (got, bulk.state) != ([i for i in range(n) if twin.bernoulli(p)], twin.state)
-    random_bounds = tuple(1 + rng.below(1 << 64) for _ in range(1 + rng.below(4)))
-    for bounds in BOUND_SETS + (random_bounds,):
-        bulk, twin = SplitMix64(seed), SplitMix64(seed)
-        got = list(bulk.below_each(bounds, 20))
-        want = [tuple(twin.below(b) for b in bounds) for _ in range(20)]
-        bad += (got, bulk.state) != (want, twin.state)
     return bad
 
 
@@ -527,7 +517,7 @@ def main() -> int:
             if bad:
                 mismatches += 1
                 print(f"{bad} cell-chain verdict mismatches at case {case}: {sizes}")
-            bad = audits_match(h, p, case)
+            bad = audits_match(h, p)
             if bad:
                 mismatches += 1
                 print(f"{bad} tuple-audit or survey mismatches at case {case}: {sizes}")
@@ -555,7 +545,7 @@ def main() -> int:
     print(
         "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
-        " overlap check, the bulk draws and the bulk scan match their oracles"
+        " overlap check, the bulk draw and the bulk scan match their oracles"
     )
     return 0
 

@@ -101,14 +101,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
+    """An exact rational from "num/den", a decimal ("0.25", "1e-3") or
+    "a**b".  A value whose numerator or denominator would have more digits
+    than ``sys.get_int_max_str_digits()`` (its default when that is 0) is
+    refused, since no report could write it.  The power and exponent forms
+    are sized before they are computed, with integer arithmetic only."""
     s = text.strip()
-    m = re.fullmatch(r"(-?\d+)\*\*(-?\d+)", s)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    too_long = _ArgError(f"rational {text!r} has more than {limit} digits")
+    power = re.fullmatch(r"(-?\d+)\*\*(-?\d+)", s)
+    exponent = re.search(r"[eE]([-+]?[\d_]+)$", s)
     try:
-        if m:
-            return Fraction(int(m.group(1))) ** int(m.group(2))
-        return Fraction(s)
+        if power:
+            base, e = int(power.group(1)), int(power.group(2))
+            # |base|**|e| >= 2**(|e| (bit_length - 1)), which has at least
+            # floor(|e| (bit_length - 1) log10 2) + 1 digits; log10 2 > 0.30102.
+            if abs(e) * (abs(base).bit_length() - 1) * 30102 // 100000 >= limit:
+                raise too_long
+            x = Fraction(base) ** e
+        else:
+            # The mantissa's digits cancel at most len(s) of the exponent's.
+            if exponent and abs(int(exponent.group(1))) > limit + len(s):
+                raise too_long
+            x = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise _ArgError(f"cannot parse rational {text!r}")
+    if max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise too_long
+    return x
 
 
 def parse_psi(text: str) -> PolyFunction:
@@ -143,7 +163,6 @@ def build_profile(args) -> ConstantsProfile:
         ("szemeredi_alpha", parse_rational),
         ("sparse_density", parse_rational),
         ("audit_tuple_cap", int),
-        ("audit_samples", int),
     ):
         val = getattr(args, flag, None)
         if val is not None:
@@ -171,7 +190,6 @@ def _add_profile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--szemeredi-alpha", dest="szemeredi_alpha")
     p.add_argument("--sparse-density", dest="sparse_density")
     p.add_argument("--audit-tuple-cap", dest="audit_tuple_cap", type=int)
-    p.add_argument("--audit-samples", dest="audit_samples", type=int)
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -300,9 +318,7 @@ def _cmd_decompose(args) -> int:
         psi = parse_psi(args.psi)
         h = load_three_graph(sc)
         del sc
-        q, audit, trace = homogeneous_decomposition(
-            h, eta, psi, profile, t=args.t, seed=args.seed
-        )
+        q, audit, trace = homogeneous_decomposition(h, eta, psi, profile, t=args.t)
         ok = audit.homogeneous_mass >= 1 - 2 * eta
         audit_d = _fields(audit, convention="ordered-triples", eta=eta, passes=ok)
         part_counts = [len(p) for p in q.parts]
@@ -331,7 +347,7 @@ def _cmd_cylinder(args) -> int:
     h = load_partite_3graph(sc)
     del sc
     t0 = time.monotonic()
-    p, audit, trace = hyper_cylinder_regularity(h, eta, psi, profile, seed=args.seed)
+    p, audit, trace = hyper_cylinder_regularity(h, eta, psi, profile)
     ok = audit.good_mass >= 1 - eta
     return _report(
         args, digest, t0, _fields(audit, eta=eta, passes=ok), [p.vertex_count, p.edge_count], ok,
@@ -533,7 +549,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--psi", help='rate function "c,k", e.g. "1/16,3"')
     p.add_argument("--eps", help="graph pipeline threshold")
     p.add_argument("--t", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_decompose)
@@ -542,7 +557,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_cylinder)

@@ -284,8 +284,8 @@ class ConstantsProfile:
     strategy: exhaustive enumerates all subsets of the left side and refuses
     (CapacityError) when it has more than ``witness_cap`` vertices, greedy
     thresholds by degree, and auto enumerates up to the cap and thresholds
-    above it.  Audits enumerate tuples exhaustively up to
-    ``audit_tuple_cap`` and fall back to ``audit_samples`` seeded samples.
+    above it.  Audits count tuples exactly up to ``audit_tuple_cap`` and
+    certify a union bound above it (``partitions._tuple_audit``).
     """
 
     name: str
@@ -295,7 +295,6 @@ class ConstantsProfile:
     witness_search: str = "auto"
     witness_cap: int = 16
     audit_tuple_cap: int = 10**6
-    audit_samples: int = 10**4
     cylinder_eta: Fraction | None = None
     szemeredi_alpha: Fraction | None = None
     sparse_density: Fraction | None = None
@@ -305,7 +304,7 @@ class ConstantsProfile:
             raise InvalidStructure("q_gain must be positive")
         for name, low in (
             ("max_steps", 1), ("edge_part_cap", 1), ("witness_cap", 0),
-            ("audit_tuple_cap", 0), ("audit_samples", 1),
+            ("audit_tuple_cap", 0),
         ):
             if getattr(self, name) < low:
                 raise InvalidStructure(f"{name} must be at least {low}")
@@ -895,7 +894,6 @@ def hyper_cylinder_regularity(
     eta: Fraction,
     psi: PolyFunction,
     profile: ConstantsProfile,
-    seed: int = 0,
 ) -> tuple[CylinderChainPartition, CylinderAudit, IterationTrace]:
     """Cylinder chain partition passing the (eta, psi) tuple audit.
 
@@ -917,10 +915,10 @@ def hyper_cylinder_regularity(
         raise InvalidStructure("eta must lie in (0, 1]")
     if profile.is_paper:
         check_paper_schedule(eta, vs.t, psi)
-    cap, samples = profile.audit_tuple_cap, profile.audit_samples
+    cap = profile.audit_tuple_cap
     p = CylinderChainPartition.trivial(vs)
     gain = profile.hyper_gain(eta, vs.t)
-    now = survey_partition(h, p, eta, psi, cap, samples, seed)
+    now = survey_partition(h, p, eta, psi, cap)
     rows: list[TraceRow] = []
     for step in range(profile.max_steps + 1):
         ok = now.audit.good_mass >= 1 - eta
@@ -939,7 +937,7 @@ def hyper_cylinder_regularity(
         )
         if refined is not None:
             p = refined
-            new = survey_partition(h, p, eta, psi, cap, samples, seed)
+            new = survey_partition(h, p, eta, psi, cap)
             if new.q < now.q:
                 raise InvariantViolation("q decreased across an edge refinement")
             if new.q - now.q < gain:
@@ -951,7 +949,7 @@ def hyper_cylinder_regularity(
             # Also when no useful chain had a candidate edge split.
             rows[-1] = replace(rows[-1], action="split-cylinders")
             p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
-            new = survey_partition(h, p, eta, psi, cap, samples, seed)
+            new = survey_partition(h, p, eta, psi, cap)
             if new.q < now.q:
                 raise InvariantViolation("q decreased across a cylinder split")
         now = new
@@ -1086,7 +1084,6 @@ def homogeneous_decomposition(
     profile: ConstantsProfile,
     *,
     t: int | None = None,
-    seed: int = 0,
 ) -> tuple[ChainPartition, HomogeneityAudit, IterationTrace]:
     """Partition V(H) so that most triples see an eta-homogeneous chain.
 
@@ -1116,7 +1113,7 @@ def homogeneous_decomposition(
         )
     hp = partite_from_three_graph(h, equitable_partition(n, t))
     eta_c = profile.cylinder_threshold(eta)
-    p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
+    p, _, tr_hyper = hyper_cylinder_regularity(hp, eta_c, psi, profile)
     qv = venn_diagram(p)
     qfin, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
     audit = homogeneity_audit(h, qfin, eta, psi)
@@ -1314,7 +1311,7 @@ def quasirandom_subset(
     hp = partite_from_three_graph(h, equitable_partition(n, t))
     vs = hp.vertex_set
     eta_c = profile.cylinder_threshold(eta)
-    p, _, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile, seed=seed)
+    p, _, trace = hyper_cylinder_regularity(hp, eta_c, psi, profile)
 
     order = sorted(
         range(len(p.vertex.cylinders)),

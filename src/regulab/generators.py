@@ -18,20 +18,18 @@ ceil(p.numerator * 2^64 / p.denominator); the bias is below 2^-64.  Both
 consume one draw per attempt, so derived instances are stable as long as
 the call sequence is stable.
 
-The bulk draws read the same words in the same order and leave the same
-state: ``accepted(n, p)`` is the indices of the next n ``bernoulli(p)``
-draws that accept, and ``below_each(bounds, count)`` is ``count`` tuples of
-``below(b)`` for b in ``bounds``.  Each runs one local loop against bounds
+The bulk draw ``accepted(n, p)`` reads the same words in the same order
+and leaves the same state as n ``bernoulli(p)`` draws, and gives the
+indices of those that accept.  It runs one local loop against a threshold
 computed once, so the generators draw in runs; ``next_u64``, ``below`` and
-``bernoulli`` stay for single and interleaved draws and are the bulk
-draws' oracles.
+``bernoulli`` stay for single and interleaved draws and are its oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     BipartiteGraph,
@@ -50,16 +48,6 @@ from .core import (
 _MASK64 = (1 << 64) - 1
 
 
-def _rejection_limit(n: int) -> int:
-    """The words ``below(n)`` accepts are those under this limit, 2^64 -
-    2^64 mod n; a bound above 2^64 would reject every word."""
-    if n <= 0:
-        raise InvalidStructure("below() needs a positive bound")
-    if n > 1 << 64:
-        raise InvalidStructure("below() needs a bound of at most 2^64")
-    return (1 << 64) - (1 << 64) % n
-
-
 class SplitMix64:
     """Deterministic 64-bit PRNG (splitmix64), documented above."""
 
@@ -76,8 +64,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection."""
-        limit = _rejection_limit(n)
+        """Uniform integer in [0, n), by rejection of the words at or above
+        2^64 - 2^64 mod n; a bound above 2^64 would reject every word."""
+        if n <= 0:
+            raise InvalidStructure("below() needs a positive bound")
+        if n > 1 << 64:
+            raise InvalidStructure("below() needs a bound of at most 2^64")
+        limit = (1 << 64) - (1 << 64) % n
         while True:
             u = self.next_u64()
             if u < limit:
@@ -105,26 +98,6 @@ class SplitMix64:
                 out.append(i)
         self.state = s
         return out
-
-    def below_each(self, bounds: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
-        """``count`` tuples whose coordinate j is ``below(bounds[j])``, by its
-        rejection of words at or above 2^64 - 2^64 mod b; lazily, and after
-        each tuple the state is the per-draw state."""
-        limits = [(_rejection_limit(b), b) for b in bounds]
-        s = self.state
-        for _ in range(count):
-            x = []
-            for limit, b in limits:
-                while True:
-                    s = (s + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    u = z ^ (z >> 31)
-                    if u < limit:
-                        break
-                x.append(u % b)
-            self.state = s
-            yield tuple(x)
 
     def mask(self, n: int) -> int:
         """Uniform n-bit mask."""

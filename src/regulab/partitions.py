@@ -48,7 +48,9 @@ however many audits, gates or ``q`` evaluations read them.  The cell half
 of the (eta, psi) test has one home, :func:`cells_quasirandom`, and the
 verdict on a located cell chain one more, :func:`cell_chain_passes`.
 The survey reads that verdict once per located chain and counts the good
-tuples of a cylinder from its failing chains, never tuple by tuple.
+tuples of a cylinder from its failing chains, never tuple by tuple; above
+the audit's tuple cap it certifies the union bound one minus the failing
+chains' triangle mass instead.  No audit draws random numbers.
 """
 
 from __future__ import annotations
@@ -881,7 +883,6 @@ class CylinderAudit:
     good_mass: Fraction
     degenerate_mass: Fraction
     mode: str
-    samples: int | None = None
 
 
 def cell_chain_stats(
@@ -1059,8 +1060,6 @@ def survey_partition(
     eta: Fraction,
     psi: PolyFunction,
     cap: int = 10**6,
-    samples: int = 10**4,
-    seed: int = 0,
 ) -> PartitionSurvey:
     """q, the tuple audit and the useful chains of ``p`` from one walk over
     :func:`located_cell_chains`.
@@ -1069,12 +1068,13 @@ def survey_partition(
     triangles and a certificate above eta; ``weight`` is its triangle mass.
     The audit is the mass of tuples whose visible chains all pass
     :func:`cell_chain_passes`, a verdict read once per (masks, parts,
-    cells), so cylinders that share a projection share it; the good tuples
-    are counted from each cylinder's failing chains (:func:`_tuple_audit`).
+    cells), so cylinders that share a projection share it.  Each failing
+    chain is filed under its cylinder and its triangle mass added to
+    ``bad``; :func:`_tuple_audit` reads both.
     """
     if h.vertex_set != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
-    q = mass = Fraction(0)
+    q = mass = bad = Fraction(0)
     useful = []
     verdicts: dict[tuple, bool] = {}
     failing: list[dict[tuple[int, int, int], list]] = [{} for _ in p.vertex.cylinders]
@@ -1092,19 +1092,23 @@ def survey_partition(
             ok = verdicts[key] = cell_chain_passes(h, cyl, ep, parts, combo, eta, psi)
         if not ok:
             failing[ci].setdefault(parts, []).append(cells)
-    audit = _tuple_audit(p.vertex, failing, cap, samples, seed)
+            bad += w * Fraction(tri, size)
+    audit = _tuple_audit(p.vertex, failing, bad, cap)
     return PartitionSurvey(q, audit, tuple(useful), mass)
 
 
-def _tuple_audit(pv, failing, cap: int, samples: int, seed: int) -> CylinderAudit:
-    """The good tuple mass of ``pv`` given each cylinder's failing chains.
+def _tuple_audit(pv, failing, bad: Fraction, cap: int) -> CylinderAudit:
+    """The good tuple mass of ``pv`` given each cylinder's failing chains
+    and their total triangle mass ``bad``.
 
-    Exhaustive below ``cap`` tuples: a cylinder without a failing chain
-    counts its size, any other walks only the parts its failing triples
-    touch (:func:`_good_tuples`); the cylinders partition X_1 x ... x X_t.
-    Above ``cap``, seeded Monte Carlo: each draw is tested against its
-    cylinder's failing chains only, and with none in any cylinder the mass
-    is ``samples/samples`` without a draw.  A projection is a triangle of
+    Exact up to ``cap`` tuples: a cylinder without a failing chain counts
+    its size, any other walks only the parts its failing triples touch
+    (:func:`_good_tuples`); the cylinders partition X_1 x ... x X_t.
+    Above ``cap``, the certified lower bound 1 - ``bad``, mode
+    ``"bounded"``: a tuple's projection on (i, j, k) is a triangle of
+    exactly one located chain of its cylinder, so a failing chain spoils
+    exactly its triangle mass of the tuples, and the spoiled sets, which
+    may overlap, cover at most their sum.  A projection is a triangle of
     its own cells, so ``degenerate_mass`` is always 0.
     """
     vs = pv.vertex_set
@@ -1114,18 +1118,7 @@ def _tuple_audit(pv, failing, cap: int, samples: int, seed: int) -> CylinderAudi
     if space <= cap:
         good = sum(_good_tuples(vs, cyl, fails) for cyl, fails in zip(pv.cylinders, failing))
         return CylinderAudit(Fraction(good, space), Fraction(0), "exhaustive")
-    if not any(failing):
-        return CylinderAudit(Fraction(samples, samples), Fraction(0), "sampled", samples)
-    from .generators import SplitMix64
-
-    good = 0
-    for x in SplitMix64(seed).below_each(vs.sizes, samples):
-        good += not any(
-            (ab[x[i]] >> x[j]) & (ac[x[i]] >> x[k]) & (bc[x[j]] >> x[k]) & 1
-            for (i, j, k), chains in failing[pv.lookup(x)].items()
-            for ab, ac, bc in chains
-        )
-    return CylinderAudit(Fraction(good, samples), Fraction(0), "sampled", samples)
+    return CylinderAudit(max(Fraction(0), 1 - bad), Fraction(0), "bounded")
 
 
 def cylinder_quasirandomness_audit(
@@ -1134,12 +1127,11 @@ def cylinder_quasirandomness_audit(
     eta: Fraction,
     psi: PolyFunction,
     cap: int = 10**6,
-    samples: int = 10**4,
-    seed: int = 0,
 ) -> CylinderAudit:
-    """Mass of tuples whose visible chains are all (eta, psi)-quasirandom:
-    the audit of :func:`survey_partition`."""
-    return survey_partition(h, p, eta, psi, cap, samples, seed).audit
+    """Mass of tuples whose visible chains are all (eta, psi)-quasirandom,
+    or its certified lower bound above ``cap`` tuples: the audit of
+    :func:`survey_partition`."""
+    return survey_partition(h, p, eta, psi, cap).audit
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,45 @@ def test_parse_rational_forms():
         parse_rational("three halves")
 
 
+def test_parse_rational_refuses_more_digits_than_a_report_can_write():
+    """The limit is ``sys.get_int_max_str_digits()`` (4300 by default) on
+    the numerator and the denominator; the power and exponent forms are
+    refused before the value is built, so none of these allocates."""
+    from regulab.cli import _ArgError
+
+    assert parse_rational("2**-14000") == Fraction(1, 2**14000)
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("3**9000") == 3**9000
+    for text in ("2**-15000", "2**-100000000000", "-7**100000000000", "3**9100",
+                 "1e4300", "1e-5000", "1e-100000000000"):
+        with pytest.raises(_ArgError, match="more than 4300 digits"):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["cylinder", "--eta", "2**-15000", "--psi", "1,1"],
+        ["decompose", "--eta", "1/4", "--psi", "1,1", "--q-gain", "2**-15000"],
+        ["decompose", "--eta", "1/4", "--psi", "1,1", "--cylinder-eta", "2**-15000"],
+    ],
+    ids=["cylinder-eta", "decompose-q-gain", "decompose-cylinder-eta"],
+)
+def test_a_rational_past_the_digit_limit_exits_one(flags, tmp_path, capsys):
+    h, out = tmp_path / "p.h3", tmp_path / "r.json"
+    assert run(["generate", "--kind", "partite3", "--parts", "3,3,3", "--out", str(h)]) == 0
+    capsys.readouterr()
+    assert run([flags[0], "--input", str(h), *flags[1:], "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: rational '2**-15000' has more than 4300 digits\n"
+    )
+    assert not out.exists()
+    # 2**-14000 has 4,215 digits: the run and its report go through.
+    assert run(["cylinder", "--input", str(h), "--eta", "2**-14000", "--psi", "1,1",
+                "--output", str(out)]) == 0
+    assert load_report(out.read_text())["audit"]["eta"] == f"1/{2**14000}"
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["analyze", "--input", str(tmp_path / "missing.h3")]) == 1
     bad = tmp_path / "bad.g"
@@ -92,7 +131,7 @@ def test_analyze_beta_gate(tmp_path, capsys):
 def test_decompose_cone_passes(cone_file, tmp_path, capsys):
     out = tmp_path / "dec.json"
     rc = run(["decompose", "--input", str(cone_file), "--eta", "1/4",
-              "--psi", "1,1", "--t", "9", "--seed", "42", "--output", str(out)])
+              "--psi", "1,1", "--t", "9", "--output", str(out)])
     assert rc == 0
     data = load_report(out.read_text())
     validate_report(data)
@@ -104,7 +143,7 @@ def test_decompose_cone_passes(cone_file, tmp_path, capsys):
 
 def test_decompose_reports_are_stable(cone_file, tmp_path, capsys):
     args = ["decompose", "--input", str(cone_file), "--eta", "1/4",
-            "--psi", "1,1", "--t", "9", "--seed", "42"]
+            "--psi", "1,1", "--t", "9"]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(args + ["--output", str(p1)]) == 0
     assert run(args + ["--output", str(p2)]) == 0
@@ -391,8 +430,11 @@ def test_generate_rejects_a_wrong_count_of_sizes(kind, parts, line, tmp_path, ca
         (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "-3"], "--t"),
         (["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
           "--audit-tuple-cap", "-1"], "audit_tuple_cap"),
-        (["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
-          "--audit-tuple-cap", "1", "--audit-samples", "0"], "audit_samples"),
+        pytest.param(
+            ["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
+             "--audit-tuple-cap", "1", "--audit-samples", "10"],
+            "unrecognized arguments: --audit-samples", id="audit-samples-removed",
+        ),
         (["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
           "--edge-part-cap", "0"], "edge_part_cap"),
         (["subset", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
@@ -440,6 +482,14 @@ def test_generate_rejects_a_wrong_count_of_sizes(kind, parts, line, tmp_path, ca
         pytest.param(
             ["subset", "--input", "{tournament}", "--pattern", "{pattern}", "--eps", "1"],
             "eps must lie in (0, 1)", id="rodl-eps-1",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--seed", "42"],
+            "unrecognized arguments: --seed", id="decompose-seed-removed",
+        ),
+        pytest.param(
+            ["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--seed", "1"],
+            "unrecognized arguments: --seed", id="cylinder-seed-removed",
         ),
     ],
 )
@@ -791,49 +841,49 @@ def pinned_inputs(tmp_path_factory):
         ),
         pytest.param(
             ["decompose", "--input", "{t14}", "--eta", "1/4", "--psi", "1,1"], 0, "",
-            "cf660c3406f724311eb7f87cb09d5579e0989cc0ed31427ea1ef0aaf06f18113",
+            "e02e57ac2d39481984705e7af499d891385645994af2b37372503d2cd1d0541a",
             id="decompose-t14",
         ),
         pytest.param(
             ["decompose", "--input", "{t16}", "--eta", "1/4", "--psi", "1,1"], 0, "",
-            "9090bde45ed33149dc0c584ef93cf377d95a5f908df997d0c56e481464fae665",
+            "cc8c238e7e5ea8a999235feb1dd645b5c0dd73a2f6933c8a5c71ba85d845960a",
             id="decompose-t16",
         ),
         pytest.param(
             ["decompose", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1", "--t", "3",
              "--audit-tuple-cap", "10"], 0, "",
-            "3669fee4af4c40bd2a8c3f998ead86c065ead17af0c6fdb36a6bc26867deeb0f",
+            "33d41c13969f9b1b9b522d5a342694672107974af0227cfae55032169d9423a6",
             id="decompose-cone",
         ),
         pytest.param(
             ["decompose", "--input", "{graph30}", "--eps", "1/5"], 2, "",
-            "de133b9e0031d0b812cc3b4064d34be438ec51efc883f0b87efc505ab4e26f1d",
+            "7b375e4bc1c3cd24d007694aff56ca1fc35c54d9f108ae09daa5b8d0e260b61f",
             id="decompose-graph-fails",
         ),
         pytest.param(
             ["cylinder", "--input", "{partite3}", "--eta", "1/4", "--psi", "1,1"], 0, "",
-            "0968bf44780ff47a9434ffd5262b1fc0c768a53a689d21087d2a46100e25923f",
+            "6b04dbc6ced740443b17e411e138020d33cb24600dcf91c7169e181d5fe89276",
             id="cylinder-partite3",
         ),
         pytest.param(
             ["cylinder", "--input", "{cone}", "--eta", "1/4", "--psi", "1,1",
              "--audit-tuple-cap", "10"], 0, "",
-            "99b9d6235d101d16c5da07dcce2ed4d1e61eecebd40112c7fdf23623ef721ce2",
-            id="cylinder-sampled",
+            "2882204a57f474d0978a6d7685476ec26a3b71e2ae39a5d03024f7e08eb007ae",
+            id="cylinder-bounded",
         ),
         pytest.param(
             ["cylinder", "--input", "{link}", "--eta", "1/100", "--psi", "1,1"], 0, "",
-            "0c8e3a7d04c99c115e41fa8f83b74edcc1e6d93aacfbb481854f65c4222db93f",
+            "dd8b5dea3a3121124d834ba8b62703055832f6cd33ba8033c0677dbb069dbe96",
             id="cylinder-link",
         ),
         pytest.param(
             ["subset", "--input", "{t10}", "--eta", "1/4", "--psi", "1,1", "--seed", "2"], 0, "",
-            "d591aa08990fdb5476fc47f610f98cf683eb466fc3e3dad97f5dfd69e3cb8c75",
+            "2a774bb307c59f1d947b30a4d0a0cb22656ea2e44accc23c812c2071f3cc588c",
             id="subset",
         ),
         pytest.param(
             ["subset", "--input", "{t10}", "--pattern", "{pattern}", "--eps", "1/8"], 0, "",
-            "e63ab36c1c9b5dfeaede40b4dd401ea5d0f3fbd2c4b3b4342df51cb1530389f1",
+            "95b2013a657e7a14ffbe5f8bdc9b73d40541de7d8f7a30135f843339dfa89d94",
             id="subset-pattern",
         ),
         pytest.param(
@@ -871,7 +921,7 @@ def test_one_parser_serves_every_run_of_a_process(pinned_inputs, tmp_path, capsy
     """``run`` builds its parser once per process: a usage error and then the
     same good argv twice give the exit codes, stderr lines and report bytes
     of runs on fresh parsers, and the good runs match the pin of
-    ``cylinder-sampled`` above."""
+    ``cylinder-bounded`` above."""
     good = ["cylinder", "--input", pinned_inputs["cone"], "--eta", "1/4", "--psi", "1,1",
             "--audit-tuple-cap", "10"]
     bad = good + ["--bogus"]
@@ -893,7 +943,7 @@ def test_one_parser_serves_every_run_of_a_process(pinned_inputs, tmp_path, capsy
     cached = [once(bad, False), once(good, False), once(good, False)]
     assert cached == fresh + fresh[1:]
     assert fresh[0] == (1, "error: unrecognized arguments: --bogus\n", None)
-    assert fresh[1] == (0, "", "99b9d6235d101d16c5da07dcce2ed4d1e61eecebd40112c7fdf23623ef721ce2")
+    assert fresh[1] == (0, "", "2882204a57f474d0978a6d7685476ec26a3b71e2ae39a5d03024f7e08eb007ae")
     assert _build_parser.cache_info().misses == 1
 
 
@@ -913,7 +963,7 @@ def test_a_pattern_with_pair_edges_exits_one(tmp_path, capsys):
 # Value pools of the argv smoke test: valid values, edge values and junk.
 # "{name}" is one of the test's own tiny input files, "{out}" a writable
 # report path and "{nowhere}" an unwritable one.
-_RATIONALS = ("1/4", "1/2", "1", "2**-6", "0", "3/2", "x")
+_RATIONALS = ("1/4", "1/2", "1", "2**-6", "0", "3/2", "x", "2**-15000")
 _INTS = ("3", "1", "0", "-1")
 _SEEDS = ("0", "1", "7", "-1")
 _TS = ("3", "4", "2", "0")
@@ -930,7 +980,6 @@ _PROFILE_FLAGS = {
     "--szemeredi-alpha": _RATIONALS,
     "--sparse-density": _RATIONALS,
     "--audit-tuple-cap": _INTS,
-    "--audit-samples": _INTS,
 }
 _THREE = ("{tournament}", "{partite3}", "{tournament}", "{graph}", "{malformed}", "{missing}")
 SMOKE_FLAGS = {
@@ -938,9 +987,9 @@ SMOKE_FLAGS = {
                             "{malformed}"),
                 "--mode": ("fast", "naive", "both"), "--beta": _RATIONALS, "--output": _OUTS},
     "decompose": {"--input": _THREE, "--eta": _RATIONALS, "--psi": _PSIS, "--eps": _RATIONALS,
-                  "--t": _TS, "--seed": _SEEDS, "--output": _OUTS},
+                  "--t": _TS, "--output": _OUTS},
     "cylinder": {"--input": ("{partite3}", "{tournament}", "{chain}", "{malformed}"),
-                 "--eta": _RATIONALS, "--psi": _PSIS, "--seed": _SEEDS, "--output": _OUTS},
+                 "--eta": _RATIONALS, "--psi": _PSIS, "--output": _OUTS},
     "vc2": {"--input": _THREE, "--cap-d": _INTS, "--cap-n": ("6", *_INTS), "--output": _OUTS},
     "generate": {"--kind": ("vd", "fd", "cone", "link", "tournament", "partite3", "bipartite",
                             "graph", "half", "multipartite", "chain"),

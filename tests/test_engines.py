@@ -1144,6 +1144,22 @@ def test_hyper_accepts_misaligned_cone():
     assert accepted == audit
 
 
+def test_a_bounded_audit_keeps_the_cone_trace():
+    """On the misaligned t = 9 cone (3^9 tuples), audits bounded at every
+    step (cap 0) give the trace and the partition of exact counts at the
+    default cap, and the accepted bound is at most the exact mass."""
+    from regulab.core import equitable_partition, partite_from_three_graph
+
+    hp = partite_from_three_graph(build_misaligned_cone(), equitable_partition(27, 9))
+    eta_c = Fraction(1, 4) ** 4 / 16
+    p, exact, trace = hyper_cylinder_regularity(hp, eta_c, PSI_ID, DESK)
+    capped = ConstantsProfile.desk(audit_tuple_cap=0)
+    p_b, bounded, trace_b = hyper_cylinder_regularity(hp, eta_c, PSI_ID, capped)
+    assert (exact.mode, bounded.mode) == ("exhaustive", "bounded")
+    assert (p_b, trace_b) == (p, trace)
+    assert bounded.good_mass <= exact.good_mass
+
+
 @pytest.mark.parametrize("n, seed", [(14, 0), (15, 29)])
 def test_the_hyper_loop_walks_each_partition_once(n, seed, monkeypatch):
     """Each partition the hyper loop reaches is surveyed once, and that

@@ -93,25 +93,6 @@ class _CountingStream(SplitMix64):
         return super().next_u64()
 
 
-_BOUNDS = st.lists(
-    st.one_of(st.sampled_from([1, 2, 3, (1 << 63) + 1, 1 << 64]), st.integers(1, 1 << 64)),
-    max_size=6,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_SEEDS, _BOUNDS, st.integers(0, 50))
-def test_below_each_matches_per_draw_below(seed, bounds, count):
-    """Coordinate j of each tuple is below(bounds[j]), the state after each
-    tuple is the per-draw state, and a bound of 2^63 + 1 rejects about half
-    of all words, so the rejection branch runs."""
-    rng, twin = SplitMix64(seed), SplitMix64(seed)
-    for x in rng.below_each(bounds, count):
-        assert x == tuple(twin.below(b) for b in bounds)
-        assert rng.state == twin.state
-    assert rng.state == twin.state
-
-
 def _seed_whose_first_word_is(u: int) -> int:
     """Invert the splitmix64 output mix: each of its steps is a bijection
     of 64-bit words."""
@@ -129,16 +110,21 @@ def _seed_whose_first_word_is(u: int) -> int:
 
 
 @pytest.mark.parametrize("bound", [3, (1 << 63) + 1])
-def test_below_each_rejects_the_word_at_its_limit(bound):
+def test_below_rejects_the_word_at_its_limit(bound):
     """The first word equals the limit 2^64 - 2^64 mod b, the smallest word
-    that below(b) rejects, and the last word below it is accepted."""
+    that below(b) rejects, so the draw is the first later word under the
+    limit, mod b; the last word under the limit is accepted at once."""
     limit = (1 << 64) - (1 << 64) % bound
     for u, rejected in ((limit, True), (limit - 1, False)):
         seed = _seed_whose_first_word_is(u)
-        assert SplitMix64(seed).next_u64() == u
-        rng, twin = SplitMix64(seed), _CountingStream(seed)
-        assert list(rng.below_each((bound,), 1)) == [(twin.below(bound),)]
-        assert rng.state == twin.state and (twin.words > 1) == rejected
+        words = SplitMix64(seed)
+        assert words.next_u64() == u
+        spent = 1
+        while u >= limit:
+            u, spent = words.next_u64(), spent + 1
+        rng = _CountingStream(seed)
+        assert (rng.below(bound), rng.words) == (u % bound, spent)
+        assert (spent > 1) == rejected
 
 
 def test_bulk_draws_check_their_arguments():
@@ -146,8 +132,6 @@ def test_bulk_draws_check_their_arguments():
     for p in (Fraction(-1, 3), Fraction(4, 3)):
         with pytest.raises(InvalidStructure):
             rng.accepted(3, p)
-    with pytest.raises(InvalidStructure):
-        list(rng.below_each((2, 0), 1))
     assert rng.state == 1
 
 
@@ -156,8 +140,6 @@ def test_below_refuses_a_bound_above_2_to_the_64():
     would be accepted; the bound 2^64 itself accepts every word."""
     with pytest.raises(InvalidStructure, match="at most 2\\^64"):
         SplitMix64(0).below((1 << 64) + 1)
-    with pytest.raises(InvalidStructure, match="at most 2\\^64"):
-        next(SplitMix64(0).below_each([3, (1 << 64) + 1], 1))
     with pytest.raises(InvalidStructure, match="positive bound"):
         SplitMix64(0).below(0)
     rng, twin = SplitMix64(0), SplitMix64(0)

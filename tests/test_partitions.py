@@ -498,8 +498,9 @@ def test_cylinder_audit_modes():
     audit = cylinder_quasirandomness_audit(h, p, Fraction(1, 4), psi)
     assert audit.mode == "exhaustive"
     assert 0 <= audit.good_mass <= 1
-    sampled = cylinder_quasirandomness_audit(h, p, Fraction(1, 4), psi, cap=1, samples=50)
-    assert sampled.mode == "sampled" and sampled.samples == 50
+    bounded = cylinder_quasirandomness_audit(h, p, Fraction(1, 4), psi, cap=1)
+    assert bounded.mode == "bounded"
+    assert 0 <= bounded.good_mass <= audit.good_mass
 
 
 def test_cell_chain_evaluator_warm_equals_cold():
@@ -656,7 +657,7 @@ def test_tuple_audit_reads_each_located_chain_once(monkeypatch):
         for eta, psi in THRESHOLDS:
             for cap in (10**6, 1):
                 keys.clear()
-                cylinder_quasirandomness_audit(h, p, eta, psi, cap, 20, seed)
+                cylinder_quasirandomness_audit(h, p, eta, psi, cap)
                 assert keys and len(keys) == len(set(keys))
         assert h.index.cell_chains == stored
 
@@ -702,23 +703,20 @@ def _scan_container(pv: VertexCylinderPartition, cyl: VertexCylinder) -> int | N
     return None
 
 
-def _literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
-    """The tuple audit written out: every tuple of X_1 x ... x X_t (above
-    ``cap``, the audit's seeded draws), its cylinder found by scanning the
-    masks, and for each part triple the cells holding its three edges, cut
-    out by extract_cell_chain and judged by eta_psi_check with the naive
-    kernels."""
+def _literal_audit(h, p, eta, psi) -> tuple[Fraction, Fraction]:
+    """The tuple audit written out: every tuple of X_1 x ... x X_t, its
+    cylinder found by scanning the masks, and for each part triple the
+    cells holding its three edges, cut out by extract_cell_chain and judged
+    by eta_psi_check with the naive kernels.  Gives the good tuple mass and
+    the union bound max(0, 1 - (failing part triples summed over the
+    tuples) / space)."""
     vs = h.vertex_set
-    if prod(vs.sizes) <= cap:
-        tuples = list(product(*(range(s) for s in vs.sizes)))
-    else:
-        rng = SplitMix64(seed)
-        tuples = [tuple(rng.below(s) for s in vs.sizes) for _ in range(samples)]
-    good = 0
-    for locals_ in tuples:
+    space = prod(vs.sizes)
+    good = spoiled = 0
+    for locals_ in product(*(range(s) for s in vs.sizes)):
         c = _scan_lookup(p.vertex, locals_)
         cyl, ep = p.vertex.cylinders[c], p.edges[c]
-        ok = True
+        fails = 0
         for i, j, k in combinations(range(vs.t), 3):
             cells = tuple(
                 next(cell for cell in ep.pair(a, b).cells if cell[locals_[a]] >> locals_[b] & 1)
@@ -726,11 +724,10 @@ def _literal_audit(h, p, eta, psi, cap, samples, seed) -> Fraction:
             )
             masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
             chain = extract_cell_chain(h, masks, (i, j, k), cells)
-            if not eta_psi_check(chain, eta, psi, mode="naive"):
-                ok = False
-                break
-        good += ok
-    return Fraction(good, len(tuples))
+            fails += not eta_psi_check(chain, eta, psi, mode="naive")
+        good += fails == 0
+        spoiled += fails
+    return Fraction(good, space), max(Fraction(0), 1 - Fraction(spoiled, space))
 
 
 def _with_empty_cylinder(p: CylinderChainPartition) -> CylinderChainPartition:
@@ -779,15 +776,18 @@ def _with_parity_cells(p: CylinderChainPartition, carriers) -> CylinderChainPart
     ids=["t3", "t4", "t5", "t6"],
 )
 def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
-    """Exhaustive and sampled audits equal the literal walk, on random
+    """Exhaustive and bounded audits equal the literal walk, on random
     cylinder chain partitions with an empty cylinder, for both (eta, psi)
     pairs and for ALL_PASS on the same cylinders with complete cells, where
-    the mass is 1; no tuple is degenerate.  In t6 only the ``carriers``
-    part triples hold hyperedges and only their pairs have two cells, so
-    the failing chains touch parts 0, 1, 3 and 5, and parts 2 and 4 are
-    free."""
+    the mass is 1 in both modes; no tuple is degenerate.  The bound is at
+    most the exact mass.  At t = 3 a tuple has one part triple, so failing
+    chains never overlap and the bound is exact; from t = 4 on it falls
+    below the exact mass on some instance and equals it on another.  In
+    t6 only the ``carriers`` part triples hold hyperedges and only their
+    pairs have two cells, so the failing chains touch parts 0, 1, 3 and 5,
+    and parts 2 and 4 are free."""
     masses = set()
-    samples = 40
+    gaps = set()
     for seed in range(2):
         h = random_partite_3graph(sizes, Fraction(1, 2), seed=80 + seed)
         vs = h.vertex_set
@@ -800,15 +800,20 @@ def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
         runs = [(p, eta, psi) for eta, psi in THRESHOLDS]
         runs.append((_with_complete_cells(p), *ALL_PASS))
         for q, eta, psi in runs:
-            for mode, cap in (("exhaustive", prod(sizes)), ("sampled", prod(sizes) - 1)):
-                audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap, samples, seed)
+            exact, bound = _literal_audit(h, q, eta, psi)
+            assert bound <= exact
+            gaps.add(bound < exact)
+            for mode, cap, want in (("exhaustive", prod(sizes), exact),
+                                    ("bounded", prod(sizes) - 1, bound)):
+                audit = cylinder_quasirandomness_audit(h, q, eta, psi, cap)
                 assert audit.mode == mode
-                assert audit.good_mass == _literal_audit(h, q, eta, psi, cap, samples, seed)
+                assert audit.good_mass == want
                 assert audit.degenerate_mass == 0
                 if (eta, psi) == ALL_PASS:
                     assert audit.good_mass == 1
                 masses.add(audit.good_mass)
     assert len(masses) > 2 and any(0 < m < 1 for m in masses)
+    assert gaps == ({False} if len(sizes) == 3 else {True, False})
 
 
 def test_an_empty_part_passes_both_verdicts():
