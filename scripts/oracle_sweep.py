@@ -91,6 +91,7 @@ from regulab.quasirandom import (
 THRESHOLDS = (
     (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
     (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
+    (Fraction(1, 16), PolyFunction(Fraction(1, 3), 3)),
 )
 # Under eta = 1 every located chain of a partition with complete cells
 # passes: a complete cell's certificate is 0.
@@ -291,8 +292,8 @@ def literal_audit(h, p, eta, psi) -> tuple[Fraction, Fraction]:
 
 def audits_match(h, p) -> int:
     """Tuple audits of ``p`` that differ from the literal walk, exact at
-    the cap ``space`` and bounded at ``space - 1``, over both (eta, psi)
-    pairs, and under ALL_PASS on ``p``'s cylinders with complete cells,
+    the cap ``space`` and bounded at ``space - 1``, over every (eta, psi)
+    pair, and under ALL_PASS on ``p``'s cylinders with complete cells,
     where the mass must be 1; a bound above the exact mass counts too.
     Each audit's survey must also hold q by ``q_partition``'s naive mode
     and, in walk order, the located chains with triangles and a
@@ -306,9 +307,10 @@ def audits_match(h, p) -> int:
     for q, (eta, psi) in [(p, th) for th in THRESHOLDS] + [(complete, ALL_PASS)]:
         q_naive = q_partition(h, q, "naive")
         useful = tuple(
-            (ci, parts, combo, cells, cert, w * Fraction(tri, size))
-            for ci, w, size, _, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, q)
+            (ci, parts, combo, cells, cert, q.vertex.cylinders[ci].weight(vs) * Fraction(tri, size))
+            for ci, _, masks, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, q)
             if tri > 0 and cert > eta
+            for size in [prod(m.bit_count() for m in masks)]
         )
         mass = sum(row[-1] for row in useful)
         exact, bound = literal_audit(h, q, eta, psi)

@@ -5,9 +5,11 @@ part 1 the next s1 indices, and so on.  Adjacency is kept as row bitmasks
 over *local* indices (global index minus the part offset), so neighborhood
 intersections are single-word AND+popcount operations at desk scale.
 
-Every density on a tested path is a fractions.Fraction; counts are plain
-Python ints.  The 0/0 = 0 convention for relative densities lives in
-:func:`ratio` and nowhere else.
+Every density that reaches a report is a fractions.Fraction; counts are
+plain Python ints.  The 0/0 = 0 convention for relative densities lives in
+:func:`ratio`, and in the one integer verdict that never builds a density,
+``partitions.cells_quasirandom``.  :func:`fraction_sum` divides integer
+numerators once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
+from math import lcm
 from operator import eq, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -59,6 +62,17 @@ def ratio(num: int, den: int) -> Fraction:
             return Fraction(0)
         raise DensityUndefined(f"{num}/0 has no value")
     return Fraction(num, den)
+
+
+def fraction_sum(by_den: Mapping[int, int], scale: int) -> Fraction:
+    """The sum over d of by_den[d] / (d * scale), as one fraction.
+
+    Terms are summed as integer numerators over the lcm of the (positive)
+    denominators, and the sum is divided once."""
+    if not by_den:
+        return Fraction(0)
+    den = lcm(*by_den)
+    return Fraction(sum(num * (den // d) for d, num in by_den.items()), den * scale)
 
 
 def bits(mask: int) -> Iterator[int]:

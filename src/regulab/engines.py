@@ -41,6 +41,7 @@ from .core import (
     ThreeGraph,
     bits,
     equitable_partition,
+    fraction_sum,
     partite_from_graph,
     partite_from_three_graph,
     product_density,
@@ -986,20 +987,31 @@ def szemeredi_multi(
         return q0, IterationTrace((TraceRow(0, Fraction(0), 0, 0, Fraction(0), "accept", "pairs"),))
     l_bound = q0.edge_cell_count
 
+    an, ad = alpha.numerator, alpha.denominator
+
     def walk(q: ChainPartition):
-        """(index, same-part mass, bad mass, bad cells in sorted pair order)."""
-        same = sum(Fraction(len(part), n) ** 2 for part in q.parts)
-        audit = same <= alpha / 2
-        index, bad, bad_cells = Fraction(0), same, []
+        """(index, same-part mass, bad mass, bad cells in sorted pair order).
+
+        A pair (a, b) of area |a| |b| has mass 2 |a| |b| / n^2, so a cell of
+        e edges adds 2 e^3 / (n^2 area^2) to the index and 2 e / n^2 to the
+        bad mass.  Both are integer sums divided once, and certificates meet
+        alpha by cross-multiplying."""
+        same = Fraction(sum(len(part) ** 2 for part in q.parts), n * n)
+        audit = 2 * same.numerator * ad <= an * same.denominator
+        cubes: dict[int, int] = {}  # per area^2: twice the sum of e^3
+        bad_edges, bad_cells = 0, []
         for (a, b), pp in sorted(q.pairs.items()):
-            pair_mass = Fraction(2 * len(q.parts[a]) * len(q.parts[b]), n * n)
-            certs = pp.certificates if audit else ()
-            for idx, d in enumerate(pp.densities):
-                index += pair_mass * d * d * d
-                if audit and certs[idx] > alpha:
-                    bad += pair_mass * d
-                    bad_cells.append((a, b, idx))
-        return index, same, bad, bad_cells
+            counts = pp.edge_counts
+            if any(counts):
+                key = pp.area * pp.area
+                cubes[key] = cubes.get(key, 0) + 2 * sum(e * e * e for e in counts)
+            if audit:
+                for idx, (num, den) in enumerate(pp.certificate_terms):
+                    if num * ad > an * den:
+                        bad_edges += counts[idx]
+                        bad_cells.append((a, b, idx))
+        bad = same + Fraction(2 * bad_edges, n * n)
+        return fraction_sum(cubes, n * n), same, bad, bad_cells
 
     qp = q0
     index, same, bad, bad_cells = walk(qp)
@@ -1118,11 +1130,14 @@ def homogeneous_decomposition(
     qfin, tr_pairs = szemeredi_multi(qv, alpha_s, profile)
     audit = homogeneity_audit(h, qfin, eta, psi)
     zeta = profile.sparse_density if profile.sparse_density is not None else eta * eta / 16
-    sparse = Fraction(0)
-    for (a, b), pp in qfin.pairs.items():
-        pair_mass = Fraction(2 * len(qfin.parts[a]) * len(qfin.parts[b]), n * n)
-        sparse += sum(pair_mass * d for d in pp.densities if 0 < d <= zeta)
-    audit = replace(audit, sparse_pair_mass=sparse)
+    # A cell of e edges in a pair of area |a| |b| has pair mass 2 e / n^2.
+    sparse = sum(
+        e
+        for pp in qfin.pairs.values()
+        for e in pp.edge_counts
+        if 0 < e and e * zeta.denominator <= zeta.numerator * pp.area
+    )
+    audit = replace(audit, sparse_pair_mass=Fraction(2 * sparse, n * n))
     return qfin, audit, tr_hyper.extend(tr_pairs)
 
 
@@ -1326,7 +1341,7 @@ def quasirandom_subset(
         pick: dict[tuple[int, int], int] = {}
         for (i, j) in combinations(range(t), 2):
             pp = ep.pair(i, j)
-            best = max(range(pp.cell_count), key=lambda idx: (pp.densities[idx], -idx))
+            best = max(range(pp.cell_count), key=lambda idx: (pp.edge_counts[idx], -idx))
             pick[(i, j)] = best
         # The tuple audit's verdict on each part triple's densest cell chain.
         if all(

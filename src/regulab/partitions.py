@@ -42,15 +42,21 @@ gate and :func:`survey_partition` read it; the engine reads each cylinder
 chain partition through that one walk over its located cell chains, which
 gives its q, its tuple audit and its useful (non-quasirandom) chains.
 
-Per-cell facts live on their :class:`PairPartition`: the cached ``labels``
-table, ``densities`` and ``certificates``, computed once per partition
-however many audits, gates or ``q`` evaluations read them.  The cell half
-of the (eta, psi) test has one home, :func:`cells_quasirandom`, and the
-verdict on a located cell chain one more, :func:`cell_chain_passes`.
-The survey reads that verdict once per located chain and counts the good
-tuples of a cylinder from its failing chains, never tuple by tuple; above
-the audit's tuple cap it certifies the union bound one minus the failing
-chains' triangle mass instead.  No audit draws random numbers.
+Per-cell facts live on their :class:`PairPartition` as integers: the
+cached ``labels`` table, the ``area``, each cell's ``edge_counts`` and its
+pair certificate's ``certificate_terms`` (numerator, denominator),
+computed once per partition however many audits, gates or ``q``
+evaluations read them.  The cell half of the (eta, psi) test has one home,
+:func:`cells_quasirandom`, and the verdict on a located cell chain one
+more, :func:`cell_chain_passes`; both decide by cross-multiplying
+integers, and no fraction is built per chain.  The survey reads that
+verdict once per located chain, sums q and the masses as integer
+numerators over the tuple space, and counts the good tuples of a cylinder
+from its failing chains, never tuple by tuple; above the audit's tuple
+cap it certifies the union bound one minus the failing chains' triangle
+mass instead.  No audit draws random numbers.  The fraction forms stay as
+the naive oracles: ``q_partition``'s naive mode and
+``quasirandom.eta_psi_check``.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from .core import (
     PartiteVertexSet,
     ThreeGraph,
     bits,
+    fraction_sum,
     partite_from_three_graph,
     ratio,
     relative_density,
@@ -304,18 +311,26 @@ class PairPartition:
         return tuple(map(tuple, lab))
 
     @cached_property
-    def densities(self) -> tuple[Fraction, ...]:
-        """Density of each cell on the masked sides."""
-        area = self.left_mask.bit_count() * self.right_mask.bit_count()
-        return tuple(ratio(sum(row.bit_count() for row in cell), area) for cell in self.cells)
+    def area(self) -> int:
+        """Edges of the complete host on the masked sides; a cell's density
+        is its edge count over this, 0/0 = 0."""
+        return self.left_mask.bit_count() * self.right_mask.bit_count()
 
     @cached_property
-    def certificates(self) -> tuple[Fraction, ...]:
-        """Pair certificate value of each cell on the masked sides."""
+    def edge_counts(self) -> tuple[int, ...]:
+        """Edge count of each cell (cells lie inside the masks)."""
+        return tuple(sum(row.bit_count() for row in cell) for cell in self.cells)
+
+    @cached_property
+    def certificate_terms(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of each cell's pair certificate value on
+        the masked sides, in lowest terms."""
         left = [x for x in range(self.left_size) if self.left_mask >> x & 1]
-        return tuple(
-            masked_pair_quasirandomness(cell, left, self.right_mask).value for cell in self.cells
-        )
+        out = []
+        for cell in self.cells:
+            value = masked_pair_quasirandomness(cell, left, self.right_mask).value
+            out.append((value.numerator, value.denominator))
+        return tuple(out)
 
     def restrict(self, left_mask: int, right_mask: int) -> "PairPartition":
         """Restriction to sub-masks; empty cells dropped."""
@@ -590,19 +605,22 @@ def q_edge_partition(c: Chain, pe: EdgePartition, mode: str = "fast") -> Fractio
 
 def q_partition(h: PartiteThreeGraph, p: CylinderChainPartition, mode: str = "fast") -> Fraction:
     """Weight-averaged q over all cylinders; bounded by C(t, 3).  ``fast``
-    sums w * tri / size, a located chain's triangle mass, times d^2 =
-    (hyp / tri)^2; ``naive`` runs :func:`q_cell_chain` on each cylinder."""
+    sums a located chain's triangle mass rest * tri / space times d^2 =
+    (hyp / tri)^2, as integer numerators per triangle count divided once
+    (``core.fraction_sum``); ``naive`` runs :func:`q_cell_chain` on
+    each cylinder in fractions."""
     vs = h.vertex_set
     if p.vertex.vertex_set != vs:
         raise InvalidStructure("partition and hypergraph disagree on parts")
-    out = Fraction(0)
     if mode == "fast":
-        for _, w, size, *_, (tri, hyp, _) in located_cell_chains(h, p):
+        by_tri: dict[int, int] = {}
+        for _, rest, *_, (tri, hyp, _) in located_cell_chains(h, p):
             if hyp:
-                out += w * Fraction(hyp * hyp, tri * size)
-        return out
+                by_tri[tri] = by_tri.get(tri, 0) + rest * hyp * hyp
+        return fraction_sum(by_tri, prod(vs.sizes))
     if mode != "naive":
         raise InvalidStructure(f"unknown mode {mode!r}")
+    out = Fraction(0)
     for cyl, ep in zip(p.vertex.cylinders, p.edges):
         w = cyl.weight(vs)
         if w == 0:
@@ -797,9 +815,27 @@ def cells_quasirandom(
     Cell ``combo[n]`` of ``pps[n]`` must be psi(delta)-quasirandom for
     every n, delta being the product of the cells' densities.  The chain
     half, certificate <= eta, is read from :func:`cell_chain_stats`.
+
+    In integers: delta = E / A, E the product of the cells' edge counts and
+    A of their pairs' areas.  A = 0 gives delta = 0/0 = 0, where only a
+    zero certificate passes.  Otherwise each cell holds at most its area,
+    so delta <= 1 and psi(delta) = min(c delta^k, delta) = c delta^k (c <= 1
+    and k >= 1), and a certificate N / D passes iff N cd A^k <= cn E^k D
+    for c = cn / cd.
     """
-    thresh = psi(prod(pp.densities[idx] for pp, idx in zip(pps, combo)))
-    return all(pp.certificates[idx] <= thresh for pp, idx in zip(pps, combo))
+    e = a = 1
+    for pp, idx in zip(pps, combo):
+        e *= pp.edge_counts[idx]
+        a *= pp.area
+    if not a:
+        return all(pp.certificate_terms[idx][0] == 0 for pp, idx in zip(pps, combo))
+    c, k = psi.c, psi.k
+    lhs, rhs = c.denominator * a**k, c.numerator * e**k
+    for pp, idx in zip(pps, combo):
+        n, d = pp.certificate_terms[idx]
+        if n * lhs > rhs * d:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -849,6 +885,7 @@ def homogeneity_audit(
         return HomogeneityAudit(gamma, one, one, one, Fraction(0), Fraction(0))
 
     hp = partite_from_three_graph(h, q.parts)
+    gn, gd = gamma.numerator, gamma.denominator
     hom_num = qr_num = crossing = 0
     for pa, pb, pc in itertools.combinations(range(len(q.parts)), 3):
         crossing += 6 * len(q.parts[pa]) * len(q.parts[pb]) * len(q.parts[pc])
@@ -859,8 +896,9 @@ def homogeneity_audit(
             hp.zmasks(pa, pb, pc),
         )
         for combo, t_cnt in tri.items():
-            d = ratio(hyp.get(combo, 0), t_cnt)
-            if d <= gamma or d >= 1 - gamma:
+            # d = hyp / t_cnt against the windows [0, gamma] and [1 - gamma, 1].
+            scaled = hyp.get(combo, 0) * gd
+            if scaled <= gn * t_cnt or scaled >= (gd - gn) * t_cnt:
                 hom_num += 6 * t_cnt
             if psi is not None and cells_quasirandom(pps, combo, psi):
                 qr_num += 6 * t_cnt
@@ -912,25 +950,28 @@ def cell_chain_stats(
 
 
 def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
-    """(ci, w, size, masks, parts, combo, cells, stats) of every located cell
-    chain of ``p``'s positive-weight cylinders: cylinders, then part triples,
-    then cell combinations.  ``w`` is the cylinder's weight, ``masks`` its
-    masks on ``parts``, ``size`` = |m_i| |m_j| |m_k| and ``stats`` the
-    :func:`cell_chain_stats` triple."""
+    """(ci, rest, masks, parts, combo, cells, stats) of every located cell
+    chain of ``p``'s non-empty cylinders: cylinders, then part triples, then
+    cell combinations.  ``masks`` are the cylinder's masks on ``parts``,
+    ``rest`` the product of its other masks' sizes and ``stats`` the
+    :func:`cell_chain_stats` triple.  The chain's triangle mass, the share
+    of the tuple space whose projection on ``parts`` is one of its
+    triangles, is rest * triangles / |X_1 x ... x X_t|."""
     vs = h.vertex_set
     for ci, (cyl, ep) in enumerate(zip(p.vertex.cylinders, p.edges)):
-        w = cyl.weight(vs)
-        if w == 0:
+        sizes = cyl.sizes()
+        if not all(sizes):
             continue
+        volume = prod(sizes)
         for parts in itertools.combinations(range(vs.t), 3):
             i, j, k = parts
             pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
             masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            size = masks[0].bit_count() * masks[1].bit_count() * masks[2].bit_count()
+            rest = volume // (sizes[i] * sizes[j] * sizes[k])
             combos = itertools.product(*(range(pp.cell_count) for pp in pps))
             for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
                 stats = cell_chain_stats(h, masks, parts, cells)
-                yield ci, w, size, masks, parts, combo, cells, stats
+                yield ci, rest, masks, parts, combo, cells, stats
 
 
 def extract_cell_chain(
@@ -987,7 +1028,8 @@ def cell_chain_passes(
 
     ``combo`` indexes cells of ``ep``'s (i, j), (i, k) and (j, k) pairs,
     ``parts`` = (i, j, k).  The cells must pass :func:`cells_quasirandom`;
-    only then is the chain certificate read and compared with eta.
+    only then is the chain certificate read and compared with eta, by
+    cross-multiplying.
     """
     i, j, k = parts
     pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
@@ -995,7 +1037,8 @@ def cell_chain_passes(
         return False
     masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
     cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
-    return cell_chain_stats(h, masks, parts, cells)[2] <= eta
+    cert = cell_chain_stats(h, masks, parts, cells)[2]
+    return cert.numerator * eta.denominator <= eta.numerator * cert.denominator
 
 
 def _good_tuples(vs: PartiteVertexSet, cyl: VertexCylinder, fails) -> int:
@@ -1070,21 +1113,26 @@ def survey_partition(
     :func:`cell_chain_passes`, a verdict read once per (masks, parts,
     cells), so cylinders that share a projection share it.  Each failing
     chain is filed under its cylinder and its triangle mass added to
-    ``bad``; :func:`_tuple_audit` reads both.
+    ``bad``; :func:`_tuple_audit` reads both.  Every mass is an integer
+    numerator over the tuple space until the walk ends, and certificates
+    meet eta by cross-multiplying, so the walk builds a fraction only for
+    a useful chain's weight.
     """
     if h.vertex_set != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
-    q = mass = bad = Fraction(0)
+    space = prod(h.vertex_set.sizes)
+    en, ed = eta.numerator, eta.denominator
+    mass = bad = 0
+    by_tri: dict[int, int] = {}
     useful = []
     verdicts: dict[tuple, bool] = {}
     failing: list[dict[tuple[int, int, int], list]] = [{} for _ in p.vertex.cylinders]
-    for ci, w, size, masks, parts, combo, cells, (tri, hyp, cert) in located_cell_chains(h, p):
+    for ci, rest, masks, parts, combo, cells, (tri, hyp, cert) in located_cell_chains(h, p):
         if hyp:
-            q += w * Fraction(hyp * hyp, tri * size)
-        if tri and cert > eta:
-            weight = w * Fraction(tri, size)
-            useful.append((ci, parts, combo, cells, cert, weight))
-            mass += weight
+            by_tri[tri] = by_tri.get(tri, 0) + rest * hyp * hyp
+        if tri and cert.numerator * ed > en * cert.denominator:
+            useful.append((ci, parts, combo, cells, cert, Fraction(rest * tri, space)))
+            mass += rest * tri
         key = (masks, parts, cells)
         ok = verdicts.get(key)
         if ok is None:
@@ -1092,9 +1140,10 @@ def survey_partition(
             ok = verdicts[key] = cell_chain_passes(h, cyl, ep, parts, combo, eta, psi)
         if not ok:
             failing[ci].setdefault(parts, []).append(cells)
-            bad += w * Fraction(tri, size)
-    audit = _tuple_audit(p.vertex, failing, bad, cap)
-    return PartitionSurvey(q, audit, tuple(useful), mass)
+            bad += rest * tri
+    audit = _tuple_audit(p.vertex, failing, ratio(bad, space), cap)
+    q = fraction_sum(by_tri, space)
+    return PartitionSurvey(q, audit, tuple(useful), ratio(mass, space))
 
 
 def _tuple_audit(pv, failing, bad: Fraction, cap: int) -> CylinderAudit:

@@ -18,7 +18,8 @@ hypergraph is certified without being copied out;
 Per pair of x rows it makes one AND and one popcount for each of the five
 weight classes u^k v^(4-k) of the deviation product, over z-masks packed
 side by side at a shift of at least the z mask's bit length, and it tallies
-the class counts so that each distinct count vector is weighed once.
+the class counts so that each distinct count vector is weighed once.  It
+builds its certificate's three fractions straight from integer counts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
     MultipartiteGraph,
     bits,
     product_density,
-    ratio,
     relative_density,
 )
 
@@ -355,7 +355,11 @@ def masked_chain_quasirandomness(
     only the three plane popcounts.  A pair's term is the square of
     sum_k n_k u^k v^(4-k) over its class counts n_k; the count vectors are
     tallied and each distinct one weighed once.  The normalizer is the
-    chain's, from the pair densities on the masks.
+    chain's, from the pair densities on the masks.  The raw sum, the
+    normalizer and the value are each one fraction of integers: with
+    vol = n0 n1 n2 and dens the product of the three pair edge counts,
+    the density product is dens / vol^2, the normalizer dens^4 / vol^6 and
+    the value total vol^6 / (q^8 dens^4).
     """
     rows_ab, rows_ac, rows_bc = rows
     mask_x, mask_y, mask_z = masks
@@ -431,9 +435,14 @@ def masked_chain_quasirandomness(
         for (k4, k3, k2, k1, k0), pairs in tally.items():
             s = w4 * k4 + w3 * k3 + w2 * k2 + w1 * k1 + w0 * k0
             total += times * pairs * s * s
-    raw = Fraction(total, q**8) if q else Fraction(0)
-    dprod = ratio(e_ab, n0 * n1) * ratio(e_ac, n0 * n2) * ratio(e_bc, n1 * n2)
-    return q, p, _chain_certificate(raw, dprod, n0 * n1 * n2)
+    q8 = q**8
+    raw = Fraction(total, q8) if q else Fraction(0)
+    vol, dens = n0 * n1 * n2, e_ab * e_ac * e_bc
+    if not dens:
+        return q, p, _chain_certificate(raw, Fraction(0), vol)
+    vol6, dens4 = vol**6, dens**4
+    value = Fraction(total * vol6, q8 * dens4) if q else Fraction(0)
+    return q, p, QuasirandomnessCertificate(raw, Fraction(dens4, vol6), value, False)
 
 
 def chain_quasirandomness(c: Chain, mode: str = "fast") -> QuasirandomnessCertificate:

@@ -1107,9 +1107,9 @@ def test_szemeredi_size_then_witness_phase(max_steps):
 
 def test_szemeredi_walks_each_partition_once(monkeypatch):
     """Each partition the pair loop reaches is walked once: every pair's
-    densities are read once, and its certificates once if the partition
-    reaches the audit and never if it is only size-split."""
-    reads = {name: {} for name in ("densities", "certificates")}
+    edge counts are read once, and its certificate terms once if the
+    partition reaches the audit and never if it is only size-split."""
+    reads = {name: {} for name in ("edge_counts", "certificate_terms")}
     for name, seen in reads.items():
         cached = PairPartition.__dict__[name]
 
@@ -1121,10 +1121,42 @@ def test_szemeredi_walks_each_partition_once(monkeypatch):
     _, trace = szemeredi_multi(_checkerboard_chain_partition(), Fraction(1, 20), DESK)
     assert [row.action for row in trace.rows] == ["split-sizes", "refine-pairs", "accept"]
     audited = [row for row in trace.rows if row.action != "split-sizes"]
-    assert {count for _, count in reads["densities"].values()} == {1}
-    assert {count for _, count in reads["certificates"].values()} == {1}
-    assert len(reads["densities"]) == sum(comb(row.vertex_count, 2) for row in trace.rows)
-    assert len(reads["certificates"]) == sum(comb(row.vertex_count, 2) for row in audited)
+    assert {count for _, count in reads["edge_counts"].values()} == {1}
+    assert {count for _, count in reads["certificate_terms"].values()} == {1}
+    assert len(reads["edge_counts"]) == sum(comb(row.vertex_count, 2) for row in trace.rows)
+    assert len(reads["certificate_terms"]) == sum(comb(row.vertex_count, 2) for row in audited)
+
+
+@pytest.mark.parametrize(
+    "count, alpha, action, bad",
+    [
+        (40, Fraction(1, 16), "accept", Fraction(1, 40)),
+        (40, Fraction(1, 16) - Fraction(1, 10**9), "refine-pairs", Fraction(1)),
+        (32, Fraction(1, 16), "accept", Fraction(1, 32)),
+        (32, Fraction(1, 16) - Fraction(1, 10**9), "split-sizes", Fraction(1, 32)),
+    ],
+)
+def test_szemeredi_ties_at_alpha(count, alpha, action, bad):
+    """Parts of two whose pairs hold 2x2 identity cells, each of certificate
+    1/16: a certificate equal to alpha passes the pair audit and one above
+    it fails, and a same-part mass equal to alpha/2 reaches the audit and
+    one above it splits sizes.  The first row's index and bad mass equal
+    the walk written in fractions."""
+    q0 = _complete_chain_partition((2,) * count, lambda x, y: (x ^ y) & 1)
+    try:
+        _, trace = szemeredi_multi(q0, alpha, DESK)
+    except EngineError as exc:
+        trace = exc.trace
+    row = trace.rows[0]
+    assert (row.action, row.useful_mass) == (action, bad)
+    n = q0.n
+    index = sum(
+        Fraction(2 * area, n * n) * Fraction(sum(r.bit_count() for r in cell), area) ** 3
+        for (a, b), pp in q0.pairs.items()
+        for area in [len(q0.parts[a]) * len(q0.parts[b])]
+        for cell in pp.cells
+    )
+    assert row.q == index
 
 
 def test_hyper_accepts_misaligned_cone():

@@ -15,6 +15,7 @@ from regulab.core import (
     PartiteThreeGraph,
     PartiteVertexSet,
     ThreeGraph,
+    ratio,
     relative_density,
     restrict_chain,
     triangle_count,
@@ -39,6 +40,7 @@ from regulab.partitions import (
     VertexCylinderPartition,
     cell_chain_passes,
     cells_by_label,
+    cells_quasirandom,
     common_refinement,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
@@ -66,10 +68,11 @@ from regulab.quasirandom import (
 )
 from conftest import random_small_chain
 
-# The two (eta, psi) pairs of scripts/oracle_sweep.py.
+# The (eta, psi) pairs of scripts/oracle_sweep.py.
 THRESHOLDS = (
     (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
     (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
+    (Fraction(1, 16), PolyFunction(Fraction(1, 3), 3)),
 )
 # Under eta = 1 every located chain of a partition with complete cells
 # passes: a complete cell's certificate is 0.
@@ -396,6 +399,24 @@ def test_homogeneity_audit_matches_a_literal_walk():
     assert any(0 < hom < 1 and 0 < qr for hom, qr in masses)
 
 
+@pytest.mark.parametrize("hyperedges", [2, 6])
+def test_homogeneity_windows_close_at_gamma(hyperedges):
+    """Three parts of two with complete cells: 2 of the 8 triangles as
+    hyperedges give d = 1/4, 6 give d = 3/4 = 1 - 1/4.  At gamma = 1/4 the
+    chain sits on a window's edge and counts as homogeneous; just below, it
+    does not.  Both audits equal the literal walk."""
+    triangles = list(product((0, 1), (2, 3), (4, 5)))
+    h = ThreeGraph.from_triples(6, triangles[:hyperedges])
+    parts = ((0, 1), (2, 3), (4, 5))
+    pairs = {pair: PairPartition.complete(2, 2) for pair in combinations(range(3), 2)}
+    q = ChainPartition(6, parts, pairs)
+    below = Fraction(1, 4) - Fraction(1, 10**9)
+    for gamma, crossing in ((Fraction(1, 4), Fraction(1)), (below, Fraction(0))):
+        audit = homogeneity_audit(h, q, gamma)
+        assert audit.homogeneous_crossing_mass == crossing
+        assert audit == _literal_homogeneity_audit(h, q, gamma, None)
+
+
 def _literal_markov_check(c, vertex_splits, edge_splits, gamma) -> MarkovCheck:
     """The Markov check written out: every triangle of the chain keyed by its
     three vertex blocks and three edge blocks (block 0 where a pair has no
@@ -530,9 +551,10 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert survey.q == q_partition(warm, p) == q_partition(cold, p)
         assert survey.q == q_partition(warm, p, "naive")
         want = [
-            (ci, ijk, combo, cells, cert, w * Fraction(tri, size))
-            for ci, w, size, _, ijk, combo, cells, (tri, _, cert) in located_cell_chains(warm, p)
+            (ci, ijk, combo, cells, cert, p.vertex.cylinders[ci].weight(vs) * Fraction(tri, size))
+            for ci, _, masks, ijk, combo, cells, (tri, _, cert) in located_cell_chains(warm, p)
             if tri > 0 and cert > eta
+            for size in [prod(m.bit_count() for m in masks)]
         ]
         assert list(survey.useful) == want
         assert survey.useful_mass == sum(row[-1] for row in want)
@@ -597,8 +619,8 @@ def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
     """The tuple audit's per-chain verdict, cell_chain_passes (cells_quasirandom
     plus the evaluator's chain certificate <= eta), equals eta_psi_check on
     the extracted chain with the naive kernels; each pair partition's cached
-    labels, densities and certificates equal a scan of its cells and the
-    naive certificate of each compacted cell."""
+    labels, edge counts over its area and certificate terms equal a scan of
+    its cells and the naive certificate of each compacted cell."""
     from regulab.core import bits
     from regulab.quasirandom import pair_quasirandomness
 
@@ -617,8 +639,9 @@ def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
                     assert pp.labels[x] == tuple(want)
                 for idx, cell in enumerate(pp.cells):
                     g = _compacted_cell(cell, pp.left_mask, pp.right_mask)
-                    assert pp.densities[idx] == g.density()
-                    assert pp.certificates[idx] == pair_quasirandomness(g, mode="naive").value
+                    assert ratio(pp.edge_counts[idx], pp.area) == g.density()
+                    cert = pair_quasirandomness(g, mode="naive").value
+                    assert pp.certificate_terms[idx] == (cert.numerator, cert.denominator)
             for (i, j, k) in combinations(range(vs.t), 3):
                 pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
                 masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
@@ -677,9 +700,9 @@ def test_audits_read_warm_cell_facts_as_fresh_ones():
         warm_chain = venn_diagram(warm)
         first_hom = homogeneity_audit(h, warm_chain, eta, psi)
         pp = warm.edges[0].pair(0, 1)
-        assert {"labels", "densities", "certificates"} <= set(vars(pp))
+        assert {"labels", "area", "edge_counts", "certificate_terms"} <= set(vars(pp))
         cold = random_cylinder_chain_partition(vs, 3, 3, seed=70 + seed)
-        assert cold == warm and "certificates" not in vars(cold.edges[0].pair(0, 1))
+        assert cold == warm and "certificate_terms" not in vars(cold.edges[0].pair(0, 1))
         cold_h = PartiteThreeGraph(vs, h.triples)
         assert cylinder_quasirandomness_audit(h, warm, eta, psi) == first
         assert cylinder_quasirandomness_audit(cold_h, cold, eta, psi) == first
@@ -777,8 +800,8 @@ def _with_parity_cells(p: CylinderChainPartition, carriers) -> CylinderChainPart
 )
 def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
     """Exhaustive and bounded audits equal the literal walk, on random
-    cylinder chain partitions with an empty cylinder, for both (eta, psi)
-    pairs and for ALL_PASS on the same cylinders with complete cells, where
+    cylinder chain partitions with an empty cylinder, for every (eta, psi)
+    pair and for ALL_PASS on the same cylinders with complete cells, where
     the mass is 1 in both modes; no tuple is degenerate.  The bound is at
     most the exact mass.  At t = 3 a tuple has one part triple, so failing
     chains never overlap and the bound is exact; from t = 4 on it falls
@@ -835,6 +858,93 @@ def test_an_empty_part_passes_both_verdicts():
         for chain in chains:
             assert eta_psi_check(chain, eta, psi, mode="fast")
             assert eta_psi_check(chain, eta, psi, mode="naive")
+
+
+def _cells_pass_in_fractions(pps, combo, psi) -> bool:
+    """The cell half of the (eta, psi) test in fractions: each compacted
+    cell's naive certificate at most psi of the product of their densities."""
+    graphs = [
+        _compacted_cell(pp.cells[idx], pp.left_mask, pp.right_mask) for pp, idx in zip(pps, combo)
+    ]
+    thresh = psi(prod(g.density() for g in graphs))
+    return all(pair_quasirandomness(g, mode="naive").value <= thresh for g in graphs)
+
+
+def test_eta_at_a_chain_certificate_is_a_tie():
+    """With eta equal to a located chain's certificate the chain passes
+    cell_chain_passes and is not useful; just below it, it fails and is."""
+    psi = PolyFunction(Fraction(1), 1)
+    ties = 0
+    for seed in range(3):
+        h = random_partite_3graph((3, 4, 3, 2), Fraction(1, 2), seed=80 + seed)
+        p = _with_complete_cells(random_cylinder_chain_partition(h.vertex_set, 3, 1, seed=90))
+        chains = [row for row in located_cell_chains(h, p) if row[-1][0] and row[-1][2]]
+        for ci, _, _, parts, combo, _, (_, _, cert) in chains[:4]:
+            cyl, ep = p.vertex.cylinders[ci], p.edges[ci]
+            for eta, passes in ((cert, True), (cert - Fraction(1, 10**9), False)):
+                assert cell_chain_passes(h, cyl, ep, parts, combo, eta, psi) is passes
+                survey = survey_partition(h, p, eta, psi)
+                useful = {(row[0], row[1], row[2]) for row in survey.useful}
+                assert ((ci, parts, combo) in useful) is not passes
+            ties += 1
+    assert ties
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_psi_at_a_cell_certificate_is_a_tie(k):
+    """With psi(delta) = c delta^k set exactly to the largest certificate of
+    a chain's cells the cells pass, and with a slightly smaller c they fail,
+    as in fractions; the THRESHOLDS rates, psi = (1/3, 3) among them, agree
+    with fractions too."""
+    complete = PairPartition.complete(4, 5)
+    # Cells of 19 edges: the complete 4x5 host less one edge.
+    missing = [
+        PairPartition.complete(4, 5, lambda x, y, cut=cut: (x, y) == cut)
+        for cut in ((0, 0), (1, 2), (3, 4))
+    ]
+    for pps in ((missing[0], complete, complete), tuple(missing)):
+        combo = (0,) * len(pps)
+        graphs = [_compacted_cell(pp.cells[0], pp.left_mask, pp.right_mask) for pp in pps]
+        delta = prod(g.density() for g in graphs)
+        top = max(pair_quasirandomness(g, mode="naive").value for g in graphs)
+        assert 0 < top and 0 < delta < 1
+        c = top / delta**k
+        assert c <= 1
+        below = c * (1 - Fraction(1, 10**9))
+        for psi, passes in ((PolyFunction(c, k), True), (PolyFunction(below, k), False)):
+            assert cells_quasirandom(pps, combo, psi) is passes
+            assert _cells_pass_in_fractions(pps, combo, psi) is passes
+        for _, psi in THRESHOLDS:
+            assert cells_quasirandom(pps, combo, psi) == _cells_pass_in_fractions(pps, combo, psi)
+
+
+def test_an_empty_mask_leaves_only_zero_certificates():
+    """A cylinder with an empty mask has delta = 0/0 = 0, so psi(delta) = 0
+    and only cells of certificate 0 pass: a parity cut of its non-empty
+    pair fails, its complete cells pass, and both verdicts equal
+    eta_psi_check (naive) on the extracted chain and the cell half in
+    fractions."""
+    h = random_partite_3graph((2, 3, 2), Fraction(1, 2), seed=5)
+    vs = h.vertex_set
+    p = _with_empty_cylinder(random_cylinder_chain_partition(vs, 2, 2, seed=6))
+    cyl = p.vertex.cylinders[0]
+    parity = PairPartition.complete(3, 2, lambda x, y: (x + y) % 2)
+    trivial = p.edges[0]
+    cut = EdgePartition({**trivial.pairs, (1, 2): parity})
+    verdicts = set()
+    for ep in (trivial, cut):
+        pps = (ep.pair(0, 1), ep.pair(0, 2), ep.pair(1, 2))
+        assert pps[0].area == pps[1].area == 0
+        for combo in product(*(range(pp.cell_count) for pp in pps)):
+            cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
+            chain = extract_cell_chain(h, cyl.masks, (0, 1, 2), cells)
+            for eta, psi in THRESHOLDS:
+                verdict = cell_chain_passes(h, cyl, ep, (0, 1, 2), combo, eta, psi)
+                assert verdict == eta_psi_check(chain, eta, psi, mode="naive")
+                fractions = _cells_pass_in_fractions(pps, combo, psi)
+                assert cells_quasirandom(pps, combo, psi) == fractions
+                verdicts.add((ep is cut, verdict))
+    assert verdicts == {(False, True), (True, False)}
 
 
 def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet) -> list[VertexCylinder]:
