@@ -1,32 +1,34 @@
 #!/usr/bin/env python3
 """Sweep the fast kernels against the naive oracles over a size grid (the
 masked c4 kernel against the literal ``c4_sum`` on row subsets and column
-masks among them; the octahedral kernel also on thin chains whose z part may
-pass 64 vertices), the upper-half symmetry check ``rows_symmetric`` against
-the bit-by-bit walk, the hyperedge index against the naive membership test
-``has_triple``, the tuple audit's per-chain verdict (``cell_chain_passes``)
-against ``eta_psi_check`` with the naive kernels, the tuple audit itself
-against a literal walk over the tuples (3 to 6 parts; also with complete
-cells under eta = 1, where every chain passes), exact as the walk's good
-mass and bounded as one minus the walk's failing part triples per tuple,
-at most that mass, the partition survey against that audit, ``q_partition``
-naive and the useful chains filtered from ``located_cell_chains``, and
-``q_partition`` and ``q_cell_chain`` fast against naive, the latter on every
-part triple of a cylinder and on every located cell chain taken as one cell
-(where q is d^2).  The counts and certificate ``cell_chain_stats`` computes
-where a chain lies are checked against the naive octahedral sum on its
-extracted copy, for the chain's cells and for copies that reach outside the
-cylinder masks.  ``lookup`` and ``container`` are checked against a scan over
-the masks, and the linear cylinder overlap check against the pairwise one,
-first offending pair included, on random cylinder families that overlap
-about half the time.  ``scan``'s bulk path for canonical files is checked
-against its line loop (the bulk path patched out), records, kind and first
-error included, on random generated files and on copies with a token, a
-line or a character changed.  The bulk draw ``SplitMix64.accepted`` is
-checked against the per-draw ``bernoulli`` it stands for, the words left
-behind included, on a grid of run lengths (0, 1, 63, 64, 65, 300) and
-densities (0, 1, denominators that are and are not powers of two, up to
-2^70).
+masks among them, and ``PairPartition.certificate_terms`` against the
+``c4_sum`` certificate of each cell of random pair partitions restricted to
+random sub-masks, empty ones included; the octahedral kernel also on thin
+chains whose z part may pass 64 vertices), the upper-half symmetry check
+``rows_symmetric`` against the bit-by-bit walk, the hyperedge index against
+the naive membership test ``has_triple``, the tuple audit's per-chain
+verdict (``cell_chain_passes``) against ``eta_psi_check`` with the naive
+kernels, the tuple audit itself against a literal walk over the tuples (3 to
+6 parts; also with complete cells under eta = 1, where every chain passes),
+exact as the walk's good mass and bounded as one minus the walk's failing
+part triples per tuple, at most that mass, the partition survey against that
+audit, ``q_partition`` naive and the useful chains filtered from
+``located_cell_chains``, and ``q_partition`` and ``q_cell_chain`` fast
+against naive, the latter on every part triple of a cylinder and on every
+located cell chain taken as one cell (where q is d^2).  The counts and
+certificate ``cell_chain_stats`` computes where a chain lies are checked
+against the naive octahedral sum on its extracted copy, for the chain's
+cells and for copies that reach outside the cylinder masks.  ``lookup`` and
+``container`` are checked against a scan over the masks, and the linear
+cylinder overlap check against the pairwise one, first offending pair
+included, on random cylinder families that overlap about half the time.
+``scan``'s bulk path for canonical files is checked against its line loop
+(the bulk path patched out), records, kind and first error included, on
+random generated files and on copies with a token, a line or a character
+changed.  The bulk draw ``SplitMix64.accepted`` is checked against the
+per-draw ``bernoulli`` it stands for, the words left behind included, on a
+grid of run lengths (0, 1, 63, 64, 65, 300) and densities (0, 1,
+denominators that are and are not powers of two, up to 2^70).
 
 Usage: python scripts/oracle_sweep.py [--max-size 10] [--cases 200] [--seed 7]
 """
@@ -71,6 +73,7 @@ from regulab.partitions import (
     VertexCylinder,
     cell_chain_passes,
     cell_chain_stats,
+    cells_by_label,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     first_overlap,
@@ -111,6 +114,31 @@ def masked_pair_matches(g, rng) -> bool:
     e = sum((g.rows[x] & mask).bit_count() for x in xs)
     table = [[Fraction(area * (g.rows[x] >> y & 1) - e, area) for y in ys] for x in xs]
     return cert.raw_sum == c4_sum(table)
+
+
+def cell_terms_match(g, rng) -> bool:
+    """Each cell's ``certificate_terms`` in a random pair partition of ``g``,
+    restricted to random sub-masks (each empty one time in four), equal the
+    naive certificate ``c4_sum`` / area^2 of the cell on the masked sides in
+    lowest terms, and (0, 1) where the area is 0."""
+    full_l, full_r = (1 << g.left_size) - 1, (1 << g.right_size) - 1
+    k = 1 + rng.below(3)
+    cells = cells_by_label(g.left_size, g.rows, lambda x, y: rng.below(k))
+    pp = PairPartition(g.left_size, g.right_size, full_l, full_r, g.rows, cells)
+    lm = 0 if rng.below(4) == 0 else rng.next_u64() & full_l
+    rm = 0 if rng.below(4) == 0 else rng.next_u64() & full_r
+    pp = pp.restrict(lm, rm)
+    xs, ys = list(bits(pp.left_mask)), list(bits(pp.right_mask))
+    area = len(xs) * len(ys)
+    for cell, terms in zip(pp.cells, pp.certificate_terms):
+        value = Fraction(0)
+        if area:
+            e = sum(row.bit_count() for row in cell)
+            table = [[Fraction(area * (cell[x] >> y & 1) - e, area) for y in ys] for x in xs]
+            value = c4_sum(table) / (area * area)
+        if terms != (value.numerator, value.denominator):
+            return False
+    return True
 
 
 def symmetry_matches(n, rng) -> bool:
@@ -455,6 +483,7 @@ def main() -> int:
     files = SplitMix64(args.seed + 4)
     thin = SplitMix64(args.seed + 5)
     draws = SplitMix64(args.seed + 6)
+    cell_pairs = SplitMix64(args.seed + 7)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -471,6 +500,9 @@ def main() -> int:
         if not masked_pair_matches(g, side):
             mismatches += 1
             print(f"masked pair mismatch at case {case}: {na}x{nb}")
+        if not cell_terms_match(g, cell_pairs):
+            mismatches += 1
+            print(f"cell certificate terms mismatch at case {case}: {na}x{nb}")
         n = side.below(8 * args.max_size + 2)  # past word boundaries
         if not symmetry_matches(n, side):
             mismatches += 1
@@ -535,7 +567,8 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair, symmetry, cylinder overlap, bulk draw and scan cases"
+        f"{args.cases} pair, masked pair, cell terms, symmetry, cylinder overlap, bulk draw"
+        " and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
         f" + {chains} chain and {chains} thin chain cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
@@ -545,7 +578,8 @@ def main() -> int:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the symmetry check, the hyperedge index, the cell-chain verdicts"
+        "all kernels, the cell certificate terms, the symmetry check, the hyperedge index,"
+        " the cell-chain verdicts"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
         " overlap check, the bulk draw and the bulk scan match their oracles"
     )

@@ -7,9 +7,9 @@ rose by the claimed gain.  All three engines read each partition they
 reach in one walk: the 3-graph engine takes each cell chain's facts from
 the hypergraph's own store (``h.index.cell_chains``), ``dlr`` takes each
 pair's from a table kept for the run, and the pair engine
-(:func:`szemeredi_multi`) takes each cell's density and certificate from
-its ``PairPartition``, so a fact that recurs is computed once, by the
-oracle that defines it.
+(:func:`szemeredi_multi`) takes each cell's edge count and certificate
+terms from its ``PairPartition``, so a fact that recurs is computed once;
+both decide pair certificates in integers, from the c4 kernel's sum.
 
 Two constants regimes are supported.  The "desk" profile replaces the
 theory's schedule formulas with small configurable rationals so the loops
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .core import (
@@ -73,7 +73,7 @@ from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
     is_graph_quasirandom,
-    masked_pair_quasirandomness,
+    pair_raw_scaled,
 )
 
 DEFAULT_CAP = 1 << 64
@@ -495,7 +495,7 @@ def dlr_cylinder_regularity(
     and its two masks only, and a split on pair (i, j) copies every other
     pair's masks into its children, so each is computed once per
     (input, mask_i, mask_j) in a run and read back where it recurs.  Each
-    partition is read in one walk, for its index, bad mass and worst inputs.
+    partition is read in one walk, which decides in integers (see ``walk``).
     """
     if not graphs:
         raise InvalidStructure("need at least one pair graph")
@@ -513,37 +513,39 @@ def dlr_cylinder_regularity(
         raise InvalidStructure("alpha must lie in (0, 1]")
     pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
 
-    terms: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}  # (d², certificate)
+    terms: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}  # e², area², s, area⁶
     witnesses: dict[tuple[int, int, int], tuple[int, int] | None] = {}
+    space = prod(vs.sizes)
 
     def walk(part: VertexCylinderPartition) -> tuple[Fraction, Fraction, dict[int, int]]:
-        """The index of ``part``, its bad mass and each bad cylinder's worst input."""
-        idx = bad_mass = Fraction(0)
+        """The index of ``part``, its bad mass and each bad cylinder's worst
+        input: integer sums divided once, certificates s/area⁶ cross-multiplied."""
+        squares: dict[int, int] = {}  # per area²: the sum of size·e²
+        bad = 0  # the bad cylinders' summed size
         worst_at: dict[int, int] = {}
         for ci, cyl in enumerate(part.cylinders):
-            w = cyl.weight(vs)
-            if w == 0:
+            size = prod(cyl.sizes())
+            if not size:
                 continue
-            dd_sum = Fraction(0)
-            worst_cert = alpha
+            wn, wd = alpha.numerator, alpha.denominator  # the worst certificate so far
             for m, (i, j, rows) in enumerate(graphs):
                 li, rj = cyl.masks[i], cyl.masks[j]
                 key = (m, li, rj)
                 term = terms.get(key)
                 if term is None:
-                    e = sum((rows[x] & rj).bit_count() for x in bits(li))
-                    d = ratio(e, li.bit_count() * rj.bit_count())
-                    cert = masked_pair_quasirandomness(rows, list(bits(li)), rj).value
-                    term = terms[key] = (d * d, cert)
-                dd, cert = term
-                dd_sum += dd
-                if cert > worst_cert:
-                    worst_cert = cert
+                    xs = list(bits(li))
+                    e = sum((rows[x] & rj).bit_count() for x in xs)
+                    area = len(xs) * rj.bit_count()
+                    s = pair_raw_scaled(rows, xs, rj, e, area)
+                    term = terms[key] = (e * e, area * area, s, area**6)
+                ee, a2, s, a6 = term
+                squares[a2] = squares.get(a2, 0) + size * ee
+                if s * wd > wn * a6:
+                    wn, wd = s, a6
                     worst_at[ci] = m
-            idx += w * dd_sum
             if ci in worst_at:
-                bad_mass += w
-        return idx, bad_mass, worst_at
+                bad += size
+        return fraction_sum(squares, space), ratio(bad, space), worst_at
 
     rows_trace: list[TraceRow] = []
     idx, bad_mass, worst_at = walk(pv)
@@ -567,16 +569,12 @@ def dlr_cylinder_regularity(
             m = worst_at[ci]
             i, j, rows = graphs[m]
             key = (m, cyl.masks[i], cyl.masks[j])
-            if key in witnesses:
-                ws = witnesses[key]
-            else:
-                ws = witnesses[key] = _witness_split(
-                    rows,
-                    list(bits(cyl.masks[i])),
-                    cyl.masks[j],
-                    profile.witness_search,
-                    profile.witness_cap,
+            if key not in witnesses:  # None, no witness, is kept too
+                witnesses[key] = _witness_split(
+                    rows, list(bits(cyl.masks[i])), cyl.masks[j],
+                    profile.witness_search, profile.witness_cap,
                 )
+            ws = witnesses[key]
             if ws is None:
                 new_masks.append(cyl.masks)
                 continue
@@ -854,7 +852,7 @@ def _reregularize_cylinders(
     cells = [
         (i, j, cell)
         for cyl, ep in zip(p.vertex.cylinders, p.edges)
-        if cyl.weight(vs)
+        if not cyl.is_empty()
         for (i, j) in combinations(range(vs.t), 2)
         for cell in ep.pair(i, j).cells
         if any(cell)
@@ -1197,20 +1195,21 @@ def graph_homogeneous_decomposition(
         for key in sorted(groups):
             out_parts.append(tuple(groups[key]))
     masks = [sum(1 << v for v in part) for part in out_parts]
-    same_mass = sum((Fraction(len(part), n)) ** 2 for part in out_parts)
-    hom_mass = Fraction(0)
-    for a in range(len(out_parts)):
-        for b in range(a + 1, len(out_parts)):
-            e = sum((g.rows[u] & masks[b]).bit_count() for u in out_parts[a])
-            d = ratio(e, len(out_parts[a]) * len(out_parts[b]))
-            if d <= eps or d >= 1 - eps:
-                hom_mass += Fraction(2 * len(out_parts[a]) * len(out_parts[b]), n * n)
+    # Pair counts over n², with densities e/area in the windows by cross-multiplying.
+    en, ed = eps.numerator, eps.denominator
+    same = sum(len(part) ** 2 for part in out_parts)
+    hom = 0
+    for a, b in combinations(range(len(out_parts)), 2):
+        e = sum((g.rows[u] & masks[b]).bit_count() for u in out_parts[a])
+        area = len(out_parts[a]) * len(out_parts[b])
+        if e * ed <= en * area or e * ed >= (ed - en) * area:
+            hom += 2 * area
     # At least t >= 2 nonempty parts, so same-part mass is below 1.
     audit = GraphHomogeneityAudit(
         eps,
-        hom_mass,
-        hom_mass / (1 - same_mass),
-        same_mass,
+        Fraction(hom, n * n),
+        Fraction(hom, n * n - same),
+        Fraction(same, n * n),
         tuple(len(p) for p in out_parts),
     )
     return tuple(out_parts), audit, trace
@@ -1330,12 +1329,12 @@ def quasirandom_subset(
 
     order = sorted(
         range(len(p.vertex.cylinders)),
-        key=lambda ci: (-p.vertex.cylinders[ci].weight(vs), ci),
+        key=lambda ci: (-prod(p.vertex.cylinders[ci].sizes()), ci),
     )
     chosen = None
     for ci in order:
         cyl = p.vertex.cylinders[ci]
-        if cyl.weight(vs) == 0:
+        if cyl.is_empty():
             continue
         ep = p.edges[ci]
         pick: dict[tuple[int, int], int] = {}

@@ -44,11 +44,11 @@ gives its q, its tuple audit and its useful (non-quasirandom) chains.
 
 Per-cell facts live on their :class:`PairPartition` as integers: the
 cached ``labels`` table, the ``area``, each cell's ``edge_counts`` and its
-pair certificate's ``certificate_terms`` (numerator, denominator),
-computed once per partition however many audits, gates or ``q``
-evaluations read them.  The cell half of the (eta, psi) test has one home,
-:func:`cells_quasirandom`, and the verdict on a located cell chain one
-more, :func:`cell_chain_passes`; both decide by cross-multiplying
+pair certificate's ``certificate_terms`` (the c4 kernel's sum over area^6,
+in lowest terms), computed once per partition however many audits, gates
+or ``q`` evaluations read them.  The cell half of the (eta, psi) test has
+one home, :func:`cells_quasirandom`, and the verdict on a located cell
+chain one more, :func:`cell_chain_passes`; both decide by cross-multiplying
 integers, and no fraction is built per chain.  The survey reads that
 verdict once per located chain, sums q and the masses as integer
 numerators over the tuple space, and counts the good tuples of a cylinder
@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .core import (
@@ -82,11 +82,7 @@ from .core import (
     ratio,
     relative_density,
 )
-from .quasirandom import (
-    PolyFunction,
-    masked_chain_quasirandomness,
-    masked_pair_quasirandomness,
-)
+from .quasirandom import PolyFunction, masked_chain_quasirandomness, pair_raw_scaled
 
 
 def rational_sqrt(f: Fraction) -> Fraction | None:
@@ -324,12 +320,16 @@ class PairPartition:
     @cached_property
     def certificate_terms(self) -> tuple[tuple[int, int], ...]:
         """(numerator, denominator) of each cell's pair certificate value on
-        the masked sides, in lowest terms."""
-        left = [x for x in range(self.left_size) if self.left_mask >> x & 1]
+        the masked sides, s / area^6 in lowest terms; area 0 leaves s = 0."""
+        area = self.area
+        a6 = area**6 or 1
+        left = list(bits(self.left_mask))
         out = []
         for cell in self.cells:
-            value = masked_pair_quasirandomness(cell, left, self.right_mask).value
-            out.append((value.numerator, value.denominator))
+            e = sum(row.bit_count() for row in cell)
+            s = pair_raw_scaled(cell, left, self.right_mask, e, area)
+            g = gcd(s, a6)
+            out.append((s // g, a6 // g))
         return tuple(out)
 
     def restrict(self, left_mask: int, right_mask: int) -> "PairPartition":

@@ -8,7 +8,10 @@ deviation f(x,y,z) = (1_E(H) - d(H|G)) restricted to triangles of G.
 Every certificate has a ``fast`` mode (codegree / popcount kernels, exact
 integer arithmetic) and a ``naive`` mode, the literal nested sums
 :func:`c4_sum` and :func:`oct_sum` over a scaled integer table.  The two
-must agree exactly; tests enforce this.
+must agree exactly; tests enforce this.  The fast c4 kernel
+:func:`pair_raw_scaled` returns an integer s, a pair certificate's value
+times area^6; the engines decide with s, and only
+:func:`masked_pair_quasirandomness` builds the certificate from it.
 
 :func:`masked_chain_quasirandomness` is the one fast octahedral kernel.
 It takes a chain where it lies, as three pair rows, three vertex masks and
@@ -236,7 +239,7 @@ def oct_sum(f) -> Fraction:
     return Fraction(total, scale**8)
 
 
-def _pair_raw_scaled(rows: Sequence[int], xs: Sequence[int], right_mask: int, e: int, area: int) -> int:
+def pair_raw_scaled(rows: Sequence[int], xs: Sequence[int], right_mask: int, e: int, area: int) -> int:
     """c4 raw sum of (1_E - e/area) scaled by area, over rows[xs] & right_mask.
 
     With b = -e the scaled value is area + b on edges and b off them, so
@@ -275,17 +278,14 @@ def _pair_raw_scaled(rows: Sequence[int], xs: Sequence[int], right_mask: int, e:
 
 
 def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> QuasirandomnessCertificate:
-    """Certificate for a bipartite pair with f = 1_E - density."""
+    """Certificate for a bipartite pair with f = 1_E - density; fast mode is
+    :func:`masked_pair_quasirandomness` on full masks."""
     l, r = g.left_size, g.right_size
+    if mode != "naive":
+        return masked_pair_quasirandomness(g.rows, range(l), (1 << r) - 1)
     if l == 0 or r == 0:
         return QuasirandomnessCertificate(Fraction(0), Fraction(0), Fraction(0), True)
-    if mode == "naive":
-        raw = c4_sum(DeviationFunction2.from_bipartite(g))
-    else:
-        area = l * r
-        raw = Fraction(
-            _pair_raw_scaled(g.rows, range(l), (1 << r) - 1, g.edge_count, area), area**4
-        )
+    raw = c4_sum(DeviationFunction2.from_bipartite(g))
     norm = Fraction(l * l * r * r)
     return QuasirandomnessCertificate(raw, norm, raw / norm, False)
 
@@ -293,16 +293,17 @@ def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> Quasirandomne
 def masked_pair_quasirandomness(
     rows: Sequence[int], left_indices: Sequence[int], right_mask: int
 ) -> QuasirandomnessCertificate:
-    """Certificate for the pair induced on a row subset and column mask."""
+    """Certificate for the pair induced on a row subset and column mask:
+    raw sum s / area^4, normalizer area^2, value s / area^6."""
     l = len(left_indices)
     r = right_mask.bit_count()
     if l == 0 or r == 0:
         return QuasirandomnessCertificate(Fraction(0), Fraction(0), Fraction(0), True)
     e = sum((rows[x] & right_mask).bit_count() for x in left_indices)
     area = l * r
-    raw = Fraction(_pair_raw_scaled(rows, left_indices, right_mask, e, area), area**4)
-    norm = Fraction(l * l * r * r)
-    return QuasirandomnessCertificate(raw, norm, raw / norm, False)
+    s = pair_raw_scaled(rows, left_indices, right_mask, e, area)
+    raw = Fraction(s, area**4)
+    return QuasirandomnessCertificate(raw, Fraction(area * area), Fraction(s, area**6), False)
 
 
 def graph_quasirandomness(

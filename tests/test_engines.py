@@ -84,6 +84,7 @@ from regulab.quasirandom import (
     masked_chain_quasirandomness,
     masked_pair_quasirandomness,
     pair_quasirandomness,
+    pair_raw_scaled,
 )
 from conftest import (
     build_box_chain,
@@ -449,18 +450,19 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
     """On the half graph at eps 1/8 the four diagonal pair graphs are equal
     triangles and splits copy the other pairs' masks, so the uncached run
     makes 85 witness splits and 9,548 certificates of which 4 and 188 are
-    distinct; the run computes each distinct one once."""
+    distinct; the run computes each distinct one once.  Certificates are
+    counted as calls of the c4 kernel, which the uncached run reaches
+    through ``masked_pair_quasirandomness``."""
     import sys
 
     from regulab import engines
 
     vs, graphs = _half_graph_pairs()
     splits = _count_calls(monkeypatch, _witness_split)
-    certs = _count_calls(monkeypatch, masked_pair_quasirandomness)
+    certs = _count_calls(monkeypatch, pair_raw_scaled)
     # The uncached copy here reads this module's names: count those too.
     here = sys.modules[__name__]
     monkeypatch.setattr(here, "_witness_split", engines._witness_split)
-    monkeypatch.setattr(here, "masked_pair_quasirandomness", engines.masked_pair_quasirandomness)
 
     def distinct(calls):
         return len({(id(rows), tuple(left), right) for rows, left, right, *_ in calls})
@@ -475,20 +477,58 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
 
 
 def test_dlr_walks_each_partition_once(monkeypatch):
-    """One walk per partition reached reads each cylinder's weight once, so
-    the weights read are the trace rows' cylinder counts summed."""
+    """One walk per partition reached reads each cylinder's sizes once, so
+    the walk's reads are the trace rows' cylinder counts summed.  Building a
+    partition reads them too (its coverage check); only the walk's reads
+    are counted."""
+    import sys
+
+    from regulab import engines
+
     vs, graphs = _half_graph_pairs()
-    weights = []
-    weight = VertexCylinder.weight
+    reads = []
+    sizes = VertexCylinder.sizes
 
-    def counted(self, *args):
-        weights.append(self)
-        return weight(self, *args)
+    def counted(self):
+        caller = sys._getframe(1).f_code
+        if caller.co_name == "walk" and caller.co_filename == engines.__file__:
+            reads.append(self)
+        return sizes(self)
 
-    monkeypatch.setattr(VertexCylinder, "weight", counted)
+    monkeypatch.setattr(VertexCylinder, "sizes", counted)
     _, trace = dlr_cylinder_regularity(vs, graphs, Fraction(1, 64), DESK)
     assert len(trace.rows) > 1
-    assert len(weights) == sum(row.vertex_count for row in trace.rows)
+    assert len(reads) == sum(row.vertex_count for row in trace.rows)
+
+
+# A 4x4 pair graph with a positive certificate and a deviation witness.
+_TIE_ROWS = (0b0011, 0b0111, 0b1100, 0b1001)
+
+
+@pytest.mark.parametrize("below", [0, Fraction(1, 10**9)], ids=["at", "below"])
+def test_dlr_ties_at_alpha(below):
+    """An input whose certificate equals alpha passes the audit, and one
+    above alpha fails it; both runs equal the uncached one."""
+    vs = PartiteVertexSet.of_sizes(4, 4)
+    cert = pair_quasirandomness(BipartiteGraph(4, 4, _TIE_ROWS)).value
+    assert 0 < cert < 1
+    _, rows = _assert_dlr_matches_uncached(vs, [(0, 1, _TIE_ROWS)], cert - below, DESK)
+    assert (rows[0].useful_mass, rows[0].action) == (
+        (1, "split-cylinders") if below else (0, "accept")
+    )
+
+
+def test_dlr_keeps_the_first_of_equal_certificates_as_worst(monkeypatch):
+    """Two inputs of equal certificate in one cylinder: the first, in input
+    order, is the worst, so the first split is along its witness; the run
+    equals the uncached one."""
+    vs = PartiteVertexSet.of_sizes(4, 4, 4)
+    copy = tuple(list(_TIE_ROWS))
+    graphs = [(0, 1, _TIE_ROWS), (0, 2, copy)]
+    assert copy is not _TIE_ROWS
+    splits = _count_calls(monkeypatch, _witness_split)
+    _assert_dlr_matches_uncached(vs, graphs, Fraction(1, 10**6), DESK)
+    assert splits[0][0] is _TIE_ROWS
 
 
 def test_one_cylinder_refine_gains_on_box():
@@ -1236,6 +1276,30 @@ def test_graph_pipeline_two_cliques():
     assert audit.same_part_mass == Fraction(9, 50)
     assert audit.homogeneous_mass >= 1 - 2 * eps
     assert sorted(v for p in parts for v in p) == list(range(40))
+
+
+def test_graph_pipeline_windows_close_at_eps():
+    """The graph audit counts a part pair of density exactly eps or 1 - eps
+    as homogeneous: on small random graphs, where such ties occur, every
+    audit equals the one written in fractions from the returned parts."""
+    ties = 0
+    for seed in range(12):
+        g = random_graph(6 + seed % 5, Fraction(1, 2), seed)
+        eps = (Fraction(1, 4), Fraction(1, 3))[seed % 2]
+        parts, audit, _ = graph_homogeneous_decomposition(g, eps, DESK)
+        n = g.n
+        same = sum(Fraction(len(part), n) ** 2 for part in parts)
+        hom = Fraction(0)
+        for a, b in combinations(range(len(parts)), 2):
+            mask = sum(1 << v for v in parts[b])
+            e = sum((g.rows[u] & mask).bit_count() for u in parts[a])
+            d = Fraction(e, len(parts[a]) * len(parts[b]))
+            ties += d in (eps, 1 - eps)
+            if d <= eps or d >= 1 - eps:
+                hom += Fraction(2 * len(parts[a]) * len(parts[b]), n * n)
+        assert (audit.homogeneous_mass, audit.same_part_mass) == (hom, same)
+        assert audit.homogeneous_crossing_mass == hom / (1 - same)
+    assert ties
 
 
 def test_fps_half_graph_blocks():

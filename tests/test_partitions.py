@@ -64,6 +64,7 @@ from regulab.quasirandom import (
     chain_quasirandomness,
     eta_psi_check,
     masked_chain_quasirandomness,
+    masked_pair_quasirandomness,
     pair_quasirandomness,
 )
 from conftest import random_small_chain
@@ -945,6 +946,19 @@ def test_an_empty_mask_leaves_only_zero_certificates():
                 assert cells_quasirandom(pps, combo, psi) == fractions
                 verdicts.add((ep is cut, verdict))
     assert verdicts == {(False, True), (True, False)}
+
+
+@pytest.mark.parametrize("left_mask, right_mask", [(0, 0b111), (0b11, 0), (0, 0)])
+def test_certificate_terms_on_an_empty_side_are_zero_over_one(left_mask, right_mask):
+    """A pair restricted to an empty mask has area 0; each remaining cell's
+    certificate terms are (0, 1), the terms of the degenerate value that
+    masked_pair_quasirandomness gives there."""
+    pp = PairPartition.complete(2, 3, lambda x, y: (x + y) % 2).restrict(left_mask, right_mask)
+    assert pp.area == 0
+    left = [x for x in range(pp.left_size) if pp.left_mask >> x & 1]
+    for cell, terms in zip(pp.cells, pp.certificate_terms):
+        value = masked_pair_quasirandomness(cell, left, pp.right_mask).value
+        assert terms == (value.numerator, value.denominator) == (0, 1)
 
 
 def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet) -> list[VertexCylinder]:

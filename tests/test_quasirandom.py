@@ -26,14 +26,15 @@ from regulab.partitions import extract_cell_chain
 from regulab.quasirandom import (
     DeviationFunction2,
     PolyFunction,
-    _pair_raw_scaled,
     c4_sum,
     chain_quasirandomness,
     eta_psi_check,
     graph_quasirandomness,
     is_graph_quasirandom,
     masked_chain_quasirandomness,
+    masked_pair_quasirandomness,
     pair_quasirandomness,
+    pair_raw_scaled,
 )
 from conftest import build_box_chain, build_pair_only_chain
 
@@ -210,6 +211,22 @@ def test_poly_function_parse_and_eval():
         PolyFunction.parse("1/2")
 
 
+@pytest.mark.parametrize("mode", ["fast", "naive"])
+def test_pair_certificate_is_the_masked_one_on_full_masks(mode):
+    """pair_quasirandomness in either mode equals masked_pair_quasirandomness
+    on full masks field for field: raw sum, normalizer, value and the
+    degenerate flag of 0-row and 0-column graphs."""
+    rng = SplitMix64(31)
+    graphs = [BipartiteGraph.empty(0, 3), BipartiteGraph.empty(4, 0), BipartiteGraph.empty(0, 0)]
+    for _ in range(30):
+        l, r = 1 + rng.below(6), 1 + rng.below(6)
+        graphs.append(random_bipartite(l, r, Fraction(1 + rng.below(3), 4), seed=rng.next_u64()))
+    for g in graphs:
+        full = masked_pair_quasirandomness(g.rows, range(g.left_size), (1 << g.right_size) - 1)
+        assert pair_quasirandomness(g, mode) == full
+        assert full.degenerate == (g.left_size * g.right_size == 0)
+
+
 def _pair_raw_scaled_by_pairs(rows, xs, right_mask, e, area):
     """The c4 kernel's pair loop before its reduction, kept as an oracle."""
     a = area - e  # scaled value on edges
@@ -245,7 +262,7 @@ def test_reduced_c4_kernel_matches_the_pair_loop_and_the_naive_sum(seed):
             rows = [0] * len(rows) if case % 16 == 2 else [mask] * len(rows)  # no or all edges
         e = sum((rows[x] & mask).bit_count() for x in xs)
         area = len(xs) * mask.bit_count()
-        got = _pair_raw_scaled(rows, xs, mask, e, area)
+        got = pair_raw_scaled(rows, xs, mask, e, area)
         assert got == _pair_raw_scaled_by_pairs(rows, xs, mask, e, area)
         if area:
             table = [
