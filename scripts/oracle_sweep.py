@@ -5,11 +5,14 @@ masks among them, and ``PairPartition.certificate_terms`` against the
 ``c4_sum`` certificate of each cell of random pair partitions restricted to
 random sub-masks, empty ones included; the octahedral kernel also on thin
 chains whose z part may pass 64 vertices), the upper-half symmetry check
-``rows_symmetric`` against the bit-by-bit walk, the hyperedge index against
-the naive membership test ``has_triple``, the tuple audit's per-chain
-verdict (``cell_chain_passes``) against ``eta_psi_check`` with the naive
-kernels, the tuple audit itself against a literal walk over the tuples (3 to
-6 parts; also with complete cells under eta = 1, where every chain passes),
+``rows_symmetric`` against the bit-by-bit walk, ``Graph.from_edges``
+against a walk that checks each edge before setting its bits (on edge
+lists with bad edges inserted: loops, negative, ``n`` and huge ids), the
+hyperedge index against the naive membership test ``has_triple``, the
+tuple audit's per-chain verdict (``cell_chain_passes``) against
+``eta_psi_check`` with the naive kernels, the tuple audit itself against
+a literal walk over the tuples (3 to 6 parts; also with complete cells
+under eta = 1, where every chain passes),
 exact as the walk's good mass and bounded as one minus the walk's failing
 part triples per tuple, at most that mass, the partition survey against that
 audit, ``q_partition`` naive and the useful chains filtered from
@@ -42,6 +45,8 @@ from math import prod
 
 from regulab import core
 from regulab.core import (
+    Graph,
+    InvalidStructure,
     PartiteVertexSet,
     bits,
     ratio,
@@ -162,6 +167,47 @@ def symmetry_matches(n, rng) -> bool:
     for r in trials:
         walk = all(r[y] >> x & 1 for x in range(n) for y in bits(r[x]))
         if rows_symmetric(r) != walk:
+            return False
+    return True
+
+
+def from_edges_outcome(n, edges):
+    """``Graph.from_edges``'s rows, or the message of its refusal."""
+    try:
+        return Graph.from_edges(n, edges).rows
+    except InvalidStructure as exc:
+        return str(exc)
+
+
+def from_edges_matches(max_size, rng) -> bool:
+    """``Graph.from_edges``, which its row reads and shifts check, agrees
+    with a walk that checks each edge before setting its bits, on a random
+    edge list and on copies with one or two bad edges inserted: a loop, an
+    id in [-n, -1], below -n, n itself, 10^18 or 10^30, at either end."""
+    n = 1 + rng.below(4 * max_size)
+    edges = [(rng.below(n), rng.below(n)) for _ in range(rng.below(3 * n))]
+    edges = [(u, v) for u, v in edges if u != v]
+    edges += edges[: rng.below(len(edges) + 1)]  # duplicates
+    trials = [edges]
+    for _ in range(3):
+        bad = list(edges)
+        for _ in range(1 + rng.below(2)):
+            good = rng.below(n)
+            kind = rng.below(6)
+            bad_id = (good, -1 - rng.below(n), -n - 1 - rng.below(3), n, 10**18, 10**30)[kind]
+            edge = (bad_id, good) if rng.below(2) else (good, bad_id)
+            bad.insert(rng.below(len(bad) + 1), edge)
+        trials.append(bad)
+    for trial in trials:
+        rows = [0] * n
+        want = None
+        for u, v in trial:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                want = f"bad edge ({u},{v})"
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        if from_edges_outcome(n, trial) != (tuple(rows) if want is None else want):
             return False
     return True
 
@@ -425,8 +471,11 @@ def mutate_file(text, rng) -> str:
 
 
 def scan_fields(sc):
+    """A scan's fields, its id and line stores as lists (a canonical block's
+    line numbers are a range, the line loop's an array)."""
     error = None if sc.error is None else (sc.error.line, str(sc.error))
-    return sc.parts, sc.edges, sc.triples, sc.kind, error
+    stores = (sc.edges, sc.edge_lines, sc.triples, sc.triple_lines)
+    return (sc.parts, *map(list, stores), sc.kind, error)
 
 
 def scans_match(max_size, rng) -> tuple[int, int]:
@@ -484,6 +533,7 @@ def main() -> int:
     thin = SplitMix64(args.seed + 5)
     draws = SplitMix64(args.seed + 6)
     cell_pairs = SplitMix64(args.seed + 7)
+    edge_lists = SplitMix64(args.seed + 8)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -507,6 +557,9 @@ def main() -> int:
         if not symmetry_matches(n, side):
             mismatches += 1
             print(f"symmetry check mismatch at case {case}: n={n}")
+        if not from_edges_matches(args.max_size, edge_lists):
+            mismatches += 1
+            print(f"Graph.from_edges mismatch at case {case}")
         same, overlaps = overlap_matches(args.max_size, cylinders)
         overlapping += overlaps
         if not same:
@@ -567,8 +620,8 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair, cell terms, symmetry, cylinder overlap, bulk draw"
-        " and scan cases"
+        f"{args.cases} pair, masked pair, cell terms, symmetry, edge list, cylinder overlap,"
+        " bulk draw and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
         f" + {chains} chain and {chains} thin chain cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
@@ -578,7 +631,8 @@ def main() -> int:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the cell certificate terms, the symmetry check, the hyperedge index,"
+        "all kernels, the cell certificate terms, the symmetry check, the edge-list graph"
+        " builder, the hyperedge index,"
         " the cell-chain verdicts"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
         " overlap check, the bulk draw and the bulk scan match their oracles"

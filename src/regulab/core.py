@@ -249,15 +249,23 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph on [n] with these edges.  Each edge is checked here and
-        sets both of its bits, so the rows are in range, loop-free and
-        symmetric by construction and skip the checks of ``Graph(n, rows)``."""
+        """The graph on [n] with these edges.  Each edge sets both of its
+        bits, so the rows are in range, loop-free and symmetric by
+        construction and skip the checks of ``Graph(n, rows)``.  The writes
+        check the edge: its row reads refuse an id outside [-n, n) before
+        any shift, the shift by an id in [-n, -1] raises, and a loop is
+        tested; each is the InvalidStructure of the first bad edge."""
         rows = [0] * n
         for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise InvalidStructure(f"bad edge ({u},{v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            try:
+                ru, rv = rows[u], rows[v]
+                if u != v:
+                    rows[u] = ru | 1 << v
+                    rows[v] = rv | 1 << u
+                    continue
+            except (IndexError, ValueError):
+                pass
+            raise InvalidStructure(f"bad edge ({u},{v})")
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", tuple(rows))
@@ -628,9 +636,11 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
 # '#' starts a comment; blank lines are ignored.  Canonical form declares
 # parts in order, then edges/triples sorted lexicographically.
 #
-# A loader builds its container from the scan's id columns, and the container
-# checks the records; only when it refuses them are the lines walked, to name
-# the first bad one.  A partite graph's e-lines are placed, so checked, by line.
+# A scan keeps each record kind's ids flat and its line numbers apart.  A
+# loader builds its container from the ids, and the container checks the
+# records; only when it refuses them are line numbers paired with ids, to
+# name the first bad line.  A partite graph's e-lines are placed, so checked,
+# by line.
 # ---------------------------------------------------------------------------
 
 
@@ -641,12 +651,14 @@ MAX_VERTICES = 1 << 22  # a loader builds tables with one entry per declared ver
 class Scan:
     """A text file tokenized once.
 
-    ``edges`` holds the e-lines flat, ``lineno, u, v`` each, and ``triples``
-    the t-lines as ``lineno, u, v, w``, in file order up to the first
-    malformed line.  ``kind`` classifies the whole file by the first token
-    of each line, the lines from a malformed one on included: ``chain``
-    (e- and t-lines), ``three`` (t-lines only), ``multipartite`` (two or
-    more part lines) or ``graph``.  ``error`` is the file's first
+    ``edges`` holds the ids of the e-lines flat, ``u, v, u, v, ...``, and
+    ``triples`` those of the t-lines, ``u, v, w, ...``, in file order up to
+    the first malformed line; ``edge_lines`` and ``triple_lines`` hold the
+    line number of each record (a ``range`` for a canonical block), read
+    only to name a bad line.  ``kind`` classifies the whole file by the
+    first token of each line, the lines from a malformed one on included:
+    ``chain`` (e- and t-lines), ``three`` (t-lines only), ``multipartite``
+    (two or more part lines) or ``graph``.  ``error`` is the file's first
     ``ParseError``; a loader raises it when it consumes the scan.
 
     A file in the canonical form the ``save_*`` functions write is read in
@@ -655,7 +667,9 @@ class Scan:
 
     parts: tuple[tuple[str, int], ...]
     edges: Sequence[int]
+    edge_lines: Sequence[int]
     triples: Sequence[int]
+    triple_lines: Sequence[int]
     kind: str
     error: ParseError | None
 
@@ -680,17 +694,18 @@ def scan(text: str) -> Scan:
     heads: Counter = Counter()
     bulk = _bulk_scan(text)
     if bulk is not None:
-        parts, edges, triples = bulk
+        parts, edges, edge_lines, triples, triple_lines = bulk
         error = None
     else:
         lines = text.splitlines()
         parts = []
         try:
-            edges, triples = array("q"), array("q")
-            error = _tokenize(lines, parts, edges, triples)
+            stores = array("q"), array("q"), array("q"), array("q")
+            error = _tokenize(lines, parts, *stores)
         except OverflowError:  # an id beyond 64 bits: hold the ids as Python ints
-            parts, edges, triples = [], [], []
-            error = _tokenize(lines, parts, edges, triples)
+            parts, stores = [], ([], [], [], [])
+            error = _tokenize(lines, parts, *stores)
+        edges, edge_lines, triples, triple_lines = stores
         if error is not None:  # the lines from the malformed one on still count
             heads.update(_head(raw) for raw in lines[error.line - 1 :])
     has_e = bool(edges) or "e" in heads
@@ -705,7 +720,7 @@ def scan(text: str) -> Scan:
         kind = "graph"
     if error is None and not parts:
         error = ParseError(1, "no part declarations")
-    return Scan(tuple(parts), edges, triples, kind, error)
+    return Scan(tuple(parts), edges, edge_lines, triples, triple_lines, kind, error)
 
 
 _NO_DIGITS = str.maketrans("", "", "0123456789")
@@ -713,9 +728,10 @@ _ID_LIMIT = 10**18  # ids of at most 18 digits, which always fit in 64 bits
 _BULK_CHARS = 1 << 16  # characters of a record block converted per call
 
 
-def _bulk_scan(text: str) -> tuple[list, array, array] | None:
-    """The parts and the flat e- and t-records of a file in canonical form,
-    or None when the file is not canonical.
+def _bulk_scan(text: str) -> tuple[list, array, range, array, range] | None:
+    """The parts, the flat e-ids and their line numbers, and the flat t-ids
+    and theirs, of a file in canonical form, or None when the file is not
+    canonical.
 
     Canonical is what ``save_*`` writes: a head of part lines that
     :func:`_tokenize` reads without error or record, then a block of
@@ -731,16 +747,18 @@ def _bulk_scan(text: str) -> tuple[list, array, array] | None:
     head = text[:start].splitlines()
     parts: list[tuple[str, int]] = []
     rest: list[int] = []
-    if _tokenize(head, parts, rest, rest) is not None or rest:
+    if _tokenize(head, parts, rest, rest, rest, rest) is not None or rest:
         return None
     e1 = max(e0, t0)  # the e-block ends where the t-block starts
-    edges = _bulk_records(text, e0, e1, "e", 2, len(head) + 1)
+    edges = _bulk_records(text, e0, e1, "e", 2)
     if edges is None:
         return None
-    triples = _bulk_records(text, t0, len(text), "t", 3, len(head) + 1 + len(edges) // 3)
+    triples = _bulk_records(text, t0, len(text), "t", 3)
     if triples is None:
         return None
-    return parts, edges, triples
+    e_line = len(head) + 1
+    t_line = e_line + len(edges) // 2
+    return parts, edges, range(e_line, t_line), triples, range(t_line, t_line + len(triples) // 3)
 
 
 def _line_start(text: str, prefix: str) -> int:
@@ -752,16 +770,14 @@ def _line_start(text: str, prefix: str) -> int:
     return len(text) if at < 0 else at + 1
 
 
-def _bulk_records(
-    text: str, start: int, stop: int, head: str, width: int, lineno: int
-) -> array | None:
-    """The flat records ``lineno, id, ...`` of ``text[start:stop]``, a
-    block of canonical ``<head> <id> ... <id>`` lines whose first is line
-    ``lineno``, or None when some line of the block is not canonical."""
-    lead, step = head + " ", width + 1
+def _bulk_records(text: str, start: int, stop: int, head: str, width: int) -> array | None:
+    """The ids of ``text[start:stop]``, a block of canonical
+    ``<head> <id> ... <id>`` lines of ``width`` ids each, flat in file
+    order, or None when some line of the block is not canonical."""
+    lead = head + " "
     line = lead + " " * (width - 1) + "\n"
-    out = array("q", [0]) * (step * text.count("\n", start, stop))
-    row = 0
+    out = array("q", [0]) * (width * text.count("\n", start, stop))
+    at = 0
     while start < stop:  # in chunks of whole lines, so no copy grows with the file
         end = text.find("\n", min(start + _BULK_CHARS, stop - 1), stop) + 1
         chunk = text[start:end]
@@ -781,12 +797,8 @@ def _bulk_records(
             return None
         if max(ids) >= _ID_LIMIT:
             return None
-        cols = array("q", ids)
-        at, to = row * step, (row + m) * step
-        out[at:to:step] = array("q", range(lineno + row, lineno + row + m))
-        for k in range(width):
-            out[at + k + 1 : to : step] = cols[k::width]
-        row += m
+        out[at : at + len(ids)] = array("q", ids)  # width * m ids, by the checks above
+        at += len(ids)
         start = end
     return out
 
@@ -796,9 +808,12 @@ def _head(raw: str) -> str | None:
     return tokens[0] if tokens else None
 
 
-def _tokenize(lines: Sequence[str], parts: list, edges, triples) -> ParseError | None:
-    """Append the records of ``lines`` to the stores up to the first
-    malformed line and return its error, or None when every line parses."""
+def _tokenize(
+    lines: Sequence[str], parts: list, edges, edge_lines, triples, triple_lines
+) -> ParseError | None:
+    """Append the records of ``lines`` to the stores, ids and line numbers
+    apart, up to the first malformed line and return its error, or None
+    when every line parses."""
     names = set()
     for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
@@ -811,16 +826,18 @@ def _tokenize(lines: Sequence[str], parts: list, edges, triples) -> ParseError |
             if len(tokens) != 3:
                 return ParseError(lineno, "expected 2 vertex ids after 'e'")
             try:
-                edges.extend((lineno, int(tokens[1]), int(tokens[2])))
+                edges.extend((int(tokens[1]), int(tokens[2])))
             except ValueError:
                 return ParseError(lineno, "vertex ids must be integers")
+            edge_lines.append(lineno)
         elif head == "t":
             if len(tokens) != 4:
                 return ParseError(lineno, "expected 3 vertex ids after 't'")
             try:
-                triples.extend((lineno, int(tokens[1]), int(tokens[2]), int(tokens[3])))
+                triples.extend((int(tokens[1]), int(tokens[2]), int(tokens[3])))
             except ValueError:
                 return ParseError(lineno, "vertex ids must be integers")
+            triple_lines.append(lineno)
         elif head == "part":
             if len(tokens) != 3:
                 return ParseError(lineno, "expected: part <name> <size>")
@@ -850,10 +867,13 @@ def _scanned(src: str | Scan) -> Scan:
     return sc
 
 
-def _records(flat: Sequence[int], width: int) -> Iterator[tuple[int, ...]]:
-    """A scan's flat records as tuples ``(lineno, id, ...)`` of ``width``."""
+def _records(
+    lines: Sequence[int], flat: Sequence[int], width: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """A scan's records as ``(lineno, ids)``: its line numbers paired with
+    its flat ids, ``width`` to a record."""
     it = iter(flat)
-    return zip(*[it] * width)
+    return zip(lines, zip(*[it] * width))
 
 
 def _check_range(lineno: int, ids: tuple[int, ...], total: int):
@@ -867,14 +887,14 @@ def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
     bulk (ids in range, ends in two different parts) and placed through
     ``vs.owner`` and ``vs.offsets``; only when the check fails are the
     lines walked, in file order, to name the first bad one."""
-    us, ws = sc.edges[1::3], sc.edges[2::3]
+    us, ws = sc.edges[0::2], sc.edges[1::2]
     total, owner, off = vs.total, vs.owner, vs.offsets
     if us and (
         min(min(us), min(ws)) < 0
         or max(max(us), max(ws)) >= total
         or any(map(eq, map(owner.__getitem__, us), map(owner.__getitem__, ws)))
     ):
-        for lineno, u, v in _records(sc.edges, 3):
+        for lineno, (u, v) in _records(sc.edge_lines, sc.edges, 2):
             _check_range(lineno, (u, v), total)
             (i, _), (j, _) = vs.to_local(u), vs.to_local(v)
             if i == j:
@@ -903,8 +923,7 @@ def _scanned_triples(
     an id out of range, a repeated vertex, and, given the parts' ``owner``
     table, a triple off three parts or, given a chain's graph ``g``, off
     its triangles.  Returns when every line is good."""
-    for rec in _records(sc.triples, 4):
-        lineno, ids = rec[0], rec[1:]
+    for lineno, ids in _records(sc.triple_lines, sc.triples, 3):
         _check_range(lineno, ids, total)
         if len(set(ids)) != 3:
             raise ParseError(lineno, f"triple {ids} repeats a vertex")
@@ -916,7 +935,7 @@ def _scanned_triples(
 
 def _triples(sc: Scan) -> Iterable[tuple[int, int, int]]:
     """The t-lines of a scan as sorted triples, in file order."""
-    us, vs, ws = sc.triples[1::4], sc.triples[2::4], sc.triples[3::4]
+    us, vs, ws = sc.triples[0::3], sc.triples[1::3], sc.triples[2::3]
     if all(map(lt, us, vs)) and all(map(lt, vs, ws)):
         return zip(us, vs, ws)
     return map(_canon_triple, us, vs, ws)
@@ -937,7 +956,7 @@ def _edge_lines(g: MultipartiteGraph) -> list[str]:
 def load_multipartite(src: str | Scan) -> MultipartiteGraph:
     sc = _scanned(src)
     if sc.triples:
-        raise ParseError(sc.triples[0], "graph file may not contain triples")
+        raise ParseError(sc.triple_lines[0], "graph file may not contain triples")
     return _scanned_graph(sc, sc.vertex_set)
 
 
@@ -951,7 +970,7 @@ def save_multipartite(g: MultipartiteGraph) -> str:
 def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
     sc = _scanned(src)
     if sc.edges:
-        raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
+        raise ParseError(sc.edge_lines[0], "3-graph file may not contain pair edges")
     vs = sc.vertex_set
     try:
         return PartiteThreeGraph(vs, frozenset(_triples(sc)))
@@ -971,7 +990,7 @@ def load_three_graph(src: str | Scan) -> ThreeGraph:
     """Any 3-graph file, part structure ignored (triples as plain 3-subsets)."""
     sc = _scanned(src)
     if sc.edges:
-        raise ParseError(sc.edges[0], "3-graph file may not contain pair edges")
+        raise ParseError(sc.edge_lines[0], "3-graph file may not contain pair edges")
     total = sc.vertex_set.total
     try:
         return ThreeGraph(total, frozenset(_triples(sc)))
@@ -990,12 +1009,13 @@ def load_graph(src: str | Scan) -> Graph:
     """Any graph file as a plain simple graph (part structure ignored)."""
     sc = _scanned(src)
     if sc.triples:
-        raise ParseError(sc.triples[0], "graph file may not contain triples")
+        raise ParseError(sc.triple_lines[0], "graph file may not contain triples")
     total = sc.vertex_set.total
+    it = iter(sc.edges)
     try:
-        return Graph.from_edges(total, zip(sc.edges[1::3], sc.edges[2::3]))
+        return Graph.from_edges(total, zip(it, it))
     except InvalidStructure:
-        for lineno, u, v in _records(sc.edges, 3):
+        for lineno, (u, v) in _records(sc.edge_lines, sc.edges, 2):
             _check_range(lineno, (u, v), total)
             if u == v:
                 raise ParseError(lineno, f"loop at vertex {u}")

@@ -313,9 +313,14 @@ class PairPartition:
         return self.left_mask.bit_count() * self.right_mask.bit_count()
 
     @cached_property
+    def _cell_edges(self) -> tuple[int, ...]:
+        """Edge count of each cell; ``edge_counts`` and ``certificate_terms`` read it."""
+        return tuple(sum(row.bit_count() for row in cell) for cell in self.cells)
+
+    @cached_property
     def edge_counts(self) -> tuple[int, ...]:
         """Edge count of each cell (cells lie inside the masks)."""
-        return tuple(sum(row.bit_count() for row in cell) for cell in self.cells)
+        return self._cell_edges
 
     @cached_property
     def certificate_terms(self) -> tuple[tuple[int, int], ...]:
@@ -325,8 +330,7 @@ class PairPartition:
         a6 = area**6 or 1
         left = list(bits(self.left_mask))
         out = []
-        for cell in self.cells:
-            e = sum(row.bit_count() for row in cell)
+        for cell, e in zip(self.cells, self._cell_edges):
             s = pair_raw_scaled(cell, left, self.right_mask, e, area)
             g = gcd(s, a6)
             out.append((s // g, a6 // g))

@@ -564,6 +564,13 @@ def _outcome(load, text):
         return type(exc), str(exc)
 
 
+def _scan_records(lines, flat, width):
+    """A scan's records as the reference's ``(lineno, ids)``, one line
+    number to each ``width`` ids."""
+    assert len(flat) == width * len(lines)
+    return [(lineno, tuple(flat[width * k : width * (k + 1)])) for k, lineno in enumerate(lines)]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_scan_matches_the_reference_tokenizer(seed):
     rng = SplitMix64(seed)
@@ -579,8 +586,8 @@ def test_scan_matches_the_reference_tokenizer(seed):
                 continue
             assert sc.error is None, text
             assert list(sc.parts) == parts
-            assert list(sc.edges) == [x for lineno, ids in edges for x in (lineno, *ids)]
-            assert list(sc.triples) == [x for lineno, ids in triples for x in (lineno, *ids)]
+            assert _scan_records(sc.edge_lines, sc.edges, 2) == edges
+            assert _scan_records(sc.triple_lines, sc.triples, 3) == triples
             if sc.kind == "graph":
                 assert _outcome(load_graph, text) == _outcome(_reference_load_graph, text), text
 
@@ -610,8 +617,8 @@ def test_scan_and_graph_loader_on_bad_and_huge_ids(text):
         assert (sc.error.line, str(sc.error)) == (exc.line, str(exc))
     else:
         assert sc.error is None
-        assert list(sc.edges) == [x for lineno, ids in edges for x in (lineno, *ids)]
-        assert list(sc.triples) == [x for lineno, ids in triples for x in (lineno, *ids)]
+        assert _scan_records(sc.edge_lines, sc.edges, 2) == edges
+        assert _scan_records(sc.triple_lines, sc.triples, 3) == triples
     assert _outcome(load_graph, text) == _outcome(_reference_load_graph, text)
     assert _outcome(load_graph, sc) == _outcome(load_graph, text)
 
@@ -691,8 +698,11 @@ def test_edges_to_the_last_vertex_allowed_load_quickly():
 
 
 def _scan_fields(sc):
+    """A scan's fields, its id and line stores as lists: a canonical block's
+    line numbers are a range, the line loop's an array."""
     error = None if sc.error is None else (sc.error.line, str(sc.error))
-    return sc.parts, sc.edges, sc.triples, sc.kind, error
+    stores = (sc.edges, sc.edge_lines, sc.triples, sc.triple_lines)
+    return (sc.parts, *map(list, stores), sc.kind, error)
 
 
 def _loop_scan(text: str):
@@ -769,6 +779,28 @@ def test_scan_bulk_path_matches_the_line_loop(tmp_path):
         assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text)), name
 
 
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_graph, "part V 3\ne 0 999999999999999999\n"),
+        (load_graph, "part V 4\ne 0 1\ne 1 2\ne 3 3\ne 0 2\n"),
+        (load_graph, "part V 4\ne 0 1\nt 0 1 2\n"),
+        (load_three_graph, "part V 4\ne 0 1\nt 0 1 2\n"),
+        (load_three_graph, "part V 4\nt 0 1 2\nt 1 1 3\nt 0 1 9\n"),
+        (load_multipartite, "part A 2\npart B 2\ne 0 2\ne 0 1\n"),
+    ],
+)
+def test_a_canonical_file_names_its_bad_line_as_the_line_loop_does(load, text):
+    # The bulk path keeps a range of line numbers per block, and the loaders
+    # pair it with the ids only to name the bad line.
+    assert core._bulk_scan(text) is not None
+    with pytest.raises(ParseError) as bulk:
+        load(scan(text))
+    with pytest.raises(ParseError) as loop:
+        load(_loop_scan(text))
+    assert (bulk.value.line, str(bulk.value)) == (loop.value.line, str(loop.value))
+
+
 ID_TOKENS = ("0", "7", "00", "07", "-1", "+1", "1_0", "\u0661", "9" * 18, "1" + "0" * 18,
              "9" * 23, "x", "e", "t", "part", "#")
 NOISE = (" ", "  ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#", "0", "9", "e", "t", "-")
@@ -819,7 +851,7 @@ def test_bulk_scan_memory_stays_a_small_multiple_of_the_text():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert core._bulk_scan(text) is not None and len(sc.edges) == 3 * n
+    assert core._bulk_scan(text) is not None and len(sc.edges) == 2 * n
     assert peak < 3 * len(text)
 
 
@@ -1006,6 +1038,63 @@ def test_from_edges_matches_a_bit_by_bit_build(seed):
     built = Graph.from_edges(n, edges).rows
     assert built == tuple(rows) == Graph(n, tuple(rows)).rows
     assert rows_symmetric(built)
+
+
+def _walked_from_edges(n, edges):
+    """``Graph.from_edges`` as a literal walk: each edge checked before its
+    bits are set; the rows, or the message of the first bad edge."""
+    rows = [0] * n
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return f"bad edge ({u},{v})"
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def _built_from_edges(n, edges):
+    try:
+        return Graph.from_edges(n, edges).rows
+    except InvalidStructure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_write_checked_from_edges_matches_the_check_walk(seed):
+    # The row reads and shifts check each edge; the first bad edge, in
+    # order, names the error, whichever end holds the bad id.
+    rng = SplitMix64(seed)
+    for _ in range(40):
+        n = 1 + rng.below(12)
+        edges = []
+        for _ in range(rng.below(3 * n)):
+            u, v = rng.below(n), rng.below(n)
+            if u != v:
+                edges += [(u, v)] * (1 + rng.below(2))  # duplicates and both orientations
+        assert _built_from_edges(n, edges) == _walked_from_edges(n, edges)
+        for _ in range(1 + rng.below(2)):  # a loop, an id in [-n, -1], below -n, n or huge
+            good = rng.below(n)
+            bad_ids = (good, -1 - rng.below(n), -n - 1 - rng.below(3), n, 10**18, 10**30)
+            bad_id = bad_ids[rng.below(6)]
+            bad = (bad_id, good) if rng.below(2) else (good, bad_id)
+            edges.insert(rng.below(len(edges) + 1), bad)
+        walked = _walked_from_edges(n, edges)
+        assert isinstance(walked, str)
+        assert _built_from_edges(n, edges) == walked
+
+
+def test_from_edges_refuses_a_huge_id_before_any_shift():
+    # An id of 10^18 is refused by the row read, so no row of 10^18 bits
+    # is ever asked for.
+    for edges in ([(0, 1), (2, 10**18)], [(10**18, 0)], [(1, 2), (-(10**18), 1)]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidStructure, match=r"^bad edge \("):
+                Graph.from_edges(3, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 @pytest.mark.parametrize(
