@@ -21,7 +21,14 @@ against naive, the latter on every part triple of a cylinder and on every
 located cell chain taken as one cell (where q is d^2).  The counts and
 certificate ``cell_chain_stats`` computes where a chain lies are checked
 against the naive octahedral sum on its extracted copy, for the chain's
-cells and for copies that reach outside the cylinder masks.  ``lookup`` and
+cells and for copies that reach outside the cylinder masks.  On random
+chains where they lie (masks narrower than their parts, cell rows reaching
+outside them, z parts that may pass 64 vertices; a stream of its own), the
+first pass's certificate bound is checked to be at least the naive
+certificate, and equal to it when one x carries every triangle, and the
+bound-first verdict ``cell_chain_within`` against certificate <= eta at the
+certificate, just below it, at the bound and at each sweep eta, with the
+pair loop run only where the bound is above eta.  ``lookup`` and
 ``container`` are checked against a scan over the masks, and the linear
 cylinder overlap check against the pairwise one, first offending pair
 included, on random cylinder families that overlap about half the time.
@@ -47,6 +54,7 @@ from regulab import core
 from regulab.core import (
     Graph,
     InvalidStructure,
+    PartiteThreeGraph,
     PartiteVertexSet,
     bits,
     ratio,
@@ -78,6 +86,7 @@ from regulab.partitions import (
     VertexCylinder,
     cell_chain_passes,
     cell_chain_stats,
+    cell_chain_within,
     cells_by_label,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
@@ -88,8 +97,10 @@ from regulab.partitions import (
     survey_partition,
 )
 from regulab.quasirandom import (
+    DeviationFunction3,
     PolyFunction,
     c4_sum,
+    chain_first_pass,
     chain_quasirandomness,
     eta_psi_check,
     masked_pair_quasirandomness,
@@ -289,6 +300,41 @@ def q_matches(h, p, rng) -> int:
     return bad
 
 
+def bounds_match(max_size, rng) -> int:
+    """Mismatches of the octahedral kernel's Cauchy-Schwarz bound and of the
+    bound-first verdict ``cell_chain_within`` against the naive octahedral
+    sum on one random chain where it lies: masks narrower than their parts,
+    cell rows that reach outside them and a z part that may pass 64
+    vertices.  The bound must be at least the certificate, and equal to it
+    when at most one x carries triangles; the verdict, read first on a
+    fresh index and then again, must equal certificate <= eta at eta = the
+    certificate, just below it, at the bound and at every THRESHOLDS eta,
+    and must run the pair loop only where the bound is above eta."""
+    sizes = (1 + rng.below(max_size), 1 + rng.below(min(max_size, 4)), 1 + rng.below(70))
+    h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
+    parts = (0, 1, 2)
+
+    def draw(size):  # each bit set with probability 3/4
+        words = [rng.next_u64() | rng.next_u64() for _ in range(2)]
+        return (words[0] | words[1] << 64) & ((1 << size) - 1)
+
+    masks = tuple(draw(n) for n in sizes)
+    cells = tuple(tuple(draw(sizes[b]) for _ in range(sizes[a])) for a, b in combinations(parts, 2))
+    chain = extract_cell_chain(h, masks, parts, cells)
+    cert = chain_quasirandomness(chain, mode="naive").value
+    fp = chain_first_pass(cells, masks, h.zmasks(*parts))
+    bound = Fraction(*fp.scaled(fp.diagonal))
+    bad = bound < cert
+    bad += len({x for x, _, _ in DeviationFunction3.from_chain(chain).support}) <= 1 and bound != cert
+    for eta in (cert, cert - Fraction(1, 10**9), bound, *(eta for eta, _ in THRESHOLDS)):
+        fresh = PartiteThreeGraph(h.vertex_set, h.triples)
+        for _ in range(2):
+            bad += cell_chain_within(fresh, masks, parts, cells, eta) != (cert <= eta)
+        looped = (masks, parts, cells) in fresh.index.chain_values and bool(fp.splits)
+        bad += looped != (bound > eta and bool(fp.splits))
+    return bad
+
+
 def scan_lookup(pv, locals_):
     """The first cylinder whose masks hold the tuple, by a scan."""
     return next(
@@ -382,7 +428,8 @@ def audits_match(h, p) -> int:
         q_naive = q_partition(h, q, "naive")
         useful = tuple(
             (ci, parts, combo, cells, cert, q.vertex.cylinders[ci].weight(vs) * Fraction(tri, size))
-            for ci, _, masks, parts, combo, cells, (tri, _, cert) in located_cell_chains(h, q)
+            for ci, _, masks, parts, combo, cells in located_cell_chains(h, q)
+            for tri, _, cert in [cell_chain_stats(h, masks, parts, cells)]
             if tri > 0 and cert > eta
             for size in [prod(m.bit_count() for m in masks)]
         )
@@ -534,6 +581,7 @@ def main() -> int:
     draws = SplitMix64(args.seed + 6)
     cell_pairs = SplitMix64(args.seed + 7)
     edge_lists = SplitMix64(args.seed + 8)
+    bound_chains = SplitMix64(args.seed + 9)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -591,6 +639,10 @@ def main() -> int:
             if (cf.raw_sum, cf.value) != (cn.raw_sum, cn.value):
                 mismatches += 1
                 print(f"thin chain mismatch at case {case}: {sizes}")
+            bad = bounds_match(args.max_size, bound_chains)
+            if bad:
+                mismatches += 1
+                print(f"{bad} chain bound or bound-first verdict mismatches at case {case}")
         if case % 4 == 2:
             t = 3 + rng.below(4)
             # Parts of at most 3 at t = 6 keep the literal audit walk short.
@@ -623,7 +675,7 @@ def main() -> int:
         f"{args.cases} pair, masked pair, cell terms, symmetry, edge list, cylinder overlap,"
         " bulk draw and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
-        f" + {chains} chain and {chains} thin chain cases"
+        f" + {chains} chain, {chains} thin chain and {chains} chain bound cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
         f" in {dt:.1f}s"
     )
@@ -633,7 +685,7 @@ def main() -> int:
     print(
         "all kernels, the cell certificate terms, the symmetry check, the edge-list graph"
         " builder, the hyperedge index,"
-        " the cell-chain verdicts"
+        " the cell-chain verdicts, bounds"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
         " overlap check, the bulk draw and the bulk scan match their oracles"
     )

@@ -374,12 +374,19 @@ class HyperedgeIndex:
 
     Built in one pass over the triples.  ``zmasks[(i, j, k)]`` (i < j < k)
     maps a local pair (x, y) of parts i and j to the bitmask over local z in
-    part k of the hyperedges (x, y, z).  ``cell_chains`` is the store of the
-    cell-chain evaluator (:func:`regulab.partitions.cell_chain_stats`); it
-    holds numbers only, so it lives and dies with the hypergraph.
+    part k of the hyperedges (x, y, z).  ``cell_chains`` and
+    ``chain_values`` are the store of the cell-chain evaluator
+    (:func:`regulab.partitions.cell_chain_stats`), keyed alike by a chain's
+    (masks, parts, cells): the first holds each chain's (triangles,
+    hyperedges, bound) from its first read, the bound an integer
+    (numerator, denominator) pair, and the second its exact certificate,
+    filled where the bound is already exact, where the certificate is
+    asked for and where the bound is above eta, so that no entry changes
+    once stored.  They hold numbers only, so they live and die with the
+    hypergraph.
     """
 
-    __slots__ = ("zmasks", "cell_chains")
+    __slots__ = ("zmasks", "cell_chains", "chain_values")
 
     def __init__(self, h: "PartiteThreeGraph"):
         vs = h.vertex_set
@@ -393,7 +400,8 @@ class HyperedgeIndex:
             key = (u - off[i], v - off[j])
             bucket[key] = bucket.get(key, 0) | 1 << (w - off[k])
         self.zmasks = zmasks
-        self.cell_chains: dict[tuple, tuple[int, int, Fraction]] = {}
+        self.cell_chains: dict[tuple, tuple[int, int, tuple[int, int]]] = {}
+        self.chain_values: dict[tuple, Fraction] = {}
 
 
 @dataclass(frozen=True)

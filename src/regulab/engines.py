@@ -60,6 +60,7 @@ from .partitions import (
     VertexCylinderPartition,
     cell_chain_passes,
     cell_chain_stats,
+    cell_chain_within,
     cells_by_label,
     common_refinement,
     homogeneity_audit,
@@ -622,8 +623,9 @@ def refine_cell_chain(
     The chain is given where it lies, as :func:`cell_chain_stats` takes it:
     ``cells`` are the row tuples of its (i, j), (i, k) and (j, k) cells on
     the cylinder ``masks`` of ``parts`` = (i, j, k), in ``h``'s local ids.
-    Its certificate and d = hyperedges / triangles are that evaluator's, so
-    the chain is never cut out or certified again.  Each candidate cuts
+    Its verdict against eta (:func:`cell_chain_within`) and d = hyperedges
+    / triangles are that evaluator's, so the chain is never cut out or
+    certified again.  Each candidate cuts
     some pair graphs by the conditional deviation through each edge
     (hyperedge count minus d times triangle count): by sign, at a
     quantile, and, when those fall short, at the levels of a threshold
@@ -635,9 +637,9 @@ def refine_cell_chain(
     already eta-quasirandom, NoCandidateSplit when there is no candidate
     at all and RefinementFailure when no candidate reaches the gain target.
     """
-    tri, hyp, cert = cell_chain_stats(h, masks, parts, cells)
-    if cert <= eta:
+    if cell_chain_within(h, masks, parts, cells, eta):
         raise InvalidStructure("chain is already quasirandom at this eta")
+    tri, hyp, _ = cell_chain_stats(h, masks, parts, cells)
     i, j, k = parts
     sizes = h.vertex_set.sizes
     d = ratio(hyp, tri)

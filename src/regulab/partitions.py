@@ -34,13 +34,18 @@ one table, ``VertexCylinderPartition.holders``, built once per partition.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
-evaluator, :func:`cell_chain_stats`, which returns (triangles, hyperedges,
-certificate) and keeps them on that index.  It certifies a chain where it
-lies, with the one fast octahedral kernel
-(:func:`regulab.quasirandom.masked_chain_quasirandomness`).  The subset
-gate and :func:`survey_partition` read it; the engine reads each cylinder
-chain partition through that one walk over its located cell chains, which
-gives its q, its tuple audit and its useful (non-quasirandom) chains.
+evaluator that keeps its numbers on that index.  It reads a chain where it
+lies, with the two halves of the one fast octahedral kernel
+(:func:`regulab.quasirandom.chain_first_pass` and
+:func:`regulab.quasirandom.chain_pair_total`).  A chain's first read
+stores its counts and a Cauchy-Schwarz bound on its certificate; its exact
+certificate is stored once asked for.  :func:`cell_chain_stats` gives the
+exact (triangles, hyperedges, certificate), and :func:`cell_chain_within`,
+the verdict certificate <= eta, runs the pair loop only where the bound is
+above eta.  The subset gate and :func:`survey_partition` read it; the
+engine reads each cylinder chain partition through that one walk over its
+located cell chains, which gives its q (from the counts alone), its tuple
+audit and its useful (non-quasirandom) chains.
 
 Per-cell facts live on their :class:`PairPartition` as integers: the
 cached ``labels`` table, the ``area``, each cell's ``edge_counts`` and its
@@ -49,7 +54,8 @@ in lowest terms), computed once per partition however many audits, gates
 or ``q`` evaluations read them.  The cell half of the (eta, psi) test has
 one home, :func:`cells_quasirandom`, and the verdict on a located cell
 chain one more, :func:`cell_chain_passes`; both decide by cross-multiplying
-integers, and no fraction is built per chain.  The survey reads that
+integers and build no fraction per chain; the evaluator builds one, a
+chain's exact certificate, where it stores it.  The survey reads that
 verdict once per located chain, sums q and the masses as integer
 numerators over the tuple space, and counts the good tuples of a cylinder
 from its failing chains, never tuple by tuple; above the audit's tuple
@@ -82,7 +88,13 @@ from .core import (
     ratio,
     relative_density,
 )
-from .quasirandom import PolyFunction, masked_chain_quasirandomness, pair_raw_scaled
+from .quasirandom import (
+    ChainPass,
+    PolyFunction,
+    chain_first_pass,
+    chain_pair_total,
+    pair_raw_scaled,
+)
 
 
 def rational_sqrt(f: Fraction) -> Fraction | None:
@@ -618,7 +630,8 @@ def q_partition(h: PartiteThreeGraph, p: CylinderChainPartition, mode: str = "fa
         raise InvalidStructure("partition and hypergraph disagree on parts")
     if mode == "fast":
         by_tri: dict[int, int] = {}
-        for _, rest, *_, (tri, hyp, _) in located_cell_chains(h, p):
+        for _, rest, masks, parts, _, cells in located_cell_chains(h, p):
+            tri, hyp, _ = _chain_bound(h, (masks, parts, cells))[0]
             if hyp:
                 by_tri[tri] = by_tri.get(tri, 0) + rest * hyp * hyp
         return fraction_sum(by_tri, prod(vs.sizes))
@@ -927,6 +940,41 @@ class CylinderAudit:
     mode: str
 
 
+def _chain_bound(h: PartiteThreeGraph, key: tuple) -> tuple[tuple, ChainPass | None]:
+    """The stored (triangles, hyperedges, bound) of the cell chain ``key``,
+    and the kernel's first pass when this call stored them (else None).
+
+    ``bound`` is the Cauchy-Schwarz bound on the chain certificate as an
+    integer (numerator, denominator).  When no split has two rows, the
+    bound is the certificate and is stored as the exact value too.
+    """
+    index = h.index
+    got = index.cell_chains.get(key)
+    if got is not None:
+        return got, None
+    masks, parts, cells = key
+    fp = chain_first_pass(cells, masks, h.zmasks(*parts))
+    bound = fp.scaled(fp.diagonal)
+    got = index.cell_chains[key] = (fp.triangles, fp.hyperedges, bound)
+    if not fp.splits:
+        index.chain_values[key] = Fraction(*bound)
+    return got, fp
+
+
+def _chain_value(h: PartiteThreeGraph, key: tuple, fp: ChainPass | None) -> Fraction:
+    """The stored certificate of the cell chain ``key``, its pair loop run
+    at most once: from ``fp`` when the caller's read stored it, else from a
+    new first pass.  The fill builds one Fraction, the value."""
+    values = h.index.chain_values
+    value = values.get(key)
+    if value is None:
+        if fp is None:
+            masks, parts, cells = key
+            fp = chain_first_pass(cells, masks, h.zmasks(*parts))
+        value = values[key] = Fraction(*fp.scaled(chain_pair_total(fp)))
+    return value
+
+
 def cell_chain_stats(
     h: PartiteThreeGraph,
     masks: tuple[int, int, int],
@@ -937,30 +985,58 @@ def cell_chain_stats(
 
     The cell-chain evaluator.  ``masks`` are the cylinder's vertex masks on
     ``parts`` = (i, j, k) and ``cells`` the row tuples of its (i, j),
-    (i, k) and (j, k) cells.  The chain is certified where it lies, by one
-    call of :func:`regulab.quasirandom.masked_chain_quasirandomness`, and
-    never copied out.  Results are kept on ``h``'s hyperedge index, keyed
-    by this cell content, so a chain is certified at most once per
-    hypergraph, however many audits, searches or engine steps read it.  A
-    chain without triangles has certificate 0.
+    (i, k) and (j, k) cells.  The chain is certified where it lies, by the
+    octahedral kernel's two halves
+    (:func:`regulab.quasirandom.chain_first_pass` and
+    :func:`regulab.quasirandom.chain_pair_total`), and never copied out.
+    Results are kept on ``h``'s hyperedge index, keyed by this cell
+    content: (triangles, hyperedges, bound) in ``cell_chains`` on a chain's
+    first read, and the exact certificate in ``chain_values`` once asked
+    for, so the pair loop runs at most once per chain and hypergraph,
+    however many audits, searches or engine steps read it.  The first pass
+    runs again only for a chain whose certificate is asked for after a
+    read that had no use for it, such as q's.  A chain without triangles
+    has certificate 0.
     """
-    store = h.index.cell_chains
     key = (masks, parts, cells)
-    got = store.get(key)
-    if got is None:
-        tri, hyp, cert = masked_chain_quasirandomness(cells, masks, h.zmasks(*parts))
-        got = store[key] = (tri, hyp, cert.value)
-    return got
+    (tri, hyp, _), fp = _chain_bound(h, key)
+    return tri, hyp, _chain_value(h, key, fp)
+
+
+def cell_chain_within(
+    h: PartiteThreeGraph,
+    masks: tuple[int, int, int],
+    parts: tuple[int, int, int],
+    cells: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    eta: Fraction,
+) -> bool:
+    """Whether one cell chain's certificate is at most ``eta``, bound first.
+
+    The chain is given as :func:`cell_chain_stats` takes it.  The stored
+    Cauchy-Schwarz bound decides when it is at most eta; only above eta is
+    the exact certificate read, its pair loop continuing from the first
+    pass when this read is the chain's first.  Both tests cross-multiply
+    integers; a chain without triangles, or with an empty pair, has bound
+    0 and passes.
+    """
+    key = (masks, parts, cells)
+    (_, _, (n, d)), fp = _chain_bound(h, key)
+    en, ed = eta.numerator, eta.denominator
+    if n * ed <= en * d:
+        return True
+    value = _chain_value(h, key, fp)
+    return value.numerator * ed <= en * value.denominator
 
 
 def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
-    """(ci, rest, masks, parts, combo, cells, stats) of every located cell
-    chain of ``p``'s non-empty cylinders: cylinders, then part triples, then
-    cell combinations.  ``masks`` are the cylinder's masks on ``parts``,
-    ``rest`` the product of its other masks' sizes and ``stats`` the
-    :func:`cell_chain_stats` triple.  The chain's triangle mass, the share
-    of the tuple space whose projection on ``parts`` is one of its
-    triangles, is rest * triangles / |X_1 x ... x X_t|."""
+    """(ci, rest, masks, parts, combo, cells) of every located cell chain of
+    ``p``'s non-empty cylinders: cylinders, then part triples, then cell
+    combinations.  ``masks`` are the cylinder's masks on ``parts`` and
+    ``rest`` the product of its other masks' sizes.  The chain's triangle
+    mass, the share of the tuple space whose projection on ``parts`` is
+    one of its triangles, is rest * triangles / |X_1 x ... x X_t|.  The
+    walk reads nothing from the evaluator: each caller reads what it
+    needs, the counts or the verdict first."""
     vs = h.vertex_set
     for ci, (cyl, ep) in enumerate(zip(p.vertex.cylinders, p.edges)):
         sizes = cyl.sizes()
@@ -974,8 +1050,7 @@ def located_cell_chains(h: PartiteThreeGraph, p: CylinderChainPartition):
             rest = volume // (sizes[i] * sizes[j] * sizes[k])
             combos = itertools.product(*(range(pp.cell_count) for pp in pps))
             for combo, cells in zip(combos, itertools.product(*(pp.cells for pp in pps))):
-                stats = cell_chain_stats(h, masks, parts, cells)
-                yield ci, rest, masks, parts, combo, cells, stats
+                yield ci, rest, masks, parts, combo, cells
 
 
 def extract_cell_chain(
@@ -1032,8 +1107,7 @@ def cell_chain_passes(
 
     ``combo`` indexes cells of ``ep``'s (i, j), (i, k) and (j, k) pairs,
     ``parts`` = (i, j, k).  The cells must pass :func:`cells_quasirandom`;
-    only then is the chain certificate read and compared with eta, by
-    cross-multiplying.
+    only then is the chain read, through :func:`cell_chain_within`.
     """
     i, j, k = parts
     pps = (ep.pair(i, j), ep.pair(i, k), ep.pair(j, k))
@@ -1041,8 +1115,7 @@ def cell_chain_passes(
         return False
     masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
     cells = tuple(pp.cells[idx] for pp, idx in zip(pps, combo))
-    cert = cell_chain_stats(h, masks, parts, cells)[2]
-    return cert.numerator * eta.denominator <= eta.numerator * cert.denominator
+    return cell_chain_within(h, masks, parts, cells, eta)
 
 
 def _good_tuples(vs: PartiteVertexSet, cyl: VertexCylinder, fails) -> int:
@@ -1111,13 +1184,14 @@ def survey_partition(
     """q, the tuple audit and the useful chains of ``p`` from one walk over
     :func:`located_cell_chains`.
 
-    q is the sum of :func:`q_partition`'s fast mode.  A useful chain has
-    triangles and a certificate above eta; ``weight`` is its triangle mass.
-    The audit is the mass of tuples whose visible chains all pass
-    :func:`cell_chain_passes`, a verdict read once per (masks, parts,
-    cells), so cylinders that share a projection share it.  Each failing
-    chain is filed under its cylinder and its triangle mass added to
-    ``bad``; :func:`_tuple_audit` reads both.  Every mass is an integer
+    q is the sum of :func:`q_partition`'s fast mode.  A useful chain fails
+    :func:`cell_chain_within`, so it has triangles and a certificate above
+    eta, whose exact value that verdict has stored; ``weight`` is its
+    triangle mass.  The audit is the mass of tuples whose visible chains
+    all pass :func:`cell_chain_passes`, a verdict read once per (masks,
+    parts, cells), so cylinders that share a projection share it.  Each
+    failing chain is filed under its cylinder and its triangle mass added
+    to ``bad``; :func:`_tuple_audit` reads both.  Every mass is an integer
     numerator over the tuple space until the walk ends, and certificates
     meet eta by cross-multiplying, so the walk builds a fraction only for
     a useful chain's weight.
@@ -1125,19 +1199,24 @@ def survey_partition(
     if h.vertex_set != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
     space = prod(h.vertex_set.sizes)
-    en, ed = eta.numerator, eta.denominator
+    index = h.index
     mass = bad = 0
     by_tri: dict[int, int] = {}
     useful = []
     verdicts: dict[tuple, bool] = {}
     failing: list[dict[tuple[int, int, int], list]] = [{} for _ in p.vertex.cylinders]
-    for ci, rest, masks, parts, combo, cells, (tri, hyp, cert) in located_cell_chains(h, p):
+    for ci, rest, masks, parts, combo, cells in located_cell_chains(h, p):
+        # The verdict before the counts, so that a chain read here first
+        # runs its pair loop, if at all, from the pass that stores it.
+        within = cell_chain_within(h, masks, parts, cells, eta)
+        key = (masks, parts, cells)
+        tri, hyp, _ = index.cell_chains[key]
         if hyp:
             by_tri[tri] = by_tri.get(tri, 0) + rest * hyp * hyp
-        if tri and cert.numerator * ed > en * cert.denominator:
+        if not within:
+            cert = index.chain_values[key]
             useful.append((ci, parts, combo, cells, cert, Fraction(rest * tri, space)))
             mass += rest * tri
-        key = (masks, parts, cells)
         ok = verdicts.get(key)
         if ok is None:
             cyl, ep = p.vertex.cylinders[ci], p.edges[ci]

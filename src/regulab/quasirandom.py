@@ -18,11 +18,14 @@ It takes a chain where it lies, as three pair rows, three vertex masks and
 the part triple's hyperedge z-masks, so a cell chain of a larger
 hypergraph is certified without being copied out;
 :func:`chain_quasirandomness` calls it on a standalone chain's full masks.
-Per pair of x rows it makes one AND and one popcount for each of the five
-weight classes u^k v^(4-k) of the deviation product, over z-masks packed
-side by side at a shift of at least the z mask's bit length, and it tallies
-the class counts so that each distinct count vector is weighed once.  It
-builds its certificate's three fractions straight from integer counts.
+It runs in two halves, which the cell-chain evaluator also calls apart.
+:func:`chain_first_pass` counts the chain and bounds its raw sum by
+Cauchy-Schwarz in O(X Y^2) popcounts; :func:`chain_pair_total` continues
+from that pass to the exact sum in O(X^2 Y^2), with one AND and one
+popcount per pair of x rows for each of the five weight classes
+u^k v^(4-k) of the deviation product, and each distinct vector of class
+counts weighed once.  The kernel builds its certificate's three fractions
+straight from integer counts.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -329,38 +332,66 @@ def _chain_certificate(raw: Fraction, dprod: Fraction, volume: int) -> Quasirand
     return QuasirandomnessCertificate(raw, norm, raw / norm, False)
 
 
-def masked_chain_quasirandomness(
+class ChainPass(NamedTuple):
+    """The octahedral kernel's first pass over a chain where it lies.
+
+    ``triangles`` q and ``hyperedges`` p count the chain; ``volume`` is
+    n0 n1 n2 and ``density`` the product of its three pair edge counts on
+    the masks.  ``weights`` are the class weights u^k v^(4-k), k = 4..0,
+    and ``shift`` the plane shift W.  ``diagonal`` is the Cauchy-Schwarz
+    bound B on the raw sum and ``solo`` the exact terms of the (y, y')
+    splits that only one x meets.  ``splits`` holds each other split as its
+    multiplicity among ordered (y, y') and its packed rows
+    a | b << W | c << 2W, one per x that meets it: all the pair loop reads.
+    """
+
+    triangles: int
+    hyperedges: int
+    volume: int
+    density: int
+    weights: tuple[int, int, int, int, int]
+    shift: int
+    diagonal: int
+    solo: int
+    splits: list[tuple[int, list[int]]]
+
+    def scaled(self, total: int) -> tuple[int, int]:
+        """(numerator, denominator) of the certificate of the raw sum
+        ``total``: total vol^6 / (q^8 dens^4), and 0 / 1 without triangles."""
+        q = self.triangles
+        if not q:
+            return 0, 1
+        return total * self.volume**6, q**8 * self.density**4
+
+
+def chain_first_pass(
     rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
     masks: tuple[int, int, int],
     zm: Mapping[tuple[int, int], int],
-) -> tuple[int, int, QuasirandomnessCertificate]:
-    """(triangles, hyperedges, certificate) of a chain where it lies.
+) -> ChainPass:
+    """The triangle and hyperedge pass of the octahedral kernel, then its
+    split of every (y, y') into planes, and the bound that they give.
 
-    The one fast octahedral kernel.  ``rows`` are the (0, 1), (0, 2) and
-    (1, 2) pair rows in the parts' own ids, ``masks`` the chain's vertices
-    in each part and ``zm`` the part triple's hyperedge z-masks.  The chain
-    is what a copy would keep: the edges inside the masks and the
-    hyperedges on their triangles, so its certificate is the copy's.
+    ``rows`` are the (0, 1), (0, 2) and (1, 2) pair rows in the parts' own
+    ids, ``masks`` the chain's vertices in each part and ``zm`` the part
+    triple's hyperedge z-masks.  The chain is what a copy would keep: the
+    edges inside the masks and the hyperedges on their triangles.
 
     The deviation takes only three values: u = q - p on hyperedges,
     v = -p on triangles that are not hyperedges, 0 off triangles, where
     d(H|G) = p/q with q the triangle count.  The sum is symmetric in the
     three parts, so it pairs over y: for each pair (y, y') the product
     g = f(., y, .) f(., y', .) takes values in {u^2, uv, v^2, 0}, held per x
-    as three disjoint z-masks a, b, c.  The product of two rows' g at one z
-    is u^k v^(4-k), and each weight class k is one AND and one popcount per
-    row pair: the row packs (a, b, c) at shifts (0, W, 2W), and the other
-    row packs the planes that pair with them into class k, so the AND keeps
-    exactly the class-k z's.  The shift W must be at least the bit length of
-    every plane, so W = mask_z.bit_length().  The diagonal row pair needs
-    only the three plane popcounts.  A pair's term is the square of
-    sum_k n_k u^k v^(4-k) over its class counts n_k; the count vectors are
-    tallied and each distinct one weighed once.  The normalizer is the
-    chain's, from the pair densities on the masks.  The raw sum, the
-    normalizer and the value are each one fraction of integers: with
-    vol = n0 n1 n2 and dens the product of the three pair edge counts,
-    the density product is dens / vol^2, the normalizer dens^4 / vol^6 and
-    the value total vol^6 / (q^8 dens^4).
+    as three disjoint z-masks a, b, c whose union is the common triangles
+    t of (x, y) and (x, y').  With S(x, x') the z-sum of g_x g_x', the raw
+    sum is the sum over ordered (x, x', y, y') of S(x, x')^2, and
+    Cauchy-Schwarz over z gives S(x, x')^2 <= S(x, x) S(x', x'), so it is
+    at most B, the sum over ordered (y, y') of D^2 with D the sum over x of
+    the diagonal S(x, x) = w4 |a| + w2 |b| + w0 |c|.  A split that only
+    one x meets has no other terms, so B is the raw sum when no split has
+    two rows.  The pass costs O(X Y^2) popcounts; the pair loop,
+    :func:`chain_pair_total`, O(X^2 Y^2).  The shift W is the bit length of
+    the z mask, so every plane lies below bit W.
     """
     rows_ab, rows_ac, rows_bc = rows
     mask_x, mask_y, mask_z = masks
@@ -389,61 +420,115 @@ def masked_chain_quasirandomness(
 
     u, v = q - p, -p
     uu, uv_, vv = u * u, u * v, v * v
-    w4, w3, w2, w1, w0 = uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv
-    W = mask_z.bit_length()  # every plane lies below bit W
+    weights = (uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv)
+    w4, _, w2, _, w0 = weights
+    W = mask_z.bit_length()
     W2 = 2 * W
     ys = sorted({y for t_x, _ in TU for y in t_x})
-    # Tallies of the class counts (n4, ..., n0) of the row pairs, by how
-    # many ordered (x, x', y, y') each pair stands for: 1 on both diagonals,
-    # 2 on one, 4 off both.  The counts repeat, so each distinct one is
-    # weighed once, after the walk.
-    once, twice, four = {}, {}, {}
+    diagonal = solo = 0
+    splits = []
     for n, y in enumerate(ys):
         for y2 in ys[n:]:
-            diag, off = (once, twice) if y == y2 else (twice, four)
-            packed, classes = [], []
+            packed = []
+            na = nc = nt = 0
             for t_x, u_x in TU:
                 t1, t2 = t_x.get(y), t_x.get(y2)
                 if not (t1 and t2):
                     continue
-                u1, u2 = u_x[y], u_x[y2]
-                v1, v2 = t1 & ~u1, t2 & ~u2
-                a = u1 & u2
-                b = (u1 & v2) | (v1 & u2)
-                c = v1 & v2
-                if a | b | c:
-                    key = (a.bit_count(), 0, b.bit_count(), 0, c.bit_count())
-                    diag[key] = diag.get(key, 0) + 1
-                    packed.append(a | b << W | c << W2)
-                    # Against the packed row, class k = 4..0 keeps a.a',
-                    # a.b' + b.a', a.c' + b.b' + c.a', b.c' + c.b', c.c'.
-                    classes.append(
-                        (a, b | a << W, c | b << W | a << W2, (c | b << W) << W, c << W2)
-                    )
-            get = off.get
-            for i, row in enumerate(packed):
-                for c4, c3, c2, c1, c0 in classes[i + 1 :]:
-                    key = (
-                        (row & c4).bit_count(),
-                        (row & c3).bit_count(),
-                        (row & c2).bit_count(),
-                        (row & c1).bit_count(),
-                        (row & c0).bit_count(),
-                    )
-                    off[key] = get(key, 0) + 1
-    total = 0
+                t = t1 & t2
+                if t:
+                    u1, u2 = u_x[y], u_x[y2]
+                    # a: both hyperedges; c: neither; b, the rest of t: one.
+                    a = u1 & u2
+                    c = t & ~(u1 | u2)
+                    packed.append(a | (t ^ a ^ c) << W | c << W2)
+                    na += a.bit_count()
+                    nc += c.bit_count()
+                    nt += t.bit_count()
+            if packed:
+                d = w4 * na + w2 * (nt - na - nc) + w0 * nc
+                times = 1 if y == y2 else 2
+                term = times * d * d
+                diagonal += term
+                if len(packed) == 1:
+                    solo += term
+                else:
+                    splits.append((times, packed))
+    return ChainPass(q, p, n0 * n1 * n2, e_ab * e_ac * e_bc, weights, W, diagonal, solo, splits)
+
+
+def chain_pair_total(fp: ChainPass) -> int:
+    """The exact raw sum of a chain, scaled by q^8, continuing from its
+    first pass: the solo splits' terms plus, per other split, its diagonal
+    and its row pairs.
+
+    The product of two rows' g at one z is u^k v^(4-k), and each weight
+    class k is one AND and one popcount per row pair: the row is packed as
+    (a, b, c) at shifts (0, W, 2W), and the other row packs the planes that
+    pair with them into class k, so the AND keeps exactly the class-k z's.
+    A pair's term is the square of sum_k n_k u^k v^(4-k) over its class
+    counts n_k; the count vectors are tallied and each distinct one weighed
+    once.
+    """
+    W = fp.shift
+    W2, low = 2 * W, (1 << W) - 1
+    # Tallies of the class counts (n4, ..., n0) of the row pairs, by how
+    # many ordered (x, x', y, y') each pair stands for: 1 on both diagonals,
+    # 2 on one, 4 off both.
+    once, twice, four = {}, {}, {}
+    for times, packed in fp.splits:
+        diag, off = (once, twice) if times == 1 else (twice, four)
+        classes = []
+        for row in packed:
+            a, b, c = row & low, row >> W & low, row >> W2
+            key = (a.bit_count(), 0, b.bit_count(), 0, c.bit_count())
+            diag[key] = diag.get(key, 0) + 1
+            # Against the packed row, class k = 4..0 keeps a.a',
+            # a.b' + b.a', a.c' + b.b' + c.a', b.c' + c.b', c.c'.
+            classes.append((a, b | a << W, c | b << W | a << W2, (c | b << W) << W, c << W2))
+        get = off.get
+        for i, row in enumerate(packed):
+            for c4, c3, c2, c1, c0 in classes[i + 1 :]:
+                key = (
+                    (row & c4).bit_count(),
+                    (row & c3).bit_count(),
+                    (row & c2).bit_count(),
+                    (row & c1).bit_count(),
+                    (row & c0).bit_count(),
+                )
+                off[key] = get(key, 0) + 1
+    w4, w3, w2, w1, w0 = fp.weights
+    total = fp.solo
     for times, tally in ((1, once), (2, twice), (4, four)):
         for (k4, k3, k2, k1, k0), pairs in tally.items():
             s = w4 * k4 + w3 * k3 + w2 * k2 + w1 * k1 + w0 * k0
             total += times * pairs * s * s
-    q8 = q**8
-    raw = Fraction(total, q8) if q else Fraction(0)
-    vol, dens = n0 * n1 * n2, e_ab * e_ac * e_bc
+    return total
+
+
+def masked_chain_quasirandomness(
+    rows: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    masks: tuple[int, int, int],
+    zm: Mapping[tuple[int, int], int],
+) -> tuple[int, int, QuasirandomnessCertificate]:
+    """(triangles, hyperedges, certificate) of a chain where it lies.
+
+    The one fast octahedral kernel: :func:`chain_first_pass` on the
+    arguments, then :func:`chain_pair_total`.  The certificate is the
+    copy's, its normalizer the chain's, from the pair densities on the
+    masks.  The raw sum, the normalizer and the value are each one fraction
+    of integers: with vol = n0 n1 n2 and dens the product of the three pair
+    edge counts, the density product is dens / vol^2, the normalizer
+    dens^4 / vol^6 and the value total vol^6 / (q^8 dens^4).
+    """
+    fp = chain_first_pass(rows, masks, zm)
+    total = chain_pair_total(fp)
+    q, p, vol, dens = fp.triangles, fp.hyperedges, fp.volume, fp.density
+    raw = Fraction(total, q**8) if q else Fraction(0)
     if not dens:
         return q, p, _chain_certificate(raw, Fraction(0), vol)
-    vol6, dens4 = vol**6, dens**4
-    value = Fraction(total * vol6, q8 * dens4) if q else Fraction(0)
-    return q, p, QuasirandomnessCertificate(raw, Fraction(dens4, vol6), value, False)
+    value = Fraction(*fp.scaled(total))
+    return q, p, QuasirandomnessCertificate(raw, Fraction(dens**4, vol**6), value, False)
 
 
 def chain_quasirandomness(c: Chain, mode: str = "fast") -> QuasirandomnessCertificate:

@@ -79,6 +79,8 @@ from regulab.partitions import (
 )
 from regulab.quasirandom import (
     PolyFunction,
+    chain_first_pass,
+    chain_pair_total,
     chain_quasirandomness,
     eta_psi_check,
     masked_chain_quasirandomness,
@@ -955,22 +957,38 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
-    """One refine step (the survey, then the refinements) certifies each
-    distinct located chain once, where it lies, and cuts none out: the
-    located kernel also counts the triangles, so it runs once
-    on each chain, with triangles or without, and the refinement reads the
-    evaluator's numbers."""
+    """One refine step (the survey, then the refinements) reads each
+    distinct located chain where it lies and cuts none out: the kernel's
+    first pass also counts the triangles, so it runs once on each chain,
+    with triangles or without.  The pair loop runs at most once per chain,
+    only on chains whose bound is above eta, and on each of those whose
+    bound is not already exact; the refinement reads the evaluator's
+    numbers."""
     extracted = _count_calls(monkeypatch, extract_cell_chain)
-    certified = _count_calls(monkeypatch, masked_chain_quasirandomness)
+    passes = _count_calls(monkeypatch, chain_first_pass)
+    loops = _count_calls(monkeypatch, chain_pair_total)
     eta = Fraction(1, 16)
     h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=5)
     p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6)
     useful = survey_partition(h, p, eta, PSI_ID).useful
     refined = _apply_chain_refinements(h, p, useful, eta, DESK, [])
     assert len(useful) >= 5 and refined != p
-    stored = h.index.cell_chains.values()
-    assert any(tri for tri, _, _ in stored)
-    assert len(certified) == len(stored)
+    stored = h.index.cell_chains
+    assert any(tri for tri, _, _ in stored.values())
+    assert len(passes) == len(stored)
+    undecided = {
+        key for key, (_, _, (n, d)) in stored.items() if n * eta.denominator > eta.numerator * d
+    }
+    assert undecided <= h.index.chain_values.keys()
+    # Every first pass stored a chain, so distinct passes are distinct chains.
+    looped = [args[0] for args in loops]
+    assert len({id(fp) for fp in looped}) == len(looped)
+    assert all(fp.splits and Fraction(*fp.scaled(fp.diagonal)) > eta for fp in looped)
+    # The survey read every chain's verdict, so each chain above eta whose
+    # bound is not its certificate ran the loop.
+    fps = [chain_first_pass(*args) for args in passes]
+    above = [fp for fp in fps if fp.splits and Fraction(*fp.scaled(fp.diagonal)) > eta]
+    assert len(looped) == len(above) > 0
     assert extracted == []
 
 

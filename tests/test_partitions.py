@@ -39,6 +39,8 @@ from regulab.partitions import (
     VertexCylinder,
     VertexCylinderPartition,
     cell_chain_passes,
+    cell_chain_stats,
+    cell_chain_within,
     cells_by_label,
     cells_quasirandom,
     common_refinement,
@@ -61,6 +63,7 @@ from regulab.partitions import (
 )
 from regulab.quasirandom import (
     PolyFunction,
+    chain_first_pass,
     chain_quasirandomness,
     eta_psi_check,
     masked_chain_quasirandomness,
@@ -530,7 +533,9 @@ def test_cell_chain_evaluator_warm_equals_cold():
     already holds earlier partitions' chains as from a fresh, equal
     hypergraph; the survey's q equals q in both modes, its useful chains
     the filter over the located chains, in walk order, and every stored
-    entry equals a direct extraction certified by the naive kernel."""
+    entry agrees with a direct extraction certified by the naive kernel:
+    its counts equal the copy's, its bound is at least the copy's
+    certificate and its exact value, where one is stored, equals it."""
     from regulab.quasirandom import PolyFunction, chain_quasirandomness
 
     psi = PolyFunction(Fraction(1), 1)
@@ -553,7 +558,8 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert survey.q == q_partition(warm, p, "naive")
         want = [
             (ci, ijk, combo, cells, cert, p.vertex.cylinders[ci].weight(vs) * Fraction(tri, size))
-            for ci, _, masks, ijk, combo, cells, (tri, _, cert) in located_cell_chains(warm, p)
+            for ci, _, masks, ijk, combo, cells in located_cell_chains(warm, p)
+            for tri, _, cert in [cell_chain_stats(warm, masks, ijk, cells)]
             if tri > 0 and cert > eta
             for size in [prod(m.bit_count() for m in masks)]
         ]
@@ -561,16 +567,22 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert survey.useful_mass == sum(row[-1] for row in want)
         useful += len(want)
     assert useful
-    # Re-reading added nothing: every chain was evaluated once.
+    # Re-reading added nothing: every chain's first pass ran once.
     assert warm.index.cell_chains == stored
-    extracted = 0
-    for (masks, parts_ijk, cells), (tri, hyp, cert) in stored.items():
-        chain = extract_cell_chain(warm, masks, parts_ijk, cells)
+    values = warm.index.chain_values
+    assert values.keys() <= stored.keys()
+    extracted = exact = 0
+    for key, (tri, hyp, bound) in stored.items():
+        chain = extract_cell_chain(warm, *key)
         assert tri == triangle_count(chain.graph)
         assert hyp == chain.hyper.edge_count
-        assert cert == (chain_quasirandomness(chain, mode="naive").value if tri else 0)
+        cert = chain_quasirandomness(chain, mode="naive").value if tri else 0
+        assert Fraction(*bound) >= cert
+        if key in values:
+            assert values[key] == cert
+            exact += 1
         extracted += tri > 0
-    assert extracted
+    assert extracted and exact
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -657,10 +669,10 @@ def test_cell_half_of_the_test_matches_eta_psi_check(sizes):
 
 
 def test_tuple_audit_reads_each_located_chain_once(monkeypatch):
-    """After q_partition the audit adds nothing to the evaluator's store, so
-    it makes no kernel call, and within one audit it asks cell_chain_passes
-    at most once per (masks, parts, cells), however many cylinders share
-    that projection."""
+    """After q_partition the audit adds nothing to the evaluator's store of
+    counts and bounds, and within one audit it asks cell_chain_passes at
+    most once per (masks, parts, cells), however many cylinders share that
+    projection."""
     import regulab.partitions as partitions
 
     keys = []
@@ -879,8 +891,13 @@ def test_eta_at_a_chain_certificate_is_a_tie():
     for seed in range(3):
         h = random_partite_3graph((3, 4, 3, 2), Fraction(1, 2), seed=80 + seed)
         p = _with_complete_cells(random_cylinder_chain_partition(h.vertex_set, 3, 1, seed=90))
-        chains = [row for row in located_cell_chains(h, p) if row[-1][0] and row[-1][2]]
-        for ci, _, _, parts, combo, _, (_, _, cert) in chains[:4]:
+        chains = [
+            (ci, parts, combo, cert)
+            for ci, _, masks, parts, combo, cells in located_cell_chains(h, p)
+            for tri, _, cert in [cell_chain_stats(h, masks, parts, cells)]
+            if tri and cert
+        ]
+        for ci, parts, combo, cert in chains[:4]:
             cyl, ep = p.vertex.cylinders[ci], p.edges[ci]
             for eta, passes in ((cert, True), (cert - Fraction(1, 10**9), False)):
                 assert cell_chain_passes(h, cyl, ep, parts, combo, eta, psi) is passes
@@ -889,6 +906,79 @@ def test_eta_at_a_chain_certificate_is_a_tie():
                 assert ((ci, parts, combo) in useful) is not passes
             ties += 1
     assert ties
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Arguments of every call of ``module.name`` from here on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bound_first_verdict_equals_the_exact_one(seed, monkeypatch):
+    """cell_chain_within equals certificate <= eta at eta = the certificate,
+    just below it, at the stored bound and at every THRESHOLDS eta, read
+    first on a cold index and then warm; the bound is at least the
+    certificate, and the pair loop runs, once, only when the bound is above
+    eta and is not the certificate already."""
+    import regulab.partitions as partitions
+
+    loops = _counted(monkeypatch, partitions, "chain_pair_total")
+    h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=100 + seed)
+    p = random_cylinder_chain_partition(h.vertex_set, 3, 2, seed=110 + seed)
+    looped = strict = 0
+    for _, _, masks, parts, _, cells in located_cell_chains(h, p):
+        tri, _, cert = cell_chain_stats(h, masks, parts, cells)
+        fp = chain_first_pass(cells, masks, h.zmasks(*parts))
+        bound = Fraction(*h.index.cell_chains[(masks, parts, cells)][2])
+        assert bound == Fraction(*fp.scaled(fp.diagonal)) >= cert
+        strict += bound > cert
+        etas = [cert, cert - Fraction(1, 10**9), bound] + [eta for eta, _ in THRESHOLDS]
+        for eta in etas:
+            cold = PartiteThreeGraph(h.vertex_set, h.triples)
+            loops.clear()
+            for _ in range(2):
+                assert cell_chain_within(cold, masks, parts, cells, eta) is (cert <= eta)
+            assert len(loops) == (bound > eta and bool(fp.splits))
+            looped += len(loops)
+    assert looped and strict
+
+
+def test_a_30_cube_cylinder_run_never_runs_the_pair_loop(monkeypatch):
+    """On the bench's criterion-6 instance, a random 30^3 partite 3-graph,
+    the cylinder engine decides every chain by its bound: the pair loop
+    never runs.  A re-survey of its partition on the warm index runs
+    neither half of the kernel, and q_partition alone, on a cold index and
+    on random partitions, runs first passes only."""
+    import regulab.partitions as partitions
+    from regulab.engines import ConstantsProfile, hyper_cylinder_regularity
+
+    psi = PolyFunction(Fraction(1), 1)
+    eta = Fraction(1, 4)
+    passes = _counted(monkeypatch, partitions, "chain_first_pass")
+    loops = _counted(monkeypatch, partitions, "chain_pair_total")
+    h = random_partite_3graph((30, 30, 30), Fraction(1, 2), seed=1)
+    p, audit, _ = hyper_cylinder_regularity(h, eta, psi, ConstantsProfile.desk())
+    assert audit.good_mass == 1
+    assert len(passes) == len(h.index.cell_chains) > 0 and not loops
+    passes.clear()
+    survey_partition(h, p, eta, psi)
+    assert not passes and not loops
+    small = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=7)
+    for seed in range(3):
+        q = random_cylinder_chain_partition(small.vertex_set, 3, 2, seed=seed)
+        cold = PartiteThreeGraph(small.vertex_set, small.triples)
+        passes.clear()
+        assert q_partition(cold, q) == q_partition(small, q, "naive")
+        assert len(passes) == len(cold.index.cell_chains) > 0
+    assert not loops
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -25,8 +25,11 @@ from regulab.generators import (
 from regulab.partitions import extract_cell_chain
 from regulab.quasirandom import (
     DeviationFunction2,
+    DeviationFunction3,
     PolyFunction,
     c4_sum,
+    chain_first_pass,
+    chain_pair_total,
     chain_quasirandomness,
     eta_psi_check,
     graph_quasirandomness,
@@ -141,6 +144,53 @@ def test_octahedral_kernel_keeps_its_value_on_a_30_cube():
     assert cert.normalizer == 729000000
     assert cert.value == Fraction(208262858383694311548329, 550998028800000000000000000)
     assert not cert.degenerate
+
+
+def test_octahedral_bound_on_the_30_cube():
+    # The first pass's Cauchy-Schwarz bound beside the exact value pinned
+    # above: about 10.3 times it, and still far below eta = 1/4.
+    h = random_partite_3graph((30, 30, 30), Fraction(1, 2), seed=1)
+    full = (1 << 30) - 1
+    rows = ((full,) * 30,) * 3
+    fp = chain_first_pass(rows, (full,) * 3, h.zmasks(0, 1, 2))
+    assert (fp.triangles, fp.hyperedges) == (27000, 13695)
+    bound = Fraction(*fp.scaled(fp.diagonal))
+    assert bound == Fraction(6451992700074967247136511, 1652994086400000000000000000)
+    exact = Fraction(208262858383694311548329, 550998028800000000000000000)
+    assert 10 * exact < bound < 11 * exact and bound < Fraction(1, 256)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_bound_is_at_least_the_certificate(seed):
+    """The first pass's bound is at least the naive oct_sum certificate of
+    the chain where it lies, on masks narrower than their parts and on z
+    parts past 64 bits, and equals it when at most one x carries
+    triangles; the pair loop continues the same pass to the certificate."""
+    rng = SplitMix64(seed)
+
+    def draw(size):  # each bit set with probability 3/4
+        words = [rng.next_u64() | rng.next_u64() for _ in range(2)]
+        return (words[0] | words[1] << 64) & ((1 << size) - 1)
+
+    kinds = set()
+    for sizes in ((4, 4, 5), (2, 3, 67), (1, 3, 66), (5, 2, 3)):
+        h = random_partite_3graph(sizes, Fraction(1, 2), seed=rng.next_u64())
+        for _ in range(2):
+            masks = tuple(draw(n) for n in sizes)
+            cells = tuple(
+                tuple(draw(sizes[b]) for _ in range(sizes[a])) for a, b in ((0, 1), (0, 2), (1, 2))
+            )
+            fp = chain_first_pass(cells, masks, h.zmasks(0, 1, 2))
+            chain = extract_cell_chain(h, masks, (0, 1, 2), cells)
+            cert = chain_quasirandomness(chain, mode="naive").value
+            bound = Fraction(*fp.scaled(fp.diagonal))
+            assert Fraction(*fp.scaled(chain_pair_total(fp))) == cert <= bound
+            support = DeviationFunction3.from_chain(chain).support
+            lone = len({x for x, _, _ in support}) <= 1
+            if lone:
+                assert bound == cert
+            kinds.add((lone, bound > cert))
+    assert {(True, False), (False, True)} <= kinds
 
 
 @pytest.mark.parametrize("sizes", [(2, 3, 70), (3, 2, 65), (2, 2, 64), (1, 3, 129)])
