@@ -1269,6 +1269,412 @@ def test_the_hyper_loop_walks_each_partition_once(n, seed, monkeypatch):
     assert [args[1] for args in walks] == [args[1] for args in surveys]
 
 
+# ---------------------------------------------------------------------------
+# Every exit of the three engine loops, pinned.
+# ---------------------------------------------------------------------------
+
+# A (3, 3, 3) partite 3-graph at eta = 1/4096 whose profiles reach most
+# exits of the hyper loop: under DESK it refines edges twice, splits
+# cylinders and accepts.
+_H0 = ((3, 3, 3), 1344154044715485647)
+_PLANTED = tuple(0b00001111 if x < 4 else 0b11110000 for x in range(8))
+
+
+def _hyper(profile=DESK):
+    h = random_partite_3graph(_H0[0], Fraction(1, 2), seed=_H0[1])
+    return hyper_cylinder_regularity(h, Fraction(1, 4096), PSI_ID, profile)
+
+
+def _dlr(profile=DESK):
+    vs = PartiteVertexSet(("A", "B"), (8, 8))
+    return dlr_cylinder_regularity(vs, [(0, 1, _PLANTED)], Fraction(1, 20), profile)
+
+
+def _decompose(n, seed, t):
+    return homogeneous_decomposition(
+        random_tournament_3graph(n, seed), Fraction(1, 4), PSI_ID, DESK, t=t
+    )
+
+
+def _quartets(alpha, profile=DESK):
+    return szemeredi_multi(_complete_chain_partition((4,) * 4), alpha, profile)
+
+
+def _checkerboard(profile=DESK):
+    return szemeredi_multi(_checkerboard_chain_partition(), Fraction(1, 20), profile)
+
+
+def _no_witness(monkeypatch):
+    from regulab import engines
+
+    monkeypatch.setattr(engines, "_witness_split", lambda *args: None)
+
+
+def _falling_sums(monkeypatch, true_calls):
+    """The walks' index sums read true for ``true_calls`` calls, then one
+    less: the next split lowers the energy."""
+    from regulab import engines
+
+    real, calls = engines.fraction_sum, []
+
+    def falling(*args):
+        calls.append(args)
+        return real(*args) - (1 if len(calls) > true_calls else 0)
+
+    monkeypatch.setattr(engines, "fraction_sum", falling)
+
+
+def _falling_q(monkeypatch, lowered):
+    """Surveys whose q reads -1 on every partition ``lowered`` picks."""
+    from dataclasses import replace
+
+    from regulab import engines
+
+    real = engines.survey_partition
+
+    def survey(h, p, *args):
+        got = real(h, p, *args)
+        return replace(got, q=Fraction(-1)) if lowered(p) else got
+
+    monkeypatch.setattr(engines, "survey_partition", survey)
+
+
+def _parity():
+    """The 2x2x2 parity 3-graph at eta = 1/512: its one chain is useful but
+    has no candidate edge split, so the step turns to the cylinders, and
+    the trivial cylinder already passes dlr."""
+    vs = PartiteVertexSet.of_sizes(2, 2, 2)
+    trips = [
+        (x, 2 + y, 4 + z)
+        for x in range(2)
+        for y in range(2)
+        for z in range(2)
+        if (x + y + z) % 2 == 0
+    ]
+    h = PartiteThreeGraph.from_triples(vs, trips)
+    return hyper_cylinder_regularity(h, Fraction(1, 512), PSI_ID, DESK)
+
+
+def _no_pairs(monkeypatch):
+    # No input reaches this exit: every pair of a nonempty cylinder holds a
+    # nonempty cell.  With no part pairs, re-regularization finds no cells.
+    from regulab import engines
+
+    monkeypatch.setattr(engines, "combinations", lambda items, r: iter(()))
+
+
+def _orphans(monkeypatch):
+    monkeypatch.setattr(VertexCylinderPartition, "container", lambda self, cyl: None)
+
+
+def _growing_restriction(monkeypatch):
+    from types import SimpleNamespace
+
+    from regulab import engines
+
+    monkeypatch.setattr(
+        engines,
+        "restrict_chain_partition",
+        lambda qp, groups: SimpleNamespace(edge_cell_count=qp.edge_cell_count + 1),
+    )
+
+
+EXITS = [
+    # dlr_cylinder_regularity
+    pytest.param(
+        None,
+        _dlr,
+        ("returned", None, (
+            (0, "1/4", "split-cylinders", "cylinder"),
+            (1, "1/2", "accept", "cylinder"),
+        )),
+        id="dlr-accept",
+    ),
+    pytest.param(
+        None,
+        lambda: dlr_cylinder_regularity(
+            *_half_graph_pairs(), Fraction(1, 64), ConstantsProfile.desk(max_steps=1)
+        ),
+        ("NonterminationError", "cylinder audit still failing at the step cap", (
+            (0, "1033/144", "split-cylinders", "cylinder"),
+            (1, "5603/768", "split-cylinders", "cylinder"),
+        )),
+        id="dlr-step-cap",
+    ),
+    pytest.param(
+        _no_witness,
+        _dlr,
+        ("RefinementFailure", "no deviation witness splits the failing cylinders", (
+            (0, "1/4", "split-cylinders", "cylinder"),
+        )),
+        id="dlr-no-witness",
+    ),
+    pytest.param(
+        lambda mp: _falling_sums(mp, 1),
+        _dlr,
+        ("InvariantViolation", "edge index decreased across a vertex split", None),
+        id="dlr-index-falls",
+    ),
+    pytest.param(
+        None,
+        lambda: _dlr(ConstantsProfile.desk(q_gain=Fraction(1))),
+        ("RefinementFailure", "index gain 1/4 fell below the profile floor", (
+            (0, "1/4", "split-cylinders", "cylinder"),
+        )),
+        id="dlr-gain-floor",
+    ),
+    # hyper_cylinder_regularity
+    pytest.param(
+        None,
+        _hyper,
+        ("returned", None, (
+            (0, "100/729", "refine-edges", "hyper"),
+            (1, "46/135", "refine-edges", "hyper"),
+            (2, "10/27", "split-cylinders", "hyper"),
+            (3, "10/27", "accept", "hyper"),
+        )),
+        id="hyper-accept",
+    ),
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(max_steps=2)),
+        ("NonterminationError", "tuple audit still failing at the step cap", (
+            (0, "100/729", "refine-edges", "hyper"),
+            (1, "46/135", "refine-edges", "hyper"),
+            (2, "10/27", "split-cylinders", "hyper"),
+        )),
+        id="hyper-step-cap",
+    ),
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(q_gain=Fraction(1, 16))),
+        ("RefinementFailure", "edge refinement gained 4/135, below the floor 1/16", (
+            (0, "100/729", "refine-edges", "hyper"),
+            (1, "46/135", "refine-edges", "hyper"),
+        )),
+        id="hyper-gain-floor",
+    ),
+    pytest.param(
+        lambda mp: _falling_q(mp, lambda p: p.edge_count > 1),
+        _hyper,
+        ("InvariantViolation", "q decreased across an edge refinement", None),
+        id="hyper-q-falls-on-edges",
+    ),
+    pytest.param(
+        lambda mp: _falling_q(mp, lambda p: p.vertex_count > 1),
+        _hyper,
+        ("InvariantViolation", "q decreased across a cylinder split", None),
+        id="hyper-q-falls-on-cylinders",
+    ),
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(edge_part_cap=2)),
+        ("RefinementFailure", "pair (0,1) would need 3 cells, over the cap", (
+            (0, "100/729", "refine-edges", "hyper"),
+            (1, "46/135", "refine-edges", "hyper"),
+        )),
+        id="hyper-pair-cap",
+    ),
+    pytest.param(
+        None,
+        lambda: _decompose(48, 1, t=3),
+        ("RefinementFailure", "pair (0,1) would need 82 cells, over the cap", (
+            (0, "1054729/16777216", "refine-edges", "hyper"),
+            (1, "23011938597626488831/273228777264105062400", "refine-edges", "hyper"),
+            (2, "103811/430080", "refine-edges", "hyper"),
+        )),
+        id="hyper-pair-cap-t3",
+    ),
+    pytest.param(
+        None,
+        lambda: _decompose(48, 0, t=4),
+        ("RefinementFailure", "pair (0,1) would need 138 cells, over the cap", (
+            (0, "86971/331776", "refine-edges", "hyper"),
+            (
+                1,
+                "646236361854976501336646079836501/1394586201245436230314266253670400",
+                "refine-edges",
+                "hyper",
+            ),
+        )),
+        id="hyper-pair-cap-t4",
+    ),
+    # refine_cell_chain"s own failures pass through with no trace.
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(edge_part_cap=1)),
+        ("RefinementFailure", "winning partition has 2 cells, over the cap", None),
+        id="hyper-winner-cap",
+    ),
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(q_gain=Fraction(1, 4))),
+        (
+            "RefinementFailure",
+            "no edge partition reached d^2 + gain = 1129/2916 (best q 46/135)",
+            None,
+        ),
+        id="hyper-no-gain-target",
+    ),
+    # _reregularize_cylinders
+    pytest.param(
+        _no_pairs,
+        _hyper,
+        ("RefinementFailure", "audit failing but no nonempty cells to re-regularize", (
+            (0, "100/729", "refine-edges", "hyper"),
+            (1, "46/135", "refine-edges", "hyper"),
+            (2, "10/27", "split-cylinders", "hyper"),
+        )),
+        id="rereg-no-cells",
+    ),
+    # The step had useful chains, so its row reads split-cylinders only
+    # because none had a candidate edge split.
+    pytest.param(
+        None,
+        _parity,
+        ("RefinementFailure", "cylinder re-regularization made no progress", (
+            (0, "1/4", "split-cylinders", "hyper"),
+        )),
+        id="rereg-no-progress",
+    ),
+    pytest.param(
+        _orphans,
+        _hyper,
+        ("InvariantViolation", "refined cylinder has no parent", None),
+        id="rereg-no-parent",
+    ),
+    # dlr"s own exits inside re-regularization carry dlr"s rows.
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(witness_search="greedy")),
+        ("RefinementFailure", "no deviation witness splits the failing cylinders", (
+            (0, "121/81", "split-cylinders", "cylinder"),
+            (1, "97/54", "split-cylinders", "cylinder"),
+            (2, "64/27", "split-cylinders", "cylinder"),
+            (3, "25/9", "split-cylinders", "cylinder"),
+            (4, "79/27", "split-cylinders", "cylinder"),
+        )),
+        id="rereg-dlr-no-witness",
+    ),
+    pytest.param(
+        None,
+        lambda: _hyper(ConstantsProfile.desk(witness_search="greedy", max_steps=3)),
+        ("NonterminationError", "cylinder audit still failing at the step cap", (
+            (0, "121/81", "split-cylinders", "cylinder"),
+            (1, "97/54", "split-cylinders", "cylinder"),
+            (2, "64/27", "split-cylinders", "cylinder"),
+            (3, "25/9", "split-cylinders", "cylinder"),
+        )),
+        id="rereg-dlr-step-cap",
+    ),
+    # szemeredi_multi
+    pytest.param(
+        None,
+        _checkerboard,
+        ("returned", None, (
+            (0, "19/80", "split-sizes", "pairs"),
+            (1, "21/80", "refine-pairs", "pairs"),
+            (2, "79/80", "accept", "pairs"),
+        )),
+        id="pairs-accept",
+    ),
+    pytest.param(
+        None,
+        lambda: _quartets(Fraction(1, 40)),
+        ("NonterminationError", "same-part mass exceeds the budget even at singletons", (
+            (0, "3/4", "split-sizes", "pairs"),
+            (1, "7/8", "split-sizes", "pairs"),
+        )),
+        id="pairs-singletons",
+    ),
+    pytest.param(
+        None,
+        lambda: szemeredi_multi(_complete_chain_partition((1,) * 4), Fraction(1, 4), DESK),
+        ("NonterminationError", "same-part mass exceeds the budget even at singletons", ()),
+        id="pairs-singletons-at-once",
+    ),
+    pytest.param(
+        None,
+        lambda: _quartets(Fraction(1, 40), ConstantsProfile.desk(max_steps=1)),
+        ("NonterminationError", "size splitting did not fit the budget before the step cap", (
+            (0, "3/4", "split-sizes", "pairs"),
+            (1, "7/8", "split-sizes", "pairs"),
+        )),
+        id="pairs-size-step-cap",
+    ),
+    pytest.param(
+        None,
+        lambda: _checkerboard(ConstantsProfile.desk(max_steps=1)),
+        ("NonterminationError", "pair audit still failing at the step cap", (
+            (0, "19/80", "split-sizes", "pairs"),
+            (1, "21/80", "refine-pairs", "pairs"),
+        )),
+        id="pairs-step-cap",
+    ),
+    pytest.param(
+        _no_witness,
+        _checkerboard,
+        ("RefinementFailure", "no deviation witness splits the failing cells", (
+            (0, "19/80", "split-sizes", "pairs"),
+            (1, "21/80", "refine-pairs", "pairs"),
+        )),
+        id="pairs-no-witness",
+    ),
+    pytest.param(
+        _growing_restriction,
+        _checkerboard,
+        ("InvariantViolation", "restriction increased a pair's cell count", None),
+        id="pairs-restriction-grows",
+    ),
+    pytest.param(
+        lambda mp: _falling_sums(mp, 1),
+        _checkerboard,
+        ("InvariantViolation", "index decreased across a size split", None),
+        id="pairs-index-falls-on-sizes",
+    ),
+    pytest.param(
+        lambda mp: _falling_sums(mp, 2),
+        _checkerboard,
+        ("InvariantViolation", "index decreased across a witness split", None),
+        id="pairs-index-falls-on-witnesses",
+    ),
+    pytest.param(
+        None,
+        lambda: _checkerboard(ConstantsProfile.desk(q_gain=Fraction(1))),
+        ("RefinementFailure", "index gain 29/40 fell below the profile floor", (
+            (0, "19/80", "split-sizes", "pairs"),
+            (1, "21/80", "refine-pairs", "pairs"),
+        )),
+        id="pairs-gain-floor",
+    ),
+]
+
+
+def _exit_of(run):
+    """(exception class or "returned", message, trace rows as (step, q,
+    action, stage)), the rows None where the exception carries no trace."""
+    try:
+        trace = run()[-1]
+        kind, message = "returned", None
+    except (EngineError, InvariantViolation) as exc:
+        kind, message, trace = type(exc).__name__, str(exc), getattr(exc, "trace", None)
+    if trace is None:
+        return kind, message, None
+    return kind, message, tuple((r.step, str(r.q), r.action, r.stage) for r in trace.rows)
+
+
+@pytest.mark.parametrize("patch, run, expected", EXITS)
+def test_every_engine_exit_keeps_its_class_message_and_trace(patch, run, expected, monkeypatch):
+    """One row per way out of the three engine loops, and of the helpers
+    they split through: the exception class, its message and the trace it
+    carries, or the trace returned.  A failure raised by refine_cell_chain
+    carries no trace; dlr's own exits inside re-regularization carry dlr's
+    rows.  The patches reach exits that no input reaches."""
+    if patch is not None:
+        patch(monkeypatch)
+    assert _exit_of(run) == expected
+
+
 def test_homogeneous_decomposition_cone():
     h = build_misaligned_cone()
     eta = Fraction(1, 4)
