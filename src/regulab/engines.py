@@ -1,12 +1,14 @@
 """Energy-increment regularity engines and decomposition pipelines.
 
-The engines share one skeleton: read the current partition's energy, its
-audit and its worst offenders; refine along explicit witnesses; then read
-the refined partition and re-check, with exact rationals, that the energy
-rose by the claimed gain.  All three engines read each partition they
-reach in one walk: the 3-graph engine takes each cell chain's facts from
-the hypergraph's own store (``h.index.cell_chains``), ``dlr`` takes each
-pair's from a table kept for the run, and the pair engine
+The engines share one loop, :func:`_iterate`: read the current
+partition's energy, its audit and its worst offenders; refine along
+explicit witnesses; then read the refined partition and re-check, with
+exact rationals, that the energy rose by the claimed gain.  The loop owns
+every trace row and every exit that carries one; each engine gives it a
+walk, a row per step and a split.  All three engines read each partition
+they reach in one walk: the 3-graph engine takes each cell chain's facts
+from the hypergraph's own store (``h.index.cell_chains``), ``dlr`` takes
+each pair's from a table kept for the run, and the pair engine
 (:func:`szemeredi_multi`) takes each cell's edge count and certificate
 terms from its ``PairPartition``, so a fact that recurs is computed once;
 both decide pair certificates in integers, from the c4 kernel's sum.
@@ -386,6 +388,53 @@ class IterationTrace:
         return IterationTrace(self.rows + other.rows)
 
 
+class _Stuck(Exception):
+    """A split that cannot go on; the innermost :func:`_iterate` raises it
+    as a RefinementFailure carrying that loop's rows."""
+
+
+_INDEX_FLOOR = "index gain {} fell below the profile floor"
+
+
+def _iterate(walk, state, max_steps: int, decide, split):
+    """The loop of every engine: (final state, its walk, trace).
+
+    ``walk(state)`` gives a tuple whose first entry is the energy.
+    ``decide(step, state, walked)`` gives the step's row, which ends the
+    loop if its action is "accept", and the step-cap message; a row of None
+    stops at once, unrecorded.  ``split(state, walked, relabel)`` gives the
+    next state, the message for a fall in energy and the gain floor with
+    its message template, or None; it may rename the step's action and
+    raises :class:`_Stuck` when nothing splits.
+    """
+    rows: list[TraceRow] = []
+
+    def relabel(action: str) -> None:
+        rows[-1] = replace(rows[-1], action=action)
+
+    walked = walk(state)
+    for step in range(max_steps + 1):
+        row, cap_message = decide(step, state, walked)
+        if row is not None:
+            rows.append(row)
+            if row.action == "accept":
+                return state, walked, IterationTrace(tuple(rows))
+        if row is None or step == max_steps:
+            raise NonterminationError(cap_message, IterationTrace(tuple(rows)))
+        try:
+            state, fall, floor = split(state, walked, relabel)
+        except _Stuck as stuck:
+            raise RefinementFailure(str(stuck), IterationTrace(tuple(rows))) from None
+        new = walk(state)
+        gain = new[0] - walked[0]
+        if gain < 0:
+            raise InvariantViolation(fall)
+        if floor is not None and gain < floor[0]:
+            raise RefinementFailure(floor[1].format(gain), IterationTrace(tuple(rows)))
+        walked = new
+    raise AssertionError("unreachable")
+
+
 # ---------------------------------------------------------------------------
 # Witness search for non-quasirandom bipartite pairs.
 # ---------------------------------------------------------------------------
@@ -548,22 +597,17 @@ def dlr_cylinder_regularity(
                 bad += size
         return fraction_sum(squares, space), ratio(bad, space), worst_at
 
-    rows_trace: list[TraceRow] = []
-    idx, bad_mass, worst_at = walk(pv)
-    for step in range(profile.max_steps + 1):
-        ok = bad_mass <= alpha / 2
-        action = "accept" if ok else "split-cylinders"
-        rows_trace.append(TraceRow(step, idx, len(pv.cylinders), 1, bad_mass, action, "cylinder"))
-        if ok:
-            return pv, IterationTrace(tuple(rows_trace))
-        if step == profile.max_steps:
-            raise NonterminationError(
-                "cylinder audit still failing at the step cap",
-                IterationTrace(tuple(rows_trace)),
-            )
+    def decide(step: int, part: VertexCylinderPartition, walked):
+        idx, bad_mass, _ = walked
+        action = "accept" if bad_mass <= alpha / 2 else "split-cylinders"
+        row = TraceRow(step, idx, len(part.cylinders), 1, bad_mass, action, "cylinder")
+        return row, "cylinder audit still failing at the step cap"
+
+    def split(part: VertexCylinderPartition, walked, relabel):
+        worst_at = walked[2]
         new_masks: list[tuple[int, ...]] = []
         split_any = False
-        for ci, cyl in enumerate(pv.cylinders):
+        for ci, cyl in enumerate(part.cylinders):
             if ci not in worst_at:
                 new_masks.append(cyl.masks)
                 continue
@@ -588,21 +632,12 @@ def dlr_cylinder_regularity(
                     if all(child_mask for child_mask in child):
                         new_masks.append(tuple(child))
         if not split_any:
-            raise RefinementFailure(
-                "no deviation witness splits the failing cylinders",
-                IterationTrace(tuple(rows_trace)),
-            )
-        pv = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
-        idx_new, bad_mass, worst_at = walk(pv)
-        if idx_new < idx:
-            raise InvariantViolation("edge index decreased across a vertex split")
-        if idx_new - idx < profile.q_gain:
-            raise RefinementFailure(
-                f"index gain {idx_new - idx} fell below the profile floor",
-                IterationTrace(tuple(rows_trace)),
-            )
-        idx = idx_new
-    raise AssertionError("unreachable")
+            raise _Stuck("no deviation witness splits the failing cylinders")
+        part = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
+        return part, "edge index decreased across a vertex split", (profile.q_gain, _INDEX_FLOOR)
+
+    pv, _, trace = _iterate(walk, pv, profile.max_steps, decide, split)
+    return pv, trace
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +823,14 @@ def _apply_chain_refinements(
     useful,
     eta: Fraction,
     profile: ConstantsProfile,
-    trace_rows,
 ) -> CylinderChainPartition | None:
     """Refine every useful cell chain where it lies and merge the splits,
     or None when no useful chain has a candidate split.
 
     Each chain's refinement proposes a variant of each of its three cells;
     a cell's new cells are the common refinement of its variants.  A chain
-    without candidates (:class:`NoCandidateSplit`) is skipped.
+    without candidates (:class:`NoCandidateSplit`) is skipped.  A pair that
+    would pass the cell cap raises :class:`_Stuck`.
     """
     splits: dict[tuple[int, tuple[int, int]], dict[int, list[PairPartition]]] = {}
     for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
@@ -822,10 +857,7 @@ def _apply_chain_refinements(
             variants = cell_splits.get(idx)
             new_cells.extend(common_refinement(variants).cells if variants else (cell,))
         if len(new_cells) > profile.edge_part_cap:
-            raise RefinementFailure(
-                f"pair ({i},{j}) would need {len(new_cells)} cells, over the cap",
-                IterationTrace(tuple(trace_rows)),
-            )
+            raise _Stuck(f"pair ({i},{j}) would need {len(new_cells)} cells, over the cap")
         pairs = dict(ep.pairs)
         pairs[(i, j)] = PairPartition(
             pp.left_size, pp.right_size, pp.left_mask, pp.right_mask, pp.host_rows, tuple(new_cells)
@@ -840,7 +872,6 @@ def _reregularize_cylinders(
     eta: Fraction,
     psi: PolyFunction,
     profile: ConstantsProfile,
-    trace_rows,
 ) -> CylinderChainPartition:
     """Split cylinders until every current cell is quasirandom inside them.
 
@@ -860,22 +891,11 @@ def _reregularize_cylinders(
         if any(cell)
     ]
     if not cells:
-        raise RefinementFailure(
-            "audit failing but no nonempty cells to re-regularize",
-            IterationTrace(tuple(trace_rows)),
-        )
-    alpha = psi(eta / (vs.t * vs.t))
-    if alpha <= 0:
-        raise RefinementFailure(
-            "cylinder re-regularization threshold collapsed to zero",
-            IterationTrace(tuple(trace_rows)),
-        )
+        raise _Stuck("audit failing but no nonempty cells to re-regularize")
+    alpha = psi(eta / (vs.t * vs.t))  # positive, as psi(x) = min(c x^k, x) with c > 0
     pv_new, _ = dlr_cylinder_regularity(vs, cells, alpha, profile, initial=p.vertex)
     if pv_new.cylinders == p.vertex.cylinders:
-        raise RefinementFailure(
-            "cylinder re-regularization made no progress",
-            IterationTrace(tuple(trace_rows)),
-        )
+        raise _Stuck("cylinder re-regularization made no progress")
     parents = [p.vertex.container(ncyl) for ncyl in pv_new.cylinders]
     if None in parents:
         raise InvariantViolation("refined cylinder has no parent")
@@ -916,45 +936,32 @@ def hyper_cylinder_regularity(
         raise InvalidStructure("eta must lie in (0, 1]")
     if profile.is_paper:
         check_paper_schedule(eta, vs.t, psi)
-    cap = profile.audit_tuple_cap
-    p = CylinderChainPartition.trivial(vs)
     gain = profile.hyper_gain(eta, vs.t)
-    now = survey_partition(h, p, eta, psi, cap)
-    rows: list[TraceRow] = []
-    for step in range(profile.max_steps + 1):
+
+    def walk(p: CylinderChainPartition):
+        now = survey_partition(h, p, eta, psi, profile.audit_tuple_cap)
+        return now.q, now
+
+    def decide(step: int, p: CylinderChainPartition, walked):
+        q, now = walked
         ok = now.audit.good_mass >= 1 - eta
         action = "accept" if ok else ("refine-edges" if now.useful else "split-cylinders")
-        rows.append(
-            TraceRow(step, now.q, p.vertex_count, p.edge_count, now.useful_mass, action, "hyper")
-        )
-        if ok:
-            return p, now.audit, IterationTrace(tuple(rows))
-        if step == profile.max_steps:
-            raise NonterminationError(
-                "tuple audit still failing at the step cap", IterationTrace(tuple(rows))
-            )
-        refined = (
-            _apply_chain_refinements(h, p, now.useful, eta, profile, rows) if now.useful else None
-        )
+        row = TraceRow(step, q, p.vertex_count, p.edge_count, now.useful_mass, action, "hyper")
+        return row, "tuple audit still failing at the step cap"
+
+    def split(p: CylinderChainPartition, walked, relabel):
+        refined = _apply_chain_refinements(h, p, walked[1].useful, eta, profile)
         if refined is not None:
-            p = refined
-            new = survey_partition(h, p, eta, psi, cap)
-            if new.q < now.q:
-                raise InvariantViolation("q decreased across an edge refinement")
-            if new.q - now.q < gain:
-                raise RefinementFailure(
-                    f"edge refinement gained {new.q - now.q}, below the floor {gain}",
-                    IterationTrace(tuple(rows)),
-                )
-        else:
-            # Also when no useful chain had a candidate edge split.
-            rows[-1] = replace(rows[-1], action="split-cylinders")
-            p = _reregularize_cylinders(h, p, eta, psi, profile, rows)
-            new = survey_partition(h, p, eta, psi, cap)
-            if new.q < now.q:
-                raise InvariantViolation("q decreased across a cylinder split")
-        now = new
-    raise AssertionError("unreachable")
+            floor = f"edge refinement gained {{}}, below the floor {gain}"
+            return refined, "q decreased across an edge refinement", (gain, floor)
+        relabel("split-cylinders")  # no useful chain had a candidate edge split
+        p = _reregularize_cylinders(h, p, eta, psi, profile)
+        return p, "q decreased across a cylinder split", None
+
+    p, (_, now), trace = _iterate(
+        walk, CylinderChainPartition.trivial(vs), profile.max_steps, decide, split
+    )
+    return p, now.audit, trace
 
 
 # ---------------------------------------------------------------------------
@@ -990,14 +997,15 @@ def szemeredi_multi(
     an, ad = alpha.numerator, alpha.denominator
 
     def walk(q: ChainPartition):
-        """(index, same-part mass, bad mass, bad cells in sorted pair order).
+        """(index, whether same-part mass exceeds alpha/2, bad mass, bad
+        cells in sorted pair order).
 
         A pair (a, b) of area |a| |b| has mass 2 |a| |b| / n^2, so a cell of
         e edges adds 2 e^3 / (n^2 area^2) to the index and 2 e / n^2 to the
         bad mass.  Both are integer sums divided once, and certificates meet
         alpha by cross-multiplying."""
         same = Fraction(sum(len(part) ** 2 for part in q.parts), n * n)
-        audit = 2 * same.numerator * ad <= an * same.denominator
+        sizes = 2 * same.numerator * ad > an * same.denominator
         cubes: dict[int, int] = {}  # per area^2: twice the sum of e^3
         bad_edges, bad_cells = 0, []
         for (a, b), pp in sorted(q.pairs.items()):
@@ -1005,35 +1013,26 @@ def szemeredi_multi(
             if any(counts):
                 key = pp.area * pp.area
                 cubes[key] = cubes.get(key, 0) + 2 * sum(e * e * e for e in counts)
-            if audit:
+            if not sizes:
                 for idx, (num, den) in enumerate(pp.certificate_terms):
                     if num * ad > an * den:
                         bad_edges += counts[idx]
                         bad_cells.append((a, b, idx))
         bad = same + Fraction(2 * bad_edges, n * n)
-        return fraction_sum(cubes, n * n), same, bad, bad_cells
+        return fraction_sum(cubes, n * n), sizes, bad, bad_cells
 
-    qp = q0
-    index, same, bad, bad_cells = walk(qp)
-    rows: list[TraceRow] = []
-    for step in range(profile.max_steps + 1):
-        sizes = same > alpha / 2
+    def decide(step: int, qp: ChainPartition, walked):
+        index, sizes, bad, _ = walked
         if sizes and all(len(part) == 1 for part in qp.parts):
-            raise NonterminationError(
-                "same-part mass exceeds the budget even at singletons", IterationTrace(tuple(rows))
-            )
-        ok = not sizes and bad <= alpha
-        action = "split-sizes" if sizes else ("accept" if ok else "refine-pairs")
-        rows.append(TraceRow(step, index, qp.part_count, qp.edge_cell_count, bad, action, "pairs"))
-        if ok:
-            return qp, IterationTrace(tuple(rows))
-        if step == profile.max_steps:
-            raise NonterminationError(
-                "size splitting did not fit the budget before the step cap"
-                if sizes
-                else "pair audit still failing at the step cap",
-                IterationTrace(tuple(rows)),
-            )
+            return None, "same-part mass exceeds the budget even at singletons"
+        action = "split-sizes" if sizes else ("accept" if bad <= alpha else "refine-pairs")
+        row = TraceRow(step, index, qp.part_count, qp.edge_cell_count, bad, action, "pairs")
+        if sizes:
+            return row, "size splitting did not fit the budget before the step cap"
+        return row, "pair audit still failing at the step cap"
+
+    def split(qp: ChainPartition, walked, relabel):
+        _, sizes, _, bad_cells = walked
         # Per part, masks over its positions; a part is cut by their bits.
         part_splits: dict[int, list[int]] = {}
         if sizes:
@@ -1053,9 +1052,7 @@ def szemeredi_multi(
                     part_splits.setdefault(a, []).append(ws[0])
                     part_splits.setdefault(b, []).append(ws[1])
             if not part_splits:
-                raise RefinementFailure(
-                    "no deviation witness splits the failing cells", IterationTrace(tuple(rows))
-                )
+                raise _Stuck("no deviation witness splits the failing cells")
         groups = []
         for a, part in enumerate(qp.parts):
             masks = part_splits.get(a, ())
@@ -1066,17 +1063,12 @@ def szemeredi_multi(
         qp = restrict_chain_partition(qp, groups)
         if qp.edge_cell_count > l_bound:
             raise InvariantViolation("restriction increased a pair's cell count")
-        prev = index
-        index, same, bad, bad_cells = walk(qp)
-        if index < prev:
-            kind = "size" if sizes else "witness"
-            raise InvariantViolation(f"index decreased across a {kind} split")
-        if not sizes and index - prev < profile.q_gain:
-            raise RefinementFailure(
-                f"index gain {index - prev} fell below the profile floor",
-                IterationTrace(tuple(rows)),
-            )
-    raise AssertionError("unreachable")
+        if sizes:
+            return qp, "index decreased across a size split", None
+        return qp, "index decreased across a witness split", (profile.q_gain, _INDEX_FLOOR)
+
+    qp, _, trace = _iterate(walk, q0, profile.max_steps, decide, split)
+    return qp, trace
 
 
 # ---------------------------------------------------------------------------

@@ -668,9 +668,8 @@ def test_decompose_reregularizes_the_cylinders_of_a_tournament(tmp_path):
 
 
 def test_decompose_splits_cylinders_when_no_useful_chain_has_a_candidate(tmp_path, capsys):
-    # At n = 15, seed 29, the second hyper step finds useful chains whose
-    # edge deviations are constant within each pair, so no edge split
-    # exists; the step re-regularizes the cylinders instead of exiting 3.
+    # At n = 15, seed 29, the second hyper step finds no useful chain, so
+    # it re-regularizes the cylinders instead of exiting 3.
     h = tmp_path / "t15.h3"
     assert run(["generate", "--kind", "tournament", "--n", "15", "--seed", "29",
                 "--out", str(h)]) == 0

@@ -35,6 +35,7 @@ from regulab.engines import (
     ScheduleSaturation,
     SearchFailure,
     TraceRow,
+    _Stuck,
     _apply_chain_refinements,
     _witness_split,
     check_paper_schedule,
@@ -679,10 +680,14 @@ def _extract_and_unmap_refinements(h, p, useful, eta, profile):
 
 
 def _outcome(fn, *args):
+    """The result, or a failure's class and message; a stuck split reads as
+    the RefinementFailure the engine loop raises for it."""
     try:
         return fn(*args)
     except RefinementFailure as exc:
         return type(exc), str(exc)
+    except _Stuck as exc:
+        return RefinementFailure, str(exc)
 
 
 def test_chain_refinements_match_the_extract_and_unmap_route():
@@ -711,7 +716,7 @@ def test_chain_refinements_match_the_extract_and_unmap_route():
         if not useful:
             continue
         with_useful += 1
-        got = _outcome(_apply_chain_refinements, h, p, useful, eta, profile, [])
+        got = _outcome(_apply_chain_refinements, h, p, useful, eta, profile)
         want = _outcome(_extract_and_unmap_refinements, h, p, useful, eta, profile)
         assert got == want, f"case {case}"
         kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "refined")
@@ -971,7 +976,7 @@ def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
     h = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=5)
     p = random_cylinder_chain_partition(h.vertex_set, 2, 2, seed=6)
     useful = survey_partition(h, p, eta, PSI_ID).useful
-    refined = _apply_chain_refinements(h, p, useful, eta, DESK, [])
+    refined = _apply_chain_refinements(h, p, useful, eta, DESK)
     assert len(useful) >= 5 and refined != p
     stored = h.index.cell_chains
     assert any(tri for tri, _, _ in stored.values())
