@@ -3,7 +3,13 @@
 masked c4 kernel against the literal ``c4_sum`` on row subsets and column
 masks among them, and ``PairPartition.certificate_terms`` against the
 ``c4_sum`` certificate of each cell of random pair partitions restricted to
-random sub-masks, empty ones included; the octahedral kernel also on thin
+random sub-masks, empty ones included; the pair kernel's Cauchy-Schwarz
+bound ``pair_bound_scaled`` against the ``c4_sum`` certificate, and
+``dlr_cylinder_regularity``'s bound-first verdict against the naive
+certificates, on the cylinders that random row and column masks cut from
+each bipartite instance, with a sparse second input beside it and alpha at
+the certificates, just below them, at the bounds and at each sweep eta (a
+stream of its own); the octahedral kernel also on thin
 chains whose z part may pass 64 vertices), the upper-half symmetry check
 ``rows_symmetric`` against the bit-by-bit walk, ``Graph.from_edges``
 against a walk that checks each edge before setting its bits (on edge
@@ -67,6 +73,12 @@ from regulab.core import (
     scan,
     triangle_count,
 )
+from regulab.engines import (
+    ConstantsProfile,
+    NonterminationError,
+    RefinementFailure,
+    dlr_cylinder_regularity,
+)
 from regulab.generators import (
     SplitMix64,
     random_bipartite,
@@ -84,6 +96,7 @@ from regulab.partitions import (
     PairPartition,
     PartitionSurvey,
     VertexCylinder,
+    VertexCylinderPartition,
     cell_chain_passes,
     cell_chain_stats,
     cell_chain_within,
@@ -104,6 +117,7 @@ from regulab.quasirandom import (
     chain_quasirandomness,
     eta_psi_check,
     masked_pair_quasirandomness,
+    pair_bound_scaled,
     pair_quasirandomness,
 )
 
@@ -155,6 +169,55 @@ def cell_terms_match(g, rng) -> bool:
         if terms != (value.numerator, value.denominator):
             return False
     return True
+
+
+def pair_bounds_match(g, rng) -> int:
+    """Mismatches of the pair kernel's Cauchy-Schwarz bound and of ``dlr``'s
+    bound-first verdict against the naive ``c4_sum``, on ``g`` and a sparse
+    second input cut into up to four cylinders by a random row mask and
+    column mask.  Each bound must be at least the naive certificate of its
+    input on its cylinder; the bad mass of ``dlr``'s first walk must be the
+    share of cylinders where some input's naive certificate is above alpha,
+    at alpha = each certificate on the first cylinder, just below it, its
+    bound and each THRESHOLDS eta."""
+    na, nb = g.left_size, g.right_size
+    full_l, full_r = (1 << na) - 1, (1 << nb) - 1
+    lm, rm = rng.next_u64() & full_l, rng.next_u64() & full_r
+    quads = [(a, b) for a in (lm, full_l ^ lm) for b in (rm, full_r ^ rm) if a and b]
+    inputs = (g.rows, random_bipartite(na, nb, Fraction(1, 8), seed=rng.next_u64()).rows)
+    bad = 0
+    certs = []  # per cylinder, per input: (naive certificate, bound)
+    for a, b in quads:
+        xs, ys = list(bits(a)), list(bits(b))
+        area = len(xs) * len(ys)
+        row = []
+        for rows in inputs:
+            e = sum((rows[x] & b).bit_count() for x in xs)
+            table = [[Fraction(area * (rows[x] >> y & 1) - e, area) for y in ys] for x in xs]
+            cert = c4_sum(table) / (area * area)
+            bound = Fraction(pair_bound_scaled(e, area), area**6)
+            bad += bound < cert
+            row.append((cert, bound))
+        certs.append(row)
+    vs = PartiteVertexSet.of_sizes(na, nb)
+    pv = VertexCylinderPartition(vs, tuple(VertexCylinder(q) for q in quads))
+    graphs = [(0, 1, rows) for rows in inputs]
+    alphas = {x for cert, bound in certs[0] for x in (cert, cert - Fraction(1, 10**9), bound)}
+    alphas.update(eta for eta, _ in THRESHOLDS)
+    for alpha in sorted(x for x in alphas if 0 < x <= 1):
+        want = sum(
+            a.bit_count() * b.bit_count()
+            for (a, b), row in zip(quads, certs)
+            if any(cert > alpha for cert, _ in row)
+        )
+        try:
+            _, trace = dlr_cylinder_regularity(
+                vs, graphs, alpha, ConstantsProfile.desk(max_steps=1), initial=pv
+            )
+        except (NonterminationError, RefinementFailure) as exc:
+            trace = exc.trace
+        bad += trace.rows[0].useful_mass != Fraction(want, na * nb)
+    return bad
 
 
 def symmetry_matches(n, rng) -> bool:
@@ -582,6 +645,7 @@ def main() -> int:
     cell_pairs = SplitMix64(args.seed + 7)
     edge_lists = SplitMix64(args.seed + 8)
     bound_chains = SplitMix64(args.seed + 9)
+    pair_bounds = SplitMix64(args.seed + 10)
     t0 = time.monotonic()
     mismatches = 0
     overlapping = 0
@@ -601,6 +665,10 @@ def main() -> int:
         if not cell_terms_match(g, cell_pairs):
             mismatches += 1
             print(f"cell certificate terms mismatch at case {case}: {na}x{nb}")
+        bad = pair_bounds_match(g, pair_bounds)
+        if bad:
+            mismatches += 1
+            print(f"{bad} pair bound or bound-first verdict mismatches at case {case}: {na}x{nb}")
         n = side.below(8 * args.max_size + 2)  # past word boundaries
         if not symmetry_matches(n, side):
             mismatches += 1
@@ -672,8 +740,8 @@ def main() -> int:
     chains = (args.cases + 3) // 4
     indexes = (args.cases + 1) // 4
     print(
-        f"{args.cases} pair, masked pair, cell terms, symmetry, edge list, cylinder overlap,"
-        " bulk draw and scan cases"
+        f"{args.cases} pair, masked pair, cell terms, pair bound, symmetry, edge list,"
+        " cylinder overlap, bulk draw and scan cases"
         f" ({overlapping} overlapping, {canonical} of {4 * args.cases} files scanned in bulk)"
         f" + {chains} chain, {chains} thin chain and {chains} chain bound cases"
         f" + {indexes} index, verdict, audit, q, certificate and containment cases"
@@ -683,8 +751,8 @@ def main() -> int:
         print(f"{mismatches} mismatches")
         return 1
     print(
-        "all kernels, the cell certificate terms, the symmetry check, the edge-list graph"
-        " builder, the hyperedge index,"
+        "all kernels, the cell certificate terms, the pair bounds and dlr's bound-first"
+        " verdicts, the symmetry check, the edge-list graph builder, the hyperedge index,"
         " the cell-chain verdicts, bounds"
         " and certificates, the tuple audit, the survey, q, lookup, container, the cylinder"
         " overlap check, the bulk draw and the bulk scan match their oracles"

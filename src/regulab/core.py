@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from math import lcm
-from operator import eq, lt
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -647,8 +647,8 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
 # A scan keeps each record kind's ids flat and its line numbers apart.  A
 # loader builds its container from the ids, and the container checks the
 # records; only when it refuses them are line numbers paired with ids, to
-# name the first bad line.  A partite graph's e-lines are placed, so checked,
-# by line.
+# name the first bad line.  A partite graph's e-lines build the graph on the
+# global ids, which is then cut along the parts.
 # ---------------------------------------------------------------------------
 
 
@@ -732,7 +732,6 @@ def scan(text: str) -> Scan:
 
 
 _NO_DIGITS = str.maketrans("", "", "0123456789")
-_ID_LIMIT = 10**18  # ids of at most 18 digits, which always fit in 64 bits
 _BULK_CHARS = 1 << 16  # characters of a record block converted per call
 
 
@@ -744,8 +743,8 @@ def _bulk_scan(text: str) -> tuple[list, array, range, array, range] | None:
     Canonical is what ``save_*`` writes: a head of part lines that
     :func:`_tokenize` reads without error or record, then a block of
     ``e <id> <id>`` lines, then a block of ``t <id> <id> <id>`` lines,
-    either block possibly empty.  Ids are ASCII digits, at most 18 of them,
-    without a leading zero; tokens are separated by one space and every
+    either block possibly empty.  Ids are ASCII digits without a leading
+    zero, below 2^63; tokens are separated by one space and every
     line, the last included, ends in a newline.
     """
     if not text.endswith("\n"):
@@ -784,8 +783,7 @@ def _bulk_records(text: str, start: int, stop: int, head: str, width: int) -> ar
     order, or None when some line of the block is not canonical."""
     lead = head + " "
     line = lead + " " * (width - 1) + "\n"
-    out = array("q", [0]) * (width * text.count("\n", start, stop))
-    at = 0
+    out = array("q")
     while start < stop:  # in chunks of whole lines, so no copy grows with the file
         end = text.find("\n", min(start + _BULK_CHARS, stop - 1), stop) + 1
         chunk = text[start:end]
@@ -801,12 +799,9 @@ def _bulk_records(text: str, start: int, stop: int, head: str, width: int) -> ar
             return None
         try:
             ids = json.loads("[" + chunk[2:-1].replace("\n" + lead, " ").replace(" ", ",") + "]")
-        except ValueError:
+            out.fromlist(ids)  # width * m ids, by the checks above
+        except (ValueError, OverflowError):  # an id past 63 bits goes to the line loop
             return None
-        if max(ids) >= _ID_LIMIT:
-            return None
-        out[at : at + len(ids)] = array("q", ids)  # width * m ids, by the checks above
-        at += len(ids)
         start = end
     return out
 
@@ -891,37 +886,27 @@ def _check_range(lineno: int, ids: tuple[int, ...], total: int):
 
 
 def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
-    """The partite graph of a scan's e-lines.  The id columns are checked in
-    bulk (ids in range, ends in two different parts) and placed through
-    ``vs.owner`` and ``vs.offsets``; only when the check fails are the
-    lines walked, in file order, to name the first bad one."""
-    us, ws = sc.edges[0::2], sc.edges[1::2]
-    total, owner, off = vs.total, vs.owner, vs.offsets
-    if us and (
-        min(min(us), min(ws)) < 0
-        or max(max(us), max(ws)) >= total
-        or any(map(eq, map(owner.__getitem__, us), map(owner.__getitem__, ws)))
-    ):
+    """The partite graph of a scan's e-lines: the graph on the global ids,
+    whose row reads and shifts check each edge (:meth:`Graph.from_edges`),
+    cut along the parts (:func:`partite_from_graph`) when no edge lies
+    within a part.  Only when an edge is refused or lies within a part are
+    the lines walked, in file order, to name the first bad one."""
+    total = vs.total
+    it = iter(sc.edges)
+    try:
+        g = Graph.from_edges(total, zip(it, it))
+        pairs = partite_from_graph(g, vs.sizes).pair_graphs
+        # The cut keeps every edge but those within a part.
+        bad = sum(bg.edge_count for bg in pairs.values()) != g.edge_count
+    except InvalidStructure:
+        bad = True
+    if bad:
         for lineno, (u, v) in _records(sc.edge_lines, sc.edges, 2):
             _check_range(lineno, (u, v), total)
             (i, _), (j, _) = vs.to_local(u), vs.to_local(v)
             if i == j:
                 raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
-    rows = {
-        (i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)
-    }
-    for u, v in zip(us, ws):
-        i, j = owner[u], owner[v]
-        if i > j:
-            i, j, u, v = j, i, v, u
-        rows[(i, j)][u - off[i]] |= 1 << (v - off[j])
-    return MultipartiteGraph(
-        vs,
-        {
-            key: BipartiteGraph(vs.sizes[key[0]], vs.sizes[key[1]], tuple(r))
-            for key, r in rows.items()
-        },
-    )
+    return MultipartiteGraph(vs, pairs)
 
 
 def _scanned_triples(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, isqrt, prod
 from typing import Sequence
 
 from .core import (
@@ -76,6 +76,7 @@ from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
     is_graph_quasirandom,
+    pair_bound_scaled,
     pair_raw_scaled,
 )
 
@@ -546,6 +547,11 @@ def dlr_cylinder_regularity(
     pair's masks into its children, so each is computed once per
     (input, mask_i, mask_j) in a run and read back where it recurs.  Each
     partition is read in one walk, which decides in integers (see ``walk``).
+    A certificate is read first through its Cauchy-Schwarz bound
+    d^2 (1 - d)^2, which costs two counts; the c4 kernel runs only on a pair
+    whose bound is above the worst certificate so far in its cylinder, so
+    every pair with d (1 - d) <= sqrt(alpha), near-empty or near-complete,
+    is decided without it.
     """
     if not graphs:
         raise InvalidStructure("need at least one pair graph")
@@ -563,13 +569,19 @@ def dlr_cylinder_regularity(
         raise InvalidStructure("alpha must lie in (0, 1]")
     pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
 
-    terms: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}  # e², area², s, area⁶
+    terms: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}  # e², area², bound, area⁶
+    exact: dict[tuple[int, int, int], int] = {}  # s, where a bound left a verdict open
     witnesses: dict[tuple[int, int, int], tuple[int, int] | None] = {}
     space = prod(vs.sizes)
 
     def walk(part: VertexCylinderPartition) -> tuple[Fraction, Fraction, dict[int, int]]:
         """The index of ``part``, its bad mass and each bad cylinder's worst
-        input: integer sums divided once, certificates s/area⁶ cross-multiplied."""
+        input: integer sums divided once, certificates s/area⁶ cross-multiplied.
+
+        Each certificate is first read through its Cauchy-Schwarz bound
+        (:func:`pair_bound_scaled`).  A bound at or below the cylinder's
+        worst so far, which starts at alpha, cannot pass the strict test, so
+        only a bound above it runs the c4 kernel, once per key."""
         squares: dict[int, int] = {}  # per area²: the sum of size·e²
         bad = 0  # the bad cylinders' summed size
         worst_at: dict[int, int] = {}
@@ -583,16 +595,19 @@ def dlr_cylinder_regularity(
                 key = (m, li, rj)
                 term = terms.get(key)
                 if term is None:
-                    xs = list(bits(li))
-                    e = sum((rows[x] & rj).bit_count() for x in xs)
-                    area = len(xs) * rj.bit_count()
-                    s = pair_raw_scaled(rows, xs, rj, e, area)
-                    term = terms[key] = (e * e, area * area, s, area**6)
-                ee, a2, s, a6 = term
+                    e = sum((rows[x] & rj).bit_count() for x in bits(li))
+                    area = li.bit_count() * rj.bit_count()
+                    term = terms[key] = (e * e, area * area, pair_bound_scaled(e, area), area**6)
+                ee, a2, bound, a6 = term
                 squares[a2] = squares.get(a2, 0) + size * ee
-                if s * wd > wn * a6:
-                    wn, wd = s, a6
-                    worst_at[ci] = m
+                if bound * wd > wn * a6:
+                    s = exact.get(key)
+                    if s is None:  # e and area are the roots of the stored squares
+                        xs = list(bits(li))
+                        s = exact[key] = pair_raw_scaled(rows, xs, rj, isqrt(ee), isqrt(a2))
+                    if s * wd > wn * a6:
+                        wn, wd = s, a6
+                        worst_at[ci] = m
             if ci in worst_at:
                 bad += size
         return fraction_sum(squares, space), ratio(bad, space), worst_at

@@ -12,6 +12,9 @@ must agree exactly; tests enforce this.  The fast c4 kernel
 :func:`pair_raw_scaled` returns an integer s, a pair certificate's value
 times area^6; the engines decide with s, and only
 :func:`masked_pair_quasirandomness` builds the certificate from it.
+:func:`pair_bound_scaled` bounds s by Cauchy-Schwarz from the pair's edge
+count and area alone; ``dlr`` reads it first and runs the kernel only where
+the bound leaves its verdict undecided.
 
 :func:`masked_chain_quasirandomness` is the one fast octahedral kernel.
 It takes a chain where it lies, as three pair rows, three vertex masks and
@@ -278,6 +281,23 @@ def pair_raw_scaled(rows: Sequence[int], xs: Sequence[int], right_mask: int, e: 
         + 4 * n * k * l_sum
         + n * n * k * k
     )
+
+
+def pair_bound_scaled(e: int, area: int) -> int:
+    """Cauchy-Schwarz upper bound on :func:`pair_raw_scaled` for a pair of
+    ``e`` edges on ``area`` cells: area^2 (e (area - e))^2, from the two
+    counts alone.
+
+    With F = area 1_E - e on the masked pair, the squared row norms sum to
+    the sum of F^2 over the cells, e (area - e)^2 + (area - e) e^2 =
+    area e (area - e).  The raw sum is the sum over ordered rows (x, x') of
+    <F_x, F_x'>^2, and <F_x, F_x'>^2 <= |F_x|^2 |F_x'|^2 bounds it by the
+    square of that sum.  So the certificate s / area^6 is at most
+    d^2 (1 - d)^2 with d = e / area, and the bound is exact when F has rank
+    one: every row full or empty on the mask, one row, or one column.
+    """
+    h = e * (area - e)
+    return area * area * h * h
 
 
 def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> QuasirandomnessCertificate:

@@ -748,7 +748,7 @@ NEAR_CANONICAL = {
     "leading zero": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", " 0", 1)),
     "plus sign": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", " +", 1)),
     "minus sign": lambda s: _swap_first(s, "t", _first_line(s, "t").replace(" ", " -", 1)),
-    "19-digit id": lambda s: _swap_first(s, "e", "e 1000000000000000000 1"),
+    "id of 2^63": lambda s: _swap_first(s, "e", "e 9223372036854775808 1"),
     "underscore": lambda s: _swap_first(s, "e", "e 1_0 1"),
     "Arabic-Indic digit": lambda s: _swap_first(s, "t", "t \u0661 2 3"),
     "tab": lambda s: _swap_first(s, "e", _first_line(s, "e").replace(" ", "\t", 1)),
@@ -783,6 +783,7 @@ def test_scan_bulk_path_matches_the_line_loop(tmp_path):
     "load, text",
     [
         (load_graph, "part V 3\ne 0 999999999999999999\n"),
+        (load_graph, "part V 3\ne 0 9223372036854775807\n"),
         (load_graph, "part V 4\ne 0 1\ne 1 2\ne 3 3\ne 0 2\n"),
         (load_graph, "part V 4\ne 0 1\nt 0 1 2\n"),
         (load_three_graph, "part V 4\ne 0 1\nt 0 1 2\n"),

@@ -86,6 +86,7 @@ from regulab.quasirandom import (
     eta_psi_check,
     masked_chain_quasirandomness,
     masked_pair_quasirandomness,
+    pair_bound_scaled,
     pair_quasirandomness,
     pair_raw_scaled,
 )
@@ -436,6 +437,24 @@ def test_dlr_terms_kept_per_mask_pair_match_the_uncached_run_on_cells():
     assert {"split", "NonterminationError"} <= kinds, kinds
 
 
+def test_dlr_terms_kept_per_mask_pair_match_the_uncached_run_on_noisy_cliques(monkeypatch):
+    """The graph pipeline's family on two noisy 20-cliques cut into five
+    parts at alpha = (1/5)^2, as ``decompose --eps 1/5`` runs it: the
+    Cauchy-Schwarz bound decides 14 of the 18 keys read, and the run equals
+    the uncached one under every witness mode and the step cap."""
+    g = build_two_clique_noise()
+    mg = partite_from_graph(g, [len(part) for part in equitable_partition(g.n, 5)])
+    graphs = [(i, j, mg.pair(i, j).rows) for i in range(5) for j in range(i + 1, 5)]
+    alpha = Fraction(1, 25)
+    bounds = _count_calls(monkeypatch, pair_bound_scaled)
+    certs = _count_calls(monkeypatch, pair_raw_scaled)
+    _, trace = dlr_cylinder_regularity(mg.vertex_set, graphs, alpha, DESK)
+    assert (len(bounds), len(certs), len(trace.rows)) == (18, 4, 2)
+    monkeypatch.undo()
+    for profile in DLR_PROFILES:
+        _assert_dlr_matches_uncached(mg.vertex_set, graphs, alpha, profile)
+
+
 def _half_graph_pairs():
     """The pair graphs ``decompose --eps 1/8`` cuts from the 2x48 half graph."""
     g = Graph.from_edges(96, [(i, 48 + j) for i in range(48) for j in range(i, 48)])
@@ -453,7 +472,9 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
     """On the half graph at eps 1/8 the four diagonal pair graphs are equal
     triangles and splits copy the other pairs' masks, so the uncached run
     makes 85 witness splits and 9,548 certificates of which 4 and 188 are
-    distinct; the run computes each distinct one once.  Certificates are
+    distinct; the run computes each distinct witness once.  It runs the c4
+    kernel on none of the keys whose Cauchy-Schwarz bound is at most alpha
+    and at most once on every other key: 16 calls.  Certificates are
     counted as calls of the c4 kernel, which the uncached run reaches
     through ``masked_pair_quasirandomness``."""
     import sys
@@ -461,22 +482,30 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
     from regulab import engines
 
     vs, graphs = _half_graph_pairs()
+    alpha = Fraction(1, 64)
     splits = _count_calls(monkeypatch, _witness_split)
     certs = _count_calls(monkeypatch, pair_raw_scaled)
     # The uncached copy here reads this module's names: count those too.
     here = sys.modules[__name__]
     monkeypatch.setattr(here, "_witness_split", engines._witness_split)
 
-    def distinct(calls):
-        return len({(id(rows), tuple(left), right) for rows, left, right, *_ in calls})
+    def keys(calls):
+        return [(id(rows), tuple(left), right) for rows, left, right, *_ in calls]
 
-    counts = []
+    counts, undecided = [], set()
     for run in (_uncached_dlr, dlr_cylinder_regularity):
         splits.clear()
         certs.clear()
-        run(vs, graphs, Fraction(1, 64), DESK)
-        counts.append((len(splits), distinct(splits), len(certs), distinct(certs)))
-    assert counts == [(85, 4, 9548, 188), (4, 4, 188, 188)]
+        run(vs, graphs, alpha, DESK)
+        counts.append((len(splits), len(set(keys(splits))), len(certs), len(set(keys(certs)))))
+        if run is _uncached_dlr:
+            undecided = {
+                key
+                for key, (_, _, _, e, area) in zip(keys(certs), certs)
+                if pair_bound_scaled(e, area) > alpha * area**6
+            }
+    assert counts == [(85, 4, 9548, 188), (4, 4, 16, 16)]
+    assert set(keys(certs)) <= undecided
 
 
 def test_dlr_walks_each_partition_once(monkeypatch):
@@ -532,6 +561,26 @@ def test_dlr_keeps_the_first_of_equal_certificates_as_worst(monkeypatch):
     splits = _count_calls(monkeypatch, _witness_split)
     _assert_dlr_matches_uncached(vs, graphs, Fraction(1, 10**6), DESK)
     assert splits[0][0] is _TIE_ROWS
+
+
+def test_dlr_skips_the_kernel_below_the_worst_certificate_so_far(monkeypatch):
+    """An input whose bound is above alpha but at most an earlier input's
+    certificate in the same cylinder cannot be the worst there, so the c4
+    kernel never runs on it, although its own certificate is above alpha;
+    the run equals the uncached one."""
+    vs = PartiteVertexSet.of_sizes(4, 4, 4)
+    one_edge = (0b0001, 0, 0, 0)
+    graphs = [(0, 1, _TIE_ROWS), (0, 2, one_edge)]
+    alpha = Fraction(1, 10**6)
+    first = pair_quasirandomness(BipartiteGraph(4, 4, _TIE_ROWS)).value
+    second = pair_quasirandomness(BipartiteGraph(4, 4, one_edge)).value
+    assert alpha < second < Fraction(pair_bound_scaled(1, 16), 16**6) < first
+    certs = _count_calls(monkeypatch, pair_raw_scaled)
+    got = _dlr_outcome(dlr_cylinder_regularity, vs, graphs, alpha, DESK)
+    assert certs[0][0] is _TIE_ROWS
+    assert not [left for rows, left, *_ in certs if rows is one_edge and list(left) == [0, 1, 2, 3]]
+    monkeypatch.undo()
+    assert got == _dlr_outcome(_uncached_dlr, vs, graphs, alpha, DESK)
 
 
 def test_one_cylinder_refine_gains_on_box():

@@ -36,6 +36,7 @@ from regulab.quasirandom import (
     is_graph_quasirandom,
     masked_chain_quasirandomness,
     masked_pair_quasirandomness,
+    pair_bound_scaled,
     pair_quasirandomness,
     pair_raw_scaled,
 )
@@ -322,3 +323,41 @@ def test_reduced_c4_kernel_matches_the_pair_loop_and_the_naive_sum(seed):
             assert Fraction(got, area**4) == c4_sum(table)
         else:
             assert got == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_bound_is_at_least_the_c4_sum(seed):
+    """The Cauchy-Schwarz bound area^2 (e (area - e))^2 is at least the c4
+    kernel's sum on random rows and masks, an empty side, no edges, all
+    edges, one row and one column included; it equals the sum when every
+    row is full or empty on the mask (the deviation has rank one), as on
+    one row or one column."""
+    rng = SplitMix64(seed)
+    kinds = set()
+    for case in range(60):
+        width = 1 + rng.below(11)
+        rows = [rng.next_u64() & ((1 << width) - 1) for _ in range(1 + rng.below(9))]
+        xs = [x for x in range(len(rows)) if rng.below(3)]
+        mask = rng.next_u64() & ((1 << width) - 1)
+        kind = case % 6
+        if kind == 0:
+            xs, mask = ([], mask) if case % 12 == 0 else (xs, 0)  # an empty side
+        elif kind == 1:
+            rows = [0] * len(rows) if case % 12 == 1 else [mask] * len(rows)  # e = 0, e = area
+        elif kind == 2:
+            xs = xs[:1] or [0]  # one row
+        elif kind == 3:
+            mask = 1 << rng.below(width)  # one column
+        elif kind == 4:
+            rows = [mask if rng.below(2) else 0 for _ in rows]  # each row full or empty
+        e = sum((rows[x] & mask).bit_count() for x in xs)
+        area = len(xs) * mask.bit_count()
+        got, bound = pair_raw_scaled(rows, xs, mask, e, area), pair_bound_scaled(e, area)
+        assert 0 <= got <= bound
+        if kind < 5:
+            assert got == bound, kind
+        if area:
+            d = Fraction(e, area)
+            assert Fraction(bound, area**6) == d * d * (1 - d) * (1 - d)
+        kinds.add((kind, got < bound))
+    assert (5, True) in kinds
