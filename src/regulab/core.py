@@ -647,8 +647,8 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
 # A scan keeps each record kind's ids flat and its line numbers apart.  A
 # loader builds its container from the ids, and the container checks the
 # records; only when it refuses them are line numbers paired with ids, to
-# name the first bad line.  A partite graph's e-lines build the graph on the
-# global ids, which is then cut along the parts.
+# name the first bad line.  A partite graph's e-lines are placed, so checked,
+# in their pair rows.
 # ---------------------------------------------------------------------------
 
 
@@ -886,27 +886,41 @@ def _check_range(lineno: int, ids: tuple[int, ...], total: int):
 
 
 def _scanned_graph(sc: Scan, vs: PartiteVertexSet) -> MultipartiteGraph:
-    """The partite graph of a scan's e-lines: the graph on the global ids,
-    whose row reads and shifts check each edge (:meth:`Graph.from_edges`),
-    cut along the parts (:func:`partite_from_graph`) when no edge lies
-    within a part.  Only when an edge is refused or lies within a part are
-    the lines walked, in file order, to name the first bad one."""
-    total = vs.total
+    """The partite graph of a scan's e-lines, each edge placed in its pair
+    row.  The placement checks the edge.  Ids are read through ``owner``
+    padded with ``total`` entries of part t, which keys no pair: an id in
+    [total, 2 total) or, by negative indexing, in [-total, 0) finds no row
+    (KeyError), as an edge within a part does.  An id in [-2 total, -total)
+    reads a part, but its local index is below -total, so the row read
+    (IndexError) or the shift (ValueError) refuses it; any other id misses
+    the table.  Only on a refusal are the lines walked, in file order, to
+    name the first bad one."""
+    total, off = vs.total, vs.offsets
+    owner = vs.owner + (vs.t,) * total
+    rows = {
+        (i, j): [0] * vs.sizes[i] for i in range(vs.t) for j in range(i + 1, vs.t)
+    }
     it = iter(sc.edges)
     try:
-        g = Graph.from_edges(total, zip(it, it))
-        pairs = partite_from_graph(g, vs.sizes).pair_graphs
-        # The cut keeps every edge but those within a part.
-        bad = sum(bg.edge_count for bg in pairs.values()) != g.edge_count
-    except InvalidStructure:
-        bad = True
-    if bad:
+        for u, v in zip(it, it):
+            i, j = owner[u], owner[v]
+            if i > j:
+                i, j, u, v = j, i, v, u
+            rows[(i, j)][u - off[i]] |= 1 << (v - off[j])
+    except (IndexError, KeyError, ValueError):
         for lineno, (u, v) in _records(sc.edge_lines, sc.edges, 2):
             _check_range(lineno, (u, v), total)
             (i, _), (j, _) = vs.to_local(u), vs.to_local(v)
             if i == j:
                 raise ParseError(lineno, f"edge ({u},{v}) lies within part {vs.names[i]}")
-    return MultipartiteGraph(vs, pairs)
+        raise
+    return MultipartiteGraph(
+        vs,
+        {
+            key: BipartiteGraph(vs.sizes[key[0]], vs.sizes[key[1]], tuple(r))
+            for key, r in rows.items()
+        },
+    )
 
 
 def _scanned_triples(

@@ -803,14 +803,14 @@ def test_a_canonical_file_names_its_bad_line_as_the_line_loop_does(load, text):
 
 
 ID_TOKENS = ("0", "7", "00", "07", "-1", "+1", "1_0", "\u0661", "9" * 18, "1" + "0" * 18,
-             "9" * 23, "x", "e", "t", "part", "#")
+             str(2**63 - 1), str(2**63), "9" * 23, "x", "e", "t", "part", "#")
 NOISE = (" ", "  ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#", "0", "9", "e", "t", "-")
 
 
 @st.composite
 def _canonical_files(draw):
     names = draw(st.lists(st.sampled_from("ABCDV"), min_size=1, max_size=3, unique=True))
-    ids = st.integers(0, 9) | st.integers(0, 10**18 - 1)
+    ids = st.integers(0, 9) | st.integers(0, 2**63 + 16)
     lines = [f"part {name} {draw(st.integers(0, 12))}" for name in names]
     lines += [f"e {u} {v}" for u, v in draw(st.lists(st.tuples(ids, ids), max_size=12))]
     lines += [f"t {u} {v} {w}" for u, v, w in draw(st.lists(st.tuples(ids, ids, ids), max_size=12))]
@@ -821,7 +821,10 @@ def _canonical_files(draw):
 @given(_canonical_files(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6),
                                               st.integers(0, 10**6)), max_size=3))
 def test_scan_bulk_and_loop_agree_on_mutated_canonical_files(text, mutations):
-    assert core._bulk_scan(text) is not None
+    # The bulk path takes every id below 2^63 and hands the file to the
+    # line loop from the first one above.
+    below = all(int(tok) < 2**63 for tok in text.split() if tok.isdigit())
+    assert (core._bulk_scan(text) is not None) == below
     for op, at, pick in mutations:
         if op == 0:  # a token replaced
             tokens = text.split(" ")
@@ -936,10 +939,13 @@ def _multipartite_outcome(load, text):
 def test_multipartite_loader_matches_the_line_by_line_checks(seed):
     """The bulk e-line check names the same first bad line as the walk, on
     files with some edges written from their far end and a few ids replaced
-    by values from -2 to total + 1, so that edges leave the range or fall
-    within one part, one or several per file."""
+    by values from -2 total - 2 to 2 total + 1, so that edges leave the
+    range (on both sides, by less and by more than total) or fall within
+    one part, one or several per file.  Odd seeds give one part more than
+    half the vertices, where a negative id read from the end of a table
+    would land on a row of that part."""
     rng = SplitMix64(200 + seed)
-    sizes = (2, 3, 0, 2)
+    sizes = ((2, 3, 0, 2), (1, 5, 0, 1))[seed % 2]
     base = save_multipartite(random_multipartite(sizes, Fraction(1, 2), rng.next_u64()))
     lines = base.splitlines()
     edge_lines = [k for k, line in enumerate(lines) if line.startswith("e ")]
@@ -953,7 +959,7 @@ def test_multipartite_loader_matches_the_line_by_line_checks(seed):
         for _ in range(rng.below(4)):
             k = edge_lines[rng.below(len(edge_lines))]
             ids = out[k].split()[1:]
-            ids[rng.below(2)] = str(rng.below(sum(sizes) + 4) - 2)
+            ids[rng.below(2)] = str(rng.below(4 * sum(sizes) + 4) - 2 * sum(sizes) - 2)
             out[k] = "e " + " ".join(ids)
         text = "\n".join(out) + "\n"
         want = _multipartite_outcome(_reference_load_multipartite, text)
