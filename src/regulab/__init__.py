@@ -12,6 +12,8 @@ Layers, bottom up:
   homogeneous decompositions, subset extraction, tower schedules.
 - ``generators``: deterministic instance families and a seeded PRNG.
 - ``vcdim``: shattering dimensions of neighbourhood set systems.
+- ``oracles``: the oracle registry, every fast path beside the naive
+  oracle it must match; ``oracle-check`` imports it, nothing here does.
 - ``cli``: the ``regulab`` command.
 """
 

@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands: analyze, decompose, cylinder, vc2, generate, subset, and
-oracle-check.  Thresholds are parsed as exact rationals ("1/4", "0.25",
-"2**-20"); engine runs emit a versioned JSON report that is byte-identical
-across reruns with the same config and seed, except for runtime_ms.  Each
-engine subcommand ends in one call of ``_report``, the one writer of
-reports; audits enter it as the engines return them, and the report layer
-writes every rational as a "num/den" string.
+oracle-check, which runs every case of the oracle registry
+(``regulab.oracles``) and reports each case's instances and mismatches.
+Thresholds are parsed as exact rationals ("1/4", "0.25", "2**-20"); engine
+runs emit a versioned JSON report that is byte-identical across reruns
+with the same config and seed, except for runtime_ms.  Each engine
+subcommand ends in one call of ``_report``, the one writer of reports;
+audits enter it as the engines return them, and the report layer writes
+every rational as a "num/den" string.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 audit failure,
 3 capacity, nontermination or a failed engine invariant.
@@ -62,7 +64,6 @@ from .engines import (
     rodl_sparse_dense,
 )
 from .generators import (
-    SplitMix64,
     cone_hypergraph,
     half_graph,
     make_fd,
@@ -75,7 +76,6 @@ from .generators import (
     random_partite_3graph,
     random_tournament_3graph,
 )
-from .partitions import q_edge_partition, EdgePartition
 from .quasirandom import (
     PolyFunction,
     chain_quasirandomness,
@@ -484,6 +484,8 @@ def _cmd_subset(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from .oracles import run_cases  # imported here, so no other command loads the registry
+
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.sizes)
     if not m:
         raise _ArgError("--sizes must look like 4..8")
@@ -491,36 +493,10 @@ def _cmd_oracle_check(args) -> int:
     if not 1 <= lo <= hi:
         raise _ArgError("size range must be non-empty and positive")
     _at_least(args, "cases", 0)
-    rng = SplitMix64(args.seed)
     t0 = time.monotonic()
-    pair_cases = chain_cases = mismatches = 0
-    for case in range(args.cases):
-        na = lo + rng.below(hi - lo + 1)
-        nb = lo + rng.below(hi - lo + 1)
-        g = random_bipartite(na, nb, Fraction(1, 2), seed=rng.next_u64())
-        fast = pair_quasirandomness(g, mode="fast")
-        naive = pair_quasirandomness(g, mode="naive")
-        pair_cases += 1
-        if (fast.raw_sum, fast.value) != (naive.raw_sum, naive.value):
-            mismatches += 1
-        if case % 5 == 0:
-            sizes = tuple(lo + rng.below(min(hi, 6) - lo + 1) if min(hi, 6) >= lo else lo for _ in range(3))
-            c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), seed=rng.next_u64())
-            cf = chain_quasirandomness(c, mode="fast")
-            cn = chain_quasirandomness(c, mode="naive")
-            chain_cases += 1
-            if (cf.raw_sum, cf.value) != (cn.raw_sum, cn.value):
-                mismatches += 1
-            trivial = EdgePartition.trivial_for_graph(c.graph)
-            d = relative_density(c)
-            if q_edge_partition(c, trivial, mode="fast") != d * d:
-                mismatches += 1
-    audit = {
-        "pair_cases": pair_cases,
-        "chain_cases": chain_cases,
-        "mismatches": mismatches,
-        "all_equal": mismatches == 0,
-    }
+    cases = run_cases(lo, hi, args.cases, args.seed)
+    mismatches = sum(case["mismatches"] for case in cases.values())
+    audit = {"cases": cases, "mismatches": mismatches, "all_equal": mismatches == 0}
     digest = input_hash(f"sizes={lo}..{hi} cases={args.cases} seed={args.seed}")
     return _report(args, digest, t0, audit, [], mismatches == 0)
 
@@ -597,9 +573,9 @@ def _build_parser() -> _Parser:
     _add_profile_flags(p)
     p.set_defaults(fn=_cmd_subset)
 
-    p = sub.add_parser("oracle-check", help="fast kernels against the naive oracles")
-    p.add_argument("--sizes", default="4..8")
-    p.add_argument("--cases", type=int, default=100)
+    p = sub.add_parser("oracle-check", help="every fast path against its naive oracle")
+    p.add_argument("--sizes", default="1..4", help="part sizes lo..hi")
+    p.add_argument("--cases", type=int, default=8, help="instances per case (one in four for some)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_oracle_check)

@@ -939,10 +939,13 @@ def hyper_cylinder_regularity(
     audit it was accepted on and the trace.  Otherwise refine every useful
     chain through refine_cell_chain and demand the profile's q gain; when
     no chain is useful, or no useful chain has a candidate edge split, the
-    cylinders are re-regularized instead (monotone in q but with no gain
-    floor) and the step's trace row reads ``split-cylinders``.  Under
-    the paper profile the literal schedules are evaluated first and the
-    run refuses on saturation.
+    cylinders are re-regularized instead and the step's trace row reads
+    ``split-cylinders``.  That step sets no floor on the gain in q, but the
+    ``dlr_cylinder_regularity`` run it makes demands the profile's q gain
+    on its own edge index: a split below it ends the run in dlr's
+    RefinementFailure, carrying dlr's cylinder rows.  Under the paper
+    profile the literal schedules are evaluated first and the run refuses
+    on saturation.
     """
     vs = h.vertex_set
     if vs.t < 3:

@@ -887,7 +887,7 @@ def pinned_inputs(tmp_path_factory):
         ),
         pytest.param(
             ["oracle-check", "--sizes", "3..5", "--cases", "12", "--seed", "7"], 0, "",
-            "a60fc23e4d9694617c1a363d8783cf84aa6daf9a5315607cb2fdc085f37c7119",
+            "5a0011c413b4d35277206ff15569605403d66a417d396ebf95f21095603c2d72",
             id="oracle-check",
         ),
         pytest.param(

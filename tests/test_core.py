@@ -53,6 +53,7 @@ from regulab.generators import (
     random_partite_3graph,
     random_tournament_3graph,
 )
+from regulab.oracles import built_from_edges, loop_scan, scan_fields, walked_from_edges
 
 
 def test_ratio_zero_over_zero():
@@ -697,21 +698,6 @@ def test_edges_to_the_last_vertex_allowed_load_quickly():
 # ---------------------------------------------------------------------------
 
 
-def _scan_fields(sc):
-    """A scan's fields, its id and line stores as lists: a canonical block's
-    line numbers are a range, the line loop's an array."""
-    error = None if sc.error is None else (sc.error.line, str(sc.error))
-    stores = (sc.edges, sc.edge_lines, sc.triples, sc.triple_lines)
-    return (sc.parts, *map(list, stores), sc.kind, error)
-
-
-def _loop_scan(text: str):
-    """``scan`` with its bulk entry point patched out: the line loop alone."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_bulk_scan", lambda text: None)
-        return scan(text)
-
-
 def _generated_texts(tmp_path) -> dict[str, str]:
     """The output of every ``generate`` kind."""
     flags = {
@@ -770,13 +756,13 @@ def test_scan_bulk_path_matches_the_line_loop(tmp_path):
     texts = _generated_texts(tmp_path)
     for kind, text in texts.items():
         assert core._bulk_scan(text) is not None, kind
-        assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text)), kind
+        assert scan_fields(scan(text)) == scan_fields(loop_scan(text)), kind
     chain = texts["chain"]
     for name, mutate in NEAR_CANONICAL.items():
         text = mutate(chain)
         assert text != chain, name
         assert core._bulk_scan(text) is None, name
-        assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text)), name
+        assert scan_fields(scan(text)) == scan_fields(loop_scan(text)), name
 
 
 @pytest.mark.parametrize(
@@ -798,7 +784,7 @@ def test_a_canonical_file_names_its_bad_line_as_the_line_loop_does(load, text):
     with pytest.raises(ParseError) as bulk:
         load(scan(text))
     with pytest.raises(ParseError) as loop:
-        load(_loop_scan(text))
+        load(loop_scan(text))
     assert (bulk.value.line, str(bulk.value)) == (loop.value.line, str(loop.value))
 
 
@@ -840,7 +826,7 @@ def test_scan_bulk_and_loop_agree_on_mutated_canonical_files(text, mutations):
         elif text:  # a character deleted
             k = at % len(text)
             text = text[:k] + text[k + 1 :]
-    assert _scan_fields(scan(text)) == _scan_fields(_loop_scan(text))
+    assert scan_fields(scan(text)) == scan_fields(loop_scan(text))
 
 
 def test_bulk_scan_memory_stays_a_small_multiple_of_the_text():
@@ -1047,25 +1033,6 @@ def test_from_edges_matches_a_bit_by_bit_build(seed):
     assert rows_symmetric(built)
 
 
-def _walked_from_edges(n, edges):
-    """``Graph.from_edges`` as a literal walk: each edge checked before its
-    bits are set; the rows, or the message of the first bad edge."""
-    rows = [0] * n
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            return f"bad edge ({u},{v})"
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple(rows)
-
-
-def _built_from_edges(n, edges):
-    try:
-        return Graph.from_edges(n, edges).rows
-    except InvalidStructure as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_write_checked_from_edges_matches_the_check_walk(seed):
     # The row reads and shifts check each edge; the first bad edge, in
@@ -1078,16 +1045,16 @@ def test_write_checked_from_edges_matches_the_check_walk(seed):
             u, v = rng.below(n), rng.below(n)
             if u != v:
                 edges += [(u, v)] * (1 + rng.below(2))  # duplicates and both orientations
-        assert _built_from_edges(n, edges) == _walked_from_edges(n, edges)
+        assert built_from_edges(n, edges) == walked_from_edges(n, edges)
         for _ in range(1 + rng.below(2)):  # a loop, an id in [-n, -1], below -n, n or huge
             good = rng.below(n)
             bad_ids = (good, -1 - rng.below(n), -n - 1 - rng.below(3), n, 10**18, 10**30)
             bad_id = bad_ids[rng.below(6)]
             bad = (bad_id, good) if rng.below(2) else (good, bad_id)
             edges.insert(rng.below(len(edges) + 1), bad)
-        walked = _walked_from_edges(n, edges)
+        walked = walked_from_edges(n, edges)
         assert isinstance(walked, str)
-        assert _built_from_edges(n, edges) == walked
+        assert built_from_edges(n, edges) == walked
 
 
 def test_from_edges_refuses_a_huge_id_before_any_shift():

@@ -1508,6 +1508,20 @@ EXITS = [
         )),
         id="hyper-gain-floor",
     ),
+    pytest.param(  # dlr's own gain floor, met inside cylinder re-regularization
+        None,
+        lambda: hyper_cylinder_regularity(
+            random_partite_3graph((5, 2, 2), Fraction(1, 2), seed=6819561501470575824),
+            Fraction(1, 4096), PSI_ID, ConstantsProfile.desk(q_gain=Fraction(1, 16)),
+        ),
+        ("RefinementFailure", "index gain 1/20 fell below the profile floor", (
+            (0, "38/25", "split-cylinders", "cylinder"),
+            (1, "51/25", "split-cylinders", "cylinder"),
+            (2, "151/60", "split-cylinders", "cylinder"),
+            (3, "59/20", "split-cylinders", "cylinder"),
+        )),
+        id="hyper-reregularization-gain-floor",
+    ),
     pytest.param(
         lambda mp: _falling_q(mp, lambda p: p.edge_count > 1),
         _hyper,

@@ -247,3 +247,41 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, f"defaults that no caller sets: {', '.join(unset)}"
     assert not listed_but_set, f"listed defaults the program sets: {', '.join(listed_but_set)}"
     assert not set(API_DEFAULTS) - defined, "listed defaults that are not defined"
+
+
+# Fast paths with no ``mode="naive"`` twin, each with the oracle that
+# checks it: the certified bounds and the bulk paths with a line-loop twin.
+UNMODED_FAST_PATHS = {
+    "regulab.quasirandom.pair_bound_scaled": "the c4 kernel's bound, against c4_sum",
+    "regulab.quasirandom.chain_first_pass": "the octahedral kernel's bound, against oct_sum",
+    "regulab.core._bulk_scan": "scan's bulk path, against its line loop",
+    "regulab.generators.SplitMix64.accepted": "the bulk draw, against per-draw bernoulli",
+}
+
+
+def _naive_twins() -> set[str]:
+    """Public functions of the package whose ``mode`` defaults to "fast"."""
+    twins = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            defaulted = args.args[len(args.args) - len(args.defaults) :]
+            if any(a.arg == "mode" and getattr(d, "value", None) == "fast"
+                   for a, d in zip(defaulted, args.defaults)):
+                twins.add(f"regulab.{path.stem}.{node.name}")
+    return twins
+
+
+def test_every_fast_path_is_named_by_an_oracle_case():
+    """Each public function with a ``mode="naive"`` twin, each certified
+    bound and each bulk path with a line-loop twin is among the fast paths
+    of some case of the oracle registry."""
+    from regulab.oracles import CASES
+
+    named = {f"{f.__module__}.{f.__qualname__}" for case in CASES for f in case.fast}
+    twins = _naive_twins()
+    assert {"regulab.quasirandom.pair_quasirandomness", "regulab.partitions.q_partition"} <= twins
+    missing = sorted((twins | set(UNMODED_FAST_PATHS)) - named)
+    assert not missing, f"fast paths no oracle case names: {', '.join(missing)}"

@@ -70,17 +70,9 @@ from regulab.quasirandom import (
     masked_pair_quasirandomness,
     pair_quasirandomness,
 )
-from conftest import random_small_chain
+from regulab.oracles import ALL_PASS, THRESHOLDS, literal_audit, scan_container, scan_lookup
 
-# The (eta, psi) pairs of scripts/oracle_sweep.py.
-THRESHOLDS = (
-    (Fraction(1, 4), PolyFunction(Fraction(1), 1)),
-    (Fraction(1, 64), PolyFunction(Fraction(1, 2), 2)),
-    (Fraction(1, 16), PolyFunction(Fraction(1, 3), 3)),
-)
-# Under eta = 1 every located chain of a partition with complete cells
-# passes: a complete cell's certificate is 0.
-ALL_PASS = (Fraction(1), PolyFunction(Fraction(1), 1))
+from conftest import random_small_chain
 
 
 def test_rational_sqrt():
@@ -723,49 +715,6 @@ def test_audits_read_warm_cell_facts_as_fresh_ones():
         assert homogeneity_audit(cold_h, venn_diagram(cold), eta, psi) == first_hom
 
 
-def _scan_lookup(pv: VertexCylinderPartition, locals_) -> int | None:
-    """The first cylinder whose masks hold the tuple, by a scan."""
-    for c, cyl in enumerate(pv.cylinders):
-        if all(m >> a & 1 for m, a in zip(cyl.masks, locals_)):
-            return c
-    return None
-
-
-def _scan_container(pv: VertexCylinderPartition, cyl: VertexCylinder) -> int | None:
-    """The first cylinder whose masks hold every mask of ``cyl``, by a scan."""
-    for c, big in enumerate(pv.cylinders):
-        if all(m & ~b == 0 for m, b in zip(cyl.masks, big.masks)):
-            return c
-    return None
-
-
-def _literal_audit(h, p, eta, psi) -> tuple[Fraction, Fraction]:
-    """The tuple audit written out: every tuple of X_1 x ... x X_t, its
-    cylinder found by scanning the masks, and for each part triple the
-    cells holding its three edges, cut out by extract_cell_chain and judged
-    by eta_psi_check with the naive kernels.  Gives the good tuple mass and
-    the union bound max(0, 1 - (failing part triples summed over the
-    tuples) / space)."""
-    vs = h.vertex_set
-    space = prod(vs.sizes)
-    good = spoiled = 0
-    for locals_ in product(*(range(s) for s in vs.sizes)):
-        c = _scan_lookup(p.vertex, locals_)
-        cyl, ep = p.vertex.cylinders[c], p.edges[c]
-        fails = 0
-        for i, j, k in combinations(range(vs.t), 3):
-            cells = tuple(
-                next(cell for cell in ep.pair(a, b).cells if cell[locals_[a]] >> locals_[b] & 1)
-                for a, b in ((i, j), (i, k), (j, k))
-            )
-            masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
-            chain = extract_cell_chain(h, masks, (i, j, k), cells)
-            fails += not eta_psi_check(chain, eta, psi, mode="naive")
-        good += fails == 0
-        spoiled += fails
-    return Fraction(good, space), max(Fraction(0), 1 - Fraction(spoiled, space))
-
-
 def _with_empty_cylinder(p: CylinderChainPartition) -> CylinderChainPartition:
     """``p`` with a cylinder whose first mask is empty put in front."""
     vs = p.vertex.vertex_set
@@ -836,7 +785,7 @@ def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
         runs = [(p, eta, psi) for eta, psi in THRESHOLDS]
         runs.append((_with_complete_cells(p), *ALL_PASS))
         for q, eta, psi in runs:
-            exact, bound = _literal_audit(h, q, eta, psi)
+            exact, bound = literal_audit(h, q, eta, psi)
             assert bound <= exact
             gaps.add(bound < exact)
             for mode, cap, want in (("exhaustive", prod(sizes), exact),
@@ -1132,7 +1081,7 @@ def test_lookup_container_and_refines_vertex_equal_a_mask_scan(seed):
     vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(2 + rng.below(3))))
     coarse = random_cylinder_chain_partition(vs, 1 + rng.below(6), 2, rng.next_u64()).vertex
     for locals_ in product(*(range(s) for s in vs.sizes)):
-        assert coarse.lookup(locals_) == _scan_lookup(coarse, locals_)
+        assert coarse.lookup(locals_) == scan_lookup(coarse, locals_)
     with pytest.raises(InvalidStructure, match="not covered"):
         coarse.lookup(vs.sizes)
     verdicts = set()
@@ -1149,11 +1098,11 @@ def test_lookup_container_and_refines_vertex_equal_a_mask_scan(seed):
             for _ in range(4)
         )
         for fine in (meet, other):
-            want = all(_scan_container(coarse, cyl) is not None for cyl in fine.cylinders)
+            want = all(scan_container(coarse, cyl) is not None for cyl in fine.cylinders)
             assert refines_vertex(fine, coarse) == want
             verdicts.add(want)
         for cyl in meet.cylinders + other.cylinders + loose:
-            assert coarse.container(cyl) == _scan_container(coarse, cyl)
+            assert coarse.container(cyl) == scan_container(coarse, cyl)
     assert verdicts == {True, False}
 
 

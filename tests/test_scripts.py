@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run to completion against the package."""
+"""The scripts under scripts/ run to completion against the package, and
+the oracle registry passes at the sizes the tests can afford."""
 
 import os
 import subprocess
@@ -7,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from regulab.cli import run
+from regulab.oracles import CASES
+from regulab.report import load_report
+
 REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        # 40 cases: at 10 both audit cases draw a part of size 0, so no
-        # audit, q or survey comparison sees a located chain.
-        ["oracle_sweep.py", "--max-size", "5", "--cases", "40"],
         ["decompose_demo.py"],
         ["tower_refusal_demo.py"],
     ],
@@ -32,3 +34,17 @@ def test_script_exits_zero(argv):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_oracle_check_passes_on_every_case(tmp_path, capsys):
+    """The registry on 40 instances (10 for the one-in-four cases) with
+    parts of 1 to 5 vertices: every case runs and nothing mismatches."""
+    out = tmp_path / "oc.json"
+    assert run(["oracle-check", "--sizes", "1..5", "--cases", "40", "--seed", "7",
+                "--output", str(out)]) == 0
+    audit = load_report(out.read_text())["audit"]
+    assert audit["mismatches"] == 0
+    assert sorted(audit["cases"]) == sorted(case.name for case in CASES)
+    assert all(case["instances"] >= 1 and case["mismatches"] == 0
+               for case in audit["cases"].values())
+    capsys.readouterr()
