@@ -199,6 +199,26 @@ def literal_audit(h, p, eta, psi, facts=None) -> tuple[Fraction, Fraction]:
     return Fraction(good, space), max(Fraction(0), 1 - Fraction(spoiled, space))
 
 
+def literal_bound(chain) -> tuple[Fraction, bool]:
+    """The octahedral kernel's Cauchy-Schwarz bound written out on
+    ``DeviationFunction3.from_chain``: B, the sum over ordered (y, y') of
+    (sum over x of S(x, x))^2, with S(x, x) the z-sum of
+    f(x, y, z)^2 f(x, y', z)^2; and whether some y carries triangles for
+    two x."""
+    dev = DeviationFunction3.from_chain(chain)
+    nx, ny, nz = chain.vertex_set.sizes
+    sq = [[[v * v for v in col] for col in plane] for plane in dev.table]
+    bound = sum(
+        sum(sq[x][y][z] * sq[x][y2][z] for x in range(nx) for z in range(nz)) ** 2
+        for y in range(ny)
+        for y2 in range(ny)
+    )
+    carriers = {}
+    for x, y, _ in dev.support:
+        carriers.setdefault(y, set()).add(x)
+    return Fraction(bound), any(len(xs) > 1 for xs in carriers.values())
+
+
 def scan_fields(sc):
     """A scan's fields, its id and line stores as lists: a canonical block's
     line numbers are a range, the line loop's an array."""
@@ -537,16 +557,23 @@ def chain_kernel(rng, lo, hi) -> int:
 
 
 def chain_bound(rng, lo, hi) -> int:
-    """The octahedral kernel's Cauchy-Schwarz bound and the bound-first
-    verdict ``cell_chain_within`` against the literal octahedral sum on a
-    random chain where it lies: masks narrower than their parts, cell rows
-    reaching outside them and a z part that may pass 64 vertices.  The
-    bound must be at least the certificate, and equal to it when at most
-    one x carries triangles; the verdict, read on a fresh index and then
-    again, must equal certificate <= eta at eta = the certificate, just
-    below it, at the bound and at every THRESHOLDS eta, and must run the
-    pair loop only where the bound is above eta."""
-    sizes = (_size(rng, lo, hi), _size(rng, min(lo, 4), min(hi, 4)), 1 + rng.below(70))
+    """The octahedral kernel's first pass and the bound-first verdict
+    ``cell_chain_within`` against the literal walks on a random chain
+    where it lies: masks narrower than their parts, cell rows reaching
+    outside them and a z part that may pass 64 vertices.  One instance in
+    two has at least 4 x, 2 y and 65 z, so that the planes, one z slot per
+    x that carries a triangle, pass 128 bits once two x do.  The first
+    pass's bound, scaled by q^8, must equal the literal B and be at least
+    the certificate, and equal to it when no y is met by two x;
+    ``paired`` must tell whether some y is.  The verdict, read on a fresh
+    index and then again, must equal certificate <= eta at eta = the
+    certificate, just below it, at the bound and at every THRESHOLDS eta,
+    and must run the pair loop only where the bound is above eta and some
+    y is met by two x."""
+    if rng.below(2):
+        sizes = (max(4, _size(rng, lo, hi)), 2, 65 + rng.below(6))
+    else:
+        sizes = (_size(rng, lo, hi), _size(rng, min(lo, 4), min(hi, 4)), 1 + rng.below(70))
     h = random_partite_3graph(sizes, Fraction(1, 2), rng.next_u64())
     parts = (0, 1, 2)
 
@@ -560,15 +587,17 @@ def chain_bound(rng, lo, hi) -> int:
     cert = chain_quasirandomness(chain, mode="naive").value
     fp = chain_first_pass(cells, masks, h.zmasks(*parts))
     bound = Fraction(*fp.scaled(fp.diagonal))
-    bad = bound < cert
-    carriers = {x for x, _, _ in DeviationFunction3.from_chain(chain).support}
-    bad += len(carriers) <= 1 and bound != cert
+    literal, paired = literal_bound(chain)
+    bad = fp.diagonal != literal * fp.triangles**8
+    bad += fp.paired != paired
+    bad += bound < cert
+    bad += not paired and bound != cert
     for eta in (cert, cert - Fraction(1, 10**9), bound, *(eta for eta, _ in THRESHOLDS)):
         fresh = PartiteThreeGraph(h.vertex_set, h.triples)
         for _ in range(2):
             bad += cell_chain_within(fresh, masks, parts, cells, eta) != (cert <= eta)
-        looped = (masks, parts, cells) in fresh.index.chain_values and bool(fp.splits)
-        bad += looped != (bound > eta and bool(fp.splits))
+        looped = (masks, parts, cells) in fresh.index.chain_values and paired
+        bad += looped != (bound > eta and paired)
     return bad
 
 
@@ -727,7 +756,8 @@ CASES = (
         (oct_sum, c4_sum),
         4,
     ),
-    Case("chain-bound", chain_bound, (chain_first_pass, cell_chain_within), (oct_sum,), 4),
+    Case("chain-bound", chain_bound, (chain_first_pass, cell_chain_within),
+         (oct_sum, literal_bound), 4),
     Case("hyperedge-index", hyperedge_index, (PartiteThreeGraph.zmasks,),
          (PartiteThreeGraph.has_triple,), 4),
     Case("cell-chains", cell_chains,

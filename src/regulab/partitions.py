@@ -37,15 +37,18 @@ Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 evaluator that keeps its numbers on that index.  It reads a chain where it
 lies, with the two halves of the one fast octahedral kernel
 (:func:`regulab.quasirandom.chain_first_pass` and
-:func:`regulab.quasirandom.chain_pair_total`).  A chain's first read
-stores its counts and a Cauchy-Schwarz bound on its certificate; its exact
-certificate is stored once asked for.  :func:`cell_chain_stats` gives the
-exact (triangles, hyperedges, certificate), and :func:`cell_chain_within`,
-the verdict certificate <= eta, runs the pair loop only where the bound is
-above eta.  The subset gate and :func:`survey_partition` read it; the
-engine reads each cylinder chain partition through that one walk over its
-located cell chains, which gives its q (from the counts alone), its tuple
-audit and its useful (non-quasirandom) chains.
+:func:`regulab.quasirandom.chain_pair_total`).  A chain's first read,
+one O(X Y) walk and O(Y^2) ANDs of planes concatenated over x, stores its
+counts and a Cauchy-Schwarz bound on its certificate, and stores the bound
+as the certificate too when no y of the chain is met by two x; otherwise
+its exact certificate is stored once asked for.  :func:`cell_chain_stats`
+gives the exact (triangles, hyperedges, certificate), and
+:func:`cell_chain_within`, the verdict certificate <= eta, runs the pair
+loop only where the bound is above eta.  The subset gate and
+:func:`survey_partition` read it; the engine reads each cylinder chain
+partition through that one walk over its located cell chains, which gives
+its q (from the counts alone), its tuple audit and its useful
+(non-quasirandom) chains.
 
 Per-cell facts live on their :class:`PairPartition` as integers: the
 cached ``labels`` table, the ``area``, each cell's ``edge_counts`` and its
@@ -945,8 +948,9 @@ def _chain_bound(h: PartiteThreeGraph, key: tuple) -> tuple[tuple, ChainPass | N
     and the kernel's first pass when this call stored them (else None).
 
     ``bound`` is the Cauchy-Schwarz bound on the chain certificate as an
-    integer (numerator, denominator).  When no split has two rows, the
-    bound is the certificate and is stored as the exact value too.
+    integer (numerator, denominator).  When no y of the chain is met by two
+    x (the pass is not ``paired``), the bound is the certificate and is
+    stored as the exact value too.
     """
     index = h.index
     got = index.cell_chains.get(key)
@@ -956,7 +960,7 @@ def _chain_bound(h: PartiteThreeGraph, key: tuple) -> tuple[tuple, ChainPass | N
     fp = chain_first_pass(cells, masks, h.zmasks(*parts))
     bound = fp.scaled(fp.diagonal)
     got = index.cell_chains[key] = (fp.triangles, fp.hyperedges, bound)
-    if not fp.splits:
+    if not fp.paired:
         index.chain_values[key] = Fraction(*bound)
     return got, fp
 

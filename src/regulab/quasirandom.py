@@ -22,10 +22,12 @@ the part triple's hyperedge z-masks, so a cell chain of a larger
 hypergraph is certified without being copied out;
 :func:`chain_quasirandomness` calls it on a standalone chain's full masks.
 It runs in two halves, which the cell-chain evaluator also calls apart.
-:func:`chain_first_pass` counts the chain and bounds its raw sum by
-Cauchy-Schwarz in O(X Y^2) popcounts; :func:`chain_pair_total` continues
-from that pass to the exact sum in O(X^2 Y^2), with one AND and one
-popcount per pair of x rows for each of the five weight classes
+:func:`chain_first_pass` counts the chain in one O(X Y) walk that ORs
+its triangle and hyperedge z-masks into per-y planes concatenated over x,
+one W-bit slot per x, and bounds its raw sum by Cauchy-Schwarz from
+O(Y^2) ANDs and popcounts of those planes.  :func:`chain_pair_total`
+continues from the planes to the exact sum in O(X^2 Y^2), with one AND
+and one popcount per pair of x rows for each of the five weight classes
 u^k v^(4-k) of the deviation product, and each distinct vector of class
 counts weighed once.  The kernel builds its certificate's three fractions
 straight from integer counts.
@@ -358,11 +360,12 @@ class ChainPass(NamedTuple):
     ``triangles`` q and ``hyperedges`` p count the chain; ``volume`` is
     n0 n1 n2 and ``density`` the product of its three pair edge counts on
     the masks.  ``weights`` are the class weights u^k v^(4-k), k = 4..0,
-    and ``shift`` the plane shift W.  ``diagonal`` is the Cauchy-Schwarz
-    bound B on the raw sum and ``solo`` the exact terms of the (y, y')
-    splits that only one x meets.  ``splits`` holds each other split as its
-    multiplicity among ordered (y, y') and its packed rows
-    a | b << W | c << 2W, one per x that meets it: all the pair loop reads.
+    and ``shift`` the slot width W.  ``planes`` holds, per y that carries
+    a triangle, its triangle and hyperedge planes (T, U): the z-masks
+    through (x, y, .) of every x that carries a triangle, each x in its own
+    slot of W bits.  ``diagonal`` is the Cauchy-Schwarz bound B on the raw
+    sum, and ``paired`` tells whether two x meet some y; without that, B
+    is the raw sum.  The pair loop reads the planes.
     """
 
     triangles: int
@@ -372,8 +375,8 @@ class ChainPass(NamedTuple):
     weights: tuple[int, int, int, int, int]
     shift: int
     diagonal: int
-    solo: int
-    splits: list[tuple[int, list[int]]]
+    paired: bool
+    planes: list[tuple[int, int]]
 
     def scaled(self, total: int) -> tuple[int, int]:
         """(numerator, denominator) of the certificate of the raw sum
@@ -389,8 +392,8 @@ def chain_first_pass(
     masks: tuple[int, int, int],
     zm: Mapping[tuple[int, int], int],
 ) -> ChainPass:
-    """The triangle and hyperedge pass of the octahedral kernel, then its
-    split of every (y, y') into planes, and the bound that they give.
+    """The triangle and hyperedge pass of the octahedral kernel, its planes
+    concatenated over x, and the bound that they give.
 
     ``rows`` are the (0, 1), (0, 2) and (1, 2) pair rows in the parts' own
     ids, ``masks`` the chain's vertices in each part and ``zm`` the part
@@ -408,117 +411,124 @@ def chain_first_pass(
     Cauchy-Schwarz over z gives S(x, x')^2 <= S(x, x) S(x', x'), so it is
     at most B, the sum over ordered (y, y') of D^2 with D the sum over x of
     the diagonal S(x, x) = w4 |a| + w2 |b| + w0 |c|.  A split that only
-    one x meets has no other terms, so B is the raw sum when no split has
-    two rows.  The pass costs O(X Y^2) popcounts; the pair loop,
-    :func:`chain_pair_total`, O(X^2 Y^2).  The shift W is the bit length of
-    the z mask, so every plane lies below bit W.
+    one x meets has no other terms, so B is the raw sum when no y is met by
+    two x.
+
+    The walk over (x, y) costs O(X Y) and ORs each x's z-masks into the
+    planes of its y, at the x's slot; the shift W is the bit length of the
+    z mask, so no slot spills into the next.  The planes hold every x at
+    once, so D of a pair (y, y') is three popcounts of ANDs of its planes:
+    a is U & U', the z's of t in either hyperedge plane are (U | U') & t,
+    and B costs O(Y^2) big-int operations.  The pair loop,
+    :func:`chain_pair_total`, costs O(X^2 Y^2).
     """
     rows_ab, rows_ac, rows_bc = rows
     mask_x, mask_y, mask_z = masks
     n0, n1, n2 = (m.bit_count() for m in masks)
-    # Per x with a triangle: masks over z of the triangles and hyperedges
-    # through (x, y, .), indexed by y.
-    TU = []
-    q = p = e_ab = e_ac = 0
+    W = mask_z.bit_length()
+    T, U = {}, {}
+    e_ab = e_ac = slot = 0
+    paired = False
     for x in bits(mask_x):
         row_ab, row_ac = rows_ab[x] & mask_y, rows_ac[x] & mask_z
         e_ab += row_ab.bit_count()
         e_ac += row_ac.bit_count()
         if not (row_ab and row_ac):
             continue
-        t_x, u_x = {}, {}
+        carries = False
         for y in bits(row_ab):
             t = row_ac & rows_bc[y]
             if t:
                 u = t & zm.get((x, y), 0)
-                t_x[y], u_x[y] = t, u
-                q += t.bit_count()
-                p += u.bit_count()
-        if t_x:
-            TU.append((t_x, u_x))
+                if y in T:
+                    paired = True
+                    T[y] |= t << slot
+                    U[y] |= u << slot
+                else:
+                    T[y], U[y] = t << slot, u << slot
+                carries = True
+        if carries:
+            slot += W
     e_bc = sum((rows_bc[y] & mask_z).bit_count() for y in bits(mask_y))
+    planes = list(zip(T.values(), U.values()))
+    q = sum(t.bit_count() for t in T.values())
+    p = sum(u.bit_count() for u in U.values())
 
     u, v = q - p, -p
     uu, uv_, vv = u * u, u * v, v * v
     weights = (uu * uu, uu * uv_, uv_ * uv_, uv_ * vv, vv * vv)
     w4, _, w2, _, w0 = weights
-    W = mask_z.bit_length()
-    W2 = 2 * W
-    ys = sorted({y for t_x, _ in TU for y in t_x})
-    diagonal = solo = 0
-    splits = []
-    for n, y in enumerate(ys):
-        for y2 in ys[n:]:
-            packed = []
-            na = nc = nt = 0
-            for t_x, u_x in TU:
-                t1, t2 = t_x.get(y), t_x.get(y2)
-                if not (t1 and t2):
-                    continue
-                t = t1 & t2
-                if t:
-                    u1, u2 = u_x[y], u_x[y2]
-                    # a: both hyperedges; c: neither; b, the rest of t: one.
-                    a = u1 & u2
-                    c = t & ~(u1 | u2)
-                    packed.append(a | (t ^ a ^ c) << W | c << W2)
-                    na += a.bit_count()
-                    nc += c.bit_count()
-                    nt += t.bit_count()
-            if packed:
-                d = w4 * na + w2 * (nt - na - nc) + w0 * nc
-                times = 1 if y == y2 else 2
-                term = times * d * d
-                diagonal += term
-                if len(packed) == 1:
-                    solo += term
-                else:
-                    splits.append((times, packed))
-    return ChainPass(q, p, n0 * n1 * n2, e_ab * e_ac * e_bc, weights, W, diagonal, solo, splits)
+    # D = w4 na + w2 (nu - na) + w0 (nt - nu), with na = |a|, nt = |t| and
+    # nu the z's of t in either hyperedge plane.
+    ka, ku = w4 - w2, w2 - w0
+    same = cross = 0
+    for n, (t1, u1) in enumerate(planes):
+        d = (w4 - w0) * u1.bit_count() + w0 * t1.bit_count()  # y' = y: a = u
+        same += d * d
+        for t2, u2 in planes[n + 1 :]:
+            if t := t1 & t2:
+                na, nu = (u1 & u2).bit_count(), ((u1 | u2) & t).bit_count()
+                d = ka * na + ku * nu + w0 * t.bit_count()
+                cross += d * d
+    diagonal = same + 2 * cross
+    return ChainPass(q, p, n0 * n1 * n2, e_ab * e_ac * e_bc, weights, W, diagonal, paired, planes)
 
 
 def chain_pair_total(fp: ChainPass) -> int:
     """The exact raw sum of a chain, scaled by q^8, continuing from its
-    first pass: the solo splits' terms plus, per other split, its diagonal
-    and its row pairs.
+    first pass: per split (y, y'), the diagonal and the row pairs of the
+    x that meet it.
 
+    Each y's planes are cut into per-slot (t, u) fields once, not once per
+    split, and a split's rows are the slots whose triangle fields meet.
     The product of two rows' g at one z is u^k v^(4-k), and each weight
-    class k is one AND and one popcount per row pair: the row is packed as
-    (a, b, c) at shifts (0, W, 2W), and the other row packs the planes that
-    pair with them into class k, so the AND keeps exactly the class-k z's.
+    class k is one AND and one popcount per row pair: each row cut before
+    is packed as (a, b, c) at shifts (0, W, 2W), and the row just cut packs
+    the planes that pair with them into class k, so the AND keeps exactly
+    the class-k z's.
     A pair's term is the square of sum_k n_k u^k v^(4-k) over its class
     counts n_k; the count vectors are tallied and each distinct one weighed
     once.
     """
     W = fp.shift
     W2, low = 2 * W, (1 << W) - 1
+    width = max((t.bit_length() for t, _ in fp.planes), default=0)
+    fields = [
+        [(t >> s & low, u >> s & low) for s in range(0, width, W)] for t, u in fp.planes
+    ]
     # Tallies of the class counts (n4, ..., n0) of the row pairs, by how
     # many ordered (x, x', y, y') each pair stands for: 1 on both diagonals,
     # 2 on one, 4 off both.
     once, twice, four = {}, {}, {}
-    for times, packed in fp.splits:
-        diag, off = (once, twice) if times == 1 else (twice, four)
-        classes = []
-        for row in packed:
-            a, b, c = row & low, row >> W & low, row >> W2
-            key = (a.bit_count(), 0, b.bit_count(), 0, c.bit_count())
-            diag[key] = diag.get(key, 0) + 1
-            # Against the packed row, class k = 4..0 keeps a.a',
-            # a.b' + b.a', a.c' + b.b' + c.a', b.c' + c.b', c.c'.
-            classes.append((a, b | a << W, c | b << W | a << W2, (c | b << W) << W, c << W2))
-        get = off.get
-        for i, row in enumerate(packed):
-            for c4, c3, c2, c1, c0 in classes[i + 1 :]:
-                key = (
-                    (row & c4).bit_count(),
-                    (row & c3).bit_count(),
-                    (row & c2).bit_count(),
-                    (row & c1).bit_count(),
-                    (row & c0).bit_count(),
-                )
-                off[key] = get(key, 0) + 1
+    for n, f1 in enumerate(fields):
+        for m in range(n, len(fields)):
+            diag, off = (once, twice) if m == n else (twice, four)
+            get = off.get
+            packed = []
+            for (t1, u1), (t2, u2) in zip(f1, fields[m]):
+                if t := t1 & t2:
+                    # a: both hyperedges; c: neither; b, the rest of t: one.
+                    a = u1 & u2
+                    c = t & ~(u1 | u2)
+                    b = t ^ a ^ c
+                    key = (a.bit_count(), 0, b.bit_count(), 0, c.bit_count())
+                    diag[key] = diag.get(key, 0) + 1
+                    # Against a packed row, class k = 4..0 keeps a.a',
+                    # a.b' + b.a', a.c' + b.b' + c.a', b.c' + c.b', c.c'.
+                    c3, c2 = b | a << W, c | b << W | a << W2
+                    c1, c0 = (c | b << W) << W, c << W2
+                    for row in packed:
+                        key = (
+                            (row & a).bit_count(),
+                            (row & c3).bit_count(),
+                            (row & c2).bit_count(),
+                            (row & c1).bit_count(),
+                            (row & c0).bit_count(),
+                        )
+                        off[key] = get(key, 0) + 1
+                    packed.append(a | b << W | c << W2)
     w4, w3, w2, w1, w0 = fp.weights
-    total = fp.solo
+    total = 0
     for times, tally in ((1, once), (2, twice), (4, four)):
         for (k4, k3, k2, k1, k0), pairs in tally.items():
             s = w4 * k4 + w3 * k3 + w2 * k2 + w1 * k1 + w0 * k0

@@ -1037,11 +1037,11 @@ def test_a_refine_step_extracts_and_certifies_each_chain_once(monkeypatch):
     # Every first pass stored a chain, so distinct passes are distinct chains.
     looped = [args[0] for args in loops]
     assert len({id(fp) for fp in looped}) == len(looped)
-    assert all(fp.splits and Fraction(*fp.scaled(fp.diagonal)) > eta for fp in looped)
+    assert all(fp.paired and Fraction(*fp.scaled(fp.diagonal)) > eta for fp in looped)
     # The survey read every chain's verdict, so each chain above eta whose
     # bound is not its certificate ran the loop.
     fps = [chain_first_pass(*args) for args in passes]
-    above = [fp for fp in fps if fp.splits and Fraction(*fp.scaled(fp.diagonal)) > eta]
+    above = [fp for fp in fps if fp.paired and Fraction(*fp.scaled(fp.diagonal)) > eta]
     assert len(looped) == len(above) > 0
     assert extracted == []
 

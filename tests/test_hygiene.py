@@ -253,7 +253,9 @@ def test_every_default_is_set_by_a_caller():
 # checks it: the certified bounds and the bulk paths with a line-loop twin.
 UNMODED_FAST_PATHS = {
     "regulab.quasirandom.pair_bound_scaled": "the c4 kernel's bound, against c4_sum",
-    "regulab.quasirandom.chain_first_pass": "the octahedral kernel's bound, against oct_sum",
+    "regulab.quasirandom.chain_first_pass": (
+        "the octahedral kernel's counts, planes and bound, against oct_sum and literal_bound"
+    ),
     "regulab.core._bulk_scan": "scan's bulk path, against its line loop",
     "regulab.generators.SplitMix64.accepted": "the bulk draw, against per-draw bernoulli",
 }

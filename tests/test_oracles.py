@@ -1,6 +1,7 @@
 """The oracle registry behind ``regulab oracle-check``: a fault planted in
 any fast path shows as mismatches of the case that names it."""
 
+import inspect
 import sys
 
 import pytest
@@ -39,6 +40,17 @@ def _short_bulk_scan(old):
 def _shallow_first_pass(old):
     """``chain_first_pass`` whose Cauchy-Schwarz bound is halved."""
     return lambda *a: (fp := old(*a))._replace(diagonal=fp.diagonal // 2)
+
+
+def _narrow_slots(old):
+    """``chain_first_pass`` with its x slots W - 1 bits apart, not W: an
+    off-by-one shift that lays the top z of one x on the lowest z of the
+    next.  Made from the kernel's own source with that one line changed."""
+    src = inspect.getsource(old)
+    assert src.count("slot += W\n") == 1
+    namespace = dict(vars(quasirandom))
+    exec(src.replace("slot += W\n", "slot += W - 1\n"), namespace)
+    return namespace[old.__name__]
 
 
 # One planted fault per case, each in a fast path the case names.
@@ -86,22 +98,37 @@ def test_every_case_has_a_planted_fault():
     assert sorted(FAULTS) == sorted(case.name for case in oracles.CASES)
 
 
-@pytest.mark.parametrize("name", sorted(FAULTS))
-def test_a_fault_in_a_fast_path_fails_its_case(name, monkeypatch, tmp_path, capsys):
+def _fails_its_case(name, plant, monkeypatch, tmp_path, capsys):
     """``oracle-check --sizes 1..5 --cases 12``, run on the one case, exits
-    0 and then, with a fault planted in a fast path it names, exits 2 with
-    a report that names the case with at least one mismatch."""
+    0 and then, with ``plant`` applied, exits 2 with a report that names
+    the case with at least one mismatch."""
     monkeypatch.setattr(oracles, "CASES", tuple(c for c in oracles.CASES if c.name == name))
     out = tmp_path / "oc.json"
     argv = ["oracle-check", "--sizes", "1..5", "--cases", "12", "--output", str(out)]
     assert run(argv) == 0
-    FAULTS[name](monkeypatch)
+    plant(monkeypatch)
     assert run(argv) == 2
     assert capsys.readouterr().err == ""
     audit = load_report(out.read_text())["audit"]
     assert audit["cases"][name]["mismatches"] >= 1
     assert audit["mismatches"] == audit["cases"][name]["mismatches"]
     assert audit["all_equal"] is False
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_a_fault_in_a_fast_path_fails_its_case(name, monkeypatch, tmp_path, capsys):
+    """Each case catches the fault planted in a fast path it names."""
+    _fails_its_case(name, FAULTS[name], monkeypatch, tmp_path, capsys)
+
+
+def test_an_off_by_one_slot_shift_fails_the_chain_bound_case(monkeypatch, tmp_path, capsys):
+    """The first pass with its x slots one bit too close, so that two x
+    share a bit of a plane, fails the chain-bound case."""
+    _fails_its_case(
+        "chain-bound",
+        lambda mp: _rebind(mp, quasirandom, "chain_first_pass", _narrow_slots),
+        monkeypatch, tmp_path, capsys,
+    )
 
 
 def test_a_fault_shows_in_the_full_report(tmp_path, capsys, monkeypatch):

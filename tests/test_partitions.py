@@ -895,9 +895,29 @@ def test_bound_first_verdict_equals_the_exact_one(seed, monkeypatch):
             loops.clear()
             for _ in range(2):
                 assert cell_chain_within(cold, masks, parts, cells, eta) is (cert <= eta)
-            assert len(loops) == (bound > eta and bool(fp.splits))
+            assert len(loops) == (bound > eta and fp.paired)
             looped += len(loops)
     assert looped and strict
+
+
+def test_surveying_the_bench_30_cube_cuts_no_rows(monkeypatch):
+    """Surveying the first instance of the benchmark's hyper-cylinder
+    workload at seed 0 (a random 30^3 partite 3-graph, p = 1/2) on the
+    trivial partition makes one first pass, which holds its chain as 30
+    plane pairs, one per y, and decides it by its bound: the pair loop,
+    the only reader that cuts the planes into per-x rows, never runs."""
+    import regulab.partitions as partitions
+
+    passes = _counted(monkeypatch, partitions, "chain_first_pass")
+    loops = _counted(monkeypatch, partitions, "chain_pair_total")
+    h = random_partite_3graph((30, 30, 30), Fraction(1, 2), seed=1607537136)
+    eta, psi = Fraction(1, 4), PolyFunction(Fraction(1), 1)
+    survey = survey_partition(h, CylinderChainPartition.trivial(h.vertex_set), eta, psi)
+    assert survey.audit.good_mass == 1 and not survey.useful
+    assert len(passes) == 1 and not loops
+    fp = chain_first_pass(*passes[0])
+    assert fp.paired and Fraction(*fp.scaled(fp.diagonal)) <= eta
+    assert len(fp.planes) == 30
 
 
 def test_a_30_cube_cylinder_run_never_runs_the_pair_loop(monkeypatch):

@@ -1,6 +1,7 @@
 """Deviation certificates: frozen values and fast/naive agreement."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +226,118 @@ def test_kernel_with_a_z_mask_narrower_than_its_part(seed):
         chain = extract_cell_chain(h, masks, (0, 1, 2), cells)
         assert tri == triangle_count(chain.graph) and hyp == chain.hyper.edge_count
         assert cert == chain_quasirandomness(chain, mode="naive")
+
+
+def _per_x_pass(rows, masks, zm):
+    """The octahedral kernel written out per x, as the first pass walked
+    it before its planes were concatenated over x: each x's triangle and
+    hyperedge z-masks by y; then per ordered (y, y'), the z-values of g_x
+    for each x that meets both, their diagonal sum D and every S(x, x').
+    Gives (q, p, volume, density, B, paired, exact sum), both sums scaled
+    by q^8, with paired true when some (y, y') is met by two x."""
+    rows_ab, rows_ac, rows_bc = rows
+    mask_x, mask_y, mask_z = masks
+    per_x = []
+    for x in bits(mask_x):
+        tu = {}
+        for y in bits(rows_ab[x] & mask_y):
+            if t := rows_ac[x] & mask_z & rows_bc[y]:
+                tu[y] = t, t & zm.get((x, y), 0)
+        per_x.append(tu)
+    q = sum(t.bit_count() for tu in per_x for t, _ in tu.values())
+    p = sum(u.bit_count() for tu in per_x for _, u in tu.values())
+    e_ab = sum((rows_ab[x] & mask_y).bit_count() for x in bits(mask_x))
+    e_ac = sum((rows_ac[x] & mask_z).bit_count() for x in bits(mask_x))
+    e_bc = sum((rows_bc[y] & mask_z).bit_count() for y in bits(mask_y))
+
+    def f(u, z):  # the scaled deviation on a triangle
+        return q - p if u >> z & 1 else -p
+
+    bound = total = 0
+    paired = False
+    ys = list(bits(mask_y))
+    for y in ys:
+        for y2 in ys:
+            gs = []
+            for tu in per_x:
+                if y in tu and y2 in tu:
+                    (t1, u1), (t2, u2) = tu[y], tu[y2]
+                    if t1 & t2:
+                        gs.append({z: f(u1, z) * f(u2, z) for z in bits(t1 & t2)})
+            paired |= len(gs) > 1
+
+            def S(g1, g2):
+                return sum(v * g2.get(z, 0) for z, v in g1.items())
+
+            bound += sum(S(g, g) for g in gs) ** 2
+            total += sum(S(g1, g2) ** 2 for g1 in gs for g2 in gs)
+    volume = prod(m.bit_count() for m in masks)
+    return q, p, volume, e_ab * e_ac * e_bc, bound, paired, total
+
+
+def _kernel_cases():
+    """(name, rows, masks, h) of the edge cases of the concatenated planes."""
+    rng = SplitMix64(11)
+
+    def draw(size):  # each bit set with probability 3/4
+        words = [rng.next_u64() | rng.next_u64() for _ in range(3)]
+        return (words[0] | words[1] << 64 | words[2] << 128) & ((1 << size) - 1)
+
+    def cells(sizes, reach=0):  # rows of the three pairs, ``reach`` bits past their part
+        return tuple(
+            tuple(draw(sizes[b] + reach) for _ in range(sizes[a])) for a, b in ((0, 1), (0, 2), (1, 2))
+        )
+
+    cases = []
+    for n in ((4, 4, 5), (3, 3, 67), (5, 3, 130)):
+        h = random_partite_3graph(n, Fraction(1, 2), seed=rng.next_u64())
+        full = tuple((1 << k) - 1 for k in n)
+        ab, _, bc = cells(n)
+        shape = "x".join(map(str, n))
+        for k, (name, rows, masks) in enumerate((
+            ("empty-masks", cells(n), (0, 0, 0)),
+            ("no-triangles", (ab, (0,) * n[0], bc), full),
+            ("one-carrier", cells(n), (1 << (n[0] - 1), full[1], full[2])),
+            ("narrow-masks", cells(n, reach=3), tuple(draw(size) for size in n)),
+            ("narrow-masks", cells(n, reach=3), tuple(draw(size) for size in n)),
+            ("full", cells(n), full),
+        )):
+            cases.append(pytest.param(name, rows, masks, h, id=f"{name}-{shape}-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, rows, masks, h", _kernel_cases())
+def test_concatenated_planes_match_the_per_x_walk(name, rows, masks, h, monkeypatch):
+    """The first pass on planes concatenated over x, and the pair loop that
+    cuts them back into rows, give what the walk per x gives: the counts,
+    the bound B, whether two x meet some (y, y') and the exact sum.  With
+    two x on no y, the bound is the exact sum, and the cell-chain
+    evaluator stores it as such and never runs the pair loop."""
+    import regulab.partitions as partitions
+
+    zm = h.zmasks(0, 1, 2)
+    fp = chain_first_pass(rows, masks, zm)
+    total = chain_pair_total(fp)
+    got = (fp.triangles, fp.hyperedges, fp.volume, fp.density, fp.diagonal, fp.paired, total)
+    assert got == _per_x_pass(rows, masks, zm)
+    if name in ("empty-masks", "no-triangles"):
+        assert fp.triangles == fp.diagonal == total == 0 and not fp.planes
+    if name == "one-carrier":
+        assert fp.triangles and not fp.paired
+    if name == "full" and masks[2].bit_length() > 64:
+        assert fp.paired and max(t.bit_length() for t, _ in fp.planes) > 128
+    loops = []
+
+    def counted(fp):
+        loops.append(fp)
+        return chain_pair_total(fp)
+
+    monkeypatch.setattr(partitions, "chain_pair_total", counted)
+    cold = PartiteThreeGraph(h.vertex_set, h.triples)
+    cert = partitions.cell_chain_stats(cold, masks, (0, 1, 2), rows)[2]
+    assert cert == Fraction(*fp.scaled(total)) and len(loops) == fp.paired
+    if not fp.paired:
+        assert total == fp.diagonal
 
 
 def test_graph_quasirandomness_collects_all_pairs():
