@@ -541,6 +541,9 @@ def dlr_cylinder_regularity(
     cylinder is split along a deviation witness of its worst input (the
     first, in input order, of the largest certificates), and the combined
     edge index of the inputs must rise by at least profile.q_gain per step.
+    Steps hold mask tuples, from ``initial`` or the full masks; a split cuts
+    along two complementary masks per side, so each is a partition by
+    construction, and only the one returned is built and validated.
 
     A pair density, certificate or deviation witness depends on one input
     and its two masks only, and a split on pair (i, j) copies every other
@@ -567,15 +570,18 @@ def dlr_cylinder_regularity(
                 raise InvalidStructure(f"pair graph {m}: row {x} has bits outside part {j}")
     if not 0 < alpha <= 1:
         raise InvalidStructure("alpha must lie in (0, 1]")
-    pv = initial if initial is not None else VertexCylinderPartition.trivial(vs)
+    if initial is not None and initial.vertex_set != vs:
+        raise InvalidStructure("initial partition is over another vertex set")
+    full = (tuple(map(vs.full_mask, range(vs.t))),)
+    start = full if initial is None else tuple(cyl.masks for cyl in initial.cylinders)
 
     terms: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}  # e², area², bound, area⁶
     exact: dict[tuple[int, int, int], int] = {}  # s, where a bound left a verdict open
     witnesses: dict[tuple[int, int, int], tuple[int, int] | None] = {}
     space = prod(vs.sizes)
 
-    def walk(part: VertexCylinderPartition) -> tuple[Fraction, Fraction, dict[int, int]]:
-        """The index of ``part``, its bad mass and each bad cylinder's worst
+    def walk(state: tuple[tuple[int, ...], ...]) -> tuple[Fraction, Fraction, dict[int, int]]:
+        """The index of ``state``, its bad mass and each bad cylinder's worst
         input: integer sums divided once, certificates s/area⁶ cross-multiplied.
 
         Each certificate is first read through its Cauchy-Schwarz bound
@@ -585,13 +591,13 @@ def dlr_cylinder_regularity(
         squares: dict[int, int] = {}  # per area²: the sum of size·e²
         bad = 0  # the bad cylinders' summed size
         worst_at: dict[int, int] = {}
-        for ci, cyl in enumerate(part.cylinders):
-            size = prod(cyl.sizes())
+        for ci, masks in enumerate(state):
+            size = prod(map(int.bit_count, masks))
             if not size:
                 continue
             wn, wd = alpha.numerator, alpha.denominator  # the worst certificate so far
             for m, (i, j, rows) in enumerate(graphs):
-                li, rj = cyl.masks[i], cyl.masks[j]
+                li, rj = masks[i], masks[j]
                 key = (m, li, rj)
                 term = terms.get(key)
                 if term is None:
@@ -612,47 +618,47 @@ def dlr_cylinder_regularity(
                 bad += size
         return fraction_sum(squares, space), ratio(bad, space), worst_at
 
-    def decide(step: int, part: VertexCylinderPartition, walked):
+    def decide(step: int, state, walked):
         idx, bad_mass, _ = walked
         action = "accept" if bad_mass <= alpha / 2 else "split-cylinders"
-        row = TraceRow(step, idx, len(part.cylinders), 1, bad_mass, action, "cylinder")
+        row = TraceRow(step, idx, len(state), 1, bad_mass, action, "cylinder")
         return row, "cylinder audit still failing at the step cap"
 
-    def split(part: VertexCylinderPartition, walked, relabel):
+    def split(state, walked, relabel):
         worst_at = walked[2]
         new_masks: list[tuple[int, ...]] = []
         split_any = False
-        for ci, cyl in enumerate(part.cylinders):
+        for ci, masks in enumerate(state):
             if ci not in worst_at:
-                new_masks.append(cyl.masks)
+                new_masks.append(masks)
                 continue
             m = worst_at[ci]
             i, j, rows = graphs[m]
-            key = (m, cyl.masks[i], cyl.masks[j])
+            key = (m, masks[i], masks[j])
             if key not in witnesses:  # None, no witness, is kept too
                 witnesses[key] = _witness_split(
-                    rows, list(bits(cyl.masks[i])), cyl.masks[j],
+                    rows, list(bits(masks[i])), masks[j],
                     profile.witness_search, profile.witness_cap,
                 )
             ws = witnesses[key]
             if ws is None:
-                new_masks.append(cyl.masks)
+                new_masks.append(masks)
                 continue
             split_any = True
             am, bm = ws
-            for mi in (am, cyl.masks[i] & ~am):
-                for mj in (bm, cyl.masks[j] & ~bm):
-                    child = list(cyl.masks)
+            for mi in (am, masks[i] & ~am):
+                for mj in (bm, masks[j] & ~bm):
+                    child = list(masks)
                     child[i], child[j] = mi, mj
-                    if all(child_mask for child_mask in child):
+                    if all(child):
                         new_masks.append(tuple(child))
         if not split_any:
             raise _Stuck("no deviation witness splits the failing cylinders")
-        part = VertexCylinderPartition(vs, tuple(VertexCylinder(m) for m in new_masks))
-        return part, "edge index decreased across a vertex split", (profile.q_gain, _INDEX_FLOOR)
+        fall = "edge index decreased across a vertex split"
+        return tuple(new_masks), fall, (profile.q_gain, _INDEX_FLOOR)
 
-    pv, _, trace = _iterate(walk, pv, profile.max_steps, decide, split)
-    return pv, trace
+    state, _, trace = _iterate(walk, start, profile.max_steps, decide, split)
+    return VertexCylinderPartition(vs, tuple(map(VertexCylinder, state))), trace
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +850,19 @@ def _apply_chain_refinements(
 
     Each chain's refinement proposes a variant of each of its three cells;
     a cell's new cells are the common refinement of its variants.  A chain
-    without candidates (:class:`NoCandidateSplit`) is skipped.  A pair that
-    would pass the cell cap raises :class:`_Stuck`.
+    without candidates (:class:`NoCandidateSplit`) is skipped; any other
+    RefinementFailure, and a pair past the cell cap, raise :class:`_Stuck`.
     """
     splits: dict[tuple[int, tuple[int, int]], dict[int, list[PairPartition]]] = {}
-    for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
+    for (ci, (i, j, k), combo, cells) in useful:
         cyl = p.vertex.cylinders[ci]
         masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
         try:
             pe = refine_cell_chain(h, masks, (i, j, k), cells, eta, profile)
         except NoCandidateSplit:
             continue
+        except RefinementFailure as failure:
+            raise _Stuck(str(failure)) from None
         for pair, cell_idx in zip(((i, j), (i, k), (j, k)), combo):
             variant = pe.pair(*pair)
             if variant.cell_count > 1:
@@ -905,8 +913,6 @@ def _reregularize_cylinders(
         for cell in ep.pair(i, j).cells
         if any(cell)
     ]
-    if not cells:
-        raise _Stuck("audit failing but no nonempty cells to re-regularize")
     alpha = psi(eta / (vs.t * vs.t))  # positive, as psi(x) = min(c x^k, x) with c > 0
     pv_new, _ = dlr_cylinder_regularity(vs, cells, alpha, profile, initial=p.vertex)
     if pv_new.cylinders == p.vertex.cylinders:

@@ -676,14 +676,13 @@ def cell_chains(rng, lo, hi) -> int:
     runs.append((complete, *ALL_PASS, {}, q_partition(h, complete, "naive")))
     for cut, eta, psi, known, q_naive in runs:
         cyls = cut.vertex.cylinders
-        useful = tuple(
-            (ci, parts, combo, cells, cert, cyls[ci].weight(vs) * Fraction(tri, size))
+        weights = {
+            (ci, parts, combo, cells): cyls[ci].weight(vs) * Fraction(tri, size)
             for ci, _, masks, parts, combo, cells in located_cell_chains(h, cut)
             for tri, _, cert in [cell_chain_stats(h, masks, parts, cells)]
             if tri > 0 and cert > eta
             for size in [prod(m.bit_count() for m in masks)]
-        )
-        mass = sum(row[-1] for row in useful)
+        }
         exact, bound = literal_audit(h, cut, eta, psi, known)
         bad += bound > exact
         for cap, want in ((space, exact), (space - 1, bound)):
@@ -692,7 +691,7 @@ def cell_chains(rng, lo, hi) -> int:
             bad += audit.good_mass != want
             bad += cut is complete and audit.good_mass != 1
             survey = survey_partition(h, cut, eta, psi, cap)
-            bad += survey != PartitionSurvey(q_naive, audit, useful, mass)
+            bad += survey != PartitionSurvey(q_naive, audit, tuple(weights), sum(weights.values()))
     return bad
 
 

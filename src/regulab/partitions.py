@@ -328,14 +328,9 @@ class PairPartition:
         return self.left_mask.bit_count() * self.right_mask.bit_count()
 
     @cached_property
-    def _cell_edges(self) -> tuple[int, ...]:
-        """Edge count of each cell; ``edge_counts`` and ``certificate_terms`` read it."""
-        return tuple(sum(row.bit_count() for row in cell) for cell in self.cells)
-
-    @cached_property
     def edge_counts(self) -> tuple[int, ...]:
         """Edge count of each cell (cells lie inside the masks)."""
-        return self._cell_edges
+        return tuple(sum(row.bit_count() for row in cell) for cell in self.cells)
 
     @cached_property
     def certificate_terms(self) -> tuple[tuple[int, int], ...]:
@@ -345,7 +340,7 @@ class PairPartition:
         a6 = area**6 or 1
         left = list(bits(self.left_mask))
         out = []
-        for cell, e in zip(self.cells, self._cell_edges):
+        for cell, e in zip(self.cells, self.edge_counts):
             s = pair_raw_scaled(cell, left, self.right_mask, e, area)
             g = gcd(s, a6)
             out.append((s // g, a6 // g))
@@ -1170,7 +1165,7 @@ def _avoiding(masks, levels, choice, d) -> int:
 @dataclass(frozen=True)
 class PartitionSurvey:
     """A partition's q, tuple audit and useful chains, each ``(ci, parts,
-    combo, cells, cert, weight)`` in walk order, with their total weight."""
+    combo, cells)`` in walk order, with their total triangle mass."""
 
     q: Fraction
     audit: CylinderAudit
@@ -1190,15 +1185,14 @@ def survey_partition(
 
     q is the sum of :func:`q_partition`'s fast mode.  A useful chain fails
     :func:`cell_chain_within`, so it has triangles and a certificate above
-    eta, whose exact value that verdict has stored; ``weight`` is its
-    triangle mass.  The audit is the mass of tuples whose visible chains
-    all pass :func:`cell_chain_passes`, a verdict read once per (masks,
-    parts, cells), so cylinders that share a projection share it.  Each
-    failing chain is filed under its cylinder and its triangle mass added
-    to ``bad``; :func:`_tuple_audit` reads both.  Every mass is an integer
-    numerator over the tuple space until the walk ends, and certificates
-    meet eta by cross-multiplying, so the walk builds a fraction only for
-    a useful chain's weight.
+    eta; ``useful_mass`` sums their triangle mass.  The audit is the mass
+    of tuples whose visible chains all pass :func:`cell_chain_passes`, a
+    verdict read once per (masks, parts, cells), so cylinders that share a
+    projection share it.  Each failing chain is filed under its cylinder
+    and its triangle mass added to ``bad``; :func:`_tuple_audit` reads
+    both.  Every mass is an integer numerator over the tuple space until
+    the walk ends, and certificates meet eta by cross-multiplying, so the
+    walk builds no fraction.
     """
     if h.vertex_set != p.vertex.vertex_set:
         raise InvalidStructure("partition and hypergraph disagree on parts")
@@ -1218,8 +1212,7 @@ def survey_partition(
         if hyp:
             by_tri[tri] = by_tri.get(tri, 0) + rest * hyp * hyp
         if not within:
-            cert = index.chain_values[key]
-            useful.append((ci, parts, combo, cells, cert, Fraction(rest * tri, space)))
+            useful.append((ci, parts, combo, cells))
             mass += rest * tri
         ok = verdicts.get(key)
         if ok is None:

@@ -306,8 +306,10 @@ def pair_quasirandomness(g: BipartiteGraph, mode: str = "fast") -> Quasirandomne
     """Certificate for a bipartite pair with f = 1_E - density; fast mode is
     :func:`masked_pair_quasirandomness` on full masks."""
     l, r = g.left_size, g.right_size
-    if mode != "naive":
+    if mode == "fast":
         return masked_pair_quasirandomness(g.rows, range(l), (1 << r) - 1)
+    if mode != "naive":
+        raise InvalidStructure(f"unknown mode {mode!r}")
     if l == 0 or r == 0:
         return QuasirandomnessCertificate(Fraction(0), Fraction(0), Fraction(0), True)
     raw = c4_sum(DeviationFunction2.from_bipartite(g))

@@ -509,28 +509,106 @@ def test_dlr_computes_each_term_once_per_input_and_mask_pair(monkeypatch):
 
 
 def test_dlr_walks_each_partition_once(monkeypatch):
-    """One walk per partition reached reads each cylinder's sizes once, so
-    the walk's reads are the trace rows' cylinder counts summed.  Building a
-    partition reads them too (its coverage check); only the walk's reads
-    are counted."""
-    import sys
-
+    """One walk per partition reached reads each cylinder's masks once, so
+    the walk's reads are the trace rows' cylinder counts summed.  The walk
+    is handed each state as a tuple that counts the masks read from it."""
     from regulab import engines
 
     vs, graphs = _half_graph_pairs()
     reads = []
-    sizes = VertexCylinder.sizes
 
-    def counted(self):
-        caller = sys._getframe(1).f_code
-        if caller.co_name == "walk" and caller.co_filename == engines.__file__:
-            reads.append(self)
-        return sizes(self)
+    class Counted(tuple):
+        def __iter__(self):
+            for masks in tuple.__iter__(self):
+                reads.append(masks)
+                yield masks
 
-    monkeypatch.setattr(VertexCylinder, "sizes", counted)
+    real = engines._iterate
+    monkeypatch.setattr(
+        engines, "_iterate", lambda walk, *rest: real(lambda s: walk(Counted(s)), *rest)
+    )
     _, trace = dlr_cylinder_regularity(vs, graphs, Fraction(1, 64), DESK)
     assert len(trace.rows) > 1
     assert len(reads) == sum(row.vertex_count for row in trace.rows)
+
+
+def _reregularization_family(seed):
+    """A cell family as cylinder re-regularization builds it, with the
+    cylinders it starts from: the nonempty cells of a random cylinder chain
+    partition of four parts."""
+    vs = PartiteVertexSet.of_sizes(4, 5, 3, 4)
+    p = random_cylinder_chain_partition(vs, 2, 3, seed=seed)
+    cells = [
+        (i, j, cell)
+        for cyl, ep in zip(p.vertex.cylinders, p.edges)
+        if cyl.weight(vs)
+        for i in range(4)
+        for j in range(i + 1, 4)
+        for cell in ep.pair(i, j).cells
+        if any(cell)
+    ]
+    return vs, cells, p.vertex
+
+
+@pytest.mark.parametrize("from_initial", [False, True], ids=["trivial", "initial"])
+def test_dlr_builds_only_the_partition_it_returns(from_initial, monkeypatch):
+    """A run's steps hold masks: the one VertexCylinderPartition built,
+    and validated, is the one returned."""
+    vs, cells, initial = _reregularization_family(3)
+    built = []
+    post_init = VertexCylinderPartition.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(VertexCylinderPartition, "__post_init__", counted)
+    pv, trace = dlr_cylinder_regularity(
+        vs, cells, Fraction(1, 30), DESK, initial=initial if from_initial else None
+    )
+    assert len(trace.rows) > 2
+    assert len(built) == 1 and built[0] is pv
+
+
+def test_every_state_dlr_walks_is_a_partition(monkeypatch):
+    """Only the partition returned is validated; every state the walk reads
+    builds a validated VertexCylinderPartition too, on the 2x48 half
+    graph's pairs and on re-regularization families from their cylinders.
+    The last state is the partition returned."""
+    from regulab import engines
+
+    states = []
+    real = engines._iterate
+
+    def iterate(walk, *rest):
+        def kept(state):
+            states.append(state)
+            return walk(state)
+
+        return real(kept, *rest)
+
+    monkeypatch.setattr(engines, "_iterate", iterate)
+    runs = [(*_half_graph_pairs(), Fraction(1, 64), None)]
+    for seed in range(6):
+        vs, cells, initial = _reregularization_family(seed)
+        runs.append((vs, cells, Fraction(1, 30), initial))
+    walked = 0
+    for vs, graphs, alpha, initial in runs:
+        states.clear()
+        pv, _ = dlr_cylinder_regularity(vs, graphs, alpha, DESK, initial=initial)
+        for state in states:
+            VertexCylinderPartition(vs, tuple(map(VertexCylinder, state)))
+        assert states[-1] == tuple(cyl.masks for cyl in pv.cylinders)
+        walked += len(states)
+    assert walked >= 3 * len(runs)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (1, 1), (2, 2, 2)])
+def test_dlr_refuses_an_initial_partition_over_another_vertex_set(sizes):
+    vs = PartiteVertexSet.of_sizes(2, 2)
+    initial = VertexCylinderPartition.trivial(PartiteVertexSet.of_sizes(*sizes))
+    with pytest.raises(InvalidStructure, match="initial partition is over another vertex set"):
+        dlr_cylinder_regularity(vs, [(0, 1, (0b01, 0b10))], Fraction(1, 20), DESK, initial=initial)
 
 
 # A 4x4 pair graph with a positive certificate and a deviation witness.
@@ -678,7 +756,7 @@ def _extract_and_unmap_refinements(h, p, useful, eta, profile):
     map its cells back and merge the variants of a cell by a label lambda."""
     vs = h.vertex_set
     splits = {}
-    for (ci, (i, j, k), combo, cells, _cert, _w) in useful:
+    for (ci, (i, j, k), combo, cells) in useful:
         cyl = p.vertex.cylinders[ci]
         masks = (cyl.masks[i], cyl.masks[j], cyl.masks[k])
         chain = extract_cell_chain(h, masks, (i, j, k), cells)
@@ -963,7 +1041,7 @@ def test_refine_cell_chain_matches_the_pair_partition_search():
             h.vertex_set, 1 + rng.below(3), 1 + rng.below(3), seed=rng.next_u64()
         )
         eta = (Fraction(1, 4), Fraction(1, 16))[case % 2]
-        for (ci, (i, j, k), _combo, cells, _cert, _w) in survey_partition(h, p, eta, PSI_ID).useful:
+        for (ci, (i, j, k), _combo, cells) in survey_partition(h, p, eta, PSI_ID).useful:
             cyl = p.vertex.cylinders[ci]
             args = (h, (cyl.masks[i], cyl.masks[j], cyl.masks[k]), (i, j, k), cells, eta)
             chains += 1
@@ -1220,13 +1298,19 @@ def test_szemeredi_size_then_witness_phase(max_steps):
 def test_szemeredi_walks_each_partition_once(monkeypatch):
     """Each partition the pair loop reaches is walked once: every pair's
     edge counts are read once, and its certificate terms once if the
-    partition reaches the audit and never if it is only size-split."""
+    partition reaches the audit and never if it is only size-split.
+    ``certificate_terms`` reads the edge counts too; only reads from
+    outside the pair partition are counted."""
+    import sys
+
+    inside = PairPartition.__dict__["certificate_terms"].func.__code__
     reads = {name: {} for name in ("edge_counts", "certificate_terms")}
     for name, seen in reads.items():
         cached = PairPartition.__dict__[name]
 
         def counted(self, seen=seen, cached=cached):
-            seen.setdefault(id(self), [self, 0])[1] += 1
+            if sys._getframe(1).f_code is not inside:
+                seen.setdefault(id(self), [self, 0])[1] += 1
             return cached.__get__(self, PairPartition)
 
         monkeypatch.setattr(PairPartition, name, property(counted))
@@ -1409,14 +1493,6 @@ def _parity():
     return hyper_cylinder_regularity(h, Fraction(1, 512), PSI_ID, DESK)
 
 
-def _no_pairs(monkeypatch):
-    # No input reaches this exit: every pair of a nonempty cylinder holds a
-    # nonempty cell.  With no part pairs, re-regularization finds no cells.
-    from regulab import engines
-
-    monkeypatch.setattr(engines, "combinations", lambda items, r: iter(()))
-
-
 def _orphans(monkeypatch):
     monkeypatch.setattr(VertexCylinderPartition, "container", lambda self, cyl: None)
 
@@ -1567,11 +1643,13 @@ EXITS = [
         )),
         id="hyper-pair-cap-t4",
     ),
-    # refine_cell_chain"s own failures pass through with no trace.
+    # refine_cell_chain"s own failures carry the hyper loop's rows.
     pytest.param(
         None,
         lambda: _hyper(ConstantsProfile.desk(edge_part_cap=1)),
-        ("RefinementFailure", "winning partition has 2 cells, over the cap", None),
+        ("RefinementFailure", "winning partition has 2 cells, over the cap", (
+            (0, "100/729", "refine-edges", "hyper"),
+        )),
         id="hyper-winner-cap",
     ),
     pytest.param(
@@ -1580,21 +1658,11 @@ EXITS = [
         (
             "RefinementFailure",
             "no edge partition reached d^2 + gain = 1129/2916 (best q 46/135)",
-            None,
+            ((0, "100/729", "refine-edges", "hyper"),),
         ),
         id="hyper-no-gain-target",
     ),
     # _reregularize_cylinders
-    pytest.param(
-        _no_pairs,
-        _hyper,
-        ("RefinementFailure", "audit failing but no nonempty cells to re-regularize", (
-            (0, "100/729", "refine-edges", "hyper"),
-            (1, "46/135", "refine-edges", "hyper"),
-            (2, "10/27", "split-cylinders", "hyper"),
-        )),
-        id="rereg-no-cells",
-    ),
     # The step had useful chains, so its row reads split-cylinders only
     # because none had a candidate edge split.
     pytest.param(
@@ -1736,8 +1804,8 @@ def test_every_engine_exit_keeps_its_class_message_and_trace(patch, run, expecte
     """One row per way out of the three engine loops, and of the helpers
     they split through: the exception class, its message and the trace it
     carries, or the trace returned.  A failure raised by refine_cell_chain
-    carries no trace; dlr's own exits inside re-regularization carry dlr's
-    rows.  The patches reach exits that no input reaches."""
+    carries the hyper loop's rows; dlr's own exits inside re-regularization
+    carry dlr's rows.  The patches reach exits that no input reaches."""
     if patch is not None:
         patch(monkeypatch)
     assert _exit_of(run) == expected

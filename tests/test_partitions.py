@@ -548,15 +548,15 @@ def test_cell_chain_evaluator_warm_equals_cold():
         assert survey.audit == cylinder_quasirandomness_audit(cold, p, eta, psi)
         assert survey.q == q_partition(warm, p) == q_partition(cold, p)
         assert survey.q == q_partition(warm, p, "naive")
-        want = [
-            (ci, ijk, combo, cells, cert, p.vertex.cylinders[ci].weight(vs) * Fraction(tri, size))
+        want = {
+            (ci, ijk, combo, cells): p.vertex.cylinders[ci].weight(vs) * Fraction(tri, size)
             for ci, _, masks, ijk, combo, cells in located_cell_chains(warm, p)
             for tri, _, cert in [cell_chain_stats(warm, masks, ijk, cells)]
             if tri > 0 and cert > eta
             for size in [prod(m.bit_count() for m in masks)]
-        ]
-        assert list(survey.useful) == want
-        assert survey.useful_mass == sum(row[-1] for row in want)
+        }
+        assert list(survey.useful) == list(want)
+        assert survey.useful_mass == sum(want.values())
         useful += len(want)
     assert useful
     # Re-reading added nothing: every chain's first pass ran once.

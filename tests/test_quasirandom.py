@@ -68,6 +68,11 @@ def test_pair_certificate_two_blocks():
     assert pair_quasirandomness(bg, mode="naive").value == Fraction(1, 16)
 
 
+def test_pair_certificate_rejects_an_unknown_mode():
+    with pytest.raises(InvalidStructure, match="unknown mode 'bogus'"):
+        pair_quasirandomness(BipartiteGraph.complete(2, 2), "bogus")
+
+
 def test_pair_certificate_complete_and_empty():
     assert pair_quasirandomness(BipartiteGraph.complete(3, 4)).value == 0
     cert = pair_quasirandomness(BipartiteGraph.empty(3, 3))
