@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -370,72 +370,127 @@ _NO_ZMASKS: Mapping[tuple[int, int], int] = MappingProxyType({})
 
 
 class HyperedgeIndex:
-    """The hyperedges of a partite 3-graph bucketed by part triple.
+    """The hyperedges of a partite 3-graph bucketed by part triple: the one
+    form in which a :class:`PartiteThreeGraph` holds them.
 
-    Built in one pass over the triples.  ``zmasks[(i, j, k)]`` (i < j < k)
-    maps a local pair (x, y) of parts i and j to the bitmask over local z in
-    part k of the hyperedges (x, y, z).  ``cell_chains`` and
-    ``chain_values`` are the store of the cell-chain evaluator
-    (:func:`regulab.partitions.cell_chain_stats`), keyed alike by a chain's
-    (masks, parts, cells): the first holds each chain's (triangles,
-    hyperedges, bound) from its first read, the bound an integer
-    (numerator, denominator) pair, and the second its exact certificate,
-    filled where the bound is already exact, where the certificate is
-    asked for and where the bound is above eta, so that no entry changes
-    once stored.  They hold numbers only, so they live and die with the
-    hypergraph.
+    ``zmasks[(i, j, k)]`` (i < j < k) maps a local pair (x, y) of parts i
+    and j to the bitmask over local z in part k of the hyperedges
+    (x, y, z).  Every mask is nonzero and every bucket nonempty, so two
+    indexes hold the same hyperedges exactly when their ``zmasks`` are
+    equal.  The buckets come from :func:`_placed`, the one loop that builds
+    and checks them.  ``cell_chains`` and ``chain_values`` are the store of
+    the cell-chain evaluator (:func:`regulab.partitions.cell_chain_stats`),
+    keyed alike by a chain's (masks, parts, cells): the first holds each
+    chain's (triangles, hyperedges, bound) from its first read, the bound
+    an integer (numerator, denominator) pair, and the second its exact
+    certificate, filled where the bound is already exact, where the
+    certificate is asked for and where the bound is above eta, so that no
+    entry changes once stored.  They hold numbers only, so they live and
+    die with the hypergraph.
     """
 
     __slots__ = ("zmasks", "cell_chains", "chain_values")
 
-    def __init__(self, h: "PartiteThreeGraph"):
-        vs = h.vertex_set
-        off, owner = vs.offsets, vs.owner
-        zmasks: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-        for (u, v, w) in h.triples:
-            i, j, k = owner[u], owner[v], owner[w]
-            bucket = zmasks.get((i, j, k))
-            if bucket is None:
-                bucket = zmasks[(i, j, k)] = {}
-            key = (u - off[i], v - off[j])
-            bucket[key] = bucket.get(key, 0) | 1 << (w - off[k])
+    def __init__(self, zmasks: dict[tuple[int, int, int], dict[tuple[int, int], int]]):
         self.zmasks = zmasks
         self.cell_chains: dict[tuple, tuple[int, int, tuple[int, int]]] = {}
         self.chain_values: dict[tuple, Fraction] = {}
 
 
-@dataclass(frozen=True)
+def _placed(
+    vs: PartiteVertexSet, triples: Iterable[Sequence[int]]
+) -> dict[tuple[int, int, int], dict[tuple[int, int], int]]:
+    """The z-mask buckets of ``triples`` (global ids, in any order, repeats
+    allowed), each triple checked as it is placed.
+
+    A triple must have three vertices in range and in three distinct
+    parts; the first that does not is refused, as InvalidStructure("bad
+    triple (u, v, w)") with its ids sorted.  Its parts are read through
+    ``owner``, which refuses an id at or past the end (IndexError); a
+    negative id, which that read would wrap, fails the sign test.  A
+    triple whose parts are not in order is sorted by part before it is
+    tested again.  Within a bucket (x, y) is keyed ``x * width + y`` while
+    the loop runs, an int being cheaper to hash than a pair, and the pairs
+    are restored once per key at the end."""
+    t, owner, off = vs.t, vs.owner, vs.offsets
+    width = max(vs.sizes)
+    local = [g - off[i] for g, i in enumerate(owner)]
+    high = [x * width for x in local]
+    buckets: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for u, v, w in triples:
+        try:
+            i, j, k = owner[u], owner[v], owner[w]
+        except IndexError:
+            raise InvalidStructure(f"bad triple {tuple(sorted((u, v, w)))}") from None
+        if not i < j < k or (u | v | w) < 0:
+            (i, u), (j, v), (k, w) = sorted(((i, u), (j, v), (k, w)))
+            if not i < j < k or (u | v | w) < 0:
+                raise InvalidStructure(f"bad triple {tuple(sorted((u, v, w)))}")
+        bucket = buckets[(i * t + j) * t + k]
+        key = high[u] + local[v]
+        bucket[key] = bucket.get(key, 0) | 1 << local[w]
+    out = {}
+    for code in sorted(buckets):
+        ij, k = divmod(code, t)
+        out[(*divmod(ij, t), k)] = {divmod(key, width): m for key, m in buckets[code].items()}
+    return out
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class PartiteThreeGraph:
-    """3-graph whose triples each cross three distinct parts."""
+    """3-graph whose triples each cross three distinct parts, held as its
+    hyperedge index.
+
+    Build one with :meth:`from_triples` or a loader, which place and check
+    the triples in one loop (:func:`_placed`).  ``triples``, the set of
+    sorted global triples, is derived from the index on first use.
+    Equality, hashing and repr mean the same vertex set and the same
+    triples; the index's chain stores take no part in them.
+    """
 
     vertex_set: PartiteVertexSet
-    triples: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self):
-        owner = self.vertex_set.owner
-        total = len(owner)
-        for t in self.triples:
-            u, v, w = t
-            if not (0 <= u < v < w < total):
-                raise InvalidStructure(f"triple {t} not sorted-distinct in range")
-            if len({owner[u], owner[v], owner[w]}) != 3:
-                raise InvalidStructure(f"triple {t} does not cross three parts")
+    index: HyperedgeIndex
 
     @classmethod
     def from_triples(
         cls, vs: PartiteVertexSet, triples: Iterable[Sequence[int]]
     ) -> "PartiteThreeGraph":
-        return cls(vs, frozenset(_canon_triple(*t) for t in triples))
+        return cls(vs, HyperedgeIndex(_placed(vs, triples)))
+
+    def __eq__(self, other):
+        if not isinstance(other, PartiteThreeGraph):
+            return NotImplemented
+        return self.vertex_set == other.vertex_set and self.index.zmasks == other.index.zmasks
+
+    def __hash__(self):
+        return hash((self.vertex_set, self.triples))
+
+    def __repr__(self):
+        return f"PartiteThreeGraph(vertex_set={self.vertex_set!r}, triples={self.triples!r})"
 
     @property
     def edge_count(self) -> int:
-        return len(self.triples)
+        return sum(m.bit_count() for zm in self.index.zmasks.values() for m in zm.values())
 
     @cached_property
-    def index(self) -> HyperedgeIndex:
-        """The hyperedge index, built on first use; not a field, so equality,
-        hashing and repr ignore it."""
-        return HyperedgeIndex(self)
+    def triples(self) -> frozenset[tuple[int, int, int]]:
+        """The hyperedges as sorted global triples, read from the index in
+        sorted order so that equal hypergraphs give the same repr."""
+        return frozenset(
+            (u, v, ok + z) for (u, v), runs in self._pair_runs() for ok, m in runs for z in bits(m)
+        )
+
+    def _pair_runs(self) -> Iterator[tuple[tuple[int, int], list[tuple[int, int]]]]:
+        """Each global pair (u, v) that heads a hyperedge, in sorted order,
+        with its (offset of part k, z-mask) of each part k, k ascending: the
+        hyperedges of one (u, v) lie in the buckets of one (i, j)."""
+        off, zmasks = self.vertex_set.offsets, self.index.zmasks
+        by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, j, k in sorted(zmasks):
+            oi, oj, ok = off[i], off[j], off[k]
+            for (x, y), m in zmasks[i, j, k].items():
+                by_pair.setdefault((oi + x, oj + y), []).append((ok, m))
+        return ((uv, by_pair[uv]) for uv in sorted(by_pair))
 
     def zmasks(self, i: int, j: int, k: int) -> Mapping[tuple[int, int], int]:
         """{(x, y): z-mask} of the hyperedges across parts i < j < k, in local
@@ -443,9 +498,12 @@ class PartiteThreeGraph:
         return self.index.zmasks.get((i, j, k), _NO_ZMASKS)
 
     def has_triple(self, u: int, v: int, w: int) -> bool:
-        if len({u, v, w}) != 3:
+        vs = self.vertex_set
+        u, v, w = sorted((u, v, w))
+        if not (0 <= u < v < w < vs.total):
             return False
-        return _canon_triple(u, v, w) in self.triples
+        (i, x), (j, y), (k, z) = vs.to_local(u), vs.to_local(v), vs.to_local(w)
+        return i < j < k and bool(self.zmasks(i, j, k).get((x, y), 0) >> z & 1)
 
     def to_three_graph(self) -> ThreeGraph:
         return ThreeGraph(self.vertex_set.total, self.triples)
@@ -508,9 +566,20 @@ class Chain:
             raise InvalidStructure("chain graph must be tripartite")
         if self.hyper.vertex_set != self.graph.vertex_set:
             raise InvalidStructure("chain graph and hypergraph disagree on parts")
-        for t in self.hyper.triples:
-            if not _on_triangle(self.graph, *t):
-                raise InvalidStructure(f"hyperedge {t} not on a triangle")
+        # Each (x, y) must be an edge whose z-mask lies within the common
+        # neighbourhood rows02[x] & rows12[y]; the first bad hyperedge in
+        # sorted order is named.
+        ab, ac, bc = (self.graph.pair(i, j).rows for i, j in ((0, 1), (0, 2), (1, 2)))
+        bad = []
+        for (x, y), m in self.hyper.zmasks(0, 1, 2).items():
+            off_tri = m & ~(ac[x] & bc[y]) if ab[x] >> y & 1 else m
+            if off_tri:
+                bad.append((x, y, off_tri & -off_tri))
+        if bad:
+            x, y, low = min(bad)
+            off = self.vertex_set.offsets
+            t = (off[0] + x, off[1] + y, off[2] + low.bit_length() - 1)
+            raise InvalidStructure(f"hyperedge {t} not on a triangle")
 
     @property
     def vertex_set(self) -> PartiteVertexSet:
@@ -627,11 +696,12 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
         for local, v in enumerate(p):
             where[v] = vs.to_global(i, local)
     part_idx = {v: i for i, p in enumerate(parts) for v in p}
-    crossing = []
-    for (u, v, w) in h.triples:
-        if len({part_idx[u], part_idx[v], part_idx[w]}) == 3:
-            crossing.append(_canon_triple(where[u], where[v], where[w]))
-    return PartiteThreeGraph(vs, frozenset(crossing))
+    crossing = [
+        (where[u], where[v], where[w])
+        for (u, v, w) in h.triples
+        if len({part_idx[u], part_idx[v], part_idx[w]}) == 3
+    ]
+    return PartiteThreeGraph.from_triples(vs, crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +718,7 @@ def partite_from_three_graph(h: ThreeGraph, parts: Sequence[Sequence[int]]) -> P
 # loader builds its container from the ids, and the container checks the
 # records; only when it refuses them are line numbers paired with ids, to
 # name the first bad line.  A partite graph's e-lines are placed, so checked,
-# in their pair rows.
+# in their pair rows, and a partite 3-graph's t-lines in its hyperedge index.
 # ---------------------------------------------------------------------------
 
 
@@ -960,6 +1030,16 @@ def _edge_lines(g: MultipartiteGraph) -> list[str]:
     return [f"e {u} {v}" for u, v in sorted(all_edges)]
 
 
+def _triple_lines(h: PartiteThreeGraph) -> list[str]:
+    """The t-lines of a partite 3-graph, sorted; each (u, v) head is
+    formatted once."""
+    out = []
+    for uv, runs in h._pair_runs():
+        head = "t %d %d " % uv
+        out += [head + str(ok + z) for ok, m in runs for z in bits(m)]
+    return out
+
+
 def load_multipartite(src: str | Scan) -> MultipartiteGraph:
     sc = _scanned(src)
     if sc.triples:
@@ -979,8 +1059,9 @@ def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
     if sc.edges:
         raise ParseError(sc.edge_lines[0], "3-graph file may not contain pair edges")
     vs = sc.vertex_set
+    it = iter(sc.triples)
     try:
-        return PartiteThreeGraph(vs, frozenset(_triples(sc)))
+        return PartiteThreeGraph.from_triples(vs, zip(it, it, it))
     except InvalidStructure:
         _scanned_triples(sc, vs.total, vs.owner)
         raise
@@ -989,7 +1070,7 @@ def load_partite_3graph(src: str | Scan) -> PartiteThreeGraph:
 def save_partite_3graph(h: PartiteThreeGraph) -> str:
     vs = h.vertex_set
     lines = [f"part {n} {s}" for n, s in zip(vs.names, vs.sizes)]
-    lines += [f"t {u} {v} {w}" for u, v, w in sorted(h.triples)]
+    lines += _triple_lines(h)
     return "\n".join(lines) + "\n"
 
 
@@ -1043,8 +1124,9 @@ def load_chain(src: str | Scan) -> Chain:
         raise ParseError(1, "chain file needs exactly three parts")
     vs = sc.vertex_set
     g = _scanned_graph(sc, vs)
+    it = iter(sc.triples)
     try:
-        return Chain(g, PartiteThreeGraph(vs, frozenset(_triples(sc))))
+        return Chain(g, PartiteThreeGraph.from_triples(vs, zip(it, it, it)))
     except InvalidStructure:
         _scanned_triples(sc, vs.total, vs.owner, g)
         raise
@@ -1054,5 +1136,5 @@ def save_chain(c: Chain) -> str:
     vs = c.vertex_set
     lines = [f"part {n} {s}" for n, s in zip(vs.names, vs.sizes)]
     lines += _edge_lines(c.graph)
-    lines += [f"t {u} {v} {w}" for u, v, w in sorted(c.hyper.triples)]
+    lines += _triple_lines(c.hyper)
     return "\n".join(lines) + "\n"

@@ -1471,7 +1471,7 @@ def quasirandom_subset(
         for (a, b, c) in ((x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)):
             cover_triples.add((a, u + b, 2 * u + c))
     cover = Chain(
-        MultipartiteGraph(vs3, pairs3), PartiteThreeGraph(vs3, frozenset(cover_triples))
+        MultipartiteGraph(vs3, pairs3), PartiteThreeGraph.from_triples(vs3, cover_triples)
     )
     cert = chain_quasirandomness(cover, mode="fast")
     return SubsetResult(

@@ -140,14 +140,14 @@ def make_vd(d: int) -> PartiteThreeGraph:
         raise CapacityError(f"make_vd(d={d}) needs a part of size 2^{d * d}")
     vs = PartiteVertexSet(("A", "B", "C"), (d, d, 1 << (d * d)))
     off = vs.offsets
-    triples = set()
+    triples = []
     for a in range(d):
         for b in range(d):
             bit = a * d + b
             for s in range(1 << (d * d)):
                 if s >> bit & 1:
-                    triples.add((off[0] + a, off[1] + b, off[2] + s))
-    return PartiteThreeGraph(vs, frozenset(triples))
+                    triples.append((off[0] + a, off[1] + b, off[2] + s))
+    return PartiteThreeGraph.from_triples(vs, triples)
 
 
 def make_fd(d: int) -> BipartiteGraph:
@@ -173,12 +173,12 @@ def cone_hypergraph(g: BipartiteGraph, n: int) -> PartiteThreeGraph:
         raise InvalidStructure("apex part must be nonempty")
     vs = PartiteVertexSet(("A", "B", "C"), (g.left_size, g.right_size, n))
     off = vs.offsets
-    triples = set()
+    triples = []
     for a in range(g.left_size):
         for b in bits(g.rows[a]):
             for c in range(n):
-                triples.add((off[0] + a, off[1] + b, off[2] + c))
-    out = PartiteThreeGraph(vs, frozenset(triples))
+                triples.append((off[0] + a, off[1] + b, off[2] + c))
+    out = PartiteThreeGraph.from_triples(vs, triples)
     assert out.edge_count == n * g.edge_count
     return out
 
@@ -189,14 +189,14 @@ def random_link_hypergraph(na: int, nb: int, nc: int, seed: int) -> PartiteThree
     rng = SplitMix64(seed)
     vs = PartiteVertexSet(("A", "B", "C"), (na, nb, nc))
     off = vs.offsets
-    triples = set()
+    triples = []
     for c in range(nc):
         xc = rng.mask(na)
         yc = rng.mask(nb)
         for a in bits(xc):
             for b in bits(yc):
-                triples.add((off[0] + a, off[1] + b, off[2] + c))
-    return PartiteThreeGraph(vs, frozenset(triples))
+                triples.append((off[0] + a, off[1] + b, off[2] + c))
+    return PartiteThreeGraph.from_triples(vs, triples)
 
 
 def random_tournament_3graph(n: int, seed: int) -> ThreeGraph:
@@ -227,17 +227,19 @@ def random_tournament_3graph(n: int, seed: int) -> ThreeGraph:
 
 def random_partite_3graph(sizes: Sequence[int], p: Fraction, seed: int) -> PartiteThreeGraph:
     """Crossing triples kept independently with probability p, drawn in
-    lexicographic (part triple, locals) order."""
+    lexicographic (part triple, locals) order and placed as drawn."""
     rng = SplitMix64(seed)
     vs = PartiteVertexSet(tuple(f"X{i+1}" for i in range(len(sizes))), tuple(sizes))
     off = vs.offsets
-    triples = frozenset(
-        (off[i] + x, off[j] + y, off[k] + z)
-        for i, j, k in combinations(range(vs.t), 3)
-        for x in range(sizes[i])
-        for y, z in (divmod(yz, sizes[k]) for yz in rng.accepted(sizes[j] * sizes[k], p))
+    return PartiteThreeGraph.from_triples(
+        vs,
+        (
+            (off[i] + x, off[j] + y, off[k] + z)
+            for i, j, k in combinations(range(vs.t), 3)
+            for x in range(sizes[i])
+            for y, z in (divmod(yz, sizes[k]) for yz in rng.accepted(sizes[j] * sizes[k], p))
+        ),
     )
-    return PartiteThreeGraph(vs, triples)
 
 
 def _row(rng: SplitMix64, n: int, p: Fraction) -> int:
@@ -292,11 +294,11 @@ def random_chain(
     rng = SplitMix64(seed ^ 0xD1B54A32D192ED03)
     off = g.vertex_set.offsets
     tris = list(triangles_local(g))
-    triples = frozenset(
+    triples = (
         (off[0] + x, off[1] + y, off[2] + z)
         for x, y, z in map(tris.__getitem__, rng.accepted(len(tris), p_triple))
     )
-    return Chain(g, PartiteThreeGraph(g.vertex_set, triples))
+    return Chain(g, PartiteThreeGraph.from_triples(g.vertex_set, triples))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,32 @@ def walked_from_edges(n, edges):
     return tuple(rows)
 
 
+def built_index(vs, triples):
+    """``PartiteThreeGraph.from_triples``'s z-mask buckets, or the message
+    of its refusal."""
+    try:
+        return PartiteThreeGraph.from_triples(vs, triples).index.zmasks
+    except InvalidStructure as exc:
+        return str(exc)
+
+
+def walked_index(vs, triples):
+    """The placement loop as a literal walk: each triple sorted and checked
+    before its bit is set; the z-mask buckets, or the message of the first
+    bad triple."""
+    buckets = {}
+    for ids in triples:
+        s = tuple(sorted(ids))
+        if not (0 <= s[0] and s[2] < vs.total):
+            return f"bad triple {s}"
+        (i, x), (j, y), (k, z) = map(vs.to_local, s)
+        if not i < j < k:
+            return f"bad triple {s}"
+        bucket = buckets.setdefault((i, j, k), {})
+        bucket[x, y] = bucket.get((x, y), 0) | 1 << z
+    return buckets
+
+
 def walked_symmetric(rows) -> bool:
     """Symmetry of bitset rows, bit by bit: every y in row x has x in row y."""
     return all(rows[y] >> x & 1 for x in range(len(rows)) for y in bits(rows[x]))
@@ -593,7 +619,7 @@ def chain_bound(rng, lo, hi) -> int:
     bad += bound < cert
     bad += not paired and bound != cert
     for eta in (cert, cert - Fraction(1, 10**9), bound, *(eta for eta, _ in THRESHOLDS)):
-        fresh = PartiteThreeGraph(h.vertex_set, h.triples)
+        fresh = PartiteThreeGraph.from_triples(h.vertex_set, h.triples)
         for _ in range(2):
             bad += cell_chain_within(fresh, masks, parts, cells, eta) != (cert <= eta)
         looped = (masks, parts, cells) in fresh.index.chain_values and paired
@@ -602,18 +628,54 @@ def chain_bound(rng, lo, hi) -> int:
 
 
 def hyperedge_index(rng, lo, hi) -> int:
-    """Every z-mask of the hyperedge index against a scan of the naive
-    membership test ``has_triple``."""
-    h, _ = _partitioned(rng, lo, hi)
-    vs = h.vertex_set
-    off = vs.offsets
-    bad = 0
-    for i, j, k in combinations(range(vs.t), 3):
-        zm = h.zmasks(i, j, k)
-        for x, y in product(range(vs.sizes[i]), range(vs.sizes[j])):
-            zs = range(vs.sizes[k])
-            want = sum(1 << z for z in zs if h.has_triple(off[i] + x, off[j] + y, off[k] + z))
-            bad += zm.get((x, y), 0) != want
+    """``PartiteThreeGraph.from_triples``, whose one placement loop builds
+    and checks the hyperedge index, against a literal walk over a drawn
+    list T of crossing triples on 3 to 6 parts, each in a random id order,
+    some repeated, and over copies of T with one or two bad triples
+    inserted (an id in [-total, -1], among them the one that indexes a
+    table of the vertices like the id it replaces, below -total, total
+    itself, 10^18 or 10^30, a repeated vertex, or a second vertex of one
+    part): the z-mask buckets, or the message of the first bad triple.
+    On T itself, ``triples`` must be the set of T's sorted triples,
+    ``save_partite_3graph`` must write them in order, and ``has_triple``
+    must hold on each of them in a random id order and, on random id
+    triples, exactly when the sorted triple is in that set."""
+    t = 3 + rng.below(4)
+    cap = 5 if t < 6 else 3
+    vs = PartiteVertexSet.of_sizes(*(_size(rng, min(lo, cap) - 1, min(hi, cap)) for _ in range(t)))
+    off, total = vs.offsets, vs.total
+    full = [i for i in range(t) if vs.sizes[i]]
+    triples = []
+    for _ in range(rng.below(3 * total + 1) if len(full) >= 3 else 0):
+        parts = map(full.__getitem__, rng.sample(len(full), 3))
+        ids = [off[i] + rng.below(vs.sizes[i]) for i in parts]
+        rng.shuffle(ids)
+        triples.append(tuple(ids))
+    triples += triples[: rng.below(len(triples) + 1)]
+    trials = [triples]
+    for _ in range(3 if triples else 0):
+        trial = list(triples)
+        for _ in range(1 + rng.below(2)):
+            ids = list(triples[rng.below(len(triples))])
+            a, b = rng.sample(3, 2)
+            i = vs.part_of(ids[b])
+            bad_ids = (ids[a] - total, -1 - rng.below(total), -total - 1 - rng.below(3), total,
+                       10**18, 10**30, ids[b], off[i] + rng.below(vs.sizes[i]))
+            ids[a] = bad_ids[rng.below(len(bad_ids))]
+            trial.insert(rng.below(len(trial) + 1), tuple(ids))
+        trials.append(trial)
+    bad = sum(built_index(vs, trial) != walked_index(vs, trial) for trial in trials)
+    h = PartiteThreeGraph.from_triples(vs, triples)
+    canon = {tuple(sorted(ids)) for ids in triples}
+    bad += h.triples != frozenset(canon)
+    bad += save_partite_3graph(h).splitlines()[t:] != ["t %d %d %d" % ids for ids in sorted(canon)]
+    for ids in canon:
+        ids = list(ids)
+        rng.shuffle(ids)
+        bad += not h.has_triple(*ids)
+    for _ in range(total):
+        ids = [rng.below(total + 2) - 1 for _ in range(3)]
+        bad += h.has_triple(*ids) != (tuple(sorted(ids)) in canon)
     return bad
 
 
@@ -757,8 +819,9 @@ CASES = (
     ),
     Case("chain-bound", chain_bound, (chain_first_pass, cell_chain_within),
          (oct_sum, literal_bound), 4),
-    Case("hyperedge-index", hyperedge_index, (PartiteThreeGraph.zmasks,),
-         (PartiteThreeGraph.has_triple,), 4),
+    Case("hyperedge-index", hyperedge_index,
+         (PartiteThreeGraph.from_triples, save_partite_3graph, PartiteThreeGraph.has_triple),
+         (walked_index,), 4),
     Case("cell-chains", cell_chains,
          (cell_chain_passes, cell_chain_stats, q_cell_chain, q_partition,
           cylinder_quasirandomness_audit, survey_partition),

@@ -33,10 +33,11 @@ Every question of which cylinder holds a vertex, tuple or cylinder reads
 one table, ``VertexCylinderPartition.holders``, built once per partition.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
-(see :class:`regulab.core.HyperedgeIndex`), and cell chains through one
-evaluator that keeps its numbers on that index.  It reads a chain where it
-lies, with the two halves of the one fast octahedral kernel
-(:func:`regulab.quasirandom.chain_first_pass` and
+(see :class:`regulab.core.HyperedgeIndex`), the one form in which a
+partite 3-graph holds them, built with the hypergraph; cell chains are
+read through one evaluator that keeps its numbers on that index.  It
+reads a chain where it lies, with the two halves of the one fast
+octahedral kernel (:func:`regulab.quasirandom.chain_first_pass` and
 :func:`regulab.quasirandom.chain_pair_total`).  A chain's first read,
 one O(X Y) walk and O(Y^2) ANDs of planes concatenated over x, stores its
 counts and a Cauchy-Schwarz bound on its certificate, and stores the bound
@@ -1085,12 +1086,12 @@ def extract_cell_chain(
     )
     off = sub_vs.offsets
     cell_ab, cell_ac, cell_bc = cells
-    triples = set()
+    triples = []
     for (x, y), m in h.zmasks(*parts).items():
         if masks[0] >> x & 1 and masks[1] >> y & 1 and cell_ab[x] >> y & 1:
             for z in bits(m & masks[2] & cell_ac[x] & cell_bc[y]):
-                triples.add((off[0] + remap[0][x], off[1] + remap[1][y], off[2] + remap[2][z]))
-    return Chain(g, PartiteThreeGraph(sub_vs, frozenset(triples)))
+                triples.append((off[0] + remap[0][x], off[1] + remap[1][y], off[2] + remap[2][z]))
+    return Chain(g, PartiteThreeGraph.from_triples(sub_vs, triples))
 
 
 def cell_chain_passes(

@@ -235,7 +235,7 @@ def test_criterion_06_engine_soundness():
                 assert nxt.q - prev.q >= DESK.hyper_gain(eta, 3)
         # The external audit runs on a cold, equal hypergraph: no cell chain
         # the engine evaluated is read back.
-        cold = PartiteThreeGraph(h.vertex_set, h.triples)
+        cold = PartiteThreeGraph.from_triples(h.vertex_set, h.triples)
         audit = cylinder_quasirandomness_audit(cold, p, eta, PSI_ID)
         assert audit.good_mass >= 1 - eta
         assert accepted == audit

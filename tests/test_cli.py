@@ -530,6 +530,14 @@ MALFORMED = {
     "chain_range": "part A 2\npart B 2\npart C 2\ne 0 2\ne 0 4\ne 2 4\nt 0 2 4\nt 1 3 9\n",
     "not_crossing": "part A 2\npart B 2\npart C 2\nt 0 2 4\nt 0 1 4\n",
     "repeat": "part V 5\nt 0 1 2\nt 3 3 4\n",
+    # Partite 3-graphs whose bad t-line the hyperedge placement refuses:
+    # negative ids (the line loop reads them; -9 reads part A if wrapped),
+    # an id past 63 bits, a triple within a part and a repeated vertex.
+    "negative": "part A 3\npart B 3\npart C 3\nt 0 3 6\nt -1 3 6\n",
+    "negative_wrap": "part A 3\npart B 3\npart C 3\nt 0 3 6\nt -9 3 6\n",
+    "past_63_bits": "part A 3\npart B 3\npart C 3\nt 0 3 6\nt 1 4 9223372036854775808\n",
+    "within_part_triple": "part A 3\npart B 3\npart C 3\nt 0 3 6\nt 0 1 6\n",
+    "repeat_partite": "part A 3\npart B 3\npart C 3\nt 0 3 6\nt 3 3 6\n",
 }
 DECOMPOSE_GRAPH = ("decompose", "--eps", "1/4")
 DECOMPOSE_3 = ("decompose", "--eta", "1/4", "--psi", "1,1")
@@ -597,6 +605,13 @@ NOT_PARTITE = "error: cylinder expects a partite 3-graph file"
         ("chain_range", ANALYZE, "error: line 8: vertex id 9 out of range (total 6)"),
         ("not_crossing", CYLINDER, "error: line 5: triple (0, 1, 4) does not cross three parts"),
         ("repeat", DECOMPOSE_3, "error: line 3: triple (3, 3, 4) repeats a vertex"),
+        ("negative", CYLINDER, "error: line 5: vertex id -1 out of range (total 9)"),
+        ("negative_wrap", CYLINDER, "error: line 5: vertex id -9 out of range (total 9)"),
+        ("past_63_bits", CYLINDER,
+         "error: line 5: vertex id 9223372036854775808 out of range (total 9)"),
+        ("within_part_triple", CYLINDER,
+         "error: line 5: triple (0, 1, 6) does not cross three parts"),
+        ("repeat_partite", CYLINDER, "error: line 5: triple (3, 3, 6) repeats a vertex"),
     ],
 )
 def test_malformed_files_exit_one_with_the_recorded_line(name, argv, line, tmp_path, capsys):

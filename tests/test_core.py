@@ -53,7 +53,13 @@ from regulab.generators import (
     random_partite_3graph,
     random_tournament_3graph,
 )
-from regulab.oracles import built_from_edges, loop_scan, scan_fields, walked_from_edges
+from regulab.oracles import (
+    built_from_edges,
+    loop_scan,
+    scan_fields,
+    walked_from_edges,
+    walked_index,
+)
 
 
 def test_ratio_zero_over_zero():
@@ -146,6 +152,27 @@ def test_chain_requires_triples_on_triangles():
     h = PartiteThreeGraph.from_triples(vs, [(0, 2, 4)])
     with pytest.raises(InvalidStructure):
         Chain(g, h)
+
+
+def test_chain_names_its_first_bad_hyperedge_in_sorted_order():
+    # Only (0, 2, 4) and (0, 3, 5) lie on triangles: (0, 2, 5) leaves the
+    # common neighbourhood of (x, y) = (0, 0), and (1, 3, 4) and (1, 3, 5)
+    # sit on a pair (1, 1) that is no edge.
+    vs = PartiteVertexSet.of_sizes(2, 2, 2)
+    g = MultipartiteGraph(
+        vs,
+        {
+            (0, 1): BipartiteGraph(2, 2, (0b11, 0b01)),
+            (0, 2): BipartiteGraph.complete(2, 2),
+            (1, 2): BipartiteGraph(2, 2, (0b01, 0b11)),
+        },
+    )
+    good = [(0, 2, 4), (0, 3, 5)]
+    assert Chain(g, PartiteThreeGraph.from_triples(vs, good)).hyper.edge_count == 2
+    bad = [(1, 3, 5), (1, 3, 4), (0, 2, 5)]
+    for order in (good + bad, bad[::-1] + good, [(5, 3, 1), (4, 1, 3), (5, 2, 0)]):
+        with pytest.raises(InvalidStructure, match=r"^hyperedge \(0, 2, 5\) not on a triangle$"):
+            Chain(g, PartiteThreeGraph.from_triples(vs, order))
 
 
 def test_relative_density_exact():
@@ -307,9 +334,12 @@ def test_chain_loader_reports_the_triple_line():
     [((3, 4, 5), 1), ((4, 4, 4), 2), ((3, 2, 4, 3), 3), ((2, 0, 3, 2), 4), ((1, 3, 2, 2, 2), 5)],
 )
 def test_hyperedge_index_matches_has_triple(sizes, seed):
-    # The index is the oracle of every hyperedge reader (fast and naive q
-    # share it), so it is checked against the naive membership test.
+    # The index is the one stored form of the hyperedges, and every reader
+    # (fast and naive q, has_triple, triples) reads it, so its readers must
+    # agree on it; the placement that builds it is checked against a
+    # literal walk (the oracle case hyperedge-index).
     h = random_partite_3graph(sizes, Fraction(1, 2), seed)
+    assert h.index.zmasks == walked_index(h.vertex_set, h.triples)
     vs = h.vertex_set
     off = vs.offsets
     seen = 0
@@ -329,8 +359,9 @@ def test_hyperedge_index_matches_has_triple(sizes, seed):
                     t for t in h.triples if {vs.part_of(v) for v in t} == {i, j, k}
                 )
     assert seen == h.edge_count
-    # The index is not a field: equal hypergraphs stay equal and hash alike.
-    fresh = PartiteThreeGraph(vs, h.triples)
+    # The index's chain stores take no part in equality: a fresh equal
+    # hypergraph is equal, hashes alike and has the same repr.
+    fresh = PartiteThreeGraph.from_triples(vs, h.triples)
     assert fresh == h and hash(fresh) == hash(h) and repr(fresh) == repr(h)
 
 
@@ -860,7 +891,7 @@ def _reference_load_triples(text: str, partite: bool):
             raise ParseError(lineno, f"triple {ids} does not cross three parts")
         out.add(tuple(sorted(ids)))
     if partite:
-        return PartiteThreeGraph(vs, frozenset(out))
+        return PartiteThreeGraph.from_triples(vs, out)
     return ThreeGraph(vs.total, frozenset(out))
 
 
@@ -888,6 +919,49 @@ def test_3graph_loaders_match_the_line_by_line_checks(seed):
             for partite, load in ((True, load_partite_3graph), (False, load_three_graph)):
                 want = _loaded(lambda s: _reference_load_triples(s, partite), text)
                 assert _loaded(load, text) == want, text
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 2), (2, 3, 2, 3), (1, 4, 0, 3, 2), (5, 5, 5)])
+def test_partite_3graph_loaders_equal_from_triples(sizes):
+    """A canonical file (the bulk scan), the same triples with lines
+    shuffled, ids unsorted within a line and some lines repeated (still the
+    bulk scan), and a file with comments and blank lines (the line loop)
+    all load to the hypergraph ``from_triples`` builds from the literal
+    triples, and saving what they load gives the canonical file back.  The
+    chain loader reads the t-lines of a chain file alike."""
+    rng = SplitMix64(sum(sizes))
+    text = save_partite_3graph(random_partite_3graph(sizes, Fraction(1, 2), rng.next_u64()))
+    head = [line for line in text.splitlines() if line.startswith("part ")]
+    triples = [tuple(map(int, line.split()[1:])) for line in text.splitlines()[len(head):]]
+    assert triples == sorted(triples) and len(triples) > 5
+    drawn = [list(ids) for ids in triples + triples[: 1 + rng.below(len(triples))]]
+    for ids in drawn:
+        rng.shuffle(ids)
+    rng.shuffle(drawn)
+    shuffled = "\n".join(head + ["t %d %d %d" % tuple(ids) for ids in drawn]) + "\n"
+    commented = "# partite\n" + "\n\n".join(head) + "\n" + "".join(
+        f"t {u} {v} {w}  # hyperedge\n\n" for u, v, w in triples
+    )
+    assert core._bulk_scan(shuffled) is not None and core._bulk_scan(commented) is None
+    vs = PartiteVertexSet(tuple(line.split()[1] for line in head), sizes)
+    want = PartiteThreeGraph.from_triples(vs, drawn)
+    assert want.triples == frozenset(triples) and want.edge_count == len(triples)
+    for src in (text, shuffled, commented):
+        h = load_partite_3graph(src)
+        assert h == want and hash(h) == hash(want) and repr(h) == repr(want)
+        assert save_partite_3graph(h) == text
+    if len(sizes) == 3:
+        c = random_chain(sizes, Fraction(2, 3), Fraction(1, 2), rng.next_u64())
+        chain_text = save_chain(c)
+        lines = chain_text.splitlines()
+        t_lines = [line.split() for line in lines if line.startswith("t ")]
+        for ids in t_lines:
+            ids[1:] = ids[:0:-1]
+        rng.shuffle(t_lines)
+        edited = [line for line in lines if not line.startswith("t ")]
+        edited += [" ".join(ids) for ids in t_lines + t_lines[:2]]
+        loaded = load_chain("\n".join(edited) + "\n")
+        assert loaded == c and save_chain(loaded) == chain_text
 
 
 def _reference_load_multipartite(text: str) -> MultipartiteGraph:

@@ -1366,7 +1366,7 @@ def test_hyper_accepts_misaligned_cone():
     assert [r.action for r in trace.rows] == ["refine-edges", "accept"]
     # The audit the engine accepted on equals a fresh one on a cold, equal
     # hypergraph, after a refinement step.
-    cold = PartiteThreeGraph(hp.vertex_set, hp.triples)
+    cold = PartiteThreeGraph.from_triples(hp.vertex_set, hp.triples)
     audit = cylinder_quasirandomness_audit(cold, p, eta_c, PSI_ID)
     assert audit.good_mass >= 1 - eta_c
     assert accepted == audit

@@ -34,7 +34,6 @@ ENTRY_POINTS = {
     "BipartiteGraph.from_edges": "test fixture: pair graphs from edge lists",
     "MultipartiteGraph.complete": "test fixture: complete t-partite hosts",
     "ThreeGraph.from_triples": "test fixture: 3-graphs from unsorted triples",
-    "PartiteThreeGraph.from_triples": "test fixture: partite 3-graphs from unsorted triples",
     "PartiteThreeGraph.triples_of_parts": "test fixture: global triples of one part triple",
     "DeviationFunction2.from_rows": "test fixture: deviation tables for the c4 kernels",
     "random_chain_partition": "test fixture: random chain partitions for the audit oracles",
@@ -247,6 +246,25 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, f"defaults that no caller sets: {', '.join(unset)}"
     assert not listed_but_set, f"listed defaults the program sets: {', '.join(listed_but_set)}"
     assert not set(API_DEFAULTS) - defined, "listed defaults that are not defined"
+
+
+def test_partite_3graphs_are_built_only_in_core():
+    """The bare ``PartiteThreeGraph(...)`` constructor is called only in
+    core.py; everything else builds through ``from_triples`` or a loader,
+    so the one placement loop, which checks every triple, builds every
+    partite 3-graph."""
+    callers = []
+    for top in ("src", "scripts", "bench", "tests"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path == SRC / "core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "PartiteThreeGraph":
+                        callers.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert not callers, f"bare PartiteThreeGraph(...) calls outside core.py: {', '.join(callers)}"
 
 
 # Fast paths with no ``mode="naive"`` twin, each with the oracle that

@@ -8,7 +8,7 @@ import pytest
 
 from regulab import core, oracles, partitions, quasirandom
 from regulab.cli import run
-from regulab.core import Graph, PartiteThreeGraph
+from regulab.core import Graph
 from regulab.generators import SplitMix64
 from regulab.partitions import PairPartition, VertexCylinderPartition
 from regulab.report import load_report
@@ -53,6 +53,18 @@ def _narrow_slots(old):
     return namespace[old.__name__]
 
 
+def _overwriting_placement(old):
+    """The placement loop with each hyperedge's bit stored over its
+    (x, y)'s mask, not ORed into it, so only the last z of each (x, y)
+    survives.  Made from the loop's own source with that one line changed."""
+    src = inspect.getsource(old)
+    line = "bucket[key] = bucket.get(key, 0) | 1 << local[w]\n"
+    assert src.count(line) == 1
+    namespace = dict(vars(core))
+    exec(src.replace(line, "bucket[key] = 1 << local[w]\n"), namespace)
+    return namespace[old.__name__]
+
+
 # One planted fault per case, each in a fast path the case names.
 FAULTS = {
     "pair-kernel": lambda mp: _rebind(
@@ -83,12 +95,7 @@ FAULTS = {
         mp, quasirandom, "chain_pair_total", lambda old: lambda fp: old(fp) + 1
     ),
     "chain-bound": lambda mp: _rebind(mp, quasirandom, "chain_first_pass", _shallow_first_pass),
-    "hyperedge-index": lambda mp: mp.setattr(  # the lowest z of every mask dropped
-        PartiteThreeGraph, "zmasks",
-        lambda self, i, j, k, old=PartiteThreeGraph.zmasks: {
-            xy: m & (m - 1) for xy, m in old(self, i, j, k).items()
-        },
-    ),
+    "hyperedge-index": lambda mp: _rebind(mp, core, "_placed", _overwriting_placement),
     "cell-chains": lambda mp: _rebind(mp, partitions, "cell_chain_passes", lambda old: lambda *a: True),
     "containment": lambda mp: mp.setattr(VertexCylinderPartition, "lookup", lambda self, locals_: 0),
 }

@@ -542,7 +542,7 @@ def test_cell_chain_evaluator_warm_equals_cold():
     assert stored
     useful = 0
     for p in parts:
-        cold = PartiteThreeGraph(vs, warm.triples)
+        cold = PartiteThreeGraph.from_triples(vs, warm.triples)
         survey = survey_partition(warm, p, eta, psi)
         assert survey == survey_partition(cold, p, eta, psi)
         assert survey.audit == cylinder_quasirandomness_audit(cold, p, eta, psi)
@@ -708,7 +708,7 @@ def test_audits_read_warm_cell_facts_as_fresh_ones():
         assert {"labels", "area", "edge_counts", "certificate_terms"} <= set(vars(pp))
         cold = random_cylinder_chain_partition(vs, 3, 3, seed=70 + seed)
         assert cold == warm and "certificate_terms" not in vars(cold.edges[0].pair(0, 1))
-        cold_h = PartiteThreeGraph(vs, h.triples)
+        cold_h = PartiteThreeGraph.from_triples(vs, h.triples)
         assert cylinder_quasirandomness_audit(h, warm, eta, psi) == first
         assert cylinder_quasirandomness_audit(cold_h, cold, eta, psi) == first
         assert homogeneity_audit(h, warm_chain, eta, psi) == first_hom
@@ -779,7 +779,7 @@ def test_tuple_audit_matches_a_literal_walk(sizes, carriers):
         p = random_cylinder_chain_partition(vs, 3, 3, seed=90 + seed)
         if carriers is not None:
             on = [tr for tr in h.triples if tuple(map(vs.part_of, tr)) in carriers]
-            h = PartiteThreeGraph(vs, frozenset(on))
+            h = PartiteThreeGraph.from_triples(vs, on)
             p = _with_parity_cells(p, carriers)
         p = _with_empty_cylinder(p)
         runs = [(p, eta, psi) for eta, psi in THRESHOLDS]
@@ -891,7 +891,7 @@ def test_bound_first_verdict_equals_the_exact_one(seed, monkeypatch):
         strict += bound > cert
         etas = [cert, cert - Fraction(1, 10**9), bound] + [eta for eta, _ in THRESHOLDS]
         for eta in etas:
-            cold = PartiteThreeGraph(h.vertex_set, h.triples)
+            cold = PartiteThreeGraph.from_triples(h.vertex_set, h.triples)
             loops.clear()
             for _ in range(2):
                 assert cell_chain_within(cold, masks, parts, cells, eta) is (cert <= eta)
@@ -943,7 +943,7 @@ def test_a_30_cube_cylinder_run_never_runs_the_pair_loop(monkeypatch):
     small = random_partite_3graph((3, 4, 3, 4), Fraction(1, 2), seed=7)
     for seed in range(3):
         q = random_cylinder_chain_partition(small.vertex_set, 3, 2, seed=seed)
-        cold = PartiteThreeGraph(small.vertex_set, small.triples)
+        cold = PartiteThreeGraph.from_triples(small.vertex_set, small.triples)
         passes.clear()
         assert q_partition(cold, q) == q_partition(small, q, "naive")
         assert len(passes) == len(cold.index.cell_chains) > 0

@@ -338,7 +338,7 @@ def test_concatenated_planes_match_the_per_x_walk(name, rows, masks, h, monkeypa
         return chain_pair_total(fp)
 
     monkeypatch.setattr(partitions, "chain_pair_total", counted)
-    cold = PartiteThreeGraph(h.vertex_set, h.triples)
+    cold = PartiteThreeGraph.from_triples(h.vertex_set, h.triples)
     cert = partitions.cell_chain_stats(cold, masks, (0, 1, 2), rows)[2]
     assert cert == Fraction(*fp.scaled(total)) and len(loops) == fp.paired
     if not fp.paired:
