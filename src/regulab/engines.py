@@ -1183,10 +1183,11 @@ def graph_homogeneous_decomposition(
     """Vertex partition of a graph with most pairs eps-homogeneous.
 
     Equitable pre-partition into about 1/eps parts, cylinder regularity of
-    the induced multipartite graph at alpha = eps^2, then vertex grouping
-    by cylinder membership profile.  The audit reports the ordered
-    pair-mass whose between-part density lies in [0, eps] or [1-eps, 1].
-    The pipeline evaluates no schedule, so it refuses the paper profile.
+    the induced multipartite graph at alpha = eps^2, then the vertex atoms
+    (``VertexCylinderPartition.atoms``) of the partition that returns.  The
+    audit reports the ordered pair-mass whose between-part density lies in
+    [0, eps] or [1-eps, 1].  The pipeline evaluates no schedule, so it
+    refuses the paper profile.
     """
     if profile.is_paper:
         raise InvalidStructure(
@@ -1205,13 +1206,8 @@ def graph_homogeneous_decomposition(
     mg = partite_from_graph(g, [len(p) for p in parts])
     pair_graphs = [(i, j, mg.pair(i, j).rows) for (i, j) in combinations(range(t), 2)]
     pv, trace = dlr_cylinder_regularity(mg.vertex_set, pair_graphs, eps * eps, profile)
-    out_parts: list[tuple[int, ...]] = []
-    for i, part in enumerate(parts):
-        groups: dict[tuple, list[int]] = {}
-        for local, v in enumerate(part):
-            groups.setdefault(tuple(bits(pv.holders[i][local])), []).append(v)
-        for key in sorted(groups):
-            out_parts.append(tuple(groups[key]))
+    off = mg.vertex_set.offsets
+    out_parts = [tuple(off[i] + a for a in locs) for i, locs, _ in pv.atoms()]
     masks = [sum(1 << v for v in part) for part in out_parts]
     # Pair counts over n², with densities e/area in the windows by cross-multiplying.
     en, ed = eps.numerator, eps.denominator

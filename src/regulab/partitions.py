@@ -30,7 +30,9 @@ a cylinder.  :func:`extract_cell_chain` is the one sub-chain cutter;
 ``core.restrict_chain`` checks its arguments and calls it, and tests use
 its copies as inputs to the naive oracles.  No engine path copies a chain.
 Every question of which cylinder holds a vertex, tuple or cylinder reads
-one table, ``VertexCylinderPartition.holders``, built once per partition.
+one table, ``VertexCylinderPartition.holders``, built once per partition;
+``VertexCylinderPartition.atoms``, the one grouping of vertices by it, gives
+the vertex parts of :func:`venn_diagram` and of the graph pipeline.
 
 Hyperedges are read through one index, ``PartiteThreeGraph.zmasks(i, j, k)``
 (see :class:`regulab.core.HyperedgeIndex`), the one form in which a
@@ -74,8 +76,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, isqrt, prod
+from operator import and_, or_
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .core import (
@@ -228,13 +231,31 @@ class VertexCylinderPartition:
 
     def lookup(self, locals_: Sequence[int]) -> int:
         """The lowest cylinder in the AND over parts of the holders of the
-        tuple's vertices."""
+        tuple's vertices; a tuple of another length than t is refused."""
+        if len(locals_) != self.vertex_set.t:
+            raise InvalidStructure(f"tuple {tuple(locals_)} is not a {self.vertex_set.t}-tuple")
         hit = -1
         for part, a in zip(self.holders, locals_):
             hit &= part[a] if 0 <= a < len(part) else 0
         if not hit:
             raise InvalidStructure(f"tuple {tuple(locals_)} not covered")
         return (hit & -hit).bit_length() - 1
+
+    def atoms(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """``(part, local ids, key)`` per atom, in part order, then key order:
+        ``key`` is the ``holders`` bitset of the atom's vertices ANDed with
+        the cylinders nonempty on every other part; keys sort by their bit
+        positions, ascending, expanded once per atom."""
+        nonempty = [reduce(or_, part, 0) for part in self.holders]
+        out = []
+        for i, part in enumerate(self.holders):
+            relevant = reduce(and_, nonempty[:i] + nonempty[i + 1 :], -1)
+            groups: dict[int, list[int]] = {}
+            for a, held in enumerate(part):
+                groups.setdefault(held & relevant, []).append(a)
+            for _, key in sorted(zip(map(tuple, map(bits, groups)), groups)):
+                out.append((i, tuple(groups[key]), key))
+        return tuple(out)
 
     def container(self, cyl: VertexCylinder) -> int | None:
         """The cylinder holding all of ``cyl``, or None (also for an empty
@@ -736,45 +757,26 @@ def common_refinement(pps: Sequence[PairPartition]) -> PairPartition:
 def venn_diagram(p: CylinderChainPartition) -> ChainPartition:
     """Flatten a cylinder chain partition into a chain partition.
 
-    Vertices are grouped by which cylinders they can participate in, read
-    from the partition's ``holders`` table (a cylinder counts only if its
-    other coordinates are non-empty); edges
-    between two such groups are grouped by their cell membership across all
-    cylinders containing both groups.
+    Vertex parts are the partition's atoms,
+    :meth:`VertexCylinderPartition.atoms`; edges between two atoms are
+    grouped by their cell membership across the cylinders whose keys both
+    atoms carry.
     """
     vs = p.vertex.vertex_set
-    cylinders = p.vertex.cylinders
-
-    # Bitset of the cylinders relevant to each part.
-    relevant = [0] * vs.t
-    for idx, cyl in enumerate(cylinders):
-        for i in range(vs.t):
-            if all(cyl.masks[j] for j in range(vs.t) if j != i):
-                relevant[i] |= 1 << idx
-
-    # (part index, local ids, profile of relevant containing cylinders)
-    part_cells: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    for i, part in enumerate(p.vertex.holders):
-        profiles: dict[tuple[int, ...], list[int]] = {}
-        for a, held in enumerate(part):
-            profiles.setdefault(tuple(bits(held & relevant[i])), []).append(a)
-        for prof in sorted(profiles):
-            part_cells.append((i, tuple(profiles[prof]), prof))
-
+    atoms = p.vertex.atoms()
     off = vs.offsets
-    parts = tuple(tuple(off[i] + a for a in locs) for i, locs, _ in part_cells)
+    parts = tuple(tuple(off[i] + a for a in locs) for i, locs, _ in atoms)
 
-    # part_cells runs in part order, so a_idx < b_idx gives i <= j.
+    # atoms runs in part order, so a_idx < b_idx gives i <= j.
     pairs: dict[tuple[int, int], PairPartition] = {}
-    for a_idx in range(len(part_cells)):
-        i, locs_a, prof_a = part_cells[a_idx]
-        for b_idx in range(a_idx + 1, len(part_cells)):
-            j, locs_b, prof_b = part_cells[b_idx]
+    for a_idx in range(len(atoms)):
+        i, locs_a, key_a = atoms[a_idx]
+        for b_idx in range(a_idx + 1, len(atoms)):
+            j, locs_b, key_b = atoms[b_idx]
             if i == j:
                 label = lambda pa, pb: 0
             else:
-                containing = sorted(set(prof_a) & set(prof_b))
-                lab_per_cyl = [p.edges[c].pair(i, j).labels for c in containing]
+                lab_per_cyl = [p.edges[c].pair(i, j).labels for c in bits(key_a & key_b)]
                 label = lambda pa, pb: tuple(lab[locs_a[pa]][locs_b[pb]] for lab in lab_per_cyl)
             pairs[(a_idx, b_idx)] = PairPartition.complete(len(locs_a), len(locs_b), label)
 

@@ -813,6 +813,12 @@ PINNED_INPUTS = {
     "pattern": ("--kind", "tournament", "--n", "4", "--seed", "0"),
 }
 
+# Inputs given as file text: the 2x48 half graph (i ~ 48 + j iff i <= j) as
+# one part, which ``decompose`` reads as a graph.
+PINNED_TEXTS = {
+    "half48": "part V 96\n" + "".join(f"e {i} {48 + j}\n" for i in range(48) for j in range(i, 48)),
+}
+
 
 @pytest.fixture(scope="module")
 def pinned_inputs(tmp_path_factory):
@@ -822,6 +828,9 @@ def pinned_inputs(tmp_path_factory):
         files[name] = str(root / name)
         flags = [f.format(**files) for f in flags]
         assert run(["generate", *flags, "--out", files[name]]) == 0
+    for name, text in PINNED_TEXTS.items():
+        files[name] = str(root / name)
+        (root / name).write_text(text)
     return files
 
 
@@ -873,6 +882,11 @@ def pinned_inputs(tmp_path_factory):
             ["decompose", "--input", "{graph30}", "--eps", "1/5"], 2, "",
             "7b375e4bc1c3cd24d007694aff56ca1fc35c54d9f108ae09daa5b8d0e260b61f",
             id="decompose-graph-fails",
+        ),
+        pytest.param(
+            ["decompose", "--input", "{half48}", "--eps", "1/8"], 0, "",
+            "f52c0a5c80523aea711be0adc8e7789956b85351b0384150ca2fe47d20d792d6",
+            id="decompose-half-2x48",
         ),
         pytest.param(
             ["cylinder", "--input", "{partite3}", "--eta", "1/4", "--psi", "1,1"], 0, "",

@@ -1862,6 +1862,35 @@ def test_graph_pipeline_windows_close_at_eps():
     assert ties
 
 
+@pytest.mark.parametrize(
+    "g, eps",
+    [
+        pytest.param(Graph.from_edges(96, [(i, 48 + j) for i in range(48) for j in range(i, 48)]),
+                     Fraction(1, 8), id="half-2x48"),
+        pytest.param(random_graph(30, Fraction(1, 2), 2), Fraction(1, 6), id="graph30"),
+    ],
+)
+def test_graph_pipeline_parts_are_the_atoms_of_the_dlr_partition(g, eps, monkeypatch):
+    """The graph pipeline's parts are the atoms of the one partition ``dlr``
+    returns, flattened to graph ids; every cylinder kept has all of its
+    masks nonempty, so every cylinder counts in every atom's key."""
+    built = []
+    post_init = VertexCylinderPartition.__post_init__
+
+    def kept(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(VertexCylinderPartition, "__post_init__", kept)
+    parts, _, _ = graph_homogeneous_decomposition(g, eps, DESK)
+    (pv,) = built
+    assert len(pv.cylinders) > 1
+    assert all(all(cyl.masks) for cyl in pv.cylinders)
+    off = pv.vertex_set.offsets
+    assert parts == tuple(tuple(off[i] + a for a in locs) for i, locs, _ in pv.atoms())
+    assert all(pv.holders[i][a] == key for i, locs, key in pv.atoms() for a in locs)
+
+
 def test_fps_half_graph_blocks():
     hg = half_graph(64)
     a_parts, b_parts = fps_packing_partition(hg, Fraction(1, 8))

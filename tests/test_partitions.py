@@ -1126,6 +1126,72 @@ def test_lookup_container_and_refines_vertex_equal_a_mask_scan(seed):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("locals_", [(), (1,), (1, 0), (0, 0, 0, 5)])
+def test_lookup_refuses_a_tuple_of_another_length(locals_):
+    """``lookup`` reads exactly t coordinates: a shorter or longer tuple is
+    refused, not cut to (or padded out by) the holders it zips with."""
+    pv = VertexCylinderPartition(PartiteVertexSet.of_sizes(2, 2, 2),
+                                 (VertexCylinder((1, 3, 3)), VertexCylinder((2, 3, 3))))
+    assert pv.lookup((1, 0, 0)) == 1
+    with pytest.raises(InvalidStructure, match=r"is not a 3-tuple$"):
+        pv.lookup(locals_)
+
+
+def _literal_atoms(pv):
+    """Each part's vertices grouped by the positions of the cylinders whose
+    masks hold them, among those nonempty on every other part; the groups
+    sorted by those positions."""
+    out = []
+    for i, size in enumerate(pv.vertex_set.sizes):
+        relevant = [c for c, cyl in enumerate(pv.cylinders)
+                    if all(m for j, m in enumerate(cyl.masks) if j != i)]
+        groups = {}
+        for a in range(size):
+            profile = tuple(c for c in relevant if pv.cylinders[c].masks[i] >> a & 1)
+            groups.setdefault(profile, []).append(a)
+        out += [(i, tuple(groups[pr]), sum(1 << c for c in pr)) for pr in sorted(groups)]
+    return tuple(out)
+
+
+def _with_empty_cylinders(pv, seed):
+    """``pv`` with cylinders empty on one part, or on two, added: they hold
+    no tuple but do hold vertices of their other parts."""
+    rng = SplitMix64(seed)
+    vs, extra = pv.vertex_set, []
+    for empty in ([rng.below(vs.t)], [0, 1], [vs.t - 1]):
+        extra.append(VertexCylinder(tuple(
+            0 if i in empty else 1 + rng.below(vs.full_mask(i)) for i in range(vs.t)
+        )))
+    return VertexCylinderPartition(vs, pv.cylinders + tuple(extra))
+
+
+def test_atoms_match_a_literal_walk():
+    """``atoms`` equals the literal grouping on random cylinder partitions,
+    on ones with cylinders empty on some part (which no key may count), and
+    on ones with more than 64 cylinders, whose keys a machine word cannot
+    hold and whose order by bit positions is not their order as integers."""
+    orders_differ = filtered = 0
+    for seed in range(24):
+        rng = SplitMix64(300 + seed)
+        if seed % 3 == 2:
+            vs, m = PartiteVertexSet.of_sizes(6, 6, 5 + rng.below(3)), 100
+        else:
+            sizes = [1 + rng.below(6) for _ in range(2 + rng.below(3))]
+            vs, m = PartiteVertexSet.of_sizes(*sizes), 1 + rng.below(10)
+        pv = random_vertex_cylinder_partition(vs, m, rng.next_u64())
+        cases = [pv, _with_empty_cylinders(pv, rng.next_u64())]
+        for case in cases:
+            atoms = case.atoms()
+            assert atoms == _literal_atoms(case)
+            if m > 64:
+                assert len(case.cylinders) > 64 and max(key for _, _, key in atoms) >> 64
+                keys = [(i, key) for i, _, key in atoms]
+                orders_differ += keys != sorted(keys)
+        unfiltered = {(i, h) for i, part in enumerate(cases[1].holders) for h in part}
+        filtered += unfiltered != {(i, key) for i, _, key in cases[1].atoms()}
+    assert orders_differ and filtered
+
+
 _VS3 = PartiteVertexSet(("A", "B", "C"), (2, 2, 2))
 _HALVES = (VertexCylinder((1, 3, 3)), VertexCylinder((2, 3, 3)))
 
