@@ -30,7 +30,7 @@ a cylinder.  :func:`extract_cell_chain` is the one sub-chain cutter;
 ``core.restrict_chain`` checks its arguments and calls it, and tests use
 its copies as inputs to the naive oracles.  No engine path copies a chain.
 Every question of which cylinder holds a vertex, tuple or cylinder reads
-one table, ``VertexCylinderPartition.holders``, built once per partition;
+one table, ``VertexCylinderPartition.holders``, built from the distinct masks;
 ``VertexCylinderPartition.atoms``, the one grouping of vertices by it, gives
 the vertex parts of :func:`venn_diagram` and of the graph pipeline.
 
@@ -139,23 +139,28 @@ class VertexCylinder:
 def cylinder_holders(
     vs: PartiteVertexSet, cylinders: Sequence[VertexCylinder]
 ) -> tuple[tuple[int, ...], ...]:
-    """``holders[i][x]``: bitset of the cylinders whose part-i mask holds x."""
+    """``holders[i][x]``: bitset of the cylinders whose part-i mask holds x,
+    ORed in once per distinct part-i mask and vertex of it."""
     holders = [[0] * s for s in vs.sizes]
-    for c, cyl in enumerate(cylinders):
-        for part, m in zip(holders, cyl.masks):
+    for i, part in enumerate(holders):
+        carriers: dict[int, int] = {}  # each distinct part-i mask -> its cylinders
+        for c, cyl in enumerate(cylinders):
+            m = cyl.masks[i]
+            carriers[m] = carriers.get(m, 0) | 1 << c
+        for m, held in carriers.items():
             for x in bits(m):
-                part[x] |= 1 << c
+                part[x] |= held
     return tuple(map(tuple, holders))
 
 
 def _first_overlap(holders, cylinders) -> tuple[int, int] | None:
+    meets: list[dict[int, int]] = [{} for _ in holders]  # per part: mask -> OR of its holders
     for a, cyl in enumerate(cylinders):
         hit = -1 << (a + 1)  # every bit above a
-        for part, m in zip(holders, cyl.masks):
-            u = 0
-            for x in bits(m):
-                u |= part[x]
-            hit &= u
+        for part, met, m in zip(holders, meets, cyl.masks):
+            if m not in met:
+                met[m] = reduce(or_, map(part.__getitem__, bits(m)), 0)
+            hit &= met[m]
             if not hit:
                 break
         if hit:
@@ -171,7 +176,7 @@ def first_overlap(
 
     ``naive`` tests every pair.  ``fast`` reads :func:`cylinder_holders`:
     cylinder a meets the AND over parts of the OR of the holders over its
-    mask, whose lowest bit above a is its first partner.
+    mask, kept per distinct mask; its lowest bit above a is its first partner.
     """
     if mode == "naive":
         for a, ca in enumerate(cylinders):
@@ -209,9 +214,9 @@ class VertexCylinderPartition:
     def validate(self) -> None:
         """Exact partition check: masks in range, pairwise product-disjoint,
         and cell weights summing to the full product.  No enumeration; the
-        disjointness test reads ``holders``, as :func:`first_overlap` does,
-        linear in the cylinder count.  Errors win in that order: arity or
-        range, then the first overlapping pair, then the coverage count."""
+        disjointness test reads ``holders`` as :func:`first_overlap` does, t
+        ANDs of C-bit bitsets per cylinder: quadratic in the cylinder count C.
+        Errors win in order: arity or range, first overlap, then coverage."""
         vs = self.vertex_set
         total = prod(vs.sizes)
         acc = 0
@@ -245,7 +250,7 @@ class VertexCylinderPartition:
         """``(part, local ids, key)`` per atom, in part order, then key order:
         ``key`` is the ``holders`` bitset of the atom's vertices ANDed with
         the cylinders nonempty on every other part; keys sort by their bit
-        positions, ascending, expanded once per atom."""
+        positions, ascending."""
         nonempty = [reduce(or_, part, 0) for part in self.holders]
         out = []
         for i, part in enumerate(self.holders):
@@ -253,7 +258,9 @@ class VertexCylinderPartition:
             groups: dict[int, list[int]] = {}
             for a, held in enumerate(part):
                 groups.setdefault(held & relevant, []).append(a)
-            for _, key in sorted(zip(map(tuple, map(bits, groups)), groups)):
+            # No key is a proper subset of another (the relevant cylinders at a vertex
+            # partition the other parts' product): the lowest differing bit's key is first.
+            for key in sorted(groups, key=lambda k: format(k, "b")[::-1], reverse=True):
                 out.append((i, tuple(groups[key]), key))
         return tuple(out)
 

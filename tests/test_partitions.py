@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 from regulab.core import (
     BipartiteGraph,
     Chain,
+    Graph,
     InvalidStructure,
     MultipartiteGraph,
     PartiteThreeGraph,
     PartiteVertexSet,
     ThreeGraph,
+    bits,
+    partite_from_graph,
     ratio,
     relative_density,
     restrict_chain,
     triangle_count,
 )
+from regulab.engines import ConstantsProfile, dlr_cylinder_regularity
 from regulab.generators import (
     SplitMix64,
     random_chain,
@@ -44,6 +48,7 @@ from regulab.partitions import (
     cells_by_label,
     cells_quasirandom,
     common_refinement,
+    cylinder_holders,
     cylinder_quasirandomness_audit,
     extract_cell_chain,
     first_overlap,
@@ -1020,11 +1025,11 @@ def test_certificate_terms_on_an_empty_side_are_zero_over_one(left_mask, right_m
         assert terms == (value.numerator, value.denominator) == (0, 1)
 
 
-def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet) -> list[VertexCylinder]:
-    """A random cylinder partition's cylinders with up to two edits, each
+def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet, m: int) -> list[VertexCylinder]:
+    """A random partition's (about m) cylinders with up to two edits, each
     widening a mask or inserting a copy, an empty cylinder or random masks,
     so that about half of the families overlap."""
-    pv = random_vertex_cylinder_partition(vs, 1 + rng.below(10), rng.next_u64())
+    pv = random_vertex_cylinder_partition(vs, m, rng.next_u64())
     masks = [cyl.masks for cyl in pv.cylinders]
     for _ in range(rng.below(3)):
         kind = rng.below(4)
@@ -1046,22 +1051,66 @@ def _random_cylinder_family(rng: SplitMix64, vs: PartiteVertexSet) -> list[Verte
 
 
 def test_linear_overlap_check_names_the_pairwise_checks_first_pair():
+    """600 small families, then 60 of about 100 cylinders on three parts of
+    5 to 7 vertices, whose holder bitsets pass a machine word and whose
+    parts repeat masks, so each distinct mask stands for many cylinders."""
     rng = SplitMix64(31)
     found = set()
-    overlapping = 0
-    for _ in range(600):
-        vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(1 + rng.below(4))))
-        cyls = _random_cylinder_family(rng, vs)
+    overlapping = wide_overlapping = past_a_word = 0
+    for n in range(660):
+        if n < 600:
+            vs = PartiteVertexSet.of_sizes(*(1 + rng.below(4) for _ in range(1 + rng.below(4))))
+            cyls = _random_cylinder_family(rng, vs, 1 + rng.below(10))
+        else:
+            vs = PartiteVertexSet.of_sizes(*(5 + rng.below(3) for _ in range(3)))
+            cyls = _random_cylinder_family(rng, vs, 100)
+            assert len(cyls) > 64
+            assert all(len({cyl.masks[i] for cyl in cyls}) < len(cyls) // 2 for i in range(3))
         pair = first_overlap(vs, cyls, "naive")
         assert first_overlap(vs, cyls) == pair
         if pair is None:
             continue
-        overlapping += 1
+        if n < 600:
+            overlapping += 1
+        else:
+            wide_overlapping += 1
+            past_a_word += pair[1] >= 64
         found.add(pair)
         with pytest.raises(InvalidStructure, match=f"^cylinders {pair[0]} and {pair[1]} overlap$"):
             VertexCylinderPartition(vs, tuple(cyls))
     assert 200 <= overlapping <= 400, overlapping
+    assert 20 <= wide_overlapping <= 40 and past_a_word, (wide_overlapping, past_a_word)
     assert len(found) > 20
+
+
+def _literal_holders(vs, cylinders):
+    """One bit per (cylinder, vertex): bit c in the row of every vertex of
+    every mask of cylinder c."""
+    holders = [[0] * s for s in vs.sizes]
+    for c, cyl in enumerate(cylinders):
+        for part, m in zip(holders, cyl.masks):
+            for x in bits(m):
+                part[x] |= 1 << c
+    return tuple(map(tuple, holders))
+
+
+def test_holders_match_a_literal_walk():
+    """``holders`` (and ``cylinder_holders`` on overlapping families) equals
+    the per-cylinder walk on partitions of more than 64 cylinders, also with
+    cylinders empty on some part added: an empty mask carries no vertex."""
+    rng = SplitMix64(71)
+    for _ in range(12):
+        vs = PartiteVertexSet.of_sizes(*(5 + rng.below(3) for _ in range(3 + rng.below(2))))
+        pv = random_vertex_cylinder_partition(vs, 65 + rng.below(60), rng.next_u64())
+        cases = (pv, _with_empty_cylinders(pv, rng.next_u64()))
+        for case in cases:
+            assert len(case.cylinders) > 64
+            assert case.holders == _literal_holders(vs, case.cylinders)
+        for c, cyl in enumerate(cases[1].cylinders):
+            for part, m in zip(cases[1].holders, cyl.masks):
+                assert m or not any(held >> c & 1 for held in part)
+        cyls = _random_cylinder_family(rng, vs, 100)
+        assert cylinder_holders(vs, cyls) == _literal_holders(vs, cyls)
 
 
 @pytest.mark.parametrize(
@@ -1190,6 +1239,18 @@ def test_atoms_match_a_literal_walk():
         unfiltered = {(i, h) for i, part in enumerate(cases[1].holders) for h in part}
         filtered += unfiltered != {(i, key) for i, _, key in cases[1].atoms()}
     assert orders_differ and filtered
+    # The partition ``dlr`` returns on the 2x48 half graph at eps 1/8, as the
+    # graph pipeline builds it: the atom order there rests on no key being
+    # a proper subset of another, which random partitions need not show.
+    g = Graph.from_edges(96, [(i, 48 + j) for i in range(48) for j in range(i, 48)])
+    mg = partite_from_graph(g, [12] * 8)
+    pairs = [(i, j, mg.pair(i, j).rows) for i, j in combinations(range(8), 2)]
+    pv, _ = dlr_cylinder_regularity(mg.vertex_set, pairs, Fraction(1, 64), ConstantsProfile.desk())
+    assert len(pv.cylinders) == 256
+    atoms = pv.atoms()
+    assert len(atoms) == 16 and atoms == _literal_atoms(pv)
+    for (i, _, a), (j, _, b) in combinations(atoms, 2):
+        assert i != j or (a & ~b and b & ~a)
 
 
 _VS3 = PartiteVertexSet(("A", "B", "C"), (2, 2, 2))
